@@ -32,7 +32,6 @@ from .core import (
     rotating_to_polar,
     vector_field_rotating,
 )
-from .integrate import integrate, propagate_to_section
 from .melnikov import (
     MelnikovSeries,
     binom_half,

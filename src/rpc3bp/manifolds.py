@@ -1,10 +1,15 @@
 """Stable/unstable invariant curves of infinity on a Poincare section.
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
-flow: orbits are seeded in the far field (r = R0) with the parabolic velocity
-law projected onto the working energy shell H = -g0^3, propagated to the
-section {phi = phi0 (mod 2pi)}, and read off as curves y = Y(v) against the
-separatrix radius parameterization r = r_h(v) on the outgoing (y > 0) leg.
+flow: orbits are seeded in the inbound far field (r = R0) with the parabolic
+velocity law projected onto the working energy shell H = -g0^3, propagated
+forward, and read off as curves y = Y(v) on the section {phi = phi0 (mod 2pi)}
+against the separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
+
+Both curves come from the same orbits.  Their outgoing crossings of phi0
+sample W^u; the reversing symmetry R: (r, phi, y, G) -> (r, -phi, -y, G) maps
+W^u onto W^s, so their inbound (y < 0) crossings of -phi0, reflected by R,
+sample the stable curve on phi0.
 
 Seeding uses the exact identity of the shell constraint with the parabolic
 law: given (r, phi) and y^2 = 2/r - G^2/r^2, the shell condition reduces to
@@ -12,7 +17,7 @@ G = 1 - V(r, phi)/g0^3, so the initial state satisfies H = -g0^3 to rounding.
 The departure of that state from the true manifold scales like
 mu/(g0^4 R0^3) and is probed by the R0-doubling oracle.
 
-One far-field orbit crosses the section about once per synodic period, so a
+One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
 requested window contributes a sample (v, Y) with v recovered exactly from
 the crossing radius.
@@ -21,7 +26,8 @@ the crossing radius.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin, sqrt
+from functools import lru_cache
+from math import pi, sqrt
 
 import numpy as np
 
@@ -30,17 +36,14 @@ from .core import (
     Params,
     RotatingState,
     SectionTimeoutError,
-    hamiltonian_rotating,
     potential_V,
 )
-from .integrate import flow, make_rhs, refine_to_section, section_event
-from .integrate import propagate_to_section  # re-exported: section machinery
+from .integrate import flow, refine_to_section, section_event
 from .separatrix import homoclinic_r, v_of_r
 
 __all__ = [
     "ManifoldCurve",
     "initial_manifold_state",
-    "propagate_to_section",
     "lift_to_shell",
     "poincare_map",
     "poincare_jacobian",
@@ -85,26 +88,23 @@ class ManifoldCurve:
         return Y_of_v
 
 
-def initial_manifold_state(branch: str, r0: float, phase: float,
-                           p: Params) -> RotatingState:
-    """Far-field state approximating the manifold of infinity at r = r0.
+def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
+    """Inbound far-field state approximating the unstable manifold of
+    infinity at r = r0.
 
-    Parabolic radial velocity (negative for the unstable/inbound branch,
-    positive for the stable/outbound one) with the angular momentum solved
-    from the shell condition, which is exactly G = 1 - V(r0, phase)/g0^3.
-    The energy residual is zero by construction; the distance to the true
-    manifold is O(mu/(g0^4 r0^3)) and shrinks with r0.
+    Negative parabolic radial velocity with the angular momentum solved from
+    the shell condition, which is exactly G = 1 - V(r0, phase)/g0^3.  The
+    energy residual is zero by construction; the distance to the true
+    manifold is O(mu/(g0^4 r0^3)) and shrinks with r0.  involution_R maps the
+    state onto the matching outbound seed of the stable manifold.
     """
-    if branch not in ("unstable", "stable"):
-        raise ValueError("branch must be 'unstable' or 'stable'")
     if r0 < 50.0:
         raise ValueError("far-field seeding documented for r0 >= 50")
     G = 1.0 - potential_V(r0, phase, p) / p.g0**3
     ysq = 2.0 / r0 - G * G / (r0 * r0)
     if ysq <= 0.0:
         raise RuntimeError(f"no parabolic velocity at r0={r0}")
-    y = -sqrt(ysq) if branch == "unstable" else sqrt(ysq)
-    return RotatingState(r0, phase, y, G)
+    return RotatingState(r0, phase, -sqrt(ysq), G)
 
 
 def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
@@ -126,17 +126,20 @@ def poincare_map(point: tuple[float, float], phi0: float, p: Params,
                  tol: float = 1e-13) -> tuple[float, float]:
     """One full return of the section map on the energy shell.
 
-    The synodic angle is monotone decreasing, so the first forward crossing
-    of {phi = phi0 (mod 2pi)} is the return.  Preserves the section area
+    The synodic angle is monotone decreasing, so the return is the first
+    time the unwrapped angle reaches phi0 - 2pi.  Preserves the section area
     element dr wedge dy up to integrator accuracy.
     """
     z = lift_to_shell(point[0], point[1], phi0, p)
-    # step off the section before watching for the next crossing
-    ds0 = 0.02 * 2.0 * pi / p.g0**3
-    ev = section_event(phi0)
+    phi_end = phi0 - 2.0 * pi
+
+    def ev(s, zz):
+        return zz[1] - phi_end
+
     ev.terminal = True
+    ev.direction = -1.0
     try:
-        sol = flow(z.to_array(), (ds0, ds0 + 3.0 * 2.0 * pi / p.g0**3), tol, p,
+        sol = flow(z.to_array(), (0.0, 3.0 * 2.0 * pi / p.g0**3), tol, p,
                    events=[ev])
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
@@ -170,30 +173,28 @@ def poincare_jacobian(point: tuple[float, float], phi0: float, p: Params,
     return J
 
 
-def _collect_branch_samples(branch: str, phi0: float, v_window, p: Params,
-                            tol: float, n_phases: int, r0: float):
-    """All section crossings of a fan of far-field orbits, as (v, Y) pairs.
+@lru_cache(maxsize=1)
+def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
+                 tol: float, n_phases: int, r0: float):
+    """Samples (v, Y) of both invariant curves on phi0 from one fan of
+    far-field orbits, as tuples (unstable, stable).
 
-    Unstable orbits are integrated forward from the inbound far field;
-    stable orbits backward from the outbound far field.  Only outgoing-leg
-    (y > 0) crossings inside the buffered window are kept; v is recovered
-    from the crossing radius through the separatrix closed form.
+    Outgoing (y > 0) crossings of phi0 are unstable samples; inbound (y < 0)
+    crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
+    samples.  Only crossings inside the buffered window are kept; v is
+    recovered from the crossing radius through the separatrix closed form.
     """
     v_lo, v_hi = v_window
     buf = 0.12 * (v_hi - v_lo)
     r_lo = homoclinic_r(max(v_lo - buf, 1e-3))
     r_hi = homoclinic_r(v_hi + buf)
-    sign = 1.0 if branch == "unstable" else -1.0
 
     # time to fall from r0 plus the window traverse, with margin
     s_span = 1.35 * (float(v_of_r(r0)) + v_hi + 5.0)
 
     def exit_event(s, z):
         return z[0] - (r_hi * 1.05)
-    # Terminate once the orbit climbs back out past the window.  Event
-    # directions follow solver progression (not physical time), so the
-    # initial descent is + to - and the post-perihelion exit is - to + for
-    # both branches.
+    # terminate once the orbit climbs back out past the window
     exit_event.terminal = True
     exit_event.direction = 1.0
 
@@ -202,27 +203,26 @@ def _collect_branch_samples(branch: str, phi0: float, v_window, p: Params,
     # The manifold's primary piece ends at the first radial turning point
     # after the perihelion pass: orbits that lose enough energy get captured
     # below the exit radius and would re-cross the window on later passes,
-    # which belong to deeper windings of the invariant curve.  Along solver
-    # progression the perihelion is a +1 (unstable) / -1 (stable) zero of y,
-    # the spurious turning point the opposite one.
+    # which belong to deeper windings of the invariant curve.  The perihelion
+    # is a rising zero of y, the spurious turning point a falling one.
     turn_event.terminal = True
-    turn_event.direction = -sign
+    turn_event.direction = -1.0
 
-    sec = section_event(phi0)
-
-    samples = []
+    events = [section_event(phi0), section_event(-phi0), exit_event,
+              turn_event]
+    unstable, stable = [], []
     for k in range(n_phases):
-        phase = phi0 + 2.0 * pi * k / n_phases
-        z0 = initial_manifold_state(branch, r0, phase, p)
-        sol = flow(z0.to_array(), (0.0, sign * s_span), tol, p,
-                   events=[sec, exit_event, turn_event])
+        z0 = initial_manifold_state(r0, phi0 + 2.0 * pi * k / n_phases, p)
+        sol = flow(z0.to_array(), (0.0, s_span), tol, p, events=events)
         for z in sol.y_events[1]:
-            r, y = z[0], z[2]
-            if y <= 1e-6 or not (r_lo <= r <= r_hi):
-                continue
-            zr = refine_to_section(z, phi0, p)
-            samples.append((float(v_of_r(zr[0])), float(zr[2])))
-    return samples
+            if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
+                zr = refine_to_section(z, phi0, p)
+                unstable.append((float(v_of_r(zr[0])), float(zr[2])))
+        for z in sol.y_events[2]:
+            if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
+                zr = refine_to_section(z, -phi0, p)
+                stable.append((float(v_of_r(zr[0])), -float(zr[2])))
+    return tuple(unstable), tuple(stable)
 
 
 def compute_invariant_curve(branch: str, phi0: float,
@@ -236,6 +236,9 @@ def compute_invariant_curve(branch: str, phi0: float,
     the fan size is derived from it (one orbit yields about
     window * g0^3 / 2pi crossings) but kept at >= 16 phases so the fast
     synodic oscillation of the curve is resolved for interpolation.
+
+    Both branches are read from one memoised forward fan: the "unstable" and
+    then the "stable" curve with the same arguments integrate once.
     """
     v_lo, v_hi = v_window
     if not 0.0 < v_lo < v_hi:
@@ -247,13 +250,12 @@ def compute_invariant_curve(branch: str, phi0: float,
     if n_phases is None:
         n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    samples = _collect_branch_samples(branch, phi0, v_window, p, tol,
-                                      n_phases, r0)
+    unstable, stable = _fan_samples(phi0, (v_lo, v_hi), p, tol, n_phases, r0)
+    samples = sorted(unstable if branch == "unstable" else stable)
     if len(samples) < 8:
         raise RuntimeError(
             f"only {len(samples)} window crossings collected; widen the "
             "window or increase n_phases")
-    samples.sort()
     v = np.array([s[0] for s in samples])
     Y = np.array([s[1] for s in samples])
     v, Y = _merge_close(v, Y)

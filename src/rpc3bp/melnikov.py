@@ -585,7 +585,7 @@ def predicted_distance_amplitudes(p: Params) -> tuple[float, float]:
     return a1, a2
 
 
-def predicted_distance(v_star: float, phi0: float, p: Params) -> float:
+def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
     """Leading-order splitting distance on the section r = r_h(v*):
 
         y_h(v*)^-1 [ A1 sin x - A2 sin 2x ],  x = phi0 - alpha_h(v*) + g0^3 v*,
@@ -593,14 +593,15 @@ def predicted_distance(v_star: float, phi0: float, p: Params) -> float:
     with A1, A2 from predicted_distance_amplitudes.  The relative sign of the
     harmonics follows the verified coefficient signs (L[1] < 0 < L[2]); it
     places the extra homoclinic roots at cos x = A1/(2 A2) when A1 < 2 A2.
-    Error terms are excluded.  Requires v* > 0 (y_h vanishes at the turning
-    point).
+    Error terms are excluded.  v_star is a number or an array; every value
+    must be positive (y_h vanishes at the turning point).
     """
-    if v_star <= 0.0:
+    v_star = np.asarray(v_star, dtype=float)
+    if np.any(v_star <= 0.0):
         raise ValueError("v_star must be positive (y_h(0) = 0)")
     a1, a2 = predicted_distance_amplitudes(p)
     x = phi0 - homoclinic_alpha(v_star) + p.g0**3 * v_star
-    return (a1 * math.sin(x) - a2 * math.sin(2.0 * x)) / homoclinic_y(v_star)
+    return (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / homoclinic_y(v_star)
 
 
 def first_order_zero_function(x: float, p: Params) -> float:

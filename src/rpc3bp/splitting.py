@@ -276,22 +276,27 @@ def _lobe_integral(profile: DistanceProfile, v_a: float, v_b: float) -> float:
 
 
 def _predicted_max_distance(profile: DistanceProfile) -> float:
-    vals = [abs(predicted_distance(v, profile.phi0, profile.params))
-            for v in profile.v]
-    return float(np.max(vals))
+    return float(np.max(np.abs(
+        predicted_distance(profile.v, profile.phi0, profile.params))))
+
+
+def _manifold_profile(p: Params, phi0: float,
+                      cfg: SplittingConfig) -> DistanceProfile:
+    """Distance profile of the invariant-curve pair computed under cfg."""
+    cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p,
+                                 tol=cfg.tol, n_samples=cfg.n_samples,
+                                 r0=cfg.r0, n_phases=cfg.n_phases)
+    cs = compute_invariant_curve("stable", phi0, cfg.v_window, p,
+                                 tol=cfg.tol, n_samples=cfg.n_samples,
+                                 r0=cfg.r0, n_phases=cfg.n_phases)
+    return distance_profile(cs, cu, n_grid=cfg.n_grid)
 
 
 def splitting_report(p: Params, phi0: float,
                      config: SplittingConfig | None = None) -> SplittingReport:
     """Full pipeline: curves -> profile -> roots -> lobes -> predictions."""
     cfg = config or SplittingConfig()
-    curve_u = compute_invariant_curve("unstable", phi0, cfg.v_window, p,
-                                      tol=cfg.tol, n_samples=cfg.n_samples,
-                                      r0=cfg.r0, n_phases=cfg.n_phases)
-    curve_s = compute_invariant_curve("stable", phi0, cfg.v_window, p,
-                                      tol=cfg.tol, n_samples=cfg.n_samples,
-                                      r0=cfg.r0, n_phases=cfg.n_phases)
-    profile = distance_profile(curve_s, curve_u, n_grid=cfg.n_grid)
+    profile = _manifold_profile(p, phi0, cfg)
     roots = find_homoclinic_points(profile)
 
     # max |D| per complete half-period of the phase
@@ -380,18 +385,6 @@ def count_roots_in_period(profile: DistanceProfile) -> int:
     return int(np.sum((x >= lo) & (x < lo + 2.0 * pi)))
 
 
-def _tangency_profile(mu: float, g0: float, phi0: float,
-                      cfg: SplittingConfig) -> DistanceProfile:
-    p = Params(mu, g0)
-    cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p,
-                                 tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0, n_phases=cfg.n_phases)
-    cs = compute_invariant_curve("stable", phi0, cfg.v_window, p,
-                                 tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0, n_phases=cfg.n_phases)
-    return distance_profile(cs, cu, n_grid=cfg.n_grid)
-
-
 def find_tangency(g0: float, mu_bracket: tuple[float, float],
                   config: SplittingConfig | None = None,
                   phi0: float = 0.0,
@@ -408,8 +401,8 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
         raise ValueError("tangency solve documented for g0 >= 2.6")
     cfg = config or SplittingConfig(tol=1e-13)
     mu_lo, mu_hi = mu_bracket
-    prof_lo = _tangency_profile(mu_lo, g0, phi0, cfg)
-    prof_hi = _tangency_profile(mu_hi, g0, phi0, cfg)
+    prof_lo = _manifold_profile(Params(mu_lo, g0), phi0, cfg)
+    prof_hi = _manifold_profile(Params(mu_hi, g0), phi0, cfg)
 
     family = None
     for fam in ("0", "pi"):
@@ -426,7 +419,7 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     def indicator(mu: float) -> float:
         if mu not in cache:
-            cache[mu] = _tangency_profile(mu, g0, phi0, cfg)
+            cache[mu] = _manifold_profile(Params(mu, g0), phi0, cfg)
         val = _family_indicator(cache[mu], family)
         if val is None:
             raise RuntimeError(f"family-{family} root lost at mu={mu}")
@@ -440,7 +433,8 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
         mu_xtol = max(1e-6, 0.002 * (0.5 - mu_pred))
     mu_star = brentq(indicator, mu_lo, mu_hi, xtol=mu_xtol)
 
-    prof = cache.get(mu_star) or _tangency_profile(mu_star, g0, phi0, cfg)
+    prof = (cache.get(mu_star)
+            or _manifold_profile(Params(mu_star, g0), phi0, cfg))
     roots = find_homoclinic_points(prof)
     target = 0.0 if family == "0" else pi
     mid = 0.5 * (prof.v[0] + prof.v[-1])

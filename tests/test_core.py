@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import rpc3bp
 from rpc3bp.core import (
     CartesianState,
     CollisionError,
@@ -266,6 +268,9 @@ class TestIntegrate:
             integrate(z, 1.0, 1e-5, p)
         with pytest.raises(ValueError):
             integrate(z, 1.0, 1e-16, p)
+
+    def test_package_attribute_is_the_module(self):
+        assert inspect.ismodule(rpc3bp.integrate)
 
 
 class TestMcGehee:

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from rpc3bp.core import Params, RotatingState, hamiltonian_rotating
-from rpc3bp.integrate import flow, refine_to_section, section_event
+from rpc3bp.core import Params, RotatingState, hamiltonian_rotating, involution_R
+from rpc3bp.integrate import (
+    flow,
+    propagate_to_section,
+    refine_to_section,
+    section_event,
+)
 from rpc3bp.manifolds import (
+    _fan_samples,
     compute_invariant_curve,
     curve_to_csv,
     initial_manifold_state,
     lift_to_shell,
     poincare_jacobian,
     poincare_map,
-    propagate_to_section,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
 
@@ -30,28 +36,22 @@ def mu0_curves():
 class TestInitialState:
     def test_on_shell_by_construction(self):
         for p in (Params(0.3, 2.4), Params(0.5, 2.0)):
-            for branch in ("unstable", "stable"):
-                for phase in (0.0, 1.3, 4.0):
-                    z = initial_manifold_state(branch, 60.0, phase, p)
-                    assert abs(hamiltonian_rotating(z, p) + p.g0**3) < 1e-12 * p.g0**3
-
-    def test_branch_signs(self):
-        p = Params(0.3, 2.4)
-        assert initial_manifold_state("unstable", 55.0, 0.0, p).y < 0
-        assert initial_manifold_state("stable", 55.0, 0.0, p).y > 0
+            for phase in (0.0, 1.3, 4.0):
+                z = initial_manifold_state(60.0, phase, p)
+                assert abs(hamiltonian_rotating(z, p) + p.g0**3) < 1e-12 * p.g0**3
 
     def test_mu0_matches_separatrix(self):
         # at mu=0 the seed lies on the exact separatrix
         p = Params(0.0, 2.0)
         r0 = 64.0
-        z = initial_manifold_state("unstable", r0, 0.7, p)
+        z = initial_manifold_state(r0, 0.7, p)
         v = v_of_r(r0)
         assert z.y == pytest.approx(-homoclinic_y(v), abs=1e-10)
         assert z.G == 1.0
 
     def test_far_field_floor(self):
         with pytest.raises(ValueError):
-            initial_manifold_state("unstable", 20.0, 0.0, Params(0.3, 2.4))
+            initial_manifold_state(20.0, 0.0, Params(0.3, 2.4))
 
 
 class TestSectionMachinery:
@@ -100,6 +100,22 @@ class TestLift:
 
 
 class TestPoincareMap:
+    def test_first_return_matches_direct_integration(self):
+        # the image is where the unwrapped angle first reaches phi0 - 2pi,
+        # located here by root-finding on the dense output of one flow
+        p = Params(0.3, 2.4)
+        pt = (1.0, 0.3)
+        rn, yn = poincare_map(pt, 0.0, p, tol=1e-13)
+        assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
+        z = lift_to_shell(pt[0], pt[1], 0.0, p)
+        sol = flow(z.to_array(), (0.0, 2.0 * 2 * math.pi / p.g0**3), 1e-13, p,
+                   dense_output=True)
+        s_ret = brentq(lambda s: sol.sol(s)[1] + 2 * math.pi, 0.0, sol.t[-1],
+                       xtol=1e-15)
+        r_ret, _, y_ret, _ = sol.sol(s_ret)
+        assert rn == pytest.approx(r_ret, abs=1e-10)
+        assert yn == pytest.approx(y_ret, abs=1e-10)
+
     def test_area_preservation(self):
         p = Params(0.3, 2.4)
         for pt in ((1.1, 0.5), (1.5, -0.3)):
@@ -169,6 +185,36 @@ class TestInvariantCurves:
         assert lines[1] == "v,r,Y,branch,phi0,mu,g0,tol"
         assert len(lines) == 2 + len(cu.v)
 
+    @pytest.mark.parametrize("phi0", [0.0, 1.0])
+    def test_stable_samples_are_reflected_crossings(self, phi0):
+        # Oracle for the stable branch, sample by sample: the R-image of each
+        # fan seed, integrated backward to its perihelion, crosses phi0 on
+        # the outgoing leg exactly where the fan's reflected inbound
+        # crossings of -phi0 say.
+        p = Params(0.3, 2.4)
+        tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 3, (0.4, 1.6)
+        _, stable = _fan_samples(phi0, (v_lo, v_hi), p, tol, n, r0)
+
+        def perihelion(s, z):
+            return z[2]
+        perihelion.terminal = True
+
+        ref = []
+        for k in range(n):
+            z0 = involution_R(initial_manifold_state(r0, phi0 + 2 * math.pi * k / n, p))
+            sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(r0)), tol, p,
+                       events=[section_event(phi0), perihelion])
+            assert len(sol.t_events[2]) == 1
+            for z in sol.y_events[1]:
+                zr = refine_to_section(z, phi0, p)
+                if homoclinic_r(v_lo) < zr[0] < homoclinic_r(v_hi):
+                    ref.append((float(v_of_r(zr[0])), float(zr[2])))
+        got = sorted(s for s in stable if v_lo < s[0] < v_hi)
+        ref.sort()
+        assert len(ref) >= 5
+        assert len(got) == len(ref)
+        assert np.max(np.abs(np.subtract(got, ref))) < 1e-11
+
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
@@ -190,7 +236,7 @@ class TestSeedingRobustness:
         v_target = 1.0
 
         def crossing(phase, r0):
-            z0 = initial_manifold_state("unstable", r0, phase, p)
+            z0 = initial_manifold_state(r0, phase, p)
             def ex(s, z):
                 return z[0] - 2.6
             ex.terminal = True

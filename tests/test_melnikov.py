@@ -240,6 +240,15 @@ class TestPredictions:
     def test_distance_domain(self):
         with pytest.raises(ValueError):
             predicted_distance(0.0, 0.0, Params(0.3, 2.4))
+        with pytest.raises(ValueError):
+            predicted_distance(np.array([1.0, 0.0]), 0.0, Params(0.3, 2.4))
+
+    def test_distance_array_matches_scalar_loop(self):
+        p = Params(0.3, 2.4)
+        vg = np.linspace(0.4, 1.6, 800)
+        loop = np.array([predicted_distance(float(v), 0.7, p) for v in vg])
+        scale = np.max(np.abs(loop))
+        assert np.max(np.abs(predicted_distance(vg, 0.7, p) - loop)) < 1e-13 * scale
 
     def test_distance_sign_alternation(self):
         # first harmonic dominant: zeros at phase k pi with alternating signs
