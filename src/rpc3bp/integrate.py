@@ -8,14 +8,21 @@ in the regime of interest, so every zero is a genuine crossing.
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
 time until |phi - phi0| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
+
+lockstep_flow advances many orbits ("lanes") at once with the same DOP853
+scheme written in numpy: one vectorised right-hand side per stage serves
+every lane, while each lane keeps its own step size and accept/reject state.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from .core import (
     CollisionError,
@@ -29,8 +36,11 @@ __all__ = [
     "TOL_MIN",
     "TOL_MAX",
     "make_rhs",
+    "make_lane_rhs",
     "integrate",
     "flow",
+    "LockstepFlow",
+    "lockstep_flow",
     "section_event",
     "propagate_to_section",
     "refine_to_section",
@@ -71,6 +81,38 @@ def make_rhs(p: Params):
                 - mu * (r + m2 * cp) * inv_d23 + 1.0 / rr)
         dVdphi = mm * r * sin(phi) * (inv_d23 - inv_d13)
         return (y, G / rr - g03, G * G / (rr * r) - 1.0 / rr + dVdr, dVdphi)
+
+    return rhs
+
+
+def make_lane_rhs(p: Params):
+    """make_rhs for a (4, m) array of states, one lane per column.
+
+    The arithmetic is make_rhs's, operation for operation, in numpy.
+    """
+    mu, g0 = p.mu, p.g0
+    m1 = mu / g0**2
+    m2 = (1.0 - mu) / g0**2
+    g03 = g0**3
+    mm = mu * (1.0 - mu) / g0**2
+
+    def rhs(z):
+        r, phi, y, G = z
+        cp = np.cos(phi)
+        rr = r * r
+        inv_rr = 1.0 / rr
+        d1sq = rr - 2.0 * m1 * r * cp + m1 * m1
+        d2sq = rr + 2.0 * m2 * r * cp + m2 * m2
+        inv_d13 = 1.0 / (d1sq * np.sqrt(d1sq))
+        inv_d23 = 1.0 / (d2sq * np.sqrt(d2sq))
+        dVdr = (-(1.0 - mu) * (r - m1 * cp) * inv_d13
+                - mu * (r + m2 * cp) * inv_d23 + inv_rr)
+        out = np.empty_like(z)
+        out[0] = y
+        out[1] = G / rr - g03
+        out[2] = G * G / (rr * r) - inv_rr + dVdr
+        out[3] = mm * r * np.sin(phi) * (inv_d23 - inv_d13)
+        return out
 
     return rhs
 
@@ -121,11 +163,264 @@ def integrate(s: RotatingState, delta_s: float, tol: float, p: Params) -> Rotati
     return RotatingState.from_array(sol.y[:, -1])
 
 
+# DOP853 tableau (Hairer, Norsett & Wanner) and step-size controller, as in
+# scipy.integrate's DOP853
+_N_STAGES = _dop.N_STAGES
+_A, _B, _D = _dop.A, _dop.B, _dop.D
+_E3, _E5 = _dop.E3, _dop.E5
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_EPS = np.finfo(float).eps
+
+
+@dataclass
+class LockstepFlow:
+    """Outcome of lockstep_flow, lane k being column k of the input.
+
+    s[k], z[:, k]: final time and state of lane k, at s_end or at the
+    crossing that retired it.  s_events[k][e], z_events[k][e]: times and
+    states of lane k's crossings of events[e], as solve_ivp's t_events and
+    y_events.  work: lockstep iterations, and accepted steps, rejected steps
+    and right-hand-side evaluations summed over lanes.
+    """
+
+    s: np.ndarray
+    z: np.ndarray
+    s_events: list
+    z_events: list
+    work: dict
+
+
+# The per-lane reductions below repeat scipy's own calls lane by lane: a
+# batched matmul runs the BLAS kernel of np.dot on each (16, 4) stage block
+# and 4-vector, so every lane's arithmetic is the arithmetic solve_ivp does.
+# Bit for bit matters: far from the primaries DOP853's error estimate is at
+# the rounding floor, and one ulp of difference grows within a few steps
+# into a different step sequence.
+
+def _combine(K, c):
+    """np.dot(K[k, :len(c)].T, c) for every lane k, as a (4, m) array."""
+    out = np.empty((4, len(K)))
+    np.matmul(K[:, :len(c)].transpose(0, 2, 1), c, out=out.T)
+    return out
+
+
+def _norm(x):
+    """np.linalg.norm of each column of a (4, m) array."""
+    x = np.ascontiguousarray(x.T)
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _pow(x, a):
+    """x ** a per lane with the scalar pow that scipy's controller uses;
+    0 ** a is inf for a < 0."""
+    return np.array([v ** a if v else np.inf for v in x.tolist()])
+
+
+def _initial_step(fun, z, f, interval, rtol, atol):
+    """scipy's initial step rule (Hairer, Norsett & Wanner II.4), per lane."""
+    scale = atol + np.abs(z) * rtol
+    d0 = _norm(z / scale) / 2.0
+    d1 = _norm(f / scale) / 2.0
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+    h0 = np.minimum(h0, interval)
+    d2 = _norm((fun(z + h0 * f) - f) / scale) / 2.0 / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                  _pow(0.01 / np.where(flat, 1.0, np.maximum(d1, d2)), 0.125))
+    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+def _dense_coefficients(fun, K, h, z_old, z_new):
+    """Coefficients of DOP853's interpolant over one step, per lane.
+
+    K holds the step's 13 stages of k lanes and room for the 3 extra ones,
+    shape (k, 16, 4); the result has shape (k, 7, 4).
+    """
+    for i in range(_N_STAGES + 1, K.shape[1]):
+        K[:, i] = fun(z_old + _combine(K, _A[i, :i]) * h).T
+    dz = (z_new - z_old).T
+    hk = h[:, None]
+    F = np.empty((len(K), _dop.INTERPOLATOR_POWER, 4))
+    F[:, 0] = dz
+    F[:, 1] = hk * K[:, 0] - dz
+    F[:, 2] = 2.0 * dz - hk * (K[:, _N_STAGES] + K[:, 0])
+    F[:, 3:] = h[:, None, None] * np.matmul(_D, K)
+    return F
+
+
+def _dense_state(F, z_old, s_old, h):
+    """State on one lane's step at time t, from its (7, 4) coefficients."""
+
+    def z_at(t):
+        x = (t - s_old) / h
+        z = np.zeros(4)
+        for i, Fi in enumerate(F[::-1]):
+            z += Fi
+            z *= x if i % 2 == 0 else 1.0 - x
+        return z + z_old
+
+    return z_at
+
+
+def lockstep_flow(z0, s_end: float, tol: float, p: Params,
+                  events=()) -> LockstepFlow:
+    """Integrate the lanes z0[:, k] from s = 0 to s_end > 0 together.
+
+    Each lane takes the steps that flow(z0[:, k], (0, s_end), tol, p, events)
+    takes, with the same DOP853 tableau, initial-step rule, error norm and
+    step-size controller, and repeats its arithmetic.  Each lockstep
+    iteration makes one step attempt in every live lane with one vectorised
+    right-hand side per stage; lanes keep their own step size and
+    accept/reject state.
+
+    Events follow flow's conventions (ev(s, z) with `terminal` and
+    `direction`) but get arrays: z of shape (4, m) and s of shape (m,).  A
+    sign change over an accepted step is located on the lane's dense output
+    as solve_ivp does, and a terminal crossing retires the lane: crossings
+    before it in that step are kept, later ones dropped.  An event may carry
+    a `gate(s, z)` attribute; its crossings are then located only in steps
+    with the gate true at either end, which spares locating crossings the
+    caller would discard.
+
+    Raises CollisionError, with the lane's state at the cutoff, when a lane
+    reaches the collision cutoff, and RuntimeError when a lane's step size
+    underflows.
+    """
+    _check_tol(tol)
+    if not s_end > 0.0:
+        raise ValueError("lockstep_flow integrates forward: need s_end > 0")
+    rtol = max(tol, 100.0 * _EPS)    # scipy's floor on rtol
+    atol = tol * 1e-2
+    fun = make_lane_rhs(p)
+    evs = [_collision_event(p), *events]
+    direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
+    gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
+
+    z = np.array(z0, dtype=float)
+    n = z.shape[1]
+    lane = np.arange(n)
+    s = np.zeros(n)
+    f = fun(z)
+    h_abs = _initial_step(fun, z, f, s_end, rtol, atol)
+    rejected = np.zeros(n, dtype=bool)
+    g = np.array([ev(s, z) for ev in evs])
+    K = np.empty((n, _dop.N_STAGES_EXTENDED, 4))
+    out = LockstepFlow(s=np.empty(n), z=np.empty((4, n)),
+                       s_events=[[[] for _ in events] for _ in range(n)],
+                       z_events=[[[] for _ in events] for _ in range(n)],
+                       work={"lockstep_iterations": 0, "accepted_steps": 0,
+                             "rejected_steps": 0, "rhs_evals": 2 * n})
+    work = out.work
+
+    while lane.size:
+        m = lane.size
+        work["lockstep_iterations"] += 1
+        work["rhs_evals"] += _N_STAGES * m
+        min_step = 10.0 * np.spacing(s)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        if np.any(h_abs < min_step):
+            i = np.argmax(h_abs < min_step)
+            raise RuntimeError(f"integration failed: step size underflow "
+                               f"in lane {lane[i]} at s = {s[i]}")
+        s_new = np.minimum(s + h_abs, s_end)
+        h = s_new - s
+        K[:, 0] = f.T
+        for i in range(1, _N_STAGES):
+            K[:, i] = fun(z + _combine(K, _A[i, :i]) * h).T
+        z_new = z + h * _combine(K, _B)
+        f_new = fun(z_new)
+        K[:, _N_STAGES] = f_new.T
+
+        scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
+        e5 = _norm(_combine(K, _E5) / scale) ** 2
+        e3 = _norm(_combine(K, _E3) / scale) ** 2
+        denom = e5 + 0.01 * e3
+        err = h * e5 / np.sqrt(np.where(denom > 0.0, denom, 1.0) * 4)
+        ok = err < 1.0
+        ratio = _SAFETY * _pow(err, _ERROR_EXPONENT)
+        factor = np.where(ok, np.minimum(_MAX_FACTOR, ratio),
+                          np.fmax(_MIN_FACTOR, ratio))
+        h_abs = h * np.where(ok & rejected, np.minimum(1.0, factor), factor)
+        rejected = ~ok
+        n_ok = int(np.count_nonzero(ok))
+        work["accepted_steps"] += n_ok
+        work["rejected_steps"] += m - n_ok
+        if n_ok == 0:
+            continue
+
+        g_new = np.array([ev(s_new, z_new) for ev in evs])
+        up = (g <= 0.0) & (g_new >= 0.0)
+        down = (g >= 0.0) & (g_new <= 0.0)
+        hit = ok & ((up & (direction > 0.0)) | (down & (direction < 0.0))
+                    | ((up | down) & (direction == 0.0)))
+        for e, gate in gates:
+            hit[e] &= gate(s, z) | gate(s_new, z_new)
+        done = ok & (s_new >= s_end)
+        out.s[lane[done]], out.z[:, lane[done]] = s_new[done], z_new[:, done]
+        cols = np.flatnonzero(hit.any(axis=0))
+        if cols.size:
+            F = _dense_coefficients(fun, K[cols], h[cols], z[:, cols],
+                                    z_new[:, cols])
+            work["rhs_evals"] += 3 * cols.size
+            for j, c in enumerate(cols):
+                z_at = _dense_state(F[j], z[:, c], s[c], h[c])
+                if _lane_crossings(evs, terminal, np.flatnonzero(hit[:, c]),
+                                   z_at, s[c], s_new[c], lane[c], out):
+                    done[c] = True
+
+        s = np.where(ok, s_new, s)
+        z = np.where(ok, z_new, z)
+        f = np.where(ok, f_new, f)
+        g = np.where(ok, g_new, g)
+        if done.any():
+            keep = ~done
+            lane, s, z, f, g = lane[keep], s[keep], z[:, keep], f[:, keep], g[:, keep]
+            h_abs, rejected, K = h_abs[keep], rejected[keep], K[keep]
+
+    for k in range(n):
+        out.s_events[k] = [np.asarray(x) for x in out.s_events[k]]
+        out.z_events[k] = [np.asarray(x) for x in out.z_events[k]]
+    return out
+
+
+def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
+                    out: LockstepFlow) -> bool:
+    """Locate and record lane k's crossings of evs[active] in one step, as
+    solve_ivp's handle_events does; evs[0] is the collision event.
+
+    Returns True when a terminal crossing retires the lane.
+    """
+    roots = np.array([brentq(lambda t, ev=evs[e]: ev(t, z_at(t)), s_old,
+                             s_new, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
+                      for e in active])
+    stop = any(terminal[e] for e in active)
+    if stop:
+        order = np.argsort(roots)
+        active, roots = active[order], roots[order]
+        cut = next(i for i, e in enumerate(active) if terminal[e]) + 1
+        active, roots = active[:cut], roots[:cut]
+        out.s[k], out.z[:, k] = roots[-1], z_at(roots[-1])
+    for e, t in zip(active, roots):
+        if e == 0:
+            err = CollisionError(f"lane {k} reached the collision cutoff")
+            err.last_state = RotatingState.from_array(out.z[:, k])
+            raise err
+        out.s_events[k][e - 1].append(t)
+        out.z_events[k][e - 1].append(z_at(t))
+    return stop
+
+
 def section_event(phi0: float, direction: float = 0.0):
-    """Event function vanishing exactly on {phi = phi0 (mod 2pi)}."""
+    """Event function vanishing exactly on {phi = phi0 (mod 2pi)}; it takes
+    one state or an array of lanes."""
 
     def ev(s, z):
-        return sin(0.5 * (z[1] - phi0))
+        return np.sin(0.5 * (z[1] - phi0))
 
     ev.terminal = False
     ev.direction = direction

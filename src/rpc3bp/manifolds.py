@@ -21,6 +21,13 @@ One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
 requested window contributes a sample (v, Y) with v recovered exactly from
 the crossing radius.
+
+The fan's orbits are stepped together by integrate.lockstep_flow, a numpy
+DOP853 that evaluates the vector field of all orbits in one call per stage.
+Each orbit keeps its own step size and accept/reject state and repeats the
+arithmetic of solve_ivp's DOP853, so the samples are those of one solve_ivp
+run per orbit.  Section crossings are located on the dense output only in
+steps that come near the window, and polished by refine_to_section.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .core import (
     SectionTimeoutError,
     potential_V,
 )
-from .integrate import flow, refine_to_section, section_event
+from .integrate import flow, lockstep_flow, refine_to_section, section_event
 from .separatrix import homoclinic_r, v_of_r
 
 __all__ = [
@@ -173,6 +180,16 @@ def poincare_jacobian(point: tuple[float, float], phi0: float, p: Params,
     return J
 
 
+class _Fan(tuple):
+    """(unstable, stable) samples of one fan; `work` holds the lockstep
+    integrator's counters."""
+
+    def __new__(cls, unstable, stable, work):
+        fan = super().__new__(cls, (unstable, stable))
+        fan.work = work
+        return fan
+
+
 @lru_cache(maxsize=1)
 def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
                  tol: float, n_phases: int, r0: float):
@@ -183,6 +200,7 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
     samples.  Only crossings inside the buffered window are kept; v is
     recovered from the crossing radius through the separatrix closed form.
+    The orbits are integrated together by lockstep_flow.
     """
     v_lo, v_hi = v_window
     buf = 0.12 * (v_hi - v_lo)
@@ -208,21 +226,31 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     turn_event.terminal = True
     turn_event.direction = -1.0
 
-    events = [section_event(phi0), section_event(-phi0), exit_event,
-              turn_event]
+    def near(s, z):
+        return z[0] < 2.0 * r_hi
+    # Section crossings above r_hi fail the window filter below, so only
+    # those near it are located: a step with r >= 2 r_hi at both ends cannot
+    # come down to r_hi in between, since one step moves r by far less.
+    sections = [section_event(phi0), section_event(-phi0)]
+    for ev in sections:
+        ev.gate = near
+
+    z0 = np.array([initial_manifold_state(r0, phi0 + 2.0 * pi * k / n_phases,
+                                          p).to_array()
+                   for k in range(n_phases)]).T
+    fan = lockstep_flow(z0, s_span, tol, p,
+                        events=[*sections, exit_event, turn_event])
     unstable, stable = [], []
     for k in range(n_phases):
-        z0 = initial_manifold_state(r0, phi0 + 2.0 * pi * k / n_phases, p)
-        sol = flow(z0.to_array(), (0.0, s_span), tol, p, events=events)
-        for z in sol.y_events[1]:
+        for z in fan.z_events[k][0]:
             if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
                 zr = refine_to_section(z, phi0, p)
                 unstable.append((float(v_of_r(zr[0])), float(zr[2])))
-        for z in sol.y_events[2]:
+        for z in fan.z_events[k][1]:
             if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
                 zr = refine_to_section(z, -phi0, p)
                 stable.append((float(v_of_r(zr[0])), -float(zr[2])))
-    return tuple(unstable), tuple(stable)
+    return _Fan(tuple(unstable), tuple(stable), fan.work)
 
 
 def compute_invariant_curve(branch: str, phi0: float,
@@ -250,8 +278,8 @@ def compute_invariant_curve(branch: str, phi0: float,
     if n_phases is None:
         n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    unstable, stable = _fan_samples(phi0, (v_lo, v_hi), p, tol, n_phases, r0)
-    samples = sorted(unstable if branch == "unstable" else stable)
+    fan = _fan_samples(phi0, (v_lo, v_hi), p, tol, n_phases, r0)
+    samples = sorted(fan[0] if branch == "unstable" else fan[1])
     if len(samples) < 8:
         raise RuntimeError(
             f"only {len(samples)} window crossings collected; widen the "
@@ -266,7 +294,8 @@ def compute_invariant_curve(branch: str, phi0: float,
                                "n_samples": int(len(v)),
                                "shell_energy": -p.g0**3,
                                "fold_intervals": fold_intervals,
-                               "v_window": (float(v_lo), float(v_hi))})
+                               "v_window": (float(v_lo), float(v_hi)),
+                               **fan.work})
 
 
 def _merge_close(v: np.ndarray, Y: np.ndarray, dv: float = 1e-6):

@@ -114,18 +114,26 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
 
     while n_returns < n_iter:
         # inside region: run to the next section crossing, bailing into
-        # excursion mode if the orbit climbs past r_out first
+        # excursion mode if the orbit climbs past r_out first, during the
+        # pre-step off the section or after it
         try:
-            pre = flow(z, (0.0, 0.05 * synodic), tol, p)
-            z1 = pre.y[:, -1]
-            max_r = max(max_r, float(np.max(pre.y[0])))
-            sol = flow(z1, (0.0, 4.0 * synodic), tol, p, events=[sec, going_out])
+            pre = flow(z, (0.0, 0.05 * synodic), tol, p, events=[going_out])
+            if len(pre.t_events[1]) > 0:
+                bail = (float(pre.t_events[1][0]), pre.y_events[1][0])
+            else:
+                max_r = max(max_r, float(np.max(pre.y[0])))
+                sol = flow(pre.y[:, -1], (0.0, 4.0 * synodic), tol, p,
+                           events=[sec, going_out])
+                bail = None
+                if len(sol.t_events[1]) == 0 and len(sol.t_events[2]) > 0:
+                    bail = (0.05 * synodic + float(sol.t_events[2][0]),
+                            sol.y_events[2][0])
         except CollisionError:
             break
-        if len(sol.t_events[1]) == 0 and len(sol.t_events[2]) > 0:
+        if bail is not None:
             # excursion: integrate straight through, no section counting
-            z_ex = sol.y_events[2][0]
-            s_acc += 0.05 * synodic + float(sol.t_events[2][0])
+            s_acc += bail[0]
+            z_ex = bail[1]
             try:
                 ex = flow(z_ex, (0.0, flight_horizon), tol, p,
                           events=[coming_back, apo, far])

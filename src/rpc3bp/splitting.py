@@ -16,6 +16,7 @@ a 1-D Brent solve in mu at fixed g0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -105,6 +106,11 @@ class DistanceProfile:
     def dprime_noise(self) -> float:
         # 5-point first-difference weights amplify white noise by 3/(2h)
         return 1.5 * self.noise_floor / self.h
+
+    @cached_property
+    def roots(self) -> tuple[HomoclinicRoot, ...]:
+        """find_homoclinic_points of this profile, computed once."""
+        return tuple(find_homoclinic_points(self))
 
     def clean_mask(self, margin: float = 5e-3) -> np.ndarray:
         """Grid mask excluding fold-bridged intervals, where the graph
@@ -250,8 +256,7 @@ def lobe_area(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
         raise ValueError("need v_a < v_b")
     if profile is None:
         profile = distance_profile(curve_s, curve_u)
-    inner = [r for r in find_homoclinic_points(profile)
-             if v_a + 1e-9 < r.v < v_b - 1e-9]
+    inner = [r for r in profile.roots if v_a + 1e-9 < r.v < v_b - 1e-9]
     if inner:
         raise ValueError(
             f"roots {[round(r.v, 4) for r in inner]} lie between v_a and v_b; "
@@ -297,7 +302,7 @@ def splitting_report(p: Params, phi0: float,
     """Full pipeline: curves -> profile -> roots -> lobes -> predictions."""
     cfg = config or SplittingConfig()
     profile = _manifold_profile(p, phi0, cfg)
-    roots = find_homoclinic_points(profile)
+    roots = list(profile.roots)
 
     # max |D| per complete half-period of the phase
     x = phase_of_v(profile.v, phi0, p)
@@ -358,7 +363,7 @@ def _family_indicator(profile: DistanceProfile, family: str) -> float | None:
     pair sits a finite phase away except in the merging limit, where all
     candidates' D' vanish together.
     """
-    roots = find_homoclinic_points(profile)
+    roots = profile.roots
     if not roots:
         return None
     target = 0.0 if family == "0" else pi
@@ -376,7 +381,7 @@ def _family_indicator(profile: DistanceProfile, family: str) -> float | None:
 def count_roots_in_period(profile: DistanceProfile) -> int:
     """Number of distance roots within one full 2pi phase period centered in
     the window (the leading-order theory predicts 2 or 4)."""
-    roots = find_homoclinic_points(profile)
+    roots = profile.roots
     if not roots:
         return 0
     x = np.array([r.phase for r in roots])
@@ -435,7 +440,7 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     prof = (cache.get(mu_star)
             or _manifold_profile(Params(mu_star, g0), phi0, cfg))
-    roots = find_homoclinic_points(prof)
+    roots = prof.roots
     target = 0.0 if family == "0" else pi
     mid = 0.5 * (prof.v[0] + prof.v[-1])
     r_t = min(roots, key=lambda r: (_wrap_dist(r.phase, target), abs(r.v - mid)))

@@ -29,7 +29,13 @@ from rpc3bp.core import (
     rotating_to_polar,
     vector_field_rotating,
 )
-from rpc3bp.integrate import integrate
+from rpc3bp.integrate import (
+    flow,
+    integrate,
+    lockstep_flow,
+    make_lane_rhs,
+    make_rhs,
+)
 from rpc3bp.separatrix import homoclinic_r, homoclinic_state, homoclinic_y
 
 RNG = np.random.default_rng(20240817)
@@ -271,6 +277,80 @@ class TestIntegrate:
 
     def test_package_attribute_is_the_module(self):
         assert inspect.ismodule(rpc3bp.integrate)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLockstep:
+    def test_lane_rhs_matches_scalar_rhs(self):
+        for p in (Params(0.3, 2.4), Params(0.5, 2.0), Params(0.0, 2.2)):
+            states = random_rotating_states(p, 8) + [
+                RotatingState(50.0, 1.3, -0.2, 1.0),
+                RotatingState(7.0, -40.0, 0.5, 1.01)]
+            z = np.array([s.to_array() for s in states]).T
+            lanes = make_lane_rhs(p)(z)
+            scalar = make_rhs(p)
+            for k, s in enumerate(states):
+                np.testing.assert_allclose(lanes[:, k], scalar(0.0, s.to_array()),
+                                           rtol=1e-14, atol=0.0)
+
+    def test_lanes_follow_flow(self):
+        # each lane repeats solve_ivp's DOP853 arithmetic: same steps, same
+        # states (the stable-curve oracle in test_manifolds relies on it)
+        p = Params(0.3, 2.3)
+        tol = 1e-12
+        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
+                  RotatingState(1.2, 2.0, 0.4, 1.02),
+                  RotatingState(30.0, 0.7, -0.25, 1.0)]
+        z0 = np.array([s.to_array() for s in states]).T
+        run = lockstep_flow(z0, 6.0, tol, p)
+        steps = nfev = 0
+        for k in range(len(states)):
+            sol = flow(z0[:, k], (0.0, 6.0), tol, p)
+            steps += len(sol.t) - 1
+            nfev += sol.nfev
+            assert run.s[k] == 6.0
+            np.testing.assert_array_equal(run.z[:, k], sol.y[:, -1])
+        assert run.work["accepted_steps"] == steps
+        assert run.work["rhs_evals"] == nfev
+
+    def test_collision_raises_with_lane_state(self):
+        p = Params(0.3, 2.0)
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.0, 0.0, -2.0, 0.0]]).T
+        with pytest.raises(CollisionError) as err:
+            lockstep_flow(z0, 4.0, 1e-12, p)
+        assert err.value.last_state.r == pytest.approx(collision_radius(p),
+                                                       abs=1e-12)
+        with pytest.raises(CollisionError) as ref:
+            flow(z0[:, 1], (0.0, 4.0), 1e-12, p)
+        np.testing.assert_array_equal(err.value.last_state.to_array(),
+                                      ref.value.last_state.to_array())
+
+    def test_terminal_event_retires_only_its_lane(self):
+        # at mu = 0 nothing cuts the radial plunge off before r = 0; once its
+        # terminal event fires, the lane must take no further step
+        p = Params(0.0, 2.2)
+
+        def low(s, z):
+            return z[0] - 0.3
+        low.terminal = True
+        low.direction = -1.0
+
+        z0 = np.array([[1.0, 0.0, -2.0, 0.0], [1.5, 0.2, -0.3, 1.0]]).T
+        run = lockstep_flow(z0, 5.0, 1e-12, p, events=[low])
+        assert len(run.s_events[0][0]) == 1 and len(run.s_events[1][0]) == 0
+        assert run.s[0] == run.s_events[0][0][0] < 5.0
+        assert run.z[0, 0] == pytest.approx(0.3, abs=1e-12)
+        np.testing.assert_array_equal(run.z[:, 0], run.z_events[0][0][0])
+        assert run.s[1] == 5.0
+        alone = lockstep_flow(z0[:, 1:], 5.0, 1e-12, p)
+        np.testing.assert_array_equal(run.z[:, 1], alone.z[:, 0])
+
+    def test_validation(self):
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0]]).T
+        with pytest.raises(ValueError):
+            lockstep_flow(z0, 1.0, 1e-5, Params(0.3, 2.0))
+        with pytest.raises(ValueError):
+            lockstep_flow(z0, -1.0, 1e-12, Params(0.3, 2.0))
 
 
 class TestMcGehee:

@@ -215,6 +215,62 @@ class TestInvariantCurves:
         assert len(got) == len(ref)
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-11
 
+    @pytest.mark.filterwarnings("error")
+    def test_fan_matches_per_orbit_flow(self):
+        # solve_ivp reference: each fan orbit integrated on its own with the
+        # fan's events, its crossings refined and filtered as the fan does
+        p = Params(0.3, 2.4)
+        tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 4, (0.4, 1.6)
+        unstable, stable = _fan_samples.__wrapped__(0.0, (v_lo, v_hi), p, tol,
+                                                    n, r0)
+        buf = 0.12 * (v_hi - v_lo)
+        r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
+
+        def exit_event(s, z):
+            return z[0] - 1.05 * r_hi
+        exit_event.terminal = True
+        exit_event.direction = 1.0
+
+        def turn_event(s, z):
+            return z[2]
+        turn_event.terminal = True
+        turn_event.direction = -1.0
+
+        ref_u, ref_s = [], []
+        for k in range(n):
+            z0 = initial_manifold_state(r0, 2 * math.pi * k / n, p)
+            sol = flow(z0.to_array(), (0.0, 1.35 * (v_of_r(r0) + v_hi + 5.0)),
+                       tol, p, events=[section_event(0.0), section_event(-0.0),
+                                       exit_event, turn_event])
+            for z in sol.y_events[1]:
+                if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
+                    zr = refine_to_section(z, 0.0, p)
+                    ref_u.append((float(v_of_r(zr[0])), float(zr[2])))
+            for z in sol.y_events[2]:
+                if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
+                    zr = refine_to_section(z, -0.0, p)
+                    ref_s.append((float(v_of_r(zr[0])), -float(zr[2])))
+        for got, ref in ((unstable, ref_u), (stable, ref_s)):
+            assert len(ref) >= 10
+            assert len(got) == len(ref)
+            assert np.max(np.abs(np.subtract(sorted(got), sorted(ref)))) < 10 * tol
+
+    @pytest.mark.filterwarnings("error")
+    def test_fan_is_deterministic(self):
+        args = (0.0, (0.4, 1.6), Params(0.3, 2.8), 1e-12, 3, 50.0)
+        a = _fan_samples.__wrapped__(*args)
+        b = _fan_samples.__wrapped__(*args)
+        assert tuple(a) == tuple(b)
+        assert a.work == b.work
+        assert a.work["rhs_evals"] >= 12 * a.work["accepted_steps"] > 0
+
+    def test_fan_work_in_meta(self, mu0_curves):
+        _, cu, cs = mu0_curves
+        for key in ("lockstep_iterations", "accepted_steps", "rejected_steps",
+                    "rhs_evals"):
+            assert cu.meta[key] == cs.meta[key]
+        assert cu.meta["accepted_steps"] >= cu.meta["lockstep_iterations"] > 0
+
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)

@@ -4,7 +4,7 @@ import pytest
 from rpc3bp.core import Params, RotatingState, hamiltonian_rotating
 from rpc3bp.melnikov import predicted_distance
 from rpc3bp.orbits import oscillation_demo
-from rpc3bp.separatrix import homoclinic_r, homoclinic_y
+from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
 
 
 def tangle_seed(p, frac):
@@ -71,6 +71,17 @@ class TestPerturbed:
                 peak = max(peak, 10.0 * 5.0)
             maxima.append(peak)
         assert maxima[0] > maxima[1] > maxima[2]
+
+    def test_no_return_logged_beyond_r_out(self):
+        # this orbit crosses r_out within the short pre-step off a return;
+        # it must then fly its excursion instead of logging section returns
+        # out there
+        p = Params(0.3, 2.2)
+        seed = (1.0, float(homoclinic_y(v_of_r(1.0))) - 0.05)
+        log = oscillation_demo(p, seed, 200, 5.0, 2.0)
+        assert log.returns
+        assert max(rec.r for rec in log.returns) <= 5.0
+        assert log.n_excursions >= 1 or log.escaped
 
     def test_input_validation(self):
         p = Params(0.3, 2.2)

@@ -52,6 +52,11 @@ class TestProfile:
             expected = 2 * math.pi / (p.g0**3 - homoclinic_alpha_prime(vbar))
             assert (b - a) == pytest.approx(expected, rel=0.05)
 
+    def test_roots_computed_once(self, report24):
+        prof = report24.profile
+        assert prof.roots is prof.roots
+        assert list(prof.roots) == report24.roots == find_homoclinic_points(prof)
+
     def test_grid_resolution_guard(self, report24):
         # fewer than two grid points per half-period pi/g0^3
         prof = distance_profile(report24.profile.curve_s,
