@@ -46,7 +46,9 @@ __all__ = [
     "refine_to_section",
 ]
 
-TOL_MIN = 1e-15
+# solve_ivp raises any rtol below 100 eps to that floor with only a warning;
+# a smaller tol would silently run looser than asked
+TOL_MIN = 100 * np.finfo(float).eps
 TOL_MAX = 1e-6
 
 _SECTION_PHI_TOL = 1e-13

@@ -15,7 +15,11 @@ quadrature : real-line oscillatory integral of the angular Fourier modes of
 contour    : binomial-series reduction to the oscillatory integrals
     I(l, m, n) computed on a complex path hugging Re(tau + tau^3/3) = 0
     through the singularity tau = sign(l) i.  Well-conditioned at any g0
-    because the integrand peak matches the result scale.
+    because the integrand peak matches the result scale.  The j-terms
+    I(l, j+l, j) of one harmonic share the path, its nodes and the phase
+    factor, and differ by the factor (tau - i)^{-2l} q^j with
+    q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, in binary64
+    on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum.
 asymptotic : leading-order closed forms for l = 1, 2.
 
 Sign conventions: the coefficient signs follow the cross-validated values
@@ -299,55 +303,198 @@ def melnikov_coeff0_quadrature(p: Params, tau_max: float = 300.0) -> float:
 # Route 2: complex-contour integrals I(l, m, n)
 # ---------------------------------------------------------------------------
 
-def _contour_quad(f, p: Params, l: int, n_per_panel: int, pole_order: int = 1):
-    """Integrate f(tau) dtau along the bent path through sign(l) * i.
+def _bent_path(a, sgn, delta, wb, sqrt, exp):
+    """Point tau(a) and slope dtau/da of the path through sgn * i.
 
     The path follows the zero-phase curve Im tau = sqrt(1 + a^2/3) of
     Re(tau + tau^3/3) = 0 and dips toward the real axis by a Gaussian bump of
-    depth ~ (|l| g0^3)^{-1/2}, passing the pole on the side of the original
-    (real-axis) contour.  Panels are graded toward a = 0, on the scale
-    dip/pole_order where the high-order pole factor varies fastest.
+    depth delta and width wb, passing the pole on the side of the original
+    (real-axis) contour.  Written once for numpy arrays and mpmath scalars.
+    """
+    br = sqrt(1 + a * a / 3)
+    bump = exp(-((a / wb) ** 2))
+    b = sgn * (br - delta * bump)
+    bp = sgn * (a / (3 * br) + delta * bump * 2 * a / wb**2)
+    return a + 1j * b, 1 + 1j * bp
+
+
+def _pole_terms(lead, tau, m, n):
+    """lead (tau - i)^{-2 m_k} (tau + i)^{-2 n_k} for every pair (m_k, n_k).
+
+    The pairs share q = ((tau - i)(tau + i))^{-2}, whose powers are built by
+    recurrence: (m, n) is lead u^{m-n} q^n with u = (tau - i)^{-2} when
+    m >= n, and lead w^{n-m} q^m with w = (tau + i)^{-2} otherwise.  The
+    terms of one harmonic, (j + l, j), are thus lead u^l q^j.
+    """
+    u = 1 / (tau - 1j) ** 2
+    w = 1 / (tau + 1j) ** 2
+    q = u * w
+    qpow = [1]
+    for _ in range(max(min(a, b) for a, b in zip(m, n))):
+        qpow.append(qpow[-1] * q)
+    heads = {}
+    out = []
+    for a, b in zip(m, n):
+        d = a - b
+        if d not in heads:
+            heads[d] = lead * (u**d if d >= 0 else w**-d)
+        out.append(heads[d] * qpow[min(a, b)])
+    return out
+
+
+def _contour_terms(l: int, m, n, p: Params):
+    """Binary64 values of I(l, m_k, n_k) on shared Gauss panels, with floors.
+
+    The path's panels are graded toward a = 0 on the scale dip/order, order
+    being the highest pole order among the pairs, where that pole factor
+    varies fastest.  Every panel is built in one array operation, at 16 and
+    at 24 nodes; each term must agree between the two to 1e-8 of its size or
+    to its arithmetic floor 50 eps peak (peak = max |integrand| on the path),
+    and must be real to the same level.
     """
     omega = abs(l) * p.g0**3
     ws = 1.0 / sqrt(omega)
     delta = 0.75 * ws
     wb = 3.0 * ws
     sgn = 1.0 if l > 0 else -1.0
+    half_w = l * p.g0**3 / 2.0
+    order = max(max(m), max(n))
 
     # Half-length: undipped-path exponent (omega/2)(h(a) - 2/3) >= 46 with
     # h(a) - 2/3 >= (8/9) a^2.
     A = max(8.0 * wb, sqrt(46.0 * 2.0 / omega / (8.0 / 9.0)) * 1.5)
 
     edges = [0.0]
-    a = delta / (2.0 * max(pole_order, 1))
+    a = delta / (2.0 * order)
     while a < A:
         edges.append(a)
         a *= 1.3
     edges.append(A)
     edges = np.array(edges)
     edges = np.concatenate([-edges[::-1], edges[1:]])
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
 
-    nodes_ref, weights_ref = np.polynomial.legendre.leggauss(n_per_panel)
-    total = 0.0 + 0.0j
-    peak = 0.0
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (bb - aa)
-        mid = 0.5 * (bb + aa)
-        an = mid + half * nodes_ref
-        br = np.sqrt(1.0 + an * an / 3.0)
-        bump = np.exp(-((an / wb) ** 2))
-        b = sgn * (br - delta * bump)
-        bp = sgn * (an / (3.0 * br) + delta * bump * 2.0 * an / wb**2)
-        tau = an + 1j * b
-        dtau = 1.0 + 1j * bp
-        vals = f(tau) * dtau
-        total += half * np.sum(weights_ref * vals)
-        peak = max(peak, float(np.max(np.abs(vals))))
-    return total, peak
+    sums = []
+    for n_per_panel in (16, 24):
+        nodes_ref, weights_ref = np.polynomial.legendre.leggauss(n_per_panel)
+        tau, dtau = _bent_path(mid + half * nodes_ref, sgn, delta, wb,
+                               np.sqrt, np.exp)
+        lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau
+        vals = np.stack(_pole_terms(lead, tau, m, n))
+        sums.append(np.sum(vals * (half * weights_ref), axis=(1, 2)))
+    coarse, fine = sums
+    peak = np.max(np.abs(vals), axis=(1, 2))
+
+    err = np.abs(fine - coarse)
+    floor = 50.0 * _EPS * peak
+    scale = np.maximum(np.abs(fine), floor)
+    bad = np.flatnonzero(err > np.maximum(1e-8 * scale, floor))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"contour quadrature for I({l},{m[k]},{n[k]}) did not converge: "
+            f"refinement change {err[k]:g} vs scale {scale[k]:g}")
+    bad = np.flatnonzero(np.abs(fine.imag)
+                         > np.maximum(1e-8 * np.abs(fine.real), 2.0 * floor))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"contour result not real: I({l},{m[k]},{n[k]}) = {fine[k]:g} "
+            f"(peak {peak[k]:g})")
+    return fine.real, floor
 
 
-def contour_integral_I(l: int, m: int, n: int, p: Params,
-                       mp_dps: int | None = None) -> float:
+def _relative_error(rule, results, prec, epsilon):
+    """The rule's error estimate for results scaled by the latest one."""
+    scale = abs(results[-1]) or 1
+    return rule.estimate_error([r / scale for r in results], prec, epsilon)
+
+
+def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
+    """Extended-precision I(l, m_k, n_k) by one vector-valued tanh-sinh sum.
+
+    Replays mp.quad on the same path, split at [-A, -wb, 0, wb, A]: mpmath's
+    tanh-sinh rule with its node cache, degree schedule and error estimate,
+    at 20 guard bits.  The integrand is evaluated once per node and its step
+    sums for all pairs are accumulated as the nodes go by; a degree counts as
+    converged on an interval only when the estimate of every term, relative
+    to the term's integral over that interval, is below mp.quad's epsilon.
+    mp.quad itself compares the absolute estimate, which any integral below
+    its epsilon (eps/8, about 3e-42 at 40 digits) meets from degree 2 on,
+    whatever its accuracy.  The floor of a term is its estimated absolute
+    error summed over the intervals.
+    """
+    import mpmath as mp
+
+    ctx = mp.mp
+    rule = ctx._tanh_sinh
+    n_terms = len(m)
+    with ctx.workdps(dps):
+        g0 = ctx.mpf(p.g0)
+        omega = abs(l) * g0**3
+        ws = 1 / ctx.sqrt(omega)
+        delta = ctx.mpf("0.75") * ws
+        wb = 3 * ws
+        sgn = 1 if l > 0 else -1
+        digits_pad = ctx.mpf(dps) * ctx.log(10)
+        A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
+        half_w = ctx.mpf(l) * g0**3 / 2
+        points = [-A, -wb, 0, wb, A]
+
+        prec = ctx.prec
+        epsilon = ctx.eps / 8
+        max_degree = rule.guess_degree(prec)
+        totals = [ctx.zero] * n_terms
+        errors = [ctx.zero] * n_terms
+        ctx.prec += 20
+        try:
+            for a, b in zip(points[:-1], points[1:]):
+                results = [[] for _ in range(n_terms)]
+                err = [ctx.zero] * n_terms
+                for degree in range(1, max_degree + 1):
+                    h = ctx.ldexp(1, -degree)
+                    # the tanh-sinh nodes of degree d - 1 are half of those
+                    # of degree d: reuse their sum
+                    step = ([r[-1] / (2 * h) for r in results] if degree > 1
+                            else [ctx.zero] * n_terms)
+                    for x, wt in rule.get_nodes(a, b, degree, prec):
+                        tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt, ctx.exp)
+                        lead = wt * dtau * ctx.exp(1j * half_w * (tau + tau**3 / 3))
+                        for k, t in enumerate(_pole_terms(lead, tau, m, n)):
+                            step[k] += t
+                    for r, s in zip(results, step):
+                        r.append(h * s)
+                    if degree > 1:
+                        err = [_relative_error(rule, r, prec, epsilon)
+                               for r in results]
+                        if max(err) <= epsilon:
+                            break
+                for k in range(n_terms):
+                    if err[k] > epsilon:
+                        raise RuntimeError(
+                            f"extended contour quadrature for I({l},{m[k]},{n[k]}) "
+                            f"did not converge on [{float(a):g}, {float(b):g}]: "
+                            f"estimated relative error {float(err[k]):g} above "
+                            f"{float(epsilon):g}")
+                    totals[k] += results[k][-1]
+                    errors[k] += err[k] * abs(results[k][-1])
+        finally:
+            ctx.prec = prec
+        vals = [+t for t in totals]
+
+    for k in range(n_terms):
+        re, im = float(vals[k].real), float(vals[k].imag)
+        if abs(im) > max(_EPS * abs(re), 2.0 * float(errors[k])):
+            raise RuntimeError(
+                f"extended contour result not real: I({l},{m[k]},{n[k]}) = "
+                f"{re:g} + {im:g}i")
+    return (np.array([float(v.real) for v in vals]),
+            np.array([float(e) for e in errors]))
+
+
+def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
+                       with_floor: bool = False):
     """Oscillatory integral I(l,m,n) = int e^{i l (g0^3/2)(tau + tau^3/3)}
     (tau - i)^{-2m} (tau + i)^{-2n} dtau over the real line.
 
@@ -356,63 +503,39 @@ def contour_integral_I(l: int, m: int, n: int, p: Params,
     ~ g0^{3m - 3/2} e^{-|l| g0^3/3}, so the evaluation is well-conditioned
     however exponentially small the answer.  The value is real; satisfies
     I(-l, n, m) = I(l, m, n).
+
+    m and n are integers, or equal-length integer sequences for several
+    integrals of one l at once (an array is returned).  These share the path,
+    its nodes and the factor e^{i l (g0^3/2)(tau + tau^3/3)} dtau, and differ
+    by pole factors built by recurrence in q = ((tau - i)(tau + i))^{-2}, so
+    all the j-terms (j + l, j) of one harmonic cost little more than one.
+    Binary64 by default; mp_dps selects an mpmath tanh-sinh summation at that
+    many digits.  Each integral passes its own convergence and reality check
+    (RuntimeError otherwise).  With with_floor, returns (value, floor): the
+    binary64 arithmetic floor 50 eps max|integrand|, or in mpmath the
+    quadrature's error estimate.
     """
-    l, m, n = int(l), int(m), int(n)
+    l = int(l)
     if l == 0:
         raise ValueError("l must be nonzero")
-    if (m, n) == (0, 0):
-        raise ValueError("(m, n) = (0, 0) diverges (no decay)")
-    if mp_dps is not None:
-        return _contour_integral_I_mp(l, m, n, p, mp_dps)
-
-    half_w = l * p.g0**3 / 2.0
-
-    def f(tau):
-        return (np.exp(1j * half_w * (tau + tau**3 / 3.0))
-                / (tau - 1j) ** (2 * m) / (tau + 1j) ** (2 * n))
-
-    order = max(m, n)
-    coarse, _ = _contour_quad(f, p, l, 16, pole_order=order)
-    fine, peak = _contour_quad(f, p, l, 24, pole_order=order)
-    err = abs(fine - coarse)
-    floor = 50.0 * _EPS * peak
-    scale = max(abs(fine), floor)
-    if err > max(1e-8 * scale, floor):
-        raise RuntimeError(
-            f"contour quadrature for I({l},{m},{n}) did not converge: "
-            f"refinement change {err:g} vs scale {scale:g}")
-    if abs(fine.imag) > max(1e-8 * abs(fine.real), 2.0 * floor):
-        raise RuntimeError(
-            f"contour result not real: I({l},{m},{n}) = {fine:g} (peak {peak:g})")
-    return float(fine.real)
-
-
-def _contour_integral_I_mp(l: int, m: int, n: int, p: Params, dps: int) -> float:
-    """Extended-precision contour integral via mpmath on the same path."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        g0 = mp.mpf(p.g0)
-        omega = abs(l) * g0**3
-        ws = 1 / mp.sqrt(omega)
-        delta = mp.mpf("0.75") * ws
-        wb = 3 * ws
-        sgn = 1 if l > 0 else -1
-        digits_pad = mp.mpf(dps) * mp.log(10)
-        A = max(8 * wb, mp.sqrt((digits_pad + 40) * 2 / omega / mp.mpf(8) * 9) * mp.mpf("1.5"))
-        half_w = mp.mpf(l) * g0**3 / 2
-
-        def f(a):
-            br = mp.sqrt(1 + a * a / 3)
-            bump = mp.e**(-((a / wb) ** 2))
-            b = sgn * (br - delta * bump)
-            bp = sgn * (a / (3 * br) + delta * bump * 2 * a / wb**2)
-            tau = mp.mpc(a, b)
-            dtau = mp.mpc(1, bp)
-            return mp.e**(1j * half_w * (tau + tau**3 / 3)) / (tau - 1j) ** (2 * m) / (tau + 1j) ** (2 * n) * dtau
-
-        val = mp.quad(f, [-A, -wb, 0, wb, A])
-        return float(mp.re(val))
+    scalar = np.ndim(m) == 0 and np.ndim(n) == 0
+    ms = [int(k) for k in np.atleast_1d(m)]
+    ns = [int(k) for k in np.atleast_1d(n)]
+    if np.ndim(m) > 1 or np.ndim(n) > 1 or len(ms) != len(ns) or not ms:
+        raise ValueError("m and n must be integers or equal-length, "
+                         "nonempty integer sequences")
+    for mk, nk in zip(ms, ns):
+        if mk < 0 or nk < 0:
+            raise ValueError(f"pole orders must be nonnegative, got ({mk}, {nk})")
+        if (mk, nk) == (0, 0):
+            raise ValueError("(m, n) = (0, 0) diverges (no decay)")
+    if mp_dps is None:
+        vals, floors = _contour_terms(l, ms, ns, p)
+    else:
+        vals, floors = _contour_terms_mp(l, ms, ns, p, mp_dps)
+    if scalar:
+        vals, floors = float(vals[0]), float(floors[0])
+    return (vals, floors) if with_floor else vals
 
 
 def _double_factorial_odd(m: int) -> float:
@@ -437,7 +560,7 @@ def contour_integral_leading(l: int, m: int, n: int, p: Params) -> float:
 
 def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
                            mp_dps: int | None = None,
-                           with_tail: bool = False):
+                           with_error: bool = False):
     """Coefficient L[l] (l >= 1) assembled from the contour integrals:
 
         L[l] = sum_{j>=0} c_j c_{l+j}
@@ -446,35 +569,42 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
 
     truncated at j = jmax.  Terms with an identically-zero mass factor (all
     of them for odd l at mu = 1/2, everything at mu = 0) are skipped exactly.
+    The integrals of all terms come from one contour_integral_I call on the
+    shared path.  With with_error, returns (L[l], error estimate), the
+    estimate being the larger of the geometric truncation tail and the
+    arithmetic floor sum_j |coefficient_j| floor_j of the terms summed.
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
     if jmax < 2:
         raise ValueError("jmax must be at least 2")
     cj = _binom_half_table(jmax + l + 1)
+    js = [j for j in range(jmax + 1) if _mass_factor(l, j, p.mu) != 0.0]
     total = 0.0
     last = 0.0
     prev = 0.0
-    for j in range(0, jmax + 1):
-        mass = _mass_factor(l, j, p.mu)
-        if mass == 0.0:
-            continue
-        I = contour_integral_I(l, j + l, j, p, mp_dps=mp_dps)
-        term = (cj[j] * cj[j + l] * mass / p.g0 ** (4 * j + 2 * l)
-                * (-1.0) ** l * 2.0 ** (2 * j + l) * I)
-        total += term
-        prev, last = last, term
-        # geometric decay in j: once a term is below the arithmetic floor of
-        # the accumulated sum, later ones cannot contribute
-        if total != 0.0 and abs(term) < 1e-3 * _EPS * abs(total):
-            break
-    if with_tail:
+    floor = 0.0
+    if js:
+        I, I_floor = contour_integral_I(l, [j + l for j in js], js, p,
+                                        mp_dps=mp_dps, with_floor=True)
+        for j, Ij, fj in zip(js, I.tolist(), I_floor.tolist()):
+            coef = (cj[j] * cj[j + l] * _mass_factor(l, j, p.mu)
+                    / p.g0 ** (4 * j + 2 * l) * (-1.0) ** l * 2.0 ** (2 * j + l))
+            term = coef * Ij
+            total += term
+            floor += abs(coef) * fj
+            prev, last = last, term
+            # geometric decay in j: once a term is below the arithmetic floor
+            # of the accumulated sum, later ones cannot contribute
+            if total != 0.0 and abs(term) < 1e-3 * _EPS * abs(total):
+                break
+    if with_error:
         if last == 0.0:
             tail = 0.0
         else:
             ratio = min(abs(last / prev) if prev != 0.0 else 0.5, 0.9)
             tail = abs(last) * ratio / (1.0 - ratio)
-        return total, tail
+        return total, max(tail, floor)
     return total
 
 
@@ -534,10 +664,8 @@ class MelnikovSeries:
                 errs[l] = max(res.tail_bound, res.noise_floor, abs(res.imag_residue))
         elif method == "contour":
             for l in range(1, lmax + 1):
-                val, tail = melnikov_coeff_contour(l, p, jmax, mp_dps=mp_dps,
-                                                   with_tail=True)
-                coeffs[l] = val
-                errs[l] = tail
+                coeffs[l], errs[l] = melnikov_coeff_contour(
+                    l, p, jmax, mp_dps=mp_dps, with_error=True)
         elif method == "asymptotic":
             for l in (1, 2):
                 if l <= lmax:

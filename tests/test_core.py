@@ -30,6 +30,7 @@ from rpc3bp.core import (
     vector_field_rotating,
 )
 from rpc3bp.integrate import (
+    TOL_MIN,
     flow,
     integrate,
     lockstep_flow,
@@ -274,6 +275,18 @@ class TestIntegrate:
             integrate(z, 1.0, 1e-5, p)
         with pytest.raises(ValueError):
             integrate(z, 1.0, 1e-16, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tol_floor_is_the_rtol_floor_of_solve_ivp(self):
+        # solve_ivp raises an rtol below 100 eps to that floor with only a
+        # warning, so such a tol is refused rather than silently loosened
+        p = Params(0.3, 2.0)
+        z = RotatingState(1.2, 0.0, 0.0, 1.0)
+        assert TOL_MIN == 100 * np.finfo(float).eps
+        with pytest.raises(ValueError):
+            integrate(z, 1.0, 1e-14, p)
+        z1 = integrate(z, 0.5, 2.3e-14, p)
+        assert z1.r != z.r
 
     def test_package_attribute_is_the_module(self):
         assert inspect.ismodule(rpc3bp.integrate)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -156,6 +157,83 @@ class TestContourIntegrals:
         a = contour_integral_I(1, 2, 1, p)
         b = contour_integral_I(1, 2, 1, p, mp_dps=30)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestSharedPath:
+    # pairs (m, n) with m - n of both signs, as one vector call
+    M = [1, 2, 3, 2, 0, 5, 1]
+    N = [0, 1, 2, 0, 2, 3, 3]
+
+    def test_vector_matches_scalar_calls(self):
+        # the vector call grades its panels for the highest pole order, a
+        # scalar call for its own: they agree to each entry's floor
+        p = Params(0.3, 2.0)
+        vals, floors = contour_integral_I(1, self.M, self.N, p, with_floor=True)
+        assert isinstance(vals, np.ndarray) and vals.shape == (len(self.M),)
+        for k, (m, n) in enumerate(zip(self.M, self.N)):
+            one, one_floor = contour_integral_I(1, m, n, p, with_floor=True)
+            assert isinstance(one, float)
+            assert abs(vals[k] - one) <= floors[k]
+            assert one_floor == pytest.approx(floors[k], rel=1e-3)
+
+    def test_conjugation_relation_on_sequences(self):
+        p = Params(0.3, 2.0)
+        vals, floors = contour_integral_I(1, self.M, self.N, p, with_floor=True)
+        mirrored = contour_integral_I(-1, self.N, self.M, p)
+        assert np.all(np.abs(mirrored - vals) <= floors)
+
+    def test_extended_vector_matches_scalar_calls(self):
+        p = Params(0.3, 2.0)
+        m, n = [2, 3, 1, 4], [1, 2, 0, 1]
+        vals = contour_integral_I(1, m, n, p, mp_dps=30)
+        for k in range(len(m)):
+            assert vals[k] == contour_integral_I(1, m[k], n[k], p, mp_dps=30)
+
+    def test_sequence_validation(self):
+        p = Params(0.3, 2.0)
+        with pytest.raises(ValueError):
+            contour_integral_I(1, [1, 2], [0], p)
+        with pytest.raises(ValueError):
+            contour_integral_I(1, [], [], p)
+        with pytest.raises(ValueError):
+            contour_integral_I(1, [1, 0], [0, 0], p)
+        with pytest.raises(ValueError):
+            contour_integral_I(1, [1, -1], [0, 2], p)
+
+    def test_extended_series_pinned(self):
+        # the values of the per-term mp.quad summation this path replaced
+        p = Params(0.3, 3.5)
+        assert melnikov_coeff_contour(1, p, mp_dps=40) == pytest.approx(
+            -3.1843458367992765e-09, rel=1e-15)
+        assert melnikov_coeff_contour(2, p, mp_dps=40) == pytest.approx(
+            5.115479836993671e-13, rel=1e-15)
+
+    def test_extended_non_convergence_raises(self, monkeypatch):
+        # capped at degree 2, the tanh-sinh sums cannot converge
+        monkeypatch.setattr(mpmath.mp._tanh_sinh, "guess_degree", lambda prec: 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            contour_integral_I(1, 2, 1, Params(0.3, 2.0), mp_dps=30)
+
+    def test_extended_convergence_is_relative(self):
+        # I(4, 4, 0) at g0 = 4.5 is about 3e-46, below mp.quad's absolute
+        # epsilon at 30 digits; an absolute test stops at degree 2 with an
+        # answer 10x off
+        p = Params(0.3, 4.5)
+        ref = contour_integral_I(4, 4, 0, p)
+        assert ref == pytest.approx(contour_integral_leading(4, 4, 0, p), rel=0.2)
+        assert contour_integral_I(4, 4, 0, p, mp_dps=30) == pytest.approx(ref, rel=1e-10)
+
+    def test_error_estimate_covers_arithmetic_floor(self):
+        # binary64 against mpmath: the reported error bounds the difference
+        # and is at least the floor of the terms, above the truncation tail
+        p = Params(0.3, 2.0)
+        for l in (3, 4):
+            val, err = melnikov_coeff_contour(l, p, with_error=True)
+            ref = melnikov_coeff_contour(l, p, mp_dps=30)
+            assert abs(val - ref) <= err
+        s = MelnikovSeries.compute(p, "contour", lmax=4)
+        assert s.error_estimates[4] == err
+        assert err > 1e-9 * abs(val)
 
 
 class TestCrossMethod:
