@@ -1,26 +1,28 @@
 """Adaptive integration of the rotating-chart flow and Poincare-section events.
 
-The propagator is an 8th-order embedded Runge-Kutta (DOP853 via scipy) with
-dense output for event location.  The synodic angle phi is kept unwrapped, so
-crossings of the section {phi = phi0 (mod 2pi)} are the zeros of the smooth
-event function sin((phi - phi0)/2); phi is monotone decreasing along the flow
-in the regime of interest, so every zero is a genuine crossing.
+The propagator is an 8th-order embedded Runge-Kutta (DOP853, the in-house
+loop) with dense output for event location.  The synodic angle phi is kept
+unwrapped, so crossings of the section {phi = phi0 (mod 2pi)} are the zeros of
+the smooth event function sin((phi - phi0)/2); phi is monotone decreasing
+along the flow in the regime of interest, so every zero is a genuine crossing.
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
 time until |phi - phi0| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
 
-lockstep_flow advances many orbits ("lanes") at once with the same DOP853
-scheme written in numpy: one vectorised right-hand side per stage serves
-every lane, while each lane keeps its own step size and accept/reject state.
+flow steps one orbit and repeats the arithmetic of scipy's solve_ivp DOP853
+bit for bit: its tableau, initial-step rule, error norm, step-size
+controller, underflow check and event location.  lockstep_flow advances many
+orbits ("lanes") at once with the same scheme written in numpy: one
+vectorised right-hand side per stage serves every lane, while each lane
+keeps its own step size and accept/reject state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt
+from math import cos, inf, nextafter, pi, sin, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
@@ -38,6 +40,7 @@ __all__ = [
     "make_rhs",
     "make_lane_rhs",
     "integrate",
+    "Trajectory",
     "flow",
     "LockstepFlow",
     "lockstep_flow",
@@ -46,8 +49,8 @@ __all__ = [
     "refine_to_section",
 ]
 
-# solve_ivp raises any rtol below 100 eps to that floor with only a warning;
-# a smaller tol would silently run looser than asked
+# scipy's solve_ivp raises any rtol below 100 eps to that floor with only a
+# warning; flow repeats its arithmetic, so a smaller tol is refused
 TOL_MIN = 100 * np.finfo(float).eps
 TOL_MAX = 1e-6
 
@@ -130,27 +133,163 @@ def _collision_event(p: Params):
     return ev
 
 
-def flow(z0, s_span, tol, p: Params, events=None, dense_output=False,
-         max_step=np.inf):
-    """solve_ivp wrapper with the collision guard installed.
+# DOP853 tableau (Hairer, Norsett & Wanner) and step-size controller, as in
+# scipy.integrate's DOP853
+_N_STAGES = _dop.N_STAGES
+_A, _B, _D = _dop.A, _dop.B, _dop.D
+_E3, _E5 = _dop.E3, _dop.E5
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_EPS = np.finfo(float).eps
+
+
+@dataclass
+class Trajectory:
+    """Outcome of flow, under the names of scipy's solve_ivp result.
+
+    t, y: the accepted step times and the states there, y[:, i] at t[i],
+    ending at s_span[1] or at the terminal crossing.  t_events[e],
+    y_events[e]: times and states of the crossings of events[e - 1], and of
+    the collision guard for e = 0.  nfev: right-hand-side evaluations.
+    status: 0 when the span was integrated, 1 when a terminal event fired.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    y_events: list
+    nfev: int
+    status: int
+
+
+def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
+    """Integrate one orbit over s_span (either direction) with the collision
+    guard installed.
+
+    Repeats the arithmetic of scipy's solve_ivp(method="DOP853", rtol=tol,
+    atol=tol * 1e-2, events=...) bit for bit, so its steps, states, event
+    crossings and nfev are solve_ivp's.  The stage sums and the norms go
+    through np.dot as scipy's do; the right-hand side gets Python floats.
+    Events are ev(s, z) with `terminal` (a bool) and `direction`
+    attributes; crossings are located on the step's dense output by brentq.
 
     Raises CollisionError if the trajectory reaches the collision cutoff,
-    carrying the last valid state on the exception.
+    carrying the last valid state on the exception, and RuntimeError when
+    the step size underflows.
     """
     _check_tol(tol)
-    evs = [_collision_event(p)]
-    if events is not None:
-        evs.extend(events)
-    sol = solve_ivp(make_rhs(p), s_span, np.asarray(z0, dtype=float),
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    events=evs, dense_output=dense_output, max_step=max_step)
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
+    s, s_end = float(s_span[0]), float(s_span[1])
+    direction = -1.0 if s_end < s else 1.0
+    z = np.array(z0, dtype=float)
+    if z.shape != (4,) or not np.isfinite(z).all():
+        raise ValueError("z0 must be a finite state [r, phi, y, G]")
+    rhs = make_rhs(p)
+
+    def column(zc):
+        """rhs for the one-lane (4, 1) arrays of the lockstep helpers."""
+        return np.array(rhs(0.0, zc[:, 0].tolist()))[:, None]
+
+    evs = [_collision_event(p), *(events or ())]
+    ev_dir = [getattr(ev, "direction", 0.0) for ev in evs]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
+    t_events = [[] for _ in evs]
+    y_events = [[] for _ in evs]
+    ts, zs = [s], [z]
+    rtol, atol = tol, tol * 1e-2
+    zl = z.tolist()
+    f = np.array(rhs(s, zl))
+    nfev = 1
+    status = 0
+    if s == s_end:
+        # solve_ivp's corner case: one empty step, no step-size selection
+        ts.append(s)
+        zs.append(z)
+    else:
+        h_abs = float(_initial_step(column, z[:, None], f[:, None],
+                                    abs(s_end - s), rtol, atol, direction)[0])
+        nfev += 1
+    K3 = np.empty((1, _dop.N_STAGES_EXTENDED, 4))
+    K = K3[0]
+    # views of the stage rows and the tableau rows that each stage sum reads
+    KT = [K[:i].T for i in range(_N_STAGES + 2)]
+    A = [_A[i, :i] for i in range(_N_STAGES)]
+    g = [ev(s, z) for ev in evs]
+
+    while s != s_end:
+        min_step = 10.0 * abs(nextafter(s, direction * inf) - s)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"integration failed: step size underflow "
+                                   f"at s = {s}")
+            s_new = s + h_abs * direction
+            if direction * (s_new - s_end) > 0.0:
+                s_new = s_end
+            h = s_new - s
+            h_abs = abs(h)
+            K[0] = f
+            for i in range(1, _N_STAGES):
+                # z + np.dot(K[:i].T, a) * h, added up in Python floats
+                dz = np.dot(KT[i], A[i]).tolist()
+                K[i] = rhs(0.0, [a + b * h for a, b in zip(zl, dz)])
+            z_new = z + h * np.dot(KT[_N_STAGES], _B)
+            zl_new = z_new.tolist()
+            f_new = K[_N_STAGES] = rhs(0.0, zl_new)
+            nfev += _N_STAGES
+
+            scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
+            e5 = np.dot(KT[_N_STAGES + 1], _E5) / scale
+            e3 = np.dot(KT[_N_STAGES + 1], _E3) / scale
+            e5 = sqrt(e5.dot(e5)) ** 2
+            e3 = sqrt(e3.dot(e3)) ** 2
+            if e5 == 0.0 and e3 == 0.0:
+                err_norm = 0.0
+            else:
+                err_norm = h_abs * e5 / sqrt((e5 + 0.01 * e3) * 4)
+            if err_norm < 1.0:
+                factor = (_MAX_FACTOR if err_norm == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * err_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        s_old, z_old, s, z, zl, f = s, z, s_new, z_new, zl_new, f_new
+        g_new = [ev(s, z) for ev in evs]
+        active = [e for e, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
+                  if (d > 0.0 and a <= 0.0 <= b) or (d < 0.0 and a >= 0.0 >= b)
+                  or (d == 0.0 and (a <= 0.0 <= b or a >= 0.0 >= b))]
+        g = g_new
+        if active:
+            F = _dense_coefficients(column, K3, np.array([h]), z_old[:, None],
+                                    z[:, None])[0]
+            nfev += 3
+            z_at = _dense_state(F, z_old, s_old, h)
+            active, roots, stop = _locate(evs, terminal, np.array(active),
+                                          z_at, s_old, s)
+            for e, t in zip(active, roots):
+                t_events[e].append(t)
+                y_events[e].append(z_at(t))
+            if stop:
+                status = 1
+                s = roots[-1]
+                z = z_at(s)
+        ts.append(s)
+        zs.append(z)
+        if status == 1:
+            break
+
+    if t_events[0]:
         err = CollisionError("trajectory reached the collision cutoff")
-        err.last_state = RotatingState.from_array(sol.y[:, -1])
+        err.last_state = RotatingState.from_array(zs[-1])
         raise err
-    return sol
+    return Trajectory(t=np.array(ts), y=np.array(zs).T,
+                      t_events=[np.asarray(x) for x in t_events],
+                      y_events=[np.asarray(x) for x in y_events],
+                      nfev=nfev, status=status)
 
 
 def integrate(s: RotatingState, delta_s: float, tol: float, p: Params) -> RotatingState:
@@ -163,18 +302,6 @@ def integrate(s: RotatingState, delta_s: float, tol: float, p: Params) -> Rotati
         return s
     sol = flow(s.to_array(), (0.0, delta_s), tol, p)
     return RotatingState.from_array(sol.y[:, -1])
-
-
-# DOP853 tableau (Hairer, Norsett & Wanner) and step-size controller, as in
-# scipy.integrate's DOP853
-_N_STAGES = _dop.N_STAGES
-_A, _B, _D = _dop.A, _dop.B, _dop.D
-_E3, _E5 = _dop.E3, _dop.E5
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
-_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -221,15 +348,16 @@ def _pow(x, a):
     return np.array([v ** a if v else np.inf for v in x.tolist()])
 
 
-def _initial_step(fun, z, f, interval, rtol, atol):
-    """scipy's initial step rule (Hairer, Norsett & Wanner II.4), per lane."""
+def _initial_step(fun, z, f, interval, rtol, atol, direction=1.0):
+    """scipy's initial step rule (Hairer, Norsett & Wanner II.4), per lane;
+    direction is the sign of the time span."""
     scale = atol + np.abs(z) * rtol
     d0 = _norm(z / scale) / 2.0
     d1 = _norm(f / scale) / 2.0
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
     h0 = np.minimum(h0, interval)
-    d2 = _norm((fun(z + h0 * f) - f) / scale) / 2.0 / h0
+    d2 = _norm((fun(z + h0 * direction * f) - f) / scale) / 2.0 / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
                   _pow(0.01 / np.where(flat, 1.0, np.maximum(d1, d2)), 0.125))
@@ -390,22 +518,35 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     return out
 
 
-def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
-                    out: LockstepFlow) -> bool:
-    """Locate and record lane k's crossings of evs[active] in one step, as
-    solve_ivp's handle_events does; evs[0] is the collision event.
+def _locate(evs, terminal, active, z_at, s_old, s_new):
+    """Crossings of evs[active] over one step, as solve_ivp's handle_events
+    finds them: roots by brentq on the dense output z_at, and, when a
+    terminal event is among them, only the crossings up to the first
+    terminal one in time order.
 
-    Returns True when a terminal crossing retires the lane.
+    Returns (active, roots, stop), stop telling whether one was terminal.
     """
     roots = np.array([brentq(lambda t, ev=evs[e]: ev(t, z_at(t)), s_old,
                              s_new, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
                       for e in active])
     stop = any(terminal[e] for e in active)
     if stop:
-        order = np.argsort(roots)
+        order = np.argsort(roots if s_new > s_old else -roots)
         active, roots = active[order], roots[order]
         cut = next(i for i, e in enumerate(active) if terminal[e]) + 1
         active, roots = active[:cut], roots[:cut]
+    return active, roots, stop
+
+
+def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
+                    out: LockstepFlow) -> bool:
+    """Locate and record lane k's crossings of evs[active] in one step;
+    evs[0] is the collision event.
+
+    Returns True when a terminal crossing retires the lane.
+    """
+    active, roots, stop = _locate(evs, terminal, active, z_at, s_old, s_new)
+    if stop:
         out.s[k], out.z[:, k] = roots[-1], z_at(roots[-1])
     for e, t in zip(active, roots):
         if e == 0:

@@ -513,7 +513,8 @@ def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
     many digits.  Each integral passes its own convergence and reality check
     (RuntimeError otherwise).  With with_floor, returns (value, floor): the
     binary64 arithmetic floor 50 eps max|integrand|, or in mpmath the
-    quadrature's error estimate.
+    quadrature's error estimate.  Without it, a value no larger in magnitude
+    than its floor carries no digit, and PrecisionError is raised.
     """
     l = int(l)
     if l == 0:
@@ -533,6 +534,13 @@ def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
         vals, floors = _contour_terms(l, ms, ns, p)
     else:
         vals, floors = _contour_terms_mp(l, ms, ns, p, mp_dps)
+    if not with_floor:
+        lost = np.abs(vals) <= floors
+        if lost.any():
+            k = int(np.argmax(lost))
+            raise PrecisionError(
+                f"I({l}, {ms[k]}, {ns[k]}) = {vals[k]:.3g} is not above its floor "
+                f"{floors[k]:.3g}; with_floor=True returns both")
     if scalar:
         vals, floors = float(vals[0]), float(floors[0])
     return (vals, floors) if with_floor else vals

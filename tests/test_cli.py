@@ -130,6 +130,16 @@ class TestOscillateAndSweep:
         assert lines[0] == "s,r,y,G,max_r_since_last"
         assert len(lines) == 11
 
+    def test_oscillate_deterministic_reruns(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(); b.mkdir()
+        args = ["--mu", 0.3, "--g0", 2.2, "--seed-r", 1.2,
+                "--seed-y", math.sqrt(2 * 1.2 - 1) / 1.2 - 0.04, "--n-iter", 12]
+        assert run(["oscillate", "--out", a, *args]) == EXIT_OK
+        assert run(["oscillate", "--out", b, *args]) == EXIT_OK
+        for name in ("returns.csv", "oscillation.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_sweep_merges_and_isolates(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_samples": 25}))

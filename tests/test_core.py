@@ -36,6 +36,7 @@ from rpc3bp.integrate import (
     lockstep_flow,
     make_lane_rhs,
     make_rhs,
+    section_event,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_state, homoclinic_y
 
@@ -290,6 +291,82 @@ class TestIntegrate:
 
     def test_package_attribute_is_the_module(self):
         assert inspect.ismodule(rpc3bp.integrate)
+
+
+def assert_same_trajectory(got, ref):
+    np.testing.assert_array_equal(got.t, ref.t)
+    np.testing.assert_array_equal(got.y, ref.y)
+    assert got.nfev == ref.nfev
+    assert got.status == ref.status
+    assert len(got.t_events) == len(ref.t_events)
+    for a, b in zip(got.t_events, ref.t_events):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(got.y_events, ref.y_events):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+def apocentre(s, z):
+    return z[2]
+
+
+apocentre.terminal = False
+apocentre.direction = -1.0
+
+
+@pytest.mark.filterwarnings("error")
+class TestFlow:
+    # flow repeats solve_ivp's DOP853 bit for bit: steps, states, event
+    # crossings and right-hand-side count
+    P = Params(0.3, 2.3)
+    Z0 = [1.3, 0.4, 0.2, 1.0]
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    @pytest.mark.parametrize("direction", [-1.0, 0.0, 1.0])
+    def test_events(self, solve_ivp_flow, direction, terminal):
+        sec = section_event(1.0, direction)
+        sec.terminal = terminal
+        evs = [sec, apocentre]
+        got = flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
+        ref = solve_ivp_flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
+        assert_same_trajectory(got, ref)
+        assert len(got.t_events[1]) >= 1
+        if terminal:
+            assert got.status == 1 and got.t[-1] == got.t_events[1][-1] < 8.0
+        else:
+            assert got.status == 0 and len(got.t_events[2]) >= 1
+
+    def test_negative_span(self, solve_ivp_flow):
+        # from this start the initial-step rule's backward probe picks
+        # another first step than a forward one would
+        z0 = [0.8, 3.0, 0.0, 0.9]
+        evs = [section_event(0.5), apocentre]
+        got = flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
+        ref = solve_ivp_flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
+        assert_same_trajectory(got, ref)
+        assert got.t[-1] == -6.0 and len(got.t_events[1]) >= 1
+
+    @pytest.mark.parametrize("tol", [TOL_MIN, 1e-10])
+    def test_tolerances(self, solve_ivp_flow, tol):
+        got = flow(self.Z0, (0.5, 4.0), tol, self.P)
+        ref = solve_ivp_flow(self.Z0, (0.5, 4.0), tol, self.P)
+        assert_same_trajectory(got, ref)
+
+    def test_zero_span(self, solve_ivp_flow):
+        assert_same_trajectory(flow(self.Z0, (1.0, 1.0), 1e-12, self.P),
+                               solve_ivp_flow(self.Z0, (1.0, 1.0), 1e-12, self.P))
+
+    def test_collision(self, solve_ivp_flow):
+        p = Params(0.3, 2.0)
+        z0 = [1.0, 0.0, -2.0, 0.0]
+        with pytest.raises(CollisionError) as got:
+            flow(z0, (0.0, 4.0), 1e-12, p)
+        with pytest.raises(CollisionError) as ref:
+            solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p)
+        assert got.value.last_state == ref.value.last_state
+        assert got.value.last_state.r == pytest.approx(collision_radius(p),
+                                                       abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

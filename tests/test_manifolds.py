@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from rpc3bp.core import Params, RotatingState, hamiltonian_rotating, involution_R
 from rpc3bp.integrate import (
     flow,
+    make_rhs,
     propagate_to_section,
     refine_to_section,
     section_event,
@@ -102,14 +104,16 @@ class TestLift:
 class TestPoincareMap:
     def test_first_return_matches_direct_integration(self):
         # the image is where the unwrapped angle first reaches phi0 - 2pi,
-        # located here by root-finding on the dense output of one flow
+        # located here by root-finding on the dense output of one solve_ivp
+        # run at flow's tolerances, apart from the integrator under test
         p = Params(0.3, 2.4)
         pt = (1.0, 0.3)
         rn, yn = poincare_map(pt, 0.0, p, tol=1e-13)
         assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
         z = lift_to_shell(pt[0], pt[1], 0.0, p)
-        sol = flow(z.to_array(), (0.0, 2.0 * 2 * math.pi / p.g0**3), 1e-13, p,
-                   dense_output=True)
+        sol = solve_ivp(make_rhs(p), (0.0, 2.0 * 2 * math.pi / p.g0**3),
+                        z.to_array(), method="DOP853", rtol=1e-13,
+                        atol=1e-15, dense_output=True)
         s_ret = brentq(lambda s: sol.sol(s)[1] + 2 * math.pi, 0.0, sol.t[-1],
                        xtol=1e-15)
         r_ret, _, y_ret, _ = sol.sol(s_ret)

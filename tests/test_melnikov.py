@@ -152,6 +152,17 @@ class TestContourIntegrals:
         with pytest.raises(ValueError):
             contour_integral_I(1, 0, 0, p)
 
+    def test_value_at_its_floor_raises(self):
+        # in binary64 I(3, 15, 12) at g0 = 4.5 is noise (+1.3e-23, against
+        # -2.2e-26 in mpmath): its floor 50 eps max|integrand| exceeds it
+        p = Params(0.3, 4.5)
+        with pytest.raises(PrecisionError):
+            contour_integral_I(3, 15, 12, p)
+        with pytest.raises(PrecisionError):
+            contour_integral_I(3, [4, 15], [1, 12], p)
+        val, floor = contour_integral_I(3, 15, 12, p, with_floor=True)
+        assert floor > abs(val)
+
     def test_extended_precision_agrees(self):
         p = Params(0.3, 2.0)
         a = contour_integral_I(1, 2, 1, p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rpc3bp import orbits
 from rpc3bp.core import Params, RotatingState, hamiltonian_rotating
 from rpc3bp.melnikov import predicted_distance
 from rpc3bp.orbits import oscillation_demo
@@ -89,3 +90,19 @@ class TestPerturbed:
             oscillation_demo(p, (1.0, 0.5), 10, 2.0, 5.0)
         with pytest.raises(ValueError):
             oscillation_demo(p, (6.0, 0.5), 10, 5.0, 2.0)
+
+
+def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
+    # the demo reads flow's t, y, t_events and y_events; run on scipy's
+    # solve_ivp instead it must log the same returns, excursion and escape
+    p = Params(0.3, 2.2)
+    logs = []
+    for frac, n_iter in ((-0.5, 20), (0.5, 10)):
+        seed = tangle_seed(p, frac)
+        log = oscillation_demo(p, seed, n_iter, 5.0, 2.0)
+        with monkeypatch.context() as m:
+            m.setattr(orbits, "flow", solve_ivp_flow)
+            assert oscillation_demo(p, seed, n_iter, 5.0, 2.0) == log
+        logs.append(log)
+    assert logs[0].n_excursions == 1 and not logs[0].escaped
+    assert logs[1].escape_kind == "hyperbolic"
