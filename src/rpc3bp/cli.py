@@ -191,11 +191,12 @@ def cmd_melnikov(args) -> int:
     untrusted = False
     for m, s in series.items():
         _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg)
-        if m == "quadrature":
-            for l, err in s.error_estimates.items():
-                val = s.coefficients[l]
-                if val != 0.0 and err > 0.1 * abs(val):
-                    untrusted = True
+        # an estimate above a tenth of its coefficient leaves no trusted
+        # digit; the asymptotic forms have no estimate (NaN never compares)
+        for l, err in s.error_estimates.items():
+            val = s.coefficients[l]
+            if val != 0.0 and err > 0.1 * abs(val):
+                untrusted = True
     rows = []
     ls = sorted({l for s in series.values() for l in s.coefficients if l >= 1})
     for l in ls:

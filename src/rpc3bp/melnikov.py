@@ -10,8 +10,16 @@ whose coefficients are exponentially small in g0 (L[l] ~ e^{-l g0^3/3}).
 Three independent routes are implemented:
 
 quadrature : real-line oscillatory integral of the angular Fourier modes of
-    the perturbation along the separatrix, with FFT-computed modes.  Reliable
-    in binary64 for g0 <= 2 where the coefficients sit well above roundoff.
+    the perturbation along the separatrix.  Reliable in binary64 for g0 <= 2
+    where the coefficients sit well above roundoff.  Each mode U[l](r) is a
+    periodic trapezoid sum over an N-point angle grid.  Mode k of the
+    potential decays like rho^|k| with rho = max(mu, 1-mu)/(g0^2 r), so the
+    grid's aliasing error is about rho^(N-|l|)/r; each node takes the
+    smallest N in {16, 32, 64, 128, n_theta} with
+    N >= |l| + 1 + ln(eps)/ln(rho), which puts that error below the rounding
+    floor eps/r of the sum.  Where rho >= 1 (the separatrix passes inside a
+    primary's circle) or the rule asks for more, the node takes the full
+    n_theta = 256 grid.
 contour    : binomial-series reduction to the oscillatory integrals
     I(l, m, n) computed on a complex path hugging Re(tau + tau^3/3) = 0
     through the singularity tau = sign(l) i.  Well-conditioned at any g0
@@ -151,17 +159,59 @@ def uhat_truncation_tail(l: int, v: float, p: Params, jmax: int = 12) -> float:
     return term / (1.0 - ratio)
 
 
-def _V_np(r, phi, mu, g0):
-    """Vectorized rescaled perturbation potential."""
+def _V_np(r, cp, mu, g0):
+    """Vectorized rescaled perturbation potential at radius r and cos(phi) = cp."""
     m1 = mu / g0**2
     m2 = (1.0 - mu) / g0**2
-    cp = np.cos(phi)
     d1 = np.sqrt(r * r - 2.0 * m1 * r * cp + m1 * m1)
     d2 = np.sqrt(r * r + 2.0 * m2 * r * cp + m2 * m2)
     return (1.0 - mu) / d1 + mu / d2 - 1.0 / r
 
 
 _N_THETA = 256
+_THETA_GRIDS = (16, 32, 64, 128)
+# entries of the largest potential matrix formed at once: 3072 nodes x 256
+_V_BLOCK = 3072 * _N_THETA
+
+
+def _theta_grid_sizes(l: int, r: np.ndarray, p: Params, n_theta: int) -> np.ndarray:
+    """Angle-grid size per radius: the smallest N in {16, 32, 64, 128,
+    n_theta} with N >= |l| + 1 + ln(eps)/ln(rho), rho = max(mu, 1-mu)/(g0^2 r),
+    so the aliasing error rho^(N-|l|)/r is below the rounding floor eps/r;
+    n_theta wherever rho >= 1 or the rule asks for more."""
+    rho = max(p.mu, 1.0 - p.mu) / (p.g0**2 * r)
+    inside = rho < 1.0
+    need = np.full(r.shape, np.inf)
+    need[inside] = abs(l) + 1 + math.log(_EPS) / np.log(rho[inside])
+    sizes = np.full(r.shape, n_theta)
+    for n in reversed([n for n in _THETA_GRIDS if n < n_theta]):
+        sizes = np.where(need <= n, n, sizes)
+    return sizes
+
+
+def _uhat_modes(l: int, r: np.ndarray, p: Params, n_theta: int) -> np.ndarray:
+    """Mode l of theta -> V(r, theta) at each radius of the 1-d array r.
+
+    The periodic trapezoid on each radius's grid (_theta_grid_sizes) with the
+    complex weights e^{-i l theta}/N over all N points; nodes sharing a grid
+    are evaluated together, no more than _V_BLOCK potential values at once.
+    """
+    sizes = _theta_grid_sizes(l, r, p, n_theta)
+    out = np.empty(r.shape, dtype=complex)
+    for n in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == n)
+        theta = 2.0 * pi * np.arange(n) / n
+        w = np.exp(-1j * l * theta) / n
+        # real and imaginary parts of the weights as two real columns: a
+        # real matrix product, without casting V to complex
+        w2 = np.stack([w.real, w.imag], axis=1)
+        cp = np.cos(theta)
+        step = max(1, _V_BLOCK // n)
+        for k in range(0, idx.size, step):
+            sel = idx[k:k + step]
+            s = _V_np(r[sel, None], cp, p.mu, p.g0) @ w2
+            out[sel] = s[:, 0] + 1j * s[:, 1]
+    return out
 
 
 def uhat_fourier_coeff_quadrature(l: int, v, p: Params,
@@ -170,14 +220,13 @@ def uhat_fourier_coeff_quadrature(l: int, v, p: Params,
 
     Spectrally accurate (the potential is analytic in theta); serves as the
     independent oracle for uhat_fourier_coeff and as the mode evaluator of
-    the real-line quadrature route.  v may be an array.
+    the real-line quadrature route.  Each node's grid is the smallest that
+    keeps the aliasing error below the rounding floor eps/r_h(v), and the
+    full n_theta points where that cannot be ensured (_theta_grid_sizes).
+    v may be an array.
     """
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    r = np.asarray(homoclinic_r(v_arr))
-    theta = 2.0 * pi * np.arange(n_theta) / n_theta
-    w = np.exp(-1j * l * theta) / n_theta
-    vals = _V_np(r[:, None], theta[None, :], p.mu, p.g0)
-    out = vals @ w
+    out = _uhat_modes(l, np.asarray(homoclinic_r(v_arr)), p, n_theta)
     return out if np.ndim(v) else complex(out[0])
 
 
@@ -206,9 +255,13 @@ def _panel_nodes(a: float, b: float):
 
 
 def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
-    """Slow part g(t) = U[l](t) e^{i l alpha_h(t)} of the oscillatory integrand."""
-    u = uhat_fourier_coeff_quadrature(l, t_nodes, p)
-    return u * np.exp(1j * l * np.asarray(homoclinic_alpha(t_nodes)))
+    """Slow part g(t) = U[l](t) e^{i l alpha_h(t)} of the oscillatory integrand.
+
+    r_h and alpha_h come from one tau per node (the closed forms of
+    separatrix.homoclinic_r and homoclinic_alpha)."""
+    tau = np.asarray(tau_of_v(t_nodes))
+    u = _uhat_modes(l, 0.5 * (tau * tau + 1.0), p, _N_THETA)
+    return u * np.exp(1j * l * (2.0 * np.arctan(tau)))
 
 
 def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> QuadratureResult:
@@ -286,17 +339,31 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
                             t_cut=float(T))
 
 
-def melnikov_coeff0_quadrature(p: Params, tau_max: float = 300.0) -> float:
-    """Mean coefficient L[0]: plain (non-oscillatory) integral of U[0],
-    evaluated in the cubic variable where the decay is tau^-4."""
+def melnikov_coeff0_quadrature(p: Params,
+                               tau_max: float = 300.0) -> tuple[float, float]:
+    """Mean coefficient L[0] and its error estimate.
+
+    L[0] is the plain (non-oscillatory) integral of U[0], evaluated in the
+    cubic variable where the decay is tau^-4, by the trapezoid with 10 nodes
+    per unit of tau on |tau| <= tau_max.  The estimate is the leading
+    closed-form tail 2 mu (1-mu) / (3 g0^4 tau_max^3) of the integrand
+    mu (1-mu)/(g0^4 tau^4) beyond +-tau_max, plus the trapezoid's step error,
+    read as half the difference from the midpoint rule on the same step.
+    """
     if p.mu == 0.0:
-        return 0.0
-    n = 6000
+        return 0.0, 0.0
+    n = int(round(20.0 * tau_max))
     tau = np.linspace(-tau_max, tau_max, n)
-    v = np.asarray(v_of_tau(tau))
-    rhat = 0.5 * (tau * tau + 1.0)
-    u0 = uhat_fourier_coeff_quadrature(0, v, p).real
-    return float(np.trapezoid(u0 * rhat, tau))
+
+    def integrand(t):
+        u0 = uhat_fourier_coeff_quadrature(0, np.asarray(v_of_tau(t)), p).real
+        return u0 * (0.5 * (t * t + 1.0))
+
+    value = float(np.trapezoid(integrand(tau), tau))
+    mid = 0.5 * (tau[:-1] + tau[1:])
+    midpoint = float(np.sum(integrand(mid) * np.diff(tau)))
+    tail = 2.0 * p.mu * (1.0 - p.mu) / (3.0 * p.g0**4 * tau_max**3)
+    return value, tail + 0.5 * abs(value - midpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +731,7 @@ class MelnikovSeries:
         coeffs: dict[int, float] = {}
         errs: dict[int, float] = {}
         if method == "quadrature":
-            coeffs[0] = melnikov_coeff0_quadrature(p)
-            errs[0] = 0.0
+            coeffs[0], errs[0] = melnikov_coeff0_quadrature(p)
             for l in range(1, lmax + 1):
                 res = melnikov_coeff_quadrature(l, p, tol)
                 coeffs[l] = res.value

@@ -77,6 +77,16 @@ class TestMelnikov:
         assert {"toolkit_version", "config_hash", "precision", "tol",
                 "quad_tol"} <= set(prov)
 
+    def test_untrusted_contour_exit_code(self, tmp_path):
+        # at g0 = 1.05 the perihelion lies inside the larger primary's circle
+        # and the binomial series of the contour route diverges: the L1
+        # estimate exceeds the value
+        code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 1.05])
+        assert code == EXIT_UNTRUSTED
+        data = json.loads((tmp_path / "melnikov_contour.json").read_text())
+        c1 = [c for c in data["coefficients"] if c["l"] == 1][0]
+        assert c1["error_estimate"] > 0.1 * abs(c1["value"])
+
     def test_extended_precision_runs(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.25, "--g0", 4.5,
                     "--precision", "extended", "--methods", "contour,asymptotic"])

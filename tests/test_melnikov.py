@@ -15,6 +15,7 @@ from rpc3bp.melnikov import (
     first_order_zero_function,
     has_two_first_order_roots,
     melnikov_coeff_asymptotic,
+    melnikov_coeff0_quadrature,
     melnikov_coeff_contour,
     melnikov_coeff_quadrature,
     melnikov_potential,
@@ -26,6 +27,9 @@ from rpc3bp.melnikov import (
     uhat_fourier_coeff_quadrature,
     uhat_truncation_tail,
 )
+from rpc3bp.separatrix import homoclinic_r, v_of_r
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestBinomHalf:
@@ -77,10 +81,52 @@ class TestUhatCoefficients:
             uhat_fourier_coeff(1, 0.0, p)
 
 
+class TestModeGrid:
+    @pytest.mark.parametrize("mu,g0", [(0.3, 1.5), (0.5, 1.2), (0.1, 2.0),
+                                       (0.3, 1.1)])
+    def test_matches_full_trapezoid(self, mu, g0):
+        # the per-node grid against a 256-point trapezoid at every node;
+        # at (0.3, 1.1) the perihelion lies inside the larger primary's
+        # circle (rho > 1), where only the full grid is accurate
+        p = Params(mu, g0)
+        v = v_of_r(np.geomspace(0.5, 1e3, 400))
+        r = np.asarray(homoclinic_r(v))
+        if (mu, g0) == (0.3, 1.1):
+            assert max(mu, 1 - mu) / (g0**2 * r[0]) > 1.0
+        m1, m2 = mu / g0**2, (1.0 - mu) / g0**2
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        c = np.cos(theta)[None, :]
+        R = r[:, None]
+        vals = ((1.0 - mu) / np.sqrt(R * R - 2.0 * m1 * R * c + m1 * m1)
+                + mu / np.sqrt(R * R + 2.0 * m2 * R * c + m2 * m2) - 1.0 / R)
+        for l in (-3, 0, 1, 2, 4, 8):
+            full = np.mean(vals * np.exp(-1j * l * theta)[None, :], axis=1)
+            got = uhat_fourier_coeff_quadrature(l, v, p)
+            assert np.all(np.abs(got - full) <= 4.0 * EPS / r), (l, mu, g0)
+
+
 class TestQuadratureRoute:
     def test_zero_at_mu0(self):
         res = melnikov_coeff_quadrature(1, Params(0.0, 1.5))
         assert res.value == 0.0
+
+    def test_series_pinned(self):
+        # the values of the fixed 256-point angle grid
+        s = MelnikovSeries.compute(Params(0.3, 1.5), "quadrature", lmax=4)
+        pinned = [0.07365343771530286, -0.015625821411961945, 0.08113903864707428,
+                  -0.02210318957926811, 0.013610012731463983]
+        for l, want in enumerate(pinned):
+            assert s.coefficients[l] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mean_coefficient_error_covers_truncation(self):
+        # the estimate (closed-form tail plus step error) against the change
+        # from extending the integration range fourfold
+        p = Params(0.3, 1.5)
+        value, err = melnikov_coeff0_quadrature(p)
+        moved = abs(value - melnikov_coeff0_quadrature(p, tau_max=1200.0)[0])
+        assert moved <= err <= 2.0 * moved
+        s = MelnikovSeries.compute(p, "quadrature", lmax=1)
+        assert s.error_estimates[0] == err
 
     def test_reality(self):
         res = melnikov_coeff_quadrature(1, Params(0.3, 1.5), tol=1e-9)
