@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .core import (
     CartesianState,
     CollisionError,
-    McGeheeState,
     Params,
     PolarState,
     PrecisionError,
@@ -25,7 +24,6 @@ from .core import (
     hamiltonian_rotating,
     involution_R,
     jacobi_constant,
-    mcgehee_local_field,
     polar_to_cartesian,
     polar_to_rotating,
     potential_V,

@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -27,11 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import Params, PrecisionError
-from .melnikov import (
-    MelnikovSeries,
-    melnikov_coeff_asymptotic,
-    predicted_tangency_mu,
-)
+from .melnikov import MelnikovSeries
 from .manifolds import compute_invariant_curve, curve_to_csv
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_state

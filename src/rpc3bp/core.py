@@ -13,12 +13,21 @@ rotating  : rescaled synodic chart (r, phi, y, G).  Radii are measured in units
     H = -g0^3 (the Jacobi-constant level J = -g0 of the original variables).
 
 State layout for array-based work is ``[r, phi, y, G]`` (rotating chart).
+
+The perturbing potential V of the primaries and the flow it drives are
+written once, in potential_kernel, for whatever cos, sin and sqrt it is
+given: math's for the scalar right-hand side of single orbits, numpy's for
+the lanes of a fan and the angle grids of the Melnikov quadrature.
+potential_V, vector_field_rotating, hamiltonian_rotating and
+hamiltonian_polar derive from it; hamiltonian_cartesian keeps its own
+arithmetic as an independent check of the charts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, hypot, pi, sin, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,30 +40,23 @@ __all__ = [
     "CartesianState",
     "PolarState",
     "RotatingState",
-    "McGeheeState",
+    "potential_kernel",
     "collision_radius",
     "hamiltonian_cartesian",
     "hamiltonian_polar",
     "hamiltonian_rotating",
     "jacobi_constant",
     "potential_V",
-    "potential_V_dr",
-    "potential_V_dphi",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "polar_to_rotating",
     "rotating_to_polar",
     "vector_field_rotating",
     "involution_R",
-    "mcgehee_local_field",
-    "mcgehee_lambda",
 ]
 
-# Denominators below this are treated as a primary collision.
+# Distances to a primary below this are treated as a collision.
 _COLLISION_EPS = 1e-12
-
-# Validity cutoff of the local chart at infinity (x = sqrt(2/r)).
-MCGEHEE_X_CUTOFF = 0.5
 
 
 class CollisionError(ValueError):
@@ -129,29 +131,86 @@ class RotatingState:
         return RotatingState(float(z[0]), float(z[1]), float(z[2]), float(z[3]))
 
 
-@dataclass(frozen=True)
-class McGeheeState:
-    """Local chart at infinity: x = sqrt(2/r) >= 0, radial variable y, angle theta."""
+def _primary_radii(p: Params) -> tuple[float, float]:
+    """Rotating-chart distances from the origin of the larger primary (mass
+    1-mu, on the ray phi = 0) and of the smaller one (mass mu, on phi = pi).
 
-    x: float
-    y: float
-    theta: float
+    Only primaries that carry mass are singular.  A massless primary adds
+    nothing to V wherever it sits, so it is put at the origin, where no
+    state outside r = 0 meets it; Params keeps mu <= 1/2, so only the
+    smaller primary can be massless.
+    """
+    return p.mu / p.g0**2, ((1.0 - p.mu) / p.g0**2 if p.mu > 0.0 else 0.0)
 
 
 def collision_radius(p: Params) -> float:
-    """Conservative rotating-chart radius cutoff: twice the largest primary
-    distance that carries mass.
+    """Conservative rotating-chart radius cutoff: twice the largest distance
+    of a primary that carries mass.
 
-    Only primaries with nonzero mass are singular, so at mu = 0 the cutoff is
-    twice the distance of the (massless) small primary, which lets the
-    unperturbed separatrix pass its perihelion r = 1/2 at any g0.
+    At mu = 0 the only massive primary sits at the origin and the cutoff is
+    0, which lets the unperturbed separatrix pass its perihelion r = 1/2 at
+    any g0.
     """
-    radii = 0.0
-    if p.mu > 0.0:
-        radii = max(radii, (1.0 - p.mu) / p.g0**2)
-    if p.mu < 1.0:
-        radii = max(radii, p.mu / p.g0**2)
-    return 2.0 * radii
+    return 2.0 * max(_primary_radii(p))
+
+
+class PotentialKernel(NamedTuple):
+    """The closures of potential_kernel for one Params and one arithmetic.
+
+    dist_sq(r, rr, cp): squared distances (d1^2, d2^2) to the larger and the
+        smaller primary at radius r, rr = r*r and cp = cos(phi).
+    V(r, cp): the perturbing potential (1-mu)/d1 + mu/d2 - 1/r.
+    field(s, z): d/ds of z = (r, phi, y, G) under the rotating-chart flow,
+        as a tuple (y, G/r^2 - g0^3, G^2/r^3 - 1/r^2 + dV/dr, dV/dphi).
+    """
+
+    dist_sq: Callable
+    V: Callable
+    field: Callable
+
+
+def potential_kernel(p: Params, cos, sin, sqrt) -> PotentialKernel:
+    """V and the flow it drives, written once for the arithmetic of the
+    given cos, sin and sqrt.
+
+    math's functions give the Python-float right-hand side of single orbits;
+    numpy's give the same operations in the same order elementwise, on the
+    (4, m) lane arrays of a fan or the radius-by-angle grids of the Melnikov
+    quadrature, so a lane and a scalar call agree bit for bit wherever
+    numpy's cos, sin and sqrt round as math's do.  The closures check
+    nothing: a state at a massive primary divides by zero.
+    """
+    mu, g0 = p.mu, p.g0
+    m1, m2 = _primary_radii(p)
+    # constant factors, formed once outside the hot path; 2.0 * m1 * r * cp
+    # evaluates as ((2.0 * m1) * r) * cp, so hoisting them changes no bit
+    two_m1, m1_sq = 2.0 * m1, m1 * m1
+    two_m2, m2_sq = 2.0 * m2, m2 * m2
+    mass1 = 1.0 - mu
+    g03 = g0**3
+    mm = mu * mass1 / g0**2
+
+    def dist_sq(r, rr, cp):
+        return rr - two_m1 * r * cp + m1_sq, rr + two_m2 * r * cp + m2_sq
+
+    def V(r, cp):
+        d1sq, d2sq = dist_sq(r, r * r, cp)
+        return mass1 / sqrt(d1sq) + mu / sqrt(d2sq) - 1.0 / r
+
+    def field(s, z):
+        r, phi, y, G = z
+        cp = cos(phi)
+        rr = r * r
+        inv_rr = 1.0 / rr
+        d1sq, d2sq = dist_sq(r, rr, cp)
+        inv_d13 = 1.0 / (d1sq * sqrt(d1sq))
+        inv_d23 = 1.0 / (d2sq * sqrt(d2sq))
+        dVdr = (-mass1 * (r - m1 * cp) * inv_d13
+                - mu * (r + m2 * cp) * inv_d23 + inv_rr)
+        return (y, G / rr - g03, G * G / (rr * r) - inv_rr + dVdr,
+                mm * r * sin(phi) * (inv_d23 - inv_d13))
+
+    return PotentialKernel(dist_sq, V, field)
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +236,10 @@ def hamiltonian_cartesian(s: CartesianState, p: Params) -> float:
     return out
 
 
-def _newton_potential_polar(r: float, phi_rel: float, mu: float) -> float:
-    # phi_rel = alpha - t: the angle from the axis pointing toward the
-    # smaller primary at (1-mu) q0(t).  The larger primary sits at -mu q0(t),
-    # so its distance term carries the opposite cosine sign.
-    d1sq = r * r + 2.0 * mu * r * cos(phi_rel) + mu * mu
-    d2sq = r * r - 2.0 * (1.0 - mu) * r * cos(phi_rel) + (1.0 - mu) ** 2
-    if ((mu < 1.0 and d1sq < _COLLISION_EPS**2)
-            or (mu > 0.0 and d2sq < _COLLISION_EPS**2)):
-        raise CollisionError("state at a primary")
-    out = 0.0
-    if mu < 1.0:
-        out += (1.0 - mu) / sqrt(d1sq)
-    if mu > 0.0:
-        out += mu / sqrt(d2sq)
-    return out
-
-
 def hamiltonian_polar(s: PolarState, p: Params) -> float:
-    if s.r <= 0.0:
-        raise CollisionError("r must be positive")
-    pot = _newton_potential_polar(s.r, s.alpha - s.t, p.mu)
-    return 0.5 * s.y * s.y + s.G * s.G / (2.0 * s.r * s.r) - pot
+    """Energy y^2/2 + G^2/(2 r^2) - (1-mu)/d1 - mu/d2 of the polar chart,
+    as H_rot/g0^2 + G through polar_to_rotating (hamiltonian_rotating)."""
+    return hamiltonian_rotating(polar_to_rotating(s, p), p) / p.g0**2 + s.G
 
 
 def jacobi_constant(s: PolarState, p: Params) -> float:
@@ -212,47 +253,15 @@ def potential_V(r: float, phi: float, p: Params) -> float:
     V(r, phi) = (1-mu)/d1 + mu/d2 - 1/r with the primaries at distances
     mu/g0^2 and (1-mu)/g0^2 from the origin.  Even in phi; identically zero
     at mu = 0; pi-periodic in phi at mu = 1/2.  Size O(mu/(g0^4 r^3)) for
-    r away from the primaries.
+    r away from the primaries.  Raises CollisionError within 1e-12 of a
+    primary that carries mass.
     """
-    m1 = p.mu / p.g0**2
-    m2 = (1.0 - p.mu) / p.g0**2
+    kernel = potential_kernel(p, cos, sin, sqrt)
     cp = cos(phi)
-    d1sq = r * r - 2.0 * m1 * r * cp + m1 * m1
-    d2sq = r * r + 2.0 * m2 * r * cp + m2 * m2
+    d1sq, d2sq = kernel.dist_sq(r, r * r, cp)
     if d1sq < _COLLISION_EPS**2 or d2sq < _COLLISION_EPS**2:
         raise CollisionError("rotating state at a primary")
-    return (1.0 - p.mu) / sqrt(d1sq) + p.mu / sqrt(d2sq) - 1.0 / r
-
-
-def potential_V_dr(r: float, phi: float, p: Params) -> float:
-    """Radial derivative of potential_V."""
-    m1 = p.mu / p.g0**2
-    m2 = (1.0 - p.mu) / p.g0**2
-    cp = cos(phi)
-    d1sq = r * r - 2.0 * m1 * r * cp + m1 * m1
-    d2sq = r * r + 2.0 * m2 * r * cp + m2 * m2
-    if d1sq < _COLLISION_EPS**2 or d2sq < _COLLISION_EPS**2:
-        raise CollisionError("rotating state at a primary")
-    d13 = d1sq * sqrt(d1sq)
-    d23 = d2sq * sqrt(d2sq)
-    return (-(1.0 - p.mu) * (r - m1 * cp) / d13
-            - p.mu * (r + m2 * cp) / d23
-            + 1.0 / (r * r))
-
-
-def potential_V_dphi(r: float, phi: float, p: Params) -> float:
-    """Angular derivative of potential_V; equals
-    mu(1-mu)/g0^2 * r sin(phi) * (1/d2^3 - 1/d1^3)."""
-    m1 = p.mu / p.g0**2
-    m2 = (1.0 - p.mu) / p.g0**2
-    cp = cos(phi)
-    d1sq = r * r - 2.0 * m1 * r * cp + m1 * m1
-    d2sq = r * r + 2.0 * m2 * r * cp + m2 * m2
-    if d1sq < _COLLISION_EPS**2 or d2sq < _COLLISION_EPS**2:
-        raise CollisionError("rotating state at a primary")
-    d13 = d1sq * sqrt(d1sq)
-    d23 = d2sq * sqrt(d2sq)
-    return (p.mu * (1.0 - p.mu) / p.g0**2) * r * sin(phi) * (1.0 / d23 - 1.0 / d13)
+    return kernel.V(r, cp)
 
 
 def hamiltonian_rotating(s: RotatingState, p: Params) -> float:
@@ -308,24 +317,20 @@ def rotating_to_polar(s: RotatingState, t: float, p: Params) -> PolarState:
 
 
 # ---------------------------------------------------------------------------
-# Vector field, reversibility, local chart at infinity
+# Vector field and reversibility
 # ---------------------------------------------------------------------------
 
 def vector_field_rotating(s: RotatingState, p: Params) -> np.ndarray:
     """d/ds of (r, phi, y, G) under the rotating-chart Hamiltonian flow.
 
-    Returns (y, G/r^2 - g0^3, G^2/r^3 - 1/r^2 + dV/dr, dV/dphi).  The energy
-    hamiltonian_rotating is a first integral.  At mu = 0 the G component is
-    identically zero.
+    Returns (y, G/r^2 - g0^3, G^2/r^3 - 1/r^2 + dV/dr, dV/dphi), the field
+    of potential_kernel.  The energy hamiltonian_rotating is a first
+    integral.  At mu = 0 the G component is identically zero.
     """
     if s.r < collision_radius(p):
         raise CollisionError(f"r={s.r} inside collision cutoff")
-    return np.array([
-        s.y,
-        s.G / (s.r * s.r) - p.g0**3,
-        s.G * s.G / s.r**3 - 1.0 / (s.r * s.r) + potential_V_dr(s.r, s.phi, p),
-        potential_V_dphi(s.r, s.phi, p),
-    ])
+    field = potential_kernel(p, cos, sin, sqrt).field
+    return np.array(field(0.0, (s.r, s.phi, s.y, s.G)))
 
 
 def involution_R(s: RotatingState) -> RotatingState:
@@ -335,37 +340,3 @@ def involution_R(s: RotatingState) -> RotatingState:
     of infinity onto the stable one.  Fixed points have y = 0, phi in {0, pi}.
     """
     return RotatingState(s.r, -s.phi, -s.y, s.G)
-
-
-def mcgehee_lambda(theta: float, mu: float) -> float:
-    """Angular coefficient (3/32) mu (1-mu) (1 - 3 cos^2 theta) of the x^8 term."""
-    c = cos(theta)
-    return (3.0 / 32.0) * mu * (1.0 - mu) * (1.0 - 3.0 * c * c)
-
-
-def mcgehee_local_field(m: McGeheeState, J: float, p: Params) -> tuple[float, float, float]:
-    """Truncated local vector field at infinity in the chart r = 2/x^2.
-
-    With K = J - mu(1-mu):
-
-        dx/dtheta = x^3 y / 4 + K x^7 y / 32
-        dy/dtheta = x^4/4 - K^2 x^6/32 + 3 K x^6 y^2/16 - lambda(theta) x^8
-        dtheta/dtheta = 1
-
-    Only the displayed polynomial orders are modeled (the order-10 remainder
-    is dropped), so the chart is for qualitative/initialization use within
-    |x|, |y| <= MCGEHEE_X_CUTOFF.  x = 0 is the invariant parabolic set.
-    """
-    if m.x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if abs(m.x) > MCGEHEE_X_CUTOFF or abs(m.y) > MCGEHEE_X_CUTOFF:
-        raise ValueError(
-            f"local chart valid for |x|,|y| <= {MCGEHEE_X_CUTOFF}: got ({m.x}, {m.y})")
-    K = J - p.mu * (1.0 - p.mu)
-    x, y = m.x, m.y
-    x3 = x**3
-    x6 = x**6
-    dx = x3 * y / 4.0 + K * x6 * x * y / 32.0
-    dy = (x3 * x / 4.0 - K * K * x6 / 32.0 + 3.0 * K * x6 * y * y / 16.0
-          - mcgehee_lambda(m.theta, p.mu) * x6 * x * x)
-    return (dx, dy, 1.0)

@@ -14,7 +14,9 @@ bit for bit: its tableau, initial-step rule, error norm, step-size
 controller, underflow check and event location.  lockstep_flow advances many
 orbits ("lanes") at once with the same scheme written in numpy: one
 vectorised right-hand side per stage serves every lane, while each lane
-keeps its own step size and accept/reject state.
+keeps its own step size and accept/reject state.  Both right-hand sides are
+core.potential_kernel's field, on Python floats for flow and on numpy
+arrays for the lanes, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     RotatingState,
     SectionTimeoutError,
     collision_radius,
+    potential_kernel,
 )
 
 __all__ = [
@@ -65,58 +68,21 @@ def _check_tol(tol: float) -> None:
 def make_rhs(p: Params):
     """Scalar-math right-hand side f(s, z) for z = [r, phi, y, G].
 
-    Closure over the parameters; written with plain floats because it is the
-    hot path of every propagation.
+    The field of core.potential_kernel on Python floats: the hot path of
+    every single-orbit propagation.
     """
-    mu, g0 = p.mu, p.g0
-    m1 = mu / g0**2
-    m2 = (1.0 - mu) / g0**2
-    g03 = g0**3
-    mm = mu * (1.0 - mu) / g0**2
-
-    def rhs(s, z):
-        r, phi, y, G = z
-        cp = cos(phi)
-        d1sq = r * r - 2.0 * m1 * r * cp + m1 * m1
-        d2sq = r * r + 2.0 * m2 * r * cp + m2 * m2
-        inv_d13 = 1.0 / (d1sq * sqrt(d1sq))
-        inv_d23 = 1.0 / (d2sq * sqrt(d2sq))
-        rr = r * r
-        dVdr = (-(1.0 - mu) * (r - m1 * cp) * inv_d13
-                - mu * (r + m2 * cp) * inv_d23 + 1.0 / rr)
-        dVdphi = mm * r * sin(phi) * (inv_d23 - inv_d13)
-        return (y, G / rr - g03, G * G / (rr * r) - 1.0 / rr + dVdr, dVdphi)
-
-    return rhs
+    return potential_kernel(p, cos, sin, sqrt).field
 
 
 def make_lane_rhs(p: Params):
-    """make_rhs for a (4, m) array of states, one lane per column.
-
-    The arithmetic is make_rhs's, operation for operation, in numpy.
+    """make_rhs for a (4, m) array of states, one lane per column: the same
+    kernel on numpy arrays, operation for operation.
     """
-    mu, g0 = p.mu, p.g0
-    m1 = mu / g0**2
-    m2 = (1.0 - mu) / g0**2
-    g03 = g0**3
-    mm = mu * (1.0 - mu) / g0**2
+    field = potential_kernel(p, np.cos, np.sin, np.sqrt).field
 
     def rhs(z):
-        r, phi, y, G = z
-        cp = np.cos(phi)
-        rr = r * r
-        inv_rr = 1.0 / rr
-        d1sq = rr - 2.0 * m1 * r * cp + m1 * m1
-        d2sq = rr + 2.0 * m2 * r * cp + m2 * m2
-        inv_d13 = 1.0 / (d1sq * np.sqrt(d1sq))
-        inv_d23 = 1.0 / (d2sq * np.sqrt(d2sq))
-        dVdr = (-(1.0 - mu) * (r - m1 * cp) * inv_d13
-                - mu * (r + m2 * cp) * inv_d23 + inv_rr)
         out = np.empty_like(z)
-        out[0] = y
-        out[1] = G / rr - g03
-        out[2] = G * G / (rr * r) - inv_rr + dVdr
-        out[3] = mm * r * np.sin(phi) * (inv_d23 - inv_d13)
+        out[0], out[1], out[2], out[3] = field(0.0, z)
         return out
 
     return rhs

@@ -256,8 +256,7 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
 def compute_invariant_curve(branch: str, phi0: float,
                             v_window: tuple[float, float], p: Params,
                             tol: float = 1e-12, n_samples: int = 60,
-                            r0: float = DEFAULT_R0,
-                            n_phases: int | None = None) -> ManifoldCurve:
+                            r0: float = DEFAULT_R0) -> ManifoldCurve:
     """Invariant curve Y(v) over v_window on the section {phi = phi0}.
 
     n_samples is the target number of collected samples across the window;
@@ -275,15 +274,14 @@ def compute_invariant_curve(branch: str, phi0: float,
         raise ValueError("branch must be 'unstable' or 'stable'")
     window = v_hi - v_lo
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
-    if n_phases is None:
-        n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
+    n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
     fan = _fan_samples(phi0, (v_lo, v_hi), p, tol, n_phases, r0)
     samples = sorted(fan[0] if branch == "unstable" else fan[1])
     if len(samples) < 8:
         raise RuntimeError(
             f"only {len(samples)} window crossings collected; widen the "
-            "window or increase n_phases")
+            "window or increase n_samples")
     v = np.array([s[0] for s in samples])
     Y = np.array([s[1] for s in samples])
     v, Y = _merge_close(v, Y)

@@ -15,11 +15,12 @@ quadrature : real-line oscillatory integral of the angular Fourier modes of
     periodic trapezoid sum over an N-point angle grid.  Mode k of the
     potential decays like rho^|k| with rho = max(mu, 1-mu)/(g0^2 r), so the
     grid's aliasing error is about rho^(N-|l|)/r; each node takes the
-    smallest N in {16, 32, 64, 128, n_theta} with
+    smallest N in {16, 32, 64, 128, 256} with
     N >= |l| + 1 + ln(eps)/ln(rho), which puts that error below the rounding
     floor eps/r of the sum.  Where rho >= 1 (the separatrix passes inside a
     primary's circle) or the rule asks for more, the node takes the full
-    n_theta = 256 grid.
+    256-point grid.  The potential on the grid is core.potential_kernel's V
+    on numpy arrays.
 contour    : binomial-series reduction to the oscillatory integrals
     I(l, m, n) computed on a complex path hugging Re(tau + tau^3/3) = 0
     through the singularity tau = sign(l) i.  Well-conditioned at any g0
@@ -44,7 +45,7 @@ from math import exp, pi, sqrt
 
 import numpy as np
 
-from .core import Params, PrecisionError
+from .core import Params, PrecisionError, potential_kernel
 from .separatrix import (
     homoclinic_alpha,
     homoclinic_r,
@@ -159,44 +160,36 @@ def uhat_truncation_tail(l: int, v: float, p: Params, jmax: int = 12) -> float:
     return term / (1.0 - ratio)
 
 
-def _V_np(r, cp, mu, g0):
-    """Vectorized rescaled perturbation potential at radius r and cos(phi) = cp."""
-    m1 = mu / g0**2
-    m2 = (1.0 - mu) / g0**2
-    d1 = np.sqrt(r * r - 2.0 * m1 * r * cp + m1 * m1)
-    d2 = np.sqrt(r * r + 2.0 * m2 * r * cp + m2 * m2)
-    return (1.0 - mu) / d1 + mu / d2 - 1.0 / r
-
-
 _N_THETA = 256
 _THETA_GRIDS = (16, 32, 64, 128)
 # entries of the largest potential matrix formed at once: 3072 nodes x 256
 _V_BLOCK = 3072 * _N_THETA
 
 
-def _theta_grid_sizes(l: int, r: np.ndarray, p: Params, n_theta: int) -> np.ndarray:
-    """Angle-grid size per radius: the smallest N in {16, 32, 64, 128,
-    n_theta} with N >= |l| + 1 + ln(eps)/ln(rho), rho = max(mu, 1-mu)/(g0^2 r),
-    so the aliasing error rho^(N-|l|)/r is below the rounding floor eps/r;
-    n_theta wherever rho >= 1 or the rule asks for more."""
+def _theta_grid_sizes(l: int, r: np.ndarray, p: Params) -> np.ndarray:
+    """Angle-grid size per radius: the smallest N in {16, 32, 64, 128, 256}
+    with N >= |l| + 1 + ln(eps)/ln(rho), rho = max(mu, 1-mu)/(g0^2 r), so
+    the aliasing error rho^(N-|l|)/r is below the rounding floor eps/r; 256
+    wherever rho >= 1 or the rule asks for more."""
     rho = max(p.mu, 1.0 - p.mu) / (p.g0**2 * r)
     inside = rho < 1.0
     need = np.full(r.shape, np.inf)
     need[inside] = abs(l) + 1 + math.log(_EPS) / np.log(rho[inside])
-    sizes = np.full(r.shape, n_theta)
-    for n in reversed([n for n in _THETA_GRIDS if n < n_theta]):
+    sizes = np.full(r.shape, _N_THETA)
+    for n in reversed(_THETA_GRIDS):
         sizes = np.where(need <= n, n, sizes)
     return sizes
 
 
-def _uhat_modes(l: int, r: np.ndarray, p: Params, n_theta: int) -> np.ndarray:
+def _uhat_modes(l: int, r: np.ndarray, p: Params) -> np.ndarray:
     """Mode l of theta -> V(r, theta) at each radius of the 1-d array r.
 
     The periodic trapezoid on each radius's grid (_theta_grid_sizes) with the
     complex weights e^{-i l theta}/N over all N points; nodes sharing a grid
     are evaluated together, no more than _V_BLOCK potential values at once.
     """
-    sizes = _theta_grid_sizes(l, r, p, n_theta)
+    V = potential_kernel(p, np.cos, np.sin, np.sqrt).V
+    sizes = _theta_grid_sizes(l, r, p)
     out = np.empty(r.shape, dtype=complex)
     for n in np.unique(sizes).tolist():
         idx = np.flatnonzero(sizes == n)
@@ -209,24 +202,23 @@ def _uhat_modes(l: int, r: np.ndarray, p: Params, n_theta: int) -> np.ndarray:
         step = max(1, _V_BLOCK // n)
         for k in range(0, idx.size, step):
             sel = idx[k:k + step]
-            s = _V_np(r[sel, None], cp, p.mu, p.g0) @ w2
+            s = V(r[sel, None], cp) @ w2
             out[sel] = s[:, 0] + 1j * s[:, 1]
     return out
 
 
-def uhat_fourier_coeff_quadrature(l: int, v, p: Params,
-                                  n_theta: int = _N_THETA) -> complex:
+def uhat_fourier_coeff_quadrature(l: int, v, p: Params) -> complex:
     """Mode l of theta -> V(r_h(v), theta) by the periodic trapezoid rule.
 
     Spectrally accurate (the potential is analytic in theta); serves as the
     independent oracle for uhat_fourier_coeff and as the mode evaluator of
     the real-line quadrature route.  Each node's grid is the smallest that
     keeps the aliasing error below the rounding floor eps/r_h(v), and the
-    full n_theta points where that cannot be ensured (_theta_grid_sizes).
+    full 256 points where that cannot be ensured (_theta_grid_sizes).
     v may be an array.
     """
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    out = _uhat_modes(l, np.asarray(homoclinic_r(v_arr)), p, n_theta)
+    out = _uhat_modes(l, np.asarray(homoclinic_r(v_arr)), p)
     return out if np.ndim(v) else complex(out[0])
 
 
@@ -248,19 +240,13 @@ class QuadratureResult:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panel_nodes(a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS
-
-
 def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
     """Slow part g(t) = U[l](t) e^{i l alpha_h(t)} of the oscillatory integrand.
 
     r_h and alpha_h come from one tau per node (the closed forms of
     separatrix.homoclinic_r and homoclinic_alpha)."""
     tau = np.asarray(tau_of_v(t_nodes))
-    u = _uhat_modes(l, 0.5 * (tau * tau + 1.0), p, _N_THETA)
+    u = _uhat_modes(l, 0.5 * (tau * tau + 1.0), p)
     return u * np.exp(1j * l * (2.0 * np.arctan(tau)))
 
 

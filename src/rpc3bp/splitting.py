@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import cos, pi, sin, sqrt
+from math import pi
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,10 +27,9 @@ from .manifolds import ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     predicted_distance,
     predicted_lobe_area,
-    predicted_tangency_lobe_area,
     predicted_tangency_mu,
 )
-from .separatrix import homoclinic_alpha, homoclinic_alpha_prime, homoclinic_y
+from .separatrix import homoclinic_alpha, homoclinic_y
 
 __all__ = [
     "SplittingConfig",
@@ -64,8 +63,6 @@ class SplittingConfig:
     tol: float = 1e-12
     n_samples: int = 60
     r0: float = 50.0
-    n_phases: int | None = None
-    n_grid: int | None = None
 
 
 @dataclass
@@ -290,11 +287,11 @@ def _manifold_profile(p: Params, phi0: float,
     """Distance profile of the invariant-curve pair computed under cfg."""
     cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p,
                                  tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0, n_phases=cfg.n_phases)
+                                 r0=cfg.r0)
     cs = compute_invariant_curve("stable", phi0, cfg.v_window, p,
                                  tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0, n_phases=cfg.n_phases)
-    return distance_profile(cs, cu, n_grid=cfg.n_grid)
+                                 r0=cfg.r0)
+    return distance_profile(cs, cu)
 
 
 def splitting_report(p: Params, phi0: float,
@@ -344,11 +341,6 @@ def splitting_report(p: Params, phi0: float,
 # ---------------------------------------------------------------------------
 # Tangency detection and continuation
 # ---------------------------------------------------------------------------
-
-def _family_of(root: HomoclinicRoot) -> str:
-    xm = root.phase % (2.0 * pi)
-    return "0" if min(xm, 2.0 * pi - xm) < pi / 2.0 else "pi"
-
 
 def _wrap_dist(phase: float, target: float) -> float:
     return abs((phase - target + pi) % (2.0 * pi) - pi)

@@ -8,7 +8,6 @@ import rpc3bp
 from rpc3bp.core import (
     CartesianState,
     CollisionError,
-    McGeheeState,
     Params,
     PolarState,
     RotatingState,
@@ -19,13 +18,9 @@ from rpc3bp.core import (
     hamiltonian_rotating,
     involution_R,
     jacobi_constant,
-    mcgehee_lambda,
-    mcgehee_local_field,
     polar_to_cartesian,
     polar_to_rotating,
     potential_V,
-    potential_V_dphi,
-    potential_V_dr,
     rotating_to_polar,
     vector_field_rotating,
 )
@@ -168,13 +163,30 @@ class TestPotential:
                     assert abs(potential_V(r, phi, p)) <= 2.0 * p.mu / (p.g0**4 * r**3)
 
     def test_derivatives_match_finite_differences(self):
+        # the field's dV/dr and dV/dphi against central differences of V
         p = Params(0.41, 2.2)
         h = 1e-6
+        G = 1.0
         for r, phi in [(0.9, 0.8), (1.6, 2.5), (3.0, -1.0)]:
             fd_r = (potential_V(r + h, phi, p) - potential_V(r - h, phi, p)) / (2 * h)
             fd_phi = (potential_V(r, phi + h, p) - potential_V(r, phi - h, p)) / (2 * h)
-            assert potential_V_dr(r, phi, p) == pytest.approx(fd_r, abs=1e-8)
-            assert potential_V_dphi(r, phi, p) == pytest.approx(fd_phi, abs=1e-8)
+            f = vector_field_rotating(RotatingState(r, phi, 0.0, G), p)
+            assert f[2] - (G * G / r**3 - 1.0 / r**2) == pytest.approx(fd_r, abs=1e-8)
+            assert f[3] == pytest.approx(fd_phi, abs=1e-8)
+
+    def test_massless_primary_is_not_singular(self):
+        # at mu = 0 the small primary carries no mass: V vanishes at its
+        # position and every form of the field there is the Kepler field
+        p = Params(0.0, 2.0)
+        r, phi, y, G = 1.0 / p.g0**2, math.pi, 0.3, 1.0
+        assert potential_V(r, phi, p) == 0.0
+        kepler = (y, G / r**2 - p.g0**3, G * G / r**3 - 1.0 / r**2, 0.0)
+        f = vector_field_rotating(RotatingState(r, phi, y, G), p)
+        assert f == pytest.approx(kepler, rel=1e-15, abs=0.0)
+        assert make_rhs(p)(0.0, [r, phi, y, G]) == tuple(f)
+        with np.errstate(all="raise"):
+            lanes = make_lane_rhs(p)(np.array([[r], [phi], [y], [G]]))
+        np.testing.assert_array_equal(lanes[:, 0], f)
 
 
 class TestVectorField:
@@ -380,8 +392,7 @@ class TestLockstep:
             lanes = make_lane_rhs(p)(z)
             scalar = make_rhs(p)
             for k, s in enumerate(states):
-                np.testing.assert_allclose(lanes[:, k], scalar(0.0, s.to_array()),
-                                           rtol=1e-14, atol=0.0)
+                np.testing.assert_array_equal(lanes[:, k], scalar(0.0, s.to_array()))
 
     def test_lanes_follow_flow(self):
         # each lane repeats solve_ivp's DOP853 arithmetic: same steps, same
@@ -441,39 +452,3 @@ class TestLockstep:
             lockstep_flow(z0, 1.0, 1e-5, Params(0.3, 2.0))
         with pytest.raises(ValueError):
             lockstep_flow(z0, -1.0, 1e-12, Params(0.3, 2.0))
-
-
-class TestMcGehee:
-    def test_infinity_is_invariant(self):
-        f = mcgehee_local_field(McGeheeState(0.0, 0.1, 0.3), 2.4, Params(0.3, 2.4))
-        assert f == (0.0, 0.0, 1.0)
-
-    def test_lambda_at_zero(self):
-        for mu in (0.1, 0.3, 0.5):
-            assert mcgehee_lambda(0.0, mu) == pytest.approx(-3.0 * mu * (1 - mu) / 16.0,
-                                                            rel=1e-15)
-
-    def test_mu0_theta_independent(self):
-        p = Params(0.0, 2.4)
-        vals = {mcgehee_local_field(McGeheeState(0.2, 0.1, th), 2.4, p)
-                for th in (0.0, 1.0, 2.5)}
-        assert len(vals) == 1
-
-    def test_displayed_polynomial(self):
-        # independent evaluation of the displayed truncation
-        mu, J = 0.3, 2.5
-        x, y, th = 0.2, 0.1, 0.7
-        K = J - mu * (1 - mu)
-        lam = (3.0 / 32.0) * mu * (1 - mu) * (1 - 3 * math.cos(th) ** 2)
-        expected = (x**3 * y / 4 + K * x**7 * y / 32,
-                    x**4 / 4 - K**2 * x**6 / 32 + 3 * K * x**6 * y**2 / 16 - lam * x**8,
-                    1.0)
-        got = mcgehee_local_field(McGeheeState(x, y, th), J, Params(mu, 2.4))
-        assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_chart_cutoff(self):
-        p = Params(0.3, 2.4)
-        with pytest.raises(ValueError):
-            mcgehee_local_field(McGeheeState(0.6, 0.0, 0.0), 2.4, p)
-        with pytest.raises(ValueError):
-            mcgehee_local_field(McGeheeState(-0.1, 0.0, 0.0), 2.4, p)
