@@ -49,7 +49,6 @@ DEFAULTS = {
     "phi0": 0.0,
     "tol": 1e-12,
     "quad_tol": 1e-9,
-    "root_tol": 1e-12,
     "jmax": 12,
     "lmax": 4,
     "v_window": [0.4, 1.6],

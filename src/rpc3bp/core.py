@@ -143,15 +143,18 @@ def _primary_radii(p: Params) -> tuple[float, float]:
     return p.mu / p.g0**2, ((1.0 - p.mu) / p.g0**2 if p.mu > 0.0 else 0.0)
 
 
+_COLLISION_FLOOR = 1e-6     # far below the separatrix perihelion r = 1/2
+
+
 def collision_radius(p: Params) -> float:
     """Conservative rotating-chart radius cutoff: twice the largest distance
-    of a primary that carries mass.
+    of a primary that carries mass, and at least 1e-6.
 
     At mu = 0 the only massive primary sits at the origin and the cutoff is
-    0, which lets the unperturbed separatrix pass its perihelion r = 1/2 at
-    any g0.
+    the floor, which stops a plunge into the origin and still lets the
+    unperturbed separatrix pass its perihelion r = 1/2 at any g0.
     """
-    return 2.0 * max(_primary_radii(p))
+    return max(_COLLISION_FLOOR, 2.0 * max(_primary_radii(p)))
 
 
 class PotentialKernel(NamedTuple):

@@ -2,9 +2,11 @@
 
 The propagator is an 8th-order embedded Runge-Kutta (DOP853, the in-house
 loop) with dense output for event location.  The synodic angle phi is kept
-unwrapped, so crossings of the section {phi = phi0 (mod 2pi)} are the zeros of
-the smooth event function sin((phi - phi0)/2); phi is monotone decreasing
-along the flow in the regime of interest, so every zero is a genuine crossing.
+unwrapped and is monotone decreasing along the flow in the regime of
+interest.  first_return finds a single orbit's next return to the section
+{phi = phi0 (mod 2pi)} as the first time phi reaches the level phi0 + 2pi k
+strictly below its start; a fan of orbits reads all its crossings as the
+zeros of section_event's sin((phi - phi0)/2).
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
 time until |phi - phi0| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
@@ -22,7 +24,7 @@ arrays for the lanes, so they agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, inf, nextafter, pi, sin, sqrt
+from math import cos, floor, inf, nextafter, pi, sin, sqrt
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -32,7 +34,6 @@ from .core import (
     CollisionError,
     Params,
     RotatingState,
-    SectionTimeoutError,
     collision_radius,
     potential_kernel,
 )
@@ -48,8 +49,8 @@ __all__ = [
     "LockstepFlow",
     "lockstep_flow",
     "section_event",
-    "propagate_to_section",
     "refine_to_section",
+    "first_return",
 ]
 
 # scipy's solve_ivp raises any rtol below 100 eps to that floor with only a
@@ -57,7 +58,11 @@ __all__ = [
 TOL_MIN = 100 * np.finfo(float).eps
 TOL_MAX = 1e-6
 
-_SECTION_PHI_TOL = 1e-13
+
+def _section_tol(phi: float) -> float:
+    """Largest |phi - phi0| (mod 2pi) that counts as on the section: 1e-13,
+    or the representation floor of a large unwrapped angle phi."""
+    return max(1e-13, 16.0 * np.finfo(float).eps * abs(phi))
 
 
 def _check_tol(tol: float) -> None:
@@ -556,37 +561,37 @@ def refine_to_section(z, phi0: float, p: Params) -> np.ndarray:
         ds = -w / f[1]
         z += ds * np.asarray(f)
     w = (z[1] - phi0 + pi) % (2.0 * pi) - pi
-    if abs(w) > max(_SECTION_PHI_TOL, 16.0 * np.finfo(float).eps * abs(z[1])):
+    if abs(w) > _section_tol(z[1]):
         raise RuntimeError(f"section refinement stalled at |phi - phi0| = {abs(w)}")
     return z
 
 
-def propagate_to_section(s: RotatingState, phi0: float, direction: int,
-                         p: Params, tol: float,
-                         s_max: float | None = None) -> RotatingState:
-    """First crossing of {phi = phi0 (mod 2pi)} in the given time direction.
+def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
+                 events=()):
+    """Next return of one orbit to the section {phi = phi0 (mod 2pi)}.
 
-    direction is +1 (forward) or -1 (backward).  A state already on the
-    section (within 1e-13 of phi0 mod 2pi) is returned unchanged.  Raises
-    SectionTimeoutError if no crossing occurs within the horizon, which
-    defaults to four synodic returns.
+    phi decreases along the flow, so the return is the first time the
+    unwrapped angle reaches the level phi0 + 2pi k strictly below z[1]; a
+    state already on the section (within refine_to_section's tolerance) goes
+    on to the next level.  One flow call over (0, s_max), with a terminal
+    event on phi - level ahead of events, whose crossings land in
+    t_events[2:].
+
+    Returns (trajectory, z_return), z_return being the crossing polished by
+    refine_to_section, or None when a terminal event of events or s_max came
+    first.  CollisionError from flow propagates.
     """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-    w = (s.phi - phi0 + pi) % (2.0 * pi) - pi
-    if abs(w) <= _SECTION_PHI_TOL:
-        return s
-    if s_max is None:
-        s_max = 4.0 * 2.0 * pi / p.g0**3
-    ev = section_event(phi0)
+    k = floor((z[1] - phi0) / (2.0 * pi))
+    if z[1] - (phi0 + 2.0 * pi * k) <= _section_tol(z[1]):
+        k -= 1
+    level = phi0 + 2.0 * pi * k
+
+    def ev(s, zz):
+        return zz[1] - level
+
     ev.terminal = True
-    try:
-        sol = flow(s.to_array(), (0.0, direction * s_max), tol, p, events=[ev])
-    except CollisionError as err:
-        raise SectionTimeoutError("collision before reaching the section",
-                                  last_state=err.last_state) from err
+    ev.direction = -1.0
+    sol = flow(z, (0.0, s_max), tol, p, events=[ev, *events])
     if len(sol.t_events[1]) == 0:
-        raise SectionTimeoutError("no section crossing within horizon",
-                                  last_state=RotatingState.from_array(sol.y[:, -1]))
-    z = refine_to_section(sol.y_events[1][0], phi0, p)
-    return RotatingState.from_array(z)
+        return sol, None
+    return sol, refine_to_section(sol.y_events[1][0], phi0, p)

@@ -28,6 +28,9 @@ Each orbit keeps its own step size and accept/reject state and repeats the
 arithmetic of solve_ivp's DOP853, so the samples are those of one solve_ivp
 run per orbit.  Section crossings are located on the dense output only in
 steps that come near the window, and polished by refine_to_section.
+
+poincare_map lifts a section point to the shell and takes one
+integrate.first_return, the return the oscillation demo iterates.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from .core import (
     SectionTimeoutError,
     potential_V,
 )
-from .integrate import flow, lockstep_flow, refine_to_section, section_event
+from .integrate import first_return, lockstep_flow, refine_to_section, section_event
+# unused here; perfbench's tracer self-test checks that it wraps this binding
+from .integrate import flow  # noqa: F401
 from .separatrix import homoclinic_r, v_of_r
 
 __all__ = [
@@ -134,27 +139,20 @@ def poincare_map(point: tuple[float, float], phi0: float, p: Params,
     """One full return of the section map on the energy shell.
 
     The synodic angle is monotone decreasing, so the return is the first
-    time the unwrapped angle reaches phi0 - 2pi.  Preserves the section area
-    element dr wedge dy up to integrator accuracy.
+    time the unwrapped angle reaches phi0 - 2pi (integrate.first_return).
+    Preserves the section area element dr wedge dy up to integrator
+    accuracy.
     """
     z = lift_to_shell(point[0], point[1], phi0, p)
-    phi_end = phi0 - 2.0 * pi
-
-    def ev(s, zz):
-        return zz[1] - phi_end
-
-    ev.terminal = True
-    ev.direction = -1.0
     try:
-        sol = flow(z.to_array(), (0.0, 3.0 * 2.0 * pi / p.g0**3), tol, p,
-                   events=[ev])
+        sol, znext = first_return(z.to_array(), phi0, p, tol,
+                                  3.0 * 2.0 * pi / p.g0**3)
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
                                   last_state=err.last_state) from err
-    if len(sol.t_events[1]) == 0:
+    if znext is None:
         raise SectionTimeoutError("no return within three synodic periods",
                                   last_state=RotatingState.from_array(sol.y[:, -1]))
-    znext = refine_to_section(sol.y_events[1][0], phi0, p)
     return (float(znext[0]), float(znext[2]))
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import exp, pi, sqrt
+from math import exp, inf, pi, sqrt
 
 import numpy as np
 
@@ -633,7 +633,9 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
     The integrals of all terms come from one contour_integral_I call on the
     shared path.  With with_error, returns (L[l], error estimate), the
     estimate being the larger of the geometric truncation tail and the
-    arithmetic floor sum_j |coefficient_j| floor_j of the terms summed.
+    arithmetic floor sum_j |coefficient_j| floor_j of the terms summed.  The
+    tail's ratio is at least rho_p^2, rho_p = 2 max(mu, 1-mu)/g0^2, and the
+    estimate is infinite where the ratio reaches 1 and the series diverges.
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
@@ -642,9 +644,8 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
     cj = _binom_half_table(jmax + l + 1)
     js = [j for j in range(jmax + 1) if _mass_factor(l, j, p.mu) != 0.0]
     total = 0.0
-    last = 0.0
-    prev = 0.0
     floor = 0.0
+    terms = []      # (term, its floor) of the last two terms summed
     if js:
         I, I_floor = contour_integral_I(l, [j + l for j in js], js, p,
                                         mp_dps=mp_dps, with_floor=True)
@@ -654,17 +655,21 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
             term = coef * Ij
             total += term
             floor += abs(coef) * fj
-            prev, last = last, term
+            terms = [*terms[-1:], (term, abs(coef) * fj)]
             # geometric decay in j: once a term is below the arithmetic floor
             # of the accumulated sum, later ones cannot contribute
             if total != 0.0 and abs(term) < 1e-3 * _EPS * abs(total):
                 break
     if with_error:
-        if last == 0.0:
-            tail = 0.0
-        else:
-            ratio = min(abs(last / prev) if prev != 0.0 else 0.5, 0.9)
-            tail = abs(last) * ratio / (1.0 - ratio)
+        # the terms decay like rho_p^(2j), rho_p = 2 max(mu, 1-mu)/g0^2; an
+        # observed ratio may only raise that, and is read only from two terms
+        # above their floors, since noise terms (g0 >= 2) read ratios above 1
+        ratio = (2.0 * max(p.mu, 1.0 - p.mu) / p.g0**2) ** 2
+        if len(terms) == 2 and all(abs(t) > f for t, f in terms):
+            ratio = max(ratio, abs(terms[1][0] / terms[0][0]))
+        last = abs(terms[-1][0]) if terms else 0.0
+        tail = (0.0 if last == 0.0 else inf if ratio >= 1.0
+                else last * ratio / (1.0 - ratio))
         return total, max(tail, floor)
     return total
 

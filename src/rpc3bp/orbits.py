@@ -3,9 +3,9 @@
 Orbits seeded close to a transversal homoclinic point of the manifolds of
 infinity make repeated large radial excursions followed by returns to a
 bounded region.  This module iterates the section return map by direct
-integration, logging the radial maximum between consecutive returns, and
-classifies termination (iteration budget, hyperbolic escape, or a parabolic
-departure that never returns).
+integration, one integrate.first_return call per return, logging the radial
+maximum between consecutive returns, and classifies termination (iteration
+budget, hyperbolic escape, or a parabolic departure that never returns).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import pi
 import numpy as np
 
 from .core import CollisionError, Params, RotatingState, hamiltonian_rotating
-from .integrate import flow, refine_to_section, section_event
+from .integrate import first_return, flow
 from .manifolds import lift_to_shell
 
 __all__ = ["ExcursionLog", "ReturnRecord", "oscillation_demo", "HYPERBOLIC_EXCESS"]
@@ -80,9 +80,6 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
     log = ExcursionLog(params=p, phi0=phi0, seed=(float(seed[0]), float(seed[1])),
                        r_out=r_out, r_in=r_in)
 
-    sec = section_event(phi0)
-    sec.terminal = True
-
     def going_out(s_, z_):
         return z_[0] - r_out
     going_out.terminal = True
@@ -113,29 +110,19 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
     n_returns = 0
 
     while n_returns < n_iter:
-        # inside region: run to the next section crossing, bailing into
-        # excursion mode if the orbit climbs past r_out first, during the
-        # pre-step off the section or after it
+        # inside region: run to the next section return, bailing into
+        # excursion mode if the orbit climbs past r_out first
         try:
-            pre = flow(z, (0.0, 0.05 * synodic), tol, p, events=[going_out])
-            if len(pre.t_events[1]) > 0:
-                bail = (float(pre.t_events[1][0]), pre.y_events[1][0])
-            else:
-                max_r = max(max_r, float(np.max(pre.y[0])))
-                sol = flow(pre.y[:, -1], (0.0, 4.0 * synodic), tol, p,
-                           events=[sec, going_out])
-                bail = None
-                if len(sol.t_events[1]) == 0 and len(sol.t_events[2]) > 0:
-                    bail = (0.05 * synodic + float(sol.t_events[2][0]),
-                            sol.y_events[2][0])
+            sol, z_ret = first_return(z, phi0, p, tol, 4.0 * synodic,
+                                      events=[going_out])
         except CollisionError:
             break
-        if bail is not None:
+        max_r = max(max_r, float(np.max(sol.y[0])))
+        if len(sol.t_events[2]) > 0:
             # excursion: integrate straight through, no section counting
-            s_acc += bail[0]
-            z_ex = bail[1]
+            s_acc += float(sol.t_events[2][0])
             try:
-                ex = flow(z_ex, (0.0, flight_horizon), tol, p,
+                ex = flow(sol.y_events[2][0], (0.0, flight_horizon), tol, p,
                           events=[coming_back, apo, far])
             except CollisionError:
                 break
@@ -154,13 +141,13 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
             s_acc += float(ex.t_events[1][0])
             max_r = max(max_r, r_out)
             continue
-        if len(sol.t_events[1]) == 0:
+        if z_ret is None:
             log.escaped = True
             log.escape_kind = "parabolic_or_escape"
             break
-        z = refine_to_section(sol.y_events[1][0], phi0, p)
+        z = z_ret
         max_r = max(max_r, float(z[0]))
-        s_acc += 0.05 * synodic + float(sol.t_events[1][0])
+        s_acc += float(sol.t_events[1][0])
         n_returns += 1
         log.returns.append(ReturnRecord(s=s_acc, r=float(z[0]), y=float(z[2]),
                                         G=float(z[3]), max_r_since_last=max_r))

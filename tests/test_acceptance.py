@@ -24,13 +24,12 @@ import mpmath as mp
 
 from rpc3bp.core import Params, RotatingState
 from rpc3bp.integrate import integrate
-from rpc3bp.manifolds import lift_to_shell, poincare_jacobian
+from rpc3bp.manifolds import poincare_jacobian
 from rpc3bp.melnikov import (
     melnikov_coeff_asymptotic,
     melnikov_coeff_contour,
     melnikov_coeff_quadrature,
     predicted_distance,
-    predicted_tangency_mu,
     uhat_fourier_coeff,
 )
 from rpc3bp.orbits import oscillation_demo
@@ -38,14 +37,12 @@ from rpc3bp.separatrix import (
     homoclinic_alpha_prime,
     homoclinic_r,
     homoclinic_state,
-    homoclinic_y,
     tau_of_v,
     v_of_tau,
 )
 from rpc3bp.splitting import (
     SplittingConfig,
     count_roots_in_period,
-    find_tangency,
     phase_of_v,
     splitting_report,
 )

@@ -33,7 +33,7 @@ from rpc3bp.integrate import (
     make_rhs,
     section_event,
 )
-from rpc3bp.separatrix import homoclinic_r, homoclinic_state, homoclinic_y
+from rpc3bp.separatrix import homoclinic_state
 
 RNG = np.random.default_rng(20240817)
 
@@ -230,7 +230,7 @@ class TestVectorField:
 
     def test_cutoff_spares_mu0_perihelion(self):
         # the unperturbed separatrix touches r = 1/2 and must stay integrable
-        assert collision_radius(Params(0.0, 2.0)) == 0.0
+        assert 0.0 < collision_radius(Params(0.0, 2.0)) < 0.5
         vector_field_rotating(RotatingState(0.5, 0.0, 0.0, 1.0), Params(0.0, 2.0))
 
 
@@ -370,15 +370,16 @@ class TestFlow:
                                solve_ivp_flow(self.Z0, (1.0, 1.0), 1e-12, self.P))
 
     def test_collision(self, solve_ivp_flow):
-        p = Params(0.3, 2.0)
+        # a radial plunge; at mu = 0 into the massive primary at the origin
         z0 = [1.0, 0.0, -2.0, 0.0]
-        with pytest.raises(CollisionError) as got:
-            flow(z0, (0.0, 4.0), 1e-12, p)
-        with pytest.raises(CollisionError) as ref:
-            solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p)
-        assert got.value.last_state == ref.value.last_state
-        assert got.value.last_state.r == pytest.approx(collision_radius(p),
-                                                       abs=1e-12)
+        for p in (Params(0.3, 2.0), Params(0.0, 2.2)):
+            with pytest.raises(CollisionError) as got:
+                flow(z0, (0.0, 4.0), 1e-12, p)
+            with pytest.raises(CollisionError) as ref:
+                solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p)
+            assert got.value.last_state == ref.value.last_state
+            assert got.value.last_state.r == pytest.approx(collision_radius(p),
+                                                           abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -415,20 +416,21 @@ class TestLockstep:
         assert run.work["rhs_evals"] == nfev
 
     def test_collision_raises_with_lane_state(self):
-        p = Params(0.3, 2.0)
         z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.0, 0.0, -2.0, 0.0]]).T
-        with pytest.raises(CollisionError) as err:
-            lockstep_flow(z0, 4.0, 1e-12, p)
-        assert err.value.last_state.r == pytest.approx(collision_radius(p),
-                                                       abs=1e-12)
-        with pytest.raises(CollisionError) as ref:
-            flow(z0[:, 1], (0.0, 4.0), 1e-12, p)
-        np.testing.assert_array_equal(err.value.last_state.to_array(),
-                                      ref.value.last_state.to_array())
+        for p in (Params(0.3, 2.0), Params(0.0, 2.2)):
+            with pytest.raises(CollisionError) as err:
+                lockstep_flow(z0, 4.0, 1e-12, p)
+            assert err.value.last_state.r == pytest.approx(collision_radius(p),
+                                                           abs=1e-12)
+            with pytest.raises(CollisionError) as ref:
+                flow(z0[:, 1], (0.0, 4.0), 1e-12, p)
+            np.testing.assert_array_equal(err.value.last_state.to_array(),
+                                          ref.value.last_state.to_array())
 
     def test_terminal_event_retires_only_its_lane(self):
-        # at mu = 0 nothing cuts the radial plunge off before r = 0; once its
-        # terminal event fires, the lane must take no further step
+        # at mu = 0 the radial plunge runs on to the collision floor far
+        # below r = 0.3; once its terminal event fires, the lane must take no
+        # further step
         p = Params(0.0, 2.2)
 
         def low(s, z):

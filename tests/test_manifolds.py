@@ -7,9 +7,9 @@ from scipy.optimize import brentq
 
 from rpc3bp.core import Params, RotatingState, hamiltonian_rotating, involution_R
 from rpc3bp.integrate import (
+    first_return,
     flow,
     make_rhs,
-    propagate_to_section,
     refine_to_section,
     section_event,
 )
@@ -57,36 +57,33 @@ class TestInitialState:
 
 
 class TestSectionMachinery:
-    def test_already_on_section(self):
-        p = Params(0.3, 2.4)
-        z = RotatingState(1.2, 0.0, 0.3, 1.0)
-        assert propagate_to_section(z, 0.0, +1, p, 1e-12) == z
-
     def test_crossing_time_near_synodic_period(self):
+        # a state on the section goes on to the next return, one synodic
+        # period later
         p = Params(0.3, 2.4)
         z = lift_to_shell(1.3, 0.4, 0.0, p)
-        sec = section_event(0.0)
-        sec.terminal = True
-        ds0 = 0.01 * 2 * math.pi / p.g0**3
-        pre = flow(z.to_array(), (0.0, ds0), 1e-12, p)
-        sol = flow(pre.y[:, -1], (0.0, 3.0 * 2 * math.pi / p.g0**3), 1e-12, p,
-                   events=[sec])
-        dt = ds0 + sol.t_events[1][0]
-        assert dt == pytest.approx(2 * math.pi / p.g0**3, rel=0.05)
+        sol, out = first_return(z.to_array(), 0.0, p, 1e-12,
+                                3.0 * 2 * math.pi / p.g0**3)
+        assert sol.t[-1] == sol.t_events[1][0]
+        assert sol.t[-1] == pytest.approx(2 * math.pi / p.g0**3, rel=0.05)
+        assert out[1] == pytest.approx(-2 * math.pi, abs=1e-13)
 
     def test_section_residual_refined(self):
         p = Params(0.3, 2.4)
         z = RotatingState(1.2, 0.4, 0.3, 1.0)
-        out = propagate_to_section(z, 0.0, +1, p, 1e-12)
-        assert abs(math.remainder(out.phi, 2 * math.pi)) < 1e-13
+        _, out = first_return(z.to_array(), 0.0, p, 1e-12,
+                              4.0 * 2 * math.pi / p.g0**3)
+        assert abs(math.remainder(out[1], 2 * math.pi)) < 1e-13
 
     def test_energy_preserved(self):
         p = Params(0.3, 2.4)
         tol = 1e-12
         z = lift_to_shell(1.4, 0.2, 0.0, p)
-        out = propagate_to_section(RotatingState(z.r, 0.4, z.y, z.G), 0.0, +1, p, tol)
-        assert abs(hamiltonian_rotating(out, p) - hamiltonian_rotating(
-            RotatingState(z.r, 0.4, z.y, z.G), p)) < 100 * tol * p.g0**3
+        z0 = RotatingState(z.r, 0.4, z.y, z.G)
+        _, out = first_return(z0.to_array(), 0.0, p, tol,
+                              4.0 * 2 * math.pi / p.g0**3)
+        assert abs(hamiltonian_rotating(RotatingState.from_array(out), p)
+                   - hamiltonian_rotating(z0, p)) < 100 * tol * p.g0**3
 
 
 class TestLift:

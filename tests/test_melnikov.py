@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import binom as scipy_binom
 
 from rpc3bp.core import Params, PrecisionError

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpc3bp import orbits
+from rpc3bp import integrate, orbits
 from rpc3bp.core import Params, RotatingState, hamiltonian_rotating
 from rpc3bp.melnikov import predicted_distance
 from rpc3bp.orbits import oscillation_demo
@@ -74,7 +74,7 @@ class TestPerturbed:
         assert maxima[0] > maxima[1] > maxima[2]
 
     def test_no_return_logged_beyond_r_out(self):
-        # this orbit crosses r_out within the short pre-step off a return;
+        # this orbit crosses r_out within 0.05 synodic periods of a return;
         # it must then fly its excursion instead of logging section returns
         # out there
         p = Params(0.3, 2.2)
@@ -93,8 +93,9 @@ class TestPerturbed:
 
 
 def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
-    # the demo reads flow's t, y, t_events and y_events; run on scipy's
-    # solve_ivp instead it must log the same returns, excursion and escape
+    # the demo reads flow's t, y, t_events and y_events, directly and through
+    # integrate.first_return; run on scipy's solve_ivp instead it must log
+    # the same returns, excursion and escape
     p = Params(0.3, 2.2)
     logs = []
     for frac, n_iter in ((-0.5, 20), (0.5, 10)):
@@ -102,6 +103,7 @@ def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
         log = oscillation_demo(p, seed, n_iter, 5.0, 2.0)
         with monkeypatch.context() as m:
             m.setattr(orbits, "flow", solve_ivp_flow)
+            m.setattr(integrate, "flow", solve_ivp_flow)
             assert oscillation_demo(p, seed, n_iter, 5.0, 2.0) == log
         logs.append(log)
     assert logs[0].n_excursions == 1 and not logs[0].escaped
