@@ -8,7 +8,8 @@ Configuration is a single JSON document overlaid onto defaults; command-line
 flags override file values.  Every output file carries a provenance header
 (config hash, tolerances, precision mode, toolkit version).  Outputs are
 deterministic: rerunning a command with the same configuration reproduces
-byte-identical files.
+byte-identical files.  JSON files are strict RFC 8259: a non-finite number
+(no estimate, a divergent estimate, an undefined ratio) is written as null.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 untrusted-results flag.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,9 +29,9 @@ import numpy as np
 from . import __version__
 from .core import Params, PrecisionError
 from .melnikov import MelnikovSeries
-from .manifolds import compute_invariant_curve, curve_to_csv
+from .manifolds import compute_invariant_curve
 from .orbits import oscillation_demo
-from .separatrix import homoclinic_state
+from .separatrix import homoclinic_r, homoclinic_state
 from .splitting import (
     SplittingConfig,
     continuation_tangency_curve,
@@ -99,20 +101,24 @@ def _header_lines(cfg: dict) -> tuple[str, ...]:
     return tuple(f"{k}={prov[k]}" for k in sorted(prov))
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _jsonable(obj):
+    """obj with numpy scalars and arrays as Python numbers and lists, and
+    every non-finite float as None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    return obj
 
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = {"provenance": _provenance(cfg), **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                               default=_json_default) + "\n",
+    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=1,
+                               allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -220,7 +226,10 @@ def cmd_manifolds(args) -> int:
             b, float(cfg["phi0"]), tuple(cfg["v_window"]), p,
             tol=float(cfg["tol"]), n_samples=int(cfg["n_samples"]),
             r0=float(cfg["r0"]))
-        curve_to_csv(curve, out / f"curve_{b}.csv", _header_lines(cfg))
+        rows = [(v, homoclinic_r(v), Y, b, curve.phi0, p.mu, p.g0, curve.tol)
+                for v, Y in zip(curve.v, curve.Y)]
+        _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,phi0,mu,g0,tol",
+                   rows, cfg)
         print(f"wrote {out / f'curve_{b}.csv'} ({len(curve.v)} samples)")
     return EXIT_OK
 

@@ -394,8 +394,7 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     _check_tol(tol)
     if not s_end > 0.0:
         raise ValueError("lockstep_flow integrates forward: need s_end > 0")
-    rtol = max(tol, 100.0 * _EPS)    # scipy's floor on rtol
-    atol = tol * 1e-2
+    rtol, atol = tol, tol * 1e-2
     fun = make_lane_rhs(p)
     evs = [_collision_event(p), *events]
     direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]

@@ -60,7 +60,6 @@ __all__ = [
     "poincare_map",
     "poincare_jacobian",
     "compute_invariant_curve",
-    "curve_to_csv",
 ]
 
 DEFAULT_R0 = 50.0
@@ -178,21 +177,12 @@ def poincare_jacobian(point: tuple[float, float], phi0: float, p: Params,
     return J
 
 
-class _Fan(tuple):
-    """(unstable, stable) samples of one fan; `work` holds the lockstep
-    integrator's counters."""
-
-    def __new__(cls, unstable, stable, work):
-        fan = super().__new__(cls, (unstable, stable))
-        fan.work = work
-        return fan
-
-
 @lru_cache(maxsize=1)
 def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
                  tol: float, n_phases: int, r0: float):
     """Samples (v, Y) of both invariant curves on phi0 from one fan of
-    far-field orbits, as tuples (unstable, stable).
+    far-field orbits, as (unstable, stable, work): two tuples of samples and
+    the lockstep integrator's counters.
 
     Outgoing (y > 0) crossings of phi0 are unstable samples; inbound (y < 0)
     crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
@@ -248,7 +238,7 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
             if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
                 zr = refine_to_section(z, -phi0, p)
                 stable.append((float(v_of_r(zr[0])), -float(zr[2])))
-    return _Fan(tuple(unstable), tuple(stable), fan.work)
+    return tuple(unstable), tuple(stable), fan.work
 
 
 def compute_invariant_curve(branch: str, phi0: float,
@@ -274,8 +264,9 @@ def compute_invariant_curve(branch: str, phi0: float,
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    fan = _fan_samples(phi0, (v_lo, v_hi), p, tol, n_phases, r0)
-    samples = sorted(fan[0] if branch == "unstable" else fan[1])
+    unstable, stable, work = _fan_samples(phi0, (v_lo, v_hi), p, tol,
+                                          n_phases, r0)
+    samples = sorted(unstable if branch == "unstable" else stable)
     if len(samples) < 8:
         raise RuntimeError(
             f"only {len(samples)} window crossings collected; widen the "
@@ -291,7 +282,7 @@ def compute_invariant_curve(branch: str, phi0: float,
                                "shell_energy": -p.g0**3,
                                "fold_intervals": fold_intervals,
                                "v_window": (float(v_lo), float(v_hi)),
-                               **fan.work})
+                               **work})
 
 
 def _merge_close(v: np.ndarray, Y: np.ndarray, dv: float = 1e-6):
@@ -349,15 +340,3 @@ def _mask_folds(v: np.ndarray, Y: np.ndarray, p: Params):
             merged.append((a, b))
     return v[keep], Y[keep], merged
 
-
-def curve_to_csv(curve: ManifoldCurve, path, header_lines: tuple[str, ...] = ()) -> None:
-    """Write a curve as CSV with columns v,r,Y,branch,phi0,mu,g0,tol."""
-    p = curve.params
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("v,r,Y,branch,phi0,mu,g0,tol\n")
-        for v, Y in zip(curve.v, curve.Y):
-            r = homoclinic_r(v)
-            fh.write(f"{v!r},{r!r},{Y!r},{curve.branch},{curve.phi0!r},"
-                     f"{p.mu!r},{p.g0!r},{curve.tol!r}\n")

@@ -20,7 +20,8 @@ quadrature : real-line oscillatory integral of the angular Fourier modes of
     floor eps/r of the sum.  Where rho >= 1 (the separatrix passes inside a
     primary's circle) or the rule asks for more, the node takes the full
     256-point grid.  The potential on the grid is core.potential_kernel's V
-    on numpy arrays.
+    on numpy arrays.  The error estimate includes twice the change of the
+    panels near perihelion under a 24-node rule.
 contour    : binomial-series reduction to the oscillatory integrals
     I(l, m, n) computed on a complex path hugging Re(tau + tau^3/3) = 0
     through the singularity tau = sign(l) i.  Well-conditioned at any g0
@@ -235,9 +236,14 @@ class QuadratureResult:
     tail_bound: float
     noise_floor: float
     t_cut: float
+    step_error: float
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL12 = np.polynomial.legendre.leggauss(12)
+_GL24 = np.polynomial.legendre.leggauss(24)
+# panels meeting |t| <= _T_NEAR are checked against the 24-node rule: the
+# separatrix passes its perihelion r = 1/2, nearest the primaries, at t = 0
+_T_NEAR = 5.0
 
 
 def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
@@ -250,6 +256,18 @@ def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
     return u * np.exp(1j * l * (2.0 * np.arctan(tau)))
 
 
+def _panel_terms(a: np.ndarray, b: np.ndarray, l: int, omega: float,
+                 p: Params, rule):
+    """Integrand g(t) e^{-i omega t} and weights at the nodes of the Gauss
+    rule (nodes, weights) on the panels [a_k, b_k]."""
+    x, w = rule
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    return _g_factor(nodes, l, p) * np.exp(-1j * omega * nodes), wts
+
+
 def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> QuadratureResult:
     """Coefficient L[l] as the real-line integral of U[l](t) e^{i l (alpha_h(t) - g0^3 t)}.
 
@@ -258,6 +276,11 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     two leading integration-by-parts boundary terms of each tail are added in
     closed form, which leaves a residual well below the bound.  Returns the
     real part with the imaginary residue as a reality diagnostic.
+
+    The panels converge slowest near perihelion, closest to the primaries:
+    step_error is twice their change, where |t| <= 5, from 12 to 24 nodes,
+    which bounds the 12-node error if 24 nodes are at least twice as
+    accurate.  It does not enter the value.
 
     Restricted to g0 <= 2 in binary64: beyond that the result approaches the
     quadrature noise floor (use the contour route instead).
@@ -269,7 +292,7 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
             "real-line quadrature is specified for g0 <= 2 in binary64; "
             "use the contour route for larger g0")
     if p.mu == 0.0:
-        return QuadratureResult(0.0, 0.0, 0.0, 0.0, 0.0)
+        return QuadratureResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     omega = l * p.g0**3
 
@@ -292,16 +315,18 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     block = 256
     for i0 in range(0, n_panels, block):
         i1 = min(i0 + block, n_panels)
-        a = edges[i0:i1]
-        b = edges[i0 + 1:i1 + 1]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        g = _g_factor(nodes, l, p)
-        f = g * np.exp(-1j * omega * nodes)
+        f, wts = _panel_terms(edges[i0:i1], edges[i0 + 1:i1 + 1], l, omega,
+                              p, _GL12)
         total += np.sum(f * wts)
         abs_sum += float(np.sum(np.abs(f) * np.abs(wts)))
+
+    near = (edges[1:] > -_T_NEAR) & (edges[:-1] < _T_NEAR)
+    sums = []
+    for rule in (_GL12, _GL24):
+        f, wts = _panel_terms(edges[:-1][near], edges[1:][near], l, omega,
+                              p, rule)
+        sums.append(np.sum(f * wts))
+    step_error = 2.0 * float(abs(sums[1] - sums[0]))
 
     # Integration-by-parts boundary terms of both tails:
     #   int_T^inf g e^{-i w t} dt = e^{-i w T} [ g(T)/(i w) + g'(T)/(i w)^2 ] + ...
@@ -322,7 +347,8 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
                             imag_residue=float(total.imag),
                             tail_bound=float(tail_bound),
                             noise_floor=float(floor),
-                            t_cut=float(T))
+                            t_cut=float(T),
+                            step_error=step_error)
 
 
 def melnikov_coeff0_quadrature(p: Params,
@@ -726,7 +752,8 @@ class MelnikovSeries:
             for l in range(1, lmax + 1):
                 res = melnikov_coeff_quadrature(l, p, tol)
                 coeffs[l] = res.value
-                errs[l] = max(res.tail_bound, res.noise_floor, abs(res.imag_residue))
+                errs[l] = max(res.tail_bound, res.noise_floor,
+                              abs(res.imag_residue), res.step_error)
         elif method == "contour":
             for l in range(1, lmax + 1):
                 coeffs[l], errs[l] = melnikov_coeff_contour(
@@ -797,6 +824,11 @@ def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
     return (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / homoclinic_y(v_star)
 
 
+def _harmonic_ratio(g0: float) -> float:
+    """16 sqrt(2) g0^2 e^{-g0^3/3}, the weight of sin 2x in f and 1/2 - mu*."""
+    return 16.0 * sqrt(2.0) * g0**2 * exp(-g0**3 / 3.0)
+
+
 def first_order_zero_function(x: float, p: Params) -> float:
     """Normalized first-order distance shape
     f(x) = (1-2mu) sin x - 16 sqrt(2) g0^2 e^{-g0^3/3} sin 2x.
@@ -804,14 +836,14 @@ def first_order_zero_function(x: float, p: Params) -> float:
     Roots of f locate the homoclinic points at leading order: always x = 0
     and x = pi; two more per period when (1-2mu) < 32 sqrt(2) g0^2 e^{-g0^3/3}.
     """
-    b = 16.0 * sqrt(2.0) * p.g0**2 * exp(-p.g0**3 / 3.0)
+    b = _harmonic_ratio(p.g0)
     return (1.0 - 2.0 * p.mu) * math.sin(x) - b * math.sin(2.0 * x)
 
 
 def has_two_first_order_roots(p: Params) -> bool:
     """True when the leading-order distance has only the two roots x = 0, pi
     per period, i.e. (1-2mu) > 32 sqrt(2) g0^2 e^{-g0^3/3}."""
-    return (1.0 - 2.0 * p.mu) > 32.0 * sqrt(2.0) * p.g0**2 * exp(-p.g0**3 / 3.0)
+    return (1.0 - 2.0 * p.mu) > 2.0 * _harmonic_ratio(p.g0)
 
 
 def predicted_lobe_area(p: Params) -> float:
@@ -835,15 +867,13 @@ def predicted_tangency_mu(g0: float) -> float:
 
     Monotonically increasing to 1/2.  Below the validity floor
     (16 sqrt(2) g0^2 e^{-g0^3/3} >= 1/2, i.e. g0 < ~2.58) the formula leaves
-    (0, 1/2]; a ValueError carrying the computed value is raised.
+    (0, 1/2] and ValueError is raised.
     """
-    val = 0.5 - 16.0 * sqrt(2.0) * g0**2 * exp(-g0**3 / 3.0)
+    val = 0.5 - _harmonic_ratio(g0)
     if val <= 0.0:
-        err = ValueError(
+        raise ValueError(
             f"g0={g0} below the tangency validity floor ~{TANGENCY_G0_FLOOR}; "
             f"formula gives mu*={val:.4g} outside (0, 1/2]")
-        err.value = val
-        raise err
     return val
 
 

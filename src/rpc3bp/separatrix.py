@@ -118,8 +118,8 @@ def homoclinic_state(v: float) -> HomoclinicPoint:
                            alpha=2.0 * float(np.arctan(t)))
 
 
-def v_of_r(r, leg: int = +1):
-    """Inverse of homoclinic_r on one leg: leg=+1 gives v > 0 (y > 0).
+def v_of_r(r):
+    """Inverse of homoclinic_r on the outgoing leg: v >= 0 (y >= 0).
 
     Requires r >= 1/2 (the perihelion radius).
     """
@@ -127,7 +127,7 @@ def v_of_r(r, leg: int = +1):
     if np.any(r_arr < 0.5 - 1e-12):
         raise ValueError("separatrix radius is at least 1/2")
     t = np.sqrt(np.maximum(2.0 * r_arr - 1.0, 0.0))
-    out = leg * 0.5 * (t**3 / 3.0 + t)
+    out = 0.5 * (t**3 / 3.0 + t)
     return out if out.ndim else float(out)
 
 

@@ -2,20 +2,25 @@
 tangency detection and continuation of the tangency curve in (mu, g0).
 
 All quantitative analysis runs on a DistanceProfile, built from a pair of
-invariant curves on a common uniform v-grid.  Derivatives are 5-point
-(Richardson-extrapolated central) differences on that grid.  Roots of the
-distance are bracketed sign changes refined on the interpolants; each root is
-classified transversal or near-tangent by comparing |D'| against the
-finite-difference noise amplification of the profile's noise floor.
+invariant curves on a common uniform v-grid.  The profile keeps the curves'
+interpolants, built once, and evaluates the distance off the grid with them.
+Derivatives are 5-point (Richardson-extrapolated central) differences on
+that grid.  Roots of the distance are bracketed sign changes refined on the
+interpolants, computed once per profile; each root is classified transversal
+or near-tangent by comparing |D'| against the finite-difference noise
+amplification of the profile's noise floor.  Lobe areas, in the report and
+through lobe_area, integrate the same interpolants between adjacent roots.
 
 The tangency solve tracks the root family whose transversality degenerates:
-its D' at the persistent root flips sign across mu*(g0), so the tangency is
-a 1-D Brent solve in mu at fixed g0.
+its D' at the persistent center root (_center_root) flips sign across
+mu*(g0), so the tangency is a 1-D Brent solve in mu at fixed g0, and the
+root reported at mu* is the one the solve drove to D' = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 from math import pi
 
@@ -75,7 +80,10 @@ class HomoclinicRoot:
 
 @dataclass
 class DistanceProfile:
-    """D(v) = Y_s(v) - Y_u(v) on a uniform grid, with derivative arrays."""
+    """D(v) = Y_s(v) - Y_u(v) on a uniform grid, with derivative arrays.
+
+    Y_s and Y_u are the curves' interpolants, built once by distance_profile.
+    """
 
     params: Params
     phi0: float
@@ -87,14 +95,11 @@ class DistanceProfile:
     fold_intervals: list
     curve_s: ManifoldCurve
     curve_u: ManifoldCurve
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._fs = self.curve_s.interpolant()
-        self._fu = self.curve_u.interpolant()
+    Y_s: Callable
+    Y_u: Callable
 
     def distance(self, v):
-        return self._fs(v) - self._fu(v)
+        return self.Y_s(v) - self.Y_u(v)
 
     @property
     def h(self) -> float:
@@ -109,12 +114,13 @@ class DistanceProfile:
         """find_homoclinic_points of this profile, computed once."""
         return tuple(find_homoclinic_points(self))
 
-    def clean_mask(self, margin: float = 5e-3) -> np.ndarray:
-        """Grid mask excluding fold-bridged intervals, where the graph
-        distance is an interpolation artifact rather than a measurement."""
+    def clean_mask(self) -> np.ndarray:
+        """Grid mask excluding fold-bridged intervals, padded by 5e-3 in v,
+        where the graph distance is an interpolation artifact rather than a
+        measurement."""
         mask = np.ones(len(self.v), dtype=bool)
         for a, b in self.fold_intervals:
-            mask &= ~((self.v >= a - margin) & (self.v <= b + margin))
+            mask &= ~((self.v >= a - 5e-3) & (self.v <= b + 5e-3))
         return mask
 
 
@@ -203,7 +209,7 @@ def distance_profile(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
     return DistanceProfile(params=p, phi0=curve_s.phi0, v=v, D=D,
                            D_prime=Dp, D_second=Dpp, noise_floor=floor,
                            fold_intervals=folds, curve_s=curve_s,
-                           curve_u=curve_u)
+                           curve_u=curve_u, Y_s=fs, Y_u=fu)
 
 
 def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
@@ -240,9 +246,7 @@ def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
     return roots
 
 
-def lobe_area(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
-              v_a: float, v_b: float,
-              profile: DistanceProfile | None = None) -> float:
+def lobe_area(profile: DistanceProfile, v_a: float, v_b: float) -> float:
     """Area |int_{v_a}^{v_b} y_h(v) (Y_s - Y_u) dv| of one lobe.
 
     v_a < v_b must be adjacent roots of the distance (no interior sign
@@ -251,8 +255,6 @@ def lobe_area(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
     """
     if not v_a < v_b:
         raise ValueError("need v_a < v_b")
-    if profile is None:
-        profile = distance_profile(curve_s, curve_u)
     inner = [r for r in profile.roots if v_a + 1e-9 < r.v < v_b - 1e-9]
     if inner:
         raise ValueError(
@@ -277,20 +279,12 @@ def _lobe_integral(profile: DistanceProfile, v_a: float, v_b: float) -> float:
     return total
 
 
-def _predicted_max_distance(profile: DistanceProfile) -> float:
-    return float(np.max(np.abs(
-        predicted_distance(profile.v, profile.phi0, profile.params))))
-
-
 def _manifold_profile(p: Params, phi0: float,
                       cfg: SplittingConfig) -> DistanceProfile:
     """Distance profile of the invariant-curve pair computed under cfg."""
-    cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p,
-                                 tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0)
-    cs = compute_invariant_curve("stable", phi0, cfg.v_window, p,
-                                 tol=cfg.tol, n_samples=cfg.n_samples,
-                                 r0=cfg.r0)
+    kw = dict(tol=cfg.tol, n_samples=cfg.n_samples, r0=cfg.r0)
+    cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p, **kw)
+    cs = compute_invariant_curve("stable", phi0, cfg.v_window, p, **kw)
     return distance_profile(cs, cu)
 
 
@@ -311,9 +305,8 @@ def splitting_report(p: Params, phi0: float,
         if np.any(mask):
             measured.append((k * pi, float(np.max(np.abs(profile.D[mask])))))
 
-    lobes = []
-    for ra, rb in zip(roots[:-1], roots[1:]):
-        lobes.append(abs(_lobe_integral(profile, ra.v, rb.v)))
+    lobes = [lobe_area(profile, ra.v, rb.v)
+             for ra, rb in zip(roots[:-1], roots[1:])]
 
     mask = profile.clean_mask()
     max_D = float(np.max(np.abs(profile.D[mask] if np.any(mask) else profile.D)))
@@ -323,7 +316,7 @@ def splitting_report(p: Params, phi0: float,
         ratio = float("nan")
         area_ratios = []
     else:
-        pred_amp = _predicted_max_distance(profile)
+        pred_amp = float(np.max(np.abs(predicted_distance(profile.v, phi0, p))))
         pred_area = predicted_lobe_area(p)
         ratio = max_D / pred_amp if pred_amp > 0 else float("nan")
         area_ratios = [a / pred_area for a in lobes] if pred_area > 0 else []
@@ -346,28 +339,27 @@ def _wrap_dist(phase: float, target: float) -> float:
     return abs((phase - target + pi) % (2.0 * pi) - pi)
 
 
-def _family_indicator(profile: DistanceProfile, family: str) -> float | None:
-    """D' at the family's persistent center root (phase nearest an exact
-    multiple of 2pi for family "0", an odd multiple of pi for "pi").
+def _center_root(profile: DistanceProfile, family: str) -> HomoclinicRoot | None:
+    """The family's persistent center root: phase nearest an exact multiple
+    of 2pi for family "0", an odd multiple of pi for "pi".
 
-    Selecting by phase rather than mere family membership keeps the
-    indicator on the root that survives the tangency; the newborn flanking
-    pair sits a finite phase away except in the merging limit, where all
-    candidates' D' vanish together.
+    Among the roots within 1e-6 of the best phase distance, the one nearest
+    mid-window; None when no root lies within pi/2 of the family's phase.
+    Selecting by phase rather than mere family membership keeps the tangency
+    indicator, this root's D', on the root that survives the tangency; the
+    newborn flanking pair sits a finite phase away except in the merging
+    limit, where all candidates' D' vanish together.
     """
     roots = profile.roots
     if not roots:
         return None
     target = 0.0 if family == "0" else pi
-    mid = 0.5 * (profile.v[0] + profile.v[-1])
-    best = min(roots,
-               key=lambda r: (_wrap_dist(r.phase, target), abs(r.v - mid)))
-    if _wrap_dist(best.phase, target) > pi / 2.0:
+    best = min(_wrap_dist(r.phase, target) for r in roots)
+    if best > pi / 2.0:
         return None
-    candidates = [r for r in roots
-                  if _wrap_dist(r.phase, target) < _wrap_dist(best.phase, target) + 1e-6]
-    root = min(candidates, key=lambda r: abs(r.v - mid))
-    return root.D_prime
+    mid = 0.5 * (profile.v[0] + profile.v[-1])
+    candidates = [r for r in roots if _wrap_dist(r.phase, target) < best + 1e-6]
+    return min(candidates, key=lambda r: abs(r.v - mid))
 
 
 def count_roots_in_period(profile: DistanceProfile) -> int:
@@ -384,8 +376,7 @@ def count_roots_in_period(profile: DistanceProfile) -> int:
 
 def find_tangency(g0: float, mu_bracket: tuple[float, float],
                   config: SplittingConfig | None = None,
-                  phi0: float = 0.0,
-                  mu_xtol: float | None = None) -> TangencyPoint:
+                  phi0: float = 0.0) -> TangencyPoint:
     """Locate the cubic homoclinic tangency mu*(g0) inside mu_bracket.
 
     The degenerating root family (phase near 0 or pi mod 2pi) is detected
@@ -403,9 +394,9 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     family = None
     for fam in ("0", "pi"):
-        a = _family_indicator(prof_lo, fam)
-        b = _family_indicator(prof_hi, fam)
-        if a is not None and b is not None and a * b < 0.0:
+        a = _center_root(prof_lo, fam)
+        b = _center_root(prof_hi, fam)
+        if a is not None and b is not None and a.D_prime * b.D_prime < 0.0:
             family = fam
             break
     if family is None:
@@ -414,32 +405,24 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     cache: dict[float, DistanceProfile] = {mu_lo: prof_lo, mu_hi: prof_hi}
 
-    def indicator(mu: float) -> float:
+    def center(mu: float) -> HomoclinicRoot:
         if mu not in cache:
             cache[mu] = _manifold_profile(Params(mu, g0), phi0, cfg)
-        val = _family_indicator(cache[mu], family)
-        if val is None:
+        root = _center_root(cache[mu], family)
+        if root is None:
             raise RuntimeError(f"family-{family} root lost at mu={mu}")
-        return val
+        return root
 
-    try:
-        mu_pred = predicted_tangency_mu(g0)
-    except ValueError as err:
-        mu_pred = err.value
-    if mu_xtol is None:
-        mu_xtol = max(1e-6, 0.002 * (0.5 - mu_pred))
-    mu_star = brentq(indicator, mu_lo, mu_hi, xtol=mu_xtol)
+    mu_pred = predicted_tangency_mu(g0)
+    mu_star = brentq(lambda mu: center(mu).D_prime, mu_lo, mu_hi,
+                     xtol=max(1e-6, 0.002 * (0.5 - mu_pred)))
 
-    prof = (cache.get(mu_star)
-            or _manifold_profile(Params(mu_star, g0), phi0, cfg))
-    roots = prof.roots
-    target = 0.0 if family == "0" else pi
-    mid = 0.5 * (prof.v[0] + prof.v[-1])
-    r_t = min(roots, key=lambda r: (_wrap_dist(r.phase, target), abs(r.v - mid)))
+    r_t = center(mu_star)
+    prof = cache[mu_star]
     # the bounding partner is the nearest root of the opposite phase family:
     # at mu* the newborn pair has merged into r_t, so same-family neighbors
     # would pinch a zero-area sliver
-    others = [r for r in roots
+    others = [r for r in prof.roots
               if _wrap_dist(r.phase, r_t.phase) > pi / 2.0
               and r.kind == "transversal"]
     adjacent = min(others, key=lambda r: abs(r.v - r_t.v))
@@ -467,10 +450,7 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
     g0s = np.linspace(g0_lo, g0_hi, steps)
     ratio = 1.0   # measured/predicted deviation of the previous solve
     for g0 in g0s:
-        try:
-            dev_pred = 0.5 - predicted_tangency_mu(float(g0))
-        except ValueError as err:
-            dev_pred = 0.5 - err.value
+        dev_pred = 0.5 - predicted_tangency_mu(float(g0))
         # bracket width follows the current rung's predicted deviation,
         # centered by the deviation ratio the previous rung measured
         dev = dev_pred * ratio

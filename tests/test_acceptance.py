@@ -331,7 +331,7 @@ def test_criterion_12_oscillation_property():
                 continue
             root = trans[idx]
             seed = (float(homoclinic_r(root.v)),
-                    float(rep.profile._fu(root.v) + sign * 0.5 * amp))
+                    float(rep.profile.Y_u(root.v) + sign * 0.5 * amp))
             if seed[0] >= 5.0:
                 continue
             tried += 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -11,6 +12,16 @@ from rpc3bp.cli import (
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def load_json(path):
+    """Parse an output file as strict RFC 8259 JSON (no NaN or Infinity)."""
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
 
 
 class TestHomoclinic:
@@ -42,7 +53,7 @@ class TestMelnikov:
                     "--methods", "quadrature,contour"])
         assert code == EXIT_OK
         for m in ("quadrature", "contour"):
-            data = json.loads((tmp_path / f"melnikov_{m}.json").read_text())
+            data = load_json(tmp_path / f"melnikov_{m}.json")
             assert all(c["value"] == 0.0 for c in data["coefficients"])
 
     def test_cross_method_agreement_column(self, tmp_path):
@@ -63,14 +74,14 @@ class TestMelnikov:
         code = run(["melnikov", "--out", tmp_path, "--config", cfg,
                     "--mu", 0.25, "--g0", 3.0, "--methods", "asymptotic"])
         assert code == EXIT_OK
-        data = json.loads((tmp_path / "melnikov_asymptotic.json").read_text())
+        data = load_json(tmp_path / "melnikov_asymptotic.json")
         assert sorted(c["l"] for c in data["coefficients"]) == [1, 2]
         assert "only for l in {1, 2}" in capsys.readouterr().out
 
     def test_provenance_header(self, tmp_path):
         run(["melnikov", "--out", tmp_path, "--mu", 0.0, "--g0", 1.5,
              "--methods", "contour"])
-        data = json.loads((tmp_path / "melnikov_contour.json").read_text())
+        data = load_json(tmp_path / "melnikov_contour.json")
         prov = data["provenance"]
         assert {"toolkit_version", "config_hash", "precision", "tol",
                 "quad_tol"} <= set(prov)
@@ -84,15 +95,40 @@ class TestMelnikov:
         for g0 in (1.05, 1.2):
             code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", g0])
             assert code == EXIT_UNTRUSTED
-            data = json.loads((tmp_path / "melnikov_contour.json").read_text())
+            data = load_json(tmp_path / "melnikov_contour.json")
             c1 = [c for c in data["coefficients"] if c["l"] == 1][0]
-            assert c1["error_estimate"] > 0.1 * abs(c1["value"])
+            if g0 == 1.05:
+                # the infinite estimate of a divergent series is written null
+                assert c1["error_estimate"] is None
+            else:
+                assert c1["error_estimate"] > 0.1 * abs(c1["value"])
+
+    def test_untrusted_quadrature_exit_code(self, tmp_path):
+        # at g0 = 1.05 the 12-node panels at perihelion are off by about 0.1
+        # in L1; their 24-node check must flag it
+        code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 1.05,
+                    "--methods", "quadrature"])
+        assert code == EXIT_UNTRUSTED
+        data = load_json(tmp_path / "melnikov_quadrature.json")
+        c1 = [c for c in data["coefficients"] if c["l"] == 1][0]
+        assert c1["error_estimate"] > 0.1 * abs(c1["value"])
+
+    def test_json_is_strict(self, tmp_path):
+        # non-finite numbers are written null: the asymptotic forms carry no
+        # estimate, and the contour estimate at g0 = 1.05 is infinite
+        run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 1.05,
+             "--methods", "contour,asymptotic"])
+        contour = load_json(tmp_path / "melnikov_contour.json")
+        assert any(c["error_estimate"] is None for c in contour["coefficients"])
+        asym = load_json(tmp_path / "melnikov_asymptotic.json")
+        assert all(c["error_estimate"] is None for c in asym["coefficients"])
+        assert all(isinstance(c["value"], float) for c in asym["coefficients"])
 
     def test_extended_precision_runs(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.25, "--g0", 4.5,
                     "--precision", "extended", "--methods", "contour,asymptotic"])
         assert code == EXIT_OK
-        data = json.loads((tmp_path / "melnikov_contour.json").read_text())
+        data = load_json(tmp_path / "melnikov_contour.json")
         c1 = [c for c in data["coefficients"] if c["l"] == 1][0]
         assert c1["value"] != 0.0
 
@@ -122,12 +158,34 @@ class TestSplitting:
         code = run(["splitting", "--out", tmp_path, "--config", cfg,
                     "--mu", 0.0, "--g0", 2.4])
         assert code == EXIT_OK
-        data = json.loads((tmp_path / "splitting.json").read_text())
+        data = load_json(tmp_path / "splitting.json")
         assert data["roots"] == []
         assert data["lobe_areas"] == []
+        # no prediction at mu = 0: the ratio is undefined and written null
+        assert data["distance_ratio"] is None
         lines = [l for l in (tmp_path / "roots.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines == ["v,phase,D_prime,kind"]
+
+
+class TestManifolds:
+    def test_curve_csv_cells_parse_as_floats(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_samples": 25}))
+        code = run(["manifolds", "--out", tmp_path, "--config", cfg,
+                    "--mu", 0.3, "--g0", 2.4])
+        assert code == EXIT_OK
+        for branch in ("unstable", "stable"):
+            text = (tmp_path / f"curve_{branch}.csv").read_text()
+            lines = text.splitlines()
+            assert lines[0].startswith("# ")
+            rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+            assert len(rows) >= 8
+            for row in rows:
+                v, r, Y = float(row["v"]), float(row["r"]), float(row["Y"])
+                assert 0.0 < v and r >= 0.5 and Y > 0.0
+                assert row["branch"] == branch
+                assert (float(row["mu"]), float(row["g0"])) == (0.3, 2.4)
 
 
 class TestOscillateAndSweep:
@@ -135,7 +193,7 @@ class TestOscillateAndSweep:
         code = run(["oscillate", "--out", tmp_path, "--mu", 0.0, "--g0", 2.2,
                     "--seed-r", 1.0, "--seed-y", 0.9, "--n-iter", 10])
         assert code == EXIT_OK
-        data = json.loads((tmp_path / "oscillation.json").read_text())
+        data = load_json(tmp_path / "oscillation.json")
         assert data["n_returns"] == 10
         lines = [l for l in (tmp_path / "returns.csv").read_text().splitlines()
                  if not l.startswith("#")]

@@ -16,7 +16,6 @@ from rpc3bp.integrate import (
 from rpc3bp.manifolds import (
     _fan_samples,
     compute_invariant_curve,
-    curve_to_csv,
     initial_manifold_state,
     lift_to_shell,
     poincare_jacobian,
@@ -177,15 +176,6 @@ class TestInvariantCurves:
         vg = np.linspace(cu.v[0], cu.v[-1], 700)
         assert np.max(np.abs(f(vg) - homoclinic_y(vg))) < 1e-10
 
-    def test_csv_export(self, mu0_curves, tmp_path):
-        _, cu, _ = mu0_curves
-        path = tmp_path / "curve.csv"
-        curve_to_csv(cu, path, header_lines=("test=1",))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# test=1"
-        assert lines[1] == "v,r,Y,branch,phi0,mu,g0,tol"
-        assert len(lines) == 2 + len(cu.v)
-
     @pytest.mark.parametrize("phi0", [0.0, 1.0])
     def test_stable_samples_are_reflected_crossings(self, phi0):
         # Oracle for the stable branch, sample by sample: the R-image of each
@@ -194,7 +184,7 @@ class TestInvariantCurves:
         # crossings of -phi0 say.
         p = Params(0.3, 2.4)
         tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 3, (0.4, 1.6)
-        _, stable = _fan_samples(phi0, (v_lo, v_hi), p, tol, n, r0)
+        _, stable, _ = _fan_samples(phi0, (v_lo, v_hi), p, tol, n, r0)
 
         def perihelion(s, z):
             return z[2]
@@ -222,8 +212,8 @@ class TestInvariantCurves:
         # fan's events, its crossings refined and filtered as the fan does
         p = Params(0.3, 2.4)
         tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 4, (0.4, 1.6)
-        unstable, stable = _fan_samples.__wrapped__(0.0, (v_lo, v_hi), p, tol,
-                                                    n, r0)
+        unstable, stable, _ = _fan_samples.__wrapped__(0.0, (v_lo, v_hi), p,
+                                                       tol, n, r0)
         buf = 0.12 * (v_hi - v_lo)
         r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
 
@@ -261,9 +251,9 @@ class TestInvariantCurves:
         args = (0.0, (0.4, 1.6), Params(0.3, 2.8), 1e-12, 3, 50.0)
         a = _fan_samples.__wrapped__(*args)
         b = _fan_samples.__wrapped__(*args)
-        assert tuple(a) == tuple(b)
-        assert a.work == b.work
-        assert a.work["rhs_evals"] >= 12 * a.work["accepted_steps"] > 0
+        assert a == b
+        work = a[2]
+        assert work["rhs_evals"] >= 12 * work["accepted_steps"] > 0
 
     def test_fan_work_in_meta(self, mu0_curves):
         _, cu, cs = mu0_curves

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rpc3bp.core import Params, ResolutionError
 from rpc3bp.melnikov import predicted_distance
 from rpc3bp.separatrix import homoclinic_alpha_prime
 from rpc3bp.splitting import (
+    HomoclinicRoot,
     SplittingConfig,
     count_roots_in_period,
     distance_profile,
@@ -14,6 +16,7 @@ from rpc3bp.splitting import (
     lobe_area,
     phase_of_v,
     splitting_report,
+    _center_root,
     _lobe_integral,
 )
 
@@ -113,13 +116,14 @@ class TestRoots:
 class TestLobes:
     def test_positive_and_validated(self, report24):
         roots = report24.roots
-        cs, cu = report24.profile.curve_s, report24.profile.curve_u
-        a = lobe_area(cs, cu, roots[1].v, roots[2].v, profile=report24.profile)
+        prof = report24.profile
+        a = lobe_area(prof, roots[1].v, roots[2].v)
         assert a > 0
+        assert a == report24.lobe_areas[1]
         with pytest.raises(ValueError):
-            lobe_area(cs, cu, roots[0].v, roots[2].v, profile=report24.profile)
+            lobe_area(prof, roots[0].v, roots[2].v)
         with pytest.raises(ValueError):
-            lobe_area(cs, cu, roots[2].v, roots[1].v, profile=report24.profile)
+            lobe_area(prof, roots[2].v, roots[1].v)
 
     def test_signed_sum_over_period_cancels(self, report24):
         # the signed lobe integrals over one full phase period nearly cancel
@@ -147,6 +151,37 @@ class TestLobes:
         pattern = [a / big for a in lob]
         for i in range(len(pattern) - 4):
             assert pattern[i] == pytest.approx(pattern[i + 4], rel=0.05)
+
+
+class TestCenterRoot:
+    @staticmethod
+    def profile(*roots):
+        # _center_root reads only the roots and the v-window [0, 2]
+        return SimpleNamespace(
+            roots=tuple(HomoclinicRoot(v=v, phase=x, D_prime=d,
+                                       kind="transversal")
+                        for v, x, d in roots),
+            v=np.array([0.0, 2.0]))
+
+    def test_near_tie_goes_to_mid_window(self):
+        # both roots sit within 1e-6 of the best phase distance to 0 mod 2pi:
+        # the one nearest mid-window wins, not the one nearest in phase
+        prof = self.profile((0.2, 8 * math.pi + 3e-7, 1.0),
+                            (0.9, 6 * math.pi - 5e-7, -2.0))
+        assert _center_root(prof, "0").v == 0.9
+        # a root 1e-3 nearer in phase is no tie
+        prof = self.profile((0.2, 8 * math.pi, 1.0),
+                            (0.9, 6 * math.pi - 1e-3, -2.0))
+        assert _center_root(prof, "0").v == 0.2
+
+    def test_families_and_missing_root(self):
+        prof = self.profile((0.5, 4 * math.pi + 0.1, 1.0),
+                            (1.5, 5 * math.pi - 0.2, -1.0))
+        assert _center_root(prof, "0").v == 0.5
+        assert _center_root(prof, "pi").v == 1.5
+        far = self.profile((1.0, 5 * math.pi, 1.0))
+        assert _center_root(far, "0") is None
+        assert _center_root(self.profile(), "pi") is None
 
 
 class TestPhase:
