@@ -14,7 +14,6 @@ from .core import (
     Params,
     PolarState,
     PrecisionError,
-    ResolutionError,
     RotatingState,
     SectionTimeoutError,
     cartesian_to_polar,

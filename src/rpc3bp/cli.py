@@ -61,15 +61,33 @@ DEFAULTS = {
     "out": ".",
 }
 
+PRECISIONS = ("double", "extended")
+
+
+def _same_kind(val, default) -> bool:
+    """val has default's type (an int passes for a float, a bool for
+    neither); a list must match element by element."""
+    if isinstance(default, list):
+        return (isinstance(val, list) and len(val) == len(default)
+                and all(map(_same_kind, val, default)))
+    return type(val) is type(default) or (type(default), type(val)) == (float, int)
+
 
 def _load_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            if not (val in PRECISIONS if key == "precision"
+                    else _same_kind(val, DEFAULTS[key])):
+                raise ValueError(f"config key {key!r} cannot be {val!r} "
+                                 f"(default {DEFAULTS[key]!r})")
         cfg.update(file_cfg)
     for key in ("mu", "g0", "phi0", "tol", "out", "precision"):
         val = getattr(args, key, None)
@@ -358,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--phi0", type=float)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--precision", choices=("double", "extended"))
+        sp.add_argument("--precision", choices=PRECISIONS)
 
     sp = sub.add_parser("homoclinic", help="tabulate the separatrix")
     common(sp)
@@ -412,7 +430,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except (PrecisionError, ArithmeticError, RuntimeError) as err:

@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "CollisionError",
     "PrecisionError",
-    "ResolutionError",
     "SectionTimeoutError",
     "Params",
     "CartesianState",
@@ -65,10 +64,6 @@ class CollisionError(ValueError):
 
 class PrecisionError(RuntimeError):
     """Requested accuracy is below what the arithmetic can deliver."""
-
-
-class ResolutionError(RuntimeError):
-    """Sampling too coarse for the requested analysis."""
 
 
 class SectionTimeoutError(RuntimeError):

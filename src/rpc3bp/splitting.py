@@ -4,8 +4,9 @@ tangency detection and continuation of the tangency curve in (mu, g0).
 All quantitative analysis runs on a DistanceProfile, built from a pair of
 invariant curves on a common uniform v-grid.  The profile keeps the curves'
 interpolants, built once, and evaluates the distance off the grid with them.
-Derivatives are 5-point (Richardson-extrapolated central) differences on
-that grid.  Roots of the distance are bracketed sign changes refined on the
+D' and D'' are 5-point (Richardson-extrapolated central) differences of the
+interpolated distance at the grid step, evaluated only where they are read:
+at a root.  Roots of the distance are bracketed sign changes refined on the
 interpolants, computed once per profile; each root is classified transversal
 or near-tangent by comparing |D'| against the finite-difference noise
 amplification of the profile's noise floor.  Lobe areas, in the report and
@@ -27,7 +28,7 @@ from math import pi
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import Params, ResolutionError
+from .core import Params
 from .manifolds import ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     predicted_distance,
@@ -80,17 +81,16 @@ class HomoclinicRoot:
 
 @dataclass
 class DistanceProfile:
-    """D(v) = Y_s(v) - Y_u(v) on a uniform grid, with derivative arrays.
+    """D(v) = Y_s(v) - Y_u(v) on a uniform grid.
 
-    Y_s and Y_u are the curves' interpolants, built once by distance_profile.
+    Y_s and Y_u are the curves' interpolants, built once by distance_profile;
+    distance and derivatives evaluate them anywhere in the grid's range.
     """
 
     params: Params
     phi0: float
     v: np.ndarray
     D: np.ndarray
-    D_prime: np.ndarray
-    D_second: np.ndarray
     noise_floor: float
     fold_intervals: list
     curve_s: ManifoldCurve
@@ -104,6 +104,15 @@ class DistanceProfile:
     @property
     def h(self) -> float:
         return float(self.v[1] - self.v[0])
+
+    def derivatives(self, v: float) -> tuple[float, float]:
+        """(D'(v), D''(v)) by 5-point central differences of the distance at
+        the grid step h, the stencil whose noise dprime_noise states."""
+        h = self.h
+        dm2, dm1, d0, dp1, dp2 = self.distance(v + h * np.arange(-2.0, 3.0))
+        dp = (8.0 * (dp1 - dm1) - (dp2 - dm2)) / (12.0 * h)
+        dpp = (16.0 * (dp1 + dm1) - (dp2 + dm2) - 30.0 * d0) / (12.0 * h * h)
+        return float(dp), float(dpp)
 
     def dprime_noise(self) -> float:
         # 5-point first-difference weights amplify white noise by 3/(2h)
@@ -160,24 +169,13 @@ def phase_of_v(v, phi0: float, p: Params):
     return phi0 - np.asarray(homoclinic_alpha(v)) + p.g0**3 * np.asarray(v)
 
 
-def _richardson_derivatives(v: np.ndarray, D: np.ndarray):
-    h = v[1] - v[0]
-    Dp = np.gradient(D, h)
-    Dpp = np.empty_like(D)
-    Dp[2:-2] = (8.0 * (D[3:-1] - D[1:-3]) - (D[4:] - D[:-4])) / (12.0 * h)
-    Dpp[2:-2] = (16.0 * (D[3:-1] + D[1:-3]) - (D[4:] + D[:-4]) - 30.0 * D[2:-2]) / (12.0 * h * h)
-    Dpp[:2] = Dpp[2]
-    Dpp[-2:] = Dpp[-3]
-    return Dp, Dpp
-
-
-def distance_profile(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
-                     n_grid: int | None = None) -> DistanceProfile:
+def distance_profile(curve_s: ManifoldCurve,
+                     curve_u: ManifoldCurve) -> DistanceProfile:
     """Sample Y_s - Y_u on a common uniform grid inside both curves' ranges.
 
-    The grid carries at least 48 points per synodic oscillation so the
-    Richardson stencils resolve the fast phase.  Both curves must live on the
-    same section of the same system.
+    The grid carries at least 48 points per synodic oscillation, so its sign
+    changes bracket every root and the stencils of DistanceProfile.derivatives
+    resolve the fast phase.  Both curves must be on one section of one system.
     """
     if curve_s.params != curve_u.params or curve_s.phi0 != curve_u.phi0:
         raise ValueError("curves belong to different systems or sections")
@@ -195,36 +193,27 @@ def distance_profile(curve_s: ManifoldCurve, curve_u: ManifoldCurve,
         raise ValueError("curves cover disjoint v-ranges")
     pad = 0.01 * (hi - lo)
     lo, hi = lo + pad, hi - pad
-    if n_grid is None:
-        per_osc = 48
-        n_grid = max(800, int(np.ceil(per_osc * (hi - lo) * p.g0**3 / (2.0 * pi))))
+    n_grid = max(800, int(np.ceil(48 * (hi - lo) * p.g0**3 / (2.0 * pi))))
     v = np.linspace(lo, hi, n_grid)
     fs = curve_s.interpolant()
     fu = curve_u.interpolant()
     D = fs(v) - fu(v)
-    Dp, Dpp = _richardson_derivatives(v, D)
     floor = NOISE_FLOOR_PER_TOL * max(curve_s.tol, curve_u.tol)
     folds = sorted(curve_s.meta.get("fold_intervals", [])
                    + curve_u.meta.get("fold_intervals", []))
     return DistanceProfile(params=p, phi0=curve_s.phi0, v=v, D=D,
-                           D_prime=Dp, D_second=Dpp, noise_floor=floor,
-                           fold_intervals=folds, curve_s=curve_s,
-                           curve_u=curve_u, Y_s=fs, Y_u=fu)
+                           noise_floor=floor, fold_intervals=folds,
+                           curve_s=curve_s, curve_u=curve_u, Y_s=fs, Y_u=fu)
 
 
 def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
     """Roots of the distance profile, refined and classified.
 
-    Grid resolution must exceed two points per half-period pi/g0^3 of the
-    fast phase (it does by construction unless n_grid was forced down).
+    Every grid sign change brackets one root of the interpolated distance.
     Returns an empty list when the profile never leaves its noise floor
     (e.g. at mu = 0).
     """
     p = profile.params
-    if profile.h >= pi / (2.0 * p.g0**3):
-        raise ResolutionError(
-            f"grid step {profile.h:.3g} too coarse for root finding at "
-            f"g0={p.g0} (need < {pi / (2.0 * p.g0**3):.3g})")
     if np.max(np.abs(profile.D)) < 10.0 * profile.noise_floor:
         return []
     v, D = profile.v, profile.D
@@ -233,11 +222,8 @@ def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
     roots: list[HomoclinicRoot] = []
     sigma = profile.dprime_noise()
     for i in idx:
-        try:
-            vr = brentq(profile.distance, v[i], v[i + 1], xtol=1e-14)
-        except ValueError:
-            continue
-        dp = float(np.interp(vr, v, profile.D_prime))
+        vr = brentq(profile.distance, v[i], v[i + 1], xtol=1e-14)
+        dp = profile.derivatives(vr)[0]
         kind = "transversal" if abs(dp) > 10.0 * sigma else "near_tangent"
         roots.append(HomoclinicRoot(v=float(vr),
                                     phase=float(phase_of_v(vr, profile.phi0, p)),
@@ -428,7 +414,7 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     adjacent = min(others, key=lambda r: abs(r.v - r_t.v))
     va, vb = sorted((r_t.v, adjacent.v))
     area = abs(_lobe_integral(prof, va, vb))
-    dpp = float(np.interp(r_t.v, prof.v, prof.D_second))
+    dpp = prof.derivatives(r_t.v)[1]
     return TangencyPoint(g0=g0, mu_star=float(mu_star), v_tangent=r_t.v,
                          phase=r_t.phase,
                          residual_D=float(prof.distance(r_t.v)),

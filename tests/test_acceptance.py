@@ -5,13 +5,21 @@ lines as they complete.  The heavy fixtures (splitting ladder, tangency
 continuation) are shared across criteria.
 
 Two trend sub-clauses (criteria 7 and 8) compare measured/predicted ratios
-across the g0 ladder {2.0, 2.4, 2.8} at mu = 0.3.  The harmonic-dominance
-crossover 16 sqrt(2) g0^2 e^{-g0^3/3} = 1 - 2 mu sits at g0 ~ 2.62, inside
-the ladder, and the two harmonics carry corrections of opposite sign, so
-|ratio - 1| dips near the crossover instead of decreasing monotonically.
-The factor-2 clauses hold at every rung; the monotonicity sub-clauses are
-asserted as specified and fail for that structural reason (see the decisions
-ledger).
+across the g0 ladder {2.0, 2.4, 2.8} at mu = 0.3.  The factor-2 clauses hold
+at every rung; the monotonicity sub-clauses are asserted as specified and
+fail.  The evidence points to the truncation of the closed-form first
+harmonic in the prediction, not to the harmonic-dominance crossover inside
+the ladder: the contour L1 over the closed-form L1 is 1.934, 1.596 and 1.426
+at g0 = 2.0, 2.4 and 2.8, while the same ratio for L2 is 0.886, 0.913 and
+0.931.  Against a prediction from the computed series the distance ratios
+read 1.340, 1.034 and 1.015, a monotone sequence.
+
+Criterion 10's signature asks for |D''| above 100 times its noise at the
+tangency root, but the tangency is cubic and D'' vanishes there at leading
+order (2 sin x - sin 2x ~ x^3 near x = 0).  The fixture reads D'' = 6.80e-3,
+8.49e-4 and -4.95e-5 at g0 = 2.7, 2.9 and 3.1 against a gate near 1.3e-4,
+so the clause fails at 3.1; denser fans drive all three toward zero (see
+ROADMAP.md).
 """
 
 import math
@@ -194,7 +202,7 @@ def test_criterion_07_distance_vs_prediction(ladder):
               f"{[f'{r:.3f}' for r in ratios]}; factor-2 "
               f"{'ok' if factor2 else 'violated'}; |ratio-1| trend "
               f"{[f'{d:.3f}' for d in devs]} "
-              f"{'monotone' if monotone else 'non-monotone (harmonic crossover at g0~2.62)'}")
+              f"{'monotone' if monotone else 'non-monotone (closed-form L1 truncation)'}")
     assert report_line(7, factor2 and monotone, detail)
 
 
@@ -209,7 +217,7 @@ def test_criterion_08_lobe_area_vs_prediction(ladder):
     detail = (f"turnstile-lobe ratios {[f'{r:.3f}' for r in ratios]}; "
               f"factor-2 {'ok' if factor2 else 'violated'}; |ratio-1| trend "
               f"{[f'{d:.3f}' for d in devs]} "
-              f"{'monotone' if monotone else 'non-monotone (harmonic crossover at g0~2.62)'}")
+              f"{'monotone' if monotone else 'non-monotone (closed-form L1 truncation)'}")
     assert report_line(8, factor2 and monotone, detail)
 
 

@@ -2,12 +2,14 @@ import csv
 import json
 import math
 
+from rpc3bp import cli
 from rpc3bp.cli import (
     EXIT_OK,
     EXIT_UNTRUSTED,
     EXIT_VALIDATION,
     main,
 )
+from rpc3bp.splitting import TangencyPoint
 
 
 def run(args):
@@ -38,6 +40,18 @@ class TestHomoclinic:
         assert len(zero) == 1
         assert (float(zero[0][2]), float(zero[0][3]), float(zero[0][4])) == (0.5, 0.0, 0.0)
         assert (tmp_path / "homoclinic_ry.csv").exists()
+
+    def test_zero_inserted_and_grid_bounds(self, tmp_path):
+        # a grid that straddles v = 0 without sampling it gains the
+        # turning point as one extra row
+        code = run(["homoclinic", "--out", tmp_path, "--v-min", -3,
+                    "--v-max", 3, "--n", 4])
+        assert code == EXIT_OK
+        lines = [l for l in (tmp_path / "homoclinic.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        vs = [float(l.split(",")[0]) for l in lines[1:]]
+        assert len(vs) == 5 and vs.count(0.0) == 1 and vs == sorted(vs)
+        assert run(["homoclinic", "--out", tmp_path, "--n", 1]) == EXIT_VALIDATION
 
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -145,6 +159,25 @@ class TestValidation:
             assert run(["melnikov", "--out", tmp_path, "--config", cfg]) \
                 == EXIT_VALIDATION
 
+    def test_malformed_config_values(self, tmp_path, capsys):
+        # each value must have its default's type, and the file must hold an
+        # object; a precision outside the choices is not run in binary64
+        cfg = tmp_path / "cfg.json"
+        for command, bad in (("melnikov", 3),
+                             ("melnikov", {"lmax": None}),
+                             ("splitting", {"v_window": 5}),
+                             ("melnikov", {"precision": "quad", "lmax": 2}),
+                             ("melnikov", {"lmax": True}),
+                             ("splitting", {"v_window": [0.4, "1.6"]})):
+            cfg.write_text(json.dumps(bad))
+            assert run([command, "--out", tmp_path, "--config", cfg]) \
+                == EXIT_VALIDATION
+            assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "melnikov_contour.json").exists()
+        # a path that cannot be read as a file
+        assert run(["melnikov", "--out", tmp_path, "--config", tmp_path]) \
+            == EXIT_VALIDATION
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
@@ -166,6 +199,36 @@ class TestSplitting:
         lines = [l for l in (tmp_path / "roots.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines == ["v,phase,D_prime,kind"]
+
+
+class TestTangency:
+    def test_table_and_ratio(self, tmp_path, monkeypatch):
+        # the continuation is stubbed: this checks the command's table only
+        pts = [TangencyPoint(g0=g0, mu_star=mu, v_tangent=1.0, phase=0.0,
+                             residual_D=0.0, residual_D_prime=0.0,
+                             residual_D_second=0.0, lobe_area_at_tangency=1.0,
+                             mu_predicted=pred, family="0")
+               for g0, mu, pred in ((2.7, 0.25, 0.1), (3.1, 0.4, 0.3))]
+        seen = {}
+
+        def stub(g0_range, steps, config, phi0):
+            seen.update(g0_range=g0_range, steps=steps)
+            return pts
+
+        monkeypatch.setattr(cli, "continuation_tangency_curve", stub)
+        code = run(["tangency", "--out", tmp_path, "--g0-min", 2.7,
+                    "--g0-max", 3.1, "--steps", 2])
+        assert code == EXIT_OK
+        assert seen == {"g0_range": (2.7, 3.1), "steps": 2}
+        lines = (tmp_path / "tangency.csv").read_text().splitlines()
+        prov = [l for l in lines if l.startswith("# ")]
+        assert {l[2:].split("=")[0] for l in prov} == {
+            "config_hash", "precision", "quad_tol", "tol", "toolkit_version"}
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        assert list(rows[0]) == ["g0", "mu_star", "mu_predicted", "ratio"]
+        assert [float(r["g0"]) for r in rows] == [2.7, 3.1]
+        assert [float(r["ratio"]) for r in rows] == [
+            (0.5 - 0.25) / (0.5 - 0.1), (0.5 - 0.4) / (0.5 - 0.3)]
 
 
 class TestManifolds:
@@ -211,13 +274,16 @@ class TestOscillateAndSweep:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_sweep_merges_and_isolates(self, tmp_path):
+        # mu = 0.7 is outside [0, 1/2]: its row records the error and the
+        # other grid point still runs; rows come out sorted by (mu, g0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_samples": 25}))
         code = run(["sweep", "--out", tmp_path, "--config", cfg,
-                    "--grid-mu", "0.0", "--grid-g0", "2.4"])
+                    "--grid-mu", "0.7,0.0", "--grid-g0", "2.4"])
         assert code == EXIT_OK
         lines = [l for l in (tmp_path / "sweep.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines[0] == "mu,g0,max_distance,predicted_amplitude,ratio,n_roots,status"
-        assert len(lines) == 2
-        assert lines[1].endswith("ok")
+        rows = [l.split(",") for l in lines[1:]]
+        assert [(float(r[0]), r[-1]) for r in rows] == [
+            (0.0, "ok"), (0.7, "error:ValueError")]

@@ -3,10 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from rpc3bp.core import Params, ResolutionError
+from rpc3bp.core import Params
 from rpc3bp.melnikov import predicted_distance
-from rpc3bp.separatrix import homoclinic_alpha_prime
+from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y
 from rpc3bp.splitting import (
     HomoclinicRoot,
     SplittingConfig,
@@ -60,13 +61,6 @@ class TestProfile:
         assert prof.roots is prof.roots
         assert list(prof.roots) == report24.roots == find_homoclinic_points(prof)
 
-    def test_grid_resolution_guard(self, report24):
-        # fewer than two grid points per half-period pi/g0^3
-        prof = distance_profile(report24.profile.curve_s,
-                                report24.profile.curve_u, n_grid=8)
-        with pytest.raises(ResolutionError):
-            find_homoclinic_points(prof)
-
     def test_mismatched_curves_rejected(self, report24, report0):
         with pytest.raises(ValueError):
             distance_profile(report24.profile.curve_s, report0.profile.curve_u)
@@ -89,6 +83,16 @@ class TestRoots:
 
     def test_all_transversal_away_from_tangency(self, report24):
         assert all(r.kind == "transversal" for r in report24.roots)
+
+    def test_root_slope_matches_spline_derivative(self, report24):
+        # the curves' splines fit Y - y_h; y_h cancels in D = Y_s - Y_u, so
+        # D' is the difference of the residual splines' exact derivatives
+        prof = report24.profile
+        cs_s, cs_u = (CubicSpline(c.v, c.Y - homoclinic_y(c.v))
+                      for c in (prof.curve_s, prof.curve_u))
+        for r in report24.roots:
+            exact = float(cs_s(r.v, 1) - cs_u(r.v, 1))
+            assert r.D_prime == pytest.approx(exact, rel=1e-5)
 
     def test_roots_near_first_order_roots(self, report24):
         # leading-order roots from the prediction formula
