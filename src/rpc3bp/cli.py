@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import Params, PrecisionError
 from .melnikov import MelnikovSeries
-from .manifolds import compute_invariant_curve
+from .manifolds import DEFAULT_R0, compute_invariant_curve
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
 from .splitting import (
@@ -54,7 +54,7 @@ DEFAULTS = {
     "jmax": 12,
     "lmax": 4,
     "v_window": [0.4, 1.6],
-    "r0": 50.0,
+    "r0": DEFAULT_R0,
     "n_samples": 60,
     "precision": "double",
     "mp_dps": 40,

@@ -1,21 +1,31 @@
 """Stable/unstable invariant curves of infinity on a Poincare section.
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
-flow: orbits are seeded in the inbound far field (r = R0) with the parabolic
-velocity law projected onto the working energy shell H = -g0^3, propagated
-forward, and read off as curves y = Y(v) on the section {phi = phi0 (mod 2pi)}
-against the separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
+flow: orbits are seeded on W^u(infinity) in the inbound far field (r = R0),
+propagated forward, and read off as curves y = Y(v) on the section
+{phi = phi0 (mod 2pi)} against the separatrix radius parameterization
+r = r_h(v), outgoing leg y > 0.
 
 Both curves come from the same orbits.  Their outgoing crossings of phi0
 sample W^u; the reversing symmetry R: (r, phi, y, G) -> (r, -phi, -y, G) maps
 W^u onto W^s, so their inbound (y < 0) crossings of -phi0, reflected by R,
 sample the stable curve on phi0.
 
-Seeding uses the exact identity of the shell constraint with the parabolic
-law: given (r, phi) and y^2 = 2/r - G^2/r^2, the shell condition reduces to
-G = 1 - V(r, phi)/g0^3, so the initial state satisfies H = -g0^3 to rounding.
-The departure of that state from the true manifold scales like
-mu/(g0^4 R0^3) and is probed by the R0-doubling oracle.
+Seeds come from a solved graph of W^u(infinity) over the far field, as in
+the local analysis of parabolic infinity (McGehee 1973; the parameterization
+method of Cabre-Fontich-de la Llave 2003): the angular momentum is
+G = 1 + g(r, phi) for r >= R_MIN, and y is taken from the shell
+H = -g0^3, so a seed is on the shell to rounding.  g solves the invariance
+equation
+
+    y dg/dr + (G/r^2 - g0^3) dg/dphi = dV/dphi
+
+on a Chebyshev grid in x = r^(-1/2) (x = 0 is r = infinity, where g = 0)
+times a Fourier grid in phi, built once per Params on first use.  Flowed
+from 2 R0 down to R0 = 8, seeds stay on the graph to the integrator floor
+(<= 5e-14 at tol 1e-13), so the orbits skip the far-field fall from r = 50
+that the zeroth-order parabolic seed G = 1 - V/g0^3 needed, and that seed's
+error of O(mu/(g0^4 R0^3)) with it.
 
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
@@ -37,15 +47,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .core import (
     CollisionError,
     Params,
     RotatingState,
     SectionTimeoutError,
+    potential_kernel,
     potential_V,
 )
 from .integrate import first_return, lockstep_flow, refine_to_section, section_event
@@ -62,7 +74,17 @@ __all__ = [
     "compute_invariant_curve",
 ]
 
-DEFAULT_R0 = 50.0
+DEFAULT_R0 = 8.0
+
+# The graph of W^u(infinity) is solved over r >= R_MIN, on Chebyshev-Lobatto
+# nodes in x = r^(-1/2) from x = 0 (r = infinity) to R_MIN^(-1/2) times
+# equispaced nodes in phi; the sweeps stop once an update changes no bit of
+# G = 1 + g.
+R_MIN = 5.0
+_CHEB_NODES = 25
+_FOURIER_NODES = 32
+_MAX_SWEEPS = 30
+_UPDATE_TOL = 0.1 * np.finfo(float).eps
 
 
 @dataclass
@@ -99,23 +121,141 @@ class ManifoldCurve:
         return Y_of_v
 
 
-def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
-    """Inbound far-field state approximating the unstable manifold of
-    infinity at r = r0.
+def _t_of_r(r):
+    """Chebyshev variable t = 2 x/x_max - 1 of the graph, x = r^(-1/2)."""
+    return 2.0 * sqrt(R_MIN / r) - 1.0
 
-    Negative parabolic radial velocity with the angular momentum solved from
-    the shell condition, which is exactly G = 1 - V(r0, phase)/g0^3.  The
-    energy residual is zero by construction; the distance to the true
-    manifold is O(mu/(g0^4 r0^3)) and shrinks with r0.  involution_R maps the
+
+def _shell_ysq(g, V, r_inv, g03):
+    """y^2 on the shell H = -g0^3 at G = 1 + g, radius 1/r_inv and V."""
+    G = 1.0 + g
+    return 2.0 * (g03 * g + V + r_inv) - G * G * (r_inv * r_inv)
+
+
+@dataclass(frozen=True)
+class _ManifoldGraph:
+    """W^u(infinity) as the graph G = 1 + g(r, phi) over r >= R_MIN.
+
+    coef[j, k] is the j-th Chebyshev coefficient, in t = 2 x/x_max - 1 with
+    x = r^(-1/2), of the complex amplitude a_k of the phi-mode k, so that
+    g = Re sum_k a_k e^{i k phi}.  update is the size of the solve's last
+    fixed-point update.
+    """
+
+    params: Params
+    coef: np.ndarray
+    update: float
+
+    def g(self, r: float, phi: float) -> float:
+        a = cheb.chebval(_t_of_r(r), self.coef)
+        return float(np.sum((a * np.exp(1j * np.arange(len(a)) * phi)).real))
+
+    def residual(self, r: float) -> float:
+        """Largest |y dg/dr + (G/r^2 - g0^3) dg/dphi - dV/dphi| of the
+        interpolated graph over the phi nodes at radius r."""
+        p = self.params
+        t = _t_of_r(r)
+        a = cheb.chebval(t, self.coef)
+        # dt/dr = -sqrt(R_MIN) r^(-3/2)
+        a_r = cheb.chebval(t, cheb.chebder(self.coef)) * -sqrt(R_MIN) * r**-1.5
+        k = np.arange(len(a))
+        phi = 2.0 * pi * np.arange(_FOURIER_NODES) / _FOURIER_NODES
+        wave = np.exp(1j * np.outer(phi, k))
+        g, g_r, g_phi = ((wave @ b).real for b in (a, a_r, 1j * k * a))
+        kernel = potential_kernel(p, np.cos, np.sin, np.sqrt)
+        V = kernel.V(r, np.cos(phi))
+        dV = kernel.field(0.0, (r, phi, 0.0, 0.0))[3]
+        y = -np.sqrt(_shell_ysq(g, V, 1.0 / r, p.g0**3))
+        return float(np.max(np.abs(y * g_r + ((1.0 + g) / (r * r) - p.g0**3) * g_phi
+                                    - dV)))
+
+
+@lru_cache(maxsize=64)
+def _manifold_graph(p: Params) -> _ManifoldGraph:
+    """Solve the invariance equation of W^u(infinity) for its graph.
+
+    With y from the shell, the graph G = 1 + g is invariant under the flow
+    when y dg/dr + (G/r^2 - g0^3) dg/dphi = dV/dphi.  Each sweep inverts, mode
+    by mode in phi, the transport of the mu = 0 separatrix flow
+    y_h dg/dr + (1/r^2 - g0^3) dg/dphi, with y_h = -sqrt(2/r - 1/r^2); on the
+    right are dV/dphi and the rest of the equation, of second order in the
+    perturbation, at the last iterate.  The phi-mean of the equation is its
+    solvability condition <y dg/dr> = 0, and g = 0 at r = infinity fixes the
+    constant.  Inverting the transport, instead of dividing by g0^3 i k
+    alone, keeps the sweeps contracting at small g0, where that division
+    diverges (at g0 = 1.5 and below).
+
+    The x = 0 row of the grid is r = infinity, where V, dV/dphi and g are
+    set to 0 rather than evaluated.  Raises RuntimeError when the sweeps do
+    not converge.
+    """
+    n, m = _CHEB_NODES, _FOURIER_NODES
+    g03 = p.g0**3
+    x_max = R_MIN**-0.5
+    t = np.cos(pi * np.arange(n) / (n - 1))
+    x = 0.5 * x_max * (t + 1.0)                   # x[-1] = 0 is r = infinity
+    vander = cheb.chebvander(t, n - 1)
+    to_coef = np.linalg.inv(vander)
+    der = np.array([np.append(cheb.chebder(c), 0.0) for c in np.eye(n)]).T
+    d_dr = -0.5 * x[:, None]**3 * (2.0 / x_max) * (vander @ der @ to_coef)
+
+    phi = 2.0 * pi * np.arange(m) / m
+    k = np.arange(m // 2)                         # the Nyquist mode is dropped
+    x2 = (x * x)[:, None]
+    x4 = x2 * x2
+    V = np.zeros((n, m))
+    dV = np.zeros((n, m))
+    kernel = potential_kernel(p, np.cos, np.sin, np.sqrt)
+    r = 1.0 / x2[:-1]
+    V[:-1] = kernel.V(r, np.cos(phi))
+    dV[:-1] = kernel.field(0.0, (r, phi, 0.0, 0.0))[3]
+
+    y_h = -np.sqrt(2.0 * x2 - x4)
+    transport = (y_h * d_dr)[None] + np.eye(n) * (1j * k[:, None, None]
+                                                  * (x4[:, 0] - g03))
+    transport[:, -1, :] = np.eye(n)[-1]           # g = 0 at r = infinity
+
+    g = np.zeros((n, m))
+    update = np.inf
+    for _ in range(_MAX_SWEEPS):
+        ysq = _shell_ysq(g, V, x2, g03)
+        if not np.all(ysq[:-1] > 0.0):
+            raise RuntimeError(f"no inbound momentum on the graph at {p}")
+        y = -np.sqrt(ysq)
+        g_phi = np.fft.irfft(1j * np.arange(m // 2 + 1) * np.fft.rfft(g), m)
+        rest = dV - (y - y_h) * (d_dr @ g) - g * x4 * g_phi
+        rhs = np.fft.rfft(rest)[:, :m // 2].T
+        rhs[:, -1] = 0.0
+        modes = np.linalg.solve(transport, rhs[..., None])[..., 0].T
+        g_new = np.fft.irfft(modes, m)
+        update = float(np.max(np.abs(g_new - g)))
+        g = g_new
+        if update <= _UPDATE_TOL:
+            amp = np.fft.rfft(g)[:, :m // 2] / m
+            amp[:, 1:] *= 2.0
+            return _ManifoldGraph(p, to_coef @ amp, update)
+    raise RuntimeError(f"graph of W^u(infinity) at {p} did not converge in "
+                       f"{_MAX_SWEEPS} sweeps: last update {update:.1e}")
+
+
+def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
+    """Inbound state on the unstable manifold of infinity at r = r0.
+
+    The angular momentum is read off the solved graph, G = 1 + g(r0, phase),
+    and the negative radial velocity from the shell condition, so the energy
+    residual is zero to rounding.  Flowed from 2 r0 to r0 = DEFAULT_R0, a
+    seed stays on the graph to the integrator floor, <= 5e-14 at tol 1e-13;
+    at mu = 0, g = 0 and the seed is the parabola G = 1.  The graph is
+    solved for r >= R_MIN, which is the floor of r0.  involution_R maps the
     state onto the matching outbound seed of the stable manifold.
     """
-    if r0 < 50.0:
-        raise ValueError("far-field seeding documented for r0 >= 50")
-    G = 1.0 - potential_V(r0, phase, p) / p.g0**3
-    ysq = 2.0 / r0 - G * G / (r0 * r0)
+    if not (isfinite(r0) and r0 >= R_MIN):
+        raise ValueError(f"far-field seeding documented for r0 >= {R_MIN}")
+    g = _manifold_graph(p).g(r0, phase)
+    ysq = _shell_ysq(g, potential_V(r0, phase, p), 1.0 / r0, p.g0**3)
     if ysq <= 0.0:
-        raise RuntimeError(f"no parabolic velocity at r0={r0}")
-    return RotatingState(r0, phase, -sqrt(ysq), G)
+        raise RuntimeError(f"no inbound momentum at r0={r0}")
+    return RotatingState(r0, phase, -sqrt(ysq), 1.0 + g)
 
 
 def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
@@ -194,12 +334,16 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     buf = 0.12 * (v_hi - v_lo)
     r_lo = homoclinic_r(max(v_lo - buf, 1e-3))
     r_hi = homoclinic_r(v_hi + buf)
+    r_exit = r_hi * 1.05
+    if r0 <= r_exit:
+        raise ValueError(f"r0={r0} does not lie above the window's exit "
+                         f"radius {r_exit:.3g}")
 
     # time to fall from r0 plus the window traverse, with margin
     s_span = 1.35 * (float(v_of_r(r0)) + v_hi + 5.0)
 
     def exit_event(s, z):
-        return z[0] - (r_hi * 1.05)
+        return z[0] - r_exit
     # terminate once the orbit climbs back out past the window
     exit_event.terminal = True
     exit_event.direction = 1.0
@@ -247,6 +391,11 @@ def compute_invariant_curve(branch: str, phi0: float,
                             r0: float = DEFAULT_R0) -> ManifoldCurve:
     """Invariant curve Y(v) over v_window on the section {phi = phi0}.
 
+    The fan is seeded on the graph of W^u(infinity) at r0 >= R_MIN, which
+    must lie above the window's exit radius; meta carries the graph solve's
+    last update (graph_update) and its invariance residual at r0
+    (graph_residual, in units of dG/ds).
+
     n_samples is the target number of collected samples across the window;
     the fan size is derived from it (one orbit yields about
     window * g0^3 / 2pi crossings) but kept at >= 16 phases so the fast
@@ -266,6 +415,7 @@ def compute_invariant_curve(branch: str, phi0: float,
 
     unstable, stable, work = _fan_samples(phi0, (v_lo, v_hi), p, tol,
                                           n_phases, r0)
+    graph = _manifold_graph(p)
     samples = sorted(unstable if branch == "unstable" else stable)
     if len(samples) < 8:
         raise RuntimeError(
@@ -282,6 +432,8 @@ def compute_invariant_curve(branch: str, phi0: float,
                                "shell_energy": -p.g0**3,
                                "fold_intervals": fold_intervals,
                                "v_window": (float(v_lo), float(v_hi)),
+                               "graph_update": graph.update,
+                               "graph_residual": graph.residual(r0),
                                **work})
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import Params
-from .manifolds import ManifoldCurve, compute_invariant_curve
+from .manifolds import DEFAULT_R0, ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     predicted_distance,
     predicted_lobe_area,
@@ -68,7 +68,7 @@ class SplittingConfig:
     v_window: tuple[float, float] = (0.4, 1.6)
     tol: float = 1e-12
     n_samples: int = 60
-    r0: float = 50.0
+    r0: float = DEFAULT_R0
 
 
 @dataclass

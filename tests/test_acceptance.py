@@ -12,12 +12,14 @@ harmonic in the prediction, not to the harmonic-dominance crossover inside
 the ladder: the contour L1 over the closed-form L1 is 1.934, 1.596 and 1.426
 at g0 = 2.0, 2.4 and 2.8, while the same ratio for L2 is 0.886, 0.913 and
 0.931.  Against a prediction from the computed series the distance ratios
-read 1.340, 1.034 and 1.015, a monotone sequence.
+read 1.340, 1.034 and 1.015, a monotone sequence (measured with the earlier
+r0 = 50 seed; at g0 = 2.0 the measured distance is not converged in
+n_samples, since the folds there mask samples that move with the fan).
 
 Criterion 10's signature asks for |D''| above 100 times its noise at the
 tangency root, but the tangency is cubic and D'' vanishes there at leading
-order (2 sin x - sin 2x ~ x^3 near x = 0).  The fixture reads D'' = 6.80e-3,
-8.49e-4 and -4.95e-5 at g0 = 2.7, 2.9 and 3.1 against a gate near 1.3e-4,
+order (2 sin x - sin 2x ~ x^3 near x = 0).  The fixture reads D'' = 1.67e-2,
+7.65e-4 and 8.70e-5 at g0 = 2.7, 2.9 and 3.1 against a gate near 1.3e-4,
 so the clause fails at 3.1; denser fans drive all three toward zero (see
 ROADMAP.md).
 """

@@ -13,8 +13,12 @@ from rpc3bp.integrate import (
     refine_to_section,
     section_event,
 )
+from rpc3bp import manifolds
 from rpc3bp.manifolds import (
+    DEFAULT_R0,
+    R_MIN,
     _fan_samples,
+    _manifold_graph,
     compute_invariant_curve,
     initial_manifold_state,
     lift_to_shell,
@@ -51,8 +55,37 @@ class TestInitialState:
         assert z.G == 1.0
 
     def test_far_field_floor(self):
+        # the graph of W^u(infinity) is solved for r >= R_MIN
+        initial_manifold_state(R_MIN, 0.0, Params(0.3, 2.4))
         with pytest.raises(ValueError):
-            initial_manifold_state(20.0, 0.0, Params(0.3, 2.4))
+            initial_manifold_state(math.nextafter(R_MIN, 0.0), 0.0, Params(0.3, 2.4))
+
+    @pytest.mark.parametrize("mu, g0", [(0.3, 2.4), (0.4924, 3.1), (0.3, 2.0),
+                                        (0.5, 2.0)])
+    def test_seed_is_invariant(self, mu, g0):
+        # seeds launched at 2 DEFAULT_R0 arrive at DEFAULT_R0 on the graph:
+        # (y, G) there equal the seed at the arrival (r, phi) to the
+        # integrator floor; the zeroth-order parabolic seed is ~1e-8 off
+        p = Params(mu, g0)
+
+        def arrival(s, z):
+            return z[0] - DEFAULT_R0
+        arrival.terminal = True
+        arrival.direction = -1.0
+
+        for k in range(6):
+            z0 = initial_manifold_state(2.0 * DEFAULT_R0, 0.1 + 2 * math.pi * k / 6, p)
+            sol = flow(z0.to_array(), (0.0, 2.0 * v_of_r(2.0 * DEFAULT_R0)),
+                       1e-13, p, events=[arrival])
+            r, phi, y, G = sol.y_events[1][0]
+            z = initial_manifold_state(r, phi, p)
+            assert abs(z.y - y) < 1e-12
+            assert abs(z.G - G) < 1e-12
+
+    def test_graph_sweeps_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(manifolds, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError):
+            _manifold_graph.__wrapped__(Params(0.3, 2.4))
 
 
 class TestSectionMachinery:
@@ -262,6 +295,19 @@ class TestInvariantCurves:
             assert cu.meta[key] == cs.meta[key]
         assert cu.meta["accepted_steps"] >= cu.meta["lockstep_iterations"] > 0
 
+    def test_default_fan_work_and_graph_meta(self):
+        # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
+        # iterations here, the graph seed at DEFAULT_R0 takes about 370
+        c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), Params(0.3, 2.4))
+        assert c.r0 == DEFAULT_R0
+        assert c.meta["lockstep_iterations"] <= 700
+        assert c.meta["graph_update"] <= np.finfo(float).eps
+        assert c.meta["graph_residual"] < 1e-15
+
+    def test_window_below_seed_radius(self):
+        with pytest.raises(ValueError):
+            compute_invariant_curve("unstable", 0.0, (0.4, 12.0), Params(0.3, 2.4))
+
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
@@ -272,8 +318,47 @@ class TestInvariantCurves:
         assert dev > 0.1 * p.mu / p.g0**4
 
 
+def _matched_Y(p, r0, v_target=1.0):
+    """Y of the unstable curve on phi = 0 at v_target, from orbits seeded at
+    r0: the launch phase is tuned by secant until a crossing lands near
+    v_target, and the last two crossings are interpolated linearly to it."""
+    def exit_event(s, z):
+        return z[0] - 2.6
+    exit_event.terminal = True
+    exit_event.direction = 1.0
+
+    def crossing(phase):
+        z0 = initial_manifold_state(r0, phase, p)
+        sol = flow(z0.to_array(), (0.0, 1.35 * (v_of_r(r0) + 7.0)), 1e-13, p,
+                   events=[section_event(0.0), exit_event])
+        best = None
+        for z in sol.y_events[1]:
+            if z[2] > 1e-6 and z[0] >= 0.5:
+                zr = refine_to_section(z, 0.0, p)
+                v = float(v_of_r(zr[0]))
+                if best is None or abs(v - v_target) < abs(best[0] - v_target):
+                    best = (v, float(zr[2]))
+        return best
+
+    a, b = crossing(0.0), crossing(0.3)
+    pa, pb = 0.0, 0.3
+    for _ in range(30):
+        if abs(b[0] - v_target) < 1e-9:
+            break
+        pc = pb - (b[0] - v_target) * (pb - pa) / (b[0] - a[0])
+        pa, a, pb, b = pb, b, pc, crossing(pc)
+    return b[1] + (a[1] - b[1]) * (v_target - b[0]) / (a[0] - b[0])
+
+
 @pytest.mark.slow
 class TestSeedingRobustness:
+    def test_default_r0_doubling_matched_point(self):
+        # the graph seed at DEFAULT_R0 against seeds at 2 DEFAULT_R0, at a
+        # matched point of the curve (no interpolation of fan samples)
+        p = Params(0.3, 2.4)
+        dy = abs(_matched_Y(p, DEFAULT_R0) - _matched_Y(p, 2.0 * DEFAULT_R0))
+        assert dy < 1e-12
+
     def test_r0_doubling_matched_point(self):
         # compare Y at the same v for R0 = 50 and 100 by tuning the launch
         # phase until a crossing lands exactly at v = 1 (independent of any
