@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .core import Params, PrecisionError
 from .melnikov import MelnikovSeries
-from .manifolds import DEFAULT_R0, compute_invariant_curve
+from .manifolds import compute_invariant_curve
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
 from .splitting import (
@@ -54,7 +54,6 @@ DEFAULTS = {
     "jmax": 12,
     "lmax": 4,
     "v_window": [0.4, 1.6],
-    "r0": DEFAULT_R0,
     "n_samples": 60,
     "precision": "double",
     "mp_dps": 40,
@@ -242,8 +241,7 @@ def cmd_manifolds(args) -> int:
     for b in branches:
         curve = compute_invariant_curve(
             b, float(cfg["phi0"]), tuple(cfg["v_window"]), p,
-            tol=float(cfg["tol"]), n_samples=int(cfg["n_samples"]),
-            r0=float(cfg["r0"]))
+            tol=float(cfg["tol"]), n_samples=int(cfg["n_samples"]))
         rows = [(v, homoclinic_r(v), Y, b, curve.phi0, p.mu, p.g0, curve.tol)
                 for v, Y in zip(curve.v, curve.Y)]
         _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,phi0,mu,g0,tol",
@@ -276,8 +274,7 @@ def _report_payload(rep) -> dict:
 def _split_cfg(cfg: dict) -> SplittingConfig:
     return SplittingConfig(v_window=tuple(cfg["v_window"]),
                            tol=float(cfg["tol"]),
-                           n_samples=int(cfg["n_samples"]),
-                           r0=float(cfg["r0"]))
+                           n_samples=int(cfg["n_samples"]))
 
 
 def cmd_splitting(args) -> int:

@@ -26,7 +26,7 @@ arithmetic as an independent check of the charts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, pi, sin, sqrt
+from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,8 +89,8 @@ class Params:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 0.5:
             raise ValueError(f"mu must be in [0, 1/2], got {self.mu}")
-        if not self.g0 > 1.0:
-            raise ValueError(f"g0 must exceed 1, got {self.g0}")
+        if not (isfinite(self.g0) and self.g0 > 1.0):
+            raise ValueError(f"g0 must be finite and exceed 1, got {self.g0}")
 
 
 @dataclass(frozen=True)

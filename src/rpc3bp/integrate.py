@@ -387,9 +387,9 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     with the gate true at either end, which spares locating crossings the
     caller would discard.
 
-    Raises CollisionError, with the lane's state at the cutoff, when a lane
-    reaches the collision cutoff, and RuntimeError when a lane's step size
-    underflows.
+    Raises ValueError for a non-finite state, CollisionError, with the
+    lane's state at the cutoff, when a lane reaches the collision cutoff,
+    and RuntimeError when a lane's step size underflows.
     """
     _check_tol(tol)
     if not s_end > 0.0:
@@ -402,6 +402,8 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
 
     z = np.array(z0, dtype=float)
+    if z.ndim != 2 or z.shape[0] != 4 or not np.isfinite(z).all():
+        raise ValueError("z0 must hold finite states [r, phi, y, G] as columns")
     n = z.shape[1]
     lane = np.arange(n)
     s = np.zeros(n)

@@ -1,10 +1,10 @@
 """Stable/unstable invariant curves of infinity on a Poincare section.
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
-flow: orbits are seeded on W^u(infinity) in the inbound far field (r = R0),
-propagated forward, and read off as curves y = Y(v) on the section
-{phi = phi0 (mod 2pi)} against the separatrix radius parameterization
-r = r_h(v), outgoing leg y > 0.
+flow: orbits are seeded on W^u(infinity) in the inbound far field, all at
+the one radius r = DEFAULT_R0 = 8, propagated forward, and read off as
+curves y = Y(v) on the section {phi = phi0 (mod 2pi)} against the
+separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
 
 Both curves come from the same orbits.  Their outgoing crossings of phi0
 sample W^u; the reversing symmetry R: (r, phi, y, G) -> (r, -phi, -y, G) maps
@@ -22,10 +22,10 @@ equation
 
 on a Chebyshev grid in x = r^(-1/2) (x = 0 is r = infinity, where g = 0)
 times a Fourier grid in phi, built once per Params on first use.  Flowed
-from 2 R0 down to R0 = 8, seeds stay on the graph to the integrator floor
-(<= 5e-14 at tol 1e-13), so the orbits skip the far-field fall from r = 50
-that the zeroth-order parabolic seed G = 1 - V/g0^3 needed, and that seed's
-error of O(mu/(g0^4 R0^3)) with it.
+from 2 DEFAULT_R0 down to DEFAULT_R0, seeds stay on the graph to the
+integrator floor (<= 5e-14 at tol 1e-13), so the orbits skip the far-field
+fall from r = 50 that the zeroth-order parabolic seed G = 1 - V/g0^3
+needed, and that seed's error of O(mu/(g0^4 r^3)) with it.
 
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
@@ -36,8 +36,10 @@ The fan's orbits are stepped together by integrate.lockstep_flow, a numpy
 DOP853 that evaluates the vector field of all orbits in one call per stage.
 Each orbit keeps its own step size and accept/reject state and repeats the
 arithmetic of solve_ivp's DOP853, so the samples are those of one solve_ivp
-run per orbit.  Section crossings are located on the dense output only in
-steps that come near the window, and polished by refine_to_section.
+run per orbit.  Each section event locates crossings on the dense output
+only in steps that come near the window on the leg its curve samples
+(y > 0 for phi0, y < 0 for -phi0), and they are polished by
+refine_to_section.
 
 poincare_map lifts a section point to the shell and takes one
 integrate.first_return, the return the oscillation demo iterates.
@@ -93,7 +95,9 @@ class ManifoldCurve:
 
     v is strictly increasing; Y > 0 on the outgoing branch.  At mu = 0 the
     curve coincides with the separatrix momentum y_h(v) to integrator
-    accuracy.
+    accuracy.  v_window is the requested window (samples extend into a
+    buffer around it) and fold_intervals the v-intervals whose samples were
+    masked as fold-overs.
     """
 
     branch: str                # "unstable" | "stable"
@@ -101,8 +105,9 @@ class ManifoldCurve:
     params: Params
     v: np.ndarray
     Y: np.ndarray
-    r0: float
     tol: float
+    v_window: tuple[float, float]
+    fold_intervals: list
     meta: dict = field(default_factory=dict)
 
     def interpolant(self):
@@ -263,8 +268,10 @@ def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
 
     Solves the quadratic shell condition for the angular momentum, taking the
     root near G = 1 (evaluated in the cancellation-free form).  Raises
-    ValueError when no real solution exists.
+    ValueError for r <= 0 and when no real solution exists.
     """
+    if not r > 0.0:
+        raise ValueError(f"section point needs r > 0, got r = {r}")
     c = p.g0**3 + 0.5 * y * y - 1.0 / r - potential_V(r, phi0, p)
     disc = p.g0**6 - 2.0 * c / (r * r)
     if disc < 0.0:
@@ -319,10 +326,10 @@ def poincare_jacobian(point: tuple[float, float], phi0: float, p: Params,
 
 @lru_cache(maxsize=1)
 def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
-                 tol: float, n_phases: int, r0: float):
+                 tol: float, n_phases: int):
     """Samples (v, Y) of both invariant curves on phi0 from one fan of
-    far-field orbits, as (unstable, stable, work): two tuples of samples and
-    the lockstep integrator's counters.
+    far-field orbits seeded at DEFAULT_R0, as (unstable, stable, work): two
+    tuples of samples and the lockstep integrator's counters.
 
     Outgoing (y > 0) crossings of phi0 are unstable samples; inbound (y < 0)
     crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
@@ -335,12 +342,12 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     r_lo = homoclinic_r(max(v_lo - buf, 1e-3))
     r_hi = homoclinic_r(v_hi + buf)
     r_exit = r_hi * 1.05
-    if r0 <= r_exit:
-        raise ValueError(f"r0={r0} does not lie above the window's exit "
-                         f"radius {r_exit:.3g}")
+    if DEFAULT_R0 <= r_exit:
+        raise ValueError(f"the window's exit radius {r_exit:.3g} reaches the "
+                         f"seeding radius {DEFAULT_R0}")
 
-    # time to fall from r0 plus the window traverse, with margin
-    s_span = 1.35 * (float(v_of_r(r0)) + v_hi + 5.0)
+    # time to fall from DEFAULT_R0 plus the window traverse, with margin
+    s_span = 1.35 * (float(v_of_r(DEFAULT_R0)) + v_hi + 5.0)
 
     def exit_event(s, z):
         return z[0] - r_exit
@@ -358,20 +365,20 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     turn_event.terminal = True
     turn_event.direction = -1.0
 
-    def near(s, z):
-        return z[0] < 2.0 * r_hi
-    # Section crossings above r_hi fail the window filter below, so only
-    # those near it are located: a step with r >= 2 r_hi at both ends cannot
-    # come down to r_hi in between, since one step moves r by far less.
-    sections = [section_event(phi0), section_event(-phi0)]
-    for ev in sections:
-        ev.gate = near
+    # Section crossings above r_hi, or on the other leg, fail the window
+    # filter below, so only those near it on the curve's leg are located: a
+    # step with r >= 2 r_hi at both ends cannot come down to r_hi in
+    # between, since one step moves r by far less.
+    outgoing, inbound = section_event(phi0), section_event(-phi0)
+    outgoing.gate = lambda s, z: (z[0] < 2.0 * r_hi) & (z[2] > 0.0)
+    inbound.gate = lambda s, z: (z[0] < 2.0 * r_hi) & (z[2] < 0.0)
 
-    z0 = np.array([initial_manifold_state(r0, phi0 + 2.0 * pi * k / n_phases,
+    z0 = np.array([initial_manifold_state(DEFAULT_R0,
+                                          phi0 + 2.0 * pi * k / n_phases,
                                           p).to_array()
                    for k in range(n_phases)]).T
     fan = lockstep_flow(z0, s_span, tol, p,
-                        events=[*sections, exit_event, turn_event])
+                        events=[outgoing, inbound, exit_event, turn_event])
     unstable, stable = [], []
     for k in range(n_phases):
         for z in fan.z_events[k][0]:
@@ -387,13 +394,14 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
 
 def compute_invariant_curve(branch: str, phi0: float,
                             v_window: tuple[float, float], p: Params,
-                            tol: float = 1e-12, n_samples: int = 60,
-                            r0: float = DEFAULT_R0) -> ManifoldCurve:
+                            tol: float = 1e-12,
+                            n_samples: int = 60) -> ManifoldCurve:
     """Invariant curve Y(v) over v_window on the section {phi = phi0}.
 
-    The fan is seeded on the graph of W^u(infinity) at r0 >= R_MIN, which
-    must lie above the window's exit radius; meta carries the graph solve's
-    last update (graph_update) and its invariance residual at r0
+    The fan is seeded on the graph of W^u(infinity) at DEFAULT_R0; a window
+    whose exit radius reaches DEFAULT_R0 is refused.  meta carries the fan
+    size (n_phases), the lockstep counters, the graph solve's last update
+    (graph_update) and its invariance residual at DEFAULT_R0
     (graph_residual, in units of dG/ds).
 
     n_samples is the target number of collected samples across the window;
@@ -414,7 +422,7 @@ def compute_invariant_curve(branch: str, phi0: float,
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
     unstable, stable, work = _fan_samples(phi0, (v_lo, v_hi), p, tol,
-                                          n_phases, r0)
+                                          n_phases)
     graph = _manifold_graph(p)
     samples = sorted(unstable if branch == "unstable" else stable)
     if len(samples) < 8:
@@ -423,32 +431,14 @@ def compute_invariant_curve(branch: str, phi0: float,
             "window or increase n_samples")
     v = np.array([s[0] for s in samples])
     Y = np.array([s[1] for s in samples])
-    v, Y = _merge_close(v, Y)
     v, Y, fold_intervals = _mask_folds(v, Y, p)
     return ManifoldCurve(branch=branch, phi0=phi0, params=p, v=v, Y=Y,
-                         r0=r0, tol=tol,
+                         tol=tol, v_window=(float(v_lo), float(v_hi)),
+                         fold_intervals=fold_intervals,
                          meta={"n_phases": n_phases,
-                               "n_samples": int(len(v)),
-                               "shell_energy": -p.g0**3,
-                               "fold_intervals": fold_intervals,
-                               "v_window": (float(v_lo), float(v_hi)),
                                "graph_update": graph.update,
-                               "graph_residual": graph.residual(r0),
+                               "graph_residual": graph.residual(DEFAULT_R0),
                                **work})
-
-
-def _merge_close(v: np.ndarray, Y: np.ndarray, dv: float = 1e-6):
-    """Average samples closer than dv in v (repeat landings of the fan)."""
-    out_v, out_Y = [], []
-    i = 0
-    while i < len(v):
-        j = i + 1
-        while j < len(v) and v[j] - v[i] < dv:
-            j += 1
-        out_v.append(float(np.mean(v[i:j])))
-        out_Y.append(float(np.mean(Y[i:j])))
-        i = j
-    return np.array(out_v), np.array(out_Y)
 
 
 def _mask_folds(v: np.ndarray, Y: np.ndarray, p: Params):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import Params
-from .manifolds import DEFAULT_R0, ManifoldCurve, compute_invariant_curve
+from .manifolds import ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     predicted_distance,
     predicted_lobe_area,
@@ -68,7 +68,6 @@ class SplittingConfig:
     v_window: tuple[float, float] = (0.4, 1.6)
     tol: float = 1e-12
     n_samples: int = 60
-    r0: float = DEFAULT_R0
 
 
 @dataclass
@@ -185,10 +184,8 @@ def distance_profile(curve_s: ManifoldCurve,
     lo = max(curve_s.v[0], curve_u.v[0])
     hi = min(curve_s.v[-1], curve_u.v[-1])
     for c in (curve_s, curve_u):
-        win = c.meta.get("v_window")
-        if win is not None:
-            lo = max(lo, win[0])
-            hi = min(hi, win[1])
+        lo = max(lo, c.v_window[0])
+        hi = min(hi, c.v_window[1])
     if not lo < hi:
         raise ValueError("curves cover disjoint v-ranges")
     pad = 0.01 * (hi - lo)
@@ -199,8 +196,7 @@ def distance_profile(curve_s: ManifoldCurve,
     fu = curve_u.interpolant()
     D = fs(v) - fu(v)
     floor = NOISE_FLOOR_PER_TOL * max(curve_s.tol, curve_u.tol)
-    folds = sorted(curve_s.meta.get("fold_intervals", [])
-                   + curve_u.meta.get("fold_intervals", []))
+    folds = sorted(curve_s.fold_intervals + curve_u.fold_intervals)
     return DistanceProfile(params=p, phi0=curve_s.phi0, v=v, D=D,
                            noise_floor=floor, fold_intervals=folds,
                            curve_s=curve_s, curve_u=curve_u, Y_s=fs, Y_u=fu)
@@ -268,7 +264,7 @@ def _lobe_integral(profile: DistanceProfile, v_a: float, v_b: float) -> float:
 def _manifold_profile(p: Params, phi0: float,
                       cfg: SplittingConfig) -> DistanceProfile:
     """Distance profile of the invariant-curve pair computed under cfg."""
-    kw = dict(tol=cfg.tol, n_samples=cfg.n_samples, r0=cfg.r0)
+    kw = dict(tol=cfg.tol, n_samples=cfg.n_samples)
     cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p, **kw)
     cs = compute_invariant_curve("stable", phi0, cfg.v_window, p, **kw)
     return distance_profile(cs, cu)

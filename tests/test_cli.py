@@ -9,6 +9,7 @@ from rpc3bp.cli import (
     EXIT_VALIDATION,
     main,
 )
+from rpc3bp.manifolds import _fan_samples, _manifold_graph
 from rpc3bp.splitting import TangencyPoint
 
 
@@ -154,7 +155,7 @@ class TestValidation:
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        for bad in ({"nonsense": 1}, {"root_tol": 1e-12}):
+        for bad in ({"nonsense": 1}, {"root_tol": 1e-12}, {"r0": 8.0}):
             cfg.write_text(json.dumps(bad))
             assert run(["melnikov", "--out", tmp_path, "--config", cfg]) \
                 == EXIT_VALIDATION
@@ -178,6 +179,13 @@ class TestValidation:
         assert run(["melnikov", "--out", tmp_path, "--config", tmp_path]) \
             == EXIT_VALIDATION
 
+    def test_non_finite_inputs_and_nonpositive_seed_radius(self, tmp_path):
+        for args in (["melnikov", "--g0", "inf"], ["splitting", "--g0", "inf"],
+                     ["oscillate", "--seed-r", 0, "--seed-y", 0.5],
+                     ["manifolds", "--phi0", "nan"]):
+            assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
+        assert not any(tmp_path.iterdir())
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
@@ -199,6 +207,19 @@ class TestSplitting:
         lines = [l for l in (tmp_path / "roots.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert lines == ["v,phase,D_prime,kind"]
+
+    def test_deterministic_reruns(self, tmp_path):
+        # the second run rebuilds the fan and the manifold graph
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_samples": 25}))
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            out.mkdir()
+            _fan_samples.cache_clear()
+            _manifold_graph.cache_clear()
+            assert run(["splitting", "--out", out, "--config", cfg]) == EXIT_OK
+        for name in ("splitting.json", "roots.csv", "lobes.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestTangency:

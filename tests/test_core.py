@@ -448,9 +448,60 @@ class TestLockstep:
         alone = lockstep_flow(z0[:, 1:], 5.0, 1e-12, p)
         np.testing.assert_array_equal(run.z[:, 1], alone.z[:, 0])
 
+    def test_event_crossings_match_flow(self):
+        # non-terminal section events of each direction: every lane's
+        # crossings are flow's t_events and y_events, bit for bit
+        p = Params(0.3, 2.3)
+        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
+                  RotatingState(1.2, 2.0, 0.4, 1.02)]
+        z0 = np.array([s.to_array() for s in states]).T
+        evs = [section_event(0.5, 1.0), section_event(-1.0, -1.0),
+               section_event(2.0)]
+        run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
+        for k in range(len(states)):
+            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p, events=evs)
+            for e in range(len(evs)):
+                assert len(run.s_events[k][e]) > 0
+                np.testing.assert_array_equal(run.s_events[k][e],
+                                              sol.t_events[e + 1])
+                np.testing.assert_array_equal(run.z_events[k][e],
+                                              sol.y_events[e + 1])
+
+    def test_gate_drops_only_crossings_outside_it(self):
+        # a y > 0 gate keeps, bit for bit, the ungated crossings in the steps
+        # (flow's, which the lanes repeat) with y > 0 at either end, and so
+        # every crossing with y clear of 0; the third lane's first step
+        # crosses phi = 0.5 with y < 0 and ends with y > 0
+        p = Params(0.3, 2.3)
+        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
+                  RotatingState(1.2, 2.0, 0.4, 1.02),
+                  RotatingState(0.8, 0.51, -1e-3, 1.0)]
+        z0 = np.array([s.to_array() for s in states]).T
+        run = lockstep_flow(z0, 6.0, 1e-12, p,
+                            events=[section_event(0.5), section_event(-1.0)])
+        gated_evs = [section_event(0.5), section_event(-1.0)]
+        for ev in gated_evs:
+            ev.gate = lambda s, z: z[2] > 0.0
+        gated = lockstep_flow(z0, 6.0, 1e-12, p, events=gated_evs)
+        np.testing.assert_array_equal(gated.z, run.z)
+        for k in range(len(states)):
+            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p)
+            for e in range(2):
+                s_all, z_all = run.s_events[k][e], run.z_events[k][e]
+                step = np.searchsorted(sol.t, s_all)
+                kept = (sol.y[2, step - 1] > 0.0) | (sol.y[2, step] > 0.0)
+                assert 0 < np.count_nonzero(kept) < len(kept)
+                assert np.all(kept[z_all[:, 2] > 1e-6])
+                np.testing.assert_array_equal(gated.s_events[k][e], s_all[kept])
+                np.testing.assert_array_equal(gated.z_events[k][e], z_all[kept])
+
     def test_validation(self):
         z0 = np.array([[1.5, 0.2, -0.3, 1.0]]).T
         with pytest.raises(ValueError):
             lockstep_flow(z0, 1.0, 1e-5, Params(0.3, 2.0))
         with pytest.raises(ValueError):
             lockstep_flow(z0, -1.0, 1e-12, Params(0.3, 2.0))
+        # a NaN lane has a NaN step size, which no underflow check catches
+        with pytest.raises(ValueError):
+            lockstep_flow(np.array([[1.5, np.nan, -0.3, 1.0]]).T, 1.0, 1e-12,
+                          Params(0.3, 2.0))

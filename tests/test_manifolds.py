@@ -216,8 +216,8 @@ class TestInvariantCurves:
         # the outgoing leg exactly where the fan's reflected inbound
         # crossings of -phi0 say.
         p = Params(0.3, 2.4)
-        tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 3, (0.4, 1.6)
-        _, stable, _ = _fan_samples(phi0, (v_lo, v_hi), p, tol, n, r0)
+        tol, n, (v_lo, v_hi) = 1e-12, 3, (0.4, 1.6)
+        _, stable, _ = _fan_samples(phi0, (v_lo, v_hi), p, tol, n)
 
         def perihelion(s, z):
             return z[2]
@@ -225,8 +225,9 @@ class TestInvariantCurves:
 
         ref = []
         for k in range(n):
-            z0 = involution_R(initial_manifold_state(r0, phi0 + 2 * math.pi * k / n, p))
-            sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(r0)), tol, p,
+            z0 = involution_R(initial_manifold_state(
+                DEFAULT_R0, phi0 + 2 * math.pi * k / n, p))
+            sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(DEFAULT_R0)), tol, p,
                        events=[section_event(phi0), perihelion])
             assert len(sol.t_events[2]) == 1
             for z in sol.y_events[1]:
@@ -240,13 +241,15 @@ class TestInvariantCurves:
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-11
 
     @pytest.mark.filterwarnings("error")
-    def test_fan_matches_per_orbit_flow(self):
+    @pytest.mark.parametrize("phi0", [0.0, 1.0])
+    def test_fan_matches_per_orbit_flow(self, phi0):
         # solve_ivp reference: each fan orbit integrated on its own with the
-        # fan's events, its crossings refined and filtered as the fan does
+        # fan's section events but without their near-window and leg gates,
+        # its crossings refined and filtered as the fan does
         p = Params(0.3, 2.4)
-        tol, r0, n, (v_lo, v_hi) = 1e-12, 50.0, 4, (0.4, 1.6)
-        unstable, stable, _ = _fan_samples.__wrapped__(0.0, (v_lo, v_hi), p,
-                                                       tol, n, r0)
+        tol, n, (v_lo, v_hi) = 1e-12, 4, (0.4, 1.6)
+        unstable, stable, _ = _fan_samples.__wrapped__(phi0, (v_lo, v_hi), p,
+                                                       tol, n)
         buf = 0.12 * (v_hi - v_lo)
         r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
 
@@ -262,17 +265,18 @@ class TestInvariantCurves:
 
         ref_u, ref_s = [], []
         for k in range(n):
-            z0 = initial_manifold_state(r0, 2 * math.pi * k / n, p)
-            sol = flow(z0.to_array(), (0.0, 1.35 * (v_of_r(r0) + v_hi + 5.0)),
-                       tol, p, events=[section_event(0.0), section_event(-0.0),
-                                       exit_event, turn_event])
+            z0 = initial_manifold_state(DEFAULT_R0, phi0 + 2 * math.pi * k / n, p)
+            sol = flow(z0.to_array(),
+                       (0.0, 1.35 * (v_of_r(DEFAULT_R0) + v_hi + 5.0)), tol, p,
+                       events=[section_event(phi0), section_event(-phi0),
+                               exit_event, turn_event])
             for z in sol.y_events[1]:
                 if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, 0.0, p)
+                    zr = refine_to_section(z, phi0, p)
                     ref_u.append((float(v_of_r(zr[0])), float(zr[2])))
             for z in sol.y_events[2]:
                 if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, -0.0, p)
+                    zr = refine_to_section(z, -phi0, p)
                     ref_s.append((float(v_of_r(zr[0])), -float(zr[2])))
         for got, ref in ((unstable, ref_u), (stable, ref_s)):
             assert len(ref) >= 10
@@ -281,7 +285,7 @@ class TestInvariantCurves:
 
     @pytest.mark.filterwarnings("error")
     def test_fan_is_deterministic(self):
-        args = (0.0, (0.4, 1.6), Params(0.3, 2.8), 1e-12, 3, 50.0)
+        args = (0.0, (0.4, 1.6), Params(0.3, 2.8), 1e-12, 3)
         a = _fan_samples.__wrapped__(*args)
         b = _fan_samples.__wrapped__(*args)
         assert a == b
@@ -299,7 +303,6 @@ class TestInvariantCurves:
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
         # iterations here, the graph seed at DEFAULT_R0 takes about 370
         c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), Params(0.3, 2.4))
-        assert c.r0 == DEFAULT_R0
         assert c.meta["lockstep_iterations"] <= 700
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
@@ -360,43 +363,10 @@ class TestSeedingRobustness:
         assert dy < 1e-12
 
     def test_r0_doubling_matched_point(self):
-        # compare Y at the same v for R0 = 50 and 100 by tuning the launch
-        # phase until a crossing lands exactly at v = 1 (independent of any
-        # interpolation); the residual seeding error is ~1e-8 at R0 = 50
-        from rpc3bp.integrate import flow, refine_to_section, section_event
+        # the same matched point for seeds at r0 = 50 and 100 on the graph:
+        # they agree to the integrator noise of the long fall, about 3e-13;
+        # the bound was set for the zeroth-order parabolic seed, whose error
+        # at r0 = 50 was about 1e-8
         p = Params(0.3, 2.4)
-        v_target = 1.0
-
-        def crossing(phase, r0):
-            z0 = initial_manifold_state(r0, phase, p)
-            def ex(s, z):
-                return z[0] - 2.6
-            ex.terminal = True
-            ex.direction = 1.0
-            sec = section_event(0.0)
-            sol = flow(z0.to_array(), (0.0, 1.35 * ((2 * r0) ** 1.5 / 6 + 7)),
-                       1e-13, p, events=[sec, ex])
-            best = None
-            for z in sol.y_events[1]:
-                if z[2] > 1e-6 and z[0] >= 0.5:
-                    zr = refine_to_section(z, 0.0, p)
-                    v = float(v_of_r(zr[0]))
-                    if best is None or abs(v - v_target) < abs(best[0] - v_target):
-                        best = (v, float(zr[2]))
-            return best
-
-        def matched(r0):
-            a, b = 0.0, 0.3
-            fa = crossing(a, r0)[0] - v_target
-            fb = crossing(b, r0)[0] - v_target
-            for _ in range(30):
-                c = b - fb * (b - a) / (fb - fa)
-                vc, yc = crossing(c, r0)
-                fc = vc - v_target
-                if abs(fc) < 1e-11:
-                    return yc
-                a, fa, b, fb = b, fb, c, fc
-            return yc
-
-        dy = abs(matched(50.0) - matched(100.0))
+        dy = abs(_matched_Y(p, 50.0) - _matched_Y(p, 100.0))
         assert dy < 5e-8
