@@ -92,6 +92,11 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    # the section is 2pi-periodic in phi0, so this bound loses no section; the
+    # comparison also refuses NaN, and an int of any size without converting it
+    if not abs(cfg["phi0"]) <= 2.0 * math.pi:
+        raise ValueError(f"config key 'phi0' must be finite with "
+                         f"|phi0| <= 2pi, got {cfg['phi0']!r}")
     return cfg
 
 

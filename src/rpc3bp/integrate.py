@@ -19,17 +19,21 @@ vectorised right-hand side per stage serves every lane, while each lane
 keeps its own step size and accept/reject state.  Both right-hand sides are
 core.potential_kernel's field, on Python floats for flow and on numpy
 arrays for the lanes, so they agree bit for bit.
+
+Nothing here imports scipy.  The DOP853 tableau is vendored in _dop853 from
+scipy's literals, and brentq, which locates event crossings and serves the
+splitting module's root solves, is a step-for-step port of scipy's; the
+tests compare both with scipy bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, floor, inf, nextafter, pi, sin, sqrt
+from math import copysign, cos, floor, inf, isnan, nan, nextafter, pi, sin, sqrt
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
+from . import _dop853 as _dop
 from .core import (
     CollisionError,
     Params,
@@ -51,6 +55,7 @@ __all__ = [
     "section_event",
     "refine_to_section",
     "first_return",
+    "brentq",
 ]
 
 # scipy's solve_ivp raises any rtol below 100 eps to that floor with only a
@@ -104,8 +109,8 @@ def _collision_event(p: Params):
     return ev
 
 
-# DOP853 tableau (Hairer, Norsett & Wanner) and step-size controller, as in
-# scipy.integrate's DOP853
+# DOP853 tableau (Hairer, Norsett & Wanner, vendored from scipy in _dop853)
+# and step-size controller, as in scipy.integrate's DOP853
 _N_STAGES = _dop.N_STAGES
 _A, _B, _D = _dop.A, _dop.B, _dop.D
 _E3, _E5 = _dop.E3, _dop.E5
@@ -490,6 +495,88 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     return out
 
 
+# scipy.optimize.brentq's default relative tolerance and iteration limit,
+# the only ones any caller uses
+_BRENT_RTOL = float(4.0 * _EPS)
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol):
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step translation of scipy's brentq.c, so it returns
+    scipy.optimize.brentq(f, a, b, xtol=xtol) bit for bit; f gets Python
+    floats.  Raises ValueError for xtol <= 0, f(a) and f(b) of one sign, or
+    a NaN value of f, and RuntimeError when _BRENT_MAXITER iterations end
+    unconverged.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    xtol = float(xtol)
+
+    def fn(x):
+        fx = float(f(x))
+        if isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; "
+                             "brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and copysign(1.0, fpre) != copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        # the tolerance is 2 delta
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C's inf or NaN here fails the test below: bisect
+                stry = nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fn(xcur)
+    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
+
+
 def _locate(evs, terminal, active, z_at, s_old, s_new):
     """Crossings of evs[active] over one step, as solve_ivp's handle_events
     finds them: roots by brentq on the dense output z_at, and, when a
@@ -499,7 +586,7 @@ def _locate(evs, terminal, active, z_at, s_old, s_new):
     Returns (active, roots, stop), stop telling whether one was terminal.
     """
     roots = np.array([brentq(lambda t, ev=evs[e]: ev(t, z_at(t)), s_old,
-                             s_new, xtol=4.0 * _EPS, rtol=4.0 * _EPS)
+                             s_new, xtol=4.0 * _EPS)
                       for e in active])
     stop = any(terminal[e] for e in active)
     if stop:

@@ -26,9 +26,9 @@ from functools import cached_property
 from math import pi
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Params
+from .integrate import brentq
 from .manifolds import ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     predicted_distance,

@@ -1,6 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 from rpc3bp import cli
 from rpc3bp.cli import (
@@ -179,12 +184,28 @@ class TestValidation:
         assert run(["melnikov", "--out", tmp_path, "--config", tmp_path]) \
             == EXIT_VALIDATION
 
-    def test_non_finite_inputs_and_nonpositive_seed_radius(self, tmp_path):
+    def test_non_finite_inputs_and_nonpositive_seed_radius(self, tmp_path,
+                                                           capsys):
+        # phi0 must be finite with |phi0| <= 2pi, checked before any numerics;
+        # a config file may give it as an int too large for a float
+        big = tmp_path / "big_phi0.json"
+        big.write_text('{"phi0": ' + "9" * 400 + "}")
+        phi0_cases = (["splitting", "--phi0", "inf"],
+                      ["splitting", "--phi0", "1e300"],
+                      ["oscillate", "--phi0", "inf", "--seed-r", 1.3,
+                       "--seed-y", 0.68],
+                      ["splitting", "--config", big])
         for args in (["melnikov", "--g0", "inf"], ["splitting", "--g0", "inf"],
                      ["oscillate", "--seed-r", 0, "--seed-y", 0.5],
-                     ["manifolds", "--phi0", "nan"]):
-            assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
-        assert not any(tmp_path.iterdir())
+                     ["manifolds", "--phi0", "nan"], *phi0_cases):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            if args in phi0_cases:
+                assert "'phi0'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [big]
 
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
@@ -308,3 +329,37 @@ class TestOscillateAndSweep:
         rows = [l.split(",") for l in lines[1:]]
         assert [(float(r[0]), r[-1]) for r in rows] == [
             (0.0, "ok"), (0.7, "error:ValueError")]
+
+
+# Runs in a fresh interpreter: imports the CLI, runs the commands that build
+# no spline, and prints every scipy module then loaded.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+from rpc3bp import cli
+out = Path(sys.argv[1])
+small = out / "small.json"
+small.write_text(json.dumps({"lmax": 1, "jmax": 2}))
+for argv in (["homoclinic"], ["melnikov", "--g0", "2.8"],
+             ["melnikov", "--methods", "quadrature,contour", "--g0", "1.5"],
+             ["melnikov", "--g0", "2.8", "--precision", "extended",
+              "--config", str(small)],
+             ["oscillate", "--n-iter", "2", "--seed-r", "1.3",
+              "--seed-y", "0.68"]):
+    assert cli.main([*argv, "--out", str(out)]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestStartup:
+    def test_commands_without_splines_load_no_scipy(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                               str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
+from scipy.optimize import brentq as scipy_brentq
 
 import rpc3bp
+from rpc3bp import _dop853
 from rpc3bp.core import (
     CartesianState,
     CollisionError,
@@ -26,6 +29,7 @@ from rpc3bp.core import (
 )
 from rpc3bp.integrate import (
     TOL_MIN,
+    brentq,
     flow,
     integrate,
     lockstep_flow,
@@ -505,3 +509,69 @@ class TestLockstep:
         with pytest.raises(ValueError):
             lockstep_flow(np.array([[1.5, np.nan, -0.3, 1.0]]).T, 1.0, 1e-12,
                           Params(0.3, 2.0))
+
+
+EPS = np.finfo(float).eps
+# integrate._locate's, find_homoclinic_points', a tangency solve's, and
+# scipy's default xtol
+BRENT_XTOLS = [4 * EPS, 1e-14, 1e-6, 2e-12]
+BRENT_FAMILIES = {
+    "section": lambda c: lambda x: np.sin(0.5 * (x - c)),
+    "cubic": lambda c: lambda x: (x - c) ** 3 + 0.5 * (x - c) + 1e-5 * c,
+    "exp": lambda c: lambda x: math.exp(2.0 * x) - math.exp(2.0 * c),
+    "steep": lambda c: lambda x: math.tanh(40.0 * (x - c)) + 1e-4,
+}
+
+
+class TestBrentq:
+    # integrate.brentq is a port of scipy's brentq: the same roots, bit for
+    # bit, and the same exception types
+
+    @pytest.mark.parametrize("xtol", BRENT_XTOLS,
+                             ids=["locate", "roots", "tangency", "default"])
+    @pytest.mark.parametrize("family", BRENT_FAMILIES)
+    def test_roots_equal_scipy(self, family, xtol):
+        rng = np.random.default_rng(7)
+        for c, a, b in rng.uniform(-1.0, 1.0, (40, 3)):
+            f = BRENT_FAMILIES[family](c)
+            a, b = c - 1.5 * abs(a) - 1e-3, c + 1.5 * abs(b) + 1e-3
+            for lo, hi in ((a, b), (b, a)):
+                got = brentq(f, lo, hi, xtol=xtol)
+                ref = scipy_brentq(f, lo, hi, xtol=xtol)
+                assert type(got) is float
+                assert got.hex() == ref.hex()
+
+    @pytest.mark.parametrize("bracket", [(0.5, 2.0), (-1.0, 0.5)])
+    def test_root_at_an_endpoint(self, bracket):
+        f = lambda x: x - 0.5
+        assert brentq(f, *bracket, xtol=1e-14) == 0.5 \
+            == scipy_brentq(f, *bracket, xtol=1e-14)
+
+    @pytest.mark.parametrize("f, xtol", [
+        (lambda x: x * x + 1.0, 1e-12),
+        (lambda x: math.nan if x > 0.0 else x, 1e-12),
+        (lambda x: x - 0.3, 0.0),
+    ], ids=["same_sign", "nan_value", "zero_xtol"])
+    def test_value_errors_match_scipy(self, f, xtol):
+        with pytest.raises(ValueError):
+            scipy_brentq(f, -1.0, 1.0, xtol=xtol)
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0, xtol=xtol)
+
+    def test_maxiter_runs_out_as_in_scipy(self, monkeypatch):
+        f = lambda x: math.exp(x) - 2.0
+        monkeypatch.setattr("rpc3bp.integrate._BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, 0.0, 3.0, xtol=1e-14, maxiter=2)
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 3.0, xtol=1e-14)
+
+
+def test_vendored_dop853_tableau_is_scipys():
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        got = getattr(_dop853, name)
+        assert type(got) is int and got == getattr(scipy_dop853, name)
+    for name in ("A", "B", "E3", "E5", "D"):
+        got, ref = getattr(_dop853, name), getattr(scipy_dop853, name)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
