@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +63,11 @@ DEFAULTS = {
 
 PRECISIONS = ("double", "extended")
 
+# what float() reads with a leading minus: argparse's own pattern misses the
+# exponent forms and infinities, and takes `--seed-y -1e-3` for two options
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
 
 def _same_kind(val, default) -> bool:
     """val has default's type (an int passes for a float, a bool for
@@ -97,6 +103,12 @@ def _load_config(args) -> dict:
     if not abs(cfg["phi0"]) <= 2.0 * math.pi:
         raise ValueError(f"config key 'phi0' must be finite with "
                          f"|phi0| <= 2pi, got {cfg['phi0']!r}")
+    # below 17 digits the extended route carries fewer digits than binary64
+    # (17 round-trip a double), and a series needs at least one harmonic
+    for key, least in (("mp_dps", 17), ("lmax", 1)):
+        if cfg[key] < least:
+            raise ValueError(f"config key {key!r} must be at least {least}, "
+                             f"got {cfg[key]!r}")
     return cfg
 
 
@@ -364,8 +376,23 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, taking every negative float for a value.
+
+    A token that looks like a negative number is an option's value, not an
+    option; argparse decides that with the pattern each parser keeps in its
+    private _negative_number_matcher, here widened to _NEGATIVE_NUMBER
+    (test_negative_floats_in_exponent_form fails if argparse stops reading
+    it).  Subparsers are built of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="toolkit",
         description="Splitting of the parabolic manifolds of infinity in the "
                     "restricted planar circular three-body problem")

@@ -29,7 +29,8 @@ contour    : binomial-series reduction to the oscillatory integrals
     I(l, j+l, j) of one harmonic share the path, its nodes and the phase
     factor, and differ by the factor (tau - i)^{-2l} q^j with
     q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, in binary64
-    on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum.
+    on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum,
+    whose pole factors and step sums run on per-node scaled integers.
 asymptotic : leading-order closed forms for l = 1, 2.
 
 Sign conventions: the coefficient signs follow the cross-validated values
@@ -382,19 +383,21 @@ def melnikov_coeff0_quadrature(p: Params,
 # Route 2: complex-contour integrals I(l, m, n)
 # ---------------------------------------------------------------------------
 
-def _bent_path(a, sgn, delta, wb, sqrt, exp):
+def _bent_path(a, sgn, delta, wb, sqrt, exp, j):
     """Point tau(a) and slope dtau/da of the path through sgn * i.
 
     The path follows the zero-phase curve Im tau = sqrt(1 + a^2/3) of
     Re(tau + tau^3/3) = 0 and dips toward the real axis by a Gaussian bump of
     depth delta and width wb, passing the pole on the side of the original
-    (real-axis) contour.  Written once for numpy arrays and mpmath scalars.
+    (real-axis) contour.  Written once for numpy arrays and mpmath scalars;
+    j is the imaginary unit of the caller's arithmetic (1j, or mpmath's j,
+    which spares converting a Python complex at every operation).
     """
     br = sqrt(1 + a * a / 3)
     bump = exp(-((a / wb) ** 2))
     b = sgn * (br - delta * bump)
     bp = sgn * (a / (3 * br) + delta * bump * 2 * a / wb**2)
-    return a + 1j * b, 1 + 1j * bp
+    return a + j * b, 1 + j * bp
 
 
 def _pole_terms(lead, tau, m, n):
@@ -458,7 +461,7 @@ def _contour_terms(l: int, m, n, p: Params):
     for n_per_panel in (16, 24):
         nodes_ref, weights_ref = np.polynomial.legendre.leggauss(n_per_panel)
         tau, dtau = _bent_path(mid + half * nodes_ref, sgn, delta, wb,
-                               np.sqrt, np.exp)
+                               np.sqrt, np.exp, 1j)
         lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau
         vals = np.stack(_pole_terms(lead, tau, m, n))
         sums.append(np.sum(vals * (half * weights_ref), axis=(1, 2)))
@@ -490,25 +493,59 @@ def _relative_error(rule, results, prec, epsilon):
     return rule.estimate_error([r / scale for r in results], prec, epsilon)
 
 
+def _block_pair(z, bits: int):
+    """The mpmath complex z as integers (x, y) and an exponent e with
+    z = (x + i y) 2^e to within 2^-bits of |z|.
+
+    The larger of |x| and |y| lies in [2^bits, 2^(bits + 1)), so |x + i y| is
+    at least 2^bits; the smaller part is truncated toward zero.
+    """
+    (xs, xm, xe, xb), (ys, ym, ye, yb) = z._mpc_
+    top = max(xe + xb if xm else ye + yb, ye + yb if ym else xe + xb)
+    e = top - bits - 1
+    x = xm << (xe - e) if xe >= e else xm >> (e - xe)
+    y = ym << (ye - e) if ye >= e else ym >> (e - ye)
+    return (-x if xs else x), (-y if ys else y), e
+
+
 def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     """Extended-precision I(l, m_k, n_k) by one vector-valued tanh-sinh sum.
 
     Replays mp.quad on the same path, split at [-A, -wb, 0, wb, A]: mpmath's
     tanh-sinh rule with its node cache, degree schedule and error estimate,
-    at 20 guard bits.  The integrand is evaluated once per node and its step
-    sums for all pairs are accumulated as the nodes go by; a degree counts as
-    converged on an interval only when the estimate of every term, relative
-    to the term's integral over that interval, is below mp.quad's epsilon.
-    mp.quad itself compares the absolute estimate, which any integral below
-    its epsilon (eps/8, about 3e-42 at 40 digits) meets from degree 2 on,
-    whatever its accuracy.  The floor of a term is its estimated absolute
-    error summed over the intervals.
+    at 20 guard bits.  A degree counts as converged on an interval only when
+    the estimate of every term, relative to the term's integral over that
+    interval, is below mp.quad's epsilon.  mp.quad itself compares the
+    absolute estimate, which any integral below its epsilon (eps/8, about
+    3e-42 at 40 digits) meets from degree 2 on, whatever its accuracy.  The
+    floor of a term is its estimated absolute error summed over the
+    intervals.
+
+    At each node mpmath gives the point, the slope, the lead factor
+    weight * dtau * e^{i half_w (tau + tau^3/3)} and u = (tau - i)^{-2},
+    w = (tau + i)^{-2}.  The pole factors and the step sums are then carried
+    in integers: the head lead u^d (lead w^{-d} for d < 0) of each
+    d = m_k - n_k and q = u w become block-floating pairs (x + i y) 2^e with
+    integer parts of `bits` = the working precision, each scaled by that
+    node's own exponent e.  The terms lead u^d q^j follow by integer complex
+    multiplication and a shift of `bits`, up the chain in j.  Each is added
+    exactly into its term's integer sum, kept at the smallest exponent seen,
+    and the sum is rounded to mpmath once per degree.  No fixed point is
+    shared between terms or nodes, so integrals far below the others (I(4, 4,
+    0) at g0 = 4.5 is about 3e-46) keep their digits.
     """
     import mpmath as mp
+    from mpmath.libmp import from_man_exp
 
     ctx = mp.mp
     rule = ctx._tanh_sinh
     n_terms = len(m)
+    # term k is lead u^d q^j with d = m_k - n_k, j = min(m_k, n_k); the terms
+    # of one d share a chain of powers of q, walked in increasing j
+    chains = {}
+    for k, (a, b) in enumerate(zip(m, n)):
+        chains.setdefault(a - b, []).append((min(a, b), k))
+    chains = [(d, sorted(walk)) for d, walk in chains.items()]
     with ctx.workdps(dps):
         g0 = ctx.mpf(p.g0)
         omega = abs(l) * g0**3
@@ -520,6 +557,8 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
         A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
         half_w = ctx.mpf(l) * g0**3 / 2
         points = [-A, -wb, 0, wb, A]
+        j = ctx.j
+        j_half_w = j * half_w
 
         prec = ctx.prec
         epsilon = ctx.eps / 8
@@ -527,23 +566,47 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
         totals = [ctx.zero] * n_terms
         errors = [ctx.zero] * n_terms
         ctx.prec += 20
+        bits = ctx.prec
         try:
             for a, b in zip(points[:-1], points[1:]):
                 results = [[] for _ in range(n_terms)]
                 err = [ctx.zero] * n_terms
                 for degree in range(1, max_degree + 1):
                     h = ctx.ldexp(1, -degree)
+                    # the step sum of term k is (sx[k] + i sy[k]) 2^se[k]
+                    sx, sy, se = [0] * n_terms, [0] * n_terms, [0] * n_terms
+                    for x, wt in rule.get_nodes(a, b, degree, prec):
+                        tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt,
+                                               ctx.exp, j)
+                        lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
+                        u = 1 / (tau - j) ** 2
+                        w = 1 / (tau + j) ** 2
+                        qx, qy, qe = _block_pair(u * w, bits)
+                        qe += bits
+                        for d, walk in chains:
+                            tx, ty, te = _block_pair(
+                                lead * (u**d if d >= 0 else w**-d), bits)
+                            power = 0
+                            for jk, k in walk:
+                                for _ in range(jk - power):
+                                    tx, ty = ((tx * qx - ty * qy) >> bits,
+                                              (tx * qy + ty * qx) >> bits)
+                                    te += qe
+                                power = jk
+                                shift = te - se[k]
+                                if shift >= 0:
+                                    sx[k] += tx << shift
+                                    sy[k] += ty << shift
+                                else:
+                                    sx[k] = (sx[k] << -shift) + tx
+                                    sy[k] = (sy[k] << -shift) + ty
+                                    se[k] = te
                     # the tanh-sinh nodes of degree d - 1 are half of those
                     # of degree d: reuse their sum
-                    step = ([r[-1] / (2 * h) for r in results] if degree > 1
-                            else [ctx.zero] * n_terms)
-                    for x, wt in rule.get_nodes(a, b, degree, prec):
-                        tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt, ctx.exp)
-                        lead = wt * dtau * ctx.exp(1j * half_w * (tau + tau**3 / 3))
-                        for k, t in enumerate(_pole_terms(lead, tau, m, n)):
-                            step[k] += t
-                    for r, s in zip(results, step):
-                        r.append(h * s)
+                    for k, r in enumerate(results):
+                        step = ctx.make_mpc((from_man_exp(sx[k], se[k], bits, "n"),
+                                             from_man_exp(sy[k], se[k], bits, "n")))
+                        r.append(h * (r[-1] / (2 * h) + step if degree > 1 else step))
                     if degree > 1:
                         err = [_relative_error(rule, r, prec, epsilon)
                                for r in results]

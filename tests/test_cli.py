@@ -207,6 +207,37 @@ class TestValidation:
                 assert "'phi0'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [big]
 
+    def test_too_few_digits_or_harmonics(self, tmp_path, capsys):
+        # below 17 digits the extended route wrote L1 = -9.42e-7 with error
+        # estimate 4.7e-9 at g0 = 2.8, where binary64 gives -5.32e-6; an lmax
+        # below 1 wrote an empty series
+        cfg = tmp_path / "cfg.json"
+        for bad, key in (({"mp_dps": 0, "lmax": 1, "jmax": 2}, "mp_dps"),
+                         ({"mp_dps": 16}, "mp_dps"),
+                         ({"lmax": 0}, "lmax"), ({"lmax": -2}, "lmax")):
+            cfg.write_text(json.dumps(bad))
+            assert run(["melnikov", "--g0", 2.8, "--precision", "extended",
+                        "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.count("validation error") == 1 and repr(key) in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_negative_floats_in_exponent_form(self, tmp_path, capsys):
+        # argparse's own pattern took `--seed-y -1e-3` for two options
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out, seed_y in zip(outs, (["--seed-y", "-1e-3"], ["--seed-y=-1e-3"])):
+            out.mkdir()
+            assert run(["oscillate", "--seed-r", 1.3, *seed_y, "--n-iter", 2,
+                        "--out", out]) == EXIT_OK
+        for name in ("returns.csv", "oscillation.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # every float flag: the value reaches its own check
+        for args, key in ((["--phi0", "-inf"], "'phi0'"),
+                          (["--mu", "-1E+3"], "mu must be")):
+            assert run(["oscillate", "--seed-r", 1.3, "--seed-y", 0.68, *args,
+                        "--out", tmp_path]) == EXIT_VALIDATION
+            assert key in capsys.readouterr().err
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
@@ -331,35 +362,49 @@ class TestOscillateAndSweep:
             (0.0, "ok"), (0.7, "error:ValueError")]
 
 
-# Runs in a fresh interpreter: imports the CLI, runs the commands that build
-# no spline, and prints every scipy module then loaded.
-_NO_SCIPY_SCRIPT = """
+# Runs in a fresh interpreter: imports the CLI, runs the commands given as a
+# JSON list in argv[2] and prints every module of package argv[3] then loaded.
+_FRESH_SCRIPT = """
 import json, sys
 from pathlib import Path
 from rpc3bp import cli
 out = Path(sys.argv[1])
-small = out / "small.json"
-small.write_text(json.dumps({"lmax": 1, "jmax": 2}))
-for argv in (["homoclinic"], ["melnikov", "--g0", "2.8"],
-             ["melnikov", "--methods", "quadrature,contour", "--g0", "1.5"],
-             ["melnikov", "--g0", "2.8", "--precision", "extended",
-              "--config", str(small)],
-             ["oscillate", "--n-iter", "2", "--seed-r", "1.3",
-              "--seed-y", "0.68"]):
+for argv in json.loads(sys.argv[2]):
     assert cli.main([*argv, "--out", str(out)]) == 0, argv
+pkg = sys.argv[3]
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m == pkg or m.startswith(pkg + "."))))
 """
+
+# homoclinic (the benchmark's warm-up) and melnikov and oscillate in binary64
+_BINARY64_COMMANDS = [
+    ["homoclinic"], ["melnikov", "--g0", "2.8"],
+    ["melnikov", "--methods", "quadrature,contour", "--g0", "1.5"],
+    ["oscillate", "--n-iter", "2", "--seed-r", "1.3", "--seed-y", "0.68"]]
+
+
+def _modules_loaded(tmp_path, commands, package):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, str(tmp_path),
+                           json.dumps(commands), package], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestStartup:
     def test_commands_without_splines_load_no_scipy(self, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, *filter(None, [env.get("PYTHONPATH")])])
-        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
-                               str(tmp_path)], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"lmax": 1, "jmax": 2}))
+        extended = ["melnikov", "--g0", "2.8", "--precision", "extended",
+                    "--config", str(small)]
+        assert _modules_loaded(tmp_path, [*_BINARY64_COMMANDS, extended],
+                               "scipy") == []
+
+    def test_binary64_commands_load_no_mpmath(self, tmp_path):
+        # mpmath is imported by the extended contour route alone: importing
+        # it would add to every command's start-up time
+        assert _modules_loaded(tmp_path, _BINARY64_COMMANDS, "mpmath") == []

@@ -310,6 +310,147 @@ class TestSharedPath:
         assert err > 1e-9 * abs(val)
 
 
+def _harmonic(l, jmax):
+    """Pole orders (j + l, j), j = 0..jmax: the j-terms of harmonic l."""
+    return [j + l for j in range(jmax + 1)], list(range(jmax + 1))
+
+
+# (l, m, n, params, digits, values, floors) of the extended route, values and
+# floors as float.hex strings, recorded from the per-term mpc summation that
+# the integer step sums replaced: both must agree bit for bit
+EXTENDED_PINS = {
+    "l1_g35": (1, *_harmonic(1, 12), Params(0.3, 3.5), 40,
+        [
+            "-0x1.566cb01fd4e52p-17", "-0x1.7a7f8a58f2a01p-15",
+            "-0x1.1b87429164907p-13", "-0x1.4edfbf3c584c2p-12",
+            "-0x1.4f9971712113ap-11", "-0x1.29f9911705c75p-10",
+            "-0x1.e2355dc71ebdbp-10", "-0x1.6aa2c06a7f026p-9",
+            "-0x1.0121583dff824p-8", "-0x1.5b8c411681387p-8",
+            "-0x1.c37fe3c64a83ap-8", "-0x1.1bbbb1b3a99a4p-7",
+            "-0x1.5ad4711bbf53dp-7",
+        ],
+        [
+            "0x1.7556f815c39cbp-235", "0x1.245c4edfab68ep-238",
+            "0x1.d1fb4b13dbb0ap-242", "0x1.790b8d9cabc93p-245",
+            "0x1.b93ca1776bc46p-238", "0x1.20274296b9ebfp-220",
+            "0x1.3ab50159d3463p-206", "0x1.61b54c521ba3ap-192",
+            "0x1.95cb6f6d45baap-178", "0x1.7a46ae09cd8dep-167",
+            "0x1.be31e5822bbe3p-153", "0x1.a9380dfe3ae4cp-142",
+            "0x1.988a1942805e6p-131",
+        ]),
+    "l2_g35": (2, *_harmonic(2, 12), Params(0.3, 3.5), 40,
+        [
+            "0x1.0649badd8deddp-32", "0x1.4d65e7473c5bap-30",
+            "0x1.457edaa113aa4p-28", "0x1.06c6241d713b4p-26",
+            "0x1.6e99e8a71917dp-25", "0x1.c6fac1022d513p-24",
+            "0x1.006625ec2b5b8p-22", "0x1.0a8188fedd313p-21",
+            "0x1.028436264bc22p-20", "0x1.d8794a669ad6dp-20",
+            "0x1.99da5804f9456p-19", "0x1.53a01990f1090p-18",
+            "0x1.0e41fafff521cp-17",
+        ],
+        [
+            "0x1.2e88901e81408p-265", "0x1.36c895d62b6a9p-264",
+            "0x1.a97be1d577838p-266", "0x1.3a9dd2871a0e9p-252",
+            "0x1.8e8e3865d8cf5p-234", "0x1.a52a9b8cb02a8p-219",
+            "0x1.c9a1553dfb9f2p-204", "0x1.fb59c2adf27cep-189",
+            "0x1.1d915b314f553p-173", "0x1.044a6f3ff22bap-161",
+            "0x1.df25967447d98p-150", "0x1.bc92f2febbf41p-138",
+            "0x1.9f4bca432ff3ap-126",
+        ]),
+    "I440_g45": (4, *_harmonic(4, 0), Params(0.3, 4.5), 30,
+        [
+            "0x1.dadb1d86928b5p-152",
+        ],
+        [
+            "0x1.34568df96c73dp-276",
+        ]),
+    "mixed_g20": (1, [1, 2, 3, 2, 0, 5, 1], [0, 1, 2, 0, 2, 3, 3], Params(0.3, 2.0), 30,
+        [
+            "-0x1.fae10079241e4p-2", "-0x1.27bf917a5a1e1p-1",
+            "-0x1.27c3a6755f196p-1", "0x1.0415b2f358458p+0",
+            "0x1.624f785d37657p-9", "0x1.49ab8e2b35442p-1",
+            "0x1.707851e7582edp-6",
+        ],
+        [
+            "0x1.e75e7bd12e051p-171", "0x1.43581d19c3bfap-189",
+            "0x1.db7964fce21edp-208", "0x1.b5edd1749ada5p-188",
+            "0x1.43136b5f3b3bap-134", "0x1.28e1b3a45ed52p-209",
+            "0x1.59a5fb1ac37c5p-172",
+        ]),
+    "l3_g20": (3, *_harmonic(3, 12), Params(0.3, 2.0), 30,
+        [
+            "-0x1.be5919997dfefp-4", "-0x1.267b8de27a735p-3",
+            "-0x1.61b06f571b00ap-3", "-0x1.8f8c9d89c1a9bp-3",
+            "-0x1.b13ca7d034aa6p-3", "-0x1.c8d989f14dc0ep-3",
+            "-0x1.d8935077ad6e3p-3", "-0x1.e254673ddeadep-3",
+            "-0x1.e7a7bbedbc951p-3", "-0x1.e9bd4dba5d073p-3",
+            "-0x1.e9795a268abcdp-3", "-0x1.e784f88da8d9ap-3",
+            "-0x1.e45ca03101f4ep-3",
+        ],
+        [
+            "0x1.ad5981b984594p-212", "0x1.2454ed798d529p-215",
+            "0x1.b1d0393987d91p-209", "0x1.1241d1ae280b6p-205",
+            "0x1.c294a3a78b7efp-199", "0x1.28e0830c1de00p-185",
+            "0x1.3f09f2de715dfp-175", "0x1.b2eac35242534p-162",
+            "0x1.dfdc590e3c97bp-152", "0x1.4e0ca8cddd98ap-138",
+            "0x1.76ffc50c7dea1p-128", "0x1.a7c215e2e0f53p-118",
+            "0x1.e19114c65576dp-108",
+        ]),
+    "l2_mu05_g28": (2, *_harmonic(2, 12), Params(0.5, 2.8), 40,
+        [
+            "0x1.967874b6afc80p-14", "0x1.1e75834cbb994p-12",
+            "0x1.41fd8dc1c10ecp-11", "0x1.355af0d6f94a3p-10",
+            "0x1.08b54e9fd33bap-9", "0x1.9e80ddcf1a116p-9",
+            "0x1.2e9d096329845p-8", "0x1.a1bf0693e14adp-8",
+            "0x1.13783576026edp-7", "0x1.5de44b0335830p-7",
+            "0x1.aebe153665f47p-7", "0x1.02481e98a8f44p-6",
+            "0x1.2ef79460243a3p-6",
+        ],
+        [
+            "0x1.c828065ba7992p-237", "0x1.29cfab3d85450p-243",
+            "0x1.f0f3fa446bd60p-247", "0x1.2e05f59e2af98p-236",
+            "0x1.958b2577e6cf4p-219", "0x1.c62bfde67de03p-205",
+            "0x1.05771d839f969p-190", "0x1.33231886c6aadp-176",
+            "0x1.250e60265ab49p-165", "0x1.61be5183d69adp-151",
+            "0x1.58ee41076d7c2p-140", "0x1.530c09eecbf97p-129",
+            "0x1.4f85035084914p-118",
+        ]),
+    "l1_g15": (1, *_harmonic(1, 18), Params(0.3, 1.5), 30,
+        [
+            "-0x1.82c1c838da96ep+0", "-0x1.16dae796c7919p+0",
+            "-0x1.b15fdcf0d90f6p-1", "-0x1.6967d71b363f1p-1",
+            "-0x1.3b562fd4f3ebfp-1", "-0x1.1b191f5185628p-1",
+            "-0x1.0305e7b97df76p-1", "-0x1.e05fefdcde4f8p-2",
+            "-0x1.c1e016b047a79p-2", "-0x1.a88830ed55336p-2",
+            "-0x1.930a3fe55687ep-2", "-0x1.80838f5bee45cp-2",
+            "-0x1.7054330635fd2p-2", "-0x1.6207b92ee82f6p-2",
+            "-0x1.554712e8df29ap-2", "-0x1.49cfb03fb6c29p-2",
+            "-0x1.3f6db066e8e8dp-2", "-0x1.35f7f6ca03b50p-2",
+            "-0x1.2d4d74c78ffffp-2",
+        ],
+        [
+            "0x1.78ab3c5bf7f98p-169", "0x1.408cb7d89a53fp-185",
+            "0x1.f79f2dfae8759p-205", "0x1.528db021b565cp-217",
+            "0x1.2c97a5d762460p-216", "0x1.607e0c2e07713p-212",
+            "0x1.587e1faaae4c3p-211", "0x1.b1dec8efc6045p-207",
+            "0x1.b4c901d41e802p-196", "0x1.65f7239f4d15ap-188",
+            "0x1.2960a8096426dp-180", "0x1.3828906d947c0p-169",
+            "0x1.08736a2a692e7p-161", "0x1.6912dc132605cp-157",
+            "0x1.36058586f72b8p-149", "0x1.0b96b18d81079p-141",
+            "0x1.d0080631a3330p-134", "0x1.43283f09c0610p-129",
+            "0x1.1a4d72ee32f2bp-121",
+        ]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTENDED_PINS))
+def test_extended_route_pinned_bit_for_bit(case):
+    l, m, n, p, dps, vals, floors = EXTENDED_PINS[case]
+    got, got_floors = contour_integral_I(l, m, n, p, mp_dps=dps, with_floor=True)
+    assert [v.hex() for v in got.tolist()] == vals
+    assert [f.hex() for f in got_floors.tolist()] == floors
+
+
 class TestCrossMethod:
     def test_quadrature_vs_contour(self):
         p = Params(0.3, 1.5)
