@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import Params, PrecisionError
-from .melnikov import MelnikovSeries
+from .melnikov import MP_DPS_MIN, MelnikovSeries
 from .manifolds import compute_invariant_curve
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
@@ -103,12 +103,14 @@ def _load_config(args) -> dict:
     if not abs(cfg["phi0"]) <= 2.0 * math.pi:
         raise ValueError(f"config key 'phi0' must be finite with "
                          f"|phi0| <= 2pi, got {cfg['phi0']!r}")
-    # below 17 digits the extended route carries fewer digits than binary64
-    # (17 round-trip a double), and a series needs at least one harmonic
-    for key, least in (("mp_dps", 17), ("lmax", 1)):
+    # the library refuses these too, but only once the work reaches them
+    for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1)):
         if cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
+    if not Path(cfg["out"]).is_dir():
+        raise ValueError(f"output directory {cfg['out']!r} does not exist "
+                         f"or is not a directory")
     return cfg
 
 

@@ -20,6 +20,16 @@ keeps its own step size and accept/reject state.  Both right-hand sides are
 core.potential_kernel's field, on Python floats for flow and on numpy
 arrays for the lanes, so they agree bit for bit.
 
+In flow's step only the sums over stages stay in numpy: the 11 stage sums,
+the combinations with B, E5 and E3, and the two squared error norms.
+np.dot hands them to the BLAS kernel (dgemv, ddot), which adds with fused
+multiply-adds in an order of its own (a two-term stage sum is
+fma(a0, k0, a1 * k1)), and plain Python sums round differently; Python 3.11
+has no math.fma.  Everything else is a single IEEE operation per element
+and runs on Python floats with the same result: the stage states, the new
+state, the error scale (with np.maximum's NaN) and the divisions by it.
+The stage rows reach K, and the 4-vectors leave numpy, through memoryviews.
+
 Nothing here imports scipy.  The DOP853 tableau is vendored in _dop853 from
 scipy's literals, and brentq, which locates event crossings and serves the
 splitting module's root solves, is a step-for-step port of scipy's; the
@@ -146,10 +156,12 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
 
     Repeats the arithmetic of scipy's solve_ivp(method="DOP853", rtol=tol,
     atol=tol * 1e-2, events=...) bit for bit, so its steps, states, event
-    crossings and nfev are solve_ivp's.  The stage sums and the norms go
-    through np.dot as scipy's do; the right-hand side gets Python floats.
+    crossings and nfev are solve_ivp's.  The stage sums, the combinations
+    with B, E5 and E3 and the two error norms go through ndarray.dot as
+    scipy's do; every other operation of a step runs on Python floats.
     Events are ev(s, z) with `terminal` (a bool) and `direction`
-    attributes; crossings are located on the step's dense output by brentq.
+    attributes, z being an ndarray; crossings are located on the step's
+    dense output by brentq.
 
     Raises CollisionError if the trajectory reaches the collision cutoff,
     carrying the last valid state on the exception, and RuntimeError when
@@ -174,8 +186,8 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     y_events = [[] for _ in evs]
     ts, zs = [s], [z]
     rtol, atol = tol, tol * 1e-2
-    zl = z.tolist()
-    f = np.array(rhs(s, zl))
+    x0, x1, x2, x3 = z.tolist()
+    f = rhs(s, (x0, x1, x2, x3))
     nfev = 1
     status = 0
     if s == s_end:
@@ -183,20 +195,31 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
         ts.append(s)
         zs.append(z)
     else:
-        h_abs = float(_initial_step(column, z[:, None], f[:, None],
+        h_abs = float(_initial_step(column, z[:, None], np.array(f)[:, None],
                                     abs(s_end - s), rtol, atol, direction)[0])
         nfev += 1
     K3 = np.empty((1, _dop.N_STAGES_EXTENDED, 4))
     K = K3[0]
-    # views of the stage rows and the tableau rows that each stage sum reads
-    KT = [K[:i].T for i in range(_N_STAGES + 2)]
-    A = [_A[i, :i] for i in range(_N_STAGES)]
+    # scipy's np.dot calls, bound to the views of K they read.  Each writes
+    # its 4-vector into `out`, read through a memoryview, and the stage rows
+    # go into K through another.  For i = 1..11, stages holds the dot of
+    # stage i's sum np.dot(K[:i].T, A[i, :i]), that row of A, and the offset
+    # of row i in K.
+    Kw = memoryview(K.reshape(-1))
+    out = np.empty(4)
+    outw = memoryview(out)
+    stages = [(K[:i].T.dot, _A[i, :i], 4 * i) for i in range(1, _N_STAGES)]
+    combine_b = K[:_N_STAGES].T.dot
+    combine_err = K[:_N_STAGES + 1].T.dot
+    j_new = 4 * _N_STAGES
     g = [ev(s, z) for ev in evs]
 
     while s != s_end:
         min_step = 10.0 * abs(nextafter(s, direction * inf) - s)
         h_abs = max(h_abs, min_step)
         rejected = False
+        Kw[0], Kw[1], Kw[2], Kw[3] = f
+        a0, a1, a2, a3 = abs(x0), abs(x1), abs(x2), abs(x3)
         while True:
             if h_abs < min_step:
                 raise RuntimeError(f"integration failed: step size underflow "
@@ -206,21 +229,36 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
                 s_new = s_end
             h = s_new - s
             h_abs = abs(h)
-            K[0] = f
-            for i in range(1, _N_STAGES):
-                # z + np.dot(K[:i].T, a) * h, added up in Python floats
-                dz = np.dot(KT[i], A[i]).tolist()
-                K[i] = rhs(0.0, [a + b * h for a, b in zip(zl, dz)])
-            z_new = z + h * np.dot(KT[_N_STAGES], _B)
-            zl_new = z_new.tolist()
-            f_new = K[_N_STAGES] = rhs(0.0, zl_new)
+            for dot, a, j in stages:
+                dot(a, out)
+                d0, d1, d2, d3 = outw
+                Kw[j], Kw[j + 1], Kw[j + 2], Kw[j + 3] = rhs(
+                    0.0, (x0 + d0 * h, x1 + d1 * h, x2 + d2 * h, x3 + d3 * h))
+            combine_b(_B, out)
+            d0, d1, d2, d3 = outw
+            x_new = (x0 + h * d0, x1 + h * d1, x2 + h * d2, x3 + h * d3)
+            f_new = rhs(0.0, x_new)
+            Kw[j_new], Kw[j_new + 1], Kw[j_new + 2], Kw[j_new + 3] = f_new
             nfev += _N_STAGES
 
-            scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
-            e5 = np.dot(KT[_N_STAGES + 1], _E5) / scale
-            e3 = np.dot(KT[_N_STAGES + 1], _E3) / scale
-            e5 = sqrt(e5.dot(e5)) ** 2
-            e3 = sqrt(e3.dot(e3)) ** 2
+            # np.maximum(|z|, |z_new|) with its NaN: a NaN in the new state
+            # makes a NaN scale and so a rejected step (|z| is never NaN,
+            # the state of an accepted step, where Python's max would drop it)
+            b0, b1, b2, b3 = map(abs, x_new)
+            c0 = atol + (a0 if a0 >= b0 else b0) * rtol
+            c1 = atol + (a1 if a1 >= b1 else b1) * rtol
+            c2 = atol + (a2 if a2 >= b2 else b2) * rtol
+            c3 = atol + (a3 if a3 >= b3 else b3) * rtol
+            combine_err(_E5, out)
+            d0, d1, d2, d3 = outw
+            outw[0], outw[1], outw[2], outw[3] = (d0 / c0, d1 / c1,
+                                                  d2 / c2, d3 / c3)
+            e5 = sqrt(out.dot(out)) ** 2
+            combine_err(_E3, out)
+            d0, d1, d2, d3 = outw
+            outw[0], outw[1], outw[2], outw[3] = (d0 / c0, d1 / c1,
+                                                  d2 / c2, d3 / c3)
+            e3 = sqrt(out.dot(out)) ** 2
             if e5 == 0.0 and e3 == 0.0:
                 err_norm = 0.0
             else:
@@ -233,7 +271,9 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
             h_abs *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        s_old, z_old, s, z, zl, f = s, z, s_new, z_new, zl_new, f_new
+        s_old, z_old, s, f = s, z, s_new, f_new
+        x0, x1, x2, x3 = x_new
+        z = np.array(x_new)
         g_new = [ev(s, z) for ev in evs]
         active = [e for e, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
                   if (d > 0.0 and a <= 0.0 <= b) or (d < 0.0 and a >= 0.0 >= b)

@@ -77,6 +77,7 @@ __all__ = [
     "predicted_tangency_mu",
     "predicted_tangency_lobe_area",
     "TANGENCY_G0_FLOOR",
+    "MP_DPS_MIN",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -84,6 +85,15 @@ _EPS = float(np.finfo(float).eps)
 # g0 at which 16 sqrt(2) g0^2 e^{-g0^3/3} drops below 1/2, i.e. where the
 # tangency curve enters the physical mass range mu in (0, 1/2].
 TANGENCY_G0_FLOOR = 2.5792
+
+# fewest digits of the extended route: below 17 it carries fewer digits than
+# binary64 (17 round-trip a double)
+MP_DPS_MIN = 17
+
+
+def _check_mp_dps(mp_dps) -> None:
+    if mp_dps is not None and not mp_dps >= MP_DPS_MIN:
+        raise ValueError(f"mp_dps must be at least {MP_DPS_MIN}, got {mp_dps!r}")
 
 
 def binom_half(j: int) -> float:
@@ -652,10 +662,10 @@ def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
     by pole factors built by recurrence in q = ((tau - i)(tau + i))^{-2}, so
     all the j-terms (j + l, j) of one harmonic cost little more than one.
     Binary64 by default; mp_dps selects an mpmath tanh-sinh summation at that
-    many digits.  Each integral passes its own convergence and reality check
-    (RuntimeError otherwise).  With with_floor, returns (value, floor): the
-    binary64 arithmetic floor 50 eps max|integrand|, or in mpmath the
-    quadrature's error estimate.  Without it, a value no larger in magnitude
+    many digits, at least MP_DPS_MIN (ValueError below).  Each integral
+    passes its own convergence and reality check (RuntimeError otherwise).
+    With with_floor, returns (value, floor): the binary64 arithmetic floor
+    50 eps max|integrand|, or in mpmath the quadrature's error estimate.  Without it, a value no larger in magnitude
     than its floor carries no digit, and PrecisionError is raised.
     """
     l = int(l)
@@ -672,6 +682,7 @@ def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
             raise ValueError(f"pole orders must be nonnegative, got ({mk}, {nk})")
         if (mk, nk) == (0, 0):
             raise ValueError("(m, n) = (0, 0) diverges (no decay)")
+    _check_mp_dps(mp_dps)
     if mp_dps is None:
         vals, floors = _contour_terms(l, ms, ns, p)
     else:
@@ -725,11 +736,13 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
     arithmetic floor sum_j |coefficient_j| floor_j of the terms summed.  The
     tail's ratio is at least rho_p^2, rho_p = 2 max(mu, 1-mu)/g0^2, and the
     estimate is infinite where the ratio reaches 1 and the series diverges.
+    mp_dps below MP_DPS_MIN raises ValueError, even where no term is summed.
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
     if jmax < 2:
         raise ValueError("jmax must be at least 2")
+    _check_mp_dps(mp_dps)
     cj = _binom_half_table(jmax + l + 1)
     js = [j for j in range(jmax + 1) if _mass_factor(l, j, p.mu) != 0.0]
     total = 0.0
@@ -808,6 +821,8 @@ class MelnikovSeries:
     def compute(cls, p: Params, method: str = "contour", lmax: int = 4,
                 jmax: int = 12, tol: float = 1e-9,
                 mp_dps: int | None = None) -> "MelnikovSeries":
+        if lmax < 1:
+            raise ValueError(f"lmax must be at least 1, got {lmax!r}")
         coeffs: dict[int, float] = {}
         errs: dict[int, float] = {}
         if method == "quadrature":

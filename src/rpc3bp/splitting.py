@@ -365,7 +365,9 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     from the sign flip of its transversality D' across the bracket; mu* is
     the Brent zero of that indicator.  Reports the (D, D', D'') residuals at
     the tangency root and the lobe area between it and the adjacent
-    transversal root.
+    transversal root.  RuntimeError when no family degenerates, the family's
+    root is lost, or no transversal root of the opposite family bounds the
+    lobe.
     """
     if g0 < 2.6:
         raise ValueError("tangency solve documented for g0 >= 2.6")
@@ -407,6 +409,11 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     others = [r for r in prof.roots
               if _wrap_dist(r.phase, r_t.phase) > pi / 2.0
               and r.kind == "transversal"]
+    if not others:
+        raise RuntimeError(
+            f"no transversal root of the opposite family bounds the tangency "
+            f"lobe at mu*={mu_star:.6g}, g0={g0}; the splitting may be below "
+            f"its noise floor")
     adjacent = min(others, key=lambda r: abs(r.v - r_t.v))
     va, vb = sorted((r_t.v, adjacent.v))
     area = abs(_lobe_integral(prof, va, vb))

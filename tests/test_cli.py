@@ -238,6 +238,29 @@ class TestValidation:
                         "--out", tmp_path]) == EXIT_VALIDATION
             assert key in capsys.readouterr().err
 
+    def test_out_checked_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # a missing or non-directory --out was found only at the first write,
+        # after the orbit, the tangency solves or the grid were computed
+        def never(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        for name in ("oscillation_demo", "continuation_tangency_curve",
+                     "homoclinic_state", "splitting_report"):
+            monkeypatch.setattr(cli, name, never)
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        for out in (tmp_path / "missing", tmp_path / "missing" / "deeper",
+                    a_file):
+            for args in (["oscillate", "--seed-r", 1.3, "--seed-y", 0.68],
+                         ["tangency", "--g0-min", 2.9, "--g0-max", 2.9,
+                          "--steps", 1],
+                         ["homoclinic", "--n", 11], ["splitting"]):
+                assert run([*args, "--out", out]) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert "validation error: output directory" in err
+                assert repr(str(out)) in err
+        assert list(tmp_path.iterdir()) == [a_file]
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])

@@ -37,6 +37,7 @@ from rpc3bp.integrate import (
     make_rhs,
     section_event,
 )
+from rpc3bp.manifolds import lift_to_shell
 from rpc3bp.separatrix import homoclinic_state
 
 RNG = np.random.default_rng(20240817)
@@ -331,6 +332,14 @@ apocentre.terminal = False
 apocentre.direction = -1.0
 
 
+def pericentre(s, z):
+    return z[2]
+
+
+pericentre.terminal = False
+pericentre.direction = 1.0
+
+
 @pytest.mark.filterwarnings("error")
 class TestFlow:
     # flow repeats solve_ivp's DOP853 bit for bit: steps, states, event
@@ -352,6 +361,30 @@ class TestFlow:
             assert got.status == 1 and got.t[-1] == got.t_events[1][-1] < 8.0
         else:
             assert got.status == 0 and len(got.t_events[2]) >= 1
+
+    def test_long_orbit_to_r_out(self, solve_ivp_flow):
+        # an oscillate-like orbit at (0.3, 2.2) from inside the separatrix:
+        # about 1400 steps near the primaries, rejected ones among them, with
+        # crossings of every direction until a terminal outward pass of r = 5
+        p = Params(0.3, 2.2)
+        z0 = lift_to_shell(1.3, 0.758, 0.0, p).to_array()
+
+        def r_out(s, z):
+            return z[0] - 5.0
+        r_out.terminal = True
+        r_out.direction = 1.0
+
+        evs = [section_event(0.0), apocentre, pericentre, r_out]
+        got = flow(z0, (0.0, 200.0), 1e-12, p, events=evs)
+        ref = solve_ivp_flow(z0, (0.0, 200.0), 1e-12, p, events=evs)
+        assert_same_trajectory(got, ref)
+        steps = len(got.t) - 1
+        crossings = sum(len(t) for t in got.t_events)
+        assert steps >= 1000 and all(len(t) > 0 for t in got.t_events[1:])
+        assert got.status == 1 and got.t[-1] == got.t_events[4][0]
+        # beyond 12 per accepted step and 3 per step with a crossing, the
+        # evaluations are 12 per rejected step attempt
+        assert got.nfev - 2 - 12 * steps > 3 * crossings
 
     def test_negative_span(self, solve_ivp_flow):
         # from this start the initial-step rule's backward probe picks

@@ -8,6 +8,7 @@ from scipy.special import binom as scipy_binom
 from rpc3bp import melnikov
 from rpc3bp.core import Params, PrecisionError
 from rpc3bp.melnikov import (
+    MP_DPS_MIN,
     MelnikovSeries,
     binom_half,
     contour_integral_I,
@@ -451,6 +452,24 @@ def test_extended_route_pinned_bit_for_bit(case):
     assert [f.hex() for f in got_floors.tolist()] == floors
 
 
+def test_extended_route_refuses_too_few_digits():
+    # at mp_dps = 0 the route returned L1 = -9.42e-7 with error estimate
+    # 4.7e-9 at (0.3, 2.8), where binary64 gives -5.31e-6; at mu = 0 no term
+    # is summed, and the digit count is refused all the same
+    p = Params(0.3, 2.8)
+    for dps in (0, MP_DPS_MIN - 1):
+        with pytest.raises(ValueError, match="mp_dps"):
+            contour_integral_I(1, 2, 1, p, mp_dps=dps)
+        with pytest.raises(ValueError, match="mp_dps"):
+            melnikov_coeff_contour(1, p, jmax=2, mp_dps=dps, with_error=True)
+        with pytest.raises(ValueError, match="mp_dps"):
+            melnikov_coeff_contour(1, Params(0.0, 2.8), mp_dps=dps)
+        with pytest.raises(ValueError, match="mp_dps"):
+            MelnikovSeries.compute(p, "contour", lmax=1, jmax=2, mp_dps=dps)
+    assert contour_integral_I(1, 2, 1, p, mp_dps=MP_DPS_MIN) == pytest.approx(
+        contour_integral_I(1, 2, 1, p), rel=1e-12)
+
+
 class TestCrossMethod:
     def test_quadrature_vs_contour(self):
         p = Params(0.3, 1.5)
@@ -517,6 +536,13 @@ class TestPotentialSeries:
     def test_zero_at_mu0(self):
         s = MelnikovSeries.compute(Params(0.0, 2.0), "quadrature", lmax=2)
         assert melnikov_potential(0.3, 0.7, s) == 0.0
+
+    def test_no_harmonic_is_refused(self):
+        # lmax < 1 returned an empty series
+        for method in ("contour", "quadrature", "asymptotic"):
+            for lmax in (0, -2):
+                with pytest.raises(ValueError, match="lmax"):
+                    MelnikovSeries.compute(Params(0.3, 2.8), method, lmax=lmax)
 
     def test_json_schema(self):
         s = MelnikovSeries.compute(Params(0.3, 2.0), "contour", lmax=2)

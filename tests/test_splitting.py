@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from rpc3bp import cli, splitting
 from rpc3bp.core import Params
-from rpc3bp.melnikov import predicted_distance
+from rpc3bp.melnikov import predicted_distance, predicted_tangency_mu
 from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y
 from rpc3bp.splitting import (
     HomoclinicRoot,
@@ -14,6 +15,7 @@ from rpc3bp.splitting import (
     count_roots_in_period,
     distance_profile,
     find_homoclinic_points,
+    find_tangency,
     lobe_area,
     phase_of_v,
     splitting_report,
@@ -186,6 +188,29 @@ class TestCenterRoot:
         far = self.profile((1.0, 5 * math.pi, 1.0))
         assert _center_root(far, "0") is None
         assert _center_root(self.profile(), "pi") is None
+
+
+def test_tangency_without_opposite_partner_is_a_runtime_error(
+        monkeypatch, tmp_path, capsys):
+    # min() of the empty partner list used to escape as a ValueError, which
+    # the CLI reports as invalid input (exit 2) instead of a numerical failure.
+    # The stubbed profile has a family-0 root whose D' changes sign at the
+    # predicted mu*, and its only opposite-family root is near-tangent.
+    def profile(p, phi0, cfg):
+        roots = (HomoclinicRoot(v=1.0, phase=0.0,
+                                D_prime=p.mu - predicted_tangency_mu(p.g0),
+                                kind="transversal"),
+                 HomoclinicRoot(v=1.3, phase=math.pi, D_prime=1e-9,
+                                kind="near_tangent"))
+        return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
+
+    monkeypatch.setattr(splitting, "_manifold_profile", profile)
+    with pytest.raises(RuntimeError, match="opposite family"):
+        find_tangency(2.9, (0.38, 0.49))
+    assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
+                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    assert "numerical error: no transversal root" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPhase:
