@@ -103,11 +103,16 @@ def _load_config(args) -> dict:
     if not abs(cfg["phi0"]) <= 2.0 * math.pi:
         raise ValueError(f"config key 'phi0' must be finite with "
                          f"|phi0| <= 2pi, got {cfg['phi0']!r}")
-    # the library refuses these too, but only once the work reaches them
-    for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1)):
+    # the library refuses the first two too, but only once the work reaches
+    # them, and it runs a 16-phase fan for any n_samples
+    for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1), ("n_samples", 1)):
         if cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
+    # the quadrature meets a tolerance <= 0 only after its panels run
+    if not cfg["quad_tol"] > 0.0:
+        raise ValueError(f"config key 'quad_tol' must be positive, "
+                         f"got {cfg['quad_tol']!r}")
     if not Path(cfg["out"]).is_dir():
         raise ValueError(f"output directory {cfg['out']!r} does not exist "
                          f"or is not a directory")
@@ -314,6 +319,8 @@ def cmd_splitting(args) -> int:
 def cmd_tangency(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg["out"])
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
                                       _split_cfg(cfg), float(cfg["phi0"]))
     rows = []

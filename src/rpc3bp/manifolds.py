@@ -30,7 +30,9 @@ needed, and that seed's error of O(mu/(g0^4 r^3)) with it.
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
 requested window contributes a sample (v, Y) with v recovered exactly from
-the crossing radius.
+the crossing radius.  The phase each orbit turned before a crossing, an exact
+multiple of 2pi/n_phases, orders the samples along the curve; where v stops
+increasing in that order the curve folds back and is no graph over v.
 
 The fan's orbits are stepped together by integrate.lockstep_flow, a numpy
 DOP853 that evaluates the vector field of all orbits in one call per stage.
@@ -96,8 +98,9 @@ class ManifoldCurve:
     v is strictly increasing; Y > 0 on the outgoing branch.  At mu = 0 the
     curve coincides with the separatrix momentum y_h(v) to integrator
     accuracy.  v_window is the requested window (samples extend into a
-    buffer around it) and fold_intervals the v-intervals whose samples were
-    masked as fold-overs.
+    buffer around it).  Where the curve folds back over v it is no graph;
+    fold_intervals holds one (min v, max v) per run of samples dropped
+    there, in the fan's phase order (see _mask_folds).
     """
 
     branch: str                # "unstable" | "stable"
@@ -336,6 +339,11 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     samples.  Only crossings inside the buffered window are kept; v is
     recovered from the crossing radius through the separatrix closed form.
     The orbits are integrated together by lockstep_flow.
+
+    Samples come in their order along the curve, by the phase the flow
+    turned before the crossing: ascending for the unstable samples and
+    descending for the stable ones, whose time R reverses.  v increases in
+    this order wherever the curve is a graph over v.
     """
     v_lo, v_hi = v_window
     buf = 0.12 * (v_hi - v_lo)
@@ -379,17 +387,20 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
                    for k in range(n_phases)]).T
     fan = lockstep_flow(z0, s_span, tol, p,
                         events=[outgoing, inbound, exit_event, turn_event])
-    unstable, stable = [], []
+    # Lane k starts at phi0 + 2pi k/n_phases and phi falls, so it crosses
+    # level - 2pi m after turning by phi0 - level + 2pi j/n_phases: the exact
+    # integer j = k + n_phases m orders the crossings of the whole fan.
+    samples = ([], [])
     for k in range(n_phases):
-        for z in fan.z_events[k][0]:
-            if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
-                zr = refine_to_section(z, phi0, p)
-                unstable.append((float(v_of_r(zr[0])), float(zr[2])))
-        for z in fan.z_events[k][1]:
-            if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
-                zr = refine_to_section(z, -phi0, p)
-                stable.append((float(v_of_r(zr[0])), -float(zr[2])))
-    return tuple(unstable), tuple(stable), fan.work
+        for e, (level, sign) in enumerate(((phi0, 1.0), (-phi0, -1.0))):
+            for z in fan.z_events[k][e]:
+                if sign * z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
+                    zr = refine_to_section(z, level, p)
+                    j = k - n_phases * round((float(zr[1]) - level) / (2.0 * pi))
+                    samples[e].append((sign * j, float(v_of_r(zr[0])),
+                                       sign * float(zr[2])))
+    unstable, stable = (tuple(s[1:] for s in sorted(b)) for b in samples)
+    return unstable, stable, fan.work
 
 
 def compute_invariant_curve(branch: str, phi0: float,
@@ -424,14 +435,13 @@ def compute_invariant_curve(branch: str, phi0: float,
     unstable, stable, work = _fan_samples(phi0, (v_lo, v_hi), p, tol,
                                           n_phases)
     graph = _manifold_graph(p)
-    samples = sorted(unstable if branch == "unstable" else stable)
-    if len(samples) < 8:
+    samples = unstable if branch == "unstable" else stable
+    v, Y, fold_intervals = _mask_folds(np.array([s[0] for s in samples]),
+                                       np.array([s[1] for s in samples]))
+    if len(v) < 8:
         raise RuntimeError(
-            f"only {len(samples)} window crossings collected; widen the "
+            f"only {len(v)} window crossings collected; widen the "
             "window or increase n_samples")
-    v = np.array([s[0] for s in samples])
-    Y = np.array([s[1] for s in samples])
-    v, Y, fold_intervals = _mask_folds(v, Y, p)
     return ManifoldCurve(branch=branch, phi0=phi0, params=p, v=v, Y=Y,
                          tol=tol, v_window=(float(v_lo), float(v_hi)),
                          fold_intervals=fold_intervals,
@@ -441,44 +451,20 @@ def compute_invariant_curve(branch: str, phi0: float,
                                **work})
 
 
-def _mask_folds(v: np.ndarray, Y: np.ndarray, p: Params):
-    """Drop samples inside fold-over regions of the invariant curve.
+def _mask_folds(v: np.ndarray, Y: np.ndarray):
+    """Keep the samples, given in their order along the curve, where the
+    curve is a graph over v.
 
-    At very strong splitting (small g0) the curve develops narrow bands where
-    it is not a graph over r: sorted-by-v samples there interleave several
-    sheets and the consecutive slope |dY/dv| explodes past any value the
-    graph can attain (smooth slope plus oscillation amplitude times the
-    synodic phase rate).  Offending samples are removed and the affected
-    v-intervals reported, so interpolation bridges each fold with a smooth
-    arc; fold widths are a small fraction of the oscillation period.
+    Sample i is kept when v_i is above every earlier v and below every later
+    one, so the kept v is strictly increasing.  Where the curve folds back,
+    the samples of its sheets fail this test; each run of dropped samples is
+    reported as one fold interval (min v, max v), so interpolation bridges
+    the fold with a smooth arc.
     """
-    from .separatrix import homoclinic_y as yh
-
-    dev = Y - np.asarray(yh(v))
-    amp = float(np.median(np.abs(dev - np.median(dev)))) * 4.0
-    r = np.asarray(homoclinic_r(v))
-    smooth_slope = float(np.max(np.abs(1.0 / r**3 - 1.0 / r**2)))
-    cap = 8.0 * (smooth_slope + max(amp, 1e-9) * p.g0**3 + 0.1)
-
-    intervals: list[tuple[float, float]] = []
-    keep = np.ones(len(v), dtype=bool)
-    for _ in range(3):
-        vv, yy = v[keep], Y[keep]
-        if len(vv) < 4:
-            break
-        slopes = np.abs(np.diff(yy) / np.maximum(np.diff(vv), 1e-12))
-        bad = slopes > cap
-        if not np.any(bad):
-            break
-        bad_idx = np.flatnonzero(keep)
-        for k in np.flatnonzero(bad):
-            keep[bad_idx[k]] = keep[bad_idx[k + 1]] = False
-            intervals.append((float(vv[k]), float(vv[k + 1])))
-    merged: list[tuple[float, float]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1] + 1e-3:
-            merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
-        else:
-            merged.append((a, b))
-    return v[keep], Y[keep], merged
-
+    before = np.concatenate(([-np.inf], np.maximum.accumulate(v)[:-1]))
+    after = np.concatenate((np.minimum.accumulate(v[::-1])[::-1][1:], [np.inf]))
+    keep = (before < v) & (v < after)
+    dropped = np.flatnonzero(~keep)
+    runs = np.split(dropped, np.flatnonzero(np.diff(dropped) > 1) + 1)
+    intervals = [(float(v[i].min()), float(v[i].max())) for i in runs if len(i)]
+    return v[keep], Y[keep], intervals

@@ -13,8 +13,9 @@ the ladder: the contour L1 over the closed-form L1 is 1.934, 1.596 and 1.426
 at g0 = 2.0, 2.4 and 2.8, while the same ratio for L2 is 0.886, 0.913 and
 0.931.  Against a prediction from the computed series the distance ratios
 read 1.340, 1.034 and 1.015, a monotone sequence (measured with the earlier
-r0 = 50 seed; at g0 = 2.0 the measured distance is not converged in
-n_samples, since the folds there mask samples that move with the fan).
+r0 = 50 seed and slope-cap fold mask).  Against the closed form, with the
+folds at g0 = 2.0 read from the fan's phase order, the distance ratios read
+1.107, 1.088 and 1.361 and the lobe ratios 1.006, 0.961 and 1.278.
 
 Criterion 10's signature asks for |D''| above 100 times its noise at the
 tangency root, but the tangency is cubic and D'' vanishes there at leading

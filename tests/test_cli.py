@@ -261,6 +261,32 @@ class TestValidation:
                 assert repr(str(out)) in err
         assert list(tmp_path.iterdir()) == [a_file]
 
+    def test_sample_count_quadrature_tolerance_and_steps(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # n_samples below 1 ran a 16-phase fan and exited 0, quad_tol <= 0
+        # exited 3 after the quadrature ran, and --steps 0 wrote a CSV with
+        # a header only
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the value was checked")
+
+        for name in ("splitting_report", "compute_invariant_curve",
+                     "continuation_tangency_curve"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
+        cfg = tmp_path / "cfg.json"
+        for args, bad, key in ((["splitting"], {"n_samples": 0}, "'n_samples'"),
+                               (["manifolds"], {"n_samples": -1}, "'n_samples'"),
+                               (["melnikov", "--methods", "quadrature"],
+                                {"quad_tol": 0.0}, "'quad_tol'"),
+                               (["melnikov"], {"quad_tol": -1e-9}, "'quad_tol'"),
+                               (["tangency", "--steps", 0], {}, "--steps")):
+            cfg.write_text(json.dumps(bad))
+            assert run([*args, "--config", cfg, "--out", tmp_path]) \
+                == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.count("validation error") == 1 and key in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])

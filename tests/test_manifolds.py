@@ -19,6 +19,7 @@ from rpc3bp.manifolds import (
     R_MIN,
     _fan_samples,
     _manifold_graph,
+    _mask_folds,
     compute_invariant_curve,
     initial_manifold_state,
     lift_to_shell,
@@ -26,6 +27,7 @@ from rpc3bp.manifolds import (
     poincare_map,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
+from rpc3bp.splitting import SplittingConfig, splitting_report
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +313,19 @@ class TestInvariantCurves:
         with pytest.raises(ValueError):
             compute_invariant_curve("unstable", 0.0, (0.4, 12.0), Params(0.3, 2.4))
 
+    def test_fan_is_phase_ordered_without_folds(self):
+        # at (0.3, 2.4) the curves are graphs over v: in the fan's phase order
+        # v already increases, so no sample is dropped
+        p = Params(0.3, 2.4)
+        for branch in ("unstable", "stable"):
+            c = compute_invariant_curve(branch, 0.0, (0.4, 1.6), p)
+            unstable, stable, _ = _fan_samples(0.0, (0.4, 1.6), p, 1e-12,
+                                               c.meta["n_phases"])
+            v = [s[0] for s in (unstable if branch == "unstable" else stable)]
+            assert np.all(np.diff(v) > 0)
+            assert c.fold_intervals == []
+            assert len(c.v) == len(v)
+
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
@@ -370,3 +385,52 @@ class TestSeedingRobustness:
         p = Params(0.3, 2.4)
         dy = abs(_matched_Y(p, 50.0) - _matched_Y(p, 100.0))
         assert dy < 5e-8
+
+
+class TestFolds:
+    def test_mask_s_shaped_sequence(self):
+        # the curve runs up to 3, folds back to 1.5 and goes on from 2.2
+        v = np.array([1.0, 2.0, 3.0, 2.5, 1.5, 2.2, 4.0, 5.0])
+        Y = np.arange(8.0)
+        kept_v, kept_Y, intervals = _mask_folds(v, Y)
+        assert kept_v.tolist() == [1.0, 4.0, 5.0]
+        assert kept_Y.tolist() == [0.0, 6.0, 7.0]
+        assert intervals == [(1.5, 3.0)]
+
+    def test_mask_keeps_monotone_sequence(self):
+        v = np.linspace(0.4, 1.6, 9)
+        Y = np.sin(v)
+        kept_v, kept_Y, intervals = _mask_folds(v, Y)
+        assert np.array_equal(kept_v, v) and np.array_equal(kept_Y, Y)
+        assert intervals == []
+
+    def test_mask_drops_duplicated_v(self):
+        # two samples at one v are no graph: both go, as a fold of width 0
+        kept_v, kept_Y, intervals = _mask_folds(np.array([1.0, 2.0, 2.0, 3.0]),
+                                                np.arange(4.0))
+        assert kept_v.tolist() == [1.0, 3.0]
+        assert kept_Y.tolist() == [0.0, 3.0]
+        assert intervals == [(2.0, 2.0)]
+
+    def test_kept_samples_increase_through_folds(self):
+        # at (0.3, 2.0) the unstable curve folds back over v
+        p = Params(0.3, 2.0)
+        c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), p)
+        assert c.fold_intervals
+        assert np.all(np.diff(c.v) > 0)
+        # the kept samples are a subsequence of the fan's phase order
+        unstable, _, _ = _fan_samples(0.0, (0.4, 1.6), p, 1e-12,
+                                      c.meta["n_phases"])
+        kept = list(zip(c.v.tolist(), c.Y.tolist()))
+        assert [s for s in unstable if s in set(kept)] == kept
+        for a, b in c.fold_intervals:
+            assert a <= b
+            assert not np.any((c.v >= a) & (c.v <= b))
+
+    def test_max_distance_converges_in_n_samples(self):
+        # sheets of a fold left interleaved give a max|D| that moves with the
+        # fan's sample positions (0.3081 at 60 samples, 0.2457 at 200)
+        p = Params(0.3, 2.0)
+        d60, d200 = (splitting_report(p, 0.0, SplittingConfig(n_samples=n))
+                     .max_distance for n in (60, 200))
+        assert abs(d60 - d200) <= 0.1 * d200
