@@ -224,11 +224,9 @@ def cmd_melnikov(args) -> int:
         if m == "asymptotic" and lmax > 2:
             print("note: closed asymptotic forms exist only for l in {1, 2}; "
                   f"harmonics above 2 of the requested lmax={lmax} are omitted")
-            series[m] = MelnikovSeries.compute(p, m, lmax=2, jmax=int(cfg["jmax"]))
-        else:
-            series[m] = MelnikovSeries.compute(
-                p, m, lmax=lmax, jmax=int(cfg["jmax"]),
-                tol=float(cfg["quad_tol"]), mp_dps=_mp_dps(cfg))
+        series[m] = MelnikovSeries.compute(
+            p, m, lmax=lmax, jmax=int(cfg["jmax"]),
+            tol=float(cfg["quad_tol"]), mp_dps=_mp_dps(cfg))
     untrusted = False
     for m, s in series.items():
         _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg)

@@ -428,6 +428,8 @@ def compute_invariant_curve(branch: str, phi0: float,
         raise ValueError("window must satisfy 0 < v_lo < v_hi (outgoing leg)")
     if branch not in ("unstable", "stable"):
         raise ValueError("branch must be 'unstable' or 'stable'")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     window = v_hi - v_lo
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))

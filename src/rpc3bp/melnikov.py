@@ -315,7 +315,7 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
         if 4.0 * amp / omega <= 0.1 * tol or T > 2e4:
             break
         T *= 1.4
-    tail_bound = 4.0 * abs(uhat_fourier_coeff_quadrature(l, T, p)) / omega
+    tail_bound = 4.0 * amp / omega
 
     width = 0.25 * 2.0 * pi / omega
     n_panels = int(np.ceil(2.0 * T / width))

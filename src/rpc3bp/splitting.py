@@ -12,10 +12,12 @@ or near-tangent by comparing |D'| against the finite-difference noise
 amplification of the profile's noise floor.  Lobe areas, in the report and
 through lobe_area, integrate the same interpolants between adjacent roots.
 
-The tangency solve tracks the root family whose transversality degenerates:
-its D' at the persistent center root (_center_root) flips sign across
-mu*(g0), so the tangency is a 1-D Brent solve in mu at fixed g0, and the
-root reported at mu* is the one the solve drove to D' = 0.
+The tangency solve follows the one root family that can degenerate, the
+symmetric roots at phase 0 mod 2pi: with the first-order shape
+(1 - 2 mu) sin x - b sin 2x, D' vanishes at x = 0 when mu = 1/2 - b but
+never at x = pi.  D' at the persistent center root (_center_root) flips
+sign across mu*(g0), so the tangency is a 1-D Brent solve in mu at fixed
+g0, and the root reported at mu* is the one the solve drove to D' = 0.
 """
 
 from __future__ import annotations
@@ -160,7 +162,6 @@ class TangencyPoint:
     residual_D_second: float
     lobe_area_at_tangency: float
     mu_predicted: float
-    family: str              # phase family of the degenerate roots: "0" | "pi"
 
 
 def phase_of_v(v, phi0: float, p: Params):
@@ -321,13 +322,12 @@ def _wrap_dist(phase: float, target: float) -> float:
     return abs((phase - target + pi) % (2.0 * pi) - pi)
 
 
-def _center_root(profile: DistanceProfile, family: str) -> HomoclinicRoot | None:
-    """The family's persistent center root: phase nearest an exact multiple
-    of 2pi for family "0", an odd multiple of pi for "pi".
+def _center_root(profile: DistanceProfile) -> HomoclinicRoot | None:
+    """The persistent center root: phase nearest an exact multiple of 2pi.
 
     Among the roots within 1e-6 of the best phase distance, the one nearest
-    mid-window; None when no root lies within pi/2 of the family's phase.
-    Selecting by phase rather than mere family membership keeps the tangency
+    mid-window; None when no root lies within pi/2 of 0 mod 2pi.  Selecting
+    by phase rather than mere family membership keeps the tangency
     indicator, this root's D', on the root that survives the tangency; the
     newborn flanking pair sits a finite phase away except in the merging
     limit, where all candidates' D' vanish together.
@@ -335,12 +335,11 @@ def _center_root(profile: DistanceProfile, family: str) -> HomoclinicRoot | None
     roots = profile.roots
     if not roots:
         return None
-    target = 0.0 if family == "0" else pi
-    best = min(_wrap_dist(r.phase, target) for r in roots)
+    best = min(_wrap_dist(r.phase, 0.0) for r in roots)
     if best > pi / 2.0:
         return None
     mid = 0.5 * (profile.v[0] + profile.v[-1])
-    candidates = [r for r in roots if _wrap_dist(r.phase, target) < best + 1e-6]
+    candidates = [r for r in roots if _wrap_dist(r.phase, 0.0) < best + 1e-6]
     return min(candidates, key=lambda r: abs(r.v - mid))
 
 
@@ -361,41 +360,31 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
                   phi0: float = 0.0) -> TangencyPoint:
     """Locate the cubic homoclinic tangency mu*(g0) inside mu_bracket.
 
-    The degenerating root family (phase near 0 or pi mod 2pi) is detected
-    from the sign flip of its transversality D' across the bracket; mu* is
-    the Brent zero of that indicator.  Reports the (D, D', D'') residuals at
-    the tangency root and the lobe area between it and the adjacent
-    transversal root.  RuntimeError when no family degenerates, the family's
-    root is lost, or no transversal root of the opposite family bounds the
-    lobe.
+    The tangency is the Brent zero in mu of D' at the phase-0 center root,
+    which must flip sign across the bracket.  Reports the (D, D', D'')
+    residuals at the tangency root and the lobe area between it and the
+    adjacent transversal root.  RuntimeError when D' keeps its sign, the
+    center root is lost, or no transversal root of the opposite family
+    bounds the lobe.
     """
     if g0 < 2.6:
         raise ValueError("tangency solve documented for g0 >= 2.6")
     cfg = config or SplittingConfig(tol=1e-13)
     mu_lo, mu_hi = mu_bracket
-    prof_lo = _manifold_profile(Params(mu_lo, g0), phi0, cfg)
-    prof_hi = _manifold_profile(Params(mu_hi, g0), phi0, cfg)
-
-    family = None
-    for fam in ("0", "pi"):
-        a = _center_root(prof_lo, fam)
-        b = _center_root(prof_hi, fam)
-        if a is not None and b is not None and a.D_prime * b.D_prime < 0.0:
-            family = fam
-            break
-    if family is None:
-        raise RuntimeError(
-            f"no root family degenerates across mu in {mu_bracket} at g0={g0}")
-
-    cache: dict[float, DistanceProfile] = {mu_lo: prof_lo, mu_hi: prof_hi}
+    cache: dict[float, DistanceProfile] = {}
 
     def center(mu: float) -> HomoclinicRoot:
         if mu not in cache:
             cache[mu] = _manifold_profile(Params(mu, g0), phi0, cfg)
-        root = _center_root(cache[mu], family)
+        root = _center_root(cache[mu])
         if root is None:
-            raise RuntimeError(f"family-{family} root lost at mu={mu}")
+            raise RuntimeError(f"phase-0 root lost at mu={mu}")
         return root
+
+    if not center(mu_lo).D_prime * center(mu_hi).D_prime < 0.0:
+        raise RuntimeError(
+            f"D' of the phase-0 root keeps its sign across mu in {mu_bracket} "
+            f"at g0={g0}")
 
     mu_pred = predicted_tangency_mu(g0)
     mu_star = brentq(lambda mu: center(mu).D_prime, mu_lo, mu_hi,
@@ -424,7 +413,7 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
                          residual_D_prime=r_t.D_prime,
                          residual_D_second=dpp,
                          lobe_area_at_tangency=area,
-                         mu_predicted=mu_pred, family=family)
+                         mu_predicted=mu_pred)
 
 
 def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
@@ -432,9 +421,9 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
                                 phi0: float = 0.0) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
     mu_star (the leading-order prediction for the first point)."""
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     g0_lo, g0_hi = g0_range
-    if g0_lo < 2.6:
-        raise ValueError("continuation range must start at g0 >= 2.6")
     points: list[TangencyPoint] = []
     g0s = np.linspace(g0_lo, g0_hi, steps)
     ratio = 1.0   # measured/predicted deviation of the previous solve

@@ -7,11 +7,12 @@ continuation) are shared across criteria.
 Two trend sub-clauses (criteria 7 and 8) compare measured/predicted ratios
 across the g0 ladder {2.0, 2.4, 2.8} at mu = 0.3.  The factor-2 clauses hold
 at every rung; the monotonicity sub-clauses are asserted as specified and
-fail.  The evidence points to the truncation of the closed-form first
-harmonic in the prediction, not to the harmonic-dominance crossover inside
-the ladder: the contour L1 over the closed-form L1 is 1.934, 1.596 and 1.426
-at g0 = 2.0, 2.4 and 2.8, while the same ratio for L2 is 0.886, 0.913 and
-0.931.  Against a prediction from the computed series the distance ratios
+fail.  Their cause is open.  The truncation of the closed-form first
+harmonic in the prediction no longer explains them: at g0 = 2.0 the
+distance ratio is 1.107 while the contour L1 over the closed-form L1 is
+1.934, and the 2.8 rung (1.361) is now the outlier.  The contour L1 over the
+closed-form L1 is 1.934, 1.596 and 1.426 at g0 = 2.0, 2.4 and 2.8, while the
+same ratio for L2 is 0.886, 0.913 and 0.931.  Against a prediction from the computed series the distance ratios
 read 1.340, 1.034 and 1.015, a monotone sequence (measured with the earlier
 r0 = 50 seed and slope-cap fold mask).  Against the closed form, with the
 folds at g0 = 2.0 read from the fan's phase order, the distance ratios read

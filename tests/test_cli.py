@@ -329,7 +329,7 @@ class TestTangency:
         pts = [TangencyPoint(g0=g0, mu_star=mu, v_tangent=1.0, phase=0.0,
                              residual_D=0.0, residual_D_prime=0.0,
                              residual_D_second=0.0, lobe_area_at_tangency=1.0,
-                             mu_predicted=pred, family="0")
+                             mu_predicted=pred)
                for g0, mu, pred in ((2.7, 0.25, 0.1), (3.1, 0.4, 0.3))]
         seen = {}
 

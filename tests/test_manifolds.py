@@ -27,7 +27,11 @@ from rpc3bp.manifolds import (
     poincare_map,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
-from rpc3bp.splitting import SplittingConfig, splitting_report
+from rpc3bp.splitting import (
+    SplittingConfig,
+    continuation_tangency_curve,
+    splitting_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,12 +201,23 @@ class TestInvariantCurves:
             assert np.all(np.diff(c.v) > 0)
             assert np.all(c.Y > 0)
 
-    def test_window_validation(self):
+    def test_window_validation(self, monkeypatch):
+        # n_samples = -5 ran a 16-phase fan and returned 49 samples
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the arguments were checked")
+
+        monkeypatch.setattr(manifolds, "_fan_samples", never)
         p = Params(0.3, 2.4)
-        with pytest.raises(ValueError):
-            compute_invariant_curve("unstable", 0.0, (-0.5, 1.0), p)
-        with pytest.raises(ValueError):
-            compute_invariant_curve("middle", 0.0, (0.4, 1.6), p)
+        for branch, window, n_samples in (("unstable", (-0.5, 1.0), 60),
+                                          ("middle", (0.4, 1.6), 60),
+                                          ("unstable", (0.4, 1.6), 0),
+                                          ("stable", (0.4, 1.6), -5)):
+            with pytest.raises(ValueError):
+                compute_invariant_curve(branch, 0.0, window, p,
+                                        n_samples=n_samples)
+        # steps = 0 returned an empty tangency curve
+        with pytest.raises(ValueError, match="steps"):
+            continuation_tangency_curve((2.7, 3.0), 0)
 
     def test_interpolant_error_scale(self, mu0_curves):
         # residual-based interpolation keeps the baseline exact at mu = 0

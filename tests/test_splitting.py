@@ -174,20 +174,19 @@ class TestCenterRoot:
         # the one nearest mid-window wins, not the one nearest in phase
         prof = self.profile((0.2, 8 * math.pi + 3e-7, 1.0),
                             (0.9, 6 * math.pi - 5e-7, -2.0))
-        assert _center_root(prof, "0").v == 0.9
+        assert _center_root(prof).v == 0.9
         # a root 1e-3 nearer in phase is no tie
         prof = self.profile((0.2, 8 * math.pi, 1.0),
                             (0.9, 6 * math.pi - 1e-3, -2.0))
-        assert _center_root(prof, "0").v == 0.2
+        assert _center_root(prof).v == 0.2
 
     def test_families_and_missing_root(self):
         prof = self.profile((0.5, 4 * math.pi + 0.1, 1.0),
                             (1.5, 5 * math.pi - 0.2, -1.0))
-        assert _center_root(prof, "0").v == 0.5
-        assert _center_root(prof, "pi").v == 1.5
+        assert _center_root(prof).v == 0.5
         far = self.profile((1.0, 5 * math.pi, 1.0))
-        assert _center_root(far, "0") is None
-        assert _center_root(self.profile(), "pi") is None
+        assert _center_root(far) is None
+        assert _center_root(self.profile()) is None
 
 
 def test_tangency_without_opposite_partner_is_a_runtime_error(
@@ -210,6 +209,27 @@ def test_tangency_without_opposite_partner_is_a_runtime_error(
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
                      "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
     assert "numerical error: no transversal root" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
+    # Only the phase-0 root can degenerate: f'(pi) = -(1 - 2 mu) - 2b never
+    # vanishes.  A stubbed pi root whose D' flips at the predicted mu* once
+    # drove the solve, while the phase-0 root's D' keeps its sign.
+    def profile(p, phi0, cfg):
+        roots = (HomoclinicRoot(v=1.0, phase=0.0, D_prime=1e-3,
+                                kind="transversal"),
+                 HomoclinicRoot(v=1.3, phase=math.pi,
+                                D_prime=p.mu - predicted_tangency_mu(p.g0),
+                                kind="transversal"))
+        return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
+
+    monkeypatch.setattr(splitting, "_manifold_profile", profile)
+    with pytest.raises(RuntimeError, match="keeps its sign"):
+        find_tangency(2.9, (0.38, 0.49))
+    assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
+                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    assert "numerical error: D' of the phase-0 root" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
