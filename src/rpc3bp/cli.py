@@ -1,15 +1,17 @@
 """Command-line front end.
 
-    toolkit <homoclinic|melnikov|manifolds|splitting|tangency|oscillate|sweep>
-            [--config cfg.json] [--mu X --g0 Y --phi0 Z --tol T --out DIR
-             --precision {double,extended}] [subcommand options]
+    toolkit <command> [--config cfg.json] [--out DIR] [flags] [options]
 
-Configuration is a single JSON document overlaid onto defaults; command-line
-flags override file values.  Every output file carries a provenance header
-(config hash, tolerances, precision mode, toolkit version).  Outputs are
-deterministic: rerunning a command with the same configuration reproduces
-byte-identical files.  JSON files are strict RFC 8259: a non-finite number
-(no estimate, a divergent estimate, an undefined ratio) is written as null.
+A command takes the settings flags it reads: --mu --g0 --precision
+{double,extended} on melnikov; --mu --g0 --phi0 --tol on manifolds,
+splitting and oscillate; --phi0 --tol on tangency and sweep; none on
+homoclinic.  Configuration is a single JSON document, shared by all
+commands, overlaid onto defaults; flags override file values.  Every output
+file carries a provenance header (config hash, tolerances, precision mode,
+toolkit version).  Outputs are deterministic: rerunning a command with the
+same configuration reproduces byte-identical files.  JSON files are strict
+RFC 8259: a non-finite number (no estimate, a divergent estimate, an
+undefined ratio) is written as null.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 untrusted-results flag.
@@ -54,14 +56,18 @@ DEFAULTS = {
     "quad_tol": 1e-9,
     "jmax": 12,
     "lmax": 4,
-    "v_window": [0.4, 1.6],
-    "n_samples": 60,
+    "v_window": list(SplittingConfig.v_window),
+    "n_samples": SplittingConfig.n_samples,
     "precision": "double",
     "mp_dps": 40,
     "out": ".",
 }
 
 PRECISIONS = ("double", "extended")
+
+# the settings flags, by the config key each overrides
+_FLAGS = {"mu": {"type": float}, "g0": {"type": float}, "phi0": {"type": float},
+          "tol": {"type": float}, "precision": {"choices": PRECISIONS}}
 
 # what float() reads with a leading minus: argparse's own pattern misses the
 # exponent forms and infinities, and takes `--seed-y -1e-3` for two options
@@ -94,7 +100,7 @@ def _load_config(args) -> dict:
                 raise ValueError(f"config key {key!r} cannot be {val!r} "
                                  f"(default {DEFAULTS[key]!r})")
         cfg.update(file_cfg)
-    for key in ("mu", "g0", "phi0", "tol", "out", "precision"):
+    for key in (*_FLAGS, "out"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -192,9 +198,7 @@ def _mp_dps(cfg: dict) -> int | None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_homoclinic(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_homoclinic(args, cfg: dict, out: Path) -> int:
     n = args.n
     if n < 2 or n > MAX_GRID:
         raise ValueError(f"grid size must lie in [2, {MAX_GRID}]")
@@ -213,9 +217,7 @@ def cmd_homoclinic(args) -> int:
     return EXIT_OK
 
 
-def cmd_melnikov(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_melnikov(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     methods = args.methods.split(",")
     lmax = int(cfg["lmax"])
@@ -255,9 +257,7 @@ def cmd_melnikov(args) -> int:
     return EXIT_UNTRUSTED if untrusted else EXIT_OK
 
 
-def cmd_manifolds(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     branches = args.branch.split(",")
     for b in branches:
@@ -299,9 +299,7 @@ def _split_cfg(cfg: dict) -> SplittingConfig:
                            n_samples=int(cfg["n_samples"]))
 
 
-def cmd_splitting(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_splitting(args, cfg: dict, out: Path) -> int:
     rep = splitting_report(_params(cfg), float(cfg["phi0"]), _split_cfg(cfg))
     _write_json(out / "splitting.json", _report_payload(rep), cfg)
     rows = [(r.v, r.phase, r.D_prime, r.kind) for r in rep.roots]
@@ -314,9 +312,7 @@ def cmd_splitting(args) -> int:
     return EXIT_UNTRUSTED if rep.untrusted else EXIT_OK
 
 
-def cmd_tangency(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_tangency(args, cfg: dict, out: Path) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
@@ -330,9 +326,7 @@ def cmd_tangency(args) -> int:
     return EXIT_OK
 
 
-def cmd_oscillate(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_oscillate(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     log = oscillation_demo(p, (args.seed_r, args.seed_y), args.n_iter,
                            args.r_out, args.r_in, float(cfg["phi0"]),
@@ -352,9 +346,7 @@ def cmd_oscillate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = Path(cfg["out"])
+def cmd_sweep(args, cfg: dict, out: Path) -> int:
     mus = [float(x) for x in args.grid_mu.split(",")]
     g0s = [float(x) for x in args.grid_g0.split(",")]
     if len(mus) * len(g0s) > MAX_GRID:
@@ -405,14 +397,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "restricted planar circular three-body problem")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *keys):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--mu", type=float)
-        sp.add_argument("--g0", type=float)
-        sp.add_argument("--phi0", type=float)
-        sp.add_argument("--tol", type=float)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--precision", choices=PRECISIONS)
+        for key in keys:
+            sp.add_argument(f"--{key}", **_FLAGS[key])
 
     sp = sub.add_parser("homoclinic", help="tabulate the separatrix")
     common(sp)
@@ -423,29 +412,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("melnikov", help="Melnikov coefficients by one or "
                                          "more methods")
-    common(sp)
+    common(sp, "mu", "g0", "precision")
     sp.add_argument("--methods", default="contour",
                     help="comma list of quadrature,contour,asymptotic")
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("manifolds", help="invariant curves on the section")
-    common(sp)
+    common(sp, "mu", "g0", "phi0", "tol")
     sp.add_argument("--branch", default="unstable,stable")
     sp.set_defaults(func=cmd_manifolds)
 
     sp = sub.add_parser("splitting", help="distance profile, roots, lobes")
-    common(sp)
+    common(sp, "mu", "g0", "phi0", "tol")
     sp.set_defaults(func=cmd_splitting)
 
     sp = sub.add_parser("tangency", help="continuation of the tangency curve")
-    common(sp)
+    common(sp, "phi0", "tol")
     sp.add_argument("--g0-min", type=float, default=2.7)
     sp.add_argument("--g0-max", type=float, default=3.2)
     sp.add_argument("--steps", type=int, default=6)
     sp.set_defaults(func=cmd_tangency)
 
     sp = sub.add_parser("oscillate", help="finite-horizon oscillation demo")
-    common(sp)
+    common(sp, "mu", "g0", "phi0", "tol")
     sp.add_argument("--seed-r", type=float, required=True)
     sp.add_argument("--seed-y", type=float, required=True)
     sp.add_argument("--n-iter", type=int, default=200)
@@ -454,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oscillate)
 
     sp = sub.add_parser("sweep", help="splitting reports over a parameter grid")
-    common(sp)
+    common(sp, "phi0", "tol")
     sp.add_argument("--grid-mu", default="0.1,0.3,0.5")
     sp.add_argument("--grid-g0", default="2.0,2.4")
     sp.set_defaults(func=cmd_sweep)
@@ -465,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        return args.func(args, cfg, Path(cfg["out"]))
     except (ValueError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -298,6 +298,8 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if p.g0 > 2.0:
         raise PrecisionError(
             "real-line quadrature is specified for g0 <= 2 in binary64; "
@@ -823,6 +825,8 @@ class MelnikovSeries:
                 mp_dps: int | None = None) -> "MelnikovSeries":
         if lmax < 1:
             raise ValueError(f"lmax must be at least 1, got {lmax!r}")
+        if not tol > 0.0:
+            raise ValueError(f"tol must be positive, got {tol!r}")
         coeffs: dict[int, float] = {}
         errs: dict[int, float] = {}
         if method == "quadrature":

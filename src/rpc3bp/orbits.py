@@ -75,6 +75,8 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         raise ValueError("need r_out > r_in > 1")
     if seed[0] >= r_out:
         raise ValueError("seed must start inside r_out")
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
     z = lift_to_shell(seed[0], seed[1], phi0, p).to_array()
     h0 = hamiltonian_rotating(RotatingState.from_array(z), p)
     log = ExcursionLog(params=p, phi0=phi0, seed=(float(seed[0]), float(seed[1])),

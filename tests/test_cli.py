@@ -7,6 +7,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from rpc3bp import cli
 from rpc3bp.cli import (
     EXIT_OK,
@@ -153,7 +155,58 @@ class TestMelnikov:
         assert c1["value"] != 0.0
 
 
+# the settings flags each command takes, and the value each test passes
+KEPT_FLAGS = {
+    "homoclinic": (),
+    "melnikov": ("--mu", "--g0", "--precision"),
+    "manifolds": ("--mu", "--g0", "--phi0", "--tol"),
+    "splitting": ("--mu", "--g0", "--phi0", "--tol"),
+    "oscillate": ("--mu", "--g0", "--phi0", "--tol"),
+    "tangency": ("--phi0", "--tol"),
+    "sweep": ("--phi0", "--tol"),
+}
+FLAG_VALUES = {"--mu": "0.3", "--g0": "2.4", "--phi0": "0.5", "--tol": "1e-11",
+               "--precision": "extended"}
+REQUIRED = {"oscillate": ["--seed-r", "1.3", "--seed-y", "0.68"]}
+REMOVED_FLAGS = [(command, flag) for command, kept in KEPT_FLAGS.items()
+                 for flag in FLAG_VALUES if flag not in kept]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_flag_the_command_does_not_read(self, command, flag, tmp_path,
+                                            capsys):
+        # every command took every settings flag and wrote the ignored value
+        # into its provenance; tangency --g0 is ambiguous between --g0-min
+        # and --g0-max, the rest are unrecognized
+        with pytest.raises(SystemExit) as exc:
+            run([command, *REQUIRED.get(command, []), flag, FLAG_VALUES[flag],
+                 "--out", tmp_path])
+        assert exc.value.code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", KEPT_FLAGS)
+    def test_flags_the_command_reads(self, command):
+        argv = [command, *REQUIRED.get(command, [])]
+        for flag in KEPT_FLAGS[command]:
+            argv += [flag, FLAG_VALUES[flag]]
+        args = cli._build_parser().parse_args(argv)
+        for flag in KEPT_FLAGS[command]:
+            want = FLAG_VALUES[flag]
+            assert getattr(args, flag[2:]) == (want if flag == "--precision"
+                                               else float(want))
+
+    def test_iteration_count_below_one(self, tmp_path, capsys):
+        # --n-iter 0 or -3 wrote returns.csv and oscillation.json with no
+        # returns and exited 0
+        for n_iter in (0, -3):
+            assert run(["oscillate", "--seed-r", 1.3, "--seed-y", 0.68,
+                        "--n-iter", n_iter, "--out", tmp_path]) \
+                == EXIT_VALIDATION
+            assert "n_iter" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_mu_exit_code(self, tmp_path):
         assert run(["melnikov", "--out", tmp_path, "--mu", 0.7, "--g0", 2.0]) \
             == EXIT_VALIDATION

@@ -544,6 +544,17 @@ class TestPotentialSeries:
                 with pytest.raises(ValueError, match="lmax"):
                     MelnikovSeries.compute(Params(0.3, 2.8), method, lmax=lmax)
 
+    def test_nonpositive_tolerance_is_refused(self):
+        # the quadrature ran its panels for about 1 s before a PrecisionError
+        # at tol 0, and the contour series returned at any tol
+        p = Params(0.3, 1.5)
+        with pytest.raises(ValueError, match="tol"):
+            melnikov_coeff_quadrature(1, p, tol=0.0)
+        for method in ("contour", "quadrature", "asymptotic"):
+            for tol in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="tol"):
+                    MelnikovSeries.compute(p, method, lmax=1, tol=tol)
+
     def test_json_schema(self):
         s = MelnikovSeries.compute(Params(0.3, 2.0), "contour", lmax=2)
         d = s.to_json_dict()

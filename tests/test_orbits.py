@@ -91,6 +91,16 @@ class TestPerturbed:
         with pytest.raises(ValueError):
             oscillation_demo(p, (6.0, 0.5), 10, 5.0, 2.0)
 
+    def test_iteration_count_checked_before_the_lift(self, monkeypatch):
+        # n_iter below 1 returned a log with no returns
+        def never(*args, **kwargs):
+            raise AssertionError("seed lifted before n_iter was checked")
+
+        monkeypatch.setattr(orbits, "lift_to_shell", never)
+        for n_iter in (0, -3):
+            with pytest.raises(ValueError, match="n_iter"):
+                oscillation_demo(Params(0.3, 2.2), (1.3, 0.68), n_iter, 5.0, 2.0)
+
 
 def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
     # the demo reads flow's t, y, t_events and y_events, directly and through
