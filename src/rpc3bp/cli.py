@@ -109,13 +109,13 @@ def _load_config(args) -> dict:
     if not abs(cfg["phi0"]) <= 2.0 * math.pi:
         raise ValueError(f"config key 'phi0' must be finite with "
                          f"|phi0| <= 2pi, got {cfg['phi0']!r}")
-    # the library refuses the first two too, but only once the work reaches
-    # them, and it runs a 16-phase fan for any n_samples
+    # the library refuses these and quad_tol at entry too, but the config
+    # document is shared and checked for every command, and sweep would turn
+    # a library refusal into error:ValueError rows and exit 0
     for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1), ("n_samples", 1)):
         if cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
-    # the quadrature meets a tolerance <= 0 only after its panels run
     if not cfg["quad_tol"] > 0.0:
         raise ValueError(f"config key 'quad_tol' must be positive, "
                          f"got {cfg['quad_tol']!r}")
@@ -219,10 +219,9 @@ def cmd_homoclinic(args, cfg: dict, out: Path) -> int:
 
 def cmd_melnikov(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
-    methods = args.methods.split(",")
     lmax = int(cfg["lmax"])
     series = {}
-    for m in methods:
+    for m in args.methods:
         if m == "asymptotic" and lmax > 2:
             print("note: closed asymptotic forms exist only for l in {1, 2}; "
                   f"harmonics above 2 of the requested lmax={lmax} are omitted")
@@ -243,7 +242,7 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
     for l in ls:
         row = [l]
         vals = []
-        for m in methods:
+        for m in args.methods:
             val = series[m].coefficients.get(l)
             row.append(val if val is not None else "")
             if val is not None:
@@ -251,16 +250,15 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
         ratio = (vals[0] / vals[1] if len(vals) >= 2 and vals[1] != 0 else "")
         row.append(ratio)
         rows.append(tuple(row))
-    hdr = "l," + ",".join(methods) + ",ratio_first_two"
+    hdr = "l," + ",".join(args.methods) + ",ratio_first_two"
     _write_csv(out / "melnikov_compare.csv", hdr, rows, cfg)
-    print(f"wrote melnikov series for methods {methods}")
+    print(f"wrote melnikov series for methods {args.methods}")
     return EXIT_UNTRUSTED if untrusted else EXIT_OK
 
 
 def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
-    branches = args.branch.split(",")
-    for b in branches:
+    for b in args.branch:
         curve = compute_invariant_curve(
             b, float(cfg["phi0"]), tuple(cfg["v_window"]), p,
             tol=float(cfg["tol"]), n_samples=int(cfg["n_samples"]))
@@ -322,8 +320,10 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
         ratio = (0.5 - pt.mu_star) / (0.5 - pt.mu_predicted)
         rows.append((pt.g0, pt.mu_star, pt.mu_predicted, ratio))
     _write_csv(out / "tangency.csv", "g0,mu_star,mu_predicted,ratio", rows, cfg)
-    print(f"wrote {out / 'tangency.csv'} ({len(rows)} rows)")
-    return EXIT_OK
+    untrusted = [f"{pt.g0:.6g}" for pt in pts if pt.untrusted]
+    note = f", untrusted at g0 = {', '.join(untrusted)}" if untrusted else ""
+    print(f"wrote {out / 'tangency.csv'} ({len(rows)} rows){note}")
+    return EXIT_UNTRUSTED if untrusted else EXIT_OK
 
 
 def cmd_oscillate(args, cfg: dict, out: Path) -> int:
@@ -390,6 +390,18 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+def _name_list(*names: str):
+    """argparse type: a comma list of distinct names, so an unknown or
+    repeated name exits 2 before any work."""
+    def parse(text: str) -> list[str]:
+        items = text.split(",")
+        if not set(items) <= set(names) or len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a list of distinct names out of {names}")
+        return items
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="toolkit",
@@ -414,12 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "more methods")
     common(sp, "mu", "g0", "precision")
     sp.add_argument("--methods", default="contour",
+                    type=_name_list("quadrature", "contour", "asymptotic"),
                     help="comma list of quadrature,contour,asymptotic")
     sp.set_defaults(func=cmd_melnikov)
 
     sp = sub.add_parser("manifolds", help="invariant curves on the section")
     common(sp, "mu", "g0", "phi0", "tol")
-    sp.add_argument("--branch", default="unstable,stable")
+    sp.add_argument("--branch", default="unstable,stable",
+                    type=_name_list("unstable", "stable"))
     sp.set_defaults(func=cmd_manifolds)
 
     sp = sub.add_parser("splitting", help="distance profile, roots, lobes")

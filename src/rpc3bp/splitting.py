@@ -153,15 +153,16 @@ class SplittingReport:
 
 @dataclass
 class TangencyPoint:
+    """mu*(g0) with the (D, D', D'') residuals at the tangency root, the
+    closed-form mu*, and the untrusted flag of the mu* profile."""
+
     g0: float
     mu_star: float
-    v_tangent: float
-    phase: float
     residual_D: float
     residual_D_prime: float
     residual_D_second: float
-    lobe_area_at_tangency: float
     mu_predicted: float
+    untrusted: bool
 
 
 def phase_of_v(v, phi0: float, p: Params):
@@ -271,6 +272,16 @@ def _manifold_profile(p: Params, phi0: float,
     return distance_profile(cs, cu)
 
 
+def _trust(profile: DistanceProfile) -> tuple[float, bool]:
+    """(max|predicted D| over the profile's grid, untrusted): untrusted when
+    mu > 0 and that amplitude is below UNTRUSTED_MARGIN noise floors."""
+    p = profile.params
+    if p.mu == 0.0:
+        return 0.0, False
+    amp = float(np.max(np.abs(predicted_distance(profile.v, profile.phi0, p))))
+    return amp, amp < UNTRUSTED_MARGIN * profile.noise_floor
+
+
 def splitting_report(p: Params, phi0: float,
                      config: SplittingConfig | None = None) -> SplittingReport:
     """Full pipeline: curves -> profile -> roots -> lobes -> predictions."""
@@ -293,18 +304,11 @@ def splitting_report(p: Params, phi0: float,
 
     mask = profile.clean_mask()
     max_D = float(np.max(np.abs(profile.D[mask] if np.any(mask) else profile.D)))
-    if p.mu == 0.0:
-        pred_amp = 0.0
-        pred_area = 0.0
-        ratio = float("nan")
-        area_ratios = []
-    else:
-        pred_amp = float(np.max(np.abs(predicted_distance(profile.v, phi0, p))))
-        pred_area = predicted_lobe_area(p)
-        ratio = max_D / pred_amp if pred_amp > 0 else float("nan")
-        area_ratios = [a / pred_area for a in lobes] if pred_area > 0 else []
-    untrusted = (p.mu > 0.0
-                 and pred_amp < UNTRUSTED_MARGIN * profile.noise_floor)
+    # at mu = 0 both predictions are 0: the ratio is NaN, the area ratios []
+    pred_amp, untrusted = _trust(profile)
+    pred_area = predicted_lobe_area(p)
+    ratio = max_D / pred_amp if pred_amp > 0 else float("nan")
+    area_ratios = [a / pred_area for a in lobes] if pred_area > 0 else []
     return SplittingReport(params=p, phi0=phi0, profile=profile, roots=roots,
                            measured_distances=measured, max_distance=max_D,
                            lobe_areas=lobes, predicted_amplitude=pred_amp,
@@ -362,10 +366,9 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     The tangency is the Brent zero in mu of D' at the phase-0 center root,
     which must flip sign across the bracket.  Reports the (D, D', D'')
-    residuals at the tangency root and the lobe area between it and the
-    adjacent transversal root.  RuntimeError when D' keeps its sign, the
-    center root is lost, or no transversal root of the opposite family
-    bounds the lobe.
+    residuals at the tangency root, and flags the point untrusted by the
+    splitting report's rule (_trust) applied to the mu* profile.
+    RuntimeError when D' keeps its sign or the center root is lost.
     """
     if g0 < 2.6:
         raise ValueError("tangency solve documented for g0 >= 2.6")
@@ -390,30 +393,12 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     mu_star = brentq(lambda mu: center(mu).D_prime, mu_lo, mu_hi,
                      xtol=max(1e-6, 0.002 * (0.5 - mu_pred)))
 
-    r_t = center(mu_star)
-    prof = cache[mu_star]
-    # the bounding partner is the nearest root of the opposite phase family:
-    # at mu* the newborn pair has merged into r_t, so same-family neighbors
-    # would pinch a zero-area sliver
-    others = [r for r in prof.roots
-              if _wrap_dist(r.phase, r_t.phase) > pi / 2.0
-              and r.kind == "transversal"]
-    if not others:
-        raise RuntimeError(
-            f"no transversal root of the opposite family bounds the tangency "
-            f"lobe at mu*={mu_star:.6g}, g0={g0}; the splitting may be below "
-            f"its noise floor")
-    adjacent = min(others, key=lambda r: abs(r.v - r_t.v))
-    va, vb = sorted((r_t.v, adjacent.v))
-    area = abs(_lobe_integral(prof, va, vb))
-    dpp = prof.derivatives(r_t.v)[1]
-    return TangencyPoint(g0=g0, mu_star=float(mu_star), v_tangent=r_t.v,
-                         phase=r_t.phase,
+    r_t, prof = center(mu_star), cache[mu_star]
+    return TangencyPoint(g0=g0, mu_star=float(mu_star),
                          residual_D=float(prof.distance(r_t.v)),
                          residual_D_prime=r_t.D_prime,
-                         residual_D_second=dpp,
-                         lobe_area_at_tangency=area,
-                         mu_predicted=mu_pred)
+                         residual_D_second=prof.derivatives(r_t.v)[1],
+                         mu_predicted=mu_pred, untrusted=_trust(prof)[1])
 
 
 def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,

@@ -340,6 +340,30 @@ class TestValidation:
             assert err.count("validation error") == 1 and key in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("args", [
+        ["melnikov", "--g0", 1.5, "--methods", "quadrature,bogus"],
+        ["melnikov", "--methods", "contour,contour"],
+        ["melnikov", "--methods", ""],
+        ["manifolds", "--branch", "unstable,bogus"],
+        ["manifolds", "--branch", "stable,stable"]],
+        ids=["melnikov-unknown", "melnikov-repeated", "melnikov-empty",
+             "manifolds-unknown", "manifolds-repeated"])
+    def test_comma_list_checked_at_the_parser(self, args, tmp_path,
+                                              monkeypatch, capsys):
+        # an unknown name was met only after the earlier names' series or
+        # curve had been computed (and written, for manifolds); a repeated
+        # name was computed twice and written twice
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the names were checked")
+
+        monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
+        monkeypatch.setattr(cli, "compute_invariant_curve", never)
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--out", tmp_path])
+        assert exc.value.code == EXIT_VALIDATION
+        assert args[-2] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_quadrature_beyond_binary64_is_numerical_failure(self, tmp_path):
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
@@ -377,13 +401,14 @@ class TestSplitting:
 
 
 class TestTangency:
-    def test_table_and_ratio(self, tmp_path, monkeypatch):
-        # the continuation is stubbed: this checks the command's table only
-        pts = [TangencyPoint(g0=g0, mu_star=mu, v_tangent=1.0, phase=0.0,
-                             residual_D=0.0, residual_D_prime=0.0,
-                             residual_D_second=0.0, lobe_area_at_tangency=1.0,
-                             mu_predicted=pred)
-               for g0, mu, pred in ((2.7, 0.25, 0.1), (3.1, 0.4, 0.3))]
+    def test_table_and_ratio(self, tmp_path, monkeypatch, capsys):
+        # the continuation is stubbed: this checks the command's table and
+        # its exit code only; an untrusted rung is written and named
+        pts = [TangencyPoint(g0=g0, mu_star=mu, residual_D=0.0,
+                             residual_D_prime=0.0, residual_D_second=0.0,
+                             mu_predicted=pred, untrusted=untrusted)
+               for g0, mu, pred, untrusted in ((2.7, 0.25, 0.1, False),
+                                               (3.1, 0.4, 0.3, True))]
         seen = {}
 
         def stub(g0_range, steps, config, phi0):
@@ -393,7 +418,9 @@ class TestTangency:
         monkeypatch.setattr(cli, "continuation_tangency_curve", stub)
         code = run(["tangency", "--out", tmp_path, "--g0-min", 2.7,
                     "--g0-max", 3.1, "--steps", 2])
-        assert code == EXIT_OK
+        assert code == EXIT_UNTRUSTED
+        assert capsys.readouterr().out.endswith(
+            "(2 rows), untrusted at g0 = 3.1\n")
         assert seen == {"g0_range": (2.7, 3.1), "steps": 2}
         lines = (tmp_path / "tangency.csv").read_text().splitlines()
         prov = [l for l in lines if l.startswith("# ")]

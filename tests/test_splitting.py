@@ -189,27 +189,50 @@ class TestCenterRoot:
         assert _center_root(self.profile()) is None
 
 
-def test_tangency_without_opposite_partner_is_a_runtime_error(
-        monkeypatch, tmp_path, capsys):
-    # min() of the empty partner list used to escape as a ValueError, which
-    # the CLI reports as invalid input (exit 2) instead of a numerical failure.
-    # The stubbed profile has a family-0 root whose D' changes sign at the
-    # predicted mu*, and its only opposite-family root is near-tangent.
+def _tangency_profile_stub(margin_factor):
+    """A stand-in for _manifold_profile: its phase-0 root's D' changes sign
+    at the predicted mu*, and its noise floor is margin_factor times the
+    floor at which the predicted splitting meets UNTRUSTED_MARGIN."""
     def profile(p, phi0, cfg):
-        roots = (HomoclinicRoot(v=1.0, phase=0.0,
-                                D_prime=p.mu - predicted_tangency_mu(p.g0),
-                                kind="transversal"),
-                 HomoclinicRoot(v=1.3, phase=math.pi, D_prime=1e-9,
-                                kind="near_tangent"))
-        return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
+        v = np.linspace(0.4, 1.6, 801)
+        amp = np.max(np.abs(predicted_distance(v, phi0, p)))
+        d_prime = p.mu - predicted_tangency_mu(p.g0)
+        return SimpleNamespace(
+            params=p, phi0=phi0, v=v,
+            noise_floor=margin_factor * amp / splitting.UNTRUSTED_MARGIN,
+            roots=(HomoclinicRoot(v=1.0, phase=0.0, D_prime=d_prime,
+                                  kind="transversal"),),
+            distance=lambda v: 0.0, derivatives=lambda v: (d_prime, 0.0))
+    return profile
 
-    monkeypatch.setattr(splitting, "_manifold_profile", profile)
-    with pytest.raises(RuntimeError, match="opposite family"):
-        find_tangency(2.9, (0.38, 0.49))
+
+def test_tangency_below_the_trust_margin_is_untrusted(monkeypatch, tmp_path,
+                                                      capsys):
+    # the tangency rung is flagged by the splitting report's rule, read off
+    # the mu* profile: the CLI writes the row, names the rung and exits 4
+    monkeypatch.setattr(splitting, "_manifold_profile",
+                        _tangency_profile_stub(1.01))
+    pt = find_tangency(2.9, (0.38, 0.49))
+    assert pt.untrusted
+    assert pt.mu_star == pytest.approx(predicted_tangency_mu(2.9), abs=1e-5)
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
-                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
-    assert "numerical error: no transversal root" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+                     "--steps", "1", "--out", str(tmp_path)]) \
+        == cli.EXIT_UNTRUSTED
+    assert "untrusted at g0 = 2.9" in capsys.readouterr().out
+    lines = (tmp_path / "tangency.csv").read_text().splitlines()
+    rows = [l for l in lines if not l.startswith("#")]
+    assert rows[0] == "g0,mu_star,mu_predicted,ratio" and len(rows) == 2
+
+
+def test_tangency_above_the_trust_margin_is_trusted(monkeypatch, tmp_path,
+                                                    capsys):
+    monkeypatch.setattr(splitting, "_manifold_profile",
+                        _tangency_profile_stub(0.99))
+    assert not find_tangency(2.9, (0.38, 0.49)).untrusted
+    assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
+                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert "untrusted" not in capsys.readouterr().out
+    assert (tmp_path / "tangency.csv").exists()
 
 
 def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
