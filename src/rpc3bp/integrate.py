@@ -20,6 +20,17 @@ keeps its own step size and accept/reject state.  Both right-hand sides are
 core.potential_kernel's field, on Python floats for flow and on numpy
 arrays for the lanes, so they agree bit for bit.
 
+flow locates a step's event crossings as soon as the step is accepted.
+lockstep_flow only queues each accepted step with a sign change and locates
+the crossings of every queued step after its step loop, from one batched
+dense output.  At a fan's size numpy's per-call overhead dominates the lane
+field, so three calls on a few hundred queued steps cost far less than
+three on each of the iterations that have a sign change.  A crossing of the
+collision guard has the queue located at once, so CollisionError is raised
+in the iteration that reaches it.  Both locate crossings by brentq on
+scipy's Dop853DenseOutput Horner form, evaluated on Python floats with the
+same IEEE operations.
+
 In flow's step only the sums over stages stay in numpy: the 11 stage sums,
 the combinations with B, E5 and E3, and the two squared error norms.
 np.dot hands them to the BLAS kernel (dgemv, ddot), which adds with fused
@@ -327,8 +338,10 @@ class LockstepFlow:
     s[k], z[:, k]: final time and state of lane k, at s_end or at the
     crossing that retired it.  s_events[k][e], z_events[k][e]: times and
     states of lane k's crossings of events[e], as solve_ivp's t_events and
-    y_events.  work: lockstep iterations, and accepted steps, rejected steps
-    and right-hand-side evaluations summed over lanes.
+    y_events.  work: lockstep iterations; accepted steps, rejected steps and
+    right-hand-side evaluations summed over lanes; located steps, the lane
+    steps whose crossings were located; and dense passes, the batched
+    dense-output calls that located them.
     """
 
     s: np.ndarray
@@ -399,15 +412,26 @@ def _dense_coefficients(fun, K, h, z_old, z_new):
 
 
 def _dense_state(F, z_old, s_old, h):
-    """State on one lane's step at time t, from its (7, 4) coefficients."""
+    """State on one lane's step at time t, from its (7, 4) coefficients.
+
+    scipy's Dop853DenseOutput Horner form on Python floats: from y = 0, each
+    row of F from the last is added and the sum scaled by x or 1 - x in
+    turn, then z_old is added.  Each is one IEEE add or multiply per
+    component, as numpy's, so the state is scipy's bit for bit.
+    """
+    rows = F[::-1].tolist()
+    y0, y1, y2, y3 = z_old.tolist()
+    s_old, h = float(s_old), float(h)
 
     def z_at(t):
         x = (t - s_old) / h
-        z = np.zeros(4)
-        for i, Fi in enumerate(F[::-1]):
-            z += Fi
-            z *= x if i % 2 == 0 else 1.0 - x
-        return z + z_old
+        w = (x, 1.0 - x)
+        z0 = z1 = z2 = z3 = 0.0
+        for i, (f0, f1, f2, f3) in enumerate(rows):
+            wi = w[i & 1]
+            z0, z1, z2, z3 = ((z0 + f0) * wi, (z1 + f1) * wi,
+                              (z2 + f2) * wi, (z3 + f3) * wi)
+        return np.array((z0 + y0, z1 + y1, z2 + y2, z3 + y3))
 
     return z_at
 
@@ -427,10 +451,13 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     `direction`) but get arrays: z of shape (4, m) and s of shape (m,).  A
     sign change over an accepted step is located on the lane's dense output
     as solve_ivp does, and a terminal crossing retires the lane: crossings
-    before it in that step are kept, later ones dropped.  An event may carry
-    a `gate(s, z)` attribute; its crossings are then located only in steps
-    with the gate true at either end, which spares locating crossings the
-    caller would discard.
+    before it in that step are kept, later ones dropped.  The lane retires
+    in the iteration of that step, but the crossings of all lanes are
+    located after the step loop, in step order, from one batched dense
+    output; only a crossing of the collision guard has the queued steps
+    located at once.  An event may carry a `gate(s, z)` attribute; its
+    crossings are then located only in steps with the gate true at either
+    end, which spares locating crossings the caller would discard.
 
     Raises ValueError for a non-finite state, CollisionError, with the
     lane's state at the cutoff, when a lane reaches the collision cutoff,
@@ -443,7 +470,7 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     fun = make_lane_rhs(p)
     evs = [_collision_event(p), *events]
     direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
+    terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in evs])
     gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
 
     z = np.array(z0, dtype=float)
@@ -461,8 +488,30 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
                        s_events=[[[] for _ in events] for _ in range(n)],
                        z_events=[[[] for _ in events] for _ in range(n)],
                        work={"lockstep_iterations": 0, "accepted_steps": 0,
-                             "rejected_steps": 0, "rhs_evals": 2 * n})
+                             "rejected_steps": 0, "rhs_evals": 2 * n,
+                             "located_steps": 0, "dense_passes": 0})
     work = out.work
+    # Accepted steps with a sign change wait here, in step order, each as
+    # its lanes' stage rows (with room for the 3 dense-output stages), lane
+    # numbers, s, s_new, h, z, z_new and event hits
+    queue = []
+
+    def locate_queued():
+        """Locate the crossings of every queued step from one batched dense
+        output, lane by lane in step order."""
+        Ks, *rest = zip(*queue)
+        Kq = np.concatenate(Ks)
+        lanes, s0, s1, hq, z0q, z1q, hits = (np.concatenate(x, axis=-1)
+                                              for x in rest)
+        queue.clear()
+        F = _dense_coefficients(fun, Kq, hq, z0q, z1q)
+        work["rhs_evals"] += 3 * len(hq)
+        work["located_steps"] += len(hq)
+        work["dense_passes"] += 1
+        for j, k in enumerate(lanes.tolist()):
+            _lane_crossings(evs, terminal, np.flatnonzero(hits[:, j]),
+                            _dense_state(F[j], z0q[:, j], s0[j], hq[j]),
+                            s0[j], s1[j], k, out)
 
     while lane.size:
         m = lane.size
@@ -511,14 +560,11 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
         out.s[lane[done]], out.z[:, lane[done]] = s_new[done], z_new[:, done]
         cols = np.flatnonzero(hit.any(axis=0))
         if cols.size:
-            F = _dense_coefficients(fun, K[cols], h[cols], z[:, cols],
-                                    z_new[:, cols])
-            work["rhs_evals"] += 3 * cols.size
-            for j, c in enumerate(cols):
-                z_at = _dense_state(F[j], z[:, c], s[c], h[c])
-                if _lane_crossings(evs, terminal, np.flatnonzero(hit[:, c]),
-                                   z_at, s[c], s_new[c], lane[c], out):
-                    done[c] = True
+            queue.append((K[cols], lane[cols], s[cols], s_new[cols], h[cols],
+                          z[:, cols], z_new[:, cols], hit[:, cols]))
+            done |= (hit & terminal[:, None]).any(axis=0)
+            if hit[0].any():
+                locate_queued()
 
         s = np.where(ok, s_new, s)
         z = np.where(ok, z_new, z)
@@ -529,6 +575,8 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
             lane, s, z, f, g = lane[keep], s[keep], z[:, keep], f[:, keep], g[:, keep]
             h_abs, rejected, K = h_abs[keep], rejected[keep], K[keep]
 
+    if queue:
+        locate_queued()
     for k in range(n):
         out.s_events[k] = [np.asarray(x) for x in out.s_events[k]]
         out.z_events[k] = [np.asarray(x) for x in out.z_events[k]]
@@ -638,11 +686,10 @@ def _locate(evs, terminal, active, z_at, s_old, s_new):
 
 
 def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
-                    out: LockstepFlow) -> bool:
-    """Locate and record lane k's crossings of evs[active] in one step;
-    evs[0] is the collision event.
-
-    Returns True when a terminal crossing retires the lane.
+                    out: LockstepFlow) -> None:
+    """Locate and record lane k's crossings of evs[active] in one step, and
+    its final time and state when a terminal crossing retired it; evs[0] is
+    the collision event.
     """
     active, roots, stop = _locate(evs, terminal, active, z_at, s_old, s_new)
     if stop:
@@ -654,7 +701,6 @@ def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
             raise err
         out.s_events[k][e - 1].append(t)
         out.z_events[k][e - 1].append(z_at(t))
-    return stop
 
 
 def section_event(phi0: float, direction: float = 0.0):

@@ -40,8 +40,9 @@ Each orbit keeps its own step size and accept/reject state and repeats the
 arithmetic of solve_ivp's DOP853, so the samples are those of one solve_ivp
 run per orbit.  Each section event locates crossings on the dense output
 only in steps that come near the window on the leg its curve samples
-(y > 0 for phi0, y < 0 for -phi0), and they are polished by
-refine_to_section.
+(y > 0 for phi0, y < 0 for -phi0).  The fan queues those steps and locates
+all their crossings once its orbits have stopped, from one batched dense
+output, and the crossings are polished by refine_to_section.
 
 poincare_map lifts a section point to the shell and takes one
 integrate.first_return, the return the oscillation demo iterates.

@@ -7,16 +7,16 @@ continuation) are shared across criteria.
 Two trend sub-clauses (criteria 7 and 8) compare measured/predicted ratios
 across the g0 ladder {2.0, 2.4, 2.8} at mu = 0.3.  The factor-2 clauses hold
 at every rung; the monotonicity sub-clauses are asserted as specified and
-fail.  Their cause is open.  The truncation of the closed-form first
-harmonic in the prediction no longer explains them: at g0 = 2.0 the
-distance ratio is 1.107 while the contour L1 over the closed-form L1 is
-1.934, and the 2.8 rung (1.361) is now the outlier.  The contour L1 over the
-closed-form L1 is 1.934, 1.596 and 1.426 at g0 = 2.0, 2.4 and 2.8, while the
-same ratio for L2 is 0.886, 0.913 and 0.931.  Against a prediction from the computed series the distance ratios
-read 1.340, 1.034 and 1.015, a monotone sequence (measured with the earlier
-r0 = 50 seed and slope-cap fold mask).  Against the closed form, with the
-folds at g0 = 2.0 read from the fan's phase order, the distance ratios read
-1.107, 1.088 and 1.361 and the lobe ratios 1.006, 0.961 and 1.278.
+fail.  Against the closed form, with the folds at g0 = 2.0 read from the
+fan's phase order, the distance ratios read 1.107, 1.088 and 1.361 and the
+lobe ratios 1.006, 0.961 and 1.278.  The closed-form first and second
+harmonics err in opposite directions: the contour L1 over the closed-form
+L1 is 1.934, 1.596 and 1.426 at g0 = 2.0, 2.4 and 2.8, and the same ratio
+for L2 is 0.886, 0.913 and 0.931.  Why the trend fails is open.  Scored
+against the same first-order formulas with contour coefficients in place
+of the closed forms, both sequences fall monotonically (ROADMAP's
+re-anchor readings): the distance ratios read 1.188, 1.043 and 1.015 and
+the lobe ratios 1.091, 1.055 and 1.028.
 
 Criterion 10's signature asks for |D''| above 100 times its noise at the
 tangency root, but the tangency is cubic and D'' vanishes there at leading
@@ -197,6 +197,11 @@ def test_criterion_06_equal_mass_odd_suppression():
                               f"{wall:.1f}s")
 
 
+# the trend detail criteria 7 and 8 print when the clause fails
+NON_MONOTONE = ("non-monotone (closed-form L1 and L2 err in opposite "
+                "directions; cause open)")
+
+
 def test_criterion_07_distance_vs_prediction(ladder):
     ratios = [ladder[g0].distance_ratio for g0 in G0_LADDER]
     factor2 = all(0.5 <= r <= 2.0 for r in ratios)
@@ -206,7 +211,7 @@ def test_criterion_07_distance_vs_prediction(ladder):
               f"{[f'{r:.3f}' for r in ratios]}; factor-2 "
               f"{'ok' if factor2 else 'violated'}; |ratio-1| trend "
               f"{[f'{d:.3f}' for d in devs]} "
-              f"{'monotone' if monotone else 'non-monotone (closed-form L1 truncation)'}")
+              f"{'monotone' if monotone else NON_MONOTONE}")
     assert report_line(7, factor2 and monotone, detail)
 
 
@@ -221,7 +226,7 @@ def test_criterion_08_lobe_area_vs_prediction(ladder):
     detail = (f"turnstile-lobe ratios {[f'{r:.3f}' for r in ratios]}; "
               f"factor-2 {'ok' if factor2 else 'violated'}; |ratio-1| trend "
               f"{[f'{d:.3f}' for d in devs]} "
-              f"{'monotone' if monotone else 'non-monotone (closed-form L1 truncation)'}")
+              f"{'monotone' if monotone else NON_MONOTONE}")
     assert report_line(8, factor2 and monotone, detail)
 
 

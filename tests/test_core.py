@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq as scipy_brentq
 
 import rpc3bp
@@ -29,6 +30,7 @@ from rpc3bp.core import (
 )
 from rpc3bp.integrate import (
     TOL_MIN,
+    _dense_state,
     brentq,
     flow,
     integrate,
@@ -532,6 +534,47 @@ class TestLockstep:
                 np.testing.assert_array_equal(gated.s_events[k][e], s_all[kept])
                 np.testing.assert_array_equal(gated.z_events[k][e], z_all[kept])
 
+    def test_lanes_with_events_match_flow(self):
+        # section crossings of both kinds and a terminal event that retires
+        # one lane early: every lane's crossings, final time and state are
+        # flow's, bit for bit, though the lanes locate them only after the
+        # step loop, from one batched dense output
+        p = Params(0.3, 2.3)
+        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
+                  RotatingState(1.2, 2.0, 0.4, 1.02),
+                  RotatingState(30.0, 0.7, -0.25, 1.0),
+                  RotatingState(5.0, -0.4, 0.3, 1.0)]
+        z0 = np.array([s.to_array() for s in states]).T
+
+        def inner(s, z):
+            return z[0] - 1.0
+        inner.terminal = True
+        inner.direction = -1.0
+
+        evs = [section_event(0.3), section_event(-0.3, -1.0), inner]
+        run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
+        nfev = crossings = 0
+        for k in range(len(states)):
+            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p, events=evs)
+            nfev += sol.nfev
+            for e in range(len(evs)):
+                crossings += len(run.s_events[k][e])
+                np.testing.assert_array_equal(run.s_events[k][e],
+                                              sol.t_events[e + 1])
+                np.testing.assert_array_equal(run.z_events[k][e],
+                                              sol.y_events[e + 1])
+            assert run.s[k] == sol.t[-1]
+            np.testing.assert_array_equal(run.z[:, k], sol.y[:, -1])
+        assert crossings == 56
+        assert run.s[0] < 6.0 and list(run.s[1:]) == [6.0] * 3
+        work = run.work
+        assert work["rhs_evals"] == nfev
+        # each located step cost its lane the 3 extra dense-output stages
+        assert work["rhs_evals"] == 2 * len(states) + 12 * (
+            work["accepted_steps"] + work["rejected_steps"]) \
+            + 3 * work["located_steps"]
+        assert work["dense_passes"] == 1
+
     def test_validation(self):
         z0 = np.array([[1.5, 0.2, -0.3, 1.0]]).T
         with pytest.raises(ValueError):
@@ -598,6 +641,25 @@ class TestBrentq:
             scipy_brentq(f, 0.0, 3.0, xtol=1e-14, maxiter=2)
         with pytest.raises(RuntimeError):
             brentq(f, 0.0, 3.0, xtol=1e-14)
+
+
+def test_dense_state_is_scipys():
+    # the Horner form on Python floats against scipy's on numpy arrays, on
+    # steps of either direction, at both ends of the step and inside it
+    rng = np.random.default_rng(853)
+    for _ in range(50):
+        F = rng.normal(size=(7, 4)) * 10.0 ** rng.integers(-12, 2, size=(7, 1))
+        z_old = rng.normal(size=4) * 10.0 ** rng.integers(-3, 3, size=4)
+        s_old = rng.uniform(-5.0, 5.0)
+        s_new = s_old + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 0)
+        z_at = _dense_state(F, z_old, s_old, s_new - s_old)
+        ref = Dop853DenseOutput(s_old, s_new, z_old, F)
+        ts = [s_old, s_new, *(s_old + (s_new - s_old) * rng.uniform(size=5))]
+        for t in ts:
+            got, want = z_at(t), ref(t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert [x.hex() for x in got.tolist()] == \
+                [x.hex() for x in want.tolist()]
 
 
 def test_vendored_dop853_tableau_is_scipys():

@@ -312,9 +312,13 @@ class TestInvariantCurves:
     def test_fan_work_in_meta(self, mu0_curves):
         _, cu, cs = mu0_curves
         for key in ("lockstep_iterations", "accepted_steps", "rejected_steps",
-                    "rhs_evals"):
+                    "rhs_evals", "located_steps", "dense_passes"):
             assert cu.meta[key] == cs.meta[key]
         assert cu.meta["accepted_steps"] >= cu.meta["lockstep_iterations"] > 0
+        # a fan with no collision locates all its crossings in one batched
+        # dense-output pass after its step loop
+        assert cu.meta["accepted_steps"] > cu.meta["located_steps"] > 0
+        assert cu.meta["dense_passes"] == 1
 
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
