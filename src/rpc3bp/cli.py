@@ -2,16 +2,16 @@
 
     toolkit <command> [--config cfg.json] [--out DIR] [flags] [options]
 
-A command takes the settings flags it reads: --mu --g0 --precision
-{double,extended} on melnikov; --mu --g0 --phi0 --tol on manifolds,
-splitting and oscillate; --phi0 --tol on tangency and sweep; none on
-homoclinic.  Configuration is a single JSON document, shared by all
-commands, overlaid onto defaults; flags override file values.  Every output
-file carries a provenance header (config hash, tolerances, precision mode,
-toolkit version).  Outputs are deterministic: rerunning a command with the
-same configuration reproduces byte-identical files.  JSON files are strict
-RFC 8259: a non-finite number (no estimate, a divergent estimate, an
-undefined ratio) is written as null.
+One table, _READS, lists the config keys each command reads.  A command
+takes the settings flags among them (the keys in _FLAGS), and its --config
+file, a JSON object overlaid onto those keys' defaults, may hold no other
+key; flags override file values.  Every output file carries a provenance
+header: the toolkit version, a hash of the keys' values (out aside) and
+the values of precision, tol and quad_tol where the command reads them.
+Outputs are deterministic: rerunning a command with the same
+configuration reproduces byte-identical files.  JSON files are strict RFC
+8259: a non-finite number (no estimate, a divergent estimate, an undefined
+ratio) is written as null.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 untrusted-results flag.
@@ -69,6 +69,22 @@ PRECISIONS = ("double", "extended")
 _FLAGS = {"mu": {"type": float}, "g0": {"type": float}, "phi0": {"type": float},
           "tol": {"type": float}, "precision": {"choices": PRECISIONS}}
 
+# the settings each command reads: its flags, its config keys, its config
+# hash and its provenance lines all come from its row
+_SPLIT_KEYS = ("phi0", "tol", "v_window", "n_samples")
+_READS = {command: (*keys, "out") for command, keys in {
+    "homoclinic": (),
+    "melnikov": ("mu", "g0", "precision", "quad_tol", "jmax", "lmax", "mp_dps"),
+    "manifolds": ("mu", "g0", *_SPLIT_KEYS),
+    "splitting": ("mu", "g0", *_SPLIT_KEYS),
+    "oscillate": ("mu", "g0", "phi0", "tol"),
+    "tangency": _SPLIT_KEYS,
+    "sweep": _SPLIT_KEYS,
+}.items()}
+
+# the settings written into the provenance of a command that reads them
+_PROVENANCE_KEYS = ("precision", "tol", "quad_tol")
+
 # what float() reads with a leading minus: argparse's own pattern misses the
 # exponent forms and infinities, and takes `--seed-y -1e-3` for two options
 _NEGATIVE_NUMBER = re.compile(
@@ -85,15 +101,17 @@ def _same_kind(val, default) -> bool:
 
 
 def _load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+    reads = _READS[args.command]
+    cfg = {key: DEFAULTS[key] for key in reads}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(file_cfg) - set(reads)
+        if unread:
+            raise ValueError(f"{args.command} reads no config keys "
+                             f"{sorted(unread)}")
         for key, val in file_cfg.items():
             if not (val in PRECISIONS if key == "precision"
                     else _same_kind(val, DEFAULTS[key])):
@@ -106,17 +124,17 @@ def _load_config(args) -> dict:
             cfg[key] = val
     # the section is 2pi-periodic in phi0, so this bound loses no section; the
     # comparison also refuses NaN, and an int of any size without converting it
-    if not abs(cfg["phi0"]) <= 2.0 * math.pi:
+    if "phi0" in cfg and not abs(cfg["phi0"]) <= 2.0 * math.pi:
         raise ValueError(f"config key 'phi0' must be finite with "
                          f"|phi0| <= 2pi, got {cfg['phi0']!r}")
-    # the library refuses these and quad_tol at entry too, but the config
-    # document is shared and checked for every command, and sweep would turn
+    # the library refuses these at entry too (mp_dps in extended precision
+    # only), but here the message names the config key, and sweep would turn
     # a library refusal into error:ValueError rows and exit 0
     for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1), ("n_samples", 1)):
-        if cfg[key] < least:
+        if key in cfg and cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
-    if not cfg["quad_tol"] > 0.0:
+    if "quad_tol" in cfg and not cfg["quad_tol"] > 0.0:
         raise ValueError(f"config key 'quad_tol' must be positive, "
                          f"got {cfg['quad_tol']!r}")
     if not Path(cfg["out"]).is_dir():
@@ -134,13 +152,9 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _provenance(cfg: dict) -> dict:
-    return {
-        "toolkit_version": __version__,
-        "config_hash": _config_hash(cfg),
-        "precision": cfg["precision"],
-        "tol": cfg["tol"],
-        "quad_tol": cfg["quad_tol"],
-    }
+    # cfg holds the command's row of _READS only
+    return {"toolkit_version": __version__, "config_hash": _config_hash(cfg),
+            **{k: cfg[k] for k in _PROVENANCE_KEYS if k in cfg}}
 
 
 def _header_lines(cfg: dict) -> tuple[str, ...]:
@@ -202,6 +216,13 @@ def cmd_homoclinic(args, cfg: dict, out: Path) -> int:
     n = args.n
     if n < 2 or n > MAX_GRID:
         raise ValueError(f"grid size must lie in [2, {MAX_GRID}]")
+    # tau_of_v squares 3v: where 9 v^2 overflows, as at inf or NaN, the
+    # separatrix state is not finite, and every grid point lies between
+    # the bounds
+    for flag, v in (("--v-min", args.v_min), ("--v-max", args.v_max)):
+        if not math.isfinite(9.0 * v * v):
+            raise ValueError(f"{flag} must be finite with |v| below about "
+                             f"4.469e153, where 9 v^2 overflows; got {v!r}")
     vs = np.linspace(args.v_min, args.v_max, n)
     if args.v_min < 0.0 < args.v_max and not np.any(vs == 0.0):
         vs = np.sort(np.append(vs, 0.0))
@@ -409,46 +430,43 @@ def _build_parser() -> argparse.ArgumentParser:
                     "restricted planar circular three-body problem")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, *keys):
+    def command(name, **kwargs):
+        sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory")
-        for key in keys:
-            sp.add_argument(f"--{key}", **_FLAGS[key])
+        for key in _READS[name]:
+            if key in _FLAGS:
+                sp.add_argument(f"--{key}", **_FLAGS[key])
+        return sp
 
-    sp = sub.add_parser("homoclinic", help="tabulate the separatrix")
-    common(sp)
+    sp = command("homoclinic", help="tabulate the separatrix")
     sp.add_argument("--v-min", type=float, default=-3.0)
     sp.add_argument("--v-max", type=float, default=3.0)
     sp.add_argument("--n", type=int, default=601)
     sp.set_defaults(func=cmd_homoclinic)
 
-    sp = sub.add_parser("melnikov", help="Melnikov coefficients by one or "
-                                         "more methods")
-    common(sp, "mu", "g0", "precision")
+    sp = command("melnikov", help="Melnikov coefficients by one or more "
+                                  "methods")
     sp.add_argument("--methods", default="contour",
                     type=_name_list("quadrature", "contour", "asymptotic"),
                     help="comma list of quadrature,contour,asymptotic")
     sp.set_defaults(func=cmd_melnikov)
 
-    sp = sub.add_parser("manifolds", help="invariant curves on the section")
-    common(sp, "mu", "g0", "phi0", "tol")
+    sp = command("manifolds", help="invariant curves on the section")
     sp.add_argument("--branch", default="unstable,stable",
                     type=_name_list("unstable", "stable"))
     sp.set_defaults(func=cmd_manifolds)
 
-    sp = sub.add_parser("splitting", help="distance profile, roots, lobes")
-    common(sp, "mu", "g0", "phi0", "tol")
+    sp = command("splitting", help="distance profile, roots, lobes")
     sp.set_defaults(func=cmd_splitting)
 
-    sp = sub.add_parser("tangency", help="continuation of the tangency curve")
-    common(sp, "phi0", "tol")
+    sp = command("tangency", help="continuation of the tangency curve")
     sp.add_argument("--g0-min", type=float, default=2.7)
     sp.add_argument("--g0-max", type=float, default=3.2)
     sp.add_argument("--steps", type=int, default=6)
     sp.set_defaults(func=cmd_tangency)
 
-    sp = sub.add_parser("oscillate", help="finite-horizon oscillation demo")
-    common(sp, "mu", "g0", "phi0", "tol")
+    sp = command("oscillate", help="finite-horizon oscillation demo")
     sp.add_argument("--seed-r", type=float, required=True)
     sp.add_argument("--seed-y", type=float, required=True)
     sp.add_argument("--n-iter", type=int, default=200)
@@ -456,8 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-in", type=float, default=2.0)
     sp.set_defaults(func=cmd_oscillate)
 
-    sp = sub.add_parser("sweep", help="splitting reports over a parameter grid")
-    common(sp, "phi0", "tol")
+    sp = command("sweep", help="splitting reports over a parameter grid")
     sp.add_argument("--grid-mu", default="0.1,0.3,0.5")
     sp.add_argument("--grid-g0", default="2.0,2.4")
     sp.set_defaults(func=cmd_sweep)

@@ -69,6 +69,7 @@ __all__ = [
     "melnikov_coeff_asymptotic",
     "MelnikovSeries",
     "melnikov_potential",
+    "phase_of_v",
     "predicted_distance",
     "predicted_distance_amplitudes",
     "first_order_zero_function",
@@ -887,6 +888,11 @@ def predicted_distance_amplitudes(p: Params) -> tuple[float, float]:
     return a1, a2
 
 
+def phase_of_v(v, phi0: float, p: Params):
+    """Section phase x = phi0 - alpha_h(v) + g0^3 v (unwrapped, increasing)."""
+    return phi0 - np.asarray(homoclinic_alpha(v)) + p.g0**3 * np.asarray(v)
+
+
 def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
     """Leading-order splitting distance on the section r = r_h(v*):
 
@@ -902,7 +908,7 @@ def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
     if np.any(v_star <= 0.0):
         raise ValueError("v_star must be positive (y_h(0) = 0)")
     a1, a2 = predicted_distance_amplitudes(p)
-    x = phi0 - homoclinic_alpha(v_star) + p.g0**3 * v_star
+    x = phase_of_v(v_star, phi0, p)
     return (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / homoclinic_y(v_star)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -33,11 +33,12 @@ from .core import Params
 from .integrate import brentq
 from .manifolds import ManifoldCurve, compute_invariant_curve
 from .melnikov import (
+    phase_of_v,
     predicted_distance,
     predicted_lobe_area,
     predicted_tangency_mu,
 )
-from .separatrix import homoclinic_alpha, homoclinic_y
+from .separatrix import homoclinic_y
 
 __all__ = [
     "SplittingConfig",
@@ -163,11 +164,6 @@ class TangencyPoint:
     residual_D_second: float
     mu_predicted: float
     untrusted: bool
-
-
-def phase_of_v(v, phi0: float, p: Params):
-    """Section phase x = phi0 - alpha_h(v) + g0^3 v (unwrapped, increasing)."""
-    return phi0 - np.asarray(homoclinic_alpha(v)) + p.g0**3 * np.asarray(v)
 
 
 def distance_profile(curve_s: ManifoldCurve,
@@ -409,6 +405,8 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     g0_lo, g0_hi = g0_range
+    if not (isfinite(g0_lo) and isfinite(g0_hi)):
+        raise ValueError(f"g0 range must be finite, got {g0_range!r}")
     points: list[TangencyPoint] = []
     g0s = np.linspace(g0_lo, g0_hi, steps)
     ratio = 1.0   # measured/predicted deviation of the previous solve

@@ -105,8 +105,9 @@ class TestMelnikov:
              "--methods", "contour"])
         data = load_json(tmp_path / "melnikov_contour.json")
         prov = data["provenance"]
-        assert {"toolkit_version", "config_hash", "precision", "tol",
-                "quad_tol"} <= set(prov)
+        # melnikov reads no tol: its quadrature tolerance is quad_tol
+        assert set(prov) == {"toolkit_version", "config_hash", "precision",
+                             "quad_tol"}
 
     def test_untrusted_contour_exit_code(self, tmp_path):
         # at g0 = 1.05 the perihelion lies inside the larger primary's circle
@@ -171,6 +172,35 @@ REQUIRED = {"oscillate": ["--seed-r", "1.3", "--seed-y", "0.68"]}
 REMOVED_FLAGS = [(command, flag) for command, kept in KEPT_FLAGS.items()
                  for flag in FLAG_VALUES if flag not in kept]
 
+# the config keys each command reads
+_SPLIT_KEYS = ("phi0", "tol", "v_window", "n_samples", "out")
+READ_KEYS = {
+    "homoclinic": ("out",),
+    "melnikov": ("mu", "g0", "precision", "quad_tol", "jmax", "lmax",
+                 "mp_dps", "out"),
+    "manifolds": ("mu", "g0", *_SPLIT_KEYS),
+    "splitting": ("mu", "g0", *_SPLIT_KEYS),
+    "oscillate": ("mu", "g0", "phi0", "tol", "out"),
+    "tangency": _SPLIT_KEYS,
+    "sweep": _SPLIT_KEYS,
+}
+UNREAD_KEYS = [(command, key) for command, read in READ_KEYS.items()
+               for key in cli.DEFAULTS if key not in read]
+
+
+def never(*args, **kwargs):
+    raise AssertionError("computed before the arguments were checked")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every command's computation raises if it is reached."""
+    for name in ("homoclinic_state", "compute_invariant_curve",
+                 "splitting_report", "continuation_tangency_curve",
+                 "oscillation_demo"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
+
 
 class TestValidation:
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
@@ -196,6 +226,21 @@ class TestValidation:
             want = FLAG_VALUES[flag]
             assert getattr(args, flag[2:]) == (want if flag == "--precision"
                                                else float(want))
+
+    @pytest.mark.parametrize("command,key", UNREAD_KEYS)
+    def test_config_key_the_command_does_not_read(self, command, key,
+                                                  tmp_path, no_work, capsys):
+        # every command took every config key, hashed it into config_hash
+        # and wrote precision, tol and quad_tol into its provenance; the
+        # value here is the key's default, so only the key is at fault
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({key: cli.DEFAULTS[key]}))
+        out.mkdir()
+        assert run([command, *REQUIRED.get(command, []), "--config", cfg,
+                    "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("validation error") == 1 and repr(key) in err
+        assert list(out.iterdir()) == []
 
     def test_iteration_count_below_one(self, tmp_path, capsys):
         # --n-iter 0 or -3 wrote returns.csv and oscillation.json with no
@@ -248,9 +293,19 @@ class TestValidation:
                       ["oscillate", "--phi0", "inf", "--seed-r", 1.3,
                        "--seed-y", 0.68],
                       ["splitting", "--config", big])
+        # homoclinic wrote rows of nan or inf and exited 0: 9 v^2 overflows
+        # in tau_of_v from |v| ~ 4.47e153; tangency's grid of an infinite
+        # range warned before its NaN rung exited 2
+        range_cases = (["homoclinic", "--n", 4, "--v-min", "nan"],
+                       ["homoclinic", "--n", 4, "--v-max", "inf"],
+                       ["homoclinic", "--n", 4, "--v-min", -1e200,
+                        "--v-max", 1e200],
+                       ["tangency", "--g0-min", 2.9, "--g0-max", "inf",
+                        "--steps", 2])
         for args in (["melnikov", "--g0", "inf"], ["splitting", "--g0", "inf"],
                      ["oscillate", "--seed-r", 0, "--seed-y", 0.5],
-                     ["manifolds", "--phi0", "nan"], *phi0_cases):
+                     ["manifolds", "--phi0", "nan"], *phi0_cases,
+                     *range_cases):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
@@ -291,15 +346,9 @@ class TestValidation:
                         "--out", tmp_path]) == EXIT_VALIDATION
             assert key in capsys.readouterr().err
 
-    def test_out_checked_before_any_work(self, tmp_path, monkeypatch, capsys):
+    def test_out_checked_before_any_work(self, tmp_path, no_work, capsys):
         # a missing or non-directory --out was found only at the first write,
         # after the orbit, the tangency solves or the grid were computed
-        def never(*args, **kwargs):
-            raise AssertionError("computed before --out was checked")
-
-        for name in ("oscillation_demo", "continuation_tangency_curve",
-                     "homoclinic_state", "splitting_report"):
-            monkeypatch.setattr(cli, name, never)
         a_file = tmp_path / "file"
         a_file.write_text("")
         for out in (tmp_path / "missing", tmp_path / "missing" / "deeper",
@@ -315,17 +364,10 @@ class TestValidation:
         assert list(tmp_path.iterdir()) == [a_file]
 
     def test_sample_count_quadrature_tolerance_and_steps(self, tmp_path,
-                                                        monkeypatch, capsys):
+                                                        no_work, capsys):
         # n_samples below 1 ran a 16-phase fan and exited 0, quad_tol <= 0
         # exited 3 after the quadrature ran, and --steps 0 wrote a CSV with
         # a header only
-        def never(*args, **kwargs):
-            raise AssertionError("computed before the value was checked")
-
-        for name in ("splitting_report", "compute_invariant_curve",
-                     "continuation_tangency_curve"):
-            monkeypatch.setattr(cli, name, never)
-        monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
         cfg = tmp_path / "cfg.json"
         for args, bad, key in ((["splitting"], {"n_samples": 0}, "'n_samples'"),
                                (["manifolds"], {"n_samples": -1}, "'n_samples'"),
@@ -348,16 +390,11 @@ class TestValidation:
         ["manifolds", "--branch", "stable,stable"]],
         ids=["melnikov-unknown", "melnikov-repeated", "melnikov-empty",
              "manifolds-unknown", "manifolds-repeated"])
-    def test_comma_list_checked_at_the_parser(self, args, tmp_path,
-                                              monkeypatch, capsys):
+    def test_comma_list_checked_at_the_parser(self, args, tmp_path, no_work,
+                                              capsys):
         # an unknown name was met only after the earlier names' series or
         # curve had been computed (and written, for manifolds); a repeated
         # name was computed twice and written twice
-        def never(*args, **kwargs):
-            raise AssertionError("computed before the names were checked")
-
-        monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
-        monkeypatch.setattr(cli, "compute_invariant_curve", never)
         with pytest.raises(SystemExit) as exc:
             run([*args, "--out", tmp_path])
         assert exc.value.code == EXIT_VALIDATION
@@ -368,6 +405,43 @@ class TestValidation:
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
         assert code == 3
+
+
+# the settings each command writes into its provenance, and a quick run of it
+PROVENANCE = {
+    "homoclinic": ((), ["--n", 2]),
+    "melnikov": (("precision", "quad_tol"), ["--methods", "asymptotic"]),
+    "manifolds": (("tol",), ["--branch", "unstable"]),
+    "splitting": (("tol",), []),
+    "oscillate": (("tol",), [*REQUIRED["oscillate"], "--n-iter", 2]),
+    "tangency": (("tol",), ["--steps", 1]),
+    "sweep": (("tol",), ["--grid-mu", 0.7, "--grid-g0", 2.4]),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", PROVENANCE)
+    def test_settings_the_command_reads(self, command, tmp_path, monkeypatch):
+        # every header held precision, tol and quad_tol, read or not; the
+        # tangency solve is stubbed, and sweep's one grid point is refused
+        monkeypatch.setattr(cli, "continuation_tangency_curve",
+                            lambda *args: [])
+        keys, args = PROVENANCE[command]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"n_samples": 25}
+                                  if "n_samples" in READ_KEYS[command] else {}))
+        out.mkdir()
+        assert run([command, *args, "--config", cfg, "--out", out]) == EXIT_OK
+        want = {"toolkit_version", "config_hash", *keys}
+        files = sorted(out.iterdir())
+        assert files
+        for path in files:
+            if path.suffix == ".json":
+                assert set(load_json(path)["provenance"]) == want, path.name
+            else:
+                prov = [l[2:] for l in path.read_text().splitlines()
+                        if l.startswith("# ")]
+                assert {l.split("=")[0] for l in prov} == want, path.name
 
 
 class TestSplitting:
@@ -424,8 +498,9 @@ class TestTangency:
         assert seen == {"g0_range": (2.7, 3.1), "steps": 2}
         lines = (tmp_path / "tangency.csv").read_text().splitlines()
         prov = [l for l in lines if l.startswith("# ")]
+        # the flow commands read tol, and no precision or quad_tol
         assert {l[2:].split("=")[0] for l in prov} == {
-            "config_hash", "precision", "quad_tol", "tol", "toolkit_version"}
+            "config_hash", "tol", "toolkit_version"}
         rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
         assert list(rows[0]) == ["g0", "mu_star", "mu_predicted", "ratio"]
         assert [float(r["g0"]) for r in rows] == [2.7, 3.1]
