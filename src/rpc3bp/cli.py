@@ -239,6 +239,12 @@ def cmd_homoclinic(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_melnikov(args, cfg: dict, out: Path) -> int:
+    # only the contour route reads mp_dps: the quadrature and asymptotic
+    # series would be binary64 under an extended-precision header
+    if cfg["precision"] == "extended" and "contour" not in args.methods:
+        raise ValueError(f"--precision extended applies to the contour "
+                         f"method only, and --methods "
+                         f"{','.join(args.methods)} has none")
     p = _params(cfg)
     lmax = int(cfg["lmax"])
     series = {}

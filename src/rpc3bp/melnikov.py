@@ -30,7 +30,9 @@ contour    : binomial-series reduction to the oscillatory integrals
     factor, and differ by the factor (tau - i)^{-2l} q^j with
     q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, in binary64
     on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum,
-    whose pole factors and step sums run on per-node scaled integers.
+    whose pole factors and step sums run on per-node scaled integers.  The
+    path is mirror-symmetric, so mpmath evaluates it once per mirror pair of
+    nodes, at a > 0; the node at -a takes the conjugates, bit for bit.
 asymptotic : leading-order closed forms for l = 1, 2.
 
 Sign conventions: the coefficient signs follow the cross-validated values
@@ -521,6 +523,72 @@ def _block_pair(z, bits: int):
     return (-x if xs else x), (-y if ys else y), e
 
 
+def _add_node_terms(chains, heads, qx, qy, qe, conj, sums, bits):
+    """Add one node's terms lead u^d q^j into the integer step sums.
+
+    heads[i] = (x, y, e) is the block pair of the head of chains[i] and
+    (qx, qy) 2^qe that of q; with conj, the terms of their conjugates are
+    added.  Each term is added exactly into sums = (sx, sy, se), the step
+    sum of term k being (sx[k] + i sy[k]) 2^se[k], kept at the smallest
+    exponent seen.
+    """
+    sx, sy, se = sums
+    if conj:
+        qy = -qy
+    for (_, walk), (tx, ty, te) in zip(chains, heads):
+        if conj:
+            ty = -ty
+        power = 0
+        for jk, k in walk:
+            for _ in range(jk - power):
+                tx, ty = ((tx * qx - ty * qy) >> bits,
+                          (tx * qy + ty * qx) >> bits)
+                te += qe
+            power = jk
+            shift = te - se[k]
+            if shift >= 0:
+                sx[k] += tx << shift
+                sy[k] += ty << shift
+            else:
+                sx[k] = (sx[k] << -shift) + tx
+                sy[k] = (sy[k] << -shift) + ty
+                se[k] = te
+
+
+def _mp_path(l: int, p: Params, dps: int):
+    """The extended route's path at the current mpmath precision: the split
+    points [-A, -wb, 0, wb, A] and (sgn, delta, wb, i half_w) for _mp_node.
+
+    The half-length A puts the undipped path's exponent (omega/2)(h(a) - 2/3),
+    h(a) - 2/3 >= (8/9) a^2, at least dps ln 10 + 40 below the peak.
+    """
+    import mpmath as mp
+
+    ctx = mp.mp
+    g0 = ctx.mpf(p.g0)
+    omega = abs(l) * g0**3
+    ws = 1 / ctx.sqrt(omega)
+    delta = ctx.mpf("0.75") * ws
+    wb = 3 * ws
+    digits_pad = ctx.mpf(dps) * ctx.log(10)
+    A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
+    half_w = ctx.mpf(l) * g0**3 / 2
+    return [-A, -wb, 0, wb, A], (1 if l > 0 else -1, delta, wb, ctx.j * half_w)
+
+
+def _mp_node(x, wt, path):
+    """tau, dtau, the lead factor wt dtau e^{i half_w (tau + tau^3/3)},
+    u = (tau - i)^{-2} and w = (tau + i)^{-2} at the mpmath node x of
+    weight wt on the path of _mp_path."""
+    import mpmath as mp
+
+    ctx = mp.mp
+    sgn, delta, wb, j_half_w = path
+    tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
+    lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
+    return tau, dtau, lead, 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
+
+
 def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     """Extended-precision I(l, m_k, n_k) by one vector-valued tanh-sinh sum.
 
@@ -546,6 +614,25 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     and the sum is rounded to mpmath once per degree.  No fixed point is
     shared between terms or nodes, so integrals far below the others (I(4, 4,
     0) at g0 = 4.5 is about 3e-46) keep their digits.
+
+    The path is mirror-symmetric, and the mpmath work is done once per
+    mirror pair of nodes.  a -> -a takes tau to -conj(tau), and dtau, the
+    lead, u and w to their conjugates, bit for bit: tau depends on a^2 and
+    a, dtau on a^2 and terms odd in a, tau + tau^3/3 is odd with real
+    coefficients, tau -+ i go to -conj(tau +- i), and mpmath rounds every
+    operation to nearest, which commutes with negation.  mpmath maps its
+    standard nodes, which come in pairs +-x of equal weight, to [a, b] by
+    D + C x with C = (b - a)/2 and D = (b + a)/2, so the nodes of [-b, -a]
+    are those of [a, b] negated, with equal weights.  Of each pair
+    [-A, -wb] | [wb, A] and [-wb, 0] | [0, wb] only the right-hand nodes are
+    evaluated; the left-hand side takes their block pairs with y negated,
+    which is exact because _block_pair truncates toward zero.  The chain's
+    shifts floor, so each side walks its own chain; the exact integer sums
+    do not depend on the order of the nodes.  Each side keeps its own degree
+    loop, convergence test and error estimate, and the right-hand nodes are
+    evaluated until both sides have converged.  The totals and the errors
+    are added, and a non-convergence is reported, in the interval order
+    from -A to A.
     """
     import mpmath as mp
     from mpmath.libmp import from_man_exp
@@ -560,92 +647,75 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
         chains.setdefault(a - b, []).append((min(a, b), k))
     chains = [(d, sorted(walk)) for d, walk in chains.items()]
     with ctx.workdps(dps):
-        g0 = ctx.mpf(p.g0)
-        omega = abs(l) * g0**3
-        ws = 1 / ctx.sqrt(omega)
-        delta = ctx.mpf("0.75") * ws
-        wb = 3 * ws
-        sgn = 1 if l > 0 else -1
-        digits_pad = ctx.mpf(dps) * ctx.log(10)
-        A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
-        half_w = ctx.mpf(l) * g0**3 / 2
-        points = [-A, -wb, 0, wb, A]
-        j = ctx.j
-        j_half_w = j * half_w
-
+        points, path = _mp_path(l, p, dps)
         prec = ctx.prec
         epsilon = ctx.eps / 8
         max_degree = rule.guess_degree(prec)
-        totals = [ctx.zero] * n_terms
-        errors = [ctx.zero] * n_terms
+        # the step sums of each interval, by degree, and its error estimates
+        results = [[[] for _ in range(n_terms)] for _ in range(4)]
+        errors = [[ctx.zero] * n_terms for _ in range(4)]
         ctx.prec += 20
         bits = ctx.prec
         try:
-            for a, b in zip(points[:-1], points[1:]):
-                results = [[] for _ in range(n_terms)]
-                err = [ctx.zero] * n_terms
+            # each right-hand interval with its mirror
+            for right, left in ((3, 0), (2, 1)):
+                a, b = points[right], points[right + 1]
+                live = [left, right]
                 for degree in range(1, max_degree + 1):
                     h = ctx.ldexp(1, -degree)
                     # the step sum of term k is (sx[k] + i sy[k]) 2^se[k]
-                    sx, sy, se = [0] * n_terms, [0] * n_terms, [0] * n_terms
+                    sums = {i: ([0] * n_terms, [0] * n_terms, [0] * n_terms)
+                            for i in live}
                     for x, wt in rule.get_nodes(a, b, degree, prec):
-                        tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt,
-                                               ctx.exp, j)
-                        lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
-                        u = 1 / (tau - j) ** 2
-                        w = 1 / (tau + j) ** 2
+                        _, _, lead, u, w = _mp_node(x, wt, path)
                         qx, qy, qe = _block_pair(u * w, bits)
                         qe += bits
-                        for d, walk in chains:
-                            tx, ty, te = _block_pair(
-                                lead * (u**d if d >= 0 else w**-d), bits)
-                            power = 0
-                            for jk, k in walk:
-                                for _ in range(jk - power):
-                                    tx, ty = ((tx * qx - ty * qy) >> bits,
-                                              (tx * qy + ty * qx) >> bits)
-                                    te += qe
-                                power = jk
-                                shift = te - se[k]
-                                if shift >= 0:
-                                    sx[k] += tx << shift
-                                    sy[k] += ty << shift
-                                else:
-                                    sx[k] = (sx[k] << -shift) + tx
-                                    sy[k] = (sy[k] << -shift) + ty
-                                    se[k] = te
+                        heads = [_block_pair(lead * (u**d if d >= 0 else w**-d), bits)
+                                 for d, _ in chains]
+                        # the mirror node's terms are the conjugates
+                        for i in live:
+                            _add_node_terms(chains, heads, qx, qy, qe,
+                                            i == left, sums[i], bits)
                     # the tanh-sinh nodes of degree d - 1 are half of those
                     # of degree d: reuse their sum
-                    for k, r in enumerate(results):
-                        step = ctx.make_mpc((from_man_exp(sx[k], se[k], bits, "n"),
-                                             from_man_exp(sy[k], se[k], bits, "n")))
-                        r.append(h * (r[-1] / (2 * h) + step if degree > 1 else step))
+                    for i in live:
+                        sx, sy, se = sums[i]
+                        for k, r in enumerate(results[i]):
+                            step = ctx.make_mpc((from_man_exp(sx[k], se[k], bits, "n"),
+                                                 from_man_exp(sy[k], se[k], bits, "n")))
+                            r.append(h * (r[-1] / (2 * h) + step if degree > 1 else step))
+                        if degree > 1:
+                            errors[i] = [_relative_error(rule, r, prec, epsilon)
+                                         for r in results[i]]
                     if degree > 1:
-                        err = [_relative_error(rule, r, prec, epsilon)
-                               for r in results]
-                        if max(err) <= epsilon:
+                        live = [i for i in live if max(errors[i]) > epsilon]
+                        if not live:
                             break
+            totals = [ctx.zero] * n_terms
+            floors = [ctx.zero] * n_terms
+            for i in range(4):
                 for k in range(n_terms):
-                    if err[k] > epsilon:
+                    if errors[i][k] > epsilon:
                         raise RuntimeError(
                             f"extended contour quadrature for I({l},{m[k]},{n[k]}) "
-                            f"did not converge on [{float(a):g}, {float(b):g}]: "
-                            f"estimated relative error {float(err[k]):g} above "
+                            f"did not converge on [{float(points[i]):g}, "
+                            f"{float(points[i + 1]):g}]: estimated relative "
+                            f"error {float(errors[i][k]):g} above "
                             f"{float(epsilon):g}")
-                    totals[k] += results[k][-1]
-                    errors[k] += err[k] * abs(results[k][-1])
+                    totals[k] += results[i][k][-1]
+                    floors[k] += errors[i][k] * abs(results[i][k][-1])
         finally:
             ctx.prec = prec
         vals = [+t for t in totals]
 
     for k in range(n_terms):
         re, im = float(vals[k].real), float(vals[k].imag)
-        if abs(im) > max(_EPS * abs(re), 2.0 * float(errors[k])):
+        if abs(im) > max(_EPS * abs(re), 2.0 * float(floors[k])):
             raise RuntimeError(
                 f"extended contour result not real: I({l},{m[k]},{n[k]}) = "
                 f"{re:g} + {im:g}i")
     return (np.array([float(v.real) for v in vals]),
-            np.array([float(e) for e in errors]))
+            np.array([float(e) for e in floors]))
 
 
 def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,

@@ -63,6 +63,9 @@ NOISE_FLOOR_PER_TOL = 10.0
 
 UNTRUSTED_MARGIN = 1e4
 
+# lowest g0 of a tangency solve
+TANGENCY_SOLVE_G0_MIN = 2.6
+
 
 @dataclass
 class SplittingConfig:
@@ -366,8 +369,9 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     splitting report's rule (_trust) applied to the mu* profile.
     RuntimeError when D' keeps its sign or the center root is lost.
     """
-    if g0 < 2.6:
-        raise ValueError("tangency solve documented for g0 >= 2.6")
+    if g0 < TANGENCY_SOLVE_G0_MIN:
+        raise ValueError(f"tangency solve documented for g0 >= "
+                         f"{TANGENCY_SOLVE_G0_MIN}")
     cfg = config or SplittingConfig(tol=1e-13)
     mu_lo, mu_hi = mu_bracket
     cache: dict[float, DistanceProfile] = {}
@@ -401,12 +405,17 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
                                 config: SplittingConfig | None = None,
                                 phi0: float = 0.0) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
-    mu_star (the leading-order prediction for the first point)."""
+    mu_star (the leading-order prediction for the first point).  Both ends
+    of the range are checked against find_tangency's g0 floor before any
+    rung is solved."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     g0_lo, g0_hi = g0_range
     if not (isfinite(g0_lo) and isfinite(g0_hi)):
         raise ValueError(f"g0 range must be finite, got {g0_range!r}")
+    if min(g0_lo, g0_hi) < TANGENCY_SOLVE_G0_MIN:
+        raise ValueError(f"g0 range {g0_range!r} reaches below the tangency "
+                         f"solve's floor g0 >= {TANGENCY_SOLVE_G0_MIN}")
     points: list[TangencyPoint] = []
     g0s = np.linspace(g0_lo, g0_hi, steps)
     ratio = 1.0   # measured/predicted deviation of the previous solve

@@ -382,6 +382,22 @@ class TestValidation:
             assert err.count("validation error") == 1 and key in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_extended_precision_without_the_contour_method(self, tmp_path,
+                                                           no_work, capsys):
+        # only the contour route reads mp_dps: --g0 1.5 --methods quadrature
+        # exited 0 with its binary64 series under precision=extended
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision": "extended"}))
+        for args in (["--precision", "extended", "--methods", "quadrature"],
+                     ["--precision", "extended", "--methods",
+                      "asymptotic,quadrature"],
+                     ["--config", cfg, "--methods", "asymptotic"]):
+            assert run(["melnikov", "--g0", 1.5, *args, "--out", tmp_path]) \
+                == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.count("validation error") == 1 and "--precision" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("args", [
         ["melnikov", "--g0", 1.5, "--methods", "quadrature,bogus"],
         ["melnikov", "--methods", "contour,contour"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -318,7 +319,9 @@ def _harmonic(l, jmax):
 
 # (l, m, n, params, digits, values, floors) of the extended route, values and
 # floors as float.hex strings, recorded from the per-term mpc summation that
-# the integer step sums replaced: both must agree bit for bit
+# the integer step sums replaced (lm1_mixed_g20_d17 and l2_g45_d17 from the
+# integer step sums over all four intervals, before the mirror pairing):
+# both must agree bit for bit
 EXTENDED_PINS = {
     "l1_g35": (1, *_harmonic(1, 12), Params(0.3, 3.5), 40,
         [
@@ -441,6 +444,36 @@ EXTENDED_PINS = {
             "0x1.d0080631a3330p-134", "0x1.43283f09c0610p-129",
             "0x1.1a4d72ee32f2bp-121",
         ]),
+    # l < 0 with pairs of d = m - n of both signs, at the fewest digits
+    "lm1_mixed_g20_d17": (-1, [1, 2, 3, 2, 0, 5, 1], [0, 1, 2, 0, 2, 3, 3],
+                          Params(0.3, 2.0), 17,
+        [
+            "-0x1.b349501f8a54ep-7", "-0x1.15468dbb1ab7dp-4",
+            "-0x1.000c050840012p-3", "0x1.624f785d37657p-9",
+            "0x1.0415b2f358458p+0", "0x1.4a508c22f2fa6p-4",
+            "0x1.b893e3bf66926p-1",
+        ],
+        [
+            "0x1.d115972ed8311p-103", "0x1.976d3b1388eeep-109",
+            "0x1.6d005cc7391adp-115", "0x1.44d9ea4db70c3p-105",
+            "0x1.42f55f9dba6e0p-104", "0x1.2614155b22f09p-122",
+            "0x1.5bce947622a59p-109",
+        ]),
+    # the terms j = 0..7 of the l = 2 harmonic that pass the reality check
+    # at 17 digits (test_extended_route_refuses_a_complex_result: j = 8 on)
+    "l2_g45_d17": (2, *_harmonic(2, 7), Params(0.45, 4.5), 17,
+        [
+            "0x1.399af5d9fe3f6p-77", "0x1.8fd4df27ed769p-74",
+            "0x1.7d814f2f2f866p-71", "0x1.26528c440fc75p-68",
+            "0x1.80778fc955be4p-66", "0x1.b65b4e0be6c05p-64",
+            "0x1.bdcfc06c44e57p-62", "0x1.9b0688ac1c0c6p-60",
+        ],
+        [
+            "0x1.aec4089713869p-194", "0x1.af4e03acc64aap-183",
+            "0x1.d0159c05b73a1p-164", "0x1.c52fb5d75b03bp-148",
+            "0x1.7c13ecd7e35edp-135", "0x1.4c70f4eb1d2eep-122",
+            "0x1.2b04fcf2cfbf5p-109", "0x1.1270bbc6c64b1p-96",
+        ]),
 }
 
 
@@ -450,6 +483,46 @@ def test_extended_route_pinned_bit_for_bit(case):
     got, got_floors = contour_integral_I(l, m, n, p, mp_dps=dps, with_floor=True)
     assert [v.hex() for v in got.tolist()] == vals
     assert [f.hex() for f in got_floors.tolist()] == floors
+
+
+def test_extended_route_refuses_a_complex_result():
+    # at 17 digits the terms j >= 8 of the l = 2, jmax 12 harmonic at
+    # g0 = 4.5 keep an imaginary part far above their error estimate (that
+    # of I(2, 14, 12) is 5e-10 of its real part): the reality check refuses
+    # the call and names the first; its message pins the route to 6 digits
+    with pytest.raises(RuntimeError, match=re.escape(
+            "not real: I(2,10,8) = 4.7147e-18 + -1.25202e-32i")):
+        contour_integral_I(2, *_harmonic(2, 12), Params(0.45, 4.5), mp_dps=17)
+
+
+@pytest.mark.parametrize("dps", (17, 40))
+@pytest.mark.parametrize("g0", (2.0, 3.5))
+@pytest.mark.parametrize("l", (1, -2))
+def test_extended_path_mirror_symmetry(l, g0, dps):
+    # the extended route evaluates the right-hand node of each mirror pair
+    # only and gives its mirror the conjugates: mpmath's nodes on [-b, -a]
+    # must be those on [a, b] negated with equal weights, and the point at
+    # -x minus the conjugate of that at x, the slope, lead, u and w the
+    # conjugates, bit for bit
+    ctx = mpmath.mp
+    rule = ctx._tanh_sinh
+    with ctx.workdps(dps):
+        points, path = melnikov._mp_path(l, Params(0.3, g0), dps)
+        prec = ctx.prec
+        with ctx.workprec(prec + 20):
+            for a, b in ((points[3], points[4]), (points[2], points[3])):
+                for degree in (1, 2, 3):
+                    nodes = rule.get_nodes(a, b, degree, prec)
+                    mirror = rule.get_nodes(-b, -a, degree, prec)
+                    assert ([(x._mpf_, w._mpf_) for x, w in sorted(mirror)]
+                            == [(x._mpf_, w._mpf_) for x, w in
+                                sorted((-x, w) for x, w in nodes)])
+                    for x, wt in nodes:
+                        tau, *rest = melnikov._mp_node(x, wt, path)
+                        tau_m, *rest_m = melnikov._mp_node(-x, wt, path)
+                        assert tau_m._mpc_ == (-tau.conjugate())._mpc_
+                        assert ([z._mpc_ for z in rest_m]
+                                == [z.conjugate()._mpc_ for z in rest])
 
 
 def test_extended_route_refuses_too_few_digits():

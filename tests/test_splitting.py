@@ -12,6 +12,7 @@ from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y
 from rpc3bp.splitting import (
     HomoclinicRoot,
     SplittingConfig,
+    continuation_tangency_curve,
     count_roots_in_period,
     distance_profile,
     find_homoclinic_points,
@@ -253,6 +254,24 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
                      "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
     assert "numerical error: D' of the phase-0 root" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tangency_range_below_the_floor_is_refused_before_any_rung(
+        monkeypatch, tmp_path, capsys):
+    # --g0-min 2.9 --g0-max 2.0 --steps 2 solved the 2.9 rung (3 s) before
+    # the 2.0 rung exited 2: both ends are checked before any profile
+    def never(*args):
+        raise AssertionError("a rung was solved before the range was checked")
+
+    monkeypatch.setattr(splitting, "_manifold_profile", never)
+    for g0_range in ((2.9, 2.0), (2.0, 2.9), (2.9, 2.59)):
+        with pytest.raises(ValueError, match="floor g0 >= 2.6"):
+            continuation_tangency_curve(g0_range, 2)
+        assert cli.main(["tangency", "--g0-min", str(g0_range[0]),
+                         "--g0-max", str(g0_range[1]), "--steps", "2",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "floor g0 >= 2.6" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
