@@ -31,22 +31,17 @@ from .core import (
 )
 from .melnikov import (
     MelnikovSeries,
-    binom_half,
     contour_integral_I,
-    first_order_zero_function,
     melnikov_coeff_asymptotic,
     melnikov_coeff_contour,
     melnikov_coeff_quadrature,
-    melnikov_potential,
     predicted_distance,
     predicted_lobe_area,
     predicted_tangency_mu,
-    predicted_tangency_lobe_area,
     uhat_fourier_coeff,
 )
 from .separatrix import (
     HomoclinicPoint,
-    homoclinic_asymptotics,
     homoclinic_state,
     tau_of_v,
 )

@@ -134,6 +134,11 @@ def _load_config(args) -> dict:
         if key in cfg and cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
+    # each sizes arrays in proportion to its value before any useful work
+    for key in ("n_samples", "jmax"):
+        if key in cfg and cfg[key] > MAX_GRID:
+            raise ValueError(f"config key {key!r} must be at most {MAX_GRID}, "
+                             f"got {cfg[key]!r}")
     if "quad_tol" in cfg and not cfg["quad_tol"] > 0.0:
         raise ValueError(f"config key 'quad_tol' must be positive, "
                          f"got {cfg['quad_tol']!r}")
@@ -338,8 +343,9 @@ def cmd_splitting(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_tangency(args, cfg: dict, out: Path) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_GRID:
+        raise ValueError(f"--steps must lie in [1, {MAX_GRID}], "
+                         f"got {args.steps}")
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
                                       _split_cfg(cfg), float(cfg["phi0"]))
     rows = []
@@ -376,6 +382,11 @@ def cmd_oscillate(args, cfg: dict, out: Path) -> int:
 def cmd_sweep(args, cfg: dict, out: Path) -> int:
     mus = [float(x) for x in args.grid_mu.split(",")]
     g0s = [float(x) for x in args.grid_g0.split(",")]
+    # a repeated value would compute the same report twice and write its row
+    # twice
+    for flag, vals in (("--grid-mu", mus), ("--grid-g0", g0s)):
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"{flag} repeats a value: {vals}")
     if len(mus) * len(g0s) > MAX_GRID:
         raise ValueError(f"sweep grid exceeds {MAX_GRID} combinations")
     rows = []

@@ -1,4 +1,5 @@
-"""Melnikov potential of the parabolic separatrix and its Fourier coefficients.
+"""Fourier coefficients of the Melnikov potential of the parabolic separatrix,
+and the leading-order predictions of the splitting they give.
 
 The splitting of the stable/unstable manifolds of infinity is governed, at
 first order, by the Melnikov potential
@@ -33,12 +34,15 @@ contour    : binomial-series reduction to the oscillatory integrals
     whose pole factors and step sums run on per-node scaled integers.  The
     path is mirror-symmetric, so mpmath evaluates it once per mirror pair of
     nodes, at a > 0; the node at -a takes the conjugates, bit for bit.
-asymptotic : leading-order closed forms for l = 1, 2.
+asymptotic : leading-order closed forms for l = 1, 2, the one place where
+    their constants are written.  The predicted splitting distance (its
+    amplitudes A_l = 2 l g0^3 |L[l]|) and lobe area (4(|L1| + |L2|)) are
+    computed from them.
 
 Sign conventions: the coefficient signs follow the cross-validated values
-L[1] < 0 and L[2] > 0 (for mu < 1/2); all derived prediction formulas use the
-same relative sign of the two harmonics, which fixes the homoclinic root
-geometry (extra root pair at cos x = |L1/(4 L2)|, tangency at x = 0 mod 2pi).
+L[1] < 0 and L[2] > 0 (for mu < 1/2); the predictions keep the relative sign
+of the two harmonics, which fixes the homoclinic root geometry (extra root
+pair at cos x = |L1/(4 L2)|, tangency at x = 0 mod 2pi).
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ from .separatrix import (
 )
 
 __all__ = [
-    "binom_half",
     "uhat_fourier_coeff",
-    "uhat_truncation_tail",
     "uhat_fourier_coeff_quadrature",
     "QuadratureResult",
     "melnikov_coeff_quadrature",
@@ -70,27 +72,19 @@ __all__ = [
     "melnikov_coeff_contour",
     "melnikov_coeff_asymptotic",
     "MelnikovSeries",
-    "melnikov_potential",
     "phase_of_v",
     "predicted_distance",
-    "predicted_distance_amplitudes",
-    "first_order_zero_function",
-    "has_two_first_order_roots",
     "predicted_lobe_area",
     "predicted_tangency_mu",
-    "predicted_tangency_lobe_area",
-    "TANGENCY_G0_FLOOR",
     "MP_DPS_MIN",
 ]
 
 _EPS = float(np.finfo(float).eps)
 
-# g0 at which 16 sqrt(2) g0^2 e^{-g0^3/3} drops below 1/2, i.e. where the
-# tangency curve enters the physical mass range mu in (0, 1/2].
-TANGENCY_G0_FLOOR = 2.5792
-
 # fewest digits of the extended route: below 17 it carries fewer digits than
-# binary64 (17 round-trip a double)
+# binary64 (17 round-trip a double).  It is not enough for the default series:
+# at (0.3, 3.5) the l = 1 terms are refused as not real at 17 and 20 digits
+# (I(1,11,10), I(1,13,12)) and pass at 25; the cause is not yet known
 MP_DPS_MIN = 17
 
 
@@ -99,17 +93,8 @@ def _check_mp_dps(mp_dps) -> None:
         raise ValueError(f"mp_dps must be at least {MP_DPS_MIN}, got {mp_dps!r}")
 
 
-def binom_half(j: int) -> float:
-    """Binomial coefficient C(-1/2, j): 1, -1/2, 3/8, -5/16, ..."""
-    if j < 0 or j != int(j):
-        raise ValueError("j must be a nonnegative integer")
-    c = 1.0
-    for k in range(1, int(j) + 1):
-        c *= -(2 * k - 1) / (2 * k)
-    return c
-
-
 def _binom_half_table(n: int) -> np.ndarray:
+    """Binomial coefficients C(-1/2, j) for j = 0..n: 1, -1/2, 3/8, ..."""
     out = np.empty(n + 1)
     out[0] = 1.0
     for k in range(1, n + 1):
@@ -135,9 +120,10 @@ def uhat_fourier_coeff(l: int, v: float, p: Params, jmax: int = 12) -> float:
               [mu(1-mu)^(2j+l) + (-1)^l (1-mu) mu^(2j+l)]
               / (g0^(4j+2l) r_h(v)^(2j+l+1)),
 
-    keeping jmax + 1 terms from the first index j0 = max(delta0(l), -l)
-    (tail bound from uhat_truncation_tail), so the truncation depth does not
-    depend on the sign of l and the modes stay exactly even in l.  Real.
+    keeping jmax + 1 terms from the first index j0 = max(delta0(l), -l), so
+    the truncation depth does not depend on the sign of l and the modes stay
+    exactly even in l.  The omitted terms decay geometrically, with ratio
+    (max(mu, 1-mu)/(g0^2 r_h(v)))^2 at most 1/4 on the allowed radii.  Real.
     Requires r_h(v) > 2 max(mu, 1-mu)/g0^2 so the series converges with
     margin.
     """
@@ -160,19 +146,6 @@ def uhat_fourier_coeff(l: int, v: float, p: Params, jmax: int = 12) -> float:
         total += (cj[j] * cj[j + l] * mass
                   / (p.g0 ** (4 * j + 2 * l) * r ** (2 * j + l + 1)))
     return total
-
-
-def uhat_truncation_tail(l: int, v: float, p: Params, jmax: int = 12) -> float:
-    """Geometric bound on the part of uhat_fourier_coeff beyond jmax+1 terms."""
-    l = int(l)
-    r = homoclinic_r(v)
-    mbar = max(p.mu, 1.0 - p.mu) / p.g0**2
-    ratio = (mbar / r) ** 2
-    j = max(1 if l == 0 else 0, -l) + jmax + 1
-    cj = _binom_half_table(j + abs(l) + 1)
-    lead = abs(cj[j] * cj[j + l]) * 2.0 * max(p.mu, 1.0 - p.mu) ** (2 * j + l)
-    term = lead / (p.g0 ** (4 * j + 2 * l) * r ** (2 * j + l + 1))
-    return term / (1.0 - ratio)
 
 
 _N_THETA = 256
@@ -249,7 +222,6 @@ class QuadratureResult:
     imag_residue: float
     tail_bound: float
     noise_floor: float
-    t_cut: float
     step_error: float
 
 
@@ -308,7 +280,7 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
             "real-line quadrature is specified for g0 <= 2 in binary64; "
             "use the contour route for larger g0")
     if p.mu == 0.0:
-        return QuadratureResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return QuadratureResult(0.0, 0.0, 0.0, 0.0, 0.0)
 
     omega = l * p.g0**3
 
@@ -363,7 +335,6 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
                             imag_residue=float(total.imag),
                             tail_bound=float(tail_bound),
                             noise_floor=float(floor),
-                            t_cut=float(T),
                             step_error=step_error)
 
 
@@ -886,8 +857,6 @@ class MelnikovSeries:
     coefficients: dict[int, float]
     method: str
     params: Params
-    lmax: int
-    jmax: int = 12
     error_estimates: dict[int, float] = field(default_factory=dict)
 
     @classmethod
@@ -918,8 +887,8 @@ class MelnikovSeries:
                     errs[l] = float("nan")
         else:
             raise ValueError(f"unknown method {method!r}")
-        return cls(coefficients=coeffs, method=method, params=p, lmax=lmax,
-                   jmax=jmax, error_estimates=errs)
+        return cls(coefficients=coeffs, method=method, params=p,
+                   error_estimates=errs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -934,29 +903,9 @@ class MelnikovSeries:
         }
 
 
-def melnikov_potential(v: float, xi: float, series: MelnikovSeries) -> float:
-    """Evaluate the cosine series; depends on (v, xi) only through xi + g0^3 v."""
-    phase = xi + series.params.g0**3 * v
-    out = series.coefficients.get(0, 0.0)
-    for l, c in series.coefficients.items():
-        if l >= 1:
-            out += 2.0 * c * math.cos(l * phase)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Leading-order predictions for the splitting observables
 # ---------------------------------------------------------------------------
-
-def predicted_distance_amplitudes(p: Params) -> tuple[float, float]:
-    """Leading amplitudes (A1, A2) of the splitting distance written as
-    (A1 sin x - A2 sin 2x)/y_h(v), with x the section phase."""
-    mu, g0 = p.mu, p.g0
-    common = mu * (1.0 - mu) * sqrt(pi)
-    a1 = common * (1.0 - 2.0 * mu) / (2.0 * sqrt(2.0)) * g0**1.5 * exp(-g0**3 / 3.0)
-    a2 = common * 8.0 * g0**3.5 * exp(-2.0 * g0**3 / 3.0)
-    return a1, a2
-
 
 def phase_of_v(v, phi0: float, p: Params):
     """Section phase x = phi0 - alpha_h(v) + g0^3 v (unwrapped, increasing)."""
@@ -968,55 +917,35 @@ def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
 
         y_h(v*)^-1 [ A1 sin x - A2 sin 2x ],  x = phi0 - alpha_h(v*) + g0^3 v*,
 
-    with A1, A2 from predicted_distance_amplitudes.  The relative sign of the
-    harmonics follows the verified coefficient signs (L[1] < 0 < L[2]); it
-    places the extra homoclinic roots at cos x = A1/(2 A2) when A1 < 2 A2.
-    Error terms are excluded.  v_star is a number or an array; every value
-    must be positive (y_h vanishes at the turning point).
+    with A1 = -2 g0^3 L[1] and A2 = 4 g0^3 L[2] from melnikov_coeff_asymptotic.
+    The relative sign of the harmonics follows the verified coefficient signs
+    (L[1] < 0 < L[2]); it places the extra homoclinic roots at
+    cos x = A1/(2 A2) when A1 < 2 A2.  Error terms are excluded.  v_star is a
+    number or an array; every value must be positive (y_h vanishes at the
+    turning point).
     """
     v_star = np.asarray(v_star, dtype=float)
     if np.any(v_star <= 0.0):
         raise ValueError("v_star must be positive (y_h(0) = 0)")
-    a1, a2 = predicted_distance_amplitudes(p)
+    a1 = -2.0 * p.g0**3 * melnikov_coeff_asymptotic(1, p)
+    a2 = 4.0 * p.g0**3 * melnikov_coeff_asymptotic(2, p)
     x = phase_of_v(v_star, phi0, p)
     return (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / homoclinic_y(v_star)
 
 
 def _harmonic_ratio(g0: float) -> float:
-    """16 sqrt(2) g0^2 e^{-g0^3/3}, the weight of sin 2x in f and 1/2 - mu*."""
+    """16 sqrt(2) g0^2 e^{-g0^3/3} = (1-2mu) A2/A1: the weight of sin 2x in
+    the normalized distance (1-2mu) sin x - b sin 2x, and 1/2 - mu*."""
     return 16.0 * sqrt(2.0) * g0**2 * exp(-g0**3 / 3.0)
-
-
-def first_order_zero_function(x: float, p: Params) -> float:
-    """Normalized first-order distance shape
-    f(x) = (1-2mu) sin x - 16 sqrt(2) g0^2 e^{-g0^3/3} sin 2x.
-
-    Roots of f locate the homoclinic points at leading order: always x = 0
-    and x = pi; two more per period when (1-2mu) < 32 sqrt(2) g0^2 e^{-g0^3/3}.
-    """
-    b = _harmonic_ratio(p.g0)
-    return (1.0 - 2.0 * p.mu) * math.sin(x) - b * math.sin(2.0 * x)
-
-
-def has_two_first_order_roots(p: Params) -> bool:
-    """True when the leading-order distance has only the two roots x = 0, pi
-    per period, i.e. (1-2mu) > 32 sqrt(2) g0^2 e^{-g0^3/3}."""
-    return (1.0 - 2.0 * p.mu) > 2.0 * _harmonic_ratio(p.g0)
 
 
 def predicted_lobe_area(p: Params) -> float:
     """Leading-order lobe area between consecutive transversal homoclinic
-    points:
-
-        A = mu (1-mu) sqrt(pi) [ (1-2mu)/sqrt(2) g0^{-3/2} e^{-g0^3/3}
-                                 + 8 g0^{1/2} e^{-2 g0^3/3} ],
-
-    the (1 + O(g0^{-1/2})) error factor excluded.  Equals 4(|L1| + |L2|).
-    """
-    mu, g0 = p.mu, p.g0
-    return mu * (1.0 - mu) * sqrt(pi) * (
-        (1.0 - 2.0 * mu) / sqrt(2.0) * g0**-1.5 * exp(-g0**3 / 3.0)
-        + 8.0 * sqrt(g0) * exp(-2.0 * g0**3 / 3.0))
+    points, 4(|L[1]| + |L[2]|) from melnikov_coeff_asymptotic; the
+    (1 + O(g0^{-1/2})) error factor excluded."""
+    L1 = melnikov_coeff_asymptotic(1, p)
+    L2 = melnikov_coeff_asymptotic(2, p)
+    return 4.0 * (abs(L1) + abs(L2))
 
 
 def predicted_tangency_mu(g0: float) -> float:
@@ -1030,12 +959,6 @@ def predicted_tangency_mu(g0: float) -> float:
     val = 0.5 - _harmonic_ratio(g0)
     if val <= 0.0:
         raise ValueError(
-            f"g0={g0} below the tangency validity floor ~{TANGENCY_G0_FLOOR}; "
+            f"g0={g0} below the tangency validity floor ~2.5792; "
             f"formula gives mu*={val:.4g} outside (0, 1/2]")
     return val
-
-
-def predicted_tangency_lobe_area(g0: float) -> float:
-    """Stated leading-order lobe area between the cubic tangency and the
-    adjacent transversal homoclinic point: 10 sqrt(pi) g0^{1/2} e^{-2 g0^3/3}."""
-    return 10.0 * sqrt(pi) * sqrt(g0) * exp(-2.0 * g0**3 / 3.0)

@@ -29,17 +29,7 @@ __all__ = [
     "homoclinic_alpha",
     "homoclinic_alpha_prime",
     "v_of_r",
-    "homoclinic_asymptotics",
-    "ASYMPTOTIC_R_COEFF",
-    "ASYMPTOTIC_Y_COEFF",
-    "ASYMPTOTIC_ALPHA_COEFF",
 ]
-
-# Large-|v| leading constants implied by the closed form: tau ~ (6v)^(1/3),
-# hence r ~ (6v)^(2/3)/2, y ~ 2 (6v)^(-1/3), pi - alpha ~ 2 (6v)^(-1/3).
-ASYMPTOTIC_R_COEFF = 6.0 ** (2.0 / 3.0) / 2.0
-ASYMPTOTIC_Y_COEFF = 2.0 * 6.0 ** (-1.0 / 3.0)
-ASYMPTOTIC_ALPHA_COEFF = 2.0 * 6.0 ** (-1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -130,24 +120,3 @@ def v_of_r(r):
     out = 0.5 * (t**3 / 3.0 + t)
     return out if out.ndim else float(out)
 
-
-def homoclinic_asymptotics(v: float) -> HomoclinicPoint:
-    """Leading large-|v| approximation of the separatrix point.
-
-    r ~= ASYMPTOTIC_R_COEFF |v|^(2/3), y ~= sign(v) ASYMPTOTIC_Y_COEFF
-    |v|^(-1/3), alpha ~= sign(v) (pi - ASYMPTOTIC_ALPHA_COEFF |v|^(-1/3)).
-    The coefficients come from tau ~ (6v)^(1/3) in the exact closed form.
-    Valid for |v| >= 10; relative error decreases with |v|.
-    """
-    if abs(v) < 10.0:
-        raise ValueError("asymptotic form is documented for |v| >= 10")
-    av = abs(v)
-    sgn = 1.0 if v > 0 else -1.0
-    tau = (6.0 * av) ** (1.0 / 3.0)
-    return HomoclinicPoint(
-        v=float(v),
-        tau=sgn * tau,
-        r=ASYMPTOTIC_R_COEFF * av ** (2.0 / 3.0),
-        y=sgn * ASYMPTOTIC_Y_COEFF * av ** (-1.0 / 3.0),
-        alpha=sgn * (np.pi - ASYMPTOTIC_ALPHA_COEFF * av ** (-1.0 / 3.0)),
-    )

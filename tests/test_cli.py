@@ -367,20 +367,39 @@ class TestValidation:
                                                         no_work, capsys):
         # n_samples below 1 ran a 16-phase fan and exited 0, quad_tol <= 0
         # exited 3 after the quadrature ran, and --steps 0 wrote a CSV with
-        # a header only
+        # a header only; above MAX_GRID, n_samples, jmax and --steps sized
+        # their seed, pole-factor and rung arrays before any work
         cfg = tmp_path / "cfg.json"
+        big = cli.MAX_GRID + 1
         for args, bad, key in ((["splitting"], {"n_samples": 0}, "'n_samples'"),
                                (["manifolds"], {"n_samples": -1}, "'n_samples'"),
                                (["melnikov", "--methods", "quadrature"],
                                 {"quad_tol": 0.0}, "'quad_tol'"),
                                (["melnikov"], {"quad_tol": -1e-9}, "'quad_tol'"),
-                               (["tangency", "--steps", 0], {}, "--steps")):
+                               (["tangency", "--steps", 0], {}, "--steps"),
+                               (["splitting"], {"n_samples": 10**9}, "'n_samples'"),
+                               (["sweep"], {"n_samples": big}, "'n_samples'"),
+                               (["melnikov"], {"jmax": 10**6}, "'jmax'"),
+                               (["tangency", "--steps", 10**9], {}, "--steps"),
+                               (["tangency", "--steps", big], {}, "--steps")):
             cfg.write_text(json.dumps(bad))
             assert run([*args, "--config", cfg, "--out", tmp_path]) \
                 == EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.count("validation error") == 1 and key in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("flag,values", [("--grid-mu", "0.3,0.3"),
+                                             ("--grid-g0", "2.4,2.40")])
+    def test_sweep_repeated_grid_value(self, flag, values, tmp_path, no_work,
+                                       capsys):
+        # a repeated value computed the same report twice and wrote two
+        # identical rows
+        assert run(["sweep", flag, values, "--out", tmp_path]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("validation error") == 1 and flag in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_extended_precision_without_the_contour_method(self, tmp_path,
                                                            no_work, capsys):

@@ -11,38 +11,32 @@ from rpc3bp.core import Params, PrecisionError
 from rpc3bp.melnikov import (
     MP_DPS_MIN,
     MelnikovSeries,
-    binom_half,
     contour_integral_I,
     contour_integral_leading,
-    first_order_zero_function,
-    has_two_first_order_roots,
     melnikov_coeff_asymptotic,
     melnikov_coeff0_quadrature,
     melnikov_coeff_contour,
     melnikov_coeff_quadrature,
-    melnikov_potential,
+    phase_of_v,
     predicted_distance,
     predicted_lobe_area,
-    predicted_tangency_lobe_area,
     predicted_tangency_mu,
     uhat_fourier_coeff,
     uhat_fourier_coeff_quadrature,
-    uhat_truncation_tail,
 )
-from rpc3bp.separatrix import homoclinic_r, v_of_r
+from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
 
 EPS = float(np.finfo(float).eps)
 
 
 class TestBinomHalf:
     def test_first_values(self):
-        assert binom_half(0) == 1.0
-        assert binom_half(1) == -0.5
-        assert binom_half(2) == 0.375
+        assert melnikov._binom_half_table(2).tolist() == [1.0, -0.5, 0.375]
 
     def test_against_scipy(self):
+        table = melnikov._binom_half_table(19)
         for j in range(20):
-            assert binom_half(j) == pytest.approx(scipy_binom(-0.5, j), rel=1e-13)
+            assert table[j] == pytest.approx(scipy_binom(-0.5, j), rel=1e-13)
 
 
 class TestUhatCoefficients:
@@ -69,12 +63,6 @@ class TestUhatCoefficients:
         p = Params(0.25, 2.2)
         assert uhat_fourier_coeff(3, 0.9, p) == pytest.approx(
             uhat_fourier_coeff(-3, 0.9, p), rel=1e-14)
-
-    def test_truncation_tail_bounds_remainder(self):
-        p = Params(0.4, 2.0)
-        full = uhat_fourier_coeff(1, 0.5, p, jmax=30)
-        trunc = uhat_fourier_coeff(1, 0.5, p, jmax=6)
-        assert abs(full - trunc) <= 2.0 * uhat_truncation_tail(1, 0.5, p, jmax=6)
 
     def test_convergence_precondition(self):
         # r_h(v) too close to the primary distance
@@ -592,23 +580,9 @@ class TestAsymptoticCoefficients:
 
 
 class TestPotentialSeries:
-    def test_phase_invariance(self):
-        p = Params(0.3, 2.0)
-        s = MelnikovSeries.compute(p, "contour", lmax=3)
-        delta = 0.37
-        a = melnikov_potential(1.0, 0.5, s)
-        b = melnikov_potential(1.0 + delta, 0.5 - p.g0**3 * delta, s)
-        assert b == pytest.approx(a, abs=1e-13 * max(1.0, abs(a)))
-
-    def test_even_in_phase(self):
-        p = Params(0.3, 2.0)
-        s = MelnikovSeries.compute(p, "contour", lmax=3)
-        assert melnikov_potential(0.0, 1.1, s) == pytest.approx(
-            melnikov_potential(0.0, -1.1, s), rel=1e-14)
-
     def test_zero_at_mu0(self):
         s = MelnikovSeries.compute(Params(0.0, 2.0), "quadrature", lmax=2)
-        assert melnikov_potential(0.3, 0.7, s) == 0.0
+        assert s.coefficients == {0: 0.0, 1: 0.0, 2: 0.0}
 
     def test_no_harmonic_is_refused(self):
         # lmax < 1 returned an empty series
@@ -664,21 +638,50 @@ class TestPredictions:
                 for i0, i1 in zip(idx[:-1], idx[1:])]
         assert all(a * b < 0 for a, b in zip(mids[:-1], mids[1:]))
 
+    @staticmethod
+    def _sign_changes_match_phase(p, spacing):
+        # the zeros of the distance on a v grid fall exactly in the grid
+        # steps where the phase x crosses a multiple of spacing
+        vg = np.linspace(0.4, 1.6, 20001)
+        vals = predicted_distance(vg, 0.0, p)
+        cells = np.floor(phase_of_v(vg, 0.0, p) / spacing)
+        idx = np.flatnonzero(np.diff(np.sign(vals)))
+        assert idx.size >= 4
+        assert np.array_equal(idx, np.flatnonzero(np.diff(cells)))
+
     def test_zero_function_roots(self):
-        p = Params(0.5, 2.4)
         # equal masses: pure second harmonic, four zeros per period
-        xs = np.linspace(0, 2 * math.pi, 10001, endpoint=False)
-        vals = np.array([first_order_zero_function(x, p) for x in xs])
-        assert first_order_zero_function(0.0, p) == 0.0
-        assert abs(first_order_zero_function(math.pi, p)) < 1e-15
-        assert np.sum(np.diff(np.sign(vals)) != 0) == 4
+        self._sign_changes_match_phase(Params(0.5, 2.4), math.pi / 2)
 
     def test_zero_function_two_root_regime(self):
+        # (1-2mu) > 32 sqrt(2) g0^2 e^{-g0^3/3}: only x = 0 and pi per period
         p = Params(0.1, 3.0)
-        assert has_two_first_order_roots(p)
-        xs = np.linspace(0, 2 * math.pi, 10001, endpoint=False)
-        vals = np.array([first_order_zero_function(x, p) for x in xs])
-        assert np.sum(np.diff(np.sign(vals)) != 0) == 2
+        assert 1.0 - 2.0 * p.mu > 32.0 * math.sqrt(2.0) * 9.0 * math.exp(-9.0)
+        self._sign_changes_match_phase(p, math.pi)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("g0", [2.0, 2.4, 2.8, 3.5])
+    def test_closed_forms_by_independent_arithmetic(self, mu, g0):
+        # the amplitudes A_l = 2 l g0^3 |L_l| and the lobe 4(|L1| + |L2|),
+        # written out term by term
+        p = Params(mu, g0)
+        common = mu * (1.0 - mu) * math.sqrt(math.pi)
+        a1 = (common * (1.0 - 2.0 * mu) / (2.0 * math.sqrt(2.0)) * g0**1.5
+              * math.exp(-g0**3 / 3.0))
+        a2 = common * 8.0 * g0**3.5 * math.exp(-2.0 * g0**3 / 3.0)
+        lobe = common * ((1.0 - 2.0 * mu) / math.sqrt(2.0) * g0**-1.5
+                         * math.exp(-g0**3 / 3.0)
+                         + 8.0 * math.sqrt(g0) * math.exp(-2.0 * g0**3 / 3.0))
+        vg = np.linspace(0.4, 1.6, 101)
+        x = phase_of_v(vg, 0.7, p)
+        y = homoclinic_y(vg)
+        want = (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / y
+        scale = (np.abs(a1 * np.sin(x)) + np.abs(a2 * np.sin(2.0 * x))) / y
+        got = predicted_distance(vg, 0.7, p)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+        assert abs(predicted_lobe_area(p) - lobe) <= 1e-15 * lobe
+        if mu == 0.0:
+            assert np.all(got == 0.0) and predicted_lobe_area(p) == 0.0
 
     def test_lobe_area_values(self):
         assert predicted_lobe_area(Params(0.0, 2.5)) == 0.0
@@ -703,9 +706,3 @@ class TestPredictions:
     def test_tangency_floor(self):
         with pytest.raises(ValueError):
             predicted_tangency_mu(2.0)
-
-    def test_tangency_lobe_area(self):
-        g0 = 3.0
-        assert predicted_tangency_lobe_area(g0) == pytest.approx(
-            10.0 * math.sqrt(math.pi) * math.sqrt(g0) * math.exp(-2 * g0**3 / 3),
-            rel=1e-14)

@@ -6,11 +6,7 @@ import pytest
 from rpc3bp.core import Params, RotatingState
 from rpc3bp.integrate import integrate
 from rpc3bp.separatrix import (
-    ASYMPTOTIC_ALPHA_COEFF,
-    ASYMPTOTIC_R_COEFF,
-    ASYMPTOTIC_Y_COEFF,
     homoclinic_alpha_prime,
-    homoclinic_asymptotics,
     homoclinic_r,
     homoclinic_state,
     tau_of_v,
@@ -108,25 +104,16 @@ class TestFlowConsistency:
 
 class TestAsymptotics:
     def test_fitted_constants_converge(self):
-        # ratios of the exact closed form against the leading powers
+        # ratios of the exact closed form against the leading powers of
+        # tau ~ (6v)^(1/3): r ~ (6v)^(2/3)/2, y ~ pi - alpha ~ 2 (6v)^(-1/3)
         for v, rtol in ((1e4, 2e-3), (1e6, 1e-4)):
             h = homoclinic_state(v)
-            assert h.r / v ** (2.0 / 3.0) == pytest.approx(ASYMPTOTIC_R_COEFF, rel=rtol)
-            assert h.y * v ** (1.0 / 3.0) == pytest.approx(ASYMPTOTIC_Y_COEFF, rel=rtol)
+            assert h.r / v ** (2.0 / 3.0) == pytest.approx(
+                6.0 ** (2.0 / 3.0) / 2.0, rel=rtol)
+            assert h.y * v ** (1.0 / 3.0) == pytest.approx(
+                2.0 * 6.0 ** (-1.0 / 3.0), rel=rtol)
             assert (math.pi - h.alpha) * v ** (1.0 / 3.0) == pytest.approx(
-                ASYMPTOTIC_ALPHA_COEFF, rel=rtol)
+                2.0 * 6.0 ** (-1.0 / 3.0), rel=rtol)
 
     def test_alpha_limit(self):
         assert homoclinic_state(1e8).alpha == pytest.approx(math.pi, abs=1e-2)
-        assert homoclinic_asymptotics(1e8).alpha == pytest.approx(math.pi, abs=1e-2)
-
-    def test_relative_error_decreases(self):
-        errs = []
-        for v in (10.0, 100.0, 1000.0):
-            a, h = homoclinic_asymptotics(v), homoclinic_state(v)
-            errs.append(abs(a.r / h.r - 1.0))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_domain_floor(self):
-        with pytest.raises(ValueError):
-            homoclinic_asymptotics(5.0)
