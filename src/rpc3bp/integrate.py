@@ -17,8 +17,8 @@ controller, underflow check and event location.  lockstep_flow advances many
 orbits ("lanes") at once with the same scheme written in numpy: one
 vectorised right-hand side per stage serves every lane, while each lane
 keeps its own step size and accept/reject state.  Both right-hand sides are
-core.potential_kernel's field, on Python floats for flow and on numpy
-arrays for the lanes, so they agree bit for bit.
+core.potential_kernel's: flow calls its rates with four Python floats, the
+lanes its field on numpy arrays, and they agree bit for bit.
 
 flow locates a step's event crossings as soon as the step is accepted.
 lockstep_flow only queues each accepted step with a sign change and locates
@@ -40,6 +40,10 @@ has no math.fma.  Everything else is a single IEEE operation per element
 and runs on Python floats with the same result: the stage states, the new
 state, the error scale (with np.maximum's NaN) and the divisions by it.
 The stage rows reach K, and the 4-vectors leave numpy, through memoryviews.
+The accepted state stays a tuple of floats: the events get it as it is, and
+the step stores it so.  Only a step with a sign change builds ndarrays of
+its two end states, for its dense output, and t and y become arrays once,
+when the trajectory is returned.
 
 Nothing here imports scipy.  The DOP853 tableau is vendored in _dop853 from
 scipy's literals, and brentq, which locates event crossings and serves the
@@ -50,7 +54,8 @@ tests compare both with scipy bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, cos, floor, inf, isnan, nan, nextafter, pi, sin, sqrt
+from math import (copysign, cos, floor, inf, isfinite, isnan, nan, nextafter,
+                  pi, sin, sqrt)
 
 import numpy as np
 
@@ -169,42 +174,54 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     atol=tol * 1e-2, events=...) bit for bit, so its steps, states, event
     crossings and nfev are solve_ivp's.  The stage sums, the combinations
     with B, E5 and E3 and the two error norms go through ndarray.dot as
-    scipy's do; every other operation of a step runs on Python floats.
+    scipy's do; every other operation of a step runs on Python floats, and
+    the right-hand side is potential_kernel's rates on four float arguments.
     Events are ev(s, z) with `terminal` (a bool) and `direction`
-    attributes, z being an ndarray; crossings are located on the step's
-    dense output by brentq.
+    attributes.  At the ends of each step z is the step's state as a tuple
+    of four floats; inside a step with a sign change, where brentq locates
+    the crossing on the step's dense output, z is an ndarray.  Only such a
+    step builds arrays of its states; t and y become arrays once, at the
+    end.
 
-    Raises CollisionError if the trajectory reaches the collision cutoff,
-    carrying the last valid state on the exception, and RuntimeError when
-    the step size underflows.
+    Raises ValueError for a non-finite s_span or z0, CollisionError if the
+    trajectory reaches the collision cutoff, carrying the last valid state
+    on the exception, and RuntimeError when the step size underflows.
     """
     _check_tol(tol)
     s, s_end = float(s_span[0]), float(s_span[1])
+    if not (isfinite(s) and isfinite(s_end)):
+        raise ValueError(f"s_span must be finite, got {tuple(s_span)}")
     direction = -1.0 if s_end < s else 1.0
     z = np.array(z0, dtype=float)
     if z.shape != (4,) or not np.isfinite(z).all():
         raise ValueError("z0 must be a finite state [r, phi, y, G]")
-    rhs = make_rhs(p)
+    rates = potential_kernel(p, cos, sin, sqrt).rates
 
     def column(zc):
-        """rhs for the one-lane (4, 1) arrays of the lockstep helpers."""
-        return np.array(rhs(0.0, zc[:, 0].tolist()))[:, None]
+        """rates for the one-lane (4, 1) arrays of the lockstep helpers."""
+        return np.array(rates(*zc[:, 0].tolist()))[:, None]
 
     evs = [_collision_event(p), *(events or ())]
     ev_dir = [getattr(ev, "direction", 0.0) for ev in evs]
     terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
+    # the sign-change test, once per direction: g rising through 0, falling
+    # through 0, or either
+    rising = [e for e, d in enumerate(ev_dir) if d > 0.0]
+    falling = [e for e, d in enumerate(ev_dir) if d < 0.0]
+    either = [e for e, d in enumerate(ev_dir) if d == 0.0]
     t_events = [[] for _ in evs]
     y_events = [[] for _ in evs]
-    ts, zs = [s], [z]
+    x = x0, x1, x2, x3 = tuple(z.tolist())
+    ts, xs = [s], [x]
+    ts_append, xs_append = ts.append, xs.append
     rtol, atol = tol, tol * 1e-2
-    x0, x1, x2, x3 = z.tolist()
-    f = rhs(s, (x0, x1, x2, x3))
+    f = rates(x0, x1, x2, x3)
     nfev = 1
     status = 0
     if s == s_end:
         # solve_ivp's corner case: one empty step, no step-size selection
-        ts.append(s)
-        zs.append(z)
+        ts_append(s)
+        xs_append(x)
     else:
         h_abs = float(_initial_step(column, z[:, None], np.array(f)[:, None],
                                     abs(s_end - s), rtol, atol, direction)[0])
@@ -214,20 +231,28 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     # scipy's np.dot calls, bound to the views of K they read.  Each writes
     # its 4-vector into `out`, read through a memoryview, and the stage rows
     # go into K through another.  For i = 1..11, stages holds the dot of
-    # stage i's sum np.dot(K[:i].T, A[i, :i]), that row of A, and the offset
-    # of row i in K.
+    # stage i's sum np.dot(K[:i].T, A[i, :i]), that row of A, and the
+    # offsets of row i's four entries in K.
     Kw = memoryview(K.reshape(-1))
     out = np.empty(4)
     outw = memoryview(out)
-    stages = [(K[:i].T.dot, _A[i, :i], 4 * i) for i in range(1, _N_STAGES)]
+    stages = [(K[:i].T.dot, _A[i, :i], *range(4 * i, 4 * i + 4))
+              for i in range(1, _N_STAGES)]
     combine_b = K[:_N_STAGES].T.dot
     combine_err = K[:_N_STAGES + 1].T.dot
-    j_new = 4 * _N_STAGES
-    g = [ev(s, z) for ev in evs]
+    norm_sq = out.dot
+    n0, n1, n2, n3 = range(4 * _N_STAGES, 4 * _N_STAGES + 4)
+    B, E5, E3 = _B, _E5, _E3
+    n_stages = _N_STAGES
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    exponent = _ERROR_EXPONENT
+    toward = direction * inf
+    g = [ev(s, x) for ev in evs]
 
     while s != s_end:
-        min_step = 10.0 * abs(nextafter(s, direction * inf) - s)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * abs(nextafter(s, toward) - s)
+        if h_abs < min_step:
+            h_abs = min_step
         rejected = False
         Kw[0], Kw[1], Kw[2], Kw[3] = f
         a0, a1, a2, a3 = abs(x0), abs(x1), abs(x2), abs(x3)
@@ -240,17 +265,16 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
                 s_new = s_end
             h = s_new - s
             h_abs = abs(h)
-            for dot, a, j in stages:
+            for dot, a, j0, j1, j2, j3 in stages:
                 dot(a, out)
                 d0, d1, d2, d3 = outw
-                Kw[j], Kw[j + 1], Kw[j + 2], Kw[j + 3] = rhs(
-                    0.0, (x0 + d0 * h, x1 + d1 * h, x2 + d2 * h, x3 + d3 * h))
-            combine_b(_B, out)
+                Kw[j0], Kw[j1], Kw[j2], Kw[j3] = rates(
+                    x0 + d0 * h, x1 + d1 * h, x2 + d2 * h, x3 + d3 * h)
+            combine_b(B, out)
             d0, d1, d2, d3 = outw
             x_new = (x0 + h * d0, x1 + h * d1, x2 + h * d2, x3 + h * d3)
-            f_new = rhs(0.0, x_new)
-            Kw[j_new], Kw[j_new + 1], Kw[j_new + 2], Kw[j_new + 3] = f_new
-            nfev += _N_STAGES
+            f_new = Kw[n0], Kw[n1], Kw[n2], Kw[n3] = rates(*x_new)
+            nfev += n_stages
 
             # np.maximum(|z|, |z_new|) with its NaN: a NaN in the new state
             # makes a NaN scale and so a rejected step (|z| is never NaN,
@@ -260,62 +284,71 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
             c1 = atol + (a1 if a1 >= b1 else b1) * rtol
             c2 = atol + (a2 if a2 >= b2 else b2) * rtol
             c3 = atol + (a3 if a3 >= b3 else b3) * rtol
-            combine_err(_E5, out)
+            combine_err(E5, out)
             d0, d1, d2, d3 = outw
             outw[0], outw[1], outw[2], outw[3] = (d0 / c0, d1 / c1,
                                                   d2 / c2, d3 / c3)
-            e5 = sqrt(out.dot(out)) ** 2
-            combine_err(_E3, out)
+            e5 = sqrt(norm_sq(out)) ** 2
+            combine_err(E3, out)
             d0, d1, d2, d3 = outw
             outw[0], outw[1], outw[2], outw[3] = (d0 / c0, d1 / c1,
                                                   d2 / c2, d3 / c3)
-            e3 = sqrt(out.dot(out)) ** 2
+            e3 = sqrt(norm_sq(out)) ** 2
             if e5 == 0.0 and e3 == 0.0:
                 err_norm = 0.0
             else:
                 err_norm = h_abs * e5 / sqrt((e5 + 0.01 * e3) * 4)
             if err_norm < 1.0:
-                factor = (_MAX_FACTOR if err_norm == 0.0 else
-                          min(_MAX_FACTOR, _SAFETY * err_norm ** _ERROR_EXPONENT))
+                factor = (max_factor if err_norm == 0.0 else
+                          min(max_factor, safety * err_norm ** exponent))
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ERROR_EXPONENT)
+            h_abs *= max(min_factor, safety * err_norm ** exponent)
             rejected = True
 
-        s_old, z_old, s, f = s, z, s_new, f_new
-        x0, x1, x2, x3 = x_new
-        z = np.array(x_new)
-        g_new = [ev(s, z) for ev in evs]
-        active = [e for e, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
-                  if (d > 0.0 and a <= 0.0 <= b) or (d < 0.0 and a >= 0.0 >= b)
-                  or (d == 0.0 and (a <= 0.0 <= b or a >= 0.0 >= b))]
+        s_old, x_old, s, f = s, x, s_new, f_new
+        x = x0, x1, x2, x3 = x_new
+        g_new = [ev(s, x) for ev in evs]
+        active = []
+        for e in falling:
+            if g[e] >= 0.0 >= g_new[e]:
+                active.append(e)
+        for e in rising:
+            if g[e] <= 0.0 <= g_new[e]:
+                active.append(e)
+        for e in either:
+            a, b = g[e], g_new[e]
+            if a <= 0.0 <= b or a >= 0.0 >= b:
+                active.append(e)
         g = g_new
         if active:
+            z_old = np.array(x_old)
             F = _dense_coefficients(column, K3, np.array([h]), z_old[:, None],
-                                    z[:, None])[0]
+                                    np.array(x)[:, None])[0]
             nfev += 3
             z_at = _dense_state(F, z_old, s_old, h)
-            active, roots, stop = _locate(evs, terminal, np.array(active),
-                                          z_at, s_old, s)
+            active, roots, stop = _locate(evs, terminal,
+                                          np.array(sorted(active)), z_at,
+                                          s_old, s)
             for e, t in zip(active, roots):
                 t_events[e].append(t)
                 y_events[e].append(z_at(t))
             if stop:
                 status = 1
                 s = roots[-1]
-                z = z_at(s)
-        ts.append(s)
-        zs.append(z)
+                x = tuple(z_at(s).tolist())
+        ts_append(s)
+        xs_append(x)
         if status == 1:
             break
 
     if t_events[0]:
         err = CollisionError("trajectory reached the collision cutoff")
-        err.last_state = RotatingState.from_array(zs[-1])
+        err.last_state = RotatingState.from_array(xs[-1])
         raise err
-    return Trajectory(t=np.array(ts), y=np.array(zs).T,
-                      t_events=[np.asarray(x) for x in t_events],
-                      y_events=[np.asarray(x) for x in y_events],
+    return Trajectory(t=np.array(ts), y=np.array(xs).T,
+                      t_events=[np.asarray(v) for v in t_events],
+                      y_events=[np.asarray(v) for v in y_events],
                       nfev=nfev, status=status)
 
 
@@ -323,6 +356,7 @@ def integrate(s: RotatingState, delta_s: float, tol: float, p: Params) -> Rotati
     """Propagate a rotating-chart state by time delta_s (either sign).
 
     Deterministic for fixed inputs; local error controlled at rtol = tol.
+    A NaN or infinite delta_s raises ValueError, as flow does.
     """
     _check_tol(tol)
     if delta_s == 0.0:

@@ -150,8 +150,17 @@ def uhat_fourier_coeff(l: int, v: float, p: Params, jmax: int = 12) -> float:
 
 _N_THETA = 256
 _THETA_GRIDS = (16, 32, 64, 128)
-# entries of the largest potential matrix formed at once: 3072 nodes x 256
-_V_BLOCK = 3072 * _N_THETA
+# entries of the largest potential matrix formed at once: 32 nodes x 256.
+# V's elementwise passes hold about six temporaries of a block's size; at
+# 8192 entries each is 64 KiB, below glibc's 128 KiB mmap threshold, so
+# they come from the heap and stay in a core's L2 cache.  Larger blocks
+# have each temporary mapped afresh and page-faulted.  The (0.3, 1.5)
+# quadrature series of lmax 4, repeated in one fresh process, took 80600
+# page faults and 0.38-0.44 CPU s a call at 3072 x 256 entries (6 MiB
+# temporaries), 53100 and 0.33-0.36 s at 32768, and 0-250 and 0.26-0.28 s
+# here.  Its coefficients and error estimates are bit-identical at
+# 786432, 65536, 32768, 16384 and 8192 entries.
+_V_BLOCK = 8192
 
 
 def _theta_grid_sizes(l: int, r: np.ndarray, p: Params) -> np.ndarray:

@@ -24,6 +24,7 @@ from rpc3bp.core import (
     jacobi_constant,
     polar_to_cartesian,
     polar_to_rotating,
+    potential_kernel,
     potential_V,
     rotating_to_polar,
     vector_field_rotating,
@@ -388,6 +389,50 @@ class TestFlow:
         # evaluations are 12 per rejected step attempt
         assert got.nfev - 2 - 12 * steps > 3 * crossings
 
+    def test_far_field_excursion(self, solve_ivp_flow):
+        # the excursion flight of oscillation_demo (r_out = 5) from seed
+        # (1.3, 0.923) at (0.3, 2.2): from the r = 5 exit out to r = 18.98
+        # and back to 0.98 r_out, about 1700 of its steps beyond r = 10,
+        # where most steps of the oscillate benchmark are taken
+        p = Params(0.3, 2.2)
+        z0 = lift_to_shell(1.3, 0.923, 0.0, p).to_array()
+
+        def going_out(s, z):
+            return z[0] - 5.0
+        going_out.terminal = True
+        going_out.direction = 1.0
+
+        def coming_back(s, z):
+            return z[0] - 0.98 * 5.0
+        coming_back.terminal = True
+        coming_back.direction = -1.0
+
+        def far(s, z):
+            return z[0] - 50.0
+        far.terminal = True
+        far.direction = 1.0
+
+        exit_state = solve_ivp_flow(z0, (0.0, 200.0), 1e-12, p,
+                                    events=[going_out]).y_events[1][0]
+        evs = [coming_back, apocentre, far]
+        got = flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
+        ref = solve_ivp_flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
+        assert_same_trajectory(got, ref)
+        assert got.status == 1 and got.t[-1] == got.t_events[1][0]
+        assert len(got.t_events[2]) == 1 and len(got.t_events[3]) == 0
+        assert got.y_events[2][0, 0] == pytest.approx(18.98, abs=0.01)
+        assert np.count_nonzero(got.y[0] > 10.0) >= 1500
+
+    @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf),
+                                      (-math.inf, 1.0)])
+    def test_non_finite_span_refused(self, span):
+        # the step loop would never reach a NaN or infinite end
+        with pytest.raises(ValueError, match="s_span"):
+            flow(self.Z0, span, 1e-12, self.P)
+        with pytest.raises(ValueError, match="s_span"):
+            integrate(RotatingState(*self.Z0), span[1] - span[0], 1e-12,
+                      self.P)
+
     def test_negative_span(self, solve_ivp_flow):
         # from this start the initial-step rule's backward probe picks
         # another first step than a forward one would
@@ -424,6 +469,9 @@ class TestFlow:
 @pytest.mark.filterwarnings("error")
 class TestLockstep:
     def test_lane_rhs_matches_scalar_rhs(self):
+        # every entry to the field agrees bit for bit: the lanes, flow's
+        # rates on four Python floats, solve_ivp's f(s, z) and
+        # vector_field_rotating
         for p in (Params(0.3, 2.4), Params(0.5, 2.0), Params(0.0, 2.2)):
             states = random_rotating_states(p, 8) + [
                 RotatingState(50.0, 1.3, -0.2, 1.0),
@@ -431,8 +479,14 @@ class TestLockstep:
             z = np.array([s.to_array() for s in states]).T
             lanes = make_lane_rhs(p)(z)
             scalar = make_rhs(p)
+            rates = potential_kernel(p, math.cos, math.sin, math.sqrt).rates
             for k, s in enumerate(states):
-                np.testing.assert_array_equal(lanes[:, k], scalar(0.0, s.to_array()))
+                want = scalar(0.0, s.to_array())
+                got = rates(s.r, s.phi, s.y, s.G)
+                assert all(type(x) is float for x in got)
+                assert [x.hex() for x in got] == [float(x).hex() for x in want]
+                np.testing.assert_array_equal(lanes[:, k], want)
+                np.testing.assert_array_equal(vector_field_rotating(s, p), want)
 
     def test_lanes_follow_flow(self):
         # each lane repeats solve_ivp's DOP853 arithmetic: same steps, same
