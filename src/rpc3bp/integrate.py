@@ -20,6 +20,12 @@ keeps its own step size and accept/reject state.  Both right-hand sides are
 core.potential_kernel's: flow calls its rates with four Python floats, the
 lanes its field on numpy arrays, and they agree bit for bit.
 
+Both integrators take events as solve_ivp does, ev(s, z) with `terminal`
+and `direction` attributes, and add a terminal collision guard on
+r = collision_radius after them.  A crossing of the guard raises
+CollisionError with the located state, so its slot never reaches a caller:
+Trajectory.t_events[e] and LockstepFlow.s_events[k][e] belong to events[e].
+
 flow locates a step's event crossings as soon as the step is accepted.
 lockstep_flow only queues each accepted step with a sign change and locates
 the crossings of every queued step after its step loop, from one batched
@@ -71,9 +77,6 @@ from .core import (
 __all__ = [
     "TOL_MIN",
     "TOL_MAX",
-    "make_rhs",
-    "make_lane_rhs",
-    "integrate",
     "Trajectory",
     "flow",
     "LockstepFlow",
@@ -99,29 +102,6 @@ def _section_tol(phi: float) -> float:
 def _check_tol(tol: float) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-
-
-def make_rhs(p: Params):
-    """Scalar-math right-hand side f(s, z) for z = [r, phi, y, G].
-
-    The field of core.potential_kernel on Python floats: the hot path of
-    every single-orbit propagation.
-    """
-    return potential_kernel(p, cos, sin, sqrt).field
-
-
-def make_lane_rhs(p: Params):
-    """make_rhs for a (4, m) array of states, one lane per column: the same
-    kernel on numpy arrays, operation for operation.
-    """
-    field = potential_kernel(p, np.cos, np.sin, np.sqrt).field
-
-    def rhs(z):
-        out = np.empty_like(z)
-        out[0], out[1], out[2], out[3] = field(0.0, z)
-        return out
-
-    return rhs
 
 
 def _collision_event(p: Params):
@@ -153,9 +133,9 @@ class Trajectory:
 
     t, y: the accepted step times and the states there, y[:, i] at t[i],
     ending at s_span[1] or at the terminal crossing.  t_events[e],
-    y_events[e]: times and states of the crossings of events[e - 1], and of
-    the collision guard for e = 0.  nfev: right-hand-side evaluations.
-    status: 0 when the span was integrated, 1 when a terminal event fired.
+    y_events[e]: times and states of the crossings of events[e].  nfev:
+    right-hand-side evaluations.  status: 0 when the span was integrated,
+    1 when a terminal event fired.
     """
 
     t: np.ndarray
@@ -177,11 +157,12 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     scipy's do; every other operation of a step runs on Python floats, and
     the right-hand side is potential_kernel's rates on four float arguments.
     Events are ev(s, z) with `terminal` (a bool) and `direction`
-    attributes.  At the ends of each step z is the step's state as a tuple
-    of four floats; inside a step with a sign change, where brentq locates
-    the crossing on the step's dense output, z is an ndarray.  Only such a
-    step builds arrays of its states; t and y become arrays once, at the
-    end.
+    attributes; the crossings of events[e] are t_events[e] and y_events[e],
+    the collision guard going after them.  At the ends of each step z is the
+    step's state as a tuple of four floats; inside a step with a sign
+    change, where brentq locates the crossing on the step's dense output, z
+    is an ndarray.  Only such a step builds arrays of its states; t and y
+    become arrays once, at the end.
 
     Raises ValueError for a non-finite s_span or z0, CollisionError if the
     trajectory reaches the collision cutoff, carrying the last valid state
@@ -201,7 +182,7 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
         """rates for the one-lane (4, 1) arrays of the lockstep helpers."""
         return np.array(rates(*zc[:, 0].tolist()))[:, None]
 
-    evs = [_collision_event(p), *(events or ())]
+    evs = [*(events or ()), _collision_event(p)]
     ev_dir = [getattr(ev, "direction", 0.0) for ev in evs]
     terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
     # the sign-change test, once per direction: g rising through 0, falling
@@ -342,27 +323,14 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
         if status == 1:
             break
 
-    if t_events[0]:
+    if t_events[-1]:
         err = CollisionError("trajectory reached the collision cutoff")
         err.last_state = RotatingState.from_array(xs[-1])
         raise err
     return Trajectory(t=np.array(ts), y=np.array(xs).T,
-                      t_events=[np.asarray(v) for v in t_events],
-                      y_events=[np.asarray(v) for v in y_events],
+                      t_events=[np.asarray(v) for v in t_events[:-1]],
+                      y_events=[np.asarray(v) for v in y_events[:-1]],
                       nfev=nfev, status=status)
-
-
-def integrate(s: RotatingState, delta_s: float, tol: float, p: Params) -> RotatingState:
-    """Propagate a rotating-chart state by time delta_s (either sign).
-
-    Deterministic for fixed inputs; local error controlled at rtol = tol.
-    A NaN or infinite delta_s raises ValueError, as flow does.
-    """
-    _check_tol(tol)
-    if delta_s == 0.0:
-        return s
-    sol = flow(s.to_array(), (0.0, delta_s), tol, p)
-    return RotatingState.from_array(sol.y[:, -1])
 
 
 @dataclass
@@ -371,8 +339,8 @@ class LockstepFlow:
 
     s[k], z[:, k]: final time and state of lane k, at s_end or at the
     crossing that retired it.  s_events[k][e], z_events[k][e]: times and
-    states of lane k's crossings of events[e], as solve_ivp's t_events and
-    y_events.  work: lockstep iterations; accepted steps, rejected steps and
+    states of lane k's crossings of events[e], as flow's t_events[e] and
+    y_events[e].  work: lockstep iterations; accepted steps, rejected steps and
     right-hand-side evaluations summed over lanes; located steps, the lane
     steps whose crossings were located; and dense passes, the batched
     dense-output calls that located them.
@@ -482,27 +450,37 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     accept/reject state.
 
     Events follow flow's conventions (ev(s, z) with `terminal` and
-    `direction`) but get arrays: z of shape (4, m) and s of shape (m,).  A
-    sign change over an accepted step is located on the lane's dense output
-    as solve_ivp does, and a terminal crossing retires the lane: crossings
-    before it in that step are kept, later ones dropped.  The lane retires
-    in the iteration of that step, but the crossings of all lanes are
-    located after the step loop, in step order, from one batched dense
-    output; only a crossing of the collision guard has the queued steps
-    located at once.  An event may carry a `gate(s, z)` attribute; its
-    crossings are then located only in steps with the gate true at either
-    end, which spares locating crossings the caller would discard.
+    `direction`, the crossings of events[e] in s_events[k][e], the collision
+    guard after them) but get arrays: z of shape (4, m) and s of shape
+    (m,).  A sign change over an accepted step is located on the lane's
+    dense output as solve_ivp does, and a terminal crossing retires the
+    lane: crossings before it in that step are kept, later ones dropped.
+    The lane retires in the iteration of that step, but the crossings of
+    all lanes are located after the step loop, in step order, from one
+    batched dense output; only a crossing of the collision guard has the
+    queued steps located at once.  An event may carry a `gate(s, z)`
+    attribute; its crossings are then located only in steps with the gate
+    true at either end, which spares locating crossings the caller would
+    discard.
 
-    Raises ValueError for a non-finite state, CollisionError, with the
-    lane's state at the cutoff, when a lane reaches the collision cutoff,
+    Raises ValueError for a non-finite state or s_end, CollisionError, with
+    the lane's state at the cutoff, when a lane reaches the collision cutoff,
     and RuntimeError when a lane's step size underflows.
     """
     _check_tol(tol)
-    if not s_end > 0.0:
-        raise ValueError("lockstep_flow integrates forward: need s_end > 0")
+    if not (s_end > 0.0 and isfinite(s_end)):
+        raise ValueError(f"lockstep_flow integrates forward over a finite "
+                         f"span: need 0 < s_end < inf, got {s_end}")
     rtol, atol = tol, tol * 1e-2
-    fun = make_lane_rhs(p)
-    evs = [_collision_event(p), *events]
+    rates = potential_kernel(p, np.cos, np.sin, np.sqrt).rates
+
+    def fun(z):
+        """The field on a (4, m) array of states, one lane per column."""
+        out = np.empty_like(z)
+        out[0], out[1], out[2], out[3] = rates(*z)
+        return out
+
+    evs = [*events, _collision_event(p)]
     direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
     terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in evs])
     gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
@@ -597,7 +575,7 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
             queue.append((K[cols], lane[cols], s[cols], s_new[cols], h[cols],
                           z[:, cols], z_new[:, cols], hit[:, cols]))
             done |= (hit & terminal[:, None]).any(axis=0)
-            if hit[0].any():
+            if hit[-1].any():
                 locate_queued()
 
         s = np.where(ok, s_new, s)
@@ -722,19 +700,19 @@ def _locate(evs, terminal, active, z_at, s_old, s_new):
 def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
                     out: LockstepFlow) -> None:
     """Locate and record lane k's crossings of evs[active] in one step, and
-    its final time and state when a terminal crossing retired it; evs[0] is
+    its final time and state when a terminal crossing retired it; evs[-1] is
     the collision event.
     """
     active, roots, stop = _locate(evs, terminal, active, z_at, s_old, s_new)
     if stop:
         out.s[k], out.z[:, k] = roots[-1], z_at(roots[-1])
     for e, t in zip(active, roots):
-        if e == 0:
+        if e == len(evs) - 1:
             err = CollisionError(f"lane {k} reached the collision cutoff")
             err.last_state = RotatingState.from_array(out.z[:, k])
             raise err
-        out.s_events[k][e - 1].append(t)
-        out.z_events[k][e - 1].append(z_at(t))
+        out.s_events[k][e].append(t)
+        out.z_events[k][e].append(z_at(t))
 
 
 def section_event(phi0: float, direction: float = 0.0):
@@ -758,7 +736,7 @@ def refine_to_section(z, phi0: float, p: Params) -> np.ndarray:
     <= 1e-13 whenever |phi| <= ~700; the time location is always accurate to
     ~1e-14 / |dphi/ds| regardless).
     """
-    rhs = make_rhs(p)
+    rhs = potential_kernel(p, cos, sin, sqrt).field
     z = np.asarray(z, dtype=float).copy()
     floor = max(1e-15, 4.0 * np.finfo(float).eps * abs(z[1]))
     for _ in range(5):
@@ -781,9 +759,10 @@ def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
     phi decreases along the flow, so the return is the first time the
     unwrapped angle reaches the level phi0 + 2pi k strictly below z[1]; a
     state already on the section (within refine_to_section's tolerance) goes
-    on to the next level.  One flow call over (0, s_max), with a terminal
-    event on phi - level ahead of events, whose crossings land in
-    t_events[2:].
+    on to the next level.  One flow call over (0, s_max) with events and,
+    after them, a terminal event on phi - level: the crossings of events[e]
+    are the trajectory's t_events[e], and as the level crossing ends the
+    trajectory, the return time is its t[-1].
 
     Returns (trajectory, z_return), z_return being the crossing polished by
     refine_to_section, or None when a terminal event of events or s_max came
@@ -799,7 +778,7 @@ def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
 
     ev.terminal = True
     ev.direction = -1.0
-    sol = flow(z, (0.0, s_max), tol, p, events=[ev, *events])
-    if len(sol.t_events[1]) == 0:
+    sol = flow(z, (0.0, s_max), tol, p, events=[*events, ev])
+    if len(sol.t_events[-1]) == 0:
         return sol, None
-    return sol, refine_to_section(sol.y_events[1][0], phi0, p)
+    return sol, refine_to_section(sol.y_events[-1][0], phi0, p)

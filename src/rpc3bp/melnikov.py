@@ -82,9 +82,11 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 # fewest digits of the extended route: below 17 it carries fewer digits than
-# binary64 (17 round-trip a double).  It is not enough for the default series:
-# at (0.3, 3.5) the l = 1 terms are refused as not real at 17 and 20 digits
-# (I(1,11,10), I(1,13,12)) and pass at 25; the cause is not yet known
+# binary64 (17 round-trip a double).  It is not enough for the default series
+# (lmax 4, jmax 12), which is refused as not real, on a term I(l, j + l, j)
+# with j >= 9, at 17, 20, 22 and 25 digits and passes at 28, 30, 33 and 40 at
+# each (mu, g0) measured: (0.3, 3.5), (0.45, 4.5), (0.3, 2.0), (0.1, 4.0),
+# (0.49, 3.0) and (0.3, 5.0).  The cause is not yet known
 MP_DPS_MIN = 17
 
 

@@ -120,27 +120,30 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         except CollisionError:
             break
         max_r = max(max_r, float(np.max(sol.y[0])))
-        if len(sol.t_events[2]) > 0:
+        # sol ends on going_out's crossing, on the return, or at s_max,
+        # which ends the demo
+        s_acc += float(sol.t[-1])
+        if len(sol.t_events[0]) > 0:
             # excursion: integrate straight through, no section counting
-            s_acc += float(sol.t_events[2][0])
             try:
-                ex = flow(sol.y_events[2][0], (0.0, flight_horizon), tol, p,
+                ex = flow(sol.y_events[0][0], (0.0, flight_horizon), tol, p,
                           events=[coming_back, apo, far])
             except CollisionError:
                 break
-            if len(ex.y_events[3]) > 0 or len(ex.t_events[1]) == 0:
-                zf = (ex.y_events[3][0] if len(ex.y_events[3]) > 0
-                      else ex.y[:, -1])
+            back_t, _, far_t = ex.t_events
+            back_y, apo_y, far_y = ex.y_events
+            if len(far_t) > 0 or len(back_t) == 0:
+                zf = far_y[0] if len(far_t) > 0 else ex.y[:, -1]
                 e2 = _two_body_energy(zf)
                 log.escaped = True
                 log.escape_kind = ("hyperbolic" if e2 > HYPERBOLIC_EXCESS
                                   else "parabolic_or_escape")
                 max_r = max(max_r, float(zf[0]))
                 break
-            if len(ex.t_events[2]) > 0:
-                max_r = max(max_r, float(np.max(ex.y_events[2][:, 0])))
-            z = ex.y_events[1][0]
-            s_acc += float(ex.t_events[1][0])
+            if len(apo_y) > 0:
+                max_r = max(max_r, float(np.max(apo_y[:, 0])))
+            z = back_y[0]
+            s_acc += float(back_t[0])
             max_r = max(max_r, r_out)
             continue
         if z_ret is None:
@@ -149,7 +152,6 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
             break
         z = z_ret
         max_r = max(max_r, float(z[0]))
-        s_acc += float(sol.t_events[1][0])
         n_returns += 1
         log.returns.append(ReturnRecord(s=s_acc, r=float(z[0]), y=float(z[2]),
                                         G=float(z[3]), max_r_since_last=max_r))

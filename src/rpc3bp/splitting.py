@@ -406,8 +406,8 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
                                 phi0: float = 0.0) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
     mu_star (the leading-order prediction for the first point).  Both ends
-    of the range are checked against find_tangency's g0 floor before any
-    rung is solved."""
+    of the range are checked against find_tangency's g0 floor, and the
+    rungs for repeats, before any rung is solved."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     g0_lo, g0_hi = g0_range
@@ -416,8 +416,11 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
     if min(g0_lo, g0_hi) < TANGENCY_SOLVE_G0_MIN:
         raise ValueError(f"g0 range {g0_range!r} reaches below the tangency "
                          f"solve's floor g0 >= {TANGENCY_SOLVE_G0_MIN}")
-    points: list[TangencyPoint] = []
     g0s = np.linspace(g0_lo, g0_hi, steps)
+    if len(set(g0s.tolist())) < steps:
+        raise ValueError(f"g0 range {g0_range!r} in {steps} steps repeats "
+                         "a rung")
+    points: list[TangencyPoint] = []
     ratio = 1.0   # measured/predicted deviation of the previous solve
     for g0 in g0s:
         dev_pred = 0.5 - predicted_tangency_mu(float(g0))

@@ -1,14 +1,17 @@
+from math import cos, sin, sqrt
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from rpc3bp.core import CollisionError, RotatingState, collision_radius
-from rpc3bp.integrate import make_rhs
+from rpc3bp.core import (CollisionError, RotatingState, collision_radius,
+                         potential_kernel)
 
 
 def _solve_ivp_flow(z0, s_span, tol, p, events=None):
     """integrate.flow's contract on scipy's solve_ivp DOP853: the reference
-    that flow repeats bit for bit."""
+    that flow repeats bit for bit.  The collision guard goes after events
+    and its slot is dropped, so t_events[e] belongs to events[e]."""
     r_cut = collision_radius(p)
 
     def collision(s, z):
@@ -16,15 +19,16 @@ def _solve_ivp_flow(z0, s_span, tol, p, events=None):
     collision.terminal = True
     collision.direction = -1.0
 
-    sol = solve_ivp(make_rhs(p), s_span, np.asarray(z0, dtype=float),
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    events=[collision, *(events or ())])
+    sol = solve_ivp(potential_kernel(p, cos, sin, sqrt).field, s_span,
+                    np.asarray(z0, dtype=float), method="DOP853", rtol=tol,
+                    atol=tol * 1e-2, events=[*(events or ()), collision])
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
+    if sol.status == 1 and len(sol.t_events[-1]) > 0:
         err = CollisionError("trajectory reached the collision cutoff")
         err.last_state = RotatingState.from_array(sol.y[:, -1])
         raise err
+    sol.t_events, sol.y_events = sol.t_events[:-1], sol.y_events[:-1]
     return sol
 
 

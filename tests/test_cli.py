@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rpc3bp import cli
+from rpc3bp import cli, splitting
 from rpc3bp.cli import (
     EXIT_OK,
     EXIT_UNTRUSTED,
@@ -401,6 +401,16 @@ class TestValidation:
         assert err.count("validation error") == 1 and flag in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_tangency_repeated_rung(self, monkeypatch, tmp_path, capsys):
+        # equal ends over --steps 3 solved the same rung three times (about
+        # 3 s each at 2.9), each from another bracket, and wrote it thrice
+        monkeypatch.setattr(splitting, "find_tangency", never)
+        assert run(["tangency", "--g0-min", 2.9, "--g0-max", 2.9, "--steps", 3,
+                    "--out", tmp_path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("validation error") == 1 and "repeats a rung" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_extended_precision_without_the_contour_method(self, tmp_path,
                                                            no_work, capsys):
         # only the contour route reads mp_dps: --g0 1.5 --methods quadrature
@@ -606,7 +616,7 @@ class TestOscillateAndSweep:
 _FRESH_SCRIPT = """
 import json, sys
 from pathlib import Path
-from rpc3bp import cli
+from rpc3bp import cli, splitting
 out = Path(sys.argv[1])
 for argv in json.loads(sys.argv[2]):
     assert cli.main([*argv, "--out", str(out)]) == 0, argv

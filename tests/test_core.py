@@ -34,10 +34,7 @@ from rpc3bp.integrate import (
     _dense_state,
     brentq,
     flow,
-    integrate,
     lockstep_flow,
-    make_lane_rhs,
-    make_rhs,
     section_event,
 )
 from rpc3bp.manifolds import lift_to_shell
@@ -133,7 +130,8 @@ class TestJacobi:
         p = Params(0.0, 2.0)
         z = RotatingState(1.2, 0.3, 0.4, 1.0)
         j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
-        z1 = integrate(z, 3.0, 1e-12, p)
+        z1 = RotatingState.from_array(
+            flow(z.to_array(), (0.0, 3.0), 1e-12, p).y[:, -1])
         j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 3.0, p), p)
         assert abs(j1 - j0) < 1e-12
 
@@ -141,7 +139,8 @@ class TestJacobi:
         p = Params(0.3, 2.2)
         z = RotatingState(1.4, 0.7, 0.3, 1.0)
         j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
-        z1 = integrate(z, 10.0, 1e-12, p)
+        z1 = RotatingState.from_array(
+            flow(z.to_array(), (0.0, 10.0), 1e-12, p).y[:, -1])
         j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 10.0, p), p)
         assert abs(j1 - j0) < 1e-10
 
@@ -191,10 +190,12 @@ class TestPotential:
         kepler = (y, G / r**2 - p.g0**3, G * G / r**3 - 1.0 / r**2, 0.0)
         f = vector_field_rotating(RotatingState(r, phi, y, G), p)
         assert f == pytest.approx(kepler, rel=1e-15, abs=0.0)
-        assert make_rhs(p)(0.0, [r, phi, y, G]) == tuple(f)
+        field = potential_kernel(p, math.cos, math.sin, math.sqrt).field
+        assert field(0.0, [r, phi, y, G]) == tuple(f)
         with np.errstate(all="raise"):
-            lanes = make_lane_rhs(p)(np.array([[r], [phi], [y], [G]]))
-        np.testing.assert_array_equal(lanes[:, 0], f)
+            lanes = potential_kernel(p, np.cos, np.sin, np.sqrt).field(
+                0.0, np.array([[r], [phi], [y], [G]]))
+        np.testing.assert_array_equal(np.array(lanes)[:, 0], f)
 
 
 class TestVectorField:
@@ -261,53 +262,58 @@ class TestInvolution:
         tol = 1e-12
         for s_time in (1.5, -2.5):
             z = RotatingState(1.4, 0.9, 0.35, 1.02)
-            lhs = involution_R(integrate(involution_R(z), s_time, tol, p))
-            rhs = integrate(z, -s_time, tol, p)
-            diff = np.abs(lhs.to_array() - rhs.to_array())
+            zr = flow(involution_R(z).to_array(), (0.0, s_time), tol, p)
+            lhs = involution_R(RotatingState.from_array(zr.y[:, -1]))
+            rhs = flow(z.to_array(), (0.0, -s_time), tol, p).y[:, -1]
+            diff = np.abs(lhs.to_array() - rhs)
             diff[1] = abs((diff[1] + math.pi) % (2 * math.pi) - math.pi)
             assert np.max(diff) < 100 * tol * max(1.0, abs(s_time) * p.g0**3)
 
 
 class TestIntegrate:
+    # the end state of flow over a span
     def test_zero_interval_identity(self):
         p = Params(0.3, 2.0)
-        z = RotatingState(1.2, 0.5, 0.1, 1.0)
-        assert integrate(z, 0.0, 1e-12, p) == z
+        z = [1.2, 0.5, 0.1, 1.0]
+        sol = flow(z, (0.0, 0.0), 1e-12, p)
+        assert sol.t[-1] == 0.0 and sol.y[:, -1].tolist() == z
 
     def test_energy_drift(self):
         p = Params(0.3, 2.3)
         tol = 1e-12
         z = RotatingState(1.5, 0.2, -0.3, 1.0)
         h0 = hamiltonian_rotating(z, p)
-        z1 = integrate(z, 8.0, tol, p)
-        assert abs(hamiltonian_rotating(z1, p) - h0) < 100 * tol * 8.0 * p.g0**3
+        z1 = flow(z.to_array(), (0.0, 8.0), tol, p).y[:, -1]
+        assert abs(hamiltonian_rotating(RotatingState.from_array(z1), p)
+                   - h0) < 100 * tol * 8.0 * p.g0**3
 
     def test_forward_backward(self):
         p = Params(0.3, 2.3)
         tol = 1e-12
-        z = RotatingState(1.5, 0.2, -0.3, 1.0)
-        z2 = integrate(integrate(z, 4.0, tol, p), -4.0, tol, p)
-        assert np.max(np.abs(z2.to_array() - z.to_array())) < 1e-9
+        z = np.array([1.5, 0.2, -0.3, 1.0])
+        z1 = flow(z, (0.0, 4.0), tol, p).y[:, -1]
+        z2 = flow(z1, (0.0, -4.0), tol, p).y[:, -1]
+        assert np.max(np.abs(z2 - z)) < 1e-9
 
     def test_tol_validation(self):
         p = Params(0.3, 2.0)
-        z = RotatingState(1.2, 0.0, 0.0, 1.0)
+        z = [1.2, 0.0, 0.0, 1.0]
         with pytest.raises(ValueError):
-            integrate(z, 1.0, 1e-5, p)
+            flow(z, (0.0, 1.0), 1e-5, p)
         with pytest.raises(ValueError):
-            integrate(z, 1.0, 1e-16, p)
+            flow(z, (0.0, 1.0), 1e-16, p)
 
     @pytest.mark.filterwarnings("error")
     def test_tol_floor_is_the_rtol_floor_of_solve_ivp(self):
         # solve_ivp raises an rtol below 100 eps to that floor with only a
         # warning, so such a tol is refused rather than silently loosened
         p = Params(0.3, 2.0)
-        z = RotatingState(1.2, 0.0, 0.0, 1.0)
+        z = [1.2, 0.0, 0.0, 1.0]
         assert TOL_MIN == 100 * np.finfo(float).eps
         with pytest.raises(ValueError):
-            integrate(z, 1.0, 1e-14, p)
-        z1 = integrate(z, 0.5, 2.3e-14, p)
-        assert z1.r != z.r
+            flow(z, (0.0, 1.0), 1e-14, p)
+        z1 = flow(z, (0.0, 0.5), 2.3e-14, p).y[:, -1]
+        assert z1[0] != z[0]
 
     def test_package_attribute_is_the_module(self):
         assert inspect.ismodule(rpc3bp.integrate)
@@ -359,11 +365,11 @@ class TestFlow:
         got = flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
         ref = solve_ivp_flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
         assert_same_trajectory(got, ref)
-        assert len(got.t_events[1]) >= 1
+        assert len(got.t_events) == 2 and len(got.t_events[0]) >= 1
         if terminal:
-            assert got.status == 1 and got.t[-1] == got.t_events[1][-1] < 8.0
+            assert got.status == 1 and got.t[-1] == got.t_events[0][-1] < 8.0
         else:
-            assert got.status == 0 and len(got.t_events[2]) >= 1
+            assert got.status == 0 and len(got.t_events[1]) >= 1
 
     def test_long_orbit_to_r_out(self, solve_ivp_flow):
         # an oscillate-like orbit at (0.3, 2.2) from inside the separatrix:
@@ -383,8 +389,8 @@ class TestFlow:
         assert_same_trajectory(got, ref)
         steps = len(got.t) - 1
         crossings = sum(len(t) for t in got.t_events)
-        assert steps >= 1000 and all(len(t) > 0 for t in got.t_events[1:])
-        assert got.status == 1 and got.t[-1] == got.t_events[4][0]
+        assert steps >= 1000 and all(len(t) > 0 for t in got.t_events)
+        assert got.status == 1 and got.t[-1] == got.t_events[3][0]
         # beyond 12 per accepted step and 3 per step with a crossing, the
         # evaluations are 12 per rejected step attempt
         assert got.nfev - 2 - 12 * steps > 3 * crossings
@@ -413,14 +419,14 @@ class TestFlow:
         far.direction = 1.0
 
         exit_state = solve_ivp_flow(z0, (0.0, 200.0), 1e-12, p,
-                                    events=[going_out]).y_events[1][0]
+                                    events=[going_out]).y_events[0][0]
         evs = [coming_back, apocentre, far]
         got = flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
         ref = solve_ivp_flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
         assert_same_trajectory(got, ref)
-        assert got.status == 1 and got.t[-1] == got.t_events[1][0]
-        assert len(got.t_events[2]) == 1 and len(got.t_events[3]) == 0
-        assert got.y_events[2][0, 0] == pytest.approx(18.98, abs=0.01)
+        assert got.status == 1 and got.t[-1] == got.t_events[0][0]
+        assert len(got.t_events[1]) == 1 and len(got.t_events[2]) == 0
+        assert got.y_events[1][0, 0] == pytest.approx(18.98, abs=0.01)
         assert np.count_nonzero(got.y[0] > 10.0) >= 1500
 
     @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf),
@@ -429,9 +435,6 @@ class TestFlow:
         # the step loop would never reach a NaN or infinite end
         with pytest.raises(ValueError, match="s_span"):
             flow(self.Z0, span, 1e-12, self.P)
-        with pytest.raises(ValueError, match="s_span"):
-            integrate(RotatingState(*self.Z0), span[1] - span[0], 1e-12,
-                      self.P)
 
     def test_negative_span(self, solve_ivp_flow):
         # from this start the initial-step rule's backward probe picks
@@ -441,7 +444,7 @@ class TestFlow:
         got = flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
         ref = solve_ivp_flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
         assert_same_trajectory(got, ref)
-        assert got.t[-1] == -6.0 and len(got.t_events[1]) >= 1
+        assert got.t[-1] == -6.0 and len(got.t_events[0]) >= 1
 
     @pytest.mark.parametrize("tol", [TOL_MIN, 1e-10])
     def test_tolerances(self, solve_ivp_flow, tol):
@@ -477,9 +480,10 @@ class TestLockstep:
                 RotatingState(50.0, 1.3, -0.2, 1.0),
                 RotatingState(7.0, -40.0, 0.5, 1.01)]
             z = np.array([s.to_array() for s in states]).T
-            lanes = make_lane_rhs(p)(z)
-            scalar = make_rhs(p)
-            rates = potential_kernel(p, math.cos, math.sin, math.sqrt).rates
+            lanes = np.array(
+                potential_kernel(p, np.cos, np.sin, np.sqrt).field(0.0, z))
+            kernel = potential_kernel(p, math.cos, math.sin, math.sqrt)
+            scalar, rates = kernel.field, kernel.rates
             for k, s in enumerate(states):
                 want = scalar(0.0, s.to_array())
                 got = rates(s.r, s.phi, s.y, s.G)
@@ -556,9 +560,9 @@ class TestLockstep:
             for e in range(len(evs)):
                 assert len(run.s_events[k][e]) > 0
                 np.testing.assert_array_equal(run.s_events[k][e],
-                                              sol.t_events[e + 1])
+                                              sol.t_events[e])
                 np.testing.assert_array_equal(run.z_events[k][e],
-                                              sol.y_events[e + 1])
+                                              sol.y_events[e])
 
     def test_gate_drops_only_crossings_outside_it(self):
         # a y > 0 gate keeps, bit for bit, the ungated crossings in the steps
@@ -614,9 +618,9 @@ class TestLockstep:
             for e in range(len(evs)):
                 crossings += len(run.s_events[k][e])
                 np.testing.assert_array_equal(run.s_events[k][e],
-                                              sol.t_events[e + 1])
+                                              sol.t_events[e])
                 np.testing.assert_array_equal(run.z_events[k][e],
-                                              sol.y_events[e + 1])
+                                              sol.y_events[e])
             assert run.s[k] == sol.t[-1]
             np.testing.assert_array_equal(run.z[:, k], sol.y[:, -1])
         assert crossings == 56
@@ -639,6 +643,10 @@ class TestLockstep:
         with pytest.raises(ValueError):
             lockstep_flow(np.array([[1.5, np.nan, -0.3, 1.0]]).T, 1.0, 1e-12,
                           Params(0.3, 2.0))
+        # the lanes never reach an infinite end
+        with pytest.raises(ValueError, match="s_end"):
+            lockstep_flow(np.array([[1.3, 0.4, 0.2, 1.0]]).T, np.inf, 1e-12,
+                          Params(0.3, 2.3))
 
 
 EPS = np.finfo(float).eps

@@ -1,15 +1,21 @@
 import math
+from math import cos, sin, sqrt
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from rpc3bp.core import Params, RotatingState, hamiltonian_rotating, involution_R
+from rpc3bp.core import (
+    Params,
+    RotatingState,
+    hamiltonian_rotating,
+    involution_R,
+    potential_kernel,
+)
 from rpc3bp.integrate import (
     first_return,
     flow,
-    make_rhs,
     refine_to_section,
     section_event,
 )
@@ -83,7 +89,7 @@ class TestInitialState:
             z0 = initial_manifold_state(2.0 * DEFAULT_R0, 0.1 + 2 * math.pi * k / 6, p)
             sol = flow(z0.to_array(), (0.0, 2.0 * v_of_r(2.0 * DEFAULT_R0)),
                        1e-13, p, events=[arrival])
-            r, phi, y, G = sol.y_events[1][0]
+            r, phi, y, G = sol.y_events[0][0]
             z = initial_manifold_state(r, phi, p)
             assert abs(z.y - y) < 1e-12
             assert abs(z.G - G) < 1e-12
@@ -102,8 +108,32 @@ class TestSectionMachinery:
         z = lift_to_shell(1.3, 0.4, 0.0, p)
         sol, out = first_return(z.to_array(), 0.0, p, 1e-12,
                                 3.0 * 2 * math.pi / p.g0**3)
-        assert sol.t[-1] == sol.t_events[1][0]
+        assert len(sol.t_events) == 1 and sol.t[-1] == sol.t_events[0][0]
         assert sol.t[-1] == pytest.approx(2 * math.pi / p.g0**3, rel=0.05)
+        assert out[1] == pytest.approx(-2 * math.pi, abs=1e-13)
+
+    def test_caller_events_keep_their_index(self):
+        # the crossings of events[e] are t_events[e], those of flow without
+        # the level event up to the return, bit for bit; the return ends
+        # the trajectory, so its time is t[-1]
+        p = Params(0.3, 2.4)
+        z = lift_to_shell(1.3, 0.4, 0.0, p).to_array()
+        s_max = 3.0 * 2 * math.pi / p.g0**3
+        evs = [section_event(math.pi), section_event(0.5 * math.pi, 1.0)]
+        sol, out = first_return(z, 0.0, p, 1e-12, s_max, events=evs)
+        ref = flow(z, (0.0, s_max), 1e-12, p, events=evs)
+        n = len(sol.t) - 1
+        np.testing.assert_array_equal(sol.t[:n], ref.t[:n])
+        assert ref.t[n - 1] < sol.t[n] < ref.t[n]
+        for e in range(len(evs)):
+            kept = ref.t_events[e] < sol.t[-1]
+            assert np.count_nonzero(kept) == 1
+            np.testing.assert_array_equal(sol.t_events[e],
+                                          ref.t_events[e][kept])
+            np.testing.assert_array_equal(sol.y_events[e],
+                                          ref.y_events[e][kept])
+        assert sol.status == 1
+        assert sol.y[1, -1] == pytest.approx(-2 * math.pi, abs=1e-12)
         assert out[1] == pytest.approx(-2 * math.pi, abs=1e-13)
 
     def test_section_residual_refined(self):
@@ -146,7 +176,8 @@ class TestPoincareMap:
         rn, yn = poincare_map(pt, 0.0, p, tol=1e-13)
         assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
         z = lift_to_shell(pt[0], pt[1], 0.0, p)
-        sol = solve_ivp(make_rhs(p), (0.0, 2.0 * 2 * math.pi / p.g0**3),
+        sol = solve_ivp(potential_kernel(p, cos, sin, sqrt).field,
+                        (0.0, 2.0 * 2 * math.pi / p.g0**3),
                         z.to_array(), method="DOP853", rtol=1e-13,
                         atol=1e-15, dense_output=True)
         s_ret = brentq(lambda s: sol.sol(s)[1] + 2 * math.pi, 0.0, sol.t[-1],
@@ -246,8 +277,8 @@ class TestInvariantCurves:
                 DEFAULT_R0, phi0 + 2 * math.pi * k / n, p))
             sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(DEFAULT_R0)), tol, p,
                        events=[section_event(phi0), perihelion])
-            assert len(sol.t_events[2]) == 1
-            for z in sol.y_events[1]:
+            assert len(sol.t_events[1]) == 1
+            for z in sol.y_events[0]:
                 zr = refine_to_section(z, phi0, p)
                 if homoclinic_r(v_lo) < zr[0] < homoclinic_r(v_hi):
                     ref.append((float(v_of_r(zr[0])), float(zr[2])))
@@ -287,11 +318,11 @@ class TestInvariantCurves:
                        (0.0, 1.35 * (v_of_r(DEFAULT_R0) + v_hi + 5.0)), tol, p,
                        events=[section_event(phi0), section_event(-phi0),
                                exit_event, turn_event])
-            for z in sol.y_events[1]:
+            for z in sol.y_events[0]:
                 if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
                     zr = refine_to_section(z, phi0, p)
                     ref_u.append((float(v_of_r(zr[0])), float(zr[2])))
-            for z in sol.y_events[2]:
+            for z in sol.y_events[1]:
                 if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
                     zr = refine_to_section(z, -phi0, p)
                     ref_s.append((float(v_of_r(zr[0])), -float(zr[2])))
@@ -369,7 +400,7 @@ def _matched_Y(p, r0, v_target=1.0):
         sol = flow(z0.to_array(), (0.0, 1.35 * (v_of_r(r0) + 7.0)), 1e-13, p,
                    events=[section_event(0.0), exit_event])
         best = None
-        for z in sol.y_events[1]:
+        for z in sol.y_events[0]:
             if z[2] > 1e-6 and z[0] >= 0.5:
                 zr = refine_to_section(z, 0.0, p)
                 v = float(v_of_r(zr[0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpc3bp.core import Params, RotatingState
-from rpc3bp.integrate import integrate
+from rpc3bp.integrate import flow
 from rpc3bp.separatrix import (
     homoclinic_alpha_prime,
     homoclinic_r,
@@ -94,7 +94,8 @@ class TestFlowConsistency:
         v0, dv = -1.0, 2.0
         h0, h1 = homoclinic_state(v0), homoclinic_state(v0 + dv)
         phi0 = 0.3
-        z = integrate(RotatingState(h0.r, phi0, h0.y, 1.0), dv, tol, p)
+        z = RotatingState.from_array(
+            flow([h0.r, phi0, h0.y, 1.0], (0.0, dv), tol, p).y[:, -1])
         assert z.r == pytest.approx(h1.r, abs=1e-10)
         assert z.y == pytest.approx(h1.y, abs=1e-10)
         assert z.G == pytest.approx(1.0, abs=1e-12)
