@@ -22,9 +22,12 @@ lanes its field on numpy arrays, and they agree bit for bit.
 
 Both integrators take events as solve_ivp does, ev(s, z) with `terminal`
 and `direction` attributes, and add a terminal collision guard on
-r = collision_radius after them.  A crossing of the guard raises
-CollisionError with the located state, so its slot never reaches a caller:
-Trajectory.t_events[e] and LockstepFlow.s_events[k][e] belong to events[e].
+r = collision_radius after them.  One routine, _record_crossings, locates
+and records a step's crossings for both: those of events[e] go to
+Trajectory.t_events[e] or LockstepFlow.s_events[k][e], and a crossing of
+the guard raises CollisionError with the located state.  A start inside
+the cutoff, which the guard would never see crossed, raises it with that
+start.
 
 flow locates a step's event crossings as soon as the step is accepted.
 lockstep_flow only queues each accepted step with a sign change and locates
@@ -104,8 +107,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
 
-def _collision_event(p: Params):
+def _collision_event(p: Params, z0):
+    """The terminal guard on r = collision_radius(p) for the starts z0 (a
+    state or lanes as columns); a start inside it raises CollisionError."""
     r_cut = collision_radius(p)
+    for z in z0.reshape(4, -1).T:
+        if z[0] < r_cut:
+            err = CollisionError(f"start inside the collision cutoff {r_cut}")
+            err.last_state = RotatingState.from_array(z)
+            raise err
 
     def ev(s, z):
         return z[0] - r_cut
@@ -158,15 +168,16 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     the right-hand side is potential_kernel's rates on four float arguments.
     Events are ev(s, z) with `terminal` (a bool) and `direction`
     attributes; the crossings of events[e] are t_events[e] and y_events[e],
-    the collision guard going after them.  At the ends of each step z is the
+    the collision guard going after them, all located and recorded by the
+    routine lockstep_flow shares.  At the ends of each step z is the
     step's state as a tuple of four floats; inside a step with a sign
     change, where brentq locates the crossing on the step's dense output, z
     is an ndarray.  Only such a step builds arrays of its states; t and y
     become arrays once, at the end.
 
-    Raises ValueError for a non-finite s_span or z0, CollisionError if the
-    trajectory reaches the collision cutoff, carrying the last valid state
-    on the exception, and RuntimeError when the step size underflows.
+    Raises ValueError for a non-finite s_span or z0, CollisionError if z0
+    lies inside the collision cutoff or the trajectory reaches it, carrying
+    z0 or the located state, and RuntimeError when the step size underflows.
     """
     _check_tol(tol)
     s, s_end = float(s_span[0]), float(s_span[1])
@@ -182,7 +193,7 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
         """rates for the one-lane (4, 1) arrays of the lockstep helpers."""
         return np.array(rates(*zc[:, 0].tolist()))[:, None]
 
-    evs = [*(events or ()), _collision_event(p)]
+    evs = [*(events or ()), _collision_event(p, z)]
     ev_dir = [getattr(ev, "direction", 0.0) for ev in evs]
     terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
     # the sign-change test, once per direction: g rising through 0, falling
@@ -190,8 +201,8 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     rising = [e for e, d in enumerate(ev_dir) if d > 0.0]
     falling = [e for e, d in enumerate(ev_dir) if d < 0.0]
     either = [e for e, d in enumerate(ev_dir) if d == 0.0]
-    t_events = [[] for _ in evs]
-    y_events = [[] for _ in evs]
+    t_events = [[] for _ in evs[:-1]]
+    y_events = [[] for _ in evs[:-1]]
     x = x0, x1, x2, x3 = tuple(z.tolist())
     ts, xs = [s], [x]
     ts_append, xs_append = ts.append, xs.append
@@ -308,28 +319,18 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
                                     np.array(x)[:, None])[0]
             nfev += 3
             z_at = _dense_state(F, z_old, s_old, h)
-            active, roots, stop = _locate(evs, terminal,
-                                          np.array(sorted(active)), z_at,
-                                          s_old, s)
-            for e, t in zip(active, roots):
-                t_events[e].append(t)
-                y_events[e].append(z_at(t))
-            if stop:
-                status = 1
-                s = roots[-1]
-                x = tuple(z_at(s).tolist())
+            stop = _record_crossings(evs, terminal, sorted(active), z_at,
+                                     s_old, s, t_events, y_events)
+            if stop is not None:
+                status, s, x = 1, stop, tuple(z_at(stop).tolist())
         ts_append(s)
         xs_append(x)
         if status == 1:
             break
 
-    if t_events[-1]:
-        err = CollisionError("trajectory reached the collision cutoff")
-        err.last_state = RotatingState.from_array(xs[-1])
-        raise err
     return Trajectory(t=np.array(ts), y=np.array(xs).T,
-                      t_events=[np.asarray(v) for v in t_events[:-1]],
-                      y_events=[np.asarray(v) for v in y_events[:-1]],
+                      t_events=[np.asarray(v) for v in t_events],
+                      y_events=[np.asarray(v) for v in y_events],
                       nfev=nfev, status=status)
 
 
@@ -340,10 +341,10 @@ class LockstepFlow:
     s[k], z[:, k]: final time and state of lane k, at s_end or at the
     crossing that retired it.  s_events[k][e], z_events[k][e]: times and
     states of lane k's crossings of events[e], as flow's t_events[e] and
-    y_events[e].  work: lockstep iterations; accepted steps, rejected steps and
-    right-hand-side evaluations summed over lanes; located steps, the lane
-    steps whose crossings were located; and dense passes, the batched
-    dense-output calls that located them.
+    y_events[e], recorded by the same routine.  work: lockstep iterations;
+    accepted steps, rejected steps and right-hand-side evaluations summed
+    over lanes; located steps, the lane steps whose crossings were located;
+    and dense passes, the batched dense-output calls that located them.
     """
 
     s: np.ndarray
@@ -457,15 +458,16 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     lane: crossings before it in that step are kept, later ones dropped.
     The lane retires in the iteration of that step, but the crossings of
     all lanes are located after the step loop, in step order, from one
-    batched dense output; only a crossing of the collision guard has the
-    queued steps located at once.  An event may carry a `gate(s, z)`
-    attribute; its crossings are then located only in steps with the gate
-    true at either end, which spares locating crossings the caller would
-    discard.
+    batched dense output, each lane step by flow's routine; only a
+    crossing of the collision guard has the queued steps located at once.
+    An event may carry a `gate(s, z)` attribute; its crossings are then
+    located only in steps with the gate true at either end, which spares
+    locating crossings the caller would discard.
 
     Raises ValueError for a non-finite state or s_end, CollisionError, with
-    the lane's state at the cutoff, when a lane reaches the collision cutoff,
-    and RuntimeError when a lane's step size underflows.
+    the lane's start or its state at the cutoff, when a lane starts inside
+    the collision cutoff or reaches it, and RuntimeError when a lane's step
+    size underflows.
     """
     _check_tol(tol)
     if not (s_end > 0.0 and isfinite(s_end)):
@@ -480,14 +482,13 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
         out[0], out[1], out[2], out[3] = rates(*z)
         return out
 
-    evs = [*events, _collision_event(p)]
-    direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
-    terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in evs])
-    gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
-
     z = np.array(z0, dtype=float)
     if z.ndim != 2 or z.shape[0] != 4 or not np.isfinite(z).all():
         raise ValueError("z0 must hold finite states [r, phi, y, G] as columns")
+    evs = [*events, _collision_event(p, z)]
+    direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
+    terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in evs])
+    gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
     n = z.shape[1]
     lane = np.arange(n)
     s = np.zeros(n)
@@ -521,9 +522,12 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
         work["located_steps"] += len(hq)
         work["dense_passes"] += 1
         for j, k in enumerate(lanes.tolist()):
-            _lane_crossings(evs, terminal, np.flatnonzero(hits[:, j]),
-                            _dense_state(F[j], z0q[:, j], s0[j], hq[j]),
-                            s0[j], s1[j], k, out)
+            z_at = _dense_state(F[j], z0q[:, j], s0[j], hq[j])
+            stop = _record_crossings(evs, terminal, np.flatnonzero(hits[:, j]),
+                                     z_at, s0[j], s1[j], out.s_events[k],
+                                     out.z_events[k])
+            if stop is not None:
+                out.s[k], out.z[:, k] = stop, z_at(stop)
 
     while lane.size:
         m = lane.size
@@ -677,42 +681,37 @@ def brentq(f, a, b, xtol):
                        f"iterations, value is {xcur}")
 
 
-def _locate(evs, terminal, active, z_at, s_old, s_new):
-    """Crossings of evs[active] over one step, as solve_ivp's handle_events
-    finds them: roots by brentq on the dense output z_at, and, when a
+def _record_crossings(evs, terminal, active, z_at, s_old, s_new, t_events,
+                      y_events):
+    """Locate and record one step's crossings of evs[active], the events
+    with a sign change over [s_old, s_new], as solve_ivp's handle_events
+    does: roots by brentq on the step's dense output z_at and, when a
     terminal event is among them, only the crossings up to the first
-    terminal one in time order.
+    terminal one in time order.  The crossings of evs[e] are appended to
+    t_events[e] and y_events[e].  evs[-1] is the collision guard, which has
+    no list: its crossing raises CollisionError with the located state.
 
-    Returns (active, roots, stop), stop telling whether one was terminal.
+    Returns the time of the terminal crossing, or None.
     """
     roots = np.array([brentq(lambda t, ev=evs[e]: ev(t, z_at(t)), s_old,
                              s_new, xtol=4.0 * _EPS)
                       for e in active])
-    stop = any(terminal[e] for e in active)
-    if stop:
+    crossings = list(zip(active, roots.tolist()))
+    stop = None
+    if any(terminal[e] for e in active):
         order = np.argsort(roots if s_new > s_old else -roots)
-        active, roots = active[order], roots[order]
-        cut = next(i for i, e in enumerate(active) if terminal[e]) + 1
-        active, roots = active[:cut], roots[:cut]
-    return active, roots, stop
-
-
-def _lane_crossings(evs, terminal, active, z_at, s_old, s_new, k,
-                    out: LockstepFlow) -> None:
-    """Locate and record lane k's crossings of evs[active] in one step, and
-    its final time and state when a terminal crossing retired it; evs[-1] is
-    the collision event.
-    """
-    active, roots, stop = _locate(evs, terminal, active, z_at, s_old, s_new)
-    if stop:
-        out.s[k], out.z[:, k] = roots[-1], z_at(roots[-1])
-    for e, t in zip(active, roots):
+        crossings = [crossings[i] for i in order]
+        cut = next(i for i, (e, _) in enumerate(crossings) if terminal[e])
+        crossings = crossings[:cut + 1]
+        stop = crossings[-1][1]
+    for e, t in crossings:
         if e == len(evs) - 1:
-            err = CollisionError(f"lane {k} reached the collision cutoff")
-            err.last_state = RotatingState.from_array(out.z[:, k])
+            err = CollisionError("trajectory reached the collision cutoff")
+            err.last_state = RotatingState.from_array(z_at(t))
             raise err
-        out.s_events[k][e].append(t)
-        out.z_events[k][e].append(z_at(t))
+        t_events[e].append(t)
+        y_events[e].append(z_at(t))
+    return stop
 
 
 def section_event(phi0: float, direction: float = 0.0):

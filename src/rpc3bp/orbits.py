@@ -15,7 +15,8 @@ from math import pi
 
 import numpy as np
 
-from .core import CollisionError, Params, RotatingState, hamiltonian_rotating
+from .core import (CollisionError, Params, RotatingState, collision_radius,
+                   hamiltonian_rotating)
 from .integrate import first_return, flow
 from .manifolds import lift_to_shell
 
@@ -70,11 +71,18 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
     after n_iter returns, on hyperbolic escape (two-body energy above
     HYPERBOLIC_EXCESS at r > 10 r_out), or on a parabolic/undecided
     departure past the same horizon.  Deterministic for fixed inputs.
+
+    Raises ValueError for a seed inside collision_radius(p): flow refuses
+    such a start with CollisionError, which the demo takes for the end of
+    its run, so it would log a run with no returns.
     """
     if not r_out > r_in > 1.0:
         raise ValueError("need r_out > r_in > 1")
     if seed[0] >= r_out:
         raise ValueError("seed must start inside r_out")
+    if seed[0] < collision_radius(p):
+        raise ValueError(f"seed r = {seed[0]} lies inside the collision "
+                         f"cutoff {collision_radius(p)}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
     z = lift_to_shell(seed[0], seed[1], phi0, p).to_array()

@@ -315,6 +315,16 @@ class TestValidation:
                 assert "'phi0'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [big]
 
+    def test_seed_inside_collision_cutoff(self, tmp_path, capsys):
+        # the cutoff at (0.3, 2.2) is 0.289; from r = 0.01 the orbit ran
+        # between the primaries unguarded and the demo wrote n_returns 0
+        # and escaped true with exit 0
+        assert run(["oscillate", "--mu", 0.3, "--g0", 2.2, "--seed-r", 0.01,
+                    "--seed-y", 0, "--n-iter", 12, "--out", tmp_path]) \
+            == EXIT_VALIDATION
+        assert "collision cutoff" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_too_few_digits_or_harmonics(self, tmp_path, capsys):
         # below 17 digits the extended route wrote L1 = -9.42e-7 with error
         # estimate 4.7e-9 at g0 = 2.8, where binary64 gives -5.32e-6; an lmax

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq as scipy_brentq
@@ -468,6 +469,52 @@ class TestFlow:
             assert got.value.last_state.r == pytest.approx(collision_radius(p),
                                                            abs=1e-12)
 
+    def test_start_inside_cutoff_refused(self):
+        # the guard fires on a falling crossing of the cutoff, which a start
+        # below it never makes: at (0.3, 2.2), cutoff 0.289, a start at
+        # r = 0.01 ran 2091 steps between the primaries unguarded
+        p = Params(0.3, 2.2)
+        z0 = lift_to_shell(0.01, 0.0, 0.0, p).to_array()
+        with pytest.raises(CollisionError, match="start inside") as err:
+            flow(z0, (0.0, 1.0), 1e-12, p)
+        np.testing.assert_array_equal(err.value.last_state.to_array(), z0)
+
+    def test_terminal_event_and_guard_in_one_step(self, solve_ivp_flow):
+        # the plunge at (0.3, 2.0), cutoff 0.35, crosses a terminal event
+        # at r = 0.35 + 1e-6 and then the guard within one step: only the
+        # crossings up to the first terminal one count, so the orbit stops on
+        # the event and no CollisionError is raised
+        p = Params(0.3, 2.0)
+        z0 = [1.0, 0.0, -2.0, 0.0]
+        r_cut = collision_radius(p)
+
+        def falling(r, terminal):
+            def ev(s, z):
+                return z[0] - r
+            ev.terminal = terminal
+            ev.direction = -1.0
+            return ev
+
+        near = falling(r_cut + 1e-6, True)
+        # with neither terminal, both roots lie in one of solve_ivp's steps
+        both = solve_ivp(potential_kernel(p, math.cos, math.sin,
+                                          math.sqrt).field,
+                         (0.0, 0.3), np.array(z0), method="DOP853",
+                         rtol=1e-12, atol=1e-14,
+                         events=[falling(r_cut + 1e-6, False),
+                                 falling(r_cut, False)])
+        roots = [t[0] for t in both.t_events]
+        assert len(set(np.searchsorted(both.t, roots))) == 1
+        got = flow(z0, (0.0, 4.0), 1e-12, p, events=[near])
+        ref = solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p, events=[near])
+        assert_same_trajectory(got, ref)
+        assert got.status == 1 and got.t[-1] == got.t_events[0][0] == roots[0]
+        assert got.t[-2] < roots[0] < roots[1]
+        run = lockstep_flow(np.array([z0]).T, 4.0, 1e-12, p, events=[near])
+        assert run.s[0] == got.t[-1]
+        np.testing.assert_array_equal(run.z[:, 0], got.y[:, -1])
+        np.testing.assert_array_equal(run.z_events[0][0], got.y_events[0])
+
 
 @pytest.mark.filterwarnings("error")
 class TestLockstep:
@@ -523,6 +570,17 @@ class TestLockstep:
                 flow(z0[:, 1], (0.0, 4.0), 1e-12, p)
             np.testing.assert_array_equal(err.value.last_state.to_array(),
                                           ref.value.last_state.to_array())
+
+    def test_lane_starting_inside_cutoff_raises(self):
+        # the second lane starts at r = 0.01, inside the cutoff 0.289 at
+        # (0.3, 2.2), where the guard would never see a falling crossing
+        p = Params(0.3, 2.2)
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0],
+                       lift_to_shell(0.01, 0.0, 0.0, p).to_array()]).T
+        with pytest.raises(CollisionError, match="start inside") as err:
+            lockstep_flow(z0, 1.0, 1e-12, p)
+        np.testing.assert_array_equal(err.value.last_state.to_array(),
+                                      z0[:, 1])
 
     def test_terminal_event_retires_only_its_lane(self):
         # at mu = 0 the radial plunge runs on to the collision floor far
@@ -650,8 +708,8 @@ class TestLockstep:
 
 
 EPS = np.finfo(float).eps
-# integrate._locate's, find_homoclinic_points', a tangency solve's, and
-# scipy's default xtol
+# integrate._record_crossings', find_homoclinic_points', a tangency solve's,
+# and scipy's default xtol
 BRENT_XTOLS = [4 * EPS, 1e-14, 1e-6, 2e-12]
 BRENT_FAMILIES = {
     "section": lambda c: lambda x: np.sin(0.5 * (x - c)),
