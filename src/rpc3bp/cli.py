@@ -181,8 +181,14 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    payload = {"provenance": _provenance(cfg), **payload}
+def _write_json(path: Path, payload: dict, cfg: dict,
+                precision: str | None = None) -> None:
+    # precision, if given, replaces the run's in the provenance and leaves
+    # its config_hash
+    prov = _provenance(cfg)
+    if precision is not None:
+        prov["precision"] = precision
+    payload = {"provenance": prov, **payload}
     path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=1,
                                allow_nan=False) + "\n",
                     encoding="utf-8")
@@ -262,7 +268,9 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
             tol=float(cfg["quad_tol"]), mp_dps=_mp_dps(cfg))
     untrusted = False
     for m, s in series.items():
-        _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg)
+        # the quadrature and asymptotic series are binary64 in any run
+        _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg,
+                    precision=None if m == "contour" else "double")
         # an estimate above a tenth of its coefficient leaves no trusted
         # digit; the asymptotic forms have no estimate (NaN never compares)
         for l, err in s.error_estimates.items():

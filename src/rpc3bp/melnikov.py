@@ -31,6 +31,7 @@ contour    : binomial-series reduction to the oscillatory integrals
     factor, and differ by the factor (tau - i)^{-2l} q^j with
     q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, in binary64
     on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum,
+    whose nodes are evaluated by mpmath's libmp functions on raw tuples and
     whose pole factors and step sums run on per-node scaled integers.  The
     path is mirror-symmetric, so mpmath evaluates it once per mirror pair of
     nodes, at a > 0; the node at -a takes the conjugates, bit for bit.
@@ -186,12 +187,16 @@ def _uhat_modes(l: int, r: np.ndarray, p: Params) -> np.ndarray:
     The periodic trapezoid on each radius's grid (_theta_grid_sizes) with the
     complex weights e^{-i l theta}/N over all N points; nodes sharing a grid
     are evaluated together, no more than _V_BLOCK potential values at once.
+    The grid sizes are taken in increasing order from the fixed five, each
+    skipped where no node has it.
     """
     V = potential_kernel(p, np.cos, np.sin, np.sqrt).V
     sizes = _theta_grid_sizes(l, r, p)
     out = np.empty(r.shape, dtype=complex)
-    for n in np.unique(sizes).tolist():
+    for n in (*_THETA_GRIDS, _N_THETA):
         idx = np.flatnonzero(sizes == n)
+        if not idx.size:
+            continue
         theta = 2.0 * pi * np.arange(n) / n
         w = np.exp(-1j * l * theta) / n
         # real and imaginary parts of the weights as two real columns: a
@@ -388,7 +393,9 @@ def _bent_path(a, sgn, delta, wb, sqrt, exp, j):
     depth delta and width wb, passing the pole on the side of the original
     (real-axis) contour.  Written once for numpy arrays and mpmath scalars;
     j is the imaginary unit of the caller's arithmetic (1j, or mpmath's j,
-    which spares converting a Python complex at every operation).
+    which spares converting a Python complex at every operation).  The
+    extended route runs the mpmath form as _mp_node's libmp calls, which the
+    tests hold equal to this one at every node, bit for bit.
     """
     br = sqrt(1 + a * a / 3)
     bump = exp(-((a / wb) ** 2))
@@ -429,7 +436,10 @@ def _contour_terms(l: int, m, n, p: Params):
     varies fastest.  Every panel is built in one array operation, at 16 and
     at 24 nodes; each term must agree between the two to 1e-8 of its size or
     to its arithmetic floor 50 eps peak (peak = max |integrand| on the path),
-    and must be real to the same level.
+    and must be real to the same level.  The sums and peaks are taken term
+    by term: a term's array is 10-20 KiB, where the 13 of a harmonic
+    stacked into one took about 270 KiB, above glibc's 128 KiB mmap
+    threshold, and were mapped and page-faulted afresh at every call.
     """
     omega = abs(l) * p.g0**3
     ws = 1.0 / sqrt(omega)
@@ -460,10 +470,11 @@ def _contour_terms(l: int, m, n, p: Params):
         tau, dtau = _bent_path(mid + half * nodes_ref, sgn, delta, wb,
                                np.sqrt, np.exp, 1j)
         lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau
-        vals = np.stack(_pole_terms(lead, tau, m, n))
-        sums.append(np.sum(vals * (half * weights_ref), axis=(1, 2)))
+        hw = half * weights_ref
+        terms = _pole_terms(lead, tau, m, n)
+        sums.append(np.array([np.sum(t * hw) for t in terms]))
     coarse, fine = sums
-    peak = np.max(np.abs(vals), axis=(1, 2))
+    peak = np.array([np.max(np.abs(t)) for t in terms])
 
     err = np.abs(fine - coarse)
     floor = 50.0 * _EPS * peak
@@ -491,13 +502,13 @@ def _relative_error(rule, results, prec, epsilon):
 
 
 def _block_pair(z, bits: int):
-    """The mpmath complex z as integers (x, y) and an exponent e with
+    """The libmp complex tuple z as integers (x, y) and an exponent e with
     z = (x + i y) 2^e to within 2^-bits of |z|.
 
     The larger of |x| and |y| lies in [2^bits, 2^(bits + 1)), so |x + i y| is
     at least 2^bits; the smaller part is truncated toward zero.
     """
-    (xs, xm, xe, xb), (ys, ym, ye, yb) = z._mpc_
+    (xs, xm, xe, xb), (ys, ym, ye, yb) = z
     top = max(xe + xb if xm else ye + yb, ye + yb if ym else xe + xb)
     e = top - bits - 1
     x = xm << (xe - e) if xe >= e else xm >> (e - xe)
@@ -537,9 +548,11 @@ def _add_node_terms(chains, heads, qx, qy, qe, conj, sums, bits):
                 se[k] = te
 
 
-def _mp_path(l: int, p: Params, dps: int):
-    """The extended route's path at the current mpmath precision: the split
-    points [-A, -wb, 0, wb, A] and (sgn, delta, wb, i half_w) for _mp_node.
+def _mp_path(l: int, p: Params, dps: int, prec: int):
+    """The extended route's path, built at the current mpmath precision: the
+    split points [-A, -wb, 0, wb, A] and, for _mp_node, (sgn, delta, wb,
+    i half_w, prec) with delta and wb libmp real tuples, i half_w a libmp
+    complex tuple and prec the nodes' working precision in bits.
 
     The half-length A puts the undipped path's exponent (omega/2)(h(a) - 2/3),
     h(a) - 2/3 >= (8/9) a^2, at least dps ln 10 + 40 below the peak.
@@ -555,20 +568,51 @@ def _mp_path(l: int, p: Params, dps: int):
     digits_pad = ctx.mpf(dps) * ctx.log(10)
     A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
     half_w = ctx.mpf(l) * g0**3 / 2
-    return [-A, -wb, 0, wb, A], (1 if l > 0 else -1, delta, wb, ctx.j * half_w)
+    return [-A, -wb, 0, wb, A], (1 if l > 0 else -1, delta._mpf_, wb._mpf_,
+                                 (ctx.j * half_w)._mpc_, prec)
 
 
-def _mp_node(x, wt, path):
+def _mp_node(x, wt, path, lib):
     """tau, dtau, the lead factor wt dtau e^{i half_w (tau + tau^3/3)},
-    u = (tau - i)^{-2} and w = (tau + i)^{-2} at the mpmath node x of
-    weight wt on the path of _mp_path."""
-    import mpmath as mp
+    u = (tau - i)^{-2} and w = (tau + i)^{-2} at the node x of weight wt on
+    the path of _mp_path, all libmp tuples; lib is mpmath.libmp.
 
-    ctx = mp.mp
-    sgn, delta, wb, j_half_w = path
-    tau, dtau = _bent_path(x, sgn, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
-    lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
-    return tau, dtau, lead, 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
+    The arithmetic is that of _bent_path and of the lead, u and w on mpmath
+    numbers at the path's precision, rounded to nearest, written as the libmp
+    calls their operators make, in the same order: bit for bit the same,
+    without building an mpmath object per operation.
+    """
+    sgn, delta, wb, j_half_w, prec = path
+    mul, div, add, sub = lib.mpf_mul, lib.mpf_div, lib.mpf_add, lib.mpf_sub
+    mul_int, pow_int = lib.mpf_mul_int, lib.mpf_pow_int
+    c_mul, c_pow_int = lib.mpc_mul, lib.mpc_pow_int
+    one, three, j = lib.fone, lib.from_int(3), (lib.fzero, lib.fone)
+    # _bent_path: br = sqrt(1 + a^2/3), bump = exp(-(a/wb)^2),
+    # b = sgn (br - delta bump), bp = sgn (a/(3 br) + delta bump 2 a/wb^2),
+    # tau = a + i b and dtau = 1 + i bp
+    br = lib.mpf_sqrt(add(div(mul(x, x, prec, "n"), three, prec, "n"),
+                          one, prec, "n"), prec, "n")
+    bump = lib.mpf_exp(lib.mpf_neg(pow_int(div(x, wb, prec, "n"), 2, prec, "n"),
+                                   prec, "n"), prec, "n")
+    delta_bump = mul(delta, bump, prec, "n")
+    b = mul_int(sub(br, delta_bump, prec, "n"), sgn, prec, "n")
+    bp = mul_int(add(div(x, mul_int(br, 3, prec, "n"), prec, "n"),
+                     div(mul(mul_int(delta_bump, 2, prec, "n"), x, prec, "n"),
+                         pow_int(wb, 2, prec, "n"), prec, "n"),
+                     prec, "n"), sgn, prec, "n")
+    tau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, b, prec, "n"), x, prec, "n")
+    dtau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, bp, prec, "n"), one, prec, "n")
+    # wt dtau e^{i half_w (tau + tau^3/3)}, (tau - i)^{-2} and (tau + i)^{-2}
+    phase = c_mul(j_half_w, lib.mpc_add(
+        tau, lib.mpc_div_mpf(c_pow_int(tau, 3, prec, "n"), three, prec, "n"),
+        prec, "n"), prec, "n")
+    lead = c_mul(lib.mpc_mul_mpf(dtau, wt, prec, "n"),
+                 lib.mpc_exp(phase, prec, "n"), prec, "n")
+    u = lib.mpc_mpf_div(one, c_pow_int(lib.mpc_sub(tau, j, prec, "n"), 2, prec, "n"),
+                        prec, "n")
+    w = lib.mpc_mpf_div(one, c_pow_int(lib.mpc_add(tau, j, prec, "n"), 2, prec, "n"),
+                        prec, "n")
+    return tau, dtau, lead, u, w
 
 
 def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
@@ -582,13 +626,21 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     absolute estimate, which any integral below its epsilon (eps/8, about
     3e-42 at 40 digits) meets from degree 2 on, whatever its accuracy.  The
     floor of a term is its estimated absolute error summed over the
-    intervals.
+    intervals.  Below max_degree only whether some term's estimate is above
+    epsilon is read, so the estimates stop at the first that is: at 40
+    digits every degree from 2 to 5 fails on term 0, and the (0.3, 3.5)
+    series of lmax 2 makes 132 estimates instead of 500.  At the converged
+    degree and at max_degree every term's is made, for the floors and the
+    non-convergence message.
 
-    At each node mpmath gives the point, the slope, the lead factor
+    At each node _mp_node gives the point, the slope, the lead factor
     weight * dtau * e^{i half_w (tau + tau^3/3)} and u = (tau - i)^{-2},
-    w = (tau + i)^{-2}.  The pole factors and the step sums are then carried
-    in integers: the head lead u^d (lead w^{-d} for d < 0) of each
-    d = m_k - n_k and q = u w become block-floating pairs (x + i y) 2^e with
+    w = (tau + i)^{-2} as libmp tuples, from mpmath's own libmp functions
+    at the working precision, and q = u w and the chain heads are made the
+    same way: the calls and roundings of mpmath's operators, without an
+    mpmath object per operation.  The pole factors and the step sums are
+    then carried in integers: the head lead u^d (lead w^{-d} for d < 0) of
+    each d = m_k - n_k and q become block-floating pairs (x + i y) 2^e with
     integer parts of `bits` = the working precision, each scaled by that
     node's own exponent e.  The terms lead u^d q^j follow by integer complex
     multiplication and a shift of `bits`, up the chain in j.  Each is added
@@ -617,7 +669,8 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     from -A to A.
     """
     import mpmath as mp
-    from mpmath.libmp import from_man_exp
+    from mpmath import libmp
+    from mpmath.libmp import from_man_exp, mpc_mul, mpc_pow_int
 
     ctx = mp.mp
     rule = ctx._tanh_sinh
@@ -629,15 +682,15 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
         chains.setdefault(a - b, []).append((min(a, b), k))
     chains = [(d, sorted(walk)) for d, walk in chains.items()]
     with ctx.workdps(dps):
-        points, path = _mp_path(l, p, dps)
         prec = ctx.prec
+        bits = prec + 20
+        points, path = _mp_path(l, p, dps, bits)
         epsilon = ctx.eps / 8
         max_degree = rule.guess_degree(prec)
         # the step sums of each interval, by degree, and its error estimates
         results = [[[] for _ in range(n_terms)] for _ in range(4)]
         errors = [[ctx.zero] * n_terms for _ in range(4)]
-        ctx.prec += 20
-        bits = ctx.prec
+        ctx.prec = bits
         try:
             # each right-hand interval with its mirror
             for right, left in ((3, 0), (2, 1)):
@@ -649,10 +702,12 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
                     sums = {i: ([0] * n_terms, [0] * n_terms, [0] * n_terms)
                             for i in live}
                     for x, wt in rule.get_nodes(a, b, degree, prec):
-                        _, _, lead, u, w = _mp_node(x, wt, path)
-                        qx, qy, qe = _block_pair(u * w, bits)
+                        _, _, lead, u, w = _mp_node(x._mpf_, wt._mpf_, path, libmp)
+                        qx, qy, qe = _block_pair(mpc_mul(u, w, bits, "n"), bits)
                         qe += bits
-                        heads = [_block_pair(lead * (u**d if d >= 0 else w**-d), bits)
+                        heads = [_block_pair(mpc_mul(lead, mpc_pow_int(
+                                     u if d >= 0 else w, abs(d), bits, "n"),
+                                     bits, "n"), bits)
                                  for d, _ in chains]
                         # the mirror node's terms are the conjugates
                         for i in live:
@@ -667,8 +722,13 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
                                                  from_man_exp(sy[k], se[k], bits, "n")))
                             r.append(h * (r[-1] / (2 * h) + step if degree > 1 else step))
                         if degree > 1:
-                            errors[i] = [_relative_error(rule, r, prec, epsilon)
-                                         for r in results[i]]
+                            # below max_degree only whether some estimate is
+                            # above epsilon is read: stop at the first
+                            errors[i] = []
+                            for r in results[i]:
+                                errors[i].append(_relative_error(rule, r, prec, epsilon))
+                                if errors[i][-1] > epsilon and degree < max_degree:
+                                    break
                     if degree > 1:
                         live = [i for i in live if max(errors[i]) > epsilon]
                         if not live:

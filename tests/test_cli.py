@@ -155,6 +155,29 @@ class TestMelnikov:
         c1 = [c for c in data["coefficients"] if c["l"] == 1][0]
         assert c1["value"] != 0.0
 
+    @pytest.mark.parametrize("other", ["asymptotic", "quadrature"])
+    def test_binary64_series_of_an_extended_run_say_double(self, tmp_path,
+                                                           other):
+        # mp_dps reaches the contour route alone: the other series were
+        # written under precision=extended, though computed in binary64.
+        # Both files keep the run's config_hash, and the comparison table,
+        # holding the contour column, keeps the run's header
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lmax": 1, "jmax": 2}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["melnikov", "--mu", 0.3, "--g0", 2.0, "--methods",
+                    f"{other},contour", "--precision", "extended",
+                    "--config", cfg, "--out", out]) == EXIT_OK
+        binary64 = load_json(out / f"melnikov_{other}.json")["provenance"]
+        extended = load_json(out / "melnikov_contour.json")["provenance"]
+        assert binary64["precision"] == "double"
+        assert extended["precision"] == "extended"
+        assert binary64["config_hash"] == extended["config_hash"]
+        header = (out / "melnikov_compare.csv").read_text().splitlines()
+        assert "# precision=extended" in header
+        assert f"# config_hash={extended['config_hash']}" in header
+
 
 # the settings flags each command takes, and the value each test passes
 KEPT_FLAGS = {

@@ -4,6 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from mpmath import libmp
 from scipy.special import binom as scipy_binom
 
 from rpc3bp import melnikov
@@ -95,6 +96,17 @@ class TestModeGrid:
             assert np.all(np.abs(got - full) <= 4.0 * EPS / r), (l, mu, g0)
 
 
+# l: (coefficient, error estimate) of the quadrature series at (0.3, 1.5),
+# lmax 4, as float.hex strings
+QUADRATURE_PINS = {
+    0: ("0x1.2daf3a239a696p-4", "0x1.198a17cfb2e6cp-30"),
+    1: ("-0x1.000371fc0037fp-6", "0x1.02230c8265e85p-34"),
+    2: ("0x1.4c5872d6b0640p-4", "0x1.e5d561f729f26p-35"),
+    3: ("-0x1.6a237f1855ed0p-6", "0x1.622be97f14782p-34"),
+    4: ("0x1.bdf90fca36473p-7", "0x1.3719091c6f1c7p-35"),
+}
+
+
 class TestQuadratureRoute:
     def test_zero_at_mu0(self):
         res = melnikov_coeff_quadrature(1, Params(0.0, 1.5))
@@ -107,6 +119,13 @@ class TestQuadratureRoute:
                   -0.02210318957926811, 0.013610012731463983]
         for l, want in enumerate(pinned):
             assert s.coefficients[l] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_series_pinned_bit_for_bit(self):
+        # the grid sizes per node, the blocks of V and the panel sums make
+        # the series; a change to how they are grouped must keep every bit
+        s = MelnikovSeries.compute(Params(0.3, 1.5), "quadrature")
+        assert {l: (c.hex(), s.error_estimates[l].hex())
+                for l, c in s.coefficients.items()} == QUADRATURE_PINS
 
     def test_mean_coefficient_error_covers_truncation(self):
         # the estimate (closed-form tail plus step error) against the change
@@ -273,10 +292,25 @@ class TestSharedPath:
             5.115479836993671e-13, rel=1e-15)
 
     def test_extended_non_convergence_raises(self, monkeypatch):
-        # capped at degree 2, the tanh-sinh sums cannot converge
-        monkeypatch.setattr(mpmath.mp._tanh_sinh, "guess_degree", lambda prec: 2)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            contour_integral_I(1, 2, 1, Params(0.3, 2.0), mp_dps=30)
+        # capped at degree 2 or 3, the tanh-sinh sums cannot converge; the
+        # message, recorded when every degree estimated every term, names
+        # the first interval from -A, its term and its estimate
+        for cap, ratio, harmonic_ratio in ((2, "0.174905", "0.0913563"),
+                                           (3, "1e-05", "1e-05")):
+            monkeypatch.setattr(mpmath.mp._tanh_sinh, "guess_degree",
+                                lambda prec: cap)
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "extended contour quadrature for I(1,2,1) did not converge "
+                    f"on [-8.48528, -1.06066]: estimated relative error {ratio} "
+                    "above 2.46519e-32")):
+                contour_integral_I(1, 2, 1, Params(0.3, 2.0), mp_dps=30)
+            # of a harmonic's 13 terms, the first is named
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "extended contour quadrature for I(1,1,0) did not converge "
+                    "on [-3.94946, -0.458162]: estimated relative error "
+                    f"{harmonic_ratio} above 2.86986e-42")):
+                contour_integral_I(1, *_harmonic(1, 12), Params(0.3, 3.5),
+                                   mp_dps=40)
 
     def test_extended_convergence_is_relative(self):
         # I(4, 4, 0) at g0 = 4.5 is about 3e-46, below mp.quad's absolute
@@ -473,6 +507,261 @@ def test_extended_route_pinned_bit_for_bit(case):
     assert [f.hex() for f in got_floors.tolist()] == floors
 
 
+# (l, g0): values and floors of the binary64 route's harmonic l, jmax 12, at
+# mu = 0.3, as float.hex strings, from contour_integral_I with with_floor
+BINARY64_PINS = {
+    (1, 2.0): (
+        [
+            "-0x1.fae10079241e3p-2", "-0x1.27bf917a5a1e0p-1",
+            "-0x1.27c3a6755f18ap-1", "-0x1.193ff8f22ed1ap-1",
+            "-0x1.07c1d6a8eedb1p-1", "-0x1.ee4b81edd5d10p-2",
+            "-0x1.d0ce305cfa4b0p-2", "-0x1.b71e1b19f6840p-2",
+            "-0x1.a0c7560d48ac0p-2", "-0x1.8d423867bb250p-2",
+            "-0x1.7c14e235c9a00p-2", "-0x1.6cda1314c01d0p-2",
+            "-0x1.5f3fde193d000p-2",
+        ],
+        [
+            "0x1.feceeb7dd1c3bp-47", "0x1.2dbafb8ee3ca9p-44",
+            "0x1.6475a27b0b32bp-42", "0x1.a51d98c8c4699p-40",
+            "0x1.f17fd286887c1p-38", "0x1.25de6fe9a6aeep-35",
+            "0x1.5b2c0b9d1064dp-33", "0x1.9a24c0203e354p-31",
+            "0x1.e4897ef1268eap-29", "0x1.1e3653f86e9f7p-26",
+            "0x1.5220674be738cp-24", "0x1.8f751681d82a5p-22",
+            "0x1.d7e9a0a31752ap-20",
+        ],
+    ),
+    (2, 2.0): (
+        [
+            "0x1.bc8c118c2330ap-3", "0x1.1b7b1bef19948p-2",
+            "0x1.40e50cdc98874p-2", "0x1.5457837d80e08p-2",
+            "0x1.5bf7c496dc2a0p-2", "0x1.5c6662fb4f280p-2",
+            "0x1.58aff3d27ea00p-2", "0x1.52b6d659d6000p-2",
+            "0x1.4b9b6ade1e000p-2", "0x1.4406d025e0000p-2",
+            "0x1.3c5a9b36e0000p-2", "0x1.34cd4f5800000p-2",
+            "0x1.2d75994218000p-2",
+        ],
+        [
+            "0x1.fc796436e7f2ep-45", "0x1.1329c762b1b61p-41",
+            "0x1.29cfcce2d6ed4p-38", "0x1.42530db6bc15cp-35",
+            "0x1.5cdad1b80b887p-32", "0x1.79919c715dce3p-29",
+            "0x1.98a5713eadba5p-26", "0x1.ba481d094ffb6p-23",
+            "0x1.deaf861596204p-20", "0x1.030b0130ff643p-16",
+            "0x1.185d5a912da7dp-13", "0x1.2f70f9f65bda2p-10",
+            "0x1.486ada1d12f36p-7",
+        ],
+    ),
+    (3, 2.0): (
+        [
+            "-0x1.be5919997dfd6p-4", "-0x1.267b8de27a84cp-3",
+            "-0x1.61b06f571ca7cp-3", "-0x1.8f8c9d89d6600p-3",
+            "-0x1.b13ca7d182580p-3", "-0x1.c8d98a0642000p-3",
+            "-0x1.d89351b23da00p-3", "-0x1.e254764540000p-3",
+            "-0x1.e7a86bf580000p-3", "-0x1.e9c4df1800000p-3",
+            "-0x1.e9d9032800000p-3", "-0x1.eca7190000000p-3",
+            "-0x1.19387b0000000p-2",
+        ],
+        [
+            "0x1.a956159eaac28p-42", "0x1.4c83d20d2aa78p-38",
+            "0x1.03f33508620f3p-34", "0x1.9671279459486p-31",
+            "0x1.3dbe74cd2521fp-27", "0x1.f0ce1a9130892p-24",
+            "0x1.8463172be5bdbp-20", "0x1.2fa11146fbc23p-16",
+            "0x1.dabc6df1ef4cdp-13", "0x1.732258f082cd8p-9",
+            "0x1.2224314277456p-5", "0x1.c5a5b97f11efap-2",
+            "0x1.62a5cdf867bbap+2",
+        ],
+    ),
+    (4, 2.0): (
+        [
+            "0x1.d9f76d8413290p-5", "0x1.3e66953bec440p-4",
+            "0x1.8bff9645e2c00p-4", "0x1.d205de7d5a600p-4",
+            "0x1.075f916854000p-3", "0x1.20eeb83088000p-3",
+            "0x1.35f6295e00000p-3", "0x1.46f18c3400000p-3",
+            "0x1.5474f44000000p-3", "0x1.5f8c6b0000000p-3",
+            "0x1.6908200000000p-3", "0x1.8639000000000p-4",
+            "-0x1.660e800000000p+1",
+        ],
+        [
+            "0x1.f31e02b01dc61p-39", "0x1.fce4d25533f74p-35",
+            "0x1.036e54219ff48p-30", "0x1.08833d27ad2bep-26",
+            "0x1.0db1a18faa3bfp-22", "0x1.12fa0120eeb46p-18",
+            "0x1.185cde23905e6p-14", "0x1.1ddabd6cf0396p-10",
+            "0x1.2374266c86689p-6", "0x1.2929a338ee4b2p-2",
+            "0x1.2efbc09d34006p+2", "0x1.34eb0e2664a23p+6",
+            "0x1.3af81e316281ep+10",
+        ],
+    ),
+    (1, 2.8): (
+        [
+            "-0x1.fff3466e5617ep-8", "-0x1.3f4c49ef0a939p-6",
+            "-0x1.1fae79ac4f39ap-5", "-0x1.af6bb5c5508aap-5",
+            "-0x1.2004379293c6cp-4", "-0x1.63bc245488020p-4",
+            "-0x1.a030a64284cd0p-4", "-0x1.d46df44039a00p-4",
+            "-0x1.0047a6a8f0600p-3", "-0x1.129eb06d12000p-3",
+            "-0x1.21ad59d320000p-3", "-0x1.2de9bc9240000p-3",
+            "-0x1.37c095c780000p-3",
+        ],
+        [
+            "0x1.b0d315aa61885p-52", "0x1.37d928af2e8d2p-48",
+            "0x1.c15ee9fdf3c78p-45", "0x1.43c50e68b11f9p-41",
+            "0x1.d28cac2f1fa14p-38", "0x1.50259f78696b8p-34",
+            "0x1.e4628cf5612f4p-31", "0x1.5cff51a67a243p-27",
+            "0x1.f6e6f99d0190ep-24", "0x1.6a56c6610cae5p-20",
+            "0x1.05104f2bfbc11p-16", "0x1.7830cc677b85dp-13",
+            "0x1.0f0b3452b911bp-9",
+        ],
+    ),
+    (2, 2.8): (
+        [
+            "0x1.967874b6afc7fp-14", "0x1.1e75834cbb989p-12",
+            "0x1.41fd8dc1c1020p-11", "0x1.355af0d6f903cp-10",
+            "0x1.08b54e9fd0300p-9", "0x1.9e80ddcf5e200p-9",
+            "0x1.2e9d096d14000p-8", "0x1.a1bf07abb0000p-8",
+            "0x1.13783cca80000p-7", "0x1.5de3fb6200000p-7",
+            "0x1.ae9df96000000p-7", "0x1.ffda610000000p-7",
+            "0x1.d50c400000000p-7",
+        ],
+        [
+            "0x1.68732a4a6620bp-55", "0x1.ede9aa7ae3c20p-51",
+            "0x1.526574f4a200ep-46", "0x1.cfb188f056088p-42",
+            "0x1.3db12c11fb045p-37", "0x1.b352ba08b3fbbp-33",
+            "0x1.2a412d480589cp-28", "0x1.98b0482252ce5p-24",
+            "0x1.1801a1426df67p-19", "0x1.7faf0332df694p-15",
+            "0x1.06dfe77229810p-10", "0x1.68356506cae97p-6",
+            "0x1.ed950613c0c74p-2",
+        ],
+    ),
+    (3, 2.8): (
+        [
+            "-0x1.7650fe860fc0ep-20", "-0x1.147d59bbe226cp-18",
+            "-0x1.57d0a46a1b958p-17", "-0x1.77046fc75dd80p-16",
+            "-0x1.70c4f01f4f400p-15", "-0x1.4d55d1e424000p-14",
+            "-0x1.1900cbf1e0000p-13", "-0x1.bec9cb7a00000p-13",
+            "-0x1.51d7972c00000p-12", "-0x1.e72cde8000000p-12",
+            "-0x1.2928940000000p-11", "0x1.0fbd500000000p-9",
+            "0x1.9469bc0000000p-4",
+        ],
+        [
+            "0x1.f94f81ee27785p-58", "0x1.fc0f808ca7cdfp-53",
+            "0x1.fed353f7d9f8dp-48", "0x1.00cd80c317916p-42",
+            "0x1.0233474ac416cp-37", "0x1.039b0045a0071p-32",
+            "0x1.0504ae6a1b1bdp-27", "0x1.067054726c8a8p-22",
+            "0x1.07ddf51c98480p-17", "0x1.094d932a7453fp-12",
+            "0x1.0abf3161ae0bap-7", "0x1.0c32d28bcf838p-2",
+            "0x1.0da8797644e93p+3",
+        ],
+    ),
+    (4, 2.8): (
+        [
+            "0x1.6e0c30d47cbf0p-26", "0x1.1535eeaf7a5e8p-24",
+            "0x1.6d686229b2c00p-23", "0x1.aed0dabd91d00p-22",
+            "0x1.cf44f03a08000p-21", "0x1.cd0d03ba30000p-20",
+            "0x1.ad7e976000000p-19", "0x1.79fe3aa800000p-18",
+            "0x1.3dda340000000p-17", "0x1.06a9f80000000p-16",
+            "-0x1.c2f0000000000p-17", "-0x1.d72ae00000000p-9",
+            "-0x1.f1dfe00000000p-3",
+        ],
+        [
+            "0x1.f1221ad7dd461p-60", "0x1.48f11366a3229p-54",
+            "0x1.b34e720bcd1d6p-49", "0x1.2008466452bf6p-43",
+            "0x1.7d2b381902357p-38", "0x1.f86be1f56b395p-33",
+            "0x1.4dc39e4c45dc9p-27", "0x1.b9b02ec8afc57p-22",
+            "0x1.2441481789364p-16", "0x1.82c1c621fa90cp-11",
+            "0x1.ffd10379f139ap-6", "0x1.52a842864dbe7p+0",
+            "0x1.c029df0f04e1ap+5",
+        ],
+    ),
+    (1, 3.5): (
+        [
+            "-0x1.566cb01fd4e50p-17", "-0x1.7a7f8a58f29fdp-15",
+            "-0x1.1b874291648eap-13", "-0x1.4edfbf3c58412p-12",
+            "-0x1.4f99717121419p-11", "-0x1.29f991170bc40p-10",
+            "-0x1.e2355dc768180p-10", "-0x1.6aa2c0681f000p-9",
+            "-0x1.012157da20400p-8", "-0x1.5b8c34d800000p-8",
+            "-0x1.c37eaa5a40000p-8", "-0x1.1baecd3800000p-7",
+            "-0x1.59f03f8800000p-7",
+        ],
+        [
+            "0x1.96adbae5a3524p-61", "0x1.107d1ecc23024p-56",
+            "0x1.6d275df417a74p-52", "0x1.e954d195f5a85p-48",
+            "0x1.47de710b27652p-43", "0x1.b75df55332bd7p-39",
+            "0x1.26641f67ba9bdp-34", "0x1.8a81235933276p-30",
+            "0x1.0854e557a0757p-25", "0x1.62390076030d2p-21",
+            "0x1.daaed0d3971a4p-17", "0x1.3e0dcf541371ap-12",
+            "0x1.aa36dba5d3788p-8",
+        ],
+    ),
+    (2, 3.5): (
+        [
+            "0x1.0649badd8dedcp-32", "0x1.4d65e7473c58dp-30",
+            "0x1.457edaa1137e0p-28", "0x1.06c6241d6ed04p-26",
+            "0x1.6e99e8a6ea800p-25", "0x1.c6fac100fae80p-24",
+            "0x1.0066260b40000p-22", "0x1.0a818e3eb8000p-21",
+            "0x1.0284a8ea00000p-20", "0x1.d88681dc00000p-20",
+            "0x1.9a26680000000p-19", "0x1.49c63e0000000p-18",
+            "-0x1.a829000000000p-18",
+        ],
+        [
+            "0x1.3c774194beccfp-73", "0x1.99635195f0591p-68",
+            "0x1.08cc11c166440p-62", "0x1.568c4e570a0ccp-57",
+            "0x1.bb20e9f072790p-52", "0x1.1e9ef8bbc2174p-46",
+            "0x1.72c7a8d813643p-41", "0x1.dfa665314f607p-36",
+            "0x1.363e54a6536a0p-30", "0x1.9156abd75914ep-25",
+            "0x1.039737a597946p-19", "0x1.4fd0189727405p-14",
+            "0x1.b26a6f0135b3cp-9",
+        ],
+    ),
+    (3, 3.5): (
+        [
+            "-0x1.d398517063302p-48", "-0x1.3987d67888734p-45",
+            "-0x1.588a39841b250p-43", "-0x1.442bb8fb3ed80p-41",
+            "-0x1.0ce11c2ca3e00p-39", "-0x1.9177915b58000p-38",
+            "-0x1.11fed457e0000p-36", "-0x1.5a0a486600000p-35",
+            "-0x1.981a4de000000p-34", "-0x1.c0db8b0000000p-33",
+            "-0x1.a98a700000000p-32", "-0x1.6a99a00000000p-28",
+            "-0x1.866c000000000p-21",
+        ],
+        [
+            "0x1.9ed830470483bp-85", "0x1.8c53b626d4105p-79",
+            "0x1.7aa2d604b2a8dp-73", "0x1.69bc1de1b5f61p-67",
+            "0x1.599687adacec4p-61", "0x1.4a297475c43d7p-55",
+            "0x1.3b6ca7ca38859p-49", "0x1.2d584358a1150p-43",
+            "0x1.1fe4c2b87a547p-37", "0x1.130af767b18eap-31",
+            "0x1.06c404f50d916p-25", "0x1.f612baacd022ep-20",
+            "0x1.dfa97ad186409p-14",
+        ],
+    ),
+    (4, 3.5): (
+        [
+            "0x1.bb0351f8ee6f0p-63", "0x1.31992d8febb58p-60",
+            "0x1.67553446c8800p-58", "0x1.72bd633b2af00p-56",
+            "0x1.56afc27f40000p-54", "0x1.203bfc6eb8000p-52",
+            "0x1.be92b82800000p-51", "0x1.418bc24000000p-49",
+            "0x1.a98b400000000p-48", "0x1.3e44000000000p-48",
+            "-0x1.001d600000000p-40", "-0x1.8d36680000000p-34",
+            "-0x1.538ad00000000p-27",
+        ],
+        [
+            "0x1.7db7a08d3c943p-96", "0x1.e1d02d1513d97p-90",
+            "0x1.301410542c59fp-83", "0x1.7fd0bd36c49c6p-77",
+            "0x1.e47621e22aaa7p-71", "0x1.31bfee3684cdcp-64",
+            "0x1.81eccda49a019p-58", "0x1.e71fd0a1eb9d6p-52",
+            "0x1.336e26254abe7p-45", "0x1.840bd5fe2c080p-39",
+            "0x1.e9cd3e92a1f5ep-33", "0x1.351ebb6fa1ab3p-26",
+            "0x1.862dda70c24e3p-20",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("l, g0", list(BINARY64_PINS))
+def test_binary64_route_pinned_bit_for_bit(l, g0):
+    vals, floors = BINARY64_PINS[l, g0]
+    got, got_floors = contour_integral_I(l, *_harmonic(l, 12), Params(0.3, g0),
+                                         with_floor=True)
+    assert [v.hex() for v in got.tolist()] == vals
+    assert [f.hex() for f in got_floors.tolist()] == floors
+
+
 def test_extended_route_refuses_a_complex_result():
     # at 17 digits the terms j >= 8 of the l = 2, jmax 12 harmonic at
     # g0 = 4.5 keep an imaginary part far above their error estimate (that
@@ -491,12 +780,13 @@ def test_extended_path_mirror_symmetry(l, g0, dps):
     # only and gives its mirror the conjugates: mpmath's nodes on [-b, -a]
     # must be those on [a, b] negated with equal weights, and the point at
     # -x minus the conjugate of that at x, the slope, lead, u and w the
-    # conjugates, bit for bit
+    # conjugates, bit for bit.  _mp_node works on libmp tuples: a real's
+    # negation is mpf_neg, a complex (re, im)'s conjugate (re, mpf_neg(im))
     ctx = mpmath.mp
     rule = ctx._tanh_sinh
     with ctx.workdps(dps):
-        points, path = melnikov._mp_path(l, Params(0.3, g0), dps)
         prec = ctx.prec
+        points, path = melnikov._mp_path(l, Params(0.3, g0), dps, prec + 20)
         with ctx.workprec(prec + 20):
             for a, b in ((points[3], points[4]), (points[2], points[3])):
                 for degree in (1, 2, 3):
@@ -506,11 +796,41 @@ def test_extended_path_mirror_symmetry(l, g0, dps):
                             == [(x._mpf_, w._mpf_) for x, w in
                                 sorted((-x, w) for x, w in nodes)])
                     for x, wt in nodes:
-                        tau, *rest = melnikov._mp_node(x, wt, path)
-                        tau_m, *rest_m = melnikov._mp_node(-x, wt, path)
-                        assert tau_m._mpc_ == (-tau.conjugate())._mpc_
-                        assert ([z._mpc_ for z in rest_m]
-                                == [z.conjugate()._mpc_ for z in rest])
+                        (re, im), *rest = melnikov._mp_node(
+                            x._mpf_, wt._mpf_, path, libmp)
+                        tau_m, *rest_m = melnikov._mp_node(
+                            libmp.mpf_neg(x._mpf_), wt._mpf_, path, libmp)
+                        assert tau_m == (libmp.mpf_neg(re), im)
+                        assert rest_m == [(zr, libmp.mpf_neg(zi))
+                                          for zr, zi in rest]
+
+
+@pytest.mark.parametrize("dps", (17, 40))
+def test_extended_node_matches_object_arithmetic(dps):
+    # _mp_node writes out the libmp calls of mpmath's operators; _bent_path
+    # on mpmath numbers and the lead, u and w on mpmath objects stay the
+    # reference of the path formula: equal tuple for tuple at every node of
+    # degrees 1 to 6 on both right-hand intervals
+    ctx = mpmath.mp
+    rule = ctx._tanh_sinh
+    for l, g0 in ((1, 3.5), (2, 3.5), (-3, 2.8), (4, 4.5)):
+        with ctx.workdps(dps):
+            prec = ctx.prec
+            points, path = melnikov._mp_path(l, Params(0.3, g0), dps, prec + 20)
+            sgn, delta, wb, j_half_w, _ = path
+            delta, wb = ctx.make_mpf(delta), ctx.make_mpf(wb)
+            j_half_w = ctx.make_mpc(j_half_w)
+            with ctx.workprec(prec + 20):
+                for a, b in ((points[3], points[4]), (points[2], points[3])):
+                    for degree in range(1, 7):
+                        for x, wt in rule.get_nodes(a, b, degree, prec):
+                            tau, dtau = melnikov._bent_path(
+                                x, sgn, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
+                            lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
+                            u, w = 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
+                            assert melnikov._mp_node(
+                                x._mpf_, wt._mpf_, path, libmp) == tuple(
+                                    z._mpc_ for z in (tau, dtau, lead, u, w))
 
 
 def test_extended_route_refuses_too_few_digits():
