@@ -232,7 +232,12 @@ def uhat_fourier_coeff_quadrature(l: int, v, p: Params) -> complex:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Real-line quadrature of a Melnikov coefficient with diagnostics."""
+    """Real-line quadrature of a Melnikov coefficient with diagnostics.
+
+    tail_bound bounds what the integration-by-parts boundary terms leave of
+    the two tails beyond |t| = T, summed over both; step_error estimates the
+    Gauss panels' error near perihelion (melnikov_coeff_quadrature).
+    """
 
     value: float
     imag_residue: float
@@ -243,6 +248,8 @@ class QuadratureResult:
 
 _GL12 = np.polynomial.legendre.leggauss(12)
 _GL24 = np.polynomial.legendre.leggauss(24)
+# the binary64 contour's panels are summed at 16 and at 24 (_GL24) nodes
+_GL16 = np.polynomial.legendre.leggauss(16)
 # panels meeting |t| <= _T_NEAR are checked against the 24-node rule: the
 # separatrix passes its perihelion r = 1/2, nearest the primaries, at t = 0
 _T_NEAR = 5.0
@@ -273,11 +280,14 @@ def _panel_terms(a: np.ndarray, b: np.ndarray, l: int, omega: float,
 def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> QuadratureResult:
     """Coefficient L[l] as the real-line integral of U[l](t) e^{i l (alpha_h(t) - g0^3 t)}.
 
-    Gauss panels matched to the oscillation period cover |t| <= T with T set
-    so the one-sided tail bound 4 |U[l](T)| / (l g0^3) is below tol/10; the
+    Gauss panels matched to the oscillation period cover |t| <= T, and the
     two leading integration-by-parts boundary terms of each tail are added in
-    closed form, which leaves a residual well below the bound.  Returns the
-    real part with the imaginary residue as a reality diagnostic.
+    closed form.  With g = U[l] e^{i l alpha_h} and w = l g0^3, what they
+    leave of a tail is (i w)^-2 int_T^inf g''(t) e^{-i w t} dt, at most
+    4 |g''(T)| / w^3 if |g''| decays monotonically beyond T (the van der
+    Corput bound).  T is set so that this bound, summed over both tails, is
+    below tol/10; the sum is tail_bound.  Returns the real part with the
+    imaginary residue as a reality diagnostic.
 
     The panels converge slowest near perihelion, closest to the primaries:
     step_error is twice their change, where |t| <= 5, from 12 to 24 nodes,
@@ -300,15 +310,20 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
 
     omega = l * p.g0**3
 
-    # Truncation point: march outward until the van der Corput tail bound of
-    # the remaining integral drops below tol/10.
+    # Truncation point: march outward until what the boundary terms leave of
+    # both tails, bounded by 4 |g''(+-T)| / w^3, drops below tol/10.  g'' is
+    # the second central difference of g at T - h, T, T + h: the three
+    # values the boundary terms take at the T the march stops on.
+    h = 1e-3
     T = 20.0
     while True:
-        amp = abs(uhat_fourier_coeff_quadrature(l, T, p))
-        if 4.0 * amp / omega <= 0.1 * tol or T > 2e4:
+        ends = [_g_factor(np.array([tb - h, tb, tb + h]), l, p)
+                for tb in (T, -T)]
+        tail_bound = sum(4.0 * abs(g[2] - 2.0 * g[1] + g[0]) / h**2
+                         for g in ends) / omega**3
+        if tail_bound <= 0.1 * tol or T > 2e4:
             break
         T *= 1.4
-    tail_bound = 4.0 * amp / omega
 
     width = 0.25 * 2.0 * pi / omega
     n_panels = int(np.ceil(2.0 * T / width))
@@ -334,10 +349,8 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
 
     # Integration-by-parts boundary terms of both tails:
     #   int_T^inf g e^{-i w t} dt = e^{-i w T} [ g(T)/(i w) + g'(T)/(i w)^2 ] + ...
-    h = 1e-3
-    for sign in (+1.0, -1.0):
+    for sign, g0v in zip((+1.0, -1.0), ends):
         tb = sign * T
-        g0v = _g_factor(np.array([tb - h, tb, tb + h]), l, p)
         gp = (g0v[2] - g0v[0]) / (2.0 * h)
         phase = np.exp(-1j * omega * tb)
         contrib = phase * (g0v[1] / (1j * omega) + gp / (1j * omega) ** 2)
@@ -465,8 +478,7 @@ def _contour_terms(l: int, m, n, p: Params):
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
 
     sums = []
-    for n_per_panel in (16, 24):
-        nodes_ref, weights_ref = np.polynomial.legendre.leggauss(n_per_panel)
+    for nodes_ref, weights_ref in (_GL16, _GL24):
         tau, dtau = _bent_path(mid + half * nodes_ref, sgn, delta, wb,
                                np.sqrt, np.exp, 1j)
         lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau

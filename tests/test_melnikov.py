@@ -100,11 +100,39 @@ class TestModeGrid:
 # lmax 4, as float.hex strings
 QUADRATURE_PINS = {
     0: ("0x1.2daf3a239a696p-4", "0x1.198a17cfb2e6cp-30"),
-    1: ("-0x1.000371fc0037fp-6", "0x1.02230c8265e85p-34"),
-    2: ("0x1.4c5872d6b0640p-4", "0x1.e5d561f729f26p-35"),
-    3: ("-0x1.6a237f1855ed0p-6", "0x1.622be97f14782p-34"),
-    4: ("0x1.bdf90fca36473p-7", "0x1.3719091c6f1c7p-35"),
+    1: ("-0x1.000371ff6d7aap-6", "0x1.63c624a538a37p-34"),
+    2: ("0x1.4c5872d628a3bp-4", "0x1.23f4d919905bbp-34"),
+    3: ("-0x1.6a237f18ab9b2p-6", "0x1.c3788ea679b4ep-36"),
+    4: ("0x1.bdf90fca2549ep-7", "0x1.13b6122e3e12bp-41"),
 }
+
+
+def _quadrature_to_raw_tail_cut(l, p, tol=1e-9):
+    """melnikov_coeff_quadrature's value with T cut where the raw tail bound
+    4 |U[l](T)| / w is below tol/10, on the same panels and boundary terms:
+    a reference that integrates much further out than the route does."""
+    omega = l * p.g0**3
+    T = 20.0
+    while (4.0 * abs(uhat_fourier_coeff_quadrature(l, T, p)) / omega
+           > 0.1 * tol and T <= 2e4):
+        T *= 1.4
+    width = 0.25 * 2.0 * np.pi / omega
+    n_panels = int(np.ceil(2.0 * T / width))
+    edges = np.linspace(-T, T, n_panels + 1)
+    total = 0.0 + 0.0j
+    for i0 in range(0, n_panels, 256):
+        i1 = min(i0 + 256, n_panels)
+        f, wts = melnikov._panel_terms(edges[i0:i1], edges[i0 + 1:i1 + 1], l,
+                                       omega, p, melnikov._GL12)
+        total += np.sum(f * wts)
+    h = 1e-3
+    for sign in (1.0, -1.0):
+        tb = sign * T
+        g = melnikov._g_factor(np.array([tb - h, tb, tb + h]), l, p)
+        gp = (g[2] - g[0]) / (2.0 * h)
+        total += sign * np.exp(-1j * omega * tb) * (
+            g[1] / (1j * omega) + gp / (1j * omega) ** 2)
+    return float(total.real)
 
 
 class TestQuadratureRoute:
@@ -112,12 +140,14 @@ class TestQuadratureRoute:
         res = melnikov_coeff_quadrature(1, Params(0.0, 1.5))
         assert res.value == 0.0
 
-    def test_series_pinned(self):
-        # the values of the fixed 256-point angle grid
-        s = MelnikovSeries.compute(Params(0.3, 1.5), "quadrature", lmax=4)
-        pinned = [0.07365343771530286, -0.015625821411961945, 0.08113903864707428,
-                  -0.02210318957926811, 0.013610012731463983]
-        for l, want in enumerate(pinned):
+    def test_series_matches_full_angle_grid(self, monkeypatch):
+        # the per-node angle grids against the fixed 256-point grid at
+        # every node
+        p = Params(0.3, 1.5)
+        s = MelnikovSeries.compute(p, "quadrature", lmax=4)
+        monkeypatch.setattr(melnikov, "_THETA_GRIDS", ())
+        full = MelnikovSeries.compute(p, "quadrature", lmax=4)
+        for l, want in full.coefficients.items():
             assert s.coefficients[l] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_series_pinned_bit_for_bit(self):
@@ -126,6 +156,34 @@ class TestQuadratureRoute:
         s = MelnikovSeries.compute(Params(0.3, 1.5), "quadrature")
         assert {l: (c.hex(), s.error_estimates[l].hex())
                 for l, c in s.coefficients.items()} == QUADRATURE_PINS
+
+    @pytest.mark.parametrize("mu,g0", [(0.3, 1.5), (0.1, 1.8), (0.5, 2.0),
+                                       (0.3, 1.3), (0.01, 1.6)])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_tail_bound_covers_truncation(self, monkeypatch, mu, g0, l):
+        # 24 nodes per panel on both sides, so the two differ only in T:
+        # the reference's cut by the raw tail runs to T = 6098 at
+        # (0.3, 1.5), l = 2, where the route stops at T = 55.  The largest
+        # of the 20 differences is 0.25 of the bound
+        monkeypatch.setattr(melnikov, "_GL12", melnikov._GL24)
+        p = Params(mu, g0)
+        res = melnikov_coeff_quadrature(l, p)
+        ref = _quadrature_to_raw_tail_cut(l, p)
+        assert abs(res.value - ref) <= res.tail_bound
+
+    def test_series_node_count(self, monkeypatch):
+        # the (0.3, 1.5) series of lmax 4 evaluates 22272 nodes of g; cut by
+        # the raw tail bound 4 |U[l](T)| / w it took 696048
+        count = [0]
+        g_factor = melnikov._g_factor
+
+        def counted(t_nodes, l, p):
+            count[0] += np.size(t_nodes)
+            return g_factor(t_nodes, l, p)
+
+        monkeypatch.setattr(melnikov, "_g_factor", counted)
+        MelnikovSeries.compute(Params(0.3, 1.5), "quadrature", lmax=4)
+        assert count[0] <= 30000
 
     def test_mean_coefficient_error_covers_truncation(self):
         # the estimate (closed-form tail plus step error) against the change
