@@ -266,17 +266,10 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
         series[m] = MelnikovSeries.compute(
             p, m, lmax=lmax, jmax=int(cfg["jmax"]),
             tol=float(cfg["quad_tol"]), mp_dps=_mp_dps(cfg))
-    untrusted = False
     for m, s in series.items():
-        # the quadrature and asymptotic series are binary64 in any run
         _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg,
-                    precision=None if m == "contour" else "double")
-        # an estimate above a tenth of its coefficient leaves no trusted
-        # digit; the asymptotic forms have no estimate (NaN never compares)
-        for l, err in s.error_estimates.items():
-            val = s.coefficients[l]
-            if val != 0.0 and err > 0.1 * abs(val):
-                untrusted = True
+                    precision=s.precision)
+    untrusted = any(s.untrusted for s in series.values())
     rows = []
     ls = sorted({l for s in series.values() for l in s.coefficients if l >= 1})
     for l in ls:

@@ -24,17 +24,18 @@ quadrature : real-line oscillatory integral of the angular Fourier modes of
     on numpy arrays.  The error estimate includes twice the change of the
     panels near perihelion under a 24-node rule.
 contour    : binomial-series reduction to the oscillatory integrals
-    I(l, m, n) computed on a complex path hugging Re(tau + tau^3/3) = 0
-    through the singularity tau = sign(l) i.  Well-conditioned at any g0
-    because the integrand peak matches the result scale.  The j-terms
-    I(l, j+l, j) of one harmonic share the path, its nodes and the phase
-    factor, and differ by the factor (tau - i)^{-2l} q^j with
-    q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, in binary64
-    on shared Gauss panels or in mpmath by one vector-valued tanh-sinh sum,
-    whose nodes are evaluated by mpmath's libmp functions on raw tuples and
-    whose pole factors and step sums run on per-node scaled integers.  The
-    path is mirror-symmetric, so mpmath evaluates it once per mirror pair of
-    nodes, at a > 0; the node at -a takes the conjugates, bit for bit.
+    I(l, j + l, j), l >= 1, computed on a complex path hugging
+    Re(tau + tau^3/3) = 0 through the singularity tau = i.  Well-conditioned
+    at any g0 because the integrand peak matches the result scale.  The
+    j-terms of one harmonic share the path, its nodes and the phase factor,
+    and differ by the factor (tau - i)^{-2l} q^j with
+    q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, each with
+    its floor, in binary64 on shared Gauss panels or in mpmath by one
+    vector-valued tanh-sinh sum, whose nodes are evaluated by mpmath's libmp
+    functions on raw tuples and whose pole factors and step sums run on
+    per-node scaled integers.  The path is mirror-symmetric, so mpmath
+    evaluates it once per mirror pair of nodes, at a > 0; the node at -a
+    takes the conjugates, bit for bit.
 asymptotic : leading-order closed forms for l = 1, 2, the one place where
     their constants are written.  The predicted splitting distance (its
     amplitudes A_l = 2 l g0^3 |L[l]|) and lobe area (4(|L1| + |L2|)) are
@@ -398,8 +399,8 @@ def melnikov_coeff0_quadrature(p: Params,
 # Route 2: complex-contour integrals I(l, m, n)
 # ---------------------------------------------------------------------------
 
-def _bent_path(a, sgn, delta, wb, sqrt, exp, j):
-    """Point tau(a) and slope dtau/da of the path through sgn * i.
+def _bent_path(a, delta, wb, sqrt, exp, j):
+    """Point tau(a) and slope dtau/da of the path through i.
 
     The path follows the zero-phase curve Im tau = sqrt(1 + a^2/3) of
     Re(tau + tau^3/3) = 0 and dips toward the real axis by a Gaussian bump of
@@ -412,40 +413,31 @@ def _bent_path(a, sgn, delta, wb, sqrt, exp, j):
     """
     br = sqrt(1 + a * a / 3)
     bump = exp(-((a / wb) ** 2))
-    b = sgn * (br - delta * bump)
-    bp = sgn * (a / (3 * br) + delta * bump * 2 * a / wb**2)
+    b = br - delta * bump
+    bp = a / (3 * br) + delta * bump * 2 * a / wb**2
     return a + j * b, 1 + j * bp
 
 
-def _pole_terms(lead, tau, m, n):
-    """lead (tau - i)^{-2 m_k} (tau + i)^{-2 n_k} for every pair (m_k, n_k).
-
-    The pairs share q = ((tau - i)(tau + i))^{-2}, whose powers are built by
-    recurrence: (m, n) is lead u^{m-n} q^n with u = (tau - i)^{-2} when
-    m >= n, and lead w^{n-m} q^m with w = (tau + i)^{-2} otherwise.  The
-    terms of one harmonic, (j + l, j), are thus lead u^l q^j.
-    """
+def _pole_terms(lead, tau, l, js):
+    """The j-terms lead (tau - i)^{-2(j + l)} (tau + i)^{-2j} = lead u^l q^j,
+    j in js, with u = (tau - i)^{-2} and q = ((tau - i)(tau + i))^{-2},
+    whose powers are built by recurrence."""
     u = 1 / (tau - 1j) ** 2
     w = 1 / (tau + 1j) ** 2
     q = u * w
     qpow = [1]
-    for _ in range(max(min(a, b) for a, b in zip(m, n))):
+    for _ in range(js[-1]):
         qpow.append(qpow[-1] * q)
-    heads = {}
-    out = []
-    for a, b in zip(m, n):
-        d = a - b
-        if d not in heads:
-            heads[d] = lead * (u**d if d >= 0 else w**-d)
-        out.append(heads[d] * qpow[min(a, b)])
-    return out
+    head = lead * u**l
+    return [head * qpow[j] for j in js]
 
 
-def _contour_terms(l: int, m, n, p: Params):
-    """Binary64 values of I(l, m_k, n_k) on shared Gauss panels, with floors.
+def _contour_terms(l: int, js, p: Params):
+    """Binary64 values of I(l, j + l, j), j in js, on shared Gauss panels,
+    with floors.
 
     The path's panels are graded toward a = 0 on the scale dip/order, order
-    being the highest pole order among the pairs, where that pole factor
+    = js[-1] + l being the highest pole order, where that pole factor
     varies fastest.  Every panel is built in one array operation, at 16 and
     at 24 nodes; each term must agree between the two to 1e-8 of its size or
     to its arithmetic floor 50 eps peak (peak = max |integrand| on the path),
@@ -454,13 +446,12 @@ def _contour_terms(l: int, m, n, p: Params):
     stacked into one took about 270 KiB, above glibc's 128 KiB mmap
     threshold, and were mapped and page-faulted afresh at every call.
     """
-    omega = abs(l) * p.g0**3
+    omega = l * p.g0**3
     ws = 1.0 / sqrt(omega)
     delta = 0.75 * ws
     wb = 3.0 * ws
-    sgn = 1.0 if l > 0 else -1.0
     half_w = l * p.g0**3 / 2.0
-    order = max(max(m), max(n))
+    order = js[-1] + l
 
     # Half-length: undipped-path exponent (omega/2)(h(a) - 2/3) >= 46 with
     # h(a) - 2/3 >= (8/9) a^2.
@@ -479,11 +470,11 @@ def _contour_terms(l: int, m, n, p: Params):
 
     sums = []
     for nodes_ref, weights_ref in (_GL16, _GL24):
-        tau, dtau = _bent_path(mid + half * nodes_ref, sgn, delta, wb,
+        tau, dtau = _bent_path(mid + half * nodes_ref, delta, wb,
                                np.sqrt, np.exp, 1j)
         lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau
         hw = half * weights_ref
-        terms = _pole_terms(lead, tau, m, n)
+        terms = _pole_terms(lead, tau, l, js)
         sums.append(np.array([np.sum(t * hw) for t in terms]))
     coarse, fine = sums
     peak = np.array([np.max(np.abs(t)) for t in terms])
@@ -495,14 +486,14 @@ def _contour_terms(l: int, m, n, p: Params):
     if bad.size:
         k = bad[0]
         raise RuntimeError(
-            f"contour quadrature for I({l},{m[k]},{n[k]}) did not converge: "
+            f"contour quadrature for I({l},{js[k] + l},{js[k]}) did not converge: "
             f"refinement change {err[k]:g} vs scale {scale[k]:g}")
     bad = np.flatnonzero(np.abs(fine.imag)
                          > np.maximum(1e-8 * np.abs(fine.real), 2.0 * floor))
     if bad.size:
         k = bad[0]
         raise RuntimeError(
-            f"contour result not real: I({l},{m[k]},{n[k]}) = {fine[k]:g} "
+            f"contour result not real: I({l},{js[k] + l},{js[k]}) = {fine[k]:g} "
             f"(peak {peak[k]:g})")
     return fine.real, floor
 
@@ -528,43 +519,40 @@ def _block_pair(z, bits: int):
     return (-x if xs else x), (-y if ys else y), e
 
 
-def _add_node_terms(chains, heads, qx, qy, qe, conj, sums, bits):
-    """Add one node's terms lead u^d q^j into the integer step sums.
+def _add_node_terms(head, js, qx, qy, qe, conj, sums, bits):
+    """Add one node's terms lead u^l q^j, j in js, into the integer step sums.
 
-    heads[i] = (x, y, e) is the block pair of the head of chains[i] and
-    (qx, qy) 2^qe that of q; with conj, the terms of their conjugates are
-    added.  Each term is added exactly into sums = (sx, sy, se), the step
-    sum of term k being (sx[k] + i sy[k]) 2^se[k], kept at the smallest
-    exponent seen.
+    head = (x, y, e) is the block pair of lead u^l and (qx, qy) 2^qe that of
+    q; with conj, the terms of their conjugates are added.  Each term is
+    added exactly into sums = (sx, sy, se), the step sum of term k being
+    (sx[k] + i sy[k]) 2^se[k], kept at the smallest exponent seen.
     """
     sx, sy, se = sums
+    tx, ty, te = head
     if conj:
-        qy = -qy
-    for (_, walk), (tx, ty, te) in zip(chains, heads):
-        if conj:
-            ty = -ty
-        power = 0
-        for jk, k in walk:
-            for _ in range(jk - power):
-                tx, ty = ((tx * qx - ty * qy) >> bits,
-                          (tx * qy + ty * qx) >> bits)
-                te += qe
-            power = jk
-            shift = te - se[k]
-            if shift >= 0:
-                sx[k] += tx << shift
-                sy[k] += ty << shift
-            else:
-                sx[k] = (sx[k] << -shift) + tx
-                sy[k] = (sy[k] << -shift) + ty
-                se[k] = te
+        qy, ty = -qy, -ty
+    power = 0
+    for k, jk in enumerate(js):
+        for _ in range(jk - power):
+            tx, ty = ((tx * qx - ty * qy) >> bits,
+                      (tx * qy + ty * qx) >> bits)
+            te += qe
+        power = jk
+        shift = te - se[k]
+        if shift >= 0:
+            sx[k] += tx << shift
+            sy[k] += ty << shift
+        else:
+            sx[k] = (sx[k] << -shift) + tx
+            sy[k] = (sy[k] << -shift) + ty
+            se[k] = te
 
 
 def _mp_path(l: int, p: Params, dps: int, prec: int):
     """The extended route's path, built at the current mpmath precision: the
-    split points [-A, -wb, 0, wb, A] and, for _mp_node, (sgn, delta, wb,
-    i half_w, prec) with delta and wb libmp real tuples, i half_w a libmp
-    complex tuple and prec the nodes' working precision in bits.
+    split points [-A, -wb, 0, wb, A] and, for _mp_node, (delta, wb, i half_w,
+    prec) with delta and wb libmp real tuples, i half_w a libmp complex
+    tuple and prec the nodes' working precision in bits.
 
     The half-length A puts the undipped path's exponent (omega/2)(h(a) - 2/3),
     h(a) - 2/3 >= (8/9) a^2, at least dps ln 10 + 40 below the peak.
@@ -573,15 +561,14 @@ def _mp_path(l: int, p: Params, dps: int, prec: int):
 
     ctx = mp.mp
     g0 = ctx.mpf(p.g0)
-    omega = abs(l) * g0**3
+    omega = l * g0**3
     ws = 1 / ctx.sqrt(omega)
     delta = ctx.mpf("0.75") * ws
     wb = 3 * ws
     digits_pad = ctx.mpf(dps) * ctx.log(10)
     A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
     half_w = ctx.mpf(l) * g0**3 / 2
-    return [-A, -wb, 0, wb, A], (1 if l > 0 else -1, delta._mpf_, wb._mpf_,
-                                 (ctx.j * half_w)._mpc_, prec)
+    return [-A, -wb, 0, wb, A], (delta._mpf_, wb._mpf_, (ctx.j * half_w)._mpc_, prec)
 
 
 def _mp_node(x, wt, path, lib):
@@ -594,24 +581,24 @@ def _mp_node(x, wt, path, lib):
     calls their operators make, in the same order: bit for bit the same,
     without building an mpmath object per operation.
     """
-    sgn, delta, wb, j_half_w, prec = path
+    delta, wb, j_half_w, prec = path
     mul, div, add, sub = lib.mpf_mul, lib.mpf_div, lib.mpf_add, lib.mpf_sub
     mul_int, pow_int = lib.mpf_mul_int, lib.mpf_pow_int
     c_mul, c_pow_int = lib.mpc_mul, lib.mpc_pow_int
     one, three, j = lib.fone, lib.from_int(3), (lib.fzero, lib.fone)
     # _bent_path: br = sqrt(1 + a^2/3), bump = exp(-(a/wb)^2),
-    # b = sgn (br - delta bump), bp = sgn (a/(3 br) + delta bump 2 a/wb^2),
+    # b = br - delta bump, bp = a/(3 br) + delta bump 2 a/wb^2,
     # tau = a + i b and dtau = 1 + i bp
     br = lib.mpf_sqrt(add(div(mul(x, x, prec, "n"), three, prec, "n"),
                           one, prec, "n"), prec, "n")
     bump = lib.mpf_exp(lib.mpf_neg(pow_int(div(x, wb, prec, "n"), 2, prec, "n"),
                                    prec, "n"), prec, "n")
     delta_bump = mul(delta, bump, prec, "n")
-    b = mul_int(sub(br, delta_bump, prec, "n"), sgn, prec, "n")
-    bp = mul_int(add(div(x, mul_int(br, 3, prec, "n"), prec, "n"),
-                     div(mul(mul_int(delta_bump, 2, prec, "n"), x, prec, "n"),
-                         pow_int(wb, 2, prec, "n"), prec, "n"),
-                     prec, "n"), sgn, prec, "n")
+    b = sub(br, delta_bump, prec, "n")
+    bp = add(div(x, mul_int(br, 3, prec, "n"), prec, "n"),
+             div(mul(mul_int(delta_bump, 2, prec, "n"), x, prec, "n"),
+                 pow_int(wb, 2, prec, "n"), prec, "n"),
+             prec, "n")
     tau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, b, prec, "n"), x, prec, "n")
     dtau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, bp, prec, "n"), one, prec, "n")
     # wt dtau e^{i half_w (tau + tau^3/3)}, (tau - i)^{-2} and (tau + i)^{-2}
@@ -627,8 +614,9 @@ def _mp_node(x, wt, path, lib):
     return tau, dtau, lead, u, w
 
 
-def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
-    """Extended-precision I(l, m_k, n_k) by one vector-valued tanh-sinh sum.
+def _contour_terms_mp(l: int, js, p: Params, dps: int):
+    """Extended-precision I(l, j + l, j), j in js, by one vector-valued
+    tanh-sinh sum, with floors.
 
     Replays mp.quad on the same path, split at [-A, -wb, 0, wb, A]: mpmath's
     tanh-sinh rule with its node cache, degree schedule and error estimate,
@@ -645,37 +633,32 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
     degree and at max_degree every term's is made, for the floors and the
     non-convergence message.
 
-    At each node _mp_node gives the point, the slope, the lead factor
-    weight * dtau * e^{i half_w (tau + tau^3/3)} and u = (tau - i)^{-2},
-    w = (tau + i)^{-2} as libmp tuples, from mpmath's own libmp functions
-    at the working precision, and q = u w and the chain heads are made the
-    same way: the calls and roundings of mpmath's operators, without an
-    mpmath object per operation.  The pole factors and the step sums are
-    then carried in integers: the head lead u^d (lead w^{-d} for d < 0) of
-    each d = m_k - n_k and q become block-floating pairs (x + i y) 2^e with
-    integer parts of `bits` = the working precision, each scaled by that
-    node's own exponent e.  The terms lead u^d q^j follow by integer complex
-    multiplication and a shift of `bits`, up the chain in j.  Each is added
+    At each node _mp_node gives the lead factor wt dtau e^{i half_w (tau +
+    tau^3/3)}, u = (tau - i)^{-2} and w = (tau + i)^{-2} as libmp tuples,
+    by the calls and roundings of mpmath's operators without an mpmath
+    object per operation, and q = u w and the head lead u^l are made the
+    same way.  The head and q become block-floating pairs (x + i y) 2^e
+    with integer parts of `bits` = the working precision, each scaled by
+    that node's own exponent e.  The terms lead u^l q^j follow by integer
+    complex multiplication and a shift of `bits`, up js.  Each is added
     exactly into its term's integer sum, kept at the smallest exponent seen,
     and the sum is rounded to mpmath once per degree.  No fixed point is
-    shared between terms or nodes, so integrals far below the others (I(4, 4,
-    0) at g0 = 4.5 is about 3e-46) keep their digits.
+    shared between terms or nodes, so integrals far below the others
+    (I(4, 4, 0) at g0 = 4.5 is about 3e-46) keep their digits.
 
     The path is mirror-symmetric, and the mpmath work is done once per
     mirror pair of nodes.  a -> -a takes tau to -conj(tau), and dtau, the
     lead, u and w to their conjugates, bit for bit: tau depends on a^2 and
     a, dtau on a^2 and terms odd in a, tau + tau^3/3 is odd with real
-    coefficients, tau -+ i go to -conj(tau +- i), and mpmath rounds every
-    operation to nearest, which commutes with negation.  mpmath maps its
-    standard nodes, which come in pairs +-x of equal weight, to [a, b] by
-    D + C x with C = (b - a)/2 and D = (b + a)/2, so the nodes of [-b, -a]
-    are those of [a, b] negated, with equal weights.  Of each pair
-    [-A, -wb] | [wb, A] and [-wb, 0] | [0, wb] only the right-hand nodes are
-    evaluated; the left-hand side takes their block pairs with y negated,
-    which is exact because _block_pair truncates toward zero.  The chain's
-    shifts floor, so each side walks its own chain; the exact integer sums
-    do not depend on the order of the nodes.  Each side keeps its own degree
-    loop, convergence test and error estimate, and the right-hand nodes are
+    coefficients, tau - i and tau + i go to -conj(tau - i) and
+    -conj(tau + i), and mpmath rounds every operation to nearest, which
+    commutes with negation.  mpmath maps its nodes, pairs +-x of equal
+    weight, to [a, b] by (b + a)/2 + (b - a)/2 x, so those of [-b, -a] are
+    those of [a, b] negated.  Only the nodes of [0, wb] and [wb, A] are
+    evaluated; their mirror intervals take the block pairs with y negated,
+    which is exact because _block_pair truncates toward zero.  The shifts
+    floor, so each side walks its own powers of q and keeps its own degree
+    loop, convergence test and error estimate; the right-hand nodes are
     evaluated until both sides have converged.  The totals and the errors
     are added, and a non-convergence is reported, in the interval order
     from -A to A.
@@ -686,13 +669,7 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
 
     ctx = mp.mp
     rule = ctx._tanh_sinh
-    n_terms = len(m)
-    # term k is lead u^d q^j with d = m_k - n_k, j = min(m_k, n_k); the terms
-    # of one d share a chain of powers of q, walked in increasing j
-    chains = {}
-    for k, (a, b) in enumerate(zip(m, n)):
-        chains.setdefault(a - b, []).append((min(a, b), k))
-    chains = [(d, sorted(walk)) for d, walk in chains.items()]
+    n_terms = len(js)
     with ctx.workdps(dps):
         prec = ctx.prec
         bits = prec + 20
@@ -717,14 +694,12 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
                         _, _, lead, u, w = _mp_node(x._mpf_, wt._mpf_, path, libmp)
                         qx, qy, qe = _block_pair(mpc_mul(u, w, bits, "n"), bits)
                         qe += bits
-                        heads = [_block_pair(mpc_mul(lead, mpc_pow_int(
-                                     u if d >= 0 else w, abs(d), bits, "n"),
-                                     bits, "n"), bits)
-                                 for d, _ in chains]
+                        head = _block_pair(mpc_mul(lead, mpc_pow_int(
+                            u, l, bits, "n"), bits, "n"), bits)
                         # the mirror node's terms are the conjugates
                         for i in live:
-                            _add_node_terms(chains, heads, qx, qy, qe,
-                                            i == left, sums[i], bits)
+                            _add_node_terms(head, js, qx, qy, qe, i == left,
+                                            sums[i], bits)
                     # the tanh-sinh nodes of degree d - 1 are half of those
                     # of degree d: reuse their sum
                     for i in live:
@@ -751,7 +726,7 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
                 for k in range(n_terms):
                     if errors[i][k] > epsilon:
                         raise RuntimeError(
-                            f"extended contour quadrature for I({l},{m[k]},{n[k]}) "
+                            f"extended contour quadrature for I({l},{js[k] + l},{js[k]}) "
                             f"did not converge on [{float(points[i]):g}, "
                             f"{float(points[i + 1]):g}]: estimated relative "
                             f"error {float(errors[i][k]):g} above "
@@ -766,64 +741,38 @@ def _contour_terms_mp(l: int, m, n, p: Params, dps: int):
         re, im = float(vals[k].real), float(vals[k].imag)
         if abs(im) > max(_EPS * abs(re), 2.0 * float(floors[k])):
             raise RuntimeError(
-                f"extended contour result not real: I({l},{m[k]},{n[k]}) = "
+                f"extended contour result not real: I({l},{js[k] + l},{js[k]}) = "
                 f"{re:g} + {im:g}i")
     return (np.array([float(v.real) for v in vals]),
             np.array([float(e) for e in floors]))
 
 
-def contour_integral_I(l: int, m, n, p: Params, mp_dps: int | None = None,
-                       with_floor: bool = False):
-    """Oscillatory integral I(l,m,n) = int e^{i l (g0^3/2)(tau + tau^3/3)}
-    (tau - i)^{-2m} (tau + i)^{-2n} dtau over the real line.
+def contour_integral_I(l: int, js, p: Params, mp_dps: int | None = None):
+    """The j-terms I(l, j + l, j), j in js, of harmonic l >= 1, where
+    I(l, m, n) = int e^{i l (g0^3/2)(tau + tau^3/3)} (tau - i)^{-2m}
+    (tau + i)^{-2n} dtau over the real line; js is a nonempty, strictly
+    increasing sequence of nonnegative integers.
 
-    Computed on a deformed complex path through the singularity at
-    sign(l) * i; the integrand peak there matches the result scale
-    ~ g0^{3m - 3/2} e^{-|l| g0^3/3}, so the evaluation is well-conditioned
-    however exponentially small the answer.  The value is real; satisfies
-    I(-l, n, m) = I(l, m, n).
-
-    m and n are integers, or equal-length integer sequences for several
-    integrals of one l at once (an array is returned).  These share the path,
-    its nodes and the factor e^{i l (g0^3/2)(tau + tau^3/3)} dtau, and differ
-    by pole factors built by recurrence in q = ((tau - i)(tau + i))^{-2}, so
-    all the j-terms (j + l, j) of one harmonic cost little more than one.
-    Binary64 by default; mp_dps selects an mpmath tanh-sinh summation at that
-    many digits, at least MP_DPS_MIN (ValueError below).  Each integral
-    passes its own convergence and reality check (RuntimeError otherwise).
-    With with_floor, returns (value, floor): the binary64 arithmetic floor
-    50 eps max|integrand|, or in mpmath the quadrature's error estimate.  Without it, a value no larger in magnitude
-    than its floor carries no digit, and PrecisionError is raised.
+    The terms share one path through the singularity at i, where the
+    integrand peak matches the result scale ~ g0^{3m - 3/2} e^{-l g0^3/3}
+    however small the answer.  Binary64 by default; mp_dps selects an
+    mpmath tanh-sinh summation at that many digits, at least MP_DPS_MIN.
+    Each term passes its own convergence and reality check (RuntimeError
+    otherwise).  Returns the arrays (values, floors), the floor being
+    50 eps max|integrand| in binary64 and the quadrature's error estimate in
+    mpmath: a value no larger than its floor carries no digit.
     """
     l = int(l)
-    if l == 0:
-        raise ValueError("l must be nonzero")
-    scalar = np.ndim(m) == 0 and np.ndim(n) == 0
-    ms = [int(k) for k in np.atleast_1d(m)]
-    ns = [int(k) for k in np.atleast_1d(n)]
-    if np.ndim(m) > 1 or np.ndim(n) > 1 or len(ms) != len(ns) or not ms:
-        raise ValueError("m and n must be integers or equal-length, "
-                         "nonempty integer sequences")
-    for mk, nk in zip(ms, ns):
-        if mk < 0 or nk < 0:
-            raise ValueError(f"pole orders must be nonnegative, got ({mk}, {nk})")
-        if (mk, nk) == (0, 0):
-            raise ValueError("(m, n) = (0, 0) diverges (no decay)")
+    if l < 1:
+        raise ValueError(f"l must be a positive integer, got {l}")
+    js = [int(j) for j in js]
+    if not js or js[0] < 0 or any(a >= b for a, b in zip(js, js[1:])):
+        raise ValueError("js must be a nonempty, strictly increasing sequence "
+                         f"of nonnegative integers, got {js}")
     _check_mp_dps(mp_dps)
     if mp_dps is None:
-        vals, floors = _contour_terms(l, ms, ns, p)
-    else:
-        vals, floors = _contour_terms_mp(l, ms, ns, p, mp_dps)
-    if not with_floor:
-        lost = np.abs(vals) <= floors
-        if lost.any():
-            k = int(np.argmax(lost))
-            raise PrecisionError(
-                f"I({l}, {ms[k]}, {ns[k]}) = {vals[k]:.3g} is not above its floor "
-                f"{floors[k]:.3g}; with_floor=True returns both")
-    if scalar:
-        vals, floors = float(vals[0]), float(floors[0])
-    return (vals, floors) if with_floor else vals
+        return _contour_terms(l, js, p)
+    return _contour_terms_mp(l, js, p, mp_dps)
 
 
 def _double_factorial_odd(m: int) -> float:
@@ -847,8 +796,7 @@ def contour_integral_leading(l: int, m: int, n: int, p: Params) -> float:
 
 
 def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
-                           mp_dps: int | None = None,
-                           with_error: bool = False):
+                           mp_dps: int | None = None) -> tuple[float, float]:
     """Coefficient L[l] (l >= 1) assembled from the contour integrals:
 
         L[l] = sum_{j>=0} c_j c_{l+j}
@@ -858,8 +806,8 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
     truncated at j = jmax.  Terms with an identically-zero mass factor (all
     of them for odd l at mu = 1/2, everything at mu = 0) are skipped exactly.
     The integrals of all terms come from one contour_integral_I call on the
-    shared path.  With with_error, returns (L[l], error estimate), the
-    estimate being the larger of the geometric truncation tail and the
+    shared path.  Returns (L[l], error estimate), the estimate being the
+    larger of the geometric truncation tail and the
     arithmetic floor sum_j |coefficient_j| floor_j of the terms summed.  The
     tail's ratio is at least rho_p^2, rho_p = 2 max(mu, 1-mu)/g0^2, and the
     estimate is infinite where the ratio reaches 1 and the series diverges.
@@ -876,8 +824,7 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
     floor = 0.0
     terms = []      # (term, its floor) of the last two terms summed
     if js:
-        I, I_floor = contour_integral_I(l, [j + l for j in js], js, p,
-                                        mp_dps=mp_dps, with_floor=True)
+        I, I_floor = contour_integral_I(l, js, p, mp_dps=mp_dps)
         for j, Ij, fj in zip(js, I.tolist(), I_floor.tolist()):
             coef = (cj[j] * cj[j + l] * _mass_factor(l, j, p.mu)
                     / p.g0 ** (4 * j + 2 * l) * (-1.0) ** l * 2.0 ** (2 * j + l))
@@ -889,18 +836,16 @@ def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
             # of the accumulated sum, later ones cannot contribute
             if total != 0.0 and abs(term) < 1e-3 * _EPS * abs(total):
                 break
-    if with_error:
-        # the terms decay like rho_p^(2j), rho_p = 2 max(mu, 1-mu)/g0^2; an
-        # observed ratio may only raise that, and is read only from two terms
-        # above their floors, since noise terms (g0 >= 2) read ratios above 1
-        ratio = (2.0 * max(p.mu, 1.0 - p.mu) / p.g0**2) ** 2
-        if len(terms) == 2 and all(abs(t) > f for t, f in terms):
-            ratio = max(ratio, abs(terms[1][0] / terms[0][0]))
-        last = abs(terms[-1][0]) if terms else 0.0
-        tail = (0.0 if last == 0.0 else inf if ratio >= 1.0
-                else last * ratio / (1.0 - ratio))
-        return total, max(tail, floor)
-    return total
+    # the terms decay like rho_p^(2j), rho_p = 2 max(mu, 1-mu)/g0^2; an
+    # observed ratio may only raise that, and is read only from two terms
+    # above their floors, since noise terms (g0 >= 2) read ratios above 1
+    ratio = (2.0 * max(p.mu, 1.0 - p.mu) / p.g0**2) ** 2
+    if len(terms) == 2 and all(abs(t) > f for t, f in terms):
+        ratio = max(ratio, abs(terms[1][0] / terms[0][0]))
+    last = abs(terms[-1][0]) if terms else 0.0
+    tail = (0.0 if last == 0.0 else inf if ratio >= 1.0
+            else last * ratio / (1.0 - ratio))
+    return total, max(tail, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -935,12 +880,24 @@ class MelnikovSeries:
     """Real cosine-series coefficients of the Melnikov potential.
 
     L(v, xi) = coefficients[0] + 2 sum_{l>=1} coefficients[l] cos(l(xi + g0^3 v)).
+    precision is "extended" for a contour series summed in mpmath, "double"
+    for every other.
     """
 
     coefficients: dict[int, float]
     method: str
     params: Params
     error_estimates: dict[int, float] = field(default_factory=dict)
+    precision: str = "double"
+
+    @property
+    def untrusted(self) -> bool:
+        """Whether some nonzero coefficient's error estimate exceeds a tenth
+        of it, which leaves it no trusted digit.  A NaN estimate (the
+        asymptotic forms carry none) never compares; an infinite one does."""
+        return any(self.coefficients[l] != 0.0
+                   and err > 0.1 * abs(self.coefficients[l])
+                   for l, err in self.error_estimates.items())
 
     @classmethod
     def compute(cls, p: Params, method: str = "contour", lmax: int = 4,
@@ -950,6 +907,7 @@ class MelnikovSeries:
             raise ValueError(f"lmax must be at least 1, got {lmax!r}")
         if not tol > 0.0:
             raise ValueError(f"tol must be positive, got {tol!r}")
+        _check_mp_dps(mp_dps)
         coeffs: dict[int, float] = {}
         errs: dict[int, float] = {}
         if method == "quadrature":
@@ -961,8 +919,8 @@ class MelnikovSeries:
                               abs(res.imag_residue), res.step_error)
         elif method == "contour":
             for l in range(1, lmax + 1):
-                coeffs[l], errs[l] = melnikov_coeff_contour(
-                    l, p, jmax, mp_dps=mp_dps, with_error=True)
+                coeffs[l], errs[l] = melnikov_coeff_contour(l, p, jmax,
+                                                            mp_dps=mp_dps)
         elif method == "asymptotic":
             for l in (1, 2):
                 if l <= lmax:
@@ -970,8 +928,10 @@ class MelnikovSeries:
                     errs[l] = float("nan")
         else:
             raise ValueError(f"unknown method {method!r}")
+        extended = method == "contour" and mp_dps is not None
         return cls(coefficients=coeffs, method=method, params=p,
-                   error_estimates=errs)
+                   error_estimates=errs,
+                   precision="extended" if extended else "double")
 
     def to_json_dict(self) -> dict:
         return {

@@ -161,7 +161,7 @@ def test_criterion_04_melnikov_cross_method():
     worst_rel, worst_im = 0.0, 0.0
     for l in (1, 2):
         q = melnikov_coeff_quadrature(l, p, tol=1e-9)
-        c = melnikov_coeff_contour(l, p, jmax=20)
+        c, _ = melnikov_coeff_contour(l, p, jmax=20)
         worst_rel = max(worst_rel, abs(q.value / c - 1.0))
         worst_im = max(worst_im, abs(q.imag_residue) / abs(q.value))
     wall = time.time() - t0
@@ -176,7 +176,7 @@ def test_criterion_05_asymptotic_trend():
     for g0 in (2.0, 3.0, 4.0):
         p = Params(0.25, g0)
         for l in (1, 2):
-            ratio = melnikov_coeff_contour(l, p) / melnikov_coeff_asymptotic(l, p)
+            ratio = melnikov_coeff_contour(l, p)[0] / melnikov_coeff_asymptotic(l, p)
             devs[l].append(abs(ratio - 1.0))
     wall = time.time() - t0
     ok = (devs[1][0] > devs[1][1] > devs[1][2] and devs[1][2] < 0.5
@@ -190,8 +190,8 @@ def test_criterion_05_asymptotic_trend():
 def test_criterion_06_equal_mass_odd_suppression():
     t0 = time.time()
     p = Params(0.5, 2.0)
-    l1 = melnikov_coeff_contour(1, p)
-    l2 = melnikov_coeff_contour(2, p)
+    l1, _ = melnikov_coeff_contour(1, p)
+    l2, _ = melnikov_coeff_contour(2, p)
     wall = time.time() - t0
     ok = abs(l1) < 1e-3 * abs(l2) and wall < 10.0
     assert report_line(6, ok, f"|L1|={abs(l1):.1e} vs 1e-3|L2|={1e-3 * abs(l2):.1e}, "

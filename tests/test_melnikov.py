@@ -222,14 +222,6 @@ class TestQuadratureRoute:
 
 
 class TestContourIntegrals:
-    def test_conjugation_relation(self):
-        # I(-l, n, m) = I(l, m, n), computing both sides independently
-        p = Params(0.3, 1.8)
-        for (l, m, n) in ((1, 2, 1), (2, 2, 0), (1, 1, 0)):
-            a = contour_integral_I(l, m, n, p)
-            b = contour_integral_I(-l, n, m, p)
-            assert b == pytest.approx(a, rel=1e-10)
-
     def test_against_real_line_quadrature(self):
         # direct oscillatory quadrature on the real line at moderate g0:
         # composite Gauss panels matched to the accelerating oscillation
@@ -255,7 +247,7 @@ class TestContourIntegrals:
             vals = (np.exp(1j * half_w * (tt + tt**3 / 3.0))
                     / (tt - 1j) ** (2 * m) / (tt + 1j) ** (2 * n))
             oracle = np.sum(vals * ww)
-            val = contour_integral_I(l, m, n, p)
+            (val,), _ = contour_integral_I(l, [n], p)
             assert abs(oracle.imag) < 1e-8 * abs(oracle.real)
             assert val == pytest.approx(oracle.real, rel=1e-8)
 
@@ -265,7 +257,7 @@ class TestContourIntegrals:
         devs = []
         for g0 in (2.0, 3.0, 4.0):
             p = Params(0.25, g0)
-            val = contour_integral_I(1, 2, 1, p)
+            (val,), _ = contour_integral_I(1, [1], p)
             lead = contour_integral_leading(1, 2, 1, p)
             assert val < 0.0 and lead < 0.0
             assert abs(lead) == pytest.approx(
@@ -276,77 +268,62 @@ class TestContourIntegrals:
         assert devs[2] < 0.5
 
     def test_invalid_orders(self):
+        # a harmonic l <= 0, or a negative j
         p = Params(0.3, 2.0)
-        with pytest.raises(ValueError):
-            contour_integral_I(0, 1, 1, p)
-        with pytest.raises(ValueError):
-            contour_integral_I(1, 0, 0, p)
+        for l in (0, -1):
+            with pytest.raises(ValueError, match="l must be"):
+                contour_integral_I(l, [1], p)
+        for js in ([-1], [-1, 0]):
+            with pytest.raises(ValueError, match="js must be"):
+                contour_integral_I(1, js, p)
 
-    def test_value_at_its_floor_raises(self):
+    def test_value_at_its_floor_comes_back_with_it(self):
         # in binary64 I(3, 15, 12) at g0 = 4.5 is noise (+1.3e-23, against
         # -2.2e-26 in mpmath): its floor 50 eps max|integrand| exceeds it
-        p = Params(0.3, 4.5)
-        with pytest.raises(PrecisionError):
-            contour_integral_I(3, 15, 12, p)
-        with pytest.raises(PrecisionError):
-            contour_integral_I(3, [4, 15], [1, 12], p)
-        val, floor = contour_integral_I(3, 15, 12, p, with_floor=True)
+        (val,), (floor,) = contour_integral_I(3, [12], Params(0.3, 4.5))
         assert floor > abs(val)
 
     def test_extended_precision_agrees(self):
         p = Params(0.3, 2.0)
-        a = contour_integral_I(1, 2, 1, p)
-        b = contour_integral_I(1, 2, 1, p, mp_dps=30)
+        (a,), _ = contour_integral_I(1, [1], p)
+        (b,), _ = contour_integral_I(1, [1], p, mp_dps=30)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestSharedPath:
-    # pairs (m, n) with m - n of both signs, as one vector call
-    M = [1, 2, 3, 2, 0, 5, 1]
-    N = [0, 1, 2, 0, 2, 3, 3]
-
     def test_vector_matches_scalar_calls(self):
-        # the vector call grades its panels for the highest pole order, a
-        # scalar call for its own: they agree to each entry's floor
+        # the harmonic's call grades its panels for its highest pole order,
+        # a one-term call for its own: they agree to each entry's floor
         p = Params(0.3, 2.0)
-        vals, floors = contour_integral_I(1, self.M, self.N, p, with_floor=True)
-        assert isinstance(vals, np.ndarray) and vals.shape == (len(self.M),)
-        for k, (m, n) in enumerate(zip(self.M, self.N)):
-            one, one_floor = contour_integral_I(1, m, n, p, with_floor=True)
-            assert isinstance(one, float)
+        js = list(range(13))
+        vals, floors = contour_integral_I(1, js, p)
+        assert isinstance(vals, np.ndarray) and vals.shape == (len(js),)
+        assert isinstance(floors, np.ndarray) and floors.shape == (len(js),)
+        for k, j in enumerate(js):
+            (one,), (one_floor,) = contour_integral_I(1, [j], p)
             assert abs(vals[k] - one) <= floors[k]
             assert one_floor == pytest.approx(floors[k], rel=1e-3)
 
-    def test_conjugation_relation_on_sequences(self):
-        p = Params(0.3, 2.0)
-        vals, floors = contour_integral_I(1, self.M, self.N, p, with_floor=True)
-        mirrored = contour_integral_I(-1, self.N, self.M, p)
-        assert np.all(np.abs(mirrored - vals) <= floors)
-
     def test_extended_vector_matches_scalar_calls(self):
         p = Params(0.3, 2.0)
-        m, n = [2, 3, 1, 4], [1, 2, 0, 1]
-        vals = contour_integral_I(1, m, n, p, mp_dps=30)
-        for k in range(len(m)):
-            assert vals[k] == contour_integral_I(1, m[k], n[k], p, mp_dps=30)
+        js = [0, 1, 2, 4]
+        vals, _ = contour_integral_I(1, js, p, mp_dps=30)
+        for k, j in enumerate(js):
+            (one,), _ = contour_integral_I(1, [j], p, mp_dps=30)
+            assert vals[k] == one
 
     def test_sequence_validation(self):
-        p = Params(0.3, 2.0)
-        with pytest.raises(ValueError):
-            contour_integral_I(1, [1, 2], [0], p)
-        with pytest.raises(ValueError):
-            contour_integral_I(1, [], [], p)
-        with pytest.raises(ValueError):
-            contour_integral_I(1, [1, 0], [0, 0], p)
-        with pytest.raises(ValueError):
-            contour_integral_I(1, [1, -1], [0, 2], p)
+        # js empty, or not strictly increasing
+        for js in ([], [2, 1], [0, 1, 1]):
+            with pytest.raises(ValueError, match="js must be"):
+                contour_integral_I(1, js, Params(0.3, 2.0))
 
     def test_extended_series_pinned(self):
         # the values of the per-term mp.quad summation this path replaced
         p = Params(0.3, 3.5)
-        assert melnikov_coeff_contour(1, p, mp_dps=40) == pytest.approx(
+        assert melnikov_coeff_contour(1, p, mp_dps=40)[0] == pytest.approx(
             -3.1843458367992765e-09, rel=1e-15)
-        assert melnikov_coeff_contour(2, p, mp_dps=40) == pytest.approx(
+        assert melnikov_coeff_contour(2, p, mp_dps=40)[0] == pytest.approx(
             5.115479836993671e-13, rel=1e-15)
 
     def test_extended_non_convergence_raises(self, monkeypatch):
@@ -361,49 +338,44 @@ class TestSharedPath:
                     "extended contour quadrature for I(1,2,1) did not converge "
                     f"on [-8.48528, -1.06066]: estimated relative error {ratio} "
                     "above 2.46519e-32")):
-                contour_integral_I(1, 2, 1, Params(0.3, 2.0), mp_dps=30)
+                contour_integral_I(1, [1], Params(0.3, 2.0), mp_dps=30)
             # of a harmonic's 13 terms, the first is named
             with pytest.raises(RuntimeError, match=re.escape(
                     "extended contour quadrature for I(1,1,0) did not converge "
                     "on [-3.94946, -0.458162]: estimated relative error "
                     f"{harmonic_ratio} above 2.86986e-42")):
-                contour_integral_I(1, *_harmonic(1, 12), Params(0.3, 3.5),
-                                   mp_dps=40)
+                contour_integral_I(1, range(13), Params(0.3, 3.5), mp_dps=40)
 
     def test_extended_convergence_is_relative(self):
         # I(4, 4, 0) at g0 = 4.5 is about 3e-46, below mp.quad's absolute
         # epsilon at 30 digits; an absolute test stops at degree 2 with an
         # answer 10x off
         p = Params(0.3, 4.5)
-        ref = contour_integral_I(4, 4, 0, p)
+        (ref,), _ = contour_integral_I(4, [0], p)
         assert ref == pytest.approx(contour_integral_leading(4, 4, 0, p), rel=0.2)
-        assert contour_integral_I(4, 4, 0, p, mp_dps=30) == pytest.approx(ref, rel=1e-10)
+        (ext,), _ = contour_integral_I(4, [0], p, mp_dps=30)
+        assert ext == pytest.approx(ref, rel=1e-10)
 
     def test_error_estimate_covers_arithmetic_floor(self):
         # binary64 against mpmath: the reported error bounds the difference
         # and is at least the floor of the terms, above the truncation tail
         p = Params(0.3, 2.0)
         for l in (3, 4):
-            val, err = melnikov_coeff_contour(l, p, with_error=True)
-            ref = melnikov_coeff_contour(l, p, mp_dps=30)
+            val, err = melnikov_coeff_contour(l, p)
+            ref, _ = melnikov_coeff_contour(l, p, mp_dps=30)
             assert abs(val - ref) <= err
         s = MelnikovSeries.compute(p, "contour", lmax=4)
         assert s.error_estimates[4] == err
         assert err > 1e-9 * abs(val)
 
 
-def _harmonic(l, jmax):
-    """Pole orders (j + l, j), j = 0..jmax: the j-terms of harmonic l."""
-    return [j + l for j in range(jmax + 1)], list(range(jmax + 1))
-
-
-# (l, m, n, params, digits, values, floors) of the extended route, values and
-# floors as float.hex strings, recorded from the per-term mpc summation that
-# the integer step sums replaced (lm1_mixed_g20_d17 and l2_g45_d17 from the
-# integer step sums over all four intervals, before the mirror pairing):
-# both must agree bit for bit
+# (l, js, params, digits, values, floors) of the extended route's j-terms
+# I(l, j + l, j), values and floors as float.hex strings, recorded from the
+# per-term mpc summation that the integer step sums replaced (l2_g45_d17
+# from the integer step sums over all four intervals, before the mirror
+# pairing): both must agree bit for bit
 EXTENDED_PINS = {
-    "l1_g35": (1, *_harmonic(1, 12), Params(0.3, 3.5), 40,
+    "l1_g35": (1, range(13), Params(0.3, 3.5), 40,
         [
             "-0x1.566cb01fd4e52p-17", "-0x1.7a7f8a58f2a01p-15",
             "-0x1.1b87429164907p-13", "-0x1.4edfbf3c584c2p-12",
@@ -422,7 +394,7 @@ EXTENDED_PINS = {
             "0x1.be31e5822bbe3p-153", "0x1.a9380dfe3ae4cp-142",
             "0x1.988a1942805e6p-131",
         ]),
-    "l2_g35": (2, *_harmonic(2, 12), Params(0.3, 3.5), 40,
+    "l2_g35": (2, range(13), Params(0.3, 3.5), 40,
         [
             "0x1.0649badd8deddp-32", "0x1.4d65e7473c5bap-30",
             "0x1.457edaa113aa4p-28", "0x1.06c6241d713b4p-26",
@@ -441,27 +413,14 @@ EXTENDED_PINS = {
             "0x1.df25967447d98p-150", "0x1.bc92f2febbf41p-138",
             "0x1.9f4bca432ff3ap-126",
         ]),
-    "I440_g45": (4, *_harmonic(4, 0), Params(0.3, 4.5), 30,
+    "I440_g45": (4, range(1), Params(0.3, 4.5), 30,
         [
             "0x1.dadb1d86928b5p-152",
         ],
         [
             "0x1.34568df96c73dp-276",
         ]),
-    "mixed_g20": (1, [1, 2, 3, 2, 0, 5, 1], [0, 1, 2, 0, 2, 3, 3], Params(0.3, 2.0), 30,
-        [
-            "-0x1.fae10079241e4p-2", "-0x1.27bf917a5a1e1p-1",
-            "-0x1.27c3a6755f196p-1", "0x1.0415b2f358458p+0",
-            "0x1.624f785d37657p-9", "0x1.49ab8e2b35442p-1",
-            "0x1.707851e7582edp-6",
-        ],
-        [
-            "0x1.e75e7bd12e051p-171", "0x1.43581d19c3bfap-189",
-            "0x1.db7964fce21edp-208", "0x1.b5edd1749ada5p-188",
-            "0x1.43136b5f3b3bap-134", "0x1.28e1b3a45ed52p-209",
-            "0x1.59a5fb1ac37c5p-172",
-        ]),
-    "l3_g20": (3, *_harmonic(3, 12), Params(0.3, 2.0), 30,
+    "l3_g20": (3, range(13), Params(0.3, 2.0), 30,
         [
             "-0x1.be5919997dfefp-4", "-0x1.267b8de27a735p-3",
             "-0x1.61b06f571b00ap-3", "-0x1.8f8c9d89c1a9bp-3",
@@ -480,7 +439,7 @@ EXTENDED_PINS = {
             "0x1.76ffc50c7dea1p-128", "0x1.a7c215e2e0f53p-118",
             "0x1.e19114c65576dp-108",
         ]),
-    "l2_mu05_g28": (2, *_harmonic(2, 12), Params(0.5, 2.8), 40,
+    "l2_mu05_g28": (2, range(13), Params(0.5, 2.8), 40,
         [
             "0x1.967874b6afc80p-14", "0x1.1e75834cbb994p-12",
             "0x1.41fd8dc1c10ecp-11", "0x1.355af0d6f94a3p-10",
@@ -499,7 +458,7 @@ EXTENDED_PINS = {
             "0x1.58ee41076d7c2p-140", "0x1.530c09eecbf97p-129",
             "0x1.4f85035084914p-118",
         ]),
-    "l1_g15": (1, *_harmonic(1, 18), Params(0.3, 1.5), 30,
+    "l1_g15": (1, range(19), Params(0.3, 1.5), 30,
         [
             "-0x1.82c1c838da96ep+0", "-0x1.16dae796c7919p+0",
             "-0x1.b15fdcf0d90f6p-1", "-0x1.6967d71b363f1p-1",
@@ -524,24 +483,9 @@ EXTENDED_PINS = {
             "0x1.d0080631a3330p-134", "0x1.43283f09c0610p-129",
             "0x1.1a4d72ee32f2bp-121",
         ]),
-    # l < 0 with pairs of d = m - n of both signs, at the fewest digits
-    "lm1_mixed_g20_d17": (-1, [1, 2, 3, 2, 0, 5, 1], [0, 1, 2, 0, 2, 3, 3],
-                          Params(0.3, 2.0), 17,
-        [
-            "-0x1.b349501f8a54ep-7", "-0x1.15468dbb1ab7dp-4",
-            "-0x1.000c050840012p-3", "0x1.624f785d37657p-9",
-            "0x1.0415b2f358458p+0", "0x1.4a508c22f2fa6p-4",
-            "0x1.b893e3bf66926p-1",
-        ],
-        [
-            "0x1.d115972ed8311p-103", "0x1.976d3b1388eeep-109",
-            "0x1.6d005cc7391adp-115", "0x1.44d9ea4db70c3p-105",
-            "0x1.42f55f9dba6e0p-104", "0x1.2614155b22f09p-122",
-            "0x1.5bce947622a59p-109",
-        ]),
     # the terms j = 0..7 of the l = 2 harmonic that pass the reality check
     # at 17 digits (test_extended_route_refuses_a_complex_result: j = 8 on)
-    "l2_g45_d17": (2, *_harmonic(2, 7), Params(0.45, 4.5), 17,
+    "l2_g45_d17": (2, range(8), Params(0.45, 4.5), 17,
         [
             "0x1.399af5d9fe3f6p-77", "0x1.8fd4df27ed769p-74",
             "0x1.7d814f2f2f866p-71", "0x1.26528c440fc75p-68",
@@ -559,14 +503,14 @@ EXTENDED_PINS = {
 
 @pytest.mark.parametrize("case", list(EXTENDED_PINS))
 def test_extended_route_pinned_bit_for_bit(case):
-    l, m, n, p, dps, vals, floors = EXTENDED_PINS[case]
-    got, got_floors = contour_integral_I(l, m, n, p, mp_dps=dps, with_floor=True)
+    l, js, p, dps, vals, floors = EXTENDED_PINS[case]
+    got, got_floors = contour_integral_I(l, js, p, mp_dps=dps)
     assert [v.hex() for v in got.tolist()] == vals
     assert [f.hex() for f in got_floors.tolist()] == floors
 
 
 # (l, g0): values and floors of the binary64 route's harmonic l, jmax 12, at
-# mu = 0.3, as float.hex strings, from contour_integral_I with with_floor
+# mu = 0.3, as float.hex strings, from contour_integral_I
 BINARY64_PINS = {
     (1, 2.0): (
         [
@@ -814,8 +758,7 @@ BINARY64_PINS = {
 @pytest.mark.parametrize("l, g0", list(BINARY64_PINS))
 def test_binary64_route_pinned_bit_for_bit(l, g0):
     vals, floors = BINARY64_PINS[l, g0]
-    got, got_floors = contour_integral_I(l, *_harmonic(l, 12), Params(0.3, g0),
-                                         with_floor=True)
+    got, got_floors = contour_integral_I(l, range(13), Params(0.3, g0))
     assert [v.hex() for v in got.tolist()] == vals
     assert [f.hex() for f in got_floors.tolist()] == floors
 
@@ -827,12 +770,12 @@ def test_extended_route_refuses_a_complex_result():
     # the call and names the first; its message pins the route to 6 digits
     with pytest.raises(RuntimeError, match=re.escape(
             "not real: I(2,10,8) = 4.7147e-18 + -1.25202e-32i")):
-        contour_integral_I(2, *_harmonic(2, 12), Params(0.45, 4.5), mp_dps=17)
+        contour_integral_I(2, range(13), Params(0.45, 4.5), mp_dps=17)
 
 
 @pytest.mark.parametrize("dps", (17, 40))
 @pytest.mark.parametrize("g0", (2.0, 3.5))
-@pytest.mark.parametrize("l", (1, -2))
+@pytest.mark.parametrize("l", (1, 2))
 def test_extended_path_mirror_symmetry(l, g0, dps):
     # the extended route evaluates the right-hand node of each mirror pair
     # only and gives its mirror the conjugates: mpmath's nodes on [-b, -a]
@@ -871,11 +814,11 @@ def test_extended_node_matches_object_arithmetic(dps):
     # degrees 1 to 6 on both right-hand intervals
     ctx = mpmath.mp
     rule = ctx._tanh_sinh
-    for l, g0 in ((1, 3.5), (2, 3.5), (-3, 2.8), (4, 4.5)):
+    for l, g0 in ((1, 3.5), (2, 3.5), (3, 2.8), (4, 4.5)):
         with ctx.workdps(dps):
             prec = ctx.prec
             points, path = melnikov._mp_path(l, Params(0.3, g0), dps, prec + 20)
-            sgn, delta, wb, j_half_w, _ = path
+            delta, wb, j_half_w, _ = path
             delta, wb = ctx.make_mpf(delta), ctx.make_mpf(wb)
             j_half_w = ctx.make_mpc(j_half_w)
             with ctx.workprec(prec + 20):
@@ -883,7 +826,7 @@ def test_extended_node_matches_object_arithmetic(dps):
                     for degree in range(1, 7):
                         for x, wt in rule.get_nodes(a, b, degree, prec):
                             tau, dtau = melnikov._bent_path(
-                                x, sgn, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
+                                x, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
                             lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
                             u, w = 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
                             assert melnikov._mp_node(
@@ -898,15 +841,20 @@ def test_extended_route_refuses_too_few_digits():
     p = Params(0.3, 2.8)
     for dps in (0, MP_DPS_MIN - 1):
         with pytest.raises(ValueError, match="mp_dps"):
-            contour_integral_I(1, 2, 1, p, mp_dps=dps)
+            contour_integral_I(1, [1], p, mp_dps=dps)
         with pytest.raises(ValueError, match="mp_dps"):
-            melnikov_coeff_contour(1, p, jmax=2, mp_dps=dps, with_error=True)
+            melnikov_coeff_contour(1, p, jmax=2, mp_dps=dps)
         with pytest.raises(ValueError, match="mp_dps"):
             melnikov_coeff_contour(1, Params(0.0, 2.8), mp_dps=dps)
-        with pytest.raises(ValueError, match="mp_dps"):
-            MelnikovSeries.compute(p, "contour", lmax=1, jmax=2, mp_dps=dps)
-    assert contour_integral_I(1, 2, 1, p, mp_dps=MP_DPS_MIN) == pytest.approx(
-        contour_integral_I(1, 2, 1, p), rel=1e-12)
+        # the quadrature and asymptotic series, which do not read mp_dps,
+        # returned at any value
+        for method in ("contour", "quadrature", "asymptotic"):
+            with pytest.raises(ValueError, match="mp_dps"):
+                MelnikovSeries.compute(Params(0.3, 1.5), method, lmax=1,
+                                       jmax=2, mp_dps=dps)
+    (ext,), _ = contour_integral_I(1, [1], p, mp_dps=MP_DPS_MIN)
+    (ref,), _ = contour_integral_I(1, [1], p)
+    assert ext == pytest.approx(ref, rel=1e-12)
 
 
 class TestCrossMethod:
@@ -914,20 +862,20 @@ class TestCrossMethod:
         p = Params(0.3, 1.5)
         for l in (1, 2):
             q = melnikov_coeff_quadrature(l, p, tol=1e-9)
-            c = melnikov_coeff_contour(l, p, jmax=18)
+            c, _ = melnikov_coeff_contour(l, p, jmax=18)
             assert q.value == pytest.approx(c, rel=1e-6)
 
     def test_equal_mass_kills_odd_harmonics(self):
         p = Params(0.5, 2.0)
-        assert melnikov_coeff_contour(1, p) == 0.0
-        assert melnikov_coeff_contour(3, p) == 0.0
-        assert melnikov_coeff_contour(2, p) != 0.0
+        assert melnikov_coeff_contour(1, p) == (0.0, 0.0)
+        assert melnikov_coeff_contour(3, p) == (0.0, 0.0)
+        assert melnikov_coeff_contour(2, p)[0] != 0.0
 
     def test_harmonic_decay(self):
         # geometric decay holds from l = 2 on; the l = 1 coefficient is
         # anomalously small through its (1 - 2 mu) factor
         p = Params(0.3, 2.0)
-        vals = [abs(melnikov_coeff_contour(l, p)) for l in (1, 2, 3, 4)]
+        vals = [abs(melnikov_coeff_contour(l, p)[0]) for l in (1, 2, 3, 4)]
         assert vals[2] < 0.5 * vals[1]
         assert vals[2] < 0.15 * vals[1] + 0.15 * vals[0]
         assert vals[3] < 0.35 * vals[2]
@@ -979,6 +927,38 @@ class TestPotentialSeries:
             for tol in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="tol"):
                     MelnikovSeries.compute(p, method, lmax=1, tol=tol)
+
+    def test_precision(self):
+        # only the contour series reads mp_dps; the others stay binary64
+        p = Params(0.3, 2.0)
+        for method in ("contour", "quadrature", "asymptotic"):
+            s = MelnikovSeries.compute(p, method, lmax=1)
+            assert s.precision == "double"
+        for method in ("quadrature", "asymptotic"):
+            s = MelnikovSeries.compute(Params(0.3, 1.5), method, lmax=1,
+                                       mp_dps=30)
+            assert s.precision == "double"
+        s = MelnikovSeries.compute(p, "contour", lmax=1, mp_dps=30)
+        assert s.precision == "extended"
+
+    def test_untrusted(self):
+        p = Params(0.3, 2.0)
+
+        def series(coeffs, errs):
+            return MelnikovSeries(coefficients=coeffs, method="contour",
+                                  params=p, error_estimates=errs)
+
+        assert not series({1: -1.0, 2: 0.5}, {1: 0.1, 2: 0.05}).untrusted
+        assert series({1: -1.0, 2: 0.5}, {1: 0.1, 2: 0.06}).untrusted
+        # a zero coefficient and a NaN estimate never trip it, an infinite
+        # estimate does
+        assert not series({1: 0.0}, {1: 1.0}).untrusted
+        assert not series({1: -1.0}, {1: float("nan")}).untrusted
+        assert series({1: -1.0}, {1: float("inf")}).untrusted
+        assert not MelnikovSeries.compute(p, "contour").untrusted
+        # the binomial series diverges at perihelion
+        assert MelnikovSeries.compute(Params(0.3, 1.05), "contour",
+                                      lmax=1).untrusted
 
     def test_json_schema(self):
         s = MelnikovSeries.compute(Params(0.3, 2.0), "contour", lmax=2)
