@@ -7,7 +7,7 @@ takes the settings flags among them (the keys in _FLAGS), and its --config
 file, a JSON object overlaid onto those keys' defaults, may hold no other
 key; flags override file values.  Every output file carries a provenance
 header: the toolkit version, a hash of the keys' values (out aside) and
-the values of precision, tol and quad_tol where the command reads them.
+the values of precision and tol where the command reads them.
 Outputs are deterministic: rerunning a command with the same
 configuration reproduces byte-identical files.  JSON files are strict RFC
 8259: a non-finite number (no estimate, a divergent estimate, an undefined
@@ -53,10 +53,8 @@ DEFAULTS = {
     "g0": 2.4,
     "phi0": 0.0,
     "tol": 1e-12,
-    "quad_tol": 1e-9,
     "jmax": 12,
     "lmax": 4,
-    "v_window": list(SplittingConfig.v_window),
     "n_samples": SplittingConfig.n_samples,
     "precision": "double",
     "mp_dps": 40,
@@ -71,10 +69,10 @@ _FLAGS = {"mu": {"type": float}, "g0": {"type": float}, "phi0": {"type": float},
 
 # the settings each command reads: its flags, its config keys, its config
 # hash and its provenance lines all come from its row
-_SPLIT_KEYS = ("phi0", "tol", "v_window", "n_samples")
+_SPLIT_KEYS = ("phi0", "tol", "n_samples")
 _READS = {command: (*keys, "out") for command, keys in {
     "homoclinic": (),
-    "melnikov": ("mu", "g0", "precision", "quad_tol", "jmax", "lmax", "mp_dps"),
+    "melnikov": ("mu", "g0", "precision", "jmax", "lmax", "mp_dps"),
     "manifolds": ("mu", "g0", *_SPLIT_KEYS),
     "splitting": ("mu", "g0", *_SPLIT_KEYS),
     "oscillate": ("mu", "g0", "phi0", "tol"),
@@ -83,7 +81,7 @@ _READS = {command: (*keys, "out") for command, keys in {
 }.items()}
 
 # the settings written into the provenance of a command that reads them
-_PROVENANCE_KEYS = ("precision", "tol", "quad_tol")
+_PROVENANCE_KEYS = ("precision", "tol")
 
 # what float() reads with a leading minus: argparse's own pattern misses the
 # exponent forms and infinities, and takes `--seed-y -1e-3` for two options
@@ -93,10 +91,7 @@ _NEGATIVE_NUMBER = re.compile(
 
 def _same_kind(val, default) -> bool:
     """val has default's type (an int passes for a float, a bool for
-    neither); a list must match element by element."""
-    if isinstance(default, list):
-        return (isinstance(val, list) and len(val) == len(default)
-                and all(map(_same_kind, val, default)))
+    neither)."""
     return type(val) is type(default) or (type(default), type(val)) == (float, int)
 
 
@@ -139,9 +134,6 @@ def _load_config(args) -> dict:
         if key in cfg and cfg[key] > MAX_GRID:
             raise ValueError(f"config key {key!r} must be at most {MAX_GRID}, "
                              f"got {cfg[key]!r}")
-    if "quad_tol" in cfg and not cfg["quad_tol"] > 0.0:
-        raise ValueError(f"config key 'quad_tol' must be positive, "
-                         f"got {cfg['quad_tol']!r}")
     if not Path(cfg["out"]).is_dir():
         raise ValueError(f"output directory {cfg['out']!r} does not exist "
                          f"or is not a directory")
@@ -264,8 +256,7 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
             print("note: closed asymptotic forms exist only for l in {1, 2}; "
                   f"harmonics above 2 of the requested lmax={lmax} are omitted")
         series[m] = MelnikovSeries.compute(
-            p, m, lmax=lmax, jmax=int(cfg["jmax"]),
-            tol=float(cfg["quad_tol"]), mp_dps=_mp_dps(cfg))
+            p, m, lmax=lmax, jmax=int(cfg["jmax"]), mp_dps=_mp_dps(cfg))
     for m, s in series.items():
         _write_json(out / f"melnikov_{m}.json", s.to_json_dict(), cfg,
                     precision=s.precision)
@@ -273,16 +264,11 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
     rows = []
     ls = sorted({l for s in series.values() for l in s.coefficients if l >= 1})
     for l in ls:
-        row = [l]
-        vals = []
-        for m in args.methods:
-            val = series[m].coefficients.get(l)
-            row.append(val if val is not None else "")
-            if val is not None:
-                vals.append(val)
-        ratio = (vals[0] / vals[1] if len(vals) >= 2 and vals[1] != 0 else "")
-        row.append(ratio)
-        rows.append(tuple(row))
+        vals = [series[m].coefficients.get(l) for m in args.methods]
+        # the ratio of the first two methods listed, where both have l
+        a, b = (vals + [None])[:2]
+        ratio = "" if None in (a, b) or b == 0 else a / b
+        rows.append((l, *("" if v is None else v for v in vals), ratio))
     hdr = "l," + ",".join(args.methods) + ",ratio_first_two"
     _write_csv(out / "melnikov_compare.csv", hdr, rows, cfg)
     print(f"wrote melnikov series for methods {args.methods}")
@@ -292,9 +278,9 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
 def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     for b in args.branch:
-        curve = compute_invariant_curve(
-            b, float(cfg["phi0"]), tuple(cfg["v_window"]), p,
-            tol=float(cfg["tol"]), n_samples=int(cfg["n_samples"]))
+        curve = compute_invariant_curve(b, float(cfg["phi0"]), p,
+                                        tol=float(cfg["tol"]),
+                                        n_samples=int(cfg["n_samples"]))
         rows = [(v, homoclinic_r(v), Y, b, curve.phi0, p.mu, p.g0, curve.tol)
                 for v, Y in zip(curve.v, curve.Y)]
         _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,phi0,mu,g0,tol",
@@ -325,8 +311,7 @@ def _report_payload(rep) -> dict:
 
 
 def _split_cfg(cfg: dict) -> SplittingConfig:
-    return SplittingConfig(v_window=tuple(cfg["v_window"]),
-                           tol=float(cfg["tol"]),
+    return SplittingConfig(tol=float(cfg["tol"]),
                            n_samples=int(cfg["n_samples"]))
 
 
@@ -363,8 +348,7 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
 def cmd_oscillate(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     log = oscillation_demo(p, (args.seed_r, args.seed_y), args.n_iter,
-                           args.r_out, args.r_in, float(cfg["phi0"]),
-                           tol=float(cfg["tol"]))
+                           float(cfg["phi0"]), tol=float(cfg["tol"]))
     rows = [(r.s, r.r, r.y, r.G, r.max_r_since_last) for r in log.returns]
     _write_csv(out / "returns.csv", "s,r,y,G,max_r_since_last", rows, cfg)
     _write_json(out / "oscillation.json", {
@@ -488,8 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed-r", type=float, required=True)
     sp.add_argument("--seed-y", type=float, required=True)
     sp.add_argument("--n-iter", type=int, default=200)
-    sp.add_argument("--r-out", type=float, default=5.0)
-    sp.add_argument("--r-in", type=float, default=2.0)
     sp.set_defaults(func=cmd_oscillate)
 
     sp = command("sweep", help="splitting reports over a parameter grid")

@@ -29,7 +29,7 @@ needed, and that seed's error of O(mu/(g0^4 r^3)) with it.
 
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
-requested window contributes a sample (v, Y) with v recovered exactly from
+window V_WINDOW contributes a sample (v, Y) with v recovered exactly from
 the crossing radius.  The phase each orbit turned before a crossing, an exact
 multiple of 2pi/n_phases, orders the samples along the curve; where v stops
 increasing in that order the curve folds back and is no graph over v.
@@ -81,6 +81,17 @@ __all__ = [
 
 DEFAULT_R0 = 8.0
 
+# The section window of the outgoing leg on which the curves are sampled and
+# the splitting is measured.  Its buffered exit radius, 2.11, lies well
+# inside DEFAULT_R0.
+V_WINDOW = (0.4, 1.6)
+
+# Tolerance and relative central-difference step of the Poincare map and its
+# Jacobian: the step balances the O(step^2) truncation against the
+# integrator roundoff ~ tol/step, which resolves the determinant to ~1e-9.
+POINCARE_TOL = 1e-13
+JACOBIAN_STEP = 2e-5
+
 # The graph of W^u(infinity) is solved over r >= R_MIN, on Chebyshev-Lobatto
 # nodes in x = r^(-1/2) from x = 0 (r = infinity) to R_MIN^(-1/2) times
 # equispaced nodes in phi; the sweeps stop once an update changes no bit of
@@ -98,10 +109,10 @@ class ManifoldCurve:
 
     v is strictly increasing; Y > 0 on the outgoing branch.  At mu = 0 the
     curve coincides with the separatrix momentum y_h(v) to integrator
-    accuracy.  v_window is the requested window (samples extend into a
-    buffer around it).  Where the curve folds back over v it is no graph;
-    fold_intervals holds one (min v, max v) per run of samples dropped
-    there, in the fan's phase order (see _mask_folds).
+    accuracy.  Samples cover V_WINDOW and a buffer around it.  Where the
+    curve folds back over v it is no graph; fold_intervals holds one
+    (min v, max v) per run of samples dropped there, in the fan's phase
+    order (see _mask_folds).
     """
 
     branch: str                # "unstable" | "stable"
@@ -110,7 +121,6 @@ class ManifoldCurve:
     v: np.ndarray
     Y: np.ndarray
     tol: float
-    v_window: tuple[float, float]
     fold_intervals: list
     meta: dict = field(default_factory=dict)
 
@@ -284,18 +294,18 @@ def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
     return RotatingState(r, phi0, y, G)
 
 
-def poincare_map(point: tuple[float, float], phi0: float, p: Params,
-                 tol: float = 1e-13) -> tuple[float, float]:
+def poincare_map(point: tuple[float, float], phi0: float,
+                 p: Params) -> tuple[float, float]:
     """One full return of the section map on the energy shell.
 
     The synodic angle is monotone decreasing, so the return is the first
-    time the unwrapped angle reaches phi0 - 2pi (integrate.first_return).
-    Preserves the section area element dr wedge dy up to integrator
-    accuracy.
+    time the unwrapped angle reaches phi0 - 2pi (integrate.first_return, at
+    POINCARE_TOL).  Preserves the section area element dr wedge dy up to
+    integrator accuracy.
     """
     z = lift_to_shell(point[0], point[1], phi0, p)
     try:
-        sol, znext = first_return(z.to_array(), phi0, p, tol,
+        sol, znext = first_return(z.to_array(), phi0, p, POINCARE_TOL,
                                   3.0 * 2.0 * pi / p.g0**3)
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
@@ -306,38 +316,34 @@ def poincare_map(point: tuple[float, float], phi0: float, p: Params,
     return (float(znext[0]), float(znext[2]))
 
 
-def poincare_jacobian(point: tuple[float, float], phi0: float, p: Params,
-                      tol: float = 1e-13, step: float = 2e-5) -> np.ndarray:
-    """Jacobian of poincare_map by central differences.
-
-    The default step balances the O(step^2) truncation against the
-    integrator roundoff ~ tol/step; with tol = 1e-13 the determinant is
-    resolved to ~1e-9.
-    """
+def poincare_jacobian(point: tuple[float, float], phi0: float,
+                      p: Params) -> np.ndarray:
+    """Jacobian of poincare_map by central differences of relative step
+    JACOBIAN_STEP."""
     r, y = point
     J = np.empty((2, 2))
-    for k, h in ((0, step * max(1.0, abs(r))), (1, step * max(1.0, abs(y)))):
+    for k, h in ((0, JACOBIAN_STEP * max(1.0, abs(r))),
+                 (1, JACOBIAN_STEP * max(1.0, abs(y)))):
         dp = [r, y]
         dm = [r, y]
         dp[k] += h
         dm[k] -= h
-        fp = poincare_map((dp[0], dp[1]), phi0, p, tol)
-        fm = poincare_map((dm[0], dm[1]), phi0, p, tol)
+        fp = poincare_map((dp[0], dp[1]), phi0, p)
+        fm = poincare_map((dm[0], dm[1]), phi0, p)
         J[0, k] = (fp[0] - fm[0]) / (2.0 * h)
         J[1, k] = (fp[1] - fm[1]) / (2.0 * h)
     return J
 
 
 @lru_cache(maxsize=1)
-def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
-                 tol: float, n_phases: int):
+def _fan_samples(phi0: float, p: Params, tol: float, n_phases: int):
     """Samples (v, Y) of both invariant curves on phi0 from one fan of
     far-field orbits seeded at DEFAULT_R0, as (unstable, stable, work): two
     tuples of samples and the lockstep integrator's counters.
 
     Outgoing (y > 0) crossings of phi0 are unstable samples; inbound (y < 0)
     crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
-    samples.  Only crossings inside the buffered window are kept; v is
+    samples.  Only crossings inside the buffered V_WINDOW are kept; v is
     recovered from the crossing radius through the separatrix closed form.
     The orbits are integrated together by lockstep_flow.
 
@@ -346,14 +352,11 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     descending for the stable ones, whose time R reverses.  v increases in
     this order wherever the curve is a graph over v.
     """
-    v_lo, v_hi = v_window
+    v_lo, v_hi = V_WINDOW
     buf = 0.12 * (v_hi - v_lo)
-    r_lo = homoclinic_r(max(v_lo - buf, 1e-3))
+    r_lo = homoclinic_r(v_lo - buf)
     r_hi = homoclinic_r(v_hi + buf)
     r_exit = r_hi * 1.05
-    if DEFAULT_R0 <= r_exit:
-        raise ValueError(f"the window's exit radius {r_exit:.3g} reaches the "
-                         f"seeding radius {DEFAULT_R0}")
 
     # time to fall from DEFAULT_R0 plus the window traverse, with margin
     s_span = 1.35 * (float(v_of_r(DEFAULT_R0)) + v_hi + 5.0)
@@ -404,17 +407,15 @@ def _fan_samples(phi0: float, v_window: tuple[float, float], p: Params,
     return unstable, stable, fan.work
 
 
-def compute_invariant_curve(branch: str, phi0: float,
-                            v_window: tuple[float, float], p: Params,
+def compute_invariant_curve(branch: str, phi0: float, p: Params,
                             tol: float = 1e-12,
                             n_samples: int = 60) -> ManifoldCurve:
-    """Invariant curve Y(v) over v_window on the section {phi = phi0}.
+    """Invariant curve Y(v) over V_WINDOW on the section {phi = phi0}.
 
-    The fan is seeded on the graph of W^u(infinity) at DEFAULT_R0; a window
-    whose exit radius reaches DEFAULT_R0 is refused.  meta carries the fan
-    size (n_phases), the lockstep counters, the graph solve's last update
-    (graph_update) and its invariance residual at DEFAULT_R0
-    (graph_residual, in units of dG/ds).
+    The fan is seeded on the graph of W^u(infinity) at DEFAULT_R0.  meta
+    carries the fan size (n_phases), the lockstep counters, the graph
+    solve's last update (graph_update) and its invariance residual at
+    DEFAULT_R0 (graph_residual, in units of dG/ds).
 
     n_samples is the target number of collected samples across the window;
     the fan size is derived from it (one orbit yields about
@@ -424,30 +425,24 @@ def compute_invariant_curve(branch: str, phi0: float,
     Both branches are read from one memoised forward fan: the "unstable" and
     then the "stable" curve with the same arguments integrate once.
     """
-    v_lo, v_hi = v_window
-    if not 0.0 < v_lo < v_hi:
-        raise ValueError("window must satisfy 0 < v_lo < v_hi (outgoing leg)")
     if branch not in ("unstable", "stable"):
         raise ValueError("branch must be 'unstable' or 'stable'")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    window = v_hi - v_lo
+    window = V_WINDOW[1] - V_WINDOW[0]
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    unstable, stable, work = _fan_samples(phi0, (v_lo, v_hi), p, tol,
-                                          n_phases)
+    unstable, stable, work = _fan_samples(phi0, p, tol, n_phases)
     graph = _manifold_graph(p)
     samples = unstable if branch == "unstable" else stable
     v, Y, fold_intervals = _mask_folds(np.array([s[0] for s in samples]),
                                        np.array([s[1] for s in samples]))
     if len(v) < 8:
         raise RuntimeError(
-            f"only {len(v)} window crossings collected; widen the "
-            "window or increase n_samples")
+            f"only {len(v)} window crossings collected; increase n_samples")
     return ManifoldCurve(branch=branch, phi0=phi0, params=p, v=v, Y=Y,
-                         tol=tol, v_window=(float(v_lo), float(v_hi)),
-                         fold_intervals=fold_intervals,
+                         tol=tol, fold_intervals=fold_intervals,
                          meta={"n_phases": n_phases,
                                "graph_update": graph.update,
                                "graph_residual": graph.residual(DEFAULT_R0),

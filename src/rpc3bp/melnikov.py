@@ -254,6 +254,9 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 # panels meeting |t| <= _T_NEAR are checked against the 24-node rule: the
 # separatrix passes its perihelion r = 1/2, nearest the primaries, at t = 0
 _T_NEAR = 5.0
+# the real-line quadrature's tail tolerance: it cuts the line where what the
+# boundary terms leave of both tails is below QUAD_TOL/10
+QUAD_TOL = 1e-9
 
 
 def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
@@ -278,7 +281,7 @@ def _panel_terms(a: np.ndarray, b: np.ndarray, l: int, omega: float,
     return _g_factor(nodes, l, p) * np.exp(-1j * omega * nodes), wts
 
 
-def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> QuadratureResult:
+def melnikov_coeff_quadrature(l: int, p: Params) -> QuadratureResult:
     """Coefficient L[l] as the real-line integral of U[l](t) e^{i l (alpha_h(t) - g0^3 t)}.
 
     Gauss panels matched to the oscillation period cover |t| <= T, and the
@@ -287,8 +290,8 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     leave of a tail is (i w)^-2 int_T^inf g''(t) e^{-i w t} dt, at most
     4 |g''(T)| / w^3 if |g''| decays monotonically beyond T (the van der
     Corput bound).  T is set so that this bound, summed over both tails, is
-    below tol/10; the sum is tail_bound.  Returns the real part with the
-    imaginary residue as a reality diagnostic.
+    below QUAD_TOL/10; the sum is tail_bound.  Returns the real part with
+    the imaginary residue as a reality diagnostic.
 
     The panels converge slowest near perihelion, closest to the primaries:
     step_error is twice their change, where |t| <= 5, from 12 to 24 nodes,
@@ -300,8 +303,6 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if p.g0 > 2.0:
         raise PrecisionError(
             "real-line quadrature is specified for g0 <= 2 in binary64; "
@@ -312,9 +313,9 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
     omega = l * p.g0**3
 
     # Truncation point: march outward until what the boundary terms leave of
-    # both tails, bounded by 4 |g''(+-T)| / w^3, drops below tol/10.  g'' is
-    # the second central difference of g at T - h, T, T + h: the three
-    # values the boundary terms take at the T the march stops on.
+    # both tails, bounded by 4 |g''(+-T)| / w^3, drops below QUAD_TOL/10.
+    # g'' is the second central difference of g at T - h, T, T + h: the
+    # three values the boundary terms take at the T the march stops on.
     h = 1e-3
     T = 20.0
     while True:
@@ -322,7 +323,7 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
                 for tb in (T, -T)]
         tail_bound = sum(4.0 * abs(g[2] - 2.0 * g[1] + g[0]) / h**2
                          for g in ends) / omega**3
-        if tail_bound <= 0.1 * tol or T > 2e4:
+        if tail_bound <= 0.1 * QUAD_TOL or T > 2e4:
             break
         T *= 1.4
 
@@ -358,9 +359,9 @@ def melnikov_coeff_quadrature(l: int, p: Params, tol: float = 1e-9) -> Quadratur
         total += sign * contrib
 
     floor = 10.0 * _EPS * abs_sum
-    if tol < floor:
-        raise PrecisionError(
-            f"requested tol {tol:g} below the quadrature noise floor {floor:g}")
+    if QUAD_TOL < floor:
+        raise PrecisionError(f"quadrature tolerance {QUAD_TOL:g} below its "
+                             f"noise floor {floor:g}")
     return QuadratureResult(value=float(total.real),
                             imag_residue=float(total.imag),
                             tail_bound=float(tail_bound),
@@ -901,19 +902,17 @@ class MelnikovSeries:
 
     @classmethod
     def compute(cls, p: Params, method: str = "contour", lmax: int = 4,
-                jmax: int = 12, tol: float = 1e-9,
+                jmax: int = 12,
                 mp_dps: int | None = None) -> "MelnikovSeries":
         if lmax < 1:
             raise ValueError(f"lmax must be at least 1, got {lmax!r}")
-        if not tol > 0.0:
-            raise ValueError(f"tol must be positive, got {tol!r}")
         _check_mp_dps(mp_dps)
         coeffs: dict[int, float] = {}
         errs: dict[int, float] = {}
         if method == "quadrature":
             coeffs[0], errs[0] = melnikov_coeff0_quadrature(p)
             for l in range(1, lmax + 1):
-                res = melnikov_coeff_quadrature(l, p, tol)
+                res = melnikov_coeff_quadrature(l, p)
                 coeffs[l] = res.value
                 errs[l] = max(res.tail_bound, res.noise_floor,
                               abs(res.imag_residue), res.step_error)

@@ -25,6 +25,10 @@ __all__ = ["ExcursionLog", "ReturnRecord", "oscillation_demo", "HYPERBOLIC_EXCES
 # two-body energy threshold classifying an outgoing orbit as hyperbolic
 HYPERBOLIC_EXCESS = 1e-6
 
+# an excursion is a radial maximum above R_OUT followed by a return below R_IN
+R_OUT = 5.0
+R_IN = 2.0
+
 
 @dataclass(frozen=True)
 class ReturnRecord:
@@ -40,8 +44,6 @@ class ExcursionLog:
     params: Params
     phi0: float
     seed: tuple[float, float]
-    r_out: float
-    r_in: float
     returns: list[ReturnRecord] = field(default_factory=list)
     excursions: list[tuple[float, float]] = field(default_factory=list)  # (max r, return r)
     escaped: bool = False
@@ -59,27 +61,24 @@ def _two_body_energy(z) -> float:
 
 
 def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
-                     r_out: float, r_in: float, phi0: float = 0.0,
-                     tol: float = 1e-11) -> ExcursionLog:
+                     phi0: float = 0.0, tol: float = 1e-11) -> ExcursionLog:
     """Iterate section returns from a seed near the homoclinic tangle.
 
     Logs every return to {phi = phi0 (mod 2pi)} together with the maximum
-    radius reached since the previous drop below r_in; an excursion is a
-    radial maximum above r_out followed by a return below r_in.  Long
+    radius reached since the previous drop below R_IN; an excursion is a
+    radial maximum above R_OUT followed by a return below R_IN.  Long
     flights are integrated straight through (the radial maximum is located
     by the y = 0 turning-point event, not by section counting).  Terminates
     after n_iter returns, on hyperbolic escape (two-body energy above
-    HYPERBOLIC_EXCESS at r > 10 r_out), or on a parabolic/undecided
+    HYPERBOLIC_EXCESS at r > 10 R_OUT), or on a parabolic/undecided
     departure past the same horizon.  Deterministic for fixed inputs.
 
     Raises ValueError for a seed inside collision_radius(p): flow refuses
     such a start with CollisionError, which the demo takes for the end of
     its run, so it would log a run with no returns.
     """
-    if not r_out > r_in > 1.0:
-        raise ValueError("need r_out > r_in > 1")
-    if seed[0] >= r_out:
-        raise ValueError("seed must start inside r_out")
+    if seed[0] >= R_OUT:
+        raise ValueError(f"seed must start inside r = {R_OUT}")
     if seed[0] < collision_radius(p):
         raise ValueError(f"seed r = {seed[0]} lies inside the collision "
                          f"cutoff {collision_radius(p)}")
@@ -87,16 +86,16 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
     z = lift_to_shell(seed[0], seed[1], phi0, p).to_array()
     h0 = hamiltonian_rotating(RotatingState.from_array(z), p)
-    log = ExcursionLog(params=p, phi0=phi0, seed=(float(seed[0]), float(seed[1])),
-                       r_out=r_out, r_in=r_in)
+    log = ExcursionLog(params=p, phi0=phi0,
+                       seed=(float(seed[0]), float(seed[1])))
 
     def going_out(s_, z_):
-        return z_[0] - r_out
+        return z_[0] - R_OUT
     going_out.terminal = True
     going_out.direction = 1.0
 
     def coming_back(s_, z_):
-        return z_[0] - 0.98 * r_out
+        return z_[0] - 0.98 * R_OUT
     coming_back.terminal = True
     coming_back.direction = -1.0
 
@@ -105,7 +104,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
     apo.terminal = False
     apo.direction = -1.0
 
-    r_horizon = 10.0 * r_out
+    r_horizon = 10.0 * R_OUT
 
     def far(s_, z_):
         return z_[0] - r_horizon
@@ -121,7 +120,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
 
     while n_returns < n_iter:
         # inside region: run to the next section return, bailing into
-        # excursion mode if the orbit climbs past r_out first
+        # excursion mode if the orbit climbs past R_OUT first
         try:
             sol, z_ret = first_return(z, phi0, p, tol, 4.0 * synodic,
                                       events=[going_out])
@@ -152,7 +151,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
                 max_r = max(max_r, float(np.max(apo_y[:, 0])))
             z = back_y[0]
             s_acc += float(back_t[0])
-            max_r = max(max_r, r_out)
+            max_r = max(max_r, R_OUT)
             continue
         if z_ret is None:
             log.escaped = True
@@ -164,8 +163,8 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         log.returns.append(ReturnRecord(s=s_acc, r=float(z[0]), y=float(z[2]),
                                         G=float(z[3]), max_r_since_last=max_r))
         h_final = hamiltonian_rotating(RotatingState.from_array(z), p)
-        if z[0] < r_in:
-            if max_r > r_out:
+        if z[0] < R_IN:
+            if max_r > R_OUT:
                 log.excursions.append((max_r, float(z[0])))
             max_r = float(z[0])
 

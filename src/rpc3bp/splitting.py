@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Params
 from .integrate import brentq
-from .manifolds import ManifoldCurve, compute_invariant_curve
+from .manifolds import V_WINDOW, ManifoldCurve, compute_invariant_curve
 from .melnikov import (
     phase_of_v,
     predicted_distance,
@@ -58,7 +58,7 @@ __all__ = [
 
 # Profile noise floor per unit integrator tolerance, calibrated against the
 # mu = 0 oracle: the measured profile residual is ~6 tol at tol = 1e-12 over
-# the default window and configuration.
+# V_WINDOW at the default configuration.
 NOISE_FLOOR_PER_TOL = 10.0
 
 UNTRUSTED_MARGIN = 1e4
@@ -71,7 +71,6 @@ TANGENCY_SOLVE_G0_MIN = 2.6
 class SplittingConfig:
     """Knobs of the curve-to-report pipeline."""
 
-    v_window: tuple[float, float] = (0.4, 1.6)
     tol: float = 1e-12
     n_samples: int = 60
 
@@ -171,7 +170,8 @@ class TangencyPoint:
 
 def distance_profile(curve_s: ManifoldCurve,
                      curve_u: ManifoldCurve) -> DistanceProfile:
-    """Sample Y_s - Y_u on a common uniform grid inside both curves' ranges.
+    """Sample Y_s - Y_u on a common uniform grid inside both curves' ranges
+    and V_WINDOW.
 
     The grid carries at least 48 points per synodic oscillation, so its sign
     changes bracket every root and the stencils of DistanceProfile.derivatives
@@ -180,13 +180,10 @@ def distance_profile(curve_s: ManifoldCurve,
     if curve_s.params != curve_u.params or curve_s.phi0 != curve_u.phi0:
         raise ValueError("curves belong to different systems or sections")
     p = curve_s.params
-    # restrict to the requested windows: samples in the collection buffer
-    # beyond them stabilize the spline edges but have partial fan coverage
-    lo = max(curve_s.v[0], curve_u.v[0])
-    hi = min(curve_s.v[-1], curve_u.v[-1])
-    for c in (curve_s, curve_u):
-        lo = max(lo, c.v_window[0])
-        hi = min(hi, c.v_window[1])
+    # restrict to the window: samples in the collection buffer beyond it
+    # stabilize the spline edges but have partial fan coverage
+    lo = max(curve_s.v[0], curve_u.v[0], V_WINDOW[0])
+    hi = min(curve_s.v[-1], curve_u.v[-1], V_WINDOW[1])
     if not lo < hi:
         raise ValueError("curves cover disjoint v-ranges")
     pad = 0.01 * (hi - lo)
@@ -266,8 +263,8 @@ def _manifold_profile(p: Params, phi0: float,
                       cfg: SplittingConfig) -> DistanceProfile:
     """Distance profile of the invariant-curve pair computed under cfg."""
     kw = dict(tol=cfg.tol, n_samples=cfg.n_samples)
-    cu = compute_invariant_curve("unstable", phi0, cfg.v_window, p, **kw)
-    cs = compute_invariant_curve("stable", phi0, cfg.v_window, p, **kw)
+    cu = compute_invariant_curve("unstable", phi0, p, **kw)
+    cs = compute_invariant_curve("stable", phi0, p, **kw)
     return distance_profile(cs, cu)
 
 

@@ -160,7 +160,7 @@ def test_criterion_04_melnikov_cross_method():
     p = Params(0.3, 1.5)
     worst_rel, worst_im = 0.0, 0.0
     for l in (1, 2):
-        q = melnikov_coeff_quadrature(l, p, tol=1e-9)
+        q = melnikov_coeff_quadrature(l, p)
         c, _ = melnikov_coeff_contour(l, p, jmax=20)
         worst_rel = max(worst_rel, abs(q.value / c - 1.0))
         worst_im = max(worst_im, abs(q.imag_residue) / abs(q.value))
@@ -322,7 +322,7 @@ def test_criterion_11_symplecticity():
            for y in (-0.55, -0.2, 0.3, 0.65)]
     assert len(pts) == 20
     for pt in pts:
-        J = poincare_jacobian(pt, 0.0, p, tol=1e-13)
+        J = poincare_jacobian(pt, 0.0, p)
         worst = max(worst, abs(float(np.linalg.det(J)) - 1.0))
     wall = time.time() - t0
     ok = worst < 1e-8
@@ -353,7 +353,7 @@ def test_criterion_12_oscillation_property():
             if seed[0] >= 5.0:
                 continue
             tried += 1
-            log = oscillation_demo(p, seed, 200, 5.0, 2.0)
+            log = oscillation_demo(p, seed, 200)
             good = [e for e in log.excursions if e[0] > 5.0 and e[1] < 2.0]
             if len(good) > best[0]:
                 best = (len(good), log)

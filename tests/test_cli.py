@@ -90,6 +90,23 @@ class TestMelnikov:
             ratio = float(row.split(",")[-1])
             assert abs(ratio - 1.0) < 1e-6
 
+    def test_ratio_of_the_first_two_methods_only(self, tmp_path):
+        # the ratio divided the first two values a row had: with asymptotic
+        # first, rows l = 3 and 4 held contour over quadrature
+        code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 1.5,
+                    "--methods", "asymptotic,contour,quadrature"])
+        assert code == EXIT_OK
+        lines = (tmp_path / "melnikov_compare.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        assert [r["l"] for r in rows] == ["1", "2", "3", "4"]
+        for r in rows:
+            if r["l"] in ("1", "2"):
+                assert float(r["ratio_first_two"]) == (float(r["asymptotic"])
+                                                       / float(r["contour"]))
+            else:
+                assert r["asymptotic"] == r["ratio_first_two"] == ""
+                assert r["contour"] and r["quadrature"]
+
     def test_asymptotic_harmonic_cap_notice(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lmax": 4}))
@@ -105,9 +122,8 @@ class TestMelnikov:
              "--methods", "contour"])
         data = load_json(tmp_path / "melnikov_contour.json")
         prov = data["provenance"]
-        # melnikov reads no tol: its quadrature tolerance is quad_tol
-        assert set(prov) == {"toolkit_version", "config_hash", "precision",
-                             "quad_tol"}
+        # melnikov reads no tol: its quadrature tolerance is a constant
+        assert set(prov) == {"toolkit_version", "config_hash", "precision"}
 
     def test_untrusted_contour_exit_code(self, tmp_path):
         # at g0 = 1.05 the perihelion lies inside the larger primary's circle
@@ -189,26 +205,30 @@ KEPT_FLAGS = {
     "tangency": ("--phi0", "--tol"),
     "sweep": ("--phi0", "--tol"),
 }
+# --r-out and --r-in were oscillate's excursion radii, now constants
 FLAG_VALUES = {"--mu": "0.3", "--g0": "2.4", "--phi0": "0.5", "--tol": "1e-11",
-               "--precision": "extended"}
+               "--precision": "extended", "--r-out": "5.0", "--r-in": "2.0"}
 REQUIRED = {"oscillate": ["--seed-r", "1.3", "--seed-y", "0.68"]}
 REMOVED_FLAGS = [(command, flag) for command, kept in KEPT_FLAGS.items()
                  for flag in FLAG_VALUES if flag not in kept]
 
 # the config keys each command reads
-_SPLIT_KEYS = ("phi0", "tol", "v_window", "n_samples", "out")
+_SPLIT_KEYS = ("phi0", "tol", "n_samples", "out")
 READ_KEYS = {
     "homoclinic": ("out",),
-    "melnikov": ("mu", "g0", "precision", "quad_tol", "jmax", "lmax",
-                 "mp_dps", "out"),
+    "melnikov": ("mu", "g0", "precision", "jmax", "lmax", "mp_dps", "out"),
     "manifolds": ("mu", "g0", *_SPLIT_KEYS),
     "splitting": ("mu", "g0", *_SPLIT_KEYS),
     "oscillate": ("mu", "g0", "phi0", "tol", "out"),
     "tangency": _SPLIT_KEYS,
     "sweep": _SPLIT_KEYS,
 }
+# keys that were settings once, with their last defaults: no command reads
+# them now
+REMOVED_KEYS = {"quad_tol": 1e-9, "v_window": [0.4, 1.6]}
+KEY_VALUES = {**cli.DEFAULTS, **REMOVED_KEYS}
 UNREAD_KEYS = [(command, key) for command, read in READ_KEYS.items()
-               for key in cli.DEFAULTS if key not in read]
+               for key in KEY_VALUES if key not in read]
 
 
 def never(*args, **kwargs):
@@ -255,9 +275,10 @@ class TestValidation:
                                                   tmp_path, no_work, capsys):
         # every command took every config key, hashed it into config_hash
         # and wrote precision, tol and quad_tol into its provenance; the
-        # value here is the key's default, so only the key is at fault
+        # value here is the key's default (or its last one, for a removed
+        # key), so only the key is at fault
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
-        cfg.write_text(json.dumps({key: cli.DEFAULTS[key]}))
+        cfg.write_text(json.dumps({key: KEY_VALUES[key]}))
         out.mkdir()
         assert run([command, *REQUIRED.get(command, []), "--config", cfg,
                     "--out", out]) == EXIT_VALIDATION
@@ -292,10 +313,10 @@ class TestValidation:
         cfg = tmp_path / "cfg.json"
         for command, bad in (("melnikov", 3),
                              ("melnikov", {"lmax": None}),
-                             ("splitting", {"v_window": 5}),
+                             ("splitting", {"n_samples": 60.0}),
                              ("melnikov", {"precision": "quad", "lmax": 2}),
                              ("melnikov", {"lmax": True}),
-                             ("splitting", {"v_window": [0.4, "1.6"]})):
+                             ("splitting", {"tol": "1e-12"})):
             cfg.write_text(json.dumps(bad))
             assert run([command, "--out", tmp_path, "--config", cfg]) \
                 == EXIT_VALIDATION
@@ -399,9 +420,10 @@ class TestValidation:
     def test_sample_count_quadrature_tolerance_and_steps(self, tmp_path,
                                                         no_work, capsys):
         # n_samples below 1 ran a 16-phase fan and exited 0, quad_tol <= 0
-        # exited 3 after the quadrature ran, and --steps 0 wrote a CSV with
-        # a header only; above MAX_GRID, n_samples, jmax and --steps sized
-        # their seed, pole-factor and rung arrays before any work
+        # exited 3 after the quadrature ran (quad_tol is no key now, and is
+        # refused as one), and --steps 0 wrote a CSV with a header only;
+        # above MAX_GRID, n_samples, jmax and --steps sized their seed,
+        # pole-factor and rung arrays before any work
         cfg = tmp_path / "cfg.json"
         big = cli.MAX_GRID + 1
         for args, bad, key in ((["splitting"], {"n_samples": 0}, "'n_samples'"),
@@ -488,7 +510,7 @@ class TestValidation:
 # the settings each command writes into its provenance, and a quick run of it
 PROVENANCE = {
     "homoclinic": ((), ["--n", 2]),
-    "melnikov": (("precision", "quad_tol"), ["--methods", "asymptotic"]),
+    "melnikov": (("precision",), ["--methods", "asymptotic"]),
     "manifolds": (("tol",), ["--branch", "unstable"]),
     "splitting": (("tol",), []),
     "oscillate": (("tol",), [*REQUIRED["oscillate"], "--n-iter", 2]),

