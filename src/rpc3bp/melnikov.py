@@ -31,11 +31,11 @@ contour    : binomial-series reduction to the oscillatory integrals
     and differ by the factor (tau - i)^{-2l} q^j with
     q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, each with
     its floor, in binary64 on shared Gauss panels or in mpmath by one
-    vector-valued tanh-sinh sum, whose nodes are evaluated by mpmath's libmp
-    functions on raw tuples and whose pole factors and step sums run on
-    per-node scaled integers.  The path is mirror-symmetric, so mpmath
-    evaluates it once per mirror pair of nodes, at a > 0; the node at -a
-    takes the conjugates, bit for bit.
+    vector-valued tanh-sinh sum, whose nodes are evaluated in fixed-point
+    integers by mpmath's integer exp and cos/sin kernels and whose pole
+    factors and step sums run on per-node scaled integers.  The path is
+    mirror-symmetric, so the extended route evaluates it once per mirror
+    pair of nodes, at a > 0; the node at -a takes the conjugates, exactly.
 asymptotic : leading-order closed forms for l = 1, 2, the one place where
     their constants are written.  The predicted splitting distance (its
     amplitudes A_l = 2 l g0^3 |L[l]|) and lobe area (4(|L1| + |L2|)) are
@@ -88,7 +88,25 @@ _EPS = float(np.finfo(float).eps)
 # (lmax 4, jmax 12), which is refused as not real, on a term I(l, j + l, j)
 # with j >= 9, at 17, 20, 22 and 25 digits and passes at 28, 30, 33 and 40 at
 # each (mu, g0) measured: (0.3, 3.5), (0.45, 4.5), (0.3, 2.0), (0.1, 4.0),
-# (0.49, 3.0) and (0.3, 5.0).  The cause is not yet known
+# (0.49, 3.0) and (0.3, 5.0).  Node rounding is not the cause: at (0.3, 3.5)
+# the first term each harmonic refuses, with its imaginary part, read as
+# follows with nodes from libmp calls rounded at the working precision ->
+# with the fixed-point nodes, about 2000 times more accurate (same: no change)
+#   17: L1 I(1,11,10) -8.41338e-18 -> same    L2 I(2,10,8) -1.19192e-21 -> same
+#       L3 I(3,10,7) -6.07533e-26 -> -9.05456e-27
+#       L4 I(4,9,5) -8.75125e-32 -> -6.28606e-32
+#   20: L1 I(1,13,12) -8.13492e-18 -> passes  L2 I(2,12,10) -7.09263e-22 -> same
+#       L3 I(3,12,9) -8.24638e-26 -> same     L4 I(4,12,8) -2.93879e-29 -> same
+#   22: L1 passes                             L2 I(2,14,12) 3.78887e-21 -> same
+#       L3 I(3,14,11) 1.51859e-24 -> I(3,13,10) -1.26718e-25
+#       L4 I(4,13,9) -3.27376e-29 -> -2.01158e-29
+#   25: L1 and L2 pass                        L4 I(4,15,11) -8.64873e-29 -> same
+#       L3 I(3,15,12) -4.04165e-25 -> -8.17755e-25
+# The cause is the 20 guard bits: the integrand peaks at a = 0 far above its
+# integral (|lead u q^10| = 1.3e9 there, against I(1,11,10) = -0.0069), and the
+# tanh-sinh error estimate, which compares degrees, does not see rounding.
+# With 60 guard bits all four harmonics pass at 17, 20, 22 and 25 digits at
+# (0.3, 3.5); with 40, L3 and L4 are still refused at 17 digits and L4 at 20
 MP_DPS_MIN = 17
 
 
@@ -409,8 +427,8 @@ def _bent_path(a, delta, wb, sqrt, exp, j):
     (real-axis) contour.  Written once for numpy arrays and mpmath scalars;
     j is the imaginary unit of the caller's arithmetic (1j, or mpmath's j,
     which spares converting a Python complex at every operation).  The
-    extended route runs the mpmath form as _mp_node's libmp calls, which the
-    tests hold equal to this one at every node, bit for bit.
+    extended route evaluates it in fixed point (_fixed_node); the tests hold
+    that to this form on mpmath numbers.
     """
     br = sqrt(1 + a * a / 3)
     bump = exp(-((a / wb) ** 2))
@@ -505,19 +523,14 @@ def _relative_error(rule, results, prec, epsilon):
     return rule.estimate_error([r / scale for r in results], prec, epsilon)
 
 
-def _block_pair(z, bits: int):
-    """The libmp complex tuple z as integers (x, y) and an exponent e with
-    z = (x + i y) 2^e to within 2^-bits of |z|.
-
-    The larger of |x| and |y| lies in [2^bits, 2^(bits + 1)), so |x + i y| is
-    at least 2^bits; the smaller part is truncated toward zero.
-    """
-    (xs, xm, xe, xb), (ys, ym, ye, yb) = z
-    top = max(xe + xb if xm else ye + yb, ye + yb if ym else xe + xb)
-    e = top - bits - 1
-    x = xm << (xe - e) if xe >= e else xm >> (e - xe)
-    y = ym << (ye - e) if ye >= e else ym >> (e - ye)
-    return (-x if xs else x), (-y if ys else y), e
+def _block(x: int, y: int, e: int, bits: int):
+    """(x + i y) 2^e, x and y integers not both zero, as a block pair
+    (x', y', e') with the larger of |x'| and |y'| in [2^bits, 2^(bits + 1)),
+    each part truncated toward zero: to within 2^-bits of its size."""
+    s = max(abs(x), abs(y)).bit_length() - bits - 1
+    if s <= 0:
+        return x << -s, y << -s, e + s
+    return (x >> s if x >= 0 else -(-x >> s)), (y >> s if y >= 0 else -(-y >> s)), e + s
 
 
 def _add_node_terms(head, js, qx, qy, qe, conj, sums, bits):
@@ -549,11 +562,10 @@ def _add_node_terms(head, js, qx, qy, qe, conj, sums, bits):
             se[k] = te
 
 
-def _mp_path(l: int, p: Params, dps: int, prec: int):
+def _mp_path(l: int, p: Params, dps: int):
     """The extended route's path, built at the current mpmath precision: the
-    split points [-A, -wb, 0, wb, A] and, for _mp_node, (delta, wb, i half_w,
-    prec) with delta and wb libmp real tuples, i half_w a libmp complex
-    tuple and prec the nodes' working precision in bits.
+    split points [-A, -wb, 0, wb, A] and the mpmath numbers (delta, wb,
+    half_w) of _bent_path and the lead.
 
     The half-length A puts the undipped path's exponent (omega/2)(h(a) - 2/3),
     h(a) - 2/3 >= (8/9) a^2, at least dps ln 10 + 40 below the peak.
@@ -569,50 +581,77 @@ def _mp_path(l: int, p: Params, dps: int, prec: int):
     digits_pad = ctx.mpf(dps) * ctx.log(10)
     A = max(8 * wb, ctx.sqrt((digits_pad + 40) * 2 / omega / ctx.mpf(8) * 9) * ctx.mpf("1.5"))
     half_w = ctx.mpf(l) * g0**3 / 2
-    return [-A, -wb, 0, wb, A], (delta._mpf_, wb._mpf_, (ctx.j * half_w)._mpc_, prec)
+    return [-A, -wb, 0, wb, A], (delta, wb, half_w)
 
 
-def _mp_node(x, wt, path, lib):
-    """tau, dtau, the lead factor wt dtau e^{i half_w (tau + tau^3/3)},
-    u = (tau - i)^{-2} and w = (tau + i)^{-2} at the node x of weight wt on
-    the path of _mp_path, all libmp tuples; lib is mpmath.libmp.
+def _fixed_path(path, big: int):
+    """The path's (delta, wb, half_w) as integers at scale 2^big, with ln 2
+    and pi/2 at that scale, for _fixed_node."""
+    from mpmath.libmp import to_fixed
+    from mpmath.libmp.libelefun import ln2_fixed, pi_fixed
 
-    The arithmetic is that of _bent_path and of the lead, u and w on mpmath
-    numbers at the path's precision, rounded to nearest, written as the libmp
-    calls their operators make, in the same order: bit for bit the same,
-    without building an mpmath object per operation.
+    return (*(to_fixed(c._mpf_, big) for c in path), ln2_fixed(big),
+            pi_fixed(big - 1), big)
+
+
+def _fixed_node(x, wt, l: int, path, bits: int):
+    """Block pairs (x, y, e) of `bits` bits, as _add_node_terms takes them, of
+    the head lead u^l and of q = u w at the node x > 0 of weight wt > 0
+    (libmp reals), where lead = wt dtau e^{i half_w (tau + tau^3/3)},
+    u = (tau - i)^{-2} and w = (tau + i)^{-2} on _bent_path.
+
+    Evaluated in fixed-point integers at the scale 2^big of _fixed_path,
+    big = bits + 16: br by isqrt, the bump and e^r by exp_fixed, the cosine
+    and sine of the phase's imaginary part by cos_sin_fixed, and
+    u = conj(s)^2 / |s|^4, s = tau - i, by one integer division per part
+    (w likewise, s = tau + i).  The phase's real part n ln 2 + r,
+    0 <= r < ln 2, is of order -10^3 at the path's ends (-466 at l = 4,
+    g0 = 4.5 and 17 digits, -2443 at l = 1, g0 = 1.5 and 40): its 2^n goes
+    into the exponent with the weight's, and only e^r is formed.  Each
+    rounding is a unit of 2^-big on a quantity of that size, so head and q are
+    accurate to nearly bits + 5 bits before the block pairs truncate them
+    to `bits`; the tests hold them within 64 2^-bits of the same values on
+    mpmath numbers at bits + 80 (they read at most 1.4 2^-bits).
     """
-    delta, wb, j_half_w, prec = path
-    mul, div, add, sub = lib.mpf_mul, lib.mpf_div, lib.mpf_add, lib.mpf_sub
-    mul_int, pow_int = lib.mpf_mul_int, lib.mpf_pow_int
-    c_mul, c_pow_int = lib.mpc_mul, lib.mpc_pow_int
-    one, three, j = lib.fone, lib.from_int(3), (lib.fzero, lib.fone)
+    from mpmath.libmp import to_fixed
+    from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
+
+    delta, wb, half_w, ln2, pi2, big = path
+    one = 1 << big
+    a = to_fixed(x, big)
+    aa = a * a
     # _bent_path: br = sqrt(1 + a^2/3), bump = exp(-(a/wb)^2),
-    # b = br - delta bump, bp = a/(3 br) + delta bump 2 a/wb^2,
-    # tau = a + i b and dtau = 1 + i bp
-    br = lib.mpf_sqrt(add(div(mul(x, x, prec, "n"), three, prec, "n"),
-                          one, prec, "n"), prec, "n")
-    bump = lib.mpf_exp(lib.mpf_neg(pow_int(div(x, wb, prec, "n"), 2, prec, "n"),
-                                   prec, "n"), prec, "n")
-    delta_bump = mul(delta, bump, prec, "n")
-    b = sub(br, delta_bump, prec, "n")
-    bp = add(div(x, mul_int(br, 3, prec, "n"), prec, "n"),
-             div(mul(mul_int(delta_bump, 2, prec, "n"), x, prec, "n"),
-                 pow_int(wb, 2, prec, "n"), prec, "n"),
-             prec, "n")
-    tau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, b, prec, "n"), x, prec, "n")
-    dtau = lib.mpc_add_mpf(lib.mpc_mul_mpf(j, bp, prec, "n"), one, prec, "n")
-    # wt dtau e^{i half_w (tau + tau^3/3)}, (tau - i)^{-2} and (tau + i)^{-2}
-    phase = c_mul(j_half_w, lib.mpc_add(
-        tau, lib.mpc_div_mpf(c_pow_int(tau, 3, prec, "n"), three, prec, "n"),
-        prec, "n"), prec, "n")
-    lead = c_mul(lib.mpc_mul_mpf(dtau, wt, prec, "n"),
-                 lib.mpc_exp(phase, prec, "n"), prec, "n")
-    u = lib.mpc_mpf_div(one, c_pow_int(lib.mpc_sub(tau, j, prec, "n"), 2, prec, "n"),
-                        prec, "n")
-    w = lib.mpc_mpf_div(one, c_pow_int(lib.mpc_add(tau, j, prec, "n"), 2, prec, "n"),
-                        prec, "n")
-    return tau, dtau, lead, u, w
+    # b = br - delta bump, bp = a/(3 br) + 2 delta bump (a/wb)/wb
+    br = math.isqrt((one << big) + aa // 3)
+    z = (a << big) // wb
+    delta_bump = delta * exp_fixed(-(z * z >> big), big, ln2) >> big
+    b = br - delta_bump
+    bp = (a << big) // (3 * br) + 2 * delta_bump * z // wb
+    # i half_w (tau + tau^3/3) = -half_w b (1 + a^2 - b^2/3)
+    #                            + i half_w a (1 + a^2/3 - b^2)
+    a2, b2 = aa >> big, b * b >> big
+    n, r = divmod(-(half_w * b >> big) * (one + a2 - b2 // 3) >> big, ln2)
+    cos, sin = cos_sin_fixed((half_w * a >> big) * (one + a2 // 3 - b2) >> big,
+                             big, pi2)
+    er = exp_fixed(r, big, ln2)
+    cos, sin = er * cos >> big, er * sin >> big
+    # lead / (wt 2^n) = (1 + i bp)(cos + i sin) e^r
+    lx, ly = cos - (bp * sin >> big), sin + (bp * cos >> big)
+    # u = (a - i (b - 1))^2 / n_u^2 with n_u = a^2 + (b - 1)^2, and w
+    # likewise with b + 1: exact but for the one division
+    bm, bq = b - one, b + one
+    bm2, bq2 = bm * bm, bq * bq
+    den_u, den_w = (aa + bm2) ** 2, (aa + bq2) ** 2
+    ux = ((aa - bm2) << 3 * big) // den_u
+    uy = (-2 * a * bm << 3 * big) // den_u
+    wx = ((aa - bq2) << 3 * big) // den_w
+    wy = (-2 * a * bq << 3 * big) // den_w
+    for _ in range(l):
+        lx, ly = (lx * ux - ly * uy) >> big, (lx * uy + ly * ux) >> big
+    _, wm, we, _ = wt
+    head = _block(lx * wm, ly * wm, we + n - big, bits)
+    q = _block((ux * wx - uy * wy) >> big, (ux * wy + uy * wx) >> big, -big, bits)
+    return head, q
 
 
 def _contour_terms_mp(l: int, js, p: Params, dps: int):
@@ -634,39 +673,35 @@ def _contour_terms_mp(l: int, js, p: Params, dps: int):
     degree and at max_degree every term's is made, for the floors and the
     non-convergence message.
 
-    At each node _mp_node gives the lead factor wt dtau e^{i half_w (tau +
-    tau^3/3)}, u = (tau - i)^{-2} and w = (tau + i)^{-2} as libmp tuples,
-    by the calls and roundings of mpmath's operators without an mpmath
-    object per operation, and q = u w and the head lead u^l are made the
-    same way.  The head and q become block-floating pairs (x + i y) 2^e
-    with integer parts of `bits` = the working precision, each scaled by
-    that node's own exponent e.  The terms lead u^l q^j follow by integer
-    complex multiplication and a shift of `bits`, up js.  Each is added
-    exactly into its term's integer sum, kept at the smallest exponent seen,
-    and the sum is rounded to mpmath once per degree.  No fixed point is
-    shared between terms or nodes, so integrals far below the others
-    (I(4, 4, 0) at g0 = 4.5 is about 3e-46) keep their digits.
+    At each node _fixed_node evaluates the lead factor wt dtau e^{i half_w
+    (tau + tau^3/3)}, u = (tau - i)^{-2} and w = (tau + i)^{-2} in
+    fixed-point integers at `bits` + 16 bits, without an mpmath number per
+    operation, and returns the head lead u^l and q = u w as block-floating
+    pairs (x + i y) 2^e with integer parts of `bits` = the working
+    precision, each scaled by that node's own exponent e.  The terms
+    lead u^l q^j follow by integer complex multiplication and a shift of
+    `bits`, up js.  Each is added exactly into its term's integer sum, kept
+    at the smallest exponent seen, and the sum is rounded to mpmath once
+    per degree.  No fixed point is shared between terms or nodes, so
+    integrals far below the others (I(4, 4, 0) at g0 = 4.5 is about 3e-46)
+    keep their digits.
 
-    The path is mirror-symmetric, and the mpmath work is done once per
-    mirror pair of nodes.  a -> -a takes tau to -conj(tau), and dtau, the
-    lead, u and w to their conjugates, bit for bit: tau depends on a^2 and
-    a, dtau on a^2 and terms odd in a, tau + tau^3/3 is odd with real
-    coefficients, tau - i and tau + i go to -conj(tau - i) and
-    -conj(tau + i), and mpmath rounds every operation to nearest, which
-    commutes with negation.  mpmath maps its nodes, pairs +-x of equal
-    weight, to [a, b] by (b + a)/2 + (b - a)/2 x, so those of [-b, -a] are
-    those of [a, b] negated.  Only the nodes of [0, wb] and [wb, A] are
-    evaluated; their mirror intervals take the block pairs with y negated,
-    which is exact because _block_pair truncates toward zero.  The shifts
-    floor, so each side walks its own powers of q and keeps its own degree
-    loop, convergence test and error estimate; the right-hand nodes are
-    evaluated until both sides have converged.  The totals and the errors
-    are added, and a non-convergence is reported, in the interval order
-    from -A to A.
+    The path is mirror-symmetric, and each mirror pair of nodes is
+    evaluated once.  a -> -a takes tau to -conj(tau), and dtau, the lead, u
+    and w to their conjugates: tau depends on a^2 and a, dtau on a^2 and
+    terms odd in a, tau + tau^3/3 is odd with real coefficients, and tau - i
+    and tau + i go to -conj(tau - i) and -conj(tau + i).  mpmath maps its
+    nodes, pairs +-x of equal weight, to [a, b] by (b + a)/2 + (b - a)/2 x,
+    so those of [-b, -a] are those of [a, b] negated.  Only the nodes of
+    [0, wb] and [wb, A] are evaluated; their mirror intervals take the
+    block pairs with y negated, exactly.  The shifts floor, so each side
+    walks its own powers of q and keeps its own degree loop, convergence
+    test and error estimate; the right-hand nodes are evaluated until both
+    sides have converged.  The totals and the errors are added, and a
+    non-convergence is reported, in the interval order from -A to A.
     """
     import mpmath as mp
-    from mpmath import libmp
-    from mpmath.libmp import from_man_exp, mpc_mul, mpc_pow_int
+    from mpmath.libmp import from_man_exp
 
     ctx = mp.mp
     rule = ctx._tanh_sinh
@@ -674,7 +709,8 @@ def _contour_terms_mp(l: int, js, p: Params, dps: int):
     with ctx.workdps(dps):
         prec = ctx.prec
         bits = prec + 20
-        points, path = _mp_path(l, p, dps, bits)
+        points, path = _mp_path(l, p, dps)
+        path = _fixed_path(path, bits + 16)
         epsilon = ctx.eps / 8
         max_degree = rule.guess_degree(prec)
         # the step sums of each interval, by degree, and its error estimates
@@ -692,11 +728,9 @@ def _contour_terms_mp(l: int, js, p: Params, dps: int):
                     sums = {i: ([0] * n_terms, [0] * n_terms, [0] * n_terms)
                             for i in live}
                     for x, wt in rule.get_nodes(a, b, degree, prec):
-                        _, _, lead, u, w = _mp_node(x._mpf_, wt._mpf_, path, libmp)
-                        qx, qy, qe = _block_pair(mpc_mul(u, w, bits, "n"), bits)
+                        head, (qx, qy, qe) = _fixed_node(x._mpf_, wt._mpf_, l,
+                                                         path, bits)
                         qe += bits
-                        head = _block_pair(mpc_mul(lead, mpc_pow_int(
-                            u, l, bits, "n"), bits, "n"), bits)
                         # the mirror node's terms are the conjugates
                         for i in live:
                             _add_node_terms(head, js, qx, qy, qe, i == left,

@@ -4,7 +4,6 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from mpmath import libmp
 from scipy.special import binom as scipy_binom
 
 from rpc3bp import melnikov
@@ -373,7 +372,8 @@ class TestSharedPath:
 # I(l, j + l, j), values and floors as float.hex strings, recorded from the
 # per-term mpc summation that the integer step sums replaced (l2_g45_d17
 # from the integer step sums over all four intervals, before the mirror
-# pairing): both must agree bit for bit
+# pairing, its j = 5, 6, 7 from the fixed-point nodes, which moved them by
+# 1, 6 and 92 ulps): both must agree bit for bit
 EXTENDED_PINS = {
     "l1_g35": (1, range(13), Params(0.3, 3.5), 40,
         [
@@ -489,8 +489,8 @@ EXTENDED_PINS = {
         [
             "0x1.399af5d9fe3f6p-77", "0x1.8fd4df27ed769p-74",
             "0x1.7d814f2f2f866p-71", "0x1.26528c440fc75p-68",
-            "0x1.80778fc955be4p-66", "0x1.b65b4e0be6c05p-64",
-            "0x1.bdcfc06c44e57p-62", "0x1.9b0688ac1c0c6p-60",
+            "0x1.80778fc955be4p-66", "0x1.b65b4e0be6c06p-64",
+            "0x1.bdcfc06c44e5dp-62", "0x1.9b0688ac1c122p-60",
         ],
         [
             "0x1.aec4089713869p-194", "0x1.af4e03acc64aap-183",
@@ -769,7 +769,7 @@ def test_extended_route_refuses_a_complex_result():
     # of I(2, 14, 12) is 5e-10 of its real part): the reality check refuses
     # the call and names the first; its message pins the route to 6 digits
     with pytest.raises(RuntimeError, match=re.escape(
-            "not real: I(2,10,8) = 4.7147e-18 + -1.25202e-32i")):
+            "not real: I(2,10,8) = 4.7147e-18 + -6.35726e-33i")):
         contour_integral_I(2, range(13), Params(0.45, 4.5), mp_dps=17)
 
 
@@ -779,15 +779,14 @@ def test_extended_route_refuses_a_complex_result():
 def test_extended_path_mirror_symmetry(l, g0, dps):
     # the extended route evaluates the right-hand node of each mirror pair
     # only and gives its mirror the conjugates: mpmath's nodes on [-b, -a]
-    # must be those on [a, b] negated with equal weights, and the point at
-    # -x minus the conjugate of that at x, the slope, lead, u and w the
-    # conjugates, bit for bit.  _mp_node works on libmp tuples: a real's
-    # negation is mpf_neg, a complex (re, im)'s conjugate (re, mpf_neg(im))
+    # must be those on [a, b] negated with equal weights, and on mpmath
+    # numbers the point at -x minus the conjugate of that at x, the slope,
+    # lead, u and w the conjugates, bit for bit
     ctx = mpmath.mp
     rule = ctx._tanh_sinh
     with ctx.workdps(dps):
         prec = ctx.prec
-        points, path = melnikov._mp_path(l, Params(0.3, g0), dps, prec + 20)
+        points, (delta, wb, half_w) = melnikov._mp_path(l, Params(0.3, g0), dps)
         with ctx.workprec(prec + 20):
             for a, b in ((points[3], points[4]), (points[2], points[3])):
                 for degree in (1, 2, 3):
@@ -797,41 +796,51 @@ def test_extended_path_mirror_symmetry(l, g0, dps):
                             == [(x._mpf_, w._mpf_) for x, w in
                                 sorted((-x, w) for x, w in nodes)])
                     for x, wt in nodes:
-                        (re, im), *rest = melnikov._mp_node(
-                            x._mpf_, wt._mpf_, path, libmp)
-                        tau_m, *rest_m = melnikov._mp_node(
-                            libmp.mpf_neg(x._mpf_), wt._mpf_, path, libmp)
-                        assert tau_m == (libmp.mpf_neg(re), im)
-                        assert rest_m == [(zr, libmp.mpf_neg(zi))
-                                          for zr, zi in rest]
+                        (tau, *rest), (tau_m, *rest_m) = (
+                            _node_reference(s, wt, l, delta, wb, half_w)
+                            for s in (x, -x))
+                        assert tau_m == -ctx.conj(tau)
+                        assert rest_m == [ctx.conj(z) for z in rest]
+
+
+def _node_reference(x, wt, l, delta, wb, half_w):
+    """tau, dtau, the lead wt dtau e^{i half_w (tau + tau^3/3)}, u, w, and
+    the head lead u^l and q = u w on mpmath numbers at the current
+    precision."""
+    ctx = mpmath.mp
+    tau, dtau = melnikov._bent_path(x, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
+    lead = wt * dtau * ctx.exp(ctx.j * half_w * (tau + tau**3 / 3))
+    u, w = 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
+    return tau, dtau, lead, u, w, lead * u**l, u * w
 
 
 @pytest.mark.parametrize("dps", (17, 40))
-def test_extended_node_matches_object_arithmetic(dps):
-    # _mp_node writes out the libmp calls of mpmath's operators; _bent_path
-    # on mpmath numbers and the lead, u and w on mpmath objects stay the
-    # reference of the path formula: equal tuple for tuple at every node of
-    # degrees 1 to 6 on both right-hand intervals
+def test_extended_node_accuracy(dps):
+    # _fixed_node gives the head lead u^l and q = u w as block pairs of
+    # `bits` bits; against _bent_path and the lead, u and w on mpmath
+    # numbers at bits + 80, both lie within 64 2^-bits at every node of
+    # degrees 1 to 6 on both right-hand intervals (they read at most 1.4;
+    # the libmp calls rounded at `bits` that they replaced read up to 2761)
     ctx = mpmath.mp
     rule = ctx._tanh_sinh
     for l, g0 in ((1, 3.5), (2, 3.5), (3, 2.8), (4, 4.5)):
         with ctx.workdps(dps):
             prec = ctx.prec
-            points, path = melnikov._mp_path(l, Params(0.3, g0), dps, prec + 20)
-            delta, wb, j_half_w, _ = path
-            delta, wb = ctx.make_mpf(delta), ctx.make_mpf(wb)
-            j_half_w = ctx.make_mpc(j_half_w)
-            with ctx.workprec(prec + 20):
-                for a, b in ((points[3], points[4]), (points[2], points[3])):
-                    for degree in range(1, 7):
-                        for x, wt in rule.get_nodes(a, b, degree, prec):
-                            tau, dtau = melnikov._bent_path(
-                                x, delta, wb, ctx.sqrt, ctx.exp, ctx.j)
-                            lead = wt * dtau * ctx.exp(j_half_w * (tau + tau**3 / 3))
-                            u, w = 1 / (tau - ctx.j) ** 2, 1 / (tau + ctx.j) ** 2
-                            assert melnikov._mp_node(
-                                x._mpf_, wt._mpf_, path, libmp) == tuple(
-                                    z._mpc_ for z in (tau, dtau, lead, u, w))
+            bits = prec + 20
+            points, consts = melnikov._mp_path(l, Params(0.3, g0), dps)
+            path = melnikov._fixed_path(consts, bits + 16)
+            for a, b in ((points[3], points[4]), (points[2], points[3])):
+                for degree in range(1, 7):
+                    with ctx.workprec(bits):
+                        nodes = rule.get_nodes(a, b, degree, prec)
+                    for x, wt in nodes:
+                        got = melnikov._fixed_node(x._mpf_, wt._mpf_, l, path, bits)
+                        with ctx.workprec(bits + 80):
+                            *_, head, q = _node_reference(x, wt, l, *consts)
+                            for (zx, zy, ze), ref in zip(got, (head, q)):
+                                assert max(abs(zx), abs(zy)).bit_length() == bits + 1
+                                z = ctx.mpc(ctx.ldexp(zx, ze), ctx.ldexp(zy, ze))
+                                assert abs(z - ref) <= ctx.ldexp(abs(ref), 6 - bits)
 
 
 def test_extended_route_refuses_too_few_digits():
