@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core import Params, PrecisionError
+from .integrate import TOL_MAX, TOL_MIN
 from .melnikov import MP_DPS_MIN, MelnikovSeries
 from .manifolds import compute_invariant_curve
 from .orbits import oscillation_demo
@@ -51,7 +52,6 @@ MAX_GRID = 10_000
 DEFAULTS = {
     "mu": 0.3,
     "g0": 2.4,
-    "phi0": 0.0,
     "tol": 1e-12,
     "jmax": 12,
     "lmax": 4,
@@ -64,18 +64,18 @@ DEFAULTS = {
 PRECISIONS = ("double", "extended")
 
 # the settings flags, by the config key each overrides
-_FLAGS = {"mu": {"type": float}, "g0": {"type": float}, "phi0": {"type": float},
-          "tol": {"type": float}, "precision": {"choices": PRECISIONS}}
+_FLAGS = {"mu": {"type": float}, "g0": {"type": float}, "tol": {"type": float},
+          "precision": {"choices": PRECISIONS}}
 
 # the settings each command reads: its flags, its config keys, its config
 # hash and its provenance lines all come from its row
-_SPLIT_KEYS = ("phi0", "tol", "n_samples")
+_SPLIT_KEYS = ("tol", "n_samples")
 _READS = {command: (*keys, "out") for command, keys in {
     "homoclinic": (),
     "melnikov": ("mu", "g0", "precision", "jmax", "lmax", "mp_dps"),
     "manifolds": ("mu", "g0", *_SPLIT_KEYS),
     "splitting": ("mu", "g0", *_SPLIT_KEYS),
-    "oscillate": ("mu", "g0", "phi0", "tol"),
+    "oscillate": ("mu", "g0", "tol"),
     "tangency": _SPLIT_KEYS,
     "sweep": _SPLIT_KEYS,
 }.items()}
@@ -117,11 +117,6 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    # the section is 2pi-periodic in phi0, so this bound loses no section; the
-    # comparison also refuses NaN, and an int of any size without converting it
-    if "phi0" in cfg and not abs(cfg["phi0"]) <= 2.0 * math.pi:
-        raise ValueError(f"config key 'phi0' must be finite with "
-                         f"|phi0| <= 2pi, got {cfg['phi0']!r}")
     # the library refuses these at entry too (mp_dps in extended precision
     # only), but here the message names the config key, and sweep would turn
     # a library refusal into error:ValueError rows and exit 0
@@ -129,6 +124,11 @@ def _load_config(args) -> dict:
         if key in cfg and cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")
+    # for the same reason; the comparison, on Python floats, also refuses NaN
+    # and an int of any size without converting it
+    if "tol" in cfg and not float(TOL_MIN) <= cfg["tol"] <= TOL_MAX:
+        raise ValueError(f"config key 'tol' must lie in [{TOL_MIN}, "
+                         f"{TOL_MAX}], got {cfg['tol']!r}")
     # each sizes arrays in proportion to its value before any useful work
     for key in ("n_samples", "jmax"):
         if key in cfg and cfg[key] > MAX_GRID:
@@ -278,12 +278,11 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
 def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     for b in args.branch:
-        curve = compute_invariant_curve(b, float(cfg["phi0"]), p,
-                                        tol=float(cfg["tol"]),
+        curve = compute_invariant_curve(b, p, tol=float(cfg["tol"]),
                                         n_samples=int(cfg["n_samples"]))
-        rows = [(v, homoclinic_r(v), Y, b, curve.phi0, p.mu, p.g0, curve.tol)
+        rows = [(v, homoclinic_r(v), Y, b, p.mu, p.g0, curve.tol)
                 for v, Y in zip(curve.v, curve.Y)]
-        _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,phi0,mu,g0,tol",
+        _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,mu,g0,tol",
                    rows, cfg)
         print(f"wrote {out / f'curve_{b}.csv'} ({len(curve.v)} samples)")
     return EXIT_OK
@@ -293,7 +292,6 @@ def _report_payload(rep) -> dict:
     return {
         "mu": rep.params.mu,
         "g0": rep.params.g0,
-        "phi0": rep.phi0,
         "max_distance": rep.max_distance,
         "predicted_amplitude": rep.predicted_amplitude,
         "distance_ratio": rep.distance_ratio,
@@ -316,7 +314,7 @@ def _split_cfg(cfg: dict) -> SplittingConfig:
 
 
 def cmd_splitting(args, cfg: dict, out: Path) -> int:
-    rep = splitting_report(_params(cfg), float(cfg["phi0"]), _split_cfg(cfg))
+    rep = splitting_report(_params(cfg), _split_cfg(cfg))
     _write_json(out / "splitting.json", _report_payload(rep), cfg)
     rows = [(r.v, r.phase, r.D_prime, r.kind) for r in rep.roots]
     _write_csv(out / "roots.csv", "v,phase,D_prime,kind", rows, cfg)
@@ -333,7 +331,7 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
         raise ValueError(f"--steps must lie in [1, {MAX_GRID}], "
                          f"got {args.steps}")
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
-                                      _split_cfg(cfg), float(cfg["phi0"]))
+                                      _split_cfg(cfg))
     rows = []
     for pt in pts:
         ratio = (0.5 - pt.mu_star) / (0.5 - pt.mu_predicted)
@@ -348,7 +346,7 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
 def cmd_oscillate(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     log = oscillation_demo(p, (args.seed_r, args.seed_y), args.n_iter,
-                           float(cfg["phi0"]), tol=float(cfg["tol"]))
+                           tol=float(cfg["tol"]))
     rows = [(r.s, r.r, r.y, r.G, r.max_r_since_last) for r in log.returns]
     _write_csv(out / "returns.csv", "s,r,y,G,max_r_since_last", rows, cfg)
     _write_json(out / "oscillation.json", {
@@ -380,8 +378,7 @@ def cmd_sweep(args, cfg: dict, out: Path) -> int:
         for g0 in g0s:
             key = (mu, g0)
             try:
-                rep = splitting_report(Params(mu, g0), float(cfg["phi0"]),
-                                       _split_cfg(cfg))
+                rep = splitting_report(Params(mu, g0), _split_cfg(cfg))
                 rows.append((mu, g0, rep.max_distance, rep.predicted_amplitude,
                              rep.distance_ratio, len(rep.roots),
                              "untrusted" if rep.untrusted else "ok"))

@@ -3,13 +3,13 @@
 The manifolds of the parabolic periodic orbit at infinity are computed by the
 flow: orbits are seeded on W^u(infinity) in the inbound far field, all at
 the one radius r = DEFAULT_R0 = 8, propagated forward, and read off as
-curves y = Y(v) on the section {phi = phi0 (mod 2pi)} against the
+curves y = Y(v) on the section {phi = 0 (mod 2pi)} against the
 separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
 
-Both curves come from the same orbits.  Their outgoing crossings of phi0
-sample W^u; the reversing symmetry R: (r, phi, y, G) -> (r, -phi, -y, G) maps
-W^u onto W^s, so their inbound (y < 0) crossings of -phi0, reflected by R,
-sample the stable curve on phi0.
+Both curves come from the same orbits.  Their outgoing crossings of the
+section sample W^u; the reversing symmetry R: (r, phi, y, G) ->
+(r, -phi, -y, G) maps W^u onto W^s and the section onto itself, so their
+inbound (y < 0) crossings, reflected by R, sample the stable curve.
 
 Seeds come from a solved graph of W^u(infinity) over the far field, as in
 the local analysis of parabolic infinity (McGehee 1973; the parameterization
@@ -38,11 +38,10 @@ The fan's orbits are stepped together by integrate.lockstep_flow, a numpy
 DOP853 that evaluates the vector field of all orbits in one call per stage.
 Each orbit keeps its own step size and accept/reject state and repeats the
 arithmetic of solve_ivp's DOP853, so the samples are those of one solve_ivp
-run per orbit.  Each section event locates crossings on the dense output
-only in steps that come near the window on the leg its curve samples
-(y > 0 for phi0, y < 0 for -phi0).  The fan queues those steps and locates
-all their crossings once its orbits have stopped, from one batched dense
-output, and the crossings are polished by refine_to_section.
+run per orbit.  The section event locates crossings on the dense output
+only in steps that come near the window.  The fan queues those steps and
+locates all their crossings once its orbits have stopped, from one batched
+dense output, and the crossings are polished by refine_to_section.
 
 poincare_map lifts a section point to the shell and takes one
 integrate.first_return, the return the oscillation demo iterates.
@@ -105,7 +104,7 @@ _UPDATE_TOL = 0.1 * np.finfo(float).eps
 
 @dataclass
 class ManifoldCurve:
-    """Sampled invariant curve y = Y(v) on the section {phi = phi0}.
+    """Sampled invariant curve y = Y(v) on the section {phi = 0}.
 
     v is strictly increasing; Y > 0 on the outgoing branch.  At mu = 0 the
     curve coincides with the separatrix momentum y_h(v) to integrator
@@ -116,7 +115,6 @@ class ManifoldCurve:
     """
 
     branch: str                # "unstable" | "stable"
-    phi0: float
     params: Params
     v: np.ndarray
     Y: np.ndarray
@@ -294,18 +292,18 @@ def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
     return RotatingState(r, phi0, y, G)
 
 
-def poincare_map(point: tuple[float, float], phi0: float,
-                 p: Params) -> tuple[float, float]:
-    """One full return of the section map on the energy shell.
+def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
+    """One full return of the map of the section {phi = 0} on the energy
+    shell.
 
     The synodic angle is monotone decreasing, so the return is the first
-    time the unwrapped angle reaches phi0 - 2pi (integrate.first_return, at
+    time the unwrapped angle reaches -2pi (integrate.first_return, at
     POINCARE_TOL).  Preserves the section area element dr wedge dy up to
     integrator accuracy.
     """
-    z = lift_to_shell(point[0], point[1], phi0, p)
+    z = lift_to_shell(point[0], point[1], 0.0, p)
     try:
-        sol, znext = first_return(z.to_array(), phi0, p, POINCARE_TOL,
+        sol, znext = first_return(z.to_array(), 0.0, p, POINCARE_TOL,
                                   3.0 * 2.0 * pi / p.g0**3)
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
@@ -316,8 +314,7 @@ def poincare_map(point: tuple[float, float], phi0: float,
     return (float(znext[0]), float(znext[2]))
 
 
-def poincare_jacobian(point: tuple[float, float], phi0: float,
-                      p: Params) -> np.ndarray:
+def poincare_jacobian(point: tuple[float, float], p: Params) -> np.ndarray:
     """Jacobian of poincare_map by central differences of relative step
     JACOBIAN_STEP."""
     r, y = point
@@ -328,24 +325,24 @@ def poincare_jacobian(point: tuple[float, float], phi0: float,
         dm = [r, y]
         dp[k] += h
         dm[k] -= h
-        fp = poincare_map((dp[0], dp[1]), phi0, p)
-        fm = poincare_map((dm[0], dm[1]), phi0, p)
+        fp = poincare_map((dp[0], dp[1]), p)
+        fm = poincare_map((dm[0], dm[1]), p)
         J[0, k] = (fp[0] - fm[0]) / (2.0 * h)
         J[1, k] = (fp[1] - fm[1]) / (2.0 * h)
     return J
 
 
 @lru_cache(maxsize=1)
-def _fan_samples(phi0: float, p: Params, tol: float, n_phases: int):
-    """Samples (v, Y) of both invariant curves on phi0 from one fan of
-    far-field orbits seeded at DEFAULT_R0, as (unstable, stable, work): two
-    tuples of samples and the lockstep integrator's counters.
+def _fan_samples(p: Params, tol: float, n_phases: int):
+    """Samples (v, Y) of both invariant curves on the section {phi = 0} from
+    one fan of far-field orbits seeded at DEFAULT_R0, as (unstable, stable,
+    work): two tuples of samples and the lockstep integrator's counters.
 
-    Outgoing (y > 0) crossings of phi0 are unstable samples; inbound (y < 0)
-    crossings of -phi0, refined onto -phi0 and mapped to (v, -y), are stable
-    samples.  Only crossings inside the buffered V_WINDOW are kept; v is
-    recovered from the crossing radius through the separatrix closed form.
-    The orbits are integrated together by lockstep_flow.
+    Outgoing (y > 0) crossings of the section are unstable samples; inbound
+    (y < 0) crossings, mapped by R to (v, -y), are stable samples.  Only
+    crossings inside the buffered V_WINDOW are kept; v is recovered from the
+    crossing radius through the separatrix closed form.  The orbits are
+    integrated together by lockstep_flow.
 
     Samples come in their order along the curve, by the phase the flow
     turned before the crossing: ascending for the unstable samples and
@@ -377,40 +374,39 @@ def _fan_samples(phi0: float, p: Params, tol: float, n_phases: int):
     turn_event.terminal = True
     turn_event.direction = -1.0
 
-    # Section crossings above r_hi, or on the other leg, fail the window
-    # filter below, so only those near it on the curve's leg are located: a
-    # step with r >= 2 r_hi at both ends cannot come down to r_hi in
-    # between, since one step moves r by far less.
-    outgoing, inbound = section_event(phi0), section_event(-phi0)
-    outgoing.gate = lambda s, z: (z[0] < 2.0 * r_hi) & (z[2] > 0.0)
-    inbound.gate = lambda s, z: (z[0] < 2.0 * r_hi) & (z[2] < 0.0)
+    # Section crossings above r_hi fail the window filter below, so only
+    # those near it are located: a step with r >= 2 r_hi at both ends cannot
+    # come down to r_hi in between, since one step moves r by far less.
+    section = section_event(0.0)
+    section.gate = lambda s, z: z[0] < 2.0 * r_hi
 
-    z0 = np.array([initial_manifold_state(DEFAULT_R0,
-                                          phi0 + 2.0 * pi * k / n_phases,
+    z0 = np.array([initial_manifold_state(DEFAULT_R0, 2.0 * pi * k / n_phases,
                                           p).to_array()
                    for k in range(n_phases)]).T
     fan = lockstep_flow(z0, s_span, tol, p,
-                        events=[outgoing, inbound, exit_event, turn_event])
-    # Lane k starts at phi0 + 2pi k/n_phases and phi falls, so it crosses
-    # level - 2pi m after turning by phi0 - level + 2pi j/n_phases: the exact
-    # integer j = k + n_phases m orders the crossings of the whole fan.
-    samples = ([], [])
+                        events=[section, exit_event, turn_event])
+    # Lane k starts at 2pi k/n_phases and phi falls, so it crosses -2pi m
+    # after turning by 2pi j/n_phases: the exact integer j = k + n_phases m
+    # orders the crossings of the whole fan.
+    unstable, stable = [], []
     for k in range(n_phases):
-        for e, (level, sign) in enumerate(((phi0, 1.0), (-phi0, -1.0))):
-            for z in fan.z_events[k][e]:
-                if sign * z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, level, p)
-                    j = k - n_phases * round((float(zr[1]) - level) / (2.0 * pi))
-                    samples[e].append((sign * j, float(v_of_r(zr[0])),
-                                       sign * float(zr[2])))
-    unstable, stable = (tuple(s[1:] for s in sorted(b)) for b in samples)
+        for z in fan.z_events[k][0]:
+            if abs(z[2]) > 1e-6 and r_lo <= z[0] <= r_hi:
+                zr = refine_to_section(z, 0.0, p)
+                j = k - n_phases * round(float(zr[1]) / (2.0 * pi))
+                v, y = float(v_of_r(zr[0])), float(zr[2])
+                if z[2] > 0.0:
+                    unstable.append((j, v, y))
+                else:
+                    stable.append((-j, v, -y))
+    unstable, stable = (tuple(s[1:] for s in sorted(b))
+                        for b in (unstable, stable))
     return unstable, stable, fan.work
 
 
-def compute_invariant_curve(branch: str, phi0: float, p: Params,
-                            tol: float = 1e-12,
+def compute_invariant_curve(branch: str, p: Params, tol: float = 1e-12,
                             n_samples: int = 60) -> ManifoldCurve:
-    """Invariant curve Y(v) over V_WINDOW on the section {phi = phi0}.
+    """Invariant curve Y(v) over V_WINDOW on the section {phi = 0}.
 
     The fan is seeded on the graph of W^u(infinity) at DEFAULT_R0.  meta
     carries the fan size (n_phases), the lockstep counters, the graph
@@ -433,7 +429,7 @@ def compute_invariant_curve(branch: str, phi0: float, p: Params,
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    unstable, stable, work = _fan_samples(phi0, p, tol, n_phases)
+    unstable, stable, work = _fan_samples(p, tol, n_phases)
     graph = _manifold_graph(p)
     samples = unstable if branch == "unstable" else stable
     v, Y, fold_intervals = _mask_folds(np.array([s[0] for s in samples]),
@@ -441,7 +437,7 @@ def compute_invariant_curve(branch: str, phi0: float, p: Params,
     if len(v) < 8:
         raise RuntimeError(
             f"only {len(v)} window crossings collected; increase n_samples")
-    return ManifoldCurve(branch=branch, phi0=phi0, params=p, v=v, Y=Y,
+    return ManifoldCurve(branch=branch, params=p, v=v, Y=Y,
                          tol=tol, fold_intervals=fold_intervals,
                          meta={"n_phases": n_phases,
                                "graph_update": graph.update,

@@ -25,8 +25,10 @@ quadrature : real-line oscillatory integral of the angular Fourier modes of
     panels near perihelion under a 24-node rule.
 contour    : binomial-series reduction to the oscillatory integrals
     I(l, j + l, j), l >= 1, computed on a complex path hugging
-    Re(tau + tau^3/3) = 0 through the singularity tau = i.  Well-conditioned
-    at any g0 because the integrand peak matches the result scale.  The
+    Re(tau + tau^3/3) = 0 through the singularity tau = i, on which the
+    phase factor does not oscillate.  The integrand peaks at the pole, far
+    above the result for all but the low terms: the ratio of the two grows
+    with j (contour_integral_I and MP_DPS_MIN's comment give numbers).  The
     j-terms of one harmonic share the path, its nodes and the phase factor,
     and differ by the factor (tau - i)^{-2l} q^j with
     q = ((tau - i)(tau + i))^{-2}: one call evaluates them all, each with
@@ -788,10 +790,14 @@ def contour_integral_I(l: int, js, p: Params, mp_dps: int | None = None):
     (tau + i)^{-2n} dtau over the real line; js is a nonempty, strictly
     increasing sequence of nonnegative integers.
 
-    The terms share one path through the singularity at i, where the
-    integrand peak matches the result scale ~ g0^{3m - 3/2} e^{-l g0^3/3}
-    however small the answer.  Binary64 by default; mp_dps selects an
-    mpmath tanh-sinh summation at that many digits, at least MP_DPS_MIN.
+    The terms share one path through the singularity at i.  The integrand
+    peaks at a = 0, and the peak over the result grows with j: |integrand|
+    there over |I| (40-digit values) is 6.1 for I(1,1,0) at g0 = 3.5 but
+    2.0e4 for I(1,5,4) and 5.5e13 for I(1,13,12), and 1.2e4 for I(4,4,0) at
+    g0 = 4.5.  The digits this ratio cancels are why the high terms are
+    refused at 17-25 digits (MP_DPS_MIN's comment).  Binary64 by default;
+    mp_dps selects an mpmath tanh-sinh summation at that many digits, at
+    least MP_DPS_MIN.
     Each term passes its own convergence and reality check (RuntimeError
     otherwise).  Returns the arrays (values, floors), the floor being
     50 eps max|integrand| in binary64 and the quadrature's error estimate in
@@ -983,15 +989,15 @@ class MelnikovSeries:
 # Leading-order predictions for the splitting observables
 # ---------------------------------------------------------------------------
 
-def phase_of_v(v, phi0: float, p: Params):
-    """Section phase x = phi0 - alpha_h(v) + g0^3 v (unwrapped, increasing)."""
-    return phi0 - np.asarray(homoclinic_alpha(v)) + p.g0**3 * np.asarray(v)
+def phase_of_v(v, p: Params):
+    """Section phase x = g0^3 v - alpha_h(v) (unwrapped, increasing)."""
+    return p.g0**3 * np.asarray(v) - np.asarray(homoclinic_alpha(v))
 
 
-def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
+def predicted_distance(v_star: float | np.ndarray, p: Params):
     """Leading-order splitting distance on the section r = r_h(v*):
 
-        y_h(v*)^-1 [ A1 sin x - A2 sin 2x ],  x = phi0 - alpha_h(v*) + g0^3 v*,
+        y_h(v*)^-1 [ A1 sin x - A2 sin 2x ],  x = g0^3 v* - alpha_h(v*),
 
     with A1 = -2 g0^3 L[1] and A2 = 4 g0^3 L[2] from melnikov_coeff_asymptotic.
     The relative sign of the harmonics follows the verified coefficient signs
@@ -1005,7 +1011,7 @@ def predicted_distance(v_star: float | np.ndarray, phi0: float, p: Params):
         raise ValueError("v_star must be positive (y_h(0) = 0)")
     a1 = -2.0 * p.g0**3 * melnikov_coeff_asymptotic(1, p)
     a2 = 4.0 * p.g0**3 * melnikov_coeff_asymptotic(2, p)
-    x = phase_of_v(v_star, phi0, p)
+    x = phase_of_v(v_star, p)
     return (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / homoclinic_y(v_star)
 
 

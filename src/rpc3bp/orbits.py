@@ -42,7 +42,6 @@ class ReturnRecord:
 @dataclass
 class ExcursionLog:
     params: Params
-    phi0: float
     seed: tuple[float, float]
     returns: list[ReturnRecord] = field(default_factory=list)
     excursions: list[tuple[float, float]] = field(default_factory=list)  # (max r, return r)
@@ -61,10 +60,10 @@ def _two_body_energy(z) -> float:
 
 
 def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
-                     phi0: float = 0.0, tol: float = 1e-11) -> ExcursionLog:
+                     tol: float = 1e-11) -> ExcursionLog:
     """Iterate section returns from a seed near the homoclinic tangle.
 
-    Logs every return to {phi = phi0 (mod 2pi)} together with the maximum
+    Logs every return to {phi = 0 (mod 2pi)} together with the maximum
     radius reached since the previous drop below R_IN; an excursion is a
     radial maximum above R_OUT followed by a return below R_IN.  Long
     flights are integrated straight through (the radial maximum is located
@@ -84,10 +83,9 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
                          f"cutoff {collision_radius(p)}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
-    z = lift_to_shell(seed[0], seed[1], phi0, p).to_array()
+    z = lift_to_shell(seed[0], seed[1], 0.0, p).to_array()
     h0 = hamiltonian_rotating(RotatingState.from_array(z), p)
-    log = ExcursionLog(params=p, phi0=phi0,
-                       seed=(float(seed[0]), float(seed[1])))
+    log = ExcursionLog(params=p, seed=(float(seed[0]), float(seed[1])))
 
     def going_out(s_, z_):
         return z_[0] - R_OUT
@@ -122,7 +120,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         # inside region: run to the next section return, bailing into
         # excursion mode if the orbit climbs past R_OUT first
         try:
-            sol, z_ret = first_return(z, phi0, p, tol, 4.0 * synodic,
+            sol, z_ret = first_return(z, 0.0, p, tol, 4.0 * synodic,
                                       events=[going_out])
         except CollisionError:
             break

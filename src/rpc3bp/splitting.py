@@ -78,7 +78,7 @@ class SplittingConfig:
 @dataclass
 class HomoclinicRoot:
     v: float
-    phase: float            # phi0 - alpha_h(v) + g0^3 v
+    phase: float            # g0^3 v - alpha_h(v)
     D_prime: float
     kind: str               # "transversal" | "near_tangent"
 
@@ -92,7 +92,6 @@ class DistanceProfile:
     """
 
     params: Params
-    phi0: float
     v: np.ndarray
     D: np.ndarray
     noise_floor: float
@@ -140,7 +139,6 @@ class DistanceProfile:
 @dataclass
 class SplittingReport:
     params: Params
-    phi0: float
     profile: DistanceProfile
     roots: list[HomoclinicRoot]
     measured_distances: list[tuple[float, float]]   # (half-period phase start, max|D|)
@@ -175,10 +173,10 @@ def distance_profile(curve_s: ManifoldCurve,
 
     The grid carries at least 48 points per synodic oscillation, so its sign
     changes bracket every root and the stencils of DistanceProfile.derivatives
-    resolve the fast phase.  Both curves must be on one section of one system.
+    resolve the fast phase.  Both curves must be of one system.
     """
-    if curve_s.params != curve_u.params or curve_s.phi0 != curve_u.phi0:
-        raise ValueError("curves belong to different systems or sections")
+    if curve_s.params != curve_u.params:
+        raise ValueError("curves belong to different systems")
     p = curve_s.params
     # restrict to the window: samples in the collection buffer beyond it
     # stabilize the spline edges but have partial fan coverage
@@ -195,7 +193,7 @@ def distance_profile(curve_s: ManifoldCurve,
     D = fs(v) - fu(v)
     floor = NOISE_FLOOR_PER_TOL * max(curve_s.tol, curve_u.tol)
     folds = sorted(curve_s.fold_intervals + curve_u.fold_intervals)
-    return DistanceProfile(params=p, phi0=curve_s.phi0, v=v, D=D,
+    return DistanceProfile(params=p, v=v, D=D,
                            noise_floor=floor, fold_intervals=folds,
                            curve_s=curve_s, curve_u=curve_u, Y_s=fs, Y_u=fu)
 
@@ -220,7 +218,7 @@ def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
         dp = profile.derivatives(vr)[0]
         kind = "transversal" if abs(dp) > 10.0 * sigma else "near_tangent"
         roots.append(HomoclinicRoot(v=float(vr),
-                                    phase=float(phase_of_v(vr, profile.phi0, p)),
+                                    phase=float(phase_of_v(vr, p)),
                                     D_prime=dp, kind=kind))
     roots.sort(key=lambda r: r.v)
     return roots
@@ -259,12 +257,11 @@ def _lobe_integral(profile: DistanceProfile, v_a: float, v_b: float) -> float:
     return total
 
 
-def _manifold_profile(p: Params, phi0: float,
-                      cfg: SplittingConfig) -> DistanceProfile:
+def _manifold_profile(p: Params, cfg: SplittingConfig) -> DistanceProfile:
     """Distance profile of the invariant-curve pair computed under cfg."""
     kw = dict(tol=cfg.tol, n_samples=cfg.n_samples)
-    cu = compute_invariant_curve("unstable", phi0, p, **kw)
-    cs = compute_invariant_curve("stable", phi0, p, **kw)
+    cu = compute_invariant_curve("unstable", p, **kw)
+    cs = compute_invariant_curve("stable", p, **kw)
     return distance_profile(cs, cu)
 
 
@@ -274,19 +271,19 @@ def _trust(profile: DistanceProfile) -> tuple[float, bool]:
     p = profile.params
     if p.mu == 0.0:
         return 0.0, False
-    amp = float(np.max(np.abs(predicted_distance(profile.v, profile.phi0, p))))
+    amp = float(np.max(np.abs(predicted_distance(profile.v, p))))
     return amp, amp < UNTRUSTED_MARGIN * profile.noise_floor
 
 
-def splitting_report(p: Params, phi0: float,
+def splitting_report(p: Params,
                      config: SplittingConfig | None = None) -> SplittingReport:
     """Full pipeline: curves -> profile -> roots -> lobes -> predictions."""
     cfg = config or SplittingConfig()
-    profile = _manifold_profile(p, phi0, cfg)
+    profile = _manifold_profile(p, cfg)
     roots = list(profile.roots)
 
     # max |D| per complete half-period of the phase
-    x = phase_of_v(profile.v, phi0, p)
+    x = phase_of_v(profile.v, p)
     k_lo = int(np.ceil(x[0] / pi))
     k_hi = int(np.floor(x[-1] / pi))
     measured = []
@@ -305,7 +302,7 @@ def splitting_report(p: Params, phi0: float,
     pred_area = predicted_lobe_area(p)
     ratio = max_D / pred_amp if pred_amp > 0 else float("nan")
     area_ratios = [a / pred_area for a in lobes] if pred_area > 0 else []
-    return SplittingReport(params=p, phi0=phi0, profile=profile, roots=roots,
+    return SplittingReport(params=p, profile=profile, roots=roots,
                            measured_distances=measured, max_distance=max_D,
                            lobe_areas=lobes, predicted_amplitude=pred_amp,
                            predicted_area=pred_area, distance_ratio=ratio,
@@ -356,8 +353,7 @@ def count_roots_in_period(profile: DistanceProfile) -> int:
 
 
 def find_tangency(g0: float, mu_bracket: tuple[float, float],
-                  config: SplittingConfig | None = None,
-                  phi0: float = 0.0) -> TangencyPoint:
+                  config: SplittingConfig | None = None) -> TangencyPoint:
     """Locate the cubic homoclinic tangency mu*(g0) inside mu_bracket.
 
     The tangency is the Brent zero in mu of D' at the phase-0 center root,
@@ -375,7 +371,7 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
     def center(mu: float) -> HomoclinicRoot:
         if mu not in cache:
-            cache[mu] = _manifold_profile(Params(mu, g0), phi0, cfg)
+            cache[mu] = _manifold_profile(Params(mu, g0), cfg)
         root = _center_root(cache[mu])
         if root is None:
             raise RuntimeError(f"phase-0 root lost at mu={mu}")
@@ -398,9 +394,9 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
                          mu_predicted=mu_pred, untrusted=_trust(prof)[1])
 
 
-def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
-                                config: SplittingConfig | None = None,
-                                phi0: float = 0.0) -> list[TangencyPoint]:
+def continuation_tangency_curve(
+        g0_range: tuple[float, float], steps: int,
+        config: SplittingConfig | None = None) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
     mu_star (the leading-order prediction for the first point).  Both ends
     of the range are checked against find_tangency's g0 floor, and the
@@ -426,7 +422,7 @@ def continuation_tangency_curve(g0_range: tuple[float, float], steps: int,
         dev = dev_pred * ratio
         lo = max(0.02, 0.5 - 3.0 * dev)
         hi = min(0.4999, 0.5 - 0.3 * dev)
-        pt = find_tangency(float(g0), (lo, hi), config, phi0)
+        pt = find_tangency(float(g0), (lo, hi), config)
         points.append(pt)
         ratio = (0.5 - pt.mu_star) / dev_pred
     return points

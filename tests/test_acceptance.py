@@ -72,7 +72,7 @@ def report_line(num: int, ok: bool, detail: str) -> bool:
 def ladder():
     out = {}
     for g0 in G0_LADDER:
-        out[g0] = splitting_report(Params(MU_LADDER, g0), 0.0,
+        out[g0] = splitting_report(Params(MU_LADDER, g0),
                                    SplittingConfig(n_samples=70))
     return out
 
@@ -240,8 +240,8 @@ def test_criterion_09_homoclinic_root_structure(ladder):
     rep28 = ladder[2.8]
     p28 = rep28.params
     roots = [r.v for r in rep28.roots]
-    x_lo = phase_of_v(rep28.profile.v[0], 0.0, p28)
-    x_hi = phase_of_v(rep28.profile.v[-1], 0.0, p28)
+    x_lo = phase_of_v(rep28.profile.v[0], p28)
+    x_hi = phase_of_v(rep28.profile.v[-1], p28)
     expected_count = int(math.floor(x_hi / math.pi) - math.ceil(x_lo / math.pi)) + 1
     count_ok = abs(len(roots) - expected_count) <= 1
     spacing_ok = True
@@ -257,7 +257,7 @@ def test_criterion_09_homoclinic_root_structure(ladder):
     p24 = rep24.params
     prof = rep24.profile
     vg = np.linspace(prof.v[0], prof.v[-1], 6000)
-    pred = np.array([predicted_distance(float(v), 0.0, p24) for v in vg])
+    pred = np.array([predicted_distance(float(v), p24) for v in vg])
     idx = np.flatnonzero(np.diff(np.sign(pred)) != 0)
     first_order = vg[idx]
     interior = [r.v for r in rep24.roots
@@ -286,10 +286,10 @@ def test_criterion_10_tangency_curve(tangency_points):
         pred_dev = 0.5 - pt.mu_predicted
         dev_ratios.append((0.5 - pt.mu_star) / pred_dev)
         below = splitting_report(
-            Params(pt.mu_star - 0.35 * (0.5 - pt.mu_star), pt.g0), 0.0, cfg)
+            Params(pt.mu_star - 0.35 * (0.5 - pt.mu_star), pt.g0), cfg)
         above = splitting_report(
             Params(min(pt.mu_star + 0.35 * (0.5 - pt.mu_star), 0.4999), pt.g0),
-            0.0, cfg)
+            cfg)
         transitions.append((count_roots_in_period(below.profile),
                             count_roots_in_period(above.profile)))
         prof_floor = below.noise_floor
@@ -322,7 +322,7 @@ def test_criterion_11_symplecticity():
            for y in (-0.55, -0.2, 0.3, 0.65)]
     assert len(pts) == 20
     for pt in pts:
-        J = poincare_jacobian(pt, 0.0, p)
+        J = poincare_jacobian(pt, p)
         worst = max(worst, abs(float(np.linalg.det(J)) - 1.0))
     wall = time.time() - t0
     ok = worst < 1e-8
@@ -336,7 +336,7 @@ def test_criterion_12_oscillation_property():
     # deterministic candidate list is scanned until one exhibits the property
     t0 = time.time()
     p = Params(0.3, 2.2)
-    rep = splitting_report(p, 0.0, SplittingConfig(n_samples=50))
+    rep = splitting_report(p, SplittingConfig(n_samples=50))
     trans = [r for r in rep.roots if r.kind == "transversal"]
     amp = rep.max_distance
     mid = len(trans) // 2

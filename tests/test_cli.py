@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -199,13 +200,14 @@ class TestMelnikov:
 KEPT_FLAGS = {
     "homoclinic": (),
     "melnikov": ("--mu", "--g0", "--precision"),
-    "manifolds": ("--mu", "--g0", "--phi0", "--tol"),
-    "splitting": ("--mu", "--g0", "--phi0", "--tol"),
-    "oscillate": ("--mu", "--g0", "--phi0", "--tol"),
-    "tangency": ("--phi0", "--tol"),
-    "sweep": ("--phi0", "--tol"),
+    "manifolds": ("--mu", "--g0", "--tol"),
+    "splitting": ("--mu", "--g0", "--tol"),
+    "oscillate": ("--mu", "--g0", "--tol"),
+    "tangency": ("--tol",),
+    "sweep": ("--tol",),
 }
-# --r-out and --r-in were oscillate's excursion radii, now constants
+# --r-out and --r-in were oscillate's excursion radii, now constants, and
+# --phi0 the angle of the section, now phi = 0
 FLAG_VALUES = {"--mu": "0.3", "--g0": "2.4", "--phi0": "0.5", "--tol": "1e-11",
                "--precision": "extended", "--r-out": "5.0", "--r-in": "2.0"}
 REQUIRED = {"oscillate": ["--seed-r", "1.3", "--seed-y", "0.68"]}
@@ -213,22 +215,55 @@ REMOVED_FLAGS = [(command, flag) for command, kept in KEPT_FLAGS.items()
                  for flag in FLAG_VALUES if flag not in kept]
 
 # the config keys each command reads
-_SPLIT_KEYS = ("phi0", "tol", "n_samples", "out")
+_SPLIT_KEYS = ("tol", "n_samples", "out")
 READ_KEYS = {
     "homoclinic": ("out",),
     "melnikov": ("mu", "g0", "precision", "jmax", "lmax", "mp_dps", "out"),
     "manifolds": ("mu", "g0", *_SPLIT_KEYS),
     "splitting": ("mu", "g0", *_SPLIT_KEYS),
-    "oscillate": ("mu", "g0", "phi0", "tol", "out"),
+    "oscillate": ("mu", "g0", "tol", "out"),
     "tangency": _SPLIT_KEYS,
     "sweep": _SPLIT_KEYS,
 }
 # keys that were settings once, with their last defaults: no command reads
 # them now
-REMOVED_KEYS = {"quad_tol": 1e-9, "v_window": [0.4, 1.6]}
+REMOVED_KEYS = {"quad_tol": 1e-9, "v_window": [0.4, 1.6], "phi0": 0.0}
 KEY_VALUES = {**cli.DEFAULTS, **REMOVED_KEYS}
 UNREAD_KEYS = [(command, key) for command, read in READ_KEYS.items()
                for key in KEY_VALUES if key not in read]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_table() -> dict:
+    """{command: (settings flags, config keys)} as README's command table
+    lists them, from the backquoted words of each row's cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | settings flags | config keys |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        commands, flags, keys = ([w for span in re.findall(r"`([^`]*)`", cell)
+                                  for w in span.split()]
+                                 for cell in line.strip("|").split("|"))
+        for command in commands:
+            assert command not in table, f"{command} has two rows"
+            table[command] = ({w for w in flags if w.startswith("--")},
+                              set(keys))
+    return table
+
+
+def test_readme_command_table_matches_the_cli():
+    # the table is written by hand, and every change of a command's settings
+    # has to edit it: its flags are the command's settings flags, its config
+    # keys those the command reads besides out
+    table = _readme_command_table()
+    assert set(table) == set(cli._READS)
+    for command, reads in cli._READS.items():
+        flags = {f"--{key}" for key in cli._FLAGS if key in reads}
+        assert table[command] == (flags, set(reads) - {"out"}), command
 
 
 def never(*args, **kwargs):
@@ -328,15 +363,16 @@ class TestValidation:
 
     def test_non_finite_inputs_and_nonpositive_seed_radius(self, tmp_path,
                                                            capsys):
-        # phi0 must be finite with |phi0| <= 2pi, checked before any numerics;
+        # tol must lie in [TOL_MIN, TOL_MAX], checked before any numerics;
         # a config file may give it as an int too large for a float
-        big = tmp_path / "big_phi0.json"
-        big.write_text('{"phi0": ' + "9" * 400 + "}")
-        phi0_cases = (["splitting", "--phi0", "inf"],
-                      ["splitting", "--phi0", "1e300"],
-                      ["oscillate", "--phi0", "inf", "--seed-r", 1.3,
-                       "--seed-y", 0.68],
-                      ["splitting", "--config", big])
+        big = tmp_path / "big_tol.json"
+        big.write_text('{"tol": ' + "9" * 400 + "}")
+        tol_cases = (["splitting", "--tol", "inf"],
+                     ["splitting", "--tol", "1e300"],
+                     ["oscillate", "--tol", "inf", "--seed-r", 1.3,
+                      "--seed-y", 0.68],
+                     ["manifolds", "--tol", "nan"],
+                     ["splitting", "--config", big])
         # homoclinic wrote rows of nan or inf and exited 0: 9 v^2 overflows
         # in tau_of_v from |v| ~ 4.47e153; tangency's grid of an infinite
         # range warned before its NaN rung exited 2
@@ -348,15 +384,14 @@ class TestValidation:
                         "--steps", 2])
         for args in (["melnikov", "--g0", "inf"], ["splitting", "--g0", "inf"],
                      ["oscillate", "--seed-r", 0, "--seed-y", 0.5],
-                     ["manifolds", "--phi0", "nan"], *phi0_cases,
-                     *range_cases):
+                     *tol_cases, *range_cases):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
             assert not [w for w in caught
                         if issubclass(w.category, RuntimeWarning)]
-            if args in phi0_cases:
-                assert "'phi0'" in capsys.readouterr().err
+            if args in tol_cases:
+                assert "'tol'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [big]
 
     def test_seed_inside_collision_cutoff(self, tmp_path, capsys):
@@ -394,7 +429,7 @@ class TestValidation:
         for name in ("returns.csv", "oscillation.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         # every float flag: the value reaches its own check
-        for args, key in ((["--phi0", "-inf"], "'phi0'"),
+        for args, key in ((["--tol", "-1e-3"], "'tol'"),
                           (["--mu", "-1E+3"], "mu must be")):
             assert run(["oscillate", "--seed-r", 1.3, "--seed-y", 0.68, *args,
                         "--out", tmp_path]) == EXIT_VALIDATION
@@ -423,9 +458,12 @@ class TestValidation:
         # exited 3 after the quadrature ran (quad_tol is no key now, and is
         # refused as one), and --steps 0 wrote a CSV with a header only;
         # above MAX_GRID, n_samples, jmax and --steps sized their seed,
-        # pole-factor and rung arrays before any work
+        # pole-factor and rung arrays before any work, and so would a sweep
+        # grid of more combinations; a tol the integrator refuses made sweep
+        # write error:ValueError rows and exit 0
         cfg = tmp_path / "cfg.json"
         big = cli.MAX_GRID + 1
+        grid = [",".join(str(0.001 * i) for i in range(n)) for n in (101, 100)]
         for args, bad, key in ((["splitting"], {"n_samples": 0}, "'n_samples'"),
                                (["manifolds"], {"n_samples": -1}, "'n_samples'"),
                                (["melnikov", "--methods", "quadrature"],
@@ -436,7 +474,11 @@ class TestValidation:
                                (["sweep"], {"n_samples": big}, "'n_samples'"),
                                (["melnikov"], {"jmax": 10**6}, "'jmax'"),
                                (["tangency", "--steps", 10**9], {}, "--steps"),
-                               (["tangency", "--steps", big], {}, "--steps")):
+                               (["tangency", "--steps", big], {}, "--steps"),
+                               (["sweep", "--grid-mu", grid[0], "--grid-g0",
+                                 grid[1]], {}, "sweep grid exceeds"),
+                               (["sweep", "--tol", "1e-3"], {}, "'tol'"),
+                               (["sweep", "--tol", "nan"], {}, "'tol'")):
             cfg.write_text(json.dumps(bad))
             assert run([*args, "--config", cfg, "--out", tmp_path]) \
                 == EXIT_VALIDATION
@@ -585,7 +627,7 @@ class TestTangency:
                                                (3.1, 0.4, 0.3, True))]
         seen = {}
 
-        def stub(g0_range, steps, config, phi0):
+        def stub(g0_range, steps, config):
             seen.update(g0_range=g0_range, steps=steps)
             return pts
 

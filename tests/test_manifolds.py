@@ -47,8 +47,8 @@ from rpc3bp.splitting import (
 @pytest.fixture(scope="module")
 def mu0_curves():
     p = Params(0.0, 2.0)
-    cu = compute_invariant_curve("unstable", 0.0, p, tol=1e-12, n_samples=25)
-    cs = compute_invariant_curve("stable", 0.0, p, tol=1e-12, n_samples=25)
+    cu = compute_invariant_curve("unstable", p, tol=1e-12, n_samples=25)
+    cs = compute_invariant_curve("stable", p, tol=1e-12, n_samples=25)
     return p, cu, cs
 
 
@@ -170,12 +170,12 @@ class TestLift:
 
 class TestPoincareMap:
     def test_first_return_matches_direct_integration(self):
-        # the image is where the unwrapped angle first reaches phi0 - 2pi,
+        # the image is where the unwrapped angle first reaches -2pi,
         # located here by root-finding on the dense output of one solve_ivp
         # run at flow's tolerances, apart from the integrator under test
         p = Params(0.3, 2.4)
         pt = (1.0, 0.3)
-        rn, yn = poincare_map(pt, 0.0, p)
+        rn, yn = poincare_map(pt, p)
         assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
         z = lift_to_shell(pt[0], pt[1], 0.0, p)
         sol = solve_ivp(potential_kernel(p, cos, sin, sqrt).field,
@@ -191,7 +191,7 @@ class TestPoincareMap:
     def test_area_preservation(self):
         p = Params(0.3, 2.4)
         for pt in ((1.1, 0.5), (1.5, -0.3)):
-            J = poincare_jacobian(pt, 0.0, p)
+            J = poincare_jacobian(pt, p)
             assert abs(np.linalg.det(J) - 1.0) < 1e-8
 
     def test_mu0_separatrix_invariance(self):
@@ -199,7 +199,7 @@ class TestPoincareMap:
         p = Params(0.0, 2.0)
         v = 0.9
         r, y = homoclinic_r(v), homoclinic_y(v)
-        rn, yn = poincare_map((r, y), 0.0, p)
+        rn, yn = poincare_map((r, y), p)
         resid = yn**2 / 2 + 1.0 / (2 * rn**2) - 1.0 / rn
         assert abs(resid) < 1e-10
 
@@ -211,7 +211,7 @@ class TestPoincareMap:
         assert zs.G == pytest.approx(1.0, abs=1e-13)
         # and the return map freezes whatever G the lift produced
         z = lift_to_shell(1.2, 0.4, 0.0, p)
-        rn, yn = poincare_map((1.2, 0.4), 0.0, p)
+        rn, yn = poincare_map((1.2, 0.4), p)
         zn = lift_to_shell(rn, yn, 0.0, p)
         assert zn.G == pytest.approx(z.G, abs=1e-12)
 
@@ -220,8 +220,8 @@ class TestPoincareMap:
         # R P R = P^{-1} on the section {phi = 0}
         p = Params(0.3, 2.4)
         pt = (1.25, 0.45)
-        fwd = poincare_map(pt, 0.0, p)
-        back = poincare_map((fwd[0], -fwd[1]), 0.0, p)
+        fwd = poincare_map(pt, p)
+        back = poincare_map((fwd[0], -fwd[1]), p)
         assert back[0] == pytest.approx(pt[0], abs=1e-10)
         assert back[1] == pytest.approx(-pt[1], abs=1e-10)
 
@@ -231,7 +231,7 @@ class TestPoincareMap:
         p = Params(0.3, 2.4)
         assert 0.1 < collision_radius(p)
         with pytest.raises(SectionTimeoutError, match="collision") as exc:
-            poincare_map((0.1, 0.0), 0.0, p)
+            poincare_map((0.1, 0.0), p)
         assert isinstance(exc.value.__cause__, CollisionError)
         z = exc.value.last_state
         assert z == lift_to_shell(0.1, 0.0, 0.0, p)
@@ -257,7 +257,7 @@ class TestInvariantCurves:
         for branch, n_samples in (("middle", 60), ("unstable", 0),
                                   ("stable", -5)):
             with pytest.raises(ValueError):
-                compute_invariant_curve(branch, 0.0, p, n_samples=n_samples)
+                compute_invariant_curve(branch, p, n_samples=n_samples)
         # steps = 0 returned an empty tangency curve
         with pytest.raises(ValueError, match="steps"):
             continuation_tangency_curve((2.7, 3.0), 0)
@@ -269,15 +269,14 @@ class TestInvariantCurves:
         vg = np.linspace(cu.v[0], cu.v[-1], 700)
         assert np.max(np.abs(f(vg) - homoclinic_y(vg))) < 1e-10
 
-    @pytest.mark.parametrize("phi0", [0.0, 1.0])
-    def test_stable_samples_are_reflected_crossings(self, phi0):
+    def test_stable_samples_are_reflected_crossings(self):
         # Oracle for the stable branch, sample by sample: the R-image of each
-        # fan seed, integrated backward to its perihelion, crosses phi0 on
-        # the outgoing leg exactly where the fan's reflected inbound
-        # crossings of -phi0 say.
+        # fan seed, integrated backward to its perihelion, crosses the
+        # section on the outgoing leg exactly where the fan's reflected
+        # inbound crossings say.
         p = Params(0.3, 2.4)
         tol, n, (v_lo, v_hi) = 1e-12, 3, V_WINDOW
-        _, stable, _ = _fan_samples(phi0, p, tol, n)
+        _, stable, _ = _fan_samples(p, tol, n)
 
         def perihelion(s, z):
             return z[2]
@@ -286,12 +285,12 @@ class TestInvariantCurves:
         ref = []
         for k in range(n):
             z0 = involution_R(initial_manifold_state(
-                DEFAULT_R0, phi0 + 2 * math.pi * k / n, p))
+                DEFAULT_R0, 2 * math.pi * k / n, p))
             sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(DEFAULT_R0)), tol, p,
-                       events=[section_event(phi0), perihelion])
+                       events=[section_event(0.0), perihelion])
             assert len(sol.t_events[1]) == 1
             for z in sol.y_events[0]:
-                zr = refine_to_section(z, phi0, p)
+                zr = refine_to_section(z, 0.0, p)
                 if homoclinic_r(v_lo) < zr[0] < homoclinic_r(v_hi):
                     ref.append((float(v_of_r(zr[0])), float(zr[2])))
         got = sorted(s for s in stable if v_lo < s[0] < v_hi)
@@ -300,14 +299,13 @@ class TestInvariantCurves:
         assert len(got) == len(ref)
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-11
 
-    @pytest.mark.parametrize("phi0", [0.0, 1.0])
-    def test_fan_matches_per_orbit_flow(self, phi0):
+    def test_fan_matches_per_orbit_flow(self):
         # solve_ivp reference: each fan orbit integrated on its own with the
-        # fan's section events but without their near-window and leg gates,
-        # its crossings refined and filtered as the fan does
+        # fan's section event but without its near-window gate, its
+        # crossings refined and filtered as the fan does
         p = Params(0.3, 2.4)
         tol, n, (v_lo, v_hi) = 1e-12, 4, V_WINDOW
-        unstable, stable, _ = _fan_samples.__wrapped__(phi0, p, tol, n)
+        unstable, stable, _ = _fan_samples.__wrapped__(p, tol, n)
         buf = 0.12 * (v_hi - v_lo)
         r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
 
@@ -323,26 +321,22 @@ class TestInvariantCurves:
 
         ref_u, ref_s = [], []
         for k in range(n):
-            z0 = initial_manifold_state(DEFAULT_R0, phi0 + 2 * math.pi * k / n, p)
+            z0 = initial_manifold_state(DEFAULT_R0, 2 * math.pi * k / n, p)
             sol = flow(z0.to_array(),
                        (0.0, 1.35 * (v_of_r(DEFAULT_R0) + v_hi + 5.0)), tol, p,
-                       events=[section_event(phi0), section_event(-phi0),
-                               exit_event, turn_event])
+                       events=[section_event(0.0), exit_event, turn_event])
             for z in sol.y_events[0]:
-                if z[2] > 1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, phi0, p)
-                    ref_u.append((float(v_of_r(zr[0])), float(zr[2])))
-            for z in sol.y_events[1]:
-                if z[2] < -1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, -phi0, p)
-                    ref_s.append((float(v_of_r(zr[0])), -float(zr[2])))
+                if abs(z[2]) > 1e-6 and r_lo <= z[0] <= r_hi:
+                    zr = refine_to_section(z, 0.0, p)
+                    v, y = float(v_of_r(zr[0])), float(zr[2])
+                    (ref_u if y > 0.0 else ref_s).append((v, abs(y)))
         for got, ref in ((unstable, ref_u), (stable, ref_s)):
             assert len(ref) >= 10
             assert len(got) == len(ref)
             assert np.max(np.abs(np.subtract(sorted(got), sorted(ref)))) < 10 * tol
 
     def test_fan_is_deterministic(self):
-        args = (0.0, Params(0.3, 2.8), 1e-12, 3)
+        args = (Params(0.3, 2.8), 1e-12, 3)
         a = _fan_samples.__wrapped__(*args)
         b = _fan_samples.__wrapped__(*args)
         assert a == b
@@ -363,7 +357,7 @@ class TestInvariantCurves:
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
         # iterations here, the graph seed at DEFAULT_R0 takes about 370
-        c = compute_invariant_curve("unstable", 0.0, Params(0.3, 2.4))
+        c = compute_invariant_curve("unstable", Params(0.3, 2.4))
         assert c.meta["lockstep_iterations"] <= 700
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
@@ -373,9 +367,8 @@ class TestInvariantCurves:
         # v already increases, so no sample is dropped
         p = Params(0.3, 2.4)
         for branch in ("unstable", "stable"):
-            c = compute_invariant_curve(branch, 0.0, p)
-            unstable, stable, _ = _fan_samples(0.0, p, 1e-12,
-                                               c.meta["n_phases"])
+            c = compute_invariant_curve(branch, p)
+            unstable, stable, _ = _fan_samples(p, 1e-12, c.meta["n_phases"])
             v = [s[0] for s in (unstable if branch == "unstable" else stable)]
             assert np.all(np.diff(v) > 0)
             assert c.fold_intervals == []
@@ -384,8 +377,7 @@ class TestInvariantCurves:
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
-        c = compute_invariant_curve("unstable", 0.0, p,
-                                    tol=1e-12, n_samples=25)
+        c = compute_invariant_curve("unstable", p, tol=1e-12, n_samples=25)
         dev = np.max(np.abs(c.Y - homoclinic_y(c.v)))
         assert dev < 10.0 * p.mu / p.g0**4
         assert dev > 0.1 * p.mu / p.g0**4
@@ -470,11 +462,11 @@ class TestFolds:
     def test_kept_samples_increase_through_folds(self):
         # at (0.3, 2.0) the unstable curve folds back over v
         p = Params(0.3, 2.0)
-        c = compute_invariant_curve("unstable", 0.0, p)
+        c = compute_invariant_curve("unstable", p)
         assert c.fold_intervals
         assert np.all(np.diff(c.v) > 0)
         # the kept samples are a subsequence of the fan's phase order
-        unstable, _, _ = _fan_samples(0.0, p, 1e-12, c.meta["n_phases"])
+        unstable, _, _ = _fan_samples(p, 1e-12, c.meta["n_phases"])
         kept = list(zip(c.v.tolist(), c.Y.tolist()))
         assert [s for s in unstable if s in set(kept)] == kept
         for a, b in c.fold_intervals:
@@ -485,6 +477,6 @@ class TestFolds:
         # sheets of a fold left interleaved give a max|D| that moves with the
         # fan's sample positions (0.3081 at 60 samples, 0.2457 at 200)
         p = Params(0.3, 2.0)
-        d60, d200 = (splitting_report(p, 0.0, SplittingConfig(n_samples=n))
+        d60, d200 = (splitting_report(p, SplittingConfig(n_samples=n))
                      .max_distance for n in (60, 200))
         assert abs(d60 - d200) <= 0.1 * d200

@@ -968,26 +968,26 @@ class TestPotentialSeries:
 
 class TestPredictions:
     def test_distance_zero_at_mu0(self):
-        assert predicted_distance(1.0, 0.0, Params(0.0, 2.4)) == 0.0
+        assert predicted_distance(1.0, Params(0.0, 2.4)) == 0.0
 
     def test_distance_domain(self):
         with pytest.raises(ValueError):
-            predicted_distance(0.0, 0.0, Params(0.3, 2.4))
+            predicted_distance(0.0, Params(0.3, 2.4))
         with pytest.raises(ValueError):
-            predicted_distance(np.array([1.0, 0.0]), 0.0, Params(0.3, 2.4))
+            predicted_distance(np.array([1.0, 0.0]), Params(0.3, 2.4))
 
     def test_distance_array_matches_scalar_loop(self):
         p = Params(0.3, 2.4)
         vg = np.linspace(0.4, 1.6, 800)
-        loop = np.array([predicted_distance(float(v), 0.7, p) for v in vg])
+        loop = np.array([predicted_distance(float(v), p) for v in vg])
         scale = np.max(np.abs(loop))
-        assert np.max(np.abs(predicted_distance(vg, 0.7, p) - loop)) < 1e-13 * scale
+        assert np.max(np.abs(predicted_distance(vg, p) - loop)) < 1e-13 * scale
 
     def test_distance_sign_alternation(self):
         # first harmonic dominant: zeros at phase k pi with alternating signs
         p = Params(0.1, 3.2)
         vg = np.linspace(0.4, 1.6, 4000)
-        vals = np.array([predicted_distance(v, 0.0, p) for v in vg])
+        vals = np.array([predicted_distance(v, p) for v in vg])
         idx = np.flatnonzero(np.diff(np.sign(vals)))
         assert len(idx) >= 3
         mids = [np.max(np.abs(vals[i0:i1])) * np.sign(vals[(i0 + i1) // 2])
@@ -999,8 +999,8 @@ class TestPredictions:
         # the zeros of the distance on a v grid fall exactly in the grid
         # steps where the phase x crosses a multiple of spacing
         vg = np.linspace(0.4, 1.6, 20001)
-        vals = predicted_distance(vg, 0.0, p)
-        cells = np.floor(phase_of_v(vg, 0.0, p) / spacing)
+        vals = predicted_distance(vg, p)
+        cells = np.floor(phase_of_v(vg, p) / spacing)
         idx = np.flatnonzero(np.diff(np.sign(vals)))
         assert idx.size >= 4
         assert np.array_equal(idx, np.flatnonzero(np.diff(cells)))
@@ -1029,11 +1029,11 @@ class TestPredictions:
                          * math.exp(-g0**3 / 3.0)
                          + 8.0 * math.sqrt(g0) * math.exp(-2.0 * g0**3 / 3.0))
         vg = np.linspace(0.4, 1.6, 101)
-        x = phase_of_v(vg, 0.7, p)
+        x = phase_of_v(vg, p)
         y = homoclinic_y(vg)
         want = (a1 * np.sin(x) - a2 * np.sin(2.0 * x)) / y
         scale = (np.abs(a1 * np.sin(x)) + np.abs(a2 * np.sin(2.0 * x))) / y
-        got = predicted_distance(vg, 0.7, p)
+        got = predicted_distance(vg, p)
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
         assert abs(predicted_lobe_area(p) - lobe) <= 1e-15 * lobe
         if mu == 0.0:

@@ -11,7 +11,7 @@ from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
 def tangle_seed(p, frac):
     """Seed at a first-order homoclinic root, offset radially in y."""
     vg = np.linspace(0.5, 1.5, 2000)
-    pred = np.array([predicted_distance(v, 0.0, p) for v in vg])
+    pred = np.array([predicted_distance(v, p) for v in vg])
     roots = vg[np.flatnonzero(np.diff(np.sign(pred)) != 0)]
     vk = float(roots[len(roots) // 2])
     amp = float(np.max(np.abs(pred)))

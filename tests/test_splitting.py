@@ -27,12 +27,12 @@ from rpc3bp.splitting import (
 
 @pytest.fixture(scope="module")
 def report24():
-    return splitting_report(Params(0.3, 2.4), 0.0, SplittingConfig())
+    return splitting_report(Params(0.3, 2.4), SplittingConfig())
 
 
 @pytest.fixture(scope="module")
 def report0():
-    return splitting_report(Params(0.0, 2.4), 0.0, SplittingConfig(n_samples=25))
+    return splitting_report(Params(0.0, 2.4), SplittingConfig(n_samples=25))
 
 
 class TestProfile:
@@ -102,7 +102,7 @@ class TestRoots:
         prof = report24.profile
         p = report24.params
         vg = np.linspace(prof.v[0], prof.v[-1], 4000)
-        pred = np.array([predicted_distance(v, 0.0, p) for v in vg])
+        pred = np.array([predicted_distance(v, p) for v in vg])
         idx = np.flatnonzero(np.diff(np.sign(pred)) != 0)
         first_order = vg[idx]
         measured = np.array([r.v for r in report24.roots])
@@ -194,12 +194,12 @@ def _tangency_profile_stub(margin_factor):
     """A stand-in for _manifold_profile: its phase-0 root's D' changes sign
     at the predicted mu*, and its noise floor is margin_factor times the
     floor at which the predicted splitting meets UNTRUSTED_MARGIN."""
-    def profile(p, phi0, cfg):
+    def profile(p, cfg):
         v = np.linspace(0.4, 1.6, 801)
-        amp = np.max(np.abs(predicted_distance(v, phi0, p)))
+        amp = np.max(np.abs(predicted_distance(v, p)))
         d_prime = p.mu - predicted_tangency_mu(p.g0)
         return SimpleNamespace(
-            params=p, phi0=phi0, v=v,
+            params=p, v=v,
             noise_floor=margin_factor * amp / splitting.UNTRUSTED_MARGIN,
             roots=(HomoclinicRoot(v=1.0, phase=0.0, D_prime=d_prime,
                                   kind="transversal"),),
@@ -240,7 +240,7 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
     # Only the phase-0 root can degenerate: f'(pi) = -(1 - 2 mu) - 2b never
     # vanishes.  A stubbed pi root whose D' flips at the predicted mu* once
     # drove the solve, while the phase-0 root's D' keeps its sign.
-    def profile(p, phi0, cfg):
+    def profile(p, cfg):
         roots = (HomoclinicRoot(v=1.0, phase=0.0, D_prime=1e-3,
                                 kind="transversal"),
                  HomoclinicRoot(v=1.3, phase=math.pi,
@@ -254,6 +254,23 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
                      "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
     assert "numerical error: D' of the phase-0 root" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tangency_without_a_phase_0_root(monkeypatch, tmp_path, capsys):
+    # a profile whose only root sits at phase pi has no root for the solve
+    # to follow
+    def profile(p, cfg):
+        roots = (HomoclinicRoot(v=1.3, phase=math.pi, D_prime=-1e-3,
+                                kind="transversal"),)
+        return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
+
+    monkeypatch.setattr(splitting, "_manifold_profile", profile)
+    with pytest.raises(RuntimeError, match="phase-0 root lost"):
+        find_tangency(2.9, (0.38, 0.49))
+    assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
+                     "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    assert "numerical error: phase-0 root lost" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -279,5 +296,5 @@ class TestPhase:
     def test_phase_function_monotone(self):
         p = Params(0.3, 2.4)
         v = np.linspace(0.4, 1.6, 200)
-        x = phase_of_v(v, 0.0, p)
+        x = phase_of_v(v, p)
         assert np.all(np.diff(x) > 0)
