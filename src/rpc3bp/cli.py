@@ -126,7 +126,7 @@ def _load_config(args) -> dict:
                              f"got {cfg[key]!r}")
     # for the same reason; the comparison, on Python floats, also refuses NaN
     # and an int of any size without converting it
-    if "tol" in cfg and not float(TOL_MIN) <= cfg["tol"] <= TOL_MAX:
+    if "tol" in cfg and not TOL_MIN <= cfg["tol"] <= TOL_MAX:
         raise ValueError(f"config key 'tol' must lie in [{TOL_MIN}, "
                          f"{TOL_MAX}], got {cfg['tol']!r}")
     # each sizes arrays in proportion to its value before any useful work

@@ -91,8 +91,9 @@ __all__ = [
 ]
 
 # scipy's solve_ivp raises any rtol below 100 eps to that floor with only a
-# warning; flow repeats its arithmetic, so a smaller tol is refused
-TOL_MIN = 100 * np.finfo(float).eps
+# warning; flow repeats its arithmetic, so a smaller tol is refused.  A Python
+# float, so that comparing it with an int of any size cannot overflow
+TOL_MIN = float(100 * np.finfo(float).eps)
 TOL_MAX = 1e-6
 
 

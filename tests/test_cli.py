@@ -429,7 +429,7 @@ class TestValidation:
         for name in ("returns.csv", "oscillation.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         # every float flag: the value reaches its own check
-        for args, key in ((["--tol", "-1e-3"], "'tol'"),
+        for args, key in ((["--tol", "-inf"], "'tol'"),
                           (["--mu", "-1E+3"], "mu must be")):
             assert run(["oscillate", "--seed-r", 1.3, "--seed-y", 0.68, *args,
                         "--out", tmp_path]) == EXIT_VALIDATION

@@ -303,6 +303,9 @@ class TestIntegrate:
             flow(z, (0.0, 1.0), 1e-5, p)
         with pytest.raises(ValueError):
             flow(z, (0.0, 1.0), 1e-16, p)
+        # an int too large for a float is refused, not an OverflowError
+        with pytest.raises(ValueError):
+            flow(z, (0.0, 1.0), 10**400, p)
 
     def test_tol_floor_is_the_rtol_floor_of_solve_ivp(self):
         # solve_ivp raises an rtol below 100 eps to that floor with only a
