@@ -117,10 +117,11 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    # the library refuses these at entry too (mp_dps in extended precision
-    # only), but here the message names the config key, and sweep would turn
-    # a library refusal into error:ValueError rows and exit 0
-    for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1), ("n_samples", 1)):
+    # the library refuses these too, mp_dps in extended precision only and
+    # jmax only on the contour route, but here before any work and naming
+    # the key; sweep would turn a library refusal into error rows and exit 0
+    for key, least in (("mp_dps", MP_DPS_MIN), ("lmax", 1), ("n_samples", 1),
+                       ("jmax", 2)):
         if key in cfg and cfg[key] < least:
             raise ValueError(f"config key {key!r} must be at least {least}, "
                              f"got {cfg[key]!r}")

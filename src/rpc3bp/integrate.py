@@ -3,13 +3,13 @@
 The propagator is an 8th-order embedded Runge-Kutta (DOP853, the in-house
 loop) with dense output for event location.  The synodic angle phi is kept
 unwrapped and is monotone decreasing along the flow in the regime of
-interest.  first_return finds a single orbit's next return to the section
-{phi = phi0 (mod 2pi)} as the first time phi reaches the level phi0 + 2pi k
-strictly below its start; a fan of orbits reads all its crossings as the
-zeros of section_event's sin((phi - phi0)/2).
+interest.  The section is the R-symmetric {phi = 0 (mod 2pi)}.
+first_return finds a single orbit's next return to it as the first time phi
+reaches the level 2pi k strictly below its start; a fan of orbits reads all
+its crossings as the zeros of section_event(0.0)'s sin(phi/2).
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
-time until |phi - phi0| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
+time until |phi| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
 
 flow steps one orbit and repeats the arithmetic of scipy's solve_ivp DOP853
 bit for bit: its tableau, initial-step rule, error norm, step-size
@@ -98,7 +98,7 @@ TOL_MAX = 1e-6
 
 
 def _section_tol(phi: float) -> float:
-    """Largest |phi - phi0| (mod 2pi) that counts as on the section: 1e-13,
+    """Largest |phi| (mod 2pi) that counts as on the section: 1e-13,
     or the representation floor of a large unwrapped angle phi."""
     return max(1e-13, 16.0 * np.finfo(float).eps * abs(phi))
 
@@ -727,11 +727,11 @@ def section_event(phi0: float, direction: float = 0.0):
     return ev
 
 
-def refine_to_section(z, phi0: float, p: Params) -> np.ndarray:
-    """Polish a near-crossing state onto the section with Newton micro-steps.
+def refine_to_section(z, p: Params) -> np.ndarray:
+    """Polish a near-crossing state onto phi = 0 with Newton micro-steps.
 
     The correction steps are explicit Euler in time, exact to O(ds^2), so the
-    residual |phi - phi0| mod 2pi contracts quadratically down to the
+    residual |phi| mod 2pi contracts quadratically down to the
     representation floor of the unwrapped angle (one ulp of |phi|, i.e.
     <= 1e-13 whenever |phi| <= ~700; the time location is always accurate to
     ~1e-14 / |dphi/ds| regardless).
@@ -740,24 +740,23 @@ def refine_to_section(z, phi0: float, p: Params) -> np.ndarray:
     z = np.asarray(z, dtype=float).copy()
     floor = max(1e-15, 4.0 * np.finfo(float).eps * abs(z[1]))
     for _ in range(5):
-        w = (z[1] - phi0 + pi) % (2.0 * pi) - pi
+        w = (z[1] + pi) % (2.0 * pi) - pi
         if abs(w) <= floor:
             break
         f = rhs(0.0, z)
         ds = -w / f[1]
         z += ds * np.asarray(f)
-    w = (z[1] - phi0 + pi) % (2.0 * pi) - pi
+    w = (z[1] + pi) % (2.0 * pi) - pi
     if abs(w) > _section_tol(z[1]):
-        raise RuntimeError(f"section refinement stalled at |phi - phi0| = {abs(w)}")
+        raise RuntimeError(f"section refinement stalled at |phi| = {abs(w)}")
     return z
 
 
-def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
-                 events=()):
-    """Next return of one orbit to the section {phi = phi0 (mod 2pi)}.
+def first_return(z, p: Params, tol: float, s_max: float, events=()):
+    """Next return of one orbit to the section {phi = 0 (mod 2pi)}.
 
     phi decreases along the flow, so the return is the first time the
-    unwrapped angle reaches the level phi0 + 2pi k strictly below z[1]; a
+    unwrapped angle reaches the level 2pi k strictly below z[1]; a
     state already on the section (within refine_to_section's tolerance) goes
     on to the next level.  One flow call over (0, s_max) with events and,
     after them, a terminal event on phi - level: the crossings of events[e]
@@ -766,12 +765,15 @@ def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
 
     Returns (trajectory, z_return), z_return being the crossing polished by
     refine_to_section, or None when a terminal event of events or s_max came
-    first.  CollisionError from flow propagates.
+    first.  CollisionError from flow propagates.  s_max must be positive:
+    backwards phi rises, so a falling level is never crossed.
     """
-    k = floor((z[1] - phi0) / (2.0 * pi))
-    if z[1] - (phi0 + 2.0 * pi * k) <= _section_tol(z[1]):
+    if not s_max > 0.0:
+        raise ValueError(f"s_max must be positive, got {s_max}")
+    k = floor(z[1] / (2.0 * pi))
+    if z[1] - 2.0 * pi * k <= _section_tol(z[1]):
         k -= 1
-    level = phi0 + 2.0 * pi * k
+    level = 2.0 * pi * k
 
     def ev(s, zz):
         return zz[1] - level
@@ -781,4 +783,4 @@ def first_return(z, phi0: float, p: Params, tol: float, s_max: float,
     sol = flow(z, (0.0, s_max), tol, p, events=[*events, ev])
     if len(sol.t_events[-1]) == 0:
         return sol, None
-    return sol, refine_to_section(sol.y_events[-1][0], phi0, p)
+    return sol, refine_to_section(sol.y_events[-1][0], p)

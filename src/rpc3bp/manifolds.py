@@ -275,21 +275,23 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
     return RotatingState(r0, phase, -sqrt(ysq), 1.0 + g)
 
 
-def lift_to_shell(r: float, y: float, phi0: float, p: Params) -> RotatingState:
-    """Section point (r, y) lifted to the energy shell H = -g0^3.
+def lift_to_shell(r: float, y: float, p: Params) -> RotatingState:
+    """Point (r, y) of the section {phi = 0} lifted to the shell H = -g0^3.
 
     Solves the quadratic shell condition for the angular momentum, taking the
     root near G = 1 (evaluated in the cancellation-free form).  Raises
-    ValueError for r <= 0 and when no real solution exists.
+    ValueError for non-finite (r, y), r <= 0 and when no real solution exists.
     """
+    if not (isfinite(r) and isfinite(y)):
+        raise ValueError(f"section point ({r}, {y}) must be finite")
     if not r > 0.0:
         raise ValueError(f"section point needs r > 0, got r = {r}")
-    c = p.g0**3 + 0.5 * y * y - 1.0 / r - potential_V(r, phi0, p)
+    c = p.g0**3 + 0.5 * y * y - 1.0 / r - potential_V(r, 0.0, p)
     disc = p.g0**6 - 2.0 * c / (r * r)
     if disc < 0.0:
         raise ValueError(f"section point ({r}, {y}) does not lift to the shell")
     G = 2.0 * c / (p.g0**3 + sqrt(disc))
-    return RotatingState(r, phi0, y, G)
+    return RotatingState(r, 0.0, y, G)
 
 
 def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
@@ -301,9 +303,9 @@ def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
     POINCARE_TOL).  Preserves the section area element dr wedge dy up to
     integrator accuracy.
     """
-    z = lift_to_shell(point[0], point[1], 0.0, p)
+    z = lift_to_shell(point[0], point[1], p)
     try:
-        sol, znext = first_return(z.to_array(), 0.0, p, POINCARE_TOL,
+        sol, znext = first_return(z.to_array(), p, POINCARE_TOL,
                                   3.0 * 2.0 * pi / p.g0**3)
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
@@ -392,7 +394,7 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     for k in range(n_phases):
         for z in fan.z_events[k][0]:
             if abs(z[2]) > 1e-6 and r_lo <= z[0] <= r_hi:
-                zr = refine_to_section(z, 0.0, p)
+                zr = refine_to_section(z, p)
                 j = k - n_phases * round(float(zr[1]) / (2.0 * pi))
                 v, y = float(v_of_r(zr[0])), float(zr[2])
                 if z[2] > 0.0:

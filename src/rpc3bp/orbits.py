@@ -83,7 +83,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
                          f"cutoff {collision_radius(p)}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
-    z = lift_to_shell(seed[0], seed[1], 0.0, p).to_array()
+    z = lift_to_shell(seed[0], seed[1], p).to_array()
     h0 = hamiltonian_rotating(RotatingState.from_array(z), p)
     log = ExcursionLog(params=p, seed=(float(seed[0]), float(seed[1])))
 
@@ -120,7 +120,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         # inside region: run to the next section return, bailing into
         # excursion mode if the orbit climbs past R_OUT first
         try:
-            sol, z_ret = first_return(z, 0.0, p, tol, 4.0 * synodic,
+            sol, z_ret = first_return(z, p, tol, 4.0 * synodic,
                                       events=[going_out])
         except CollisionError:
             break

@@ -382,16 +382,23 @@ class TestValidation:
                         "--v-max", 1e200],
                        ["tangency", "--g0-min", 2.9, "--g0-max", "inf",
                         "--steps", 2])
+        # a NaN seed y lifted to a NaN state, whose energy was computed
+        # before flow refused it with a message about z0, not the seed
+        seed_cases = tuple(["oscillate", "--seed-r", 1.3, "--seed-y", seed_y]
+                           for seed_y in ("nan", "inf", "-inf"))
         for args in (["melnikov", "--g0", "inf"], ["splitting", "--g0", "inf"],
                      ["oscillate", "--seed-r", 0, "--seed-y", 0.5],
-                     *tol_cases, *range_cases):
+                     *tol_cases, *range_cases, *seed_cases):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert run([*args, "--out", tmp_path]) == EXIT_VALIDATION
             assert not [w for w in caught
                         if issubclass(w.category, RuntimeWarning)]
+            err = capsys.readouterr().err
             if args in tol_cases:
-                assert "'tol'" in capsys.readouterr().err
+                assert "'tol'" in err
+            if args in seed_cases:
+                assert f"section point (1.3, {args[-1]}) must be finite" in err
         assert list(tmp_path.iterdir()) == [big]
 
     def test_seed_inside_collision_cutoff(self, tmp_path, capsys):
@@ -460,7 +467,9 @@ class TestValidation:
         # above MAX_GRID, n_samples, jmax and --steps sized their seed,
         # pole-factor and rung arrays before any work, and so would a sweep
         # grid of more combinations; a tol the integrator refuses made sweep
-        # write error:ValueError rows and exit 0
+        # write error:ValueError rows and exit 0; a jmax below 2 exited 2 on
+        # the contour route's own message, naming no key, after the
+        # quadrature series ran, and with asymptotic only it exited 0
         cfg = tmp_path / "cfg.json"
         big = cli.MAX_GRID + 1
         grid = [",".join(str(0.001 * i) for i in range(n)) for n in (101, 100)]
@@ -478,7 +487,12 @@ class TestValidation:
                                (["sweep", "--grid-mu", grid[0], "--grid-g0",
                                  grid[1]], {}, "sweep grid exceeds"),
                                (["sweep", "--tol", "1e-3"], {}, "'tol'"),
-                               (["sweep", "--tol", "nan"], {}, "'tol'")):
+                               (["sweep", "--tol", "nan"], {}, "'tol'"),
+                               *((["melnikov", "--methods", methods],
+                                  {"jmax": 1}, "'jmax'")
+                                 for methods in ("quadrature,contour",
+                                                 "contour", "quadrature",
+                                                 "asymptotic"))):
             cfg.write_text(json.dumps(bad))
             assert run([*args, "--config", cfg, "--out", tmp_path]) \
                 == EXIT_VALIDATION

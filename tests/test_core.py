@@ -123,7 +123,7 @@ class TestJacobi:
         # on-shell states correspond to Jacobi constant -g0
         from rpc3bp.manifolds import lift_to_shell
         p = Params(0.3, 2.4)
-        z = lift_to_shell(1.3, 0.6, 0.0, p)
+        z = lift_to_shell(1.3, 0.6, p)
         pol = rotating_to_polar(z, 0.0, p)
         assert jacobi_constant(pol, p) == pytest.approx(-p.g0, abs=1e-12)
 
@@ -378,7 +378,7 @@ class TestFlow:
         # about 1400 steps near the primaries, rejected ones among them, with
         # crossings of every direction until a terminal outward pass of r = 5
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(1.3, 0.758, 0.0, p).to_array()
+        z0 = lift_to_shell(1.3, 0.758, p).to_array()
 
         def r_out(s, z):
             return z[0] - 5.0
@@ -403,7 +403,7 @@ class TestFlow:
         # and back to 0.98 R_OUT, about 1700 of its steps beyond r = 10,
         # where most steps of the oscillate benchmark are taken
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(1.3, 0.923, 0.0, p).to_array()
+        z0 = lift_to_shell(1.3, 0.923, p).to_array()
 
         def going_out(s, z):
             return z[0] - 5.0
@@ -485,7 +485,7 @@ class TestFlow:
         # below it never makes: at (0.3, 2.2), cutoff 0.289, a start at
         # r = 0.01 ran 2091 steps between the primaries unguarded
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(0.01, 0.0, 0.0, p).to_array()
+        z0 = lift_to_shell(0.01, 0.0, p).to_array()
         with pytest.raises(CollisionError, match="start inside") as err:
             flow(z0, (0.0, 1.0), 1e-12, p)
         np.testing.assert_array_equal(err.value.last_state.to_array(), z0)
@@ -586,7 +586,7 @@ class TestLockstep:
         # (0.3, 2.2), where the guard would never see a falling crossing
         p = Params(0.3, 2.2)
         z0 = np.array([[1.5, 0.2, -0.3, 1.0],
-                       lift_to_shell(0.01, 0.0, 0.0, p).to_array()]).T
+                       lift_to_shell(0.01, 0.0, p).to_array()]).T
         with pytest.raises(CollisionError, match="start inside") as err:
             lockstep_flow(z0, 1.0, 1e-12, p)
         np.testing.assert_array_equal(err.value.last_state.to_array(),

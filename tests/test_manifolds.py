@@ -107,8 +107,8 @@ class TestSectionMachinery:
         # a state on the section goes on to the next return, one synodic
         # period later
         p = Params(0.3, 2.4)
-        z = lift_to_shell(1.3, 0.4, 0.0, p)
-        sol, out = first_return(z.to_array(), 0.0, p, 1e-12,
+        z = lift_to_shell(1.3, 0.4, p)
+        sol, out = first_return(z.to_array(), p, 1e-12,
                                 3.0 * 2 * math.pi / p.g0**3)
         assert len(sol.t_events) == 1 and sol.t[-1] == sol.t_events[0][0]
         assert sol.t[-1] == pytest.approx(2 * math.pi / p.g0**3, rel=0.05)
@@ -119,10 +119,10 @@ class TestSectionMachinery:
         # the level event up to the return, bit for bit; the return ends
         # the trajectory, so its time is t[-1]
         p = Params(0.3, 2.4)
-        z = lift_to_shell(1.3, 0.4, 0.0, p).to_array()
+        z = lift_to_shell(1.3, 0.4, p).to_array()
         s_max = 3.0 * 2 * math.pi / p.g0**3
         evs = [section_event(math.pi), section_event(0.5 * math.pi, 1.0)]
-        sol, out = first_return(z, 0.0, p, 1e-12, s_max, events=evs)
+        sol, out = first_return(z, p, 1e-12, s_max, events=evs)
         ref = flow(z, (0.0, s_max), 1e-12, p, events=evs)
         n = len(sol.t) - 1
         np.testing.assert_array_equal(sol.t[:n], ref.t[:n])
@@ -141,16 +141,32 @@ class TestSectionMachinery:
     def test_section_residual_refined(self):
         p = Params(0.3, 2.4)
         z = RotatingState(1.2, 0.4, 0.3, 1.0)
-        _, out = first_return(z.to_array(), 0.0, p, 1e-12,
+        _, out = first_return(z.to_array(), p, 1e-12,
                               4.0 * 2 * math.pi / p.g0**3)
         assert abs(math.remainder(out[1], 2 * math.pi)) < 1e-13
+
+    def test_no_return_within_s_max(self):
+        # the orbit is cut at s_max before phi falls to the level 0
+        p = Params(0.3, 2.4)
+        sol, out = first_return(np.array([1.3, 0.4, 0.1, 1.0]), p, 1e-12, 1e-3)
+        assert out is None
+        assert sol.status == 0 and sol.t[-1] == 1e-3
+
+    def test_nonpositive_s_max(self):
+        # backwards phi rose from 0.4 to 13.56, past 2pi and 4pi, which the
+        # falling level event never saw, and s_max 0 took one empty step:
+        # both reported no return
+        p = Params(0.3, 2.4)
+        for s_max in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="s_max must be positive"):
+                first_return(np.array([1.3, 0.4, 0.1, 1.0]), p, 1e-12, s_max)
 
     def test_energy_preserved(self):
         p = Params(0.3, 2.4)
         tol = 1e-12
-        z = lift_to_shell(1.4, 0.2, 0.0, p)
+        z = lift_to_shell(1.4, 0.2, p)
         z0 = RotatingState(z.r, 0.4, z.y, z.G)
-        _, out = first_return(z0.to_array(), 0.0, p, tol,
+        _, out = first_return(z0.to_array(), p, tol,
                               4.0 * 2 * math.pi / p.g0**3)
         assert abs(hamiltonian_rotating(RotatingState.from_array(out), p)
                    - hamiltonian_rotating(z0, p)) < 100 * tol * p.g0**3
@@ -159,13 +175,22 @@ class TestSectionMachinery:
 class TestLift:
     def test_shell_residual(self):
         p = Params(0.3, 2.4)
-        z = lift_to_shell(1.1, -0.4, 0.7, p)
+        z = lift_to_shell(1.1, -0.4, p)
+        assert (z.r, z.phi, z.y) == (1.1, 0.0, -0.4)
         assert abs(hamiltonian_rotating(z, p) + p.g0**3) < 1e-12 * p.g0**3
         assert z.G == pytest.approx(1.0, abs=0.1)
 
+    def test_non_finite_point(self):
+        # a NaN y passed the disc < 0 test and lifted to a state with G = NaN
+        p = Params(0.3, 2.4)
+        for r, y in ((1.3, math.nan), (1.3, math.inf), (math.inf, 0.4),
+                     (math.nan, 0.4)):
+            with pytest.raises(ValueError, match=r"section point .* finite"):
+                lift_to_shell(r, y, p)
+
     def test_no_real_lift(self):
         with pytest.raises(ValueError):
-            lift_to_shell(1.0, 10.0 * Params(0.3, 2.4).g0**3, 0.0, Params(0.3, 2.4))
+            lift_to_shell(1.0, 10.0 * Params(0.3, 2.4).g0**3, Params(0.3, 2.4))
 
 
 class TestPoincareMap:
@@ -177,7 +202,7 @@ class TestPoincareMap:
         pt = (1.0, 0.3)
         rn, yn = poincare_map(pt, p)
         assert math.hypot(rn - pt[0], yn - pt[1]) > 1e-2
-        z = lift_to_shell(pt[0], pt[1], 0.0, p)
+        z = lift_to_shell(pt[0], pt[1], p)
         sol = solve_ivp(potential_kernel(p, cos, sin, sqrt).field,
                         (0.0, 2.0 * 2 * math.pi / p.g0**3),
                         z.to_array(), method="DOP853", rtol=1e-13,
@@ -207,12 +232,12 @@ class TestPoincareMap:
         p = Params(0.0, 2.0)
         # lifting a separatrix point recovers the separatrix momentum G = 1
         v = 0.8
-        zs = lift_to_shell(homoclinic_r(v), homoclinic_y(v), 0.0, p)
+        zs = lift_to_shell(homoclinic_r(v), homoclinic_y(v), p)
         assert zs.G == pytest.approx(1.0, abs=1e-13)
         # and the return map freezes whatever G the lift produced
-        z = lift_to_shell(1.2, 0.4, 0.0, p)
+        z = lift_to_shell(1.2, 0.4, p)
         rn, yn = poincare_map((1.2, 0.4), p)
-        zn = lift_to_shell(rn, yn, 0.0, p)
+        zn = lift_to_shell(rn, yn, p)
         assert zn.G == pytest.approx(z.G, abs=1e-12)
 
     def test_reversibility_conjugation(self):
@@ -234,7 +259,7 @@ class TestPoincareMap:
             poincare_map((0.1, 0.0), p)
         assert isinstance(exc.value.__cause__, CollisionError)
         z = exc.value.last_state
-        assert z == lift_to_shell(0.1, 0.0, 0.0, p)
+        assert z == lift_to_shell(0.1, 0.0, p)
         assert (z.r, z.phi, z.y) == (0.1, 0.0, 0.0)
         assert z.G == pytest.approx(-0.11053, abs=1e-5)
 
@@ -290,7 +315,7 @@ class TestInvariantCurves:
                        events=[section_event(0.0), perihelion])
             assert len(sol.t_events[1]) == 1
             for z in sol.y_events[0]:
-                zr = refine_to_section(z, 0.0, p)
+                zr = refine_to_section(z, p)
                 if homoclinic_r(v_lo) < zr[0] < homoclinic_r(v_hi):
                     ref.append((float(v_of_r(zr[0])), float(zr[2])))
         got = sorted(s for s in stable if v_lo < s[0] < v_hi)
@@ -327,7 +352,7 @@ class TestInvariantCurves:
                        events=[section_event(0.0), exit_event, turn_event])
             for z in sol.y_events[0]:
                 if abs(z[2]) > 1e-6 and r_lo <= z[0] <= r_hi:
-                    zr = refine_to_section(z, 0.0, p)
+                    zr = refine_to_section(z, p)
                     v, y = float(v_of_r(zr[0])), float(zr[2])
                     (ref_u if y > 0.0 else ref_s).append((v, abs(y)))
         for got, ref in ((unstable, ref_u), (stable, ref_s)):
@@ -399,7 +424,7 @@ def _matched_Y(p, r0, v_target=1.0):
         best = None
         for z in sol.y_events[0]:
             if z[2] > 1e-6 and z[0] >= 0.5:
-                zr = refine_to_section(z, 0.0, p)
+                zr = refine_to_section(z, p)
                 v = float(v_of_r(zr[0]))
                 if best is None or abs(v - v_target) < abs(best[0] - v_target):
                     best = (v, float(zr[2]))
