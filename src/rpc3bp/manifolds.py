@@ -2,8 +2,8 @@
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
 flow: orbits are seeded on W^u(infinity) in the inbound far field, all at
-the one radius r = DEFAULT_R0 = 8, propagated forward, and read off as
-curves y = Y(v) on the section {phi = 0 (mod 2pi)} against the
+the one radius r = DEFAULT_R0 = R_MIN = 5, propagated forward, and read off
+as curves y = Y(v) on the section {phi = 0 (mod 2pi)} against the
 separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
 
 Both curves come from the same orbits.  Their outgoing crossings of the
@@ -22,17 +22,20 @@ equation
 
 on a Chebyshev grid in x = r^(-1/2) (x = 0 is r = infinity, where g = 0)
 times a Fourier grid in phi, built once per Params on first use.  Flowed
-from 2 DEFAULT_R0 down to DEFAULT_R0, seeds stay on the graph to the
-integrator floor (<= 5e-14 at tol 1e-13), so the orbits skip the far-field
-fall from r = 50 that the zeroth-order parabolic seed G = 1 - V/g0^3
-needed, and that seed's error of O(mu/(g0^4 r^3)) with it.
+from 2 r0 down to r0 = 5, 6 or 8, seeds stay on the graph to the
+integrator floor (<= 5e-14 at tol 1e-13), so the fan starts at the graph's
+floor R_MIN.  The zeroth-order parabolic seed G = 1 - V/g0^3, whose error
+is O(mu/(g0^4 r^3)), had to start at r = 50.
 
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
 window V_WINDOW contributes a sample (v, Y) with v recovered exactly from
-the crossing radius.  The phase each orbit turned before a crossing, an exact
-multiple of 2pi/n_phases, orders the samples along the curve; where v stops
-increasing in that order the curve folds back and is no graph over v.
+the crossing radius.  The phases lie on a grid of the profile phase
+x = g0^3 v - alpha_h(v), so the samples sit at the same v whatever the seed
+radius.  The phase each orbit turned before a crossing, one offset common to
+the fan plus an exact multiple of 2pi/n_phases, orders the samples along
+the curve; where v stops increasing in that order the curve folds back and
+is no graph over v.
 
 The fan's orbits are stepped together by integrate.lockstep_flow, a numpy
 DOP853 that evaluates the vector field of all orbits in one call per stage.
@@ -67,7 +70,7 @@ from .core import (
 from .integrate import first_return, lockstep_flow, refine_to_section, section_event
 # unused here; perfbench's tracer self-test checks that it wraps this binding
 from .integrate import flow  # noqa: F401
-from .separatrix import homoclinic_r, v_of_r
+from .separatrix import homoclinic_alpha, homoclinic_r, v_of_r
 
 __all__ = [
     "ManifoldCurve",
@@ -77,8 +80,6 @@ __all__ = [
     "poincare_jacobian",
     "compute_invariant_curve",
 ]
-
-DEFAULT_R0 = 8.0
 
 # The section window of the outgoing leg on which the curves are sampled and
 # the splitting is measured.  Its buffered exit radius, 2.11, lies well
@@ -100,6 +101,9 @@ _CHEB_NODES = 25
 _FOURIER_NODES = 32
 _MAX_SWEEPS = 30
 _UPDATE_TOL = 0.1 * np.finfo(float).eps
+
+# The fan is seeded at the graph's floor.
+DEFAULT_R0 = R_MIN
 
 
 @dataclass
@@ -260,11 +264,12 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
 
     The angular momentum is read off the solved graph, G = 1 + g(r0, phase),
     and the negative radial velocity from the shell condition, so the energy
-    residual is zero to rounding.  Flowed from 2 r0 to r0 = DEFAULT_R0, a
+    residual is zero to rounding.  Flowed from 2 r0 to r0 = 5, 6 or 8, a
     seed stays on the graph to the integrator floor, <= 5e-14 at tol 1e-13;
     at mu = 0, g = 0 and the seed is the parabola G = 1.  The graph is
-    solved for r >= R_MIN, which is the floor of r0.  involution_R maps the
-    state onto the matching outbound seed of the stable manifold.
+    solved for r >= R_MIN, which is the floor of r0 and the fan's
+    DEFAULT_R0.  involution_R maps the state onto the matching outbound seed
+    of the stable manifold.
     """
     if not (isfinite(r0) and r0 >= R_MIN):
         raise ValueError(f"far-field seeding documented for r0 >= {R_MIN}")
@@ -334,6 +339,23 @@ def poincare_jacobian(point: tuple[float, float], p: Params) -> np.ndarray:
     return J
 
 
+def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:
+    """Initial states of the fan's lanes at DEFAULT_R0, as columns.
+
+    At mu = 0 the orbit seeded at (DEFAULT_R0, phi) is the separatrix from
+    v = -v0, v0 = v_of_r(DEFAULT_R0), and it crosses the section where the
+    profile phase x(v) = g0^3 v - alpha_h(v) equals phi - x(v0) (mod 2pi).
+    Lane k is seeded at phi = 2pi k/n_phases + x(v0), so that its crossings
+    lie at x = 2pi k/n_phases (mod 2pi), whatever the seed radius.
+    """
+    v0 = v_of_r(DEFAULT_R0)
+    x0 = (p.g0**3 * v0 - homoclinic_alpha(v0)) % (2.0 * pi)
+    return np.array([initial_manifold_state(DEFAULT_R0,
+                                            2.0 * pi * k / n_phases + x0,
+                                            p).to_array()
+                     for k in range(n_phases)]).T
+
+
 @lru_cache(maxsize=1)
 def _fan_samples(p: Params, tol: float, n_phases: int):
     """Samples (v, Y) of both invariant curves on the section {phi = 0} from
@@ -382,13 +404,11 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     section = section_event(0.0)
     section.gate = lambda s, z: z[0] < 2.0 * r_hi
 
-    z0 = np.array([initial_manifold_state(DEFAULT_R0, 2.0 * pi * k / n_phases,
-                                          p).to_array()
-                   for k in range(n_phases)]).T
-    fan = lockstep_flow(z0, s_span, tol, p,
+    fan = lockstep_flow(_fan_seeds(p, n_phases), s_span, tol, p,
                         events=[section, exit_event, turn_event])
-    # Lane k starts at 2pi k/n_phases and phi falls, so it crosses -2pi m
-    # after turning by 2pi j/n_phases: the exact integer j = k + n_phases m
+    # Lane k starts at 2pi k/n_phases + x0, the offset x0 of _fan_seeds
+    # being common to all lanes, and phi falls, so it crosses 2pi l after
+    # turning by x0 + 2pi j/n_phases: the exact integer j = k - n_phases l
     # orders the crossings of the whole fan.
     unstable, stable = [], []
     for k in range(n_phases):

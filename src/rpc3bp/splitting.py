@@ -399,8 +399,8 @@ def continuation_tangency_curve(
         config: SplittingConfig | None = None) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
     mu_star (the leading-order prediction for the first point).  Both ends
-    of the range are checked against find_tangency's g0 floor, and the
-    rungs for repeats, before any rung is solved."""
+    of the range are checked against find_tangency's g0 floor, the rungs
+    for repeats, and one step for equal ends, before any rung is solved."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     g0_lo, g0_hi = g0_range
@@ -409,6 +409,9 @@ def continuation_tangency_curve(
     if min(g0_lo, g0_hi) < TANGENCY_SOLVE_G0_MIN:
         raise ValueError(f"g0 range {g0_range!r} reaches below the tangency "
                          f"solve's floor g0 >= {TANGENCY_SOLVE_G0_MIN}")
+    if steps == 1 and g0_lo != g0_hi:
+        raise ValueError(f"one step solves one rung: the g0 range ends "
+                         f"{g0_lo!r} and {g0_hi!r} differ")
     g0s = np.linspace(g0_lo, g0_hi, steps)
     if len(set(g0s.tolist())) < steps:
         raise ValueError(f"g0 range {g0_range!r} in {steps} steps repeats "

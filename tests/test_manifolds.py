@@ -28,6 +28,7 @@ from rpc3bp.manifolds import (
     R_MIN,
     V_WINDOW,
     _fan_samples,
+    _fan_seeds,
     _manifold_graph,
     _mask_folds,
     compute_invariant_curve,
@@ -79,7 +80,9 @@ class TestInitialState:
     def test_seed_is_invariant(self, mu, g0):
         # seeds launched at 2 DEFAULT_R0 arrive at DEFAULT_R0 on the graph:
         # (y, G) there equal the seed at the arrival (r, phi) to the
-        # integrator floor; the zeroth-order parabolic seed is ~1e-8 off
+        # integrator floor; the zeroth-order parabolic seed is ~1e-8 off.
+        # DEFAULT_R0 is the graph's floor R_MIN, and the arrival event can
+        # land a few ulps below it, so the seed is read at the floor there
         p = Params(mu, g0)
 
         def arrival(s, z):
@@ -92,7 +95,8 @@ class TestInitialState:
             sol = flow(z0.to_array(), (0.0, 2.0 * v_of_r(2.0 * DEFAULT_R0)),
                        1e-13, p, events=[arrival])
             r, phi, y, G = sol.y_events[0][0]
-            z = initial_manifold_state(r, phi, p)
+            assert abs(r - DEFAULT_R0) < 1e-12
+            z = initial_manifold_state(max(r, R_MIN), phi, p)
             assert abs(z.y - y) < 1e-12
             assert abs(z.G - G) < 1e-12
 
@@ -308,9 +312,8 @@ class TestInvariantCurves:
         perihelion.terminal = True
 
         ref = []
-        for k in range(n):
-            z0 = involution_R(initial_manifold_state(
-                DEFAULT_R0, 2 * math.pi * k / n, p))
+        for seed in _fan_seeds(p, n).T:
+            z0 = involution_R(RotatingState.from_array(seed))
             sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(DEFAULT_R0)), tol, p,
                        events=[section_event(0.0), perihelion])
             assert len(sol.t_events[1]) == 1
@@ -345,9 +348,8 @@ class TestInvariantCurves:
         turn_event.direction = -1.0
 
         ref_u, ref_s = [], []
-        for k in range(n):
-            z0 = initial_manifold_state(DEFAULT_R0, 2 * math.pi * k / n, p)
-            sol = flow(z0.to_array(),
+        for z0 in _fan_seeds(p, n).T:
+            sol = flow(z0,
                        (0.0, 1.35 * (v_of_r(DEFAULT_R0) + v_hi + 5.0)), tol, p,
                        events=[section_event(0.0), exit_event, turn_event])
             for z in sol.y_events[0]:
@@ -381,11 +383,31 @@ class TestInvariantCurves:
 
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
-        # iterations here, the graph seed at DEFAULT_R0 takes about 370
+        # iterations here, the graph seed at r0 = 8 took 366, and at
+        # DEFAULT_R0 = R_MIN it takes about 250
         c = compute_invariant_curve("unstable", Params(0.3, 2.4))
-        assert c.meta["lockstep_iterations"] <= 700
+        assert c.meta["lockstep_iterations"] <= 300
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
+
+    def test_samples_do_not_depend_on_seed_radius(self, monkeypatch):
+        # the lanes sit on a grid of the profile phase, so seeds at r0 = 8
+        # and at R_MIN sample the curves at the same v; on a grid of the
+        # seed angle the reports differed by 2.2e-5 in max|D|
+        p = Params(0.3, 2.4)
+        reports = []
+        for r0 in (8.0, R_MIN):
+            monkeypatch.setattr(manifolds, "DEFAULT_R0", r0)
+            _fan_samples.cache_clear()
+            reports.append(splitting_report(p))
+        _fan_samples.cache_clear()
+        a, b = reports
+        assert [r.kind for r in a.roots] == [r.kind for r in b.roots]
+        assert len(a.roots) > 0
+        assert b.max_distance == pytest.approx(a.max_distance, rel=1e-5)
+        assert len(a.lobe_areas) == len(b.lobe_areas) > 0
+        for la, lb in zip(a.lobe_areas, b.lobe_areas):
+            assert lb == pytest.approx(la, rel=1e-5)
 
     def test_fan_is_phase_ordered_without_folds(self):
         # at (0.3, 2.4) the curves are graphs over v: in the fan's phase order

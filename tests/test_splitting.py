@@ -292,6 +292,25 @@ def test_tangency_range_below_the_floor_is_refused_before_any_rung(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_step_over_two_ends_is_refused_before_any_rung(
+        monkeypatch, tmp_path, capsys):
+    # --g0-min 2.9 --g0-max 3.0 --steps 1 solved the 2.9 rung alone, wrote
+    # one row and exited 0: one step has no room for the other end
+    def never(*args):
+        raise AssertionError("a rung was solved before the range was checked")
+
+    monkeypatch.setattr(splitting, "_manifold_profile", never)
+    for g0_range in ((2.9, 3.0), (3.0, 2.9)):
+        with pytest.raises(ValueError, match=r"2\.9 and 3\.0|3\.0 and 2\.9"):
+            continuation_tangency_curve(g0_range, 1)
+        assert cli.main(["tangency", "--g0-min", str(g0_range[0]),
+                         "--g0-max", str(g0_range[1]), "--steps", "1",
+                         "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "validation error" in err and "2.9" in err and "3.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestPhase:
     def test_phase_function_monotone(self):
         p = Params(0.3, 2.4)
