@@ -2,7 +2,7 @@
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
 flow: orbits are seeded on W^u(infinity) in the inbound far field, all at
-the one radius r = DEFAULT_R0 = R_MIN = 5, propagated forward, and read off
+the one radius r = DEFAULT_R0 = R_MIN = 3, propagated forward, and read off
 as curves y = Y(v) on the section {phi = 0 (mod 2pi)} against the
 separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
 
@@ -22,10 +22,11 @@ equation
 
 on a Chebyshev grid in x = r^(-1/2) (x = 0 is r = infinity, where g = 0)
 times a Fourier grid in phi, built once per Params on first use.  Flowed
-from 2 r0 down to r0 = 5, 6 or 8, seeds stay on the graph to the
-integrator floor (<= 5e-14 at tol 1e-13), so the fan starts at the graph's
-floor R_MIN.  The zeroth-order parabolic seed G = 1 - V/g0^3, whose error
-is O(mu/(g0^4 r^3)), had to start at r = 50.
+from 2 r0 down to r0 = 3, 5, 6 or 8, seeds stay on the graph to the
+integrator floor (<= 6e-14 at tol 1e-13), so the fan starts at the graph's
+floor R_MIN, above the window's buffered exit radius 2.11.  The
+zeroth-order parabolic seed G = 1 - V/g0^3, whose error is
+O(mu/(g0^4 r^3)), had to start at r = 50.
 
 One far-field orbit crosses each section about once per synodic period, so a
 curve is assembled from a fan of initial phases: every crossing inside the
@@ -82,8 +83,8 @@ __all__ = [
 ]
 
 # The section window of the outgoing leg on which the curves are sampled and
-# the splitting is measured.  Its buffered exit radius, 2.11, lies well
-# inside DEFAULT_R0.
+# the splitting is measured.  Its buffered exit radius, 2.11, lies below
+# DEFAULT_R0, so every window crossing of a lane comes after its seed.
 V_WINDOW = (0.4, 1.6)
 
 # Tolerance and relative central-difference step of the Poincare map and its
@@ -96,7 +97,7 @@ JACOBIAN_STEP = 2e-5
 # nodes in x = r^(-1/2) from x = 0 (r = infinity) to R_MIN^(-1/2) times
 # equispaced nodes in phi; the sweeps stop once an update changes no bit of
 # G = 1 + g.
-R_MIN = 5.0
+R_MIN = 3.0
 _CHEB_NODES = 25
 _FOURIER_NODES = 32
 _MAX_SWEEPS = 30
@@ -209,6 +210,11 @@ def _manifold_graph(p: Params) -> _ManifoldGraph:
     The x = 0 row of the grid is r = infinity, where V, dV/dphi and g are
     set to 0 rather than evaluated.  Raises RuntimeError when the sweeps do
     not converge.
+
+    Seeds at R_MIN from this 25 x 32 grid equal those from a 41 x 64 grid to
+    one ulp of 1 in y and G at (mu, g0) = (0.3, 2.4), (0.3, 2.0),
+    (0.4924, 3.1) and (0.3, 1.5).  At (0.3, 1.05) they differ by 6.6e-13 in
+    G and 9.3e-13 in y, and the residual at R_MIN reads 5.7e-14.
     """
     n, m = _CHEB_NODES, _FOURIER_NODES
     g03 = p.g0**3
@@ -264,10 +270,10 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
 
     The angular momentum is read off the solved graph, G = 1 + g(r0, phase),
     and the negative radial velocity from the shell condition, so the energy
-    residual is zero to rounding.  Flowed from 2 r0 to r0 = 5, 6 or 8, a
-    seed stays on the graph to the integrator floor, <= 5e-14 at tol 1e-13;
+    residual is zero to rounding.  Flowed from 2 r0 to r0 = 3, 5, 6 or 8, a
+    seed stays on the graph to the integrator floor, <= 6e-14 at tol 1e-13;
     at mu = 0, g = 0 and the seed is the parabola G = 1.  The graph is
-    solved for r >= R_MIN, which is the floor of r0 and the fan's
+    solved for r >= R_MIN = 3, which is the floor of r0 and the fan's
     DEFAULT_R0.  involution_R maps the state onto the matching outbound seed
     of the stable manifold.
     """
@@ -399,10 +405,13 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     turn_event.direction = -1.0
 
     # Section crossings above r_hi fail the window filter below, so only
-    # those near it are located: a step with r >= 2 r_hi at both ends cannot
-    # come down to r_hi in between, since one step moves r by far less.
+    # steps with an end below r_exit are located.  Over a step r stays
+    # between its end values unless the step holds a minimum of r; a lane's
+    # only minimum of r is its perihelion, below r_lo, and one step moves r
+    # far less than r_exit - r_lo, so a step with r >= r_exit at both ends
+    # holds no crossing with r <= r_hi.
     section = section_event(0.0)
-    section.gate = lambda s, z: z[0] < 2.0 * r_hi
+    section.gate = lambda s, z: z[0] < r_exit
 
     fan = lockstep_flow(_fan_seeds(p, n_phases), s_span, tol, p,
                         events=[section, exit_event, turn_event])

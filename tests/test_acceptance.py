@@ -8,8 +8,8 @@ Two trend sub-clauses (criteria 7 and 8) compare measured/predicted ratios
 across the g0 ladder {2.0, 2.4, 2.8} at mu = 0.3.  The factor-2 clauses hold
 at every rung; the monotonicity sub-clauses are asserted as specified and
 fail.  Against the closed form, with the folds at g0 = 2.0 read from the
-fan's phase order, the distance ratios read 1.091, 1.088 and 1.361 and the
-lobe ratios 1.000, 0.961 and 1.278.  The closed-form first and second
+fan's phase order, the distance ratios read 1.093, 1.088 and 1.361 and the
+lobe ratios 1.001, 0.961 and 1.278.  The closed-form first and second
 harmonics err in opposite directions: the contour L1 over the closed-form
 L1 is 1.934, 1.596 and 1.426 at g0 = 2.0, 2.4 and 2.8, and the same ratio
 for L2 is 0.886, 0.913 and 0.931.  Why the trend fails is open.  Scored
@@ -20,8 +20,8 @@ the lobe ratios 1.091, 1.055 and 1.028.
 
 Criterion 10's signature asks for |D''| above 100 times its noise at the
 tangency root, but the tangency is cubic and D'' vanishes there at leading
-order (2 sin x - sin 2x ~ x^3 near x = 0).  The fixture reads D'' = 1.08e-2,
-3.71e-4 and 7.36e-6 at g0 = 2.7, 2.9 and 3.1 against a gate near 1.3e-4,
+order (2 sin x - sin 2x ~ x^3 near x = 0).  The fixture reads |D''| = 7.72e-3,
+6.04e-4 and 8.04e-5 at g0 = 2.7, 2.9 and 3.1 against a gate near 1.3e-4,
 so the clause fails at 3.1; denser fans drive all three toward zero (see
 ROADMAP.md).
 """

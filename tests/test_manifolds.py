@@ -19,6 +19,7 @@ from rpc3bp.core import (
 from rpc3bp.integrate import (
     first_return,
     flow,
+    lockstep_flow,
     refine_to_section,
     section_event,
 )
@@ -76,7 +77,7 @@ class TestInitialState:
             initial_manifold_state(math.nextafter(R_MIN, 0.0), 0.0, Params(0.3, 2.4))
 
     @pytest.mark.parametrize("mu, g0", [(0.3, 2.4), (0.4924, 3.1), (0.3, 2.0),
-                                        (0.5, 2.0)])
+                                        (0.5, 2.0), (0.3, 1.5)])
     def test_seed_is_invariant(self, mu, g0):
         # seeds launched at 2 DEFAULT_R0 arrive at DEFAULT_R0 on the graph:
         # (y, G) there equal the seed at the arrival (r, phi) to the
@@ -99,6 +100,31 @@ class TestInitialState:
             z = initial_manifold_state(max(r, R_MIN), phi, p)
             assert abs(z.y - y) < 1e-12
             assert abs(z.G - G) < 1e-12
+
+    @pytest.mark.parametrize("mu, g0", [(0.3, 2.4), (0.3, 2.0), (0.4924, 3.1),
+                                        (0.3, 1.5)])
+    def test_grid_resolves_seeds_at_floor(self, monkeypatch, mu, g0):
+        # seeds at R_MIN from the 25 x 32 grid equal those from a 41 x 64
+        # grid to one ulp of 1 in y and G; at (0.3, 1.05) they differ by
+        # about 1e-12 (see _manifold_graph)
+        p = Params(mu, g0)
+        phases = [0.1 + 2 * math.pi * k / 37 for k in range(37)]
+        coarse = [initial_manifold_state(R_MIN, phi, p) for phi in phases]
+        monkeypatch.setattr(manifolds, "_CHEB_NODES", 41)
+        monkeypatch.setattr(manifolds, "_FOURIER_NODES", 64)
+        fine_graph = _manifold_graph.__wrapped__(p)
+        monkeypatch.setattr(manifolds, "_manifold_graph", lambda q: fine_graph)
+        fine = [initial_manifold_state(R_MIN, phi, p) for phi in phases]
+        for a, b in zip(coarse, fine):
+            assert abs(a.G - b.G) <= np.finfo(float).eps
+            assert abs(a.y - b.y) <= np.finfo(float).eps
+
+    def test_floor_lies_above_window_exit(self):
+        # a lane seeded at R_MIN falls to the window's buffered exit radius
+        # before its first window crossing, so every crossing follows its seed
+        v_lo, v_hi = V_WINDOW
+        r_exit = 1.05 * homoclinic_r(v_hi + 0.12 * (v_hi - v_lo))
+        assert DEFAULT_R0 == R_MIN > r_exit
 
     def test_graph_sweeps_are_bounded(self, monkeypatch):
         monkeypatch.setattr(manifolds, "_MAX_SWEEPS", 1)
@@ -383,31 +409,53 @@ class TestInvariantCurves:
 
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
-        # iterations here, the graph seed at r0 = 8 took 366, and at
-        # DEFAULT_R0 = R_MIN it takes about 250
+        # iterations here, the graph seed at r0 = 8 took 366, at r0 = 5 253,
+        # and at DEFAULT_R0 = R_MIN = 3 it takes 185
         c = compute_invariant_curve("unstable", Params(0.3, 2.4))
-        assert c.meta["lockstep_iterations"] <= 300
+        assert c.meta["lockstep_iterations"] <= 220
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
 
     def test_samples_do_not_depend_on_seed_radius(self, monkeypatch):
-        # the lanes sit on a grid of the profile phase, so seeds at r0 = 8
-        # and at R_MIN sample the curves at the same v; on a grid of the
-        # seed angle the reports differed by 2.2e-5 in max|D|
+        # the lanes sit on a grid of the profile phase, so seeds at r0 = 8,
+        # at 5 and at R_MIN sample the curves at the same v; on a grid of
+        # the seed angle the reports differed by 2.2e-5 in max|D|
         p = Params(0.3, 2.4)
         reports = []
-        for r0 in (8.0, R_MIN):
+        for r0 in (8.0, 5.0, R_MIN):
             monkeypatch.setattr(manifolds, "DEFAULT_R0", r0)
             _fan_samples.cache_clear()
             reports.append(splitting_report(p))
         _fan_samples.cache_clear()
-        a, b = reports
-        assert [r.kind for r in a.roots] == [r.kind for r in b.roots]
+        a = reports[0]
         assert len(a.roots) > 0
-        assert b.max_distance == pytest.approx(a.max_distance, rel=1e-5)
-        assert len(a.lobe_areas) == len(b.lobe_areas) > 0
-        for la, lb in zip(a.lobe_areas, b.lobe_areas):
-            assert lb == pytest.approx(la, rel=1e-5)
+        assert len(a.lobe_areas) > 0
+        for b in reports[1:]:
+            assert [r.kind for r in a.roots] == [r.kind for r in b.roots]
+            assert b.max_distance == pytest.approx(a.max_distance, rel=1e-5)
+            assert len(a.lobe_areas) == len(b.lobe_areas)
+            for la, lb in zip(a.lobe_areas, b.lobe_areas):
+                assert lb == pytest.approx(la, rel=1e-5)
+
+    @pytest.mark.parametrize("g0", [2.4, 2.0])
+    def test_section_gate_keeps_samples(self, monkeypatch, g0):
+        # the fan locates crossings only in steps with an end below its exit
+        # radius; without the gate it locates them in every step, and the
+        # samples are the same, bit for bit
+        p = Params(0.3, g0)
+        n = compute_invariant_curve("unstable", p).meta["n_phases"]
+        gated = _fan_samples.__wrapped__(p, 1e-12, n)
+
+        def ungated_flow(z0, s_span, tol, p, events):
+            for ev in events:
+                if hasattr(ev, "gate"):
+                    del ev.gate
+            return lockstep_flow(z0, s_span, tol, p, events=events)
+        monkeypatch.setattr(manifolds, "lockstep_flow", ungated_flow)
+        ungated = _fan_samples.__wrapped__(p, 1e-12, n)
+        assert gated[:2] == ungated[:2]
+        assert len(gated[0]) > 0 and len(gated[1]) > 0
+        assert gated[2]["located_steps"] < ungated[2]["located_steps"]
 
     def test_fan_is_phase_ordered_without_folds(self):
         # at (0.3, 2.4) the curves are graphs over v: in the fan's phase order
