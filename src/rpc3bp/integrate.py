@@ -1,12 +1,13 @@
 """Adaptive integration of the rotating-chart flow and Poincare-section events.
 
 The propagator is an 8th-order embedded Runge-Kutta (DOP853, the in-house
-loop) with dense output for event location.  The synodic angle phi is kept
-unwrapped and is monotone decreasing along the flow in the regime of
-interest.  The section is the R-symmetric {phi = 0 (mod 2pi)}.
-first_return finds a single orbit's next return to it as the first time phi
-reaches the level 2pi k strictly below its start; a fan of orbits reads all
-its crossings as the zeros of section_event(0.0)'s sin(phi/2).
+loop) with dense output for event location, run forward only: from s = 0 to
+an s_end in (0, inf).  The synodic angle phi is kept unwrapped and is
+monotone decreasing along the flow in the regime of interest.  The section is
+the R-symmetric {phi = 0 (mod 2pi)}, so the stable manifold needs no backward
+span.  first_return finds a single orbit's next return to it as the first
+time phi reaches the level 2pi k strictly below its start; a fan of orbits
+reads all its crossings as the zeros of section_event()'s sin(phi/2).
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
 time until |phi| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
@@ -63,8 +64,8 @@ tests compare both with scipy bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import (copysign, cos, floor, inf, isfinite, isnan, nan, nextafter,
-                  pi, sin, sqrt)
+from math import (copysign, cos, floor, inf, isnan, nan, nextafter, pi, sin,
+                  sqrt)
 
 import numpy as np
 
@@ -103,9 +104,14 @@ def _section_tol(phi: float) -> float:
     return max(1e-13, 16.0 * np.finfo(float).eps * abs(phi))
 
 
-def _check_tol(tol: float) -> None:
+def _check_run(s_end: float, tol: float) -> float:
+    """s_end as a float, once tol and s_end are checked: both integrators
+    run forward from s = 0, so s_end must lie in (0, inf)."""
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    if not 0.0 < s_end < inf:
+        raise ValueError(f"s_end must lie in (0, inf), got {s_end}")
+    return float(s_end)
 
 
 def _collision_event(p: Params, z0):
@@ -143,7 +149,7 @@ class Trajectory:
     """Outcome of flow, under the names of scipy's solve_ivp result.
 
     t, y: the accepted step times and the states there, y[:, i] at t[i],
-    ending at s_span[1] or at the terminal crossing.  t_events[e],
+    from t[0] = 0 to s_end or to the terminal crossing.  t_events[e],
     y_events[e]: times and states of the crossings of events[e].  nfev:
     right-hand-side evaluations.  status: 0 when the span was integrated,
     1 when a terminal event fired.
@@ -157,34 +163,31 @@ class Trajectory:
     status: int
 
 
-def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
-    """Integrate one orbit over s_span (either direction) with the collision
+def flow(z0, s_end: float, tol: float, p: Params, events=()) -> Trajectory:
+    """Integrate one orbit forward from s = 0 to s_end with the collision
     guard installed.
 
-    Repeats the arithmetic of scipy's solve_ivp(method="DOP853", rtol=tol,
-    atol=tol * 1e-2, events=...) bit for bit, so its steps, states, event
-    crossings and nfev are solve_ivp's.  The stage sums, the combinations
-    with B, E5 and E3 and the two error norms go through ndarray.dot as
-    scipy's do; every other operation of a step runs on Python floats, and
-    the right-hand side is potential_kernel's rates on four float arguments.
-    Events are ev(s, z) with `terminal` (a bool) and `direction`
-    attributes; the crossings of events[e] are t_events[e] and y_events[e],
-    the collision guard going after them, all located and recorded by the
-    routine lockstep_flow shares.  At the ends of each step z is the
-    step's state as a tuple of four floats; inside a step with a sign
-    change, where brentq locates the crossing on the step's dense output, z
-    is an ndarray.  Only such a step builds arrays of its states; t and y
-    become arrays once, at the end.
+    Repeats the arithmetic of scipy's solve_ivp(fun, (0, s_end), z0,
+    method="DOP853", rtol=tol, atol=tol * 1e-2, events=...) bit for bit, so
+    its steps, states, event crossings and nfev are solve_ivp's.  The stage
+    sums, the combinations with B, E5 and E3 and the two error norms go
+    through ndarray.dot as scipy's do; every other operation of a step runs
+    on Python floats, and the right-hand side is potential_kernel's rates on
+    four float arguments.  Events are ev(s, z) with `terminal` (a bool) and
+    `direction` attributes; the crossings of events[e] are t_events[e] and
+    y_events[e], the collision guard going after them, all located and
+    recorded by the routine lockstep_flow shares.  At the ends of each step
+    z is the step's state as a tuple of four floats; inside a step with a
+    sign change, where brentq locates the crossing on the step's dense
+    output, z is an ndarray.  Only such a step builds arrays of its states;
+    t and y become arrays once, at the end.
 
-    Raises ValueError for a non-finite s_span or z0, CollisionError if z0
-    lies inside the collision cutoff or the trajectory reaches it, carrying
-    z0 or the located state, and RuntimeError when the step size underflows.
+    Raises ValueError for a non-finite z0 or s_end outside (0, inf),
+    CollisionError if z0 lies inside the collision cutoff or the trajectory
+    reaches it, carrying z0 or the located state, and RuntimeError when the
+    step size underflows.
     """
-    _check_tol(tol)
-    s, s_end = float(s_span[0]), float(s_span[1])
-    if not (isfinite(s) and isfinite(s_end)):
-        raise ValueError(f"s_span must be finite, got {tuple(s_span)}")
-    direction = -1.0 if s_end < s else 1.0
+    s_end = _check_run(s_end, tol)
     z = np.array(z0, dtype=float)
     if z.shape != (4,) or not np.isfinite(z).all():
         raise ValueError("z0 must be a finite state [r, phi, y, G]")
@@ -194,7 +197,7 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
         """rates for the one-lane (4, 1) arrays of the lockstep helpers."""
         return np.array(rates(*zc[:, 0].tolist()))[:, None]
 
-    evs = [*(events or ()), _collision_event(p, z)]
+    evs = [*events, _collision_event(p, z)]
     ev_dir = [getattr(ev, "direction", 0.0) for ev in evs]
     terminal = [bool(getattr(ev, "terminal", False)) for ev in evs]
     # the sign-change test, once per direction: g rising through 0, falling
@@ -204,21 +207,16 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     either = [e for e, d in enumerate(ev_dir) if d == 0.0]
     t_events = [[] for _ in evs[:-1]]
     y_events = [[] for _ in evs[:-1]]
+    s = 0.0
     x = x0, x1, x2, x3 = tuple(z.tolist())
     ts, xs = [s], [x]
     ts_append, xs_append = ts.append, xs.append
     rtol, atol = tol, tol * 1e-2
     f = rates(x0, x1, x2, x3)
-    nfev = 1
+    h_abs = float(_initial_step(column, z[:, None], np.array(f)[:, None],
+                                s_end, rtol, atol)[0])
+    nfev = 2
     status = 0
-    if s == s_end:
-        # solve_ivp's corner case: one empty step, no step-size selection
-        ts_append(s)
-        xs_append(x)
-    else:
-        h_abs = float(_initial_step(column, z[:, None], np.array(f)[:, None],
-                                    abs(s_end - s), rtol, atol, direction)[0])
-        nfev += 1
     K3 = np.empty((1, _dop.N_STAGES_EXTENDED, 4))
     K = K3[0]
     # scipy's np.dot calls, bound to the views of K they read.  Each writes
@@ -239,11 +237,10 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
     n_stages = _N_STAGES
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     exponent = _ERROR_EXPONENT
-    toward = direction * inf
     g = [ev(s, x) for ev in evs]
 
-    while s != s_end:
-        min_step = 10.0 * abs(nextafter(s, toward) - s)
+    while s < s_end:
+        min_step = 10.0 * (nextafter(s, inf) - s)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -253,11 +250,10 @@ def flow(z0, s_span, tol, p: Params, events=None) -> Trajectory:
             if h_abs < min_step:
                 raise RuntimeError(f"integration failed: step size underflow "
                                    f"at s = {s}")
-            s_new = s + h_abs * direction
-            if direction * (s_new - s_end) > 0.0:
+            s_new = s + h_abs
+            if s_new > s_end:
                 s_new = s_end
-            h = s_new - s
-            h_abs = abs(h)
+            h = h_abs = s_new - s
             for dot, a, j0, j1, j2, j3 in stages:
                 dot(a, out)
                 d0, d1, d2, d3 = outw
@@ -377,24 +373,27 @@ def _norm(x):
 
 def _pow(x, a):
     """x ** a per lane with the scalar pow that scipy's controller uses;
-    0 ** a is inf for a < 0."""
-    return np.array([v ** a if v else np.inf for v in x.tolist()])
+    0 ** a is inf for a < 0, where Python's pow raises."""
+    return np.array([v ** a if v or a > 0 else np.inf for v in x.tolist()])
 
 
-def _initial_step(fun, z, f, interval, rtol, atol, direction=1.0):
-    """scipy's initial step rule (Hairer, Norsett & Wanner II.4), per lane;
-    direction is the sign of the time span."""
+def _initial_step(fun, z, f, interval, rtol, atol):
+    """scipy's initial step rule (Hairer, Norsett & Wanner II.4), per lane,
+    with Python's max and min, which keep their first argument against the
+    NaN d2 of an overflowing field: a NaN step size would never underflow."""
     scale = atol + np.abs(z) * rtol
     d0 = _norm(z / scale) / 2.0
     d1 = _norm(f / scale) / 2.0
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
     h0 = np.minimum(h0, interval)
-    d2 = _norm((fun(z + h0 * direction * f) - f) / scale) / 2.0 / h0
+    d2 = _norm((fun(z + h0 * f) - f) / scale) / 2.0 / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  _pow(0.01 / np.where(flat, 1.0, np.maximum(d1, d2)), 0.125))
-    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+                  _pow(0.01 / np.where(flat, 1.0, np.where(d2 > d1, d2, d1)),
+                       0.125))
+    h = np.where(h1 < 100.0 * h0, h1, 100.0 * h0)
+    return np.where(interval < h, interval, h)
 
 
 def _dense_coefficients(fun, K, h, z_old, z_new):
@@ -444,7 +443,7 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
                   events=()) -> LockstepFlow:
     """Integrate the lanes z0[:, k] from s = 0 to s_end > 0 together.
 
-    Each lane takes the steps that flow(z0[:, k], (0, s_end), tol, p, events)
+    Each lane takes the steps that flow(z0[:, k], s_end, tol, p, events)
     takes, with the same DOP853 tableau, initial-step rule, error norm and
     step-size controller, and repeats its arithmetic.  Each lockstep
     iteration makes one step attempt in every live lane with one vectorised
@@ -465,15 +464,11 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     located only in steps with the gate true at either end, which spares
     locating crossings the caller would discard.
 
-    Raises ValueError for a non-finite state or s_end, CollisionError, with
-    the lane's start or its state at the cutoff, when a lane starts inside
-    the collision cutoff or reaches it, and RuntimeError when a lane's step
-    size underflows.
+    Raises ValueError as flow does, CollisionError, with the lane's start or
+    its state at the cutoff, when a lane starts inside the collision cutoff
+    or reaches it, and RuntimeError when a lane's step size underflows.
     """
-    _check_tol(tol)
-    if not (s_end > 0.0 and isfinite(s_end)):
-        raise ValueError(f"lockstep_flow integrates forward over a finite "
-                         f"span: need 0 < s_end < inf, got {s_end}")
+    s_end = _check_run(s_end, tol)
     rtol, atol = tol, tol * 1e-2
     rates = potential_kernel(p, np.cos, np.sin, np.sqrt).rates
 
@@ -487,7 +482,7 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
     if z.ndim != 2 or z.shape[0] != 4 or not np.isfinite(z).all():
         raise ValueError("z0 must hold finite states [r, phi, y, G] as columns")
     evs = [*events, _collision_event(p, z)]
-    direction = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
+    ev_dir = np.array([getattr(ev, "direction", 0.0) for ev in evs])[:, None]
     terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in evs])
     gates = [(e, ev.gate) for e, ev in enumerate(evs) if hasattr(ev, "gate")]
     n = z.shape[1]
@@ -569,8 +564,8 @@ def lockstep_flow(z0, s_end: float, tol: float, p: Params,
         g_new = np.array([ev(s_new, z_new) for ev in evs])
         up = (g <= 0.0) & (g_new >= 0.0)
         down = (g >= 0.0) & (g_new <= 0.0)
-        hit = ok & ((up & (direction > 0.0)) | (down & (direction < 0.0))
-                    | ((up | down) & (direction == 0.0)))
+        hit = ok & ((up & (ev_dir > 0.0)) | (down & (ev_dir < 0.0))
+                    | ((up | down) & (ev_dir == 0.0)))
         for e, gate in gates:
             hit[e] &= gate(s, z) | gate(s_new, z_new)
         done = ok & (s_new >= s_end)
@@ -700,7 +695,7 @@ def _record_crossings(evs, terminal, active, z_at, s_old, s_new, t_events,
     crossings = list(zip(active, roots.tolist()))
     stop = None
     if any(terminal[e] for e in active):
-        order = np.argsort(roots if s_new > s_old else -roots)
+        order = np.argsort(roots)
         crossings = [crossings[i] for i in order]
         cut = next(i for i, (e, _) in enumerate(crossings) if terminal[e])
         crossings = crossings[:cut + 1]
@@ -715,15 +710,16 @@ def _record_crossings(evs, terminal, active, z_at, s_old, s_new, t_events,
     return stop
 
 
-def section_event(phi0: float, direction: float = 0.0):
-    """Event function vanishing exactly on {phi = phi0 (mod 2pi)}; it takes
-    one state or an array of lanes."""
+def section_event():
+    """Event function vanishing exactly on the section {phi = 0 (mod 2pi)},
+    crossed in either direction and not terminal; it takes one state or an
+    array of lanes."""
 
     def ev(s, z):
-        return np.sin(0.5 * (z[1] - phi0))
+        return np.sin(0.5 * z[1])
 
     ev.terminal = False
-    ev.direction = direction
+    ev.direction = 0.0
     return ev
 
 
@@ -758,15 +754,15 @@ def first_return(z, p: Params, tol: float, s_max: float, events=()):
     phi decreases along the flow, so the return is the first time the
     unwrapped angle reaches the level 2pi k strictly below z[1]; a
     state already on the section (within refine_to_section's tolerance) goes
-    on to the next level.  One flow call over (0, s_max) with events and,
+    on to the next level.  One flow call from 0 to s_max with events and,
     after them, a terminal event on phi - level: the crossings of events[e]
     are the trajectory's t_events[e], and as the level crossing ends the
     trajectory, the return time is its t[-1].
 
     Returns (trajectory, z_return), z_return being the crossing polished by
     refine_to_section, or None when a terminal event of events or s_max came
-    first.  CollisionError from flow propagates.  s_max must be positive:
-    backwards phi rises, so a falling level is never crossed.
+    first.  CollisionError from flow propagates.  s_max must be positive,
+    as flow runs forward only.
     """
     if not s_max > 0.0:
         raise ValueError(f"s_max must be positive, got {s_max}")
@@ -780,7 +776,7 @@ def first_return(z, p: Params, tol: float, s_max: float, events=()):
 
     ev.terminal = True
     ev.direction = -1.0
-    sol = flow(z, (0.0, s_max), tol, p, events=[*events, ev])
+    sol = flow(z, s_max, tol, p, events=[*events, ev])
     if len(sol.t_events[-1]) == 0:
         return sol, None
     return sol, refine_to_section(sol.y_events[-1][0], p)

@@ -2,7 +2,7 @@
 
 The manifolds of the parabolic periodic orbit at infinity are computed by the
 flow: orbits are seeded on W^u(infinity) in the inbound far field, all at
-the one radius r = DEFAULT_R0 = R_MIN = 3, propagated forward, and read off
+the one radius r = R_MIN = 3, propagated forward, and read off
 as curves y = Y(v) on the section {phi = 0 (mod 2pi)} against the
 separatrix radius parameterization r = r_h(v), outgoing leg y > 0.
 
@@ -84,7 +84,7 @@ __all__ = [
 
 # The section window of the outgoing leg on which the curves are sampled and
 # the splitting is measured.  Its buffered exit radius, 2.11, lies below
-# DEFAULT_R0, so every window crossing of a lane comes after its seed.
+# R_MIN, so every window crossing of a lane comes after its seed.
 V_WINDOW = (0.4, 1.6)
 
 # Tolerance and relative central-difference step of the Poincare map and its
@@ -96,15 +96,12 @@ JACOBIAN_STEP = 2e-5
 # The graph of W^u(infinity) is solved over r >= R_MIN, on Chebyshev-Lobatto
 # nodes in x = r^(-1/2) from x = 0 (r = infinity) to R_MIN^(-1/2) times
 # equispaced nodes in phi; the sweeps stop once an update changes no bit of
-# G = 1 + g.
+# G = 1 + g.  Every fan is seeded at this floor.
 R_MIN = 3.0
 _CHEB_NODES = 25
 _FOURIER_NODES = 32
 _MAX_SWEEPS = 30
 _UPDATE_TOL = 0.1 * np.finfo(float).eps
-
-# The fan is seeded at the graph's floor.
-DEFAULT_R0 = R_MIN
 
 
 @dataclass
@@ -214,7 +211,10 @@ def _manifold_graph(p: Params) -> _ManifoldGraph:
     Seeds at R_MIN from this 25 x 32 grid equal those from a 41 x 64 grid to
     one ulp of 1 in y and G at (mu, g0) = (0.3, 2.4), (0.3, 2.0),
     (0.4924, 3.1) and (0.3, 1.5).  At (0.3, 1.05) they differ by 6.6e-13 in
-    G and 9.3e-13 in y, and the residual at R_MIN reads 5.7e-14.
+    G and 9.3e-13 in y, and the residual at R_MIN reads 5.7e-14.  At
+    (0.1, 1.05) they differ by 1.4e-11 in G and 2.0e-11 in y over 37
+    phases, with residual 3.5e-13: above the profile's assumed noise floor
+    NOISE_FLOOR_PER_TOL * tol = 1e-11 at tol 1e-12.
     """
     n, m = _CHEB_NODES, _FOURIER_NODES
     g03 = p.g0**3
@@ -273,8 +273,8 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
     residual is zero to rounding.  Flowed from 2 r0 to r0 = 3, 5, 6 or 8, a
     seed stays on the graph to the integrator floor, <= 6e-14 at tol 1e-13;
     at mu = 0, g = 0 and the seed is the parabola G = 1.  The graph is
-    solved for r >= R_MIN = 3, which is the floor of r0 and the fan's
-    DEFAULT_R0.  involution_R maps the state onto the matching outbound seed
+    solved for r >= R_MIN = 3, which is the floor of r0 and the fan's seed
+    radius.  involution_R maps the state onto the matching outbound seed
     of the stable manifold.
     """
     if not (isfinite(r0) and r0 >= R_MIN):
@@ -346,17 +346,17 @@ def poincare_jacobian(point: tuple[float, float], p: Params) -> np.ndarray:
 
 
 def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:
-    """Initial states of the fan's lanes at DEFAULT_R0, as columns.
+    """Initial states of the fan's lanes at R_MIN, as columns.
 
-    At mu = 0 the orbit seeded at (DEFAULT_R0, phi) is the separatrix from
-    v = -v0, v0 = v_of_r(DEFAULT_R0), and it crosses the section where the
+    At mu = 0 the orbit seeded at (R_MIN, phi) is the separatrix from
+    v = -v0, v0 = v_of_r(R_MIN), and it crosses the section where the
     profile phase x(v) = g0^3 v - alpha_h(v) equals phi - x(v0) (mod 2pi).
     Lane k is seeded at phi = 2pi k/n_phases + x(v0), so that its crossings
     lie at x = 2pi k/n_phases (mod 2pi), whatever the seed radius.
     """
-    v0 = v_of_r(DEFAULT_R0)
+    v0 = v_of_r(R_MIN)
     x0 = (p.g0**3 * v0 - homoclinic_alpha(v0)) % (2.0 * pi)
-    return np.array([initial_manifold_state(DEFAULT_R0,
+    return np.array([initial_manifold_state(R_MIN,
                                             2.0 * pi * k / n_phases + x0,
                                             p).to_array()
                      for k in range(n_phases)]).T
@@ -365,7 +365,7 @@ def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _fan_samples(p: Params, tol: float, n_phases: int):
     """Samples (v, Y) of both invariant curves on the section {phi = 0} from
-    one fan of far-field orbits seeded at DEFAULT_R0, as (unstable, stable,
+    one fan of far-field orbits seeded at R_MIN, as (unstable, stable,
     work): two tuples of samples and the lockstep integrator's counters.
 
     Outgoing (y > 0) crossings of the section are unstable samples; inbound
@@ -385,8 +385,8 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     r_hi = homoclinic_r(v_hi + buf)
     r_exit = r_hi * 1.05
 
-    # time to fall from DEFAULT_R0 plus the window traverse, with margin
-    s_span = 1.35 * (float(v_of_r(DEFAULT_R0)) + v_hi + 5.0)
+    # time to fall from R_MIN plus the window traverse, with margin
+    s_end = 1.35 * (float(v_of_r(R_MIN)) + v_hi + 5.0)
 
     def exit_event(s, z):
         return z[0] - r_exit
@@ -410,10 +410,10 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     # only minimum of r is its perihelion, below r_lo, and one step moves r
     # far less than r_exit - r_lo, so a step with r >= r_exit at both ends
     # holds no crossing with r <= r_hi.
-    section = section_event(0.0)
+    section = section_event()
     section.gate = lambda s, z: z[0] < r_exit
 
-    fan = lockstep_flow(_fan_seeds(p, n_phases), s_span, tol, p,
+    fan = lockstep_flow(_fan_seeds(p, n_phases), s_end, tol, p,
                         events=[section, exit_event, turn_event])
     # Lane k starts at 2pi k/n_phases + x0, the offset x0 of _fan_seeds
     # being common to all lanes, and phi falls, so it crosses 2pi l after
@@ -439,10 +439,10 @@ def compute_invariant_curve(branch: str, p: Params, tol: float = 1e-12,
                             n_samples: int = 60) -> ManifoldCurve:
     """Invariant curve Y(v) over V_WINDOW on the section {phi = 0}.
 
-    The fan is seeded on the graph of W^u(infinity) at DEFAULT_R0.  meta
+    The fan is seeded on the graph of W^u(infinity) at R_MIN.  meta
     carries the fan size (n_phases), the lockstep counters, the graph
     solve's last update (graph_update) and its invariance residual at
-    DEFAULT_R0 (graph_residual, in units of dG/ds).
+    R_MIN (graph_residual, in units of dG/ds).
 
     n_samples is the target number of collected samples across the window;
     the fan size is derived from it (one orbit yields about
@@ -472,7 +472,7 @@ def compute_invariant_curve(branch: str, p: Params, tol: float = 1e-12,
                          tol=tol, fold_intervals=fold_intervals,
                          meta={"n_phases": n_phases,
                                "graph_update": graph.update,
-                               "graph_residual": graph.residual(DEFAULT_R0),
+                               "graph_residual": graph.residual(R_MIN),
                                **work})
 
 

@@ -131,7 +131,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         if len(sol.t_events[0]) > 0:
             # excursion: integrate straight through, no section counting
             try:
-                ex = flow(sol.y_events[0][0], (0.0, flight_horizon), tol, p,
+                ex = flow(sol.y_events[0][0], flight_horizon, tol, p,
                           events=[coming_back, apo, far])
             except CollisionError:
                 break

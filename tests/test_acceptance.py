@@ -111,7 +111,7 @@ def test_criterion_02_chart_flow_consistency():
     h0, h1 = homoclinic_state(-2.0), homoclinic_state(2.0)
     phi_start = 0.25
     z = RotatingState.from_array(
-        flow([h0.r, phi_start, h0.y, 1.0], (0.0, 4.0), tol, p).y[:, -1])
+        flow([h0.r, phi_start, h0.y, 1.0], 4.0, tol, p).y[:, -1])
     err = max(abs(z.r - h1.r), abs(z.y - h1.y), abs(z.G - 1.0))
     phi_err = abs(z.phi - (phi_start + (h1.alpha - h0.alpha) - p.g0**3 * 4.0))
     wall = time.time() - t0

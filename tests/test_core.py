@@ -132,7 +132,7 @@ class TestJacobi:
         z = RotatingState(1.2, 0.3, 0.4, 1.0)
         j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
         z1 = RotatingState.from_array(
-            flow(z.to_array(), (0.0, 3.0), 1e-12, p).y[:, -1])
+            flow(z.to_array(), 3.0, 1e-12, p).y[:, -1])
         j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 3.0, p), p)
         assert abs(j1 - j0) < 1e-12
 
@@ -141,7 +141,7 @@ class TestJacobi:
         z = RotatingState(1.4, 0.7, 0.3, 1.0)
         j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
         z1 = RotatingState.from_array(
-            flow(z.to_array(), (0.0, 10.0), 1e-12, p).y[:, -1])
+            flow(z.to_array(), 10.0, 1e-12, p).y[:, -1])
         j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 10.0, p), p)
         assert abs(j1 - j0) < 1e-10
 
@@ -257,15 +257,18 @@ class TestInvolution:
             assert math.cos(img.phi) == pytest.approx(math.cos(s.phi), abs=1e-15)
             assert math.sin(img.phi) == pytest.approx(math.sin(s.phi), abs=1e-15)
 
-    def test_flow_reversibility(self):
-        # R(Phi_s(R(z))) = Phi_{-s}(z)
+    def test_flow_reversibility(self, solve_ivp_flow):
+        # R(Phi_s(R(z))) = Phi_{-s}(z), in both time directions: flow runs
+        # forward only, so Phi_{-s} is solve_ivp's backward flow, from z for
+        # s = 1.5 and from R(z) for s = -2.5
         p = Params(0.33, 2.2)
         tol = 1e-12
-        for s_time in (1.5, -2.5):
-            z = RotatingState(1.4, 0.9, 0.35, 1.02)
-            zr = flow(involution_R(z).to_array(), (0.0, s_time), tol, p)
+        z = RotatingState(1.4, 0.9, 0.35, 1.02)
+        for start, s_time in ((involution_R(z), 1.5), (z, 2.5)):
+            zr = flow(start.to_array(), s_time, tol, p)
             lhs = involution_R(RotatingState.from_array(zr.y[:, -1]))
-            rhs = flow(z.to_array(), (0.0, -s_time), tol, p).y[:, -1]
+            rhs = solve_ivp_flow(involution_R(start).to_array(), -s_time, tol,
+                                 p).y[:, -1]
             diff = np.abs(lhs.to_array() - rhs)
             diff[1] = abs((diff[1] + math.pi) % (2 * math.pi) - math.pi)
             assert np.max(diff) < 100 * tol * max(1.0, abs(s_time) * p.g0**3)
@@ -273,39 +276,35 @@ class TestInvolution:
 
 class TestIntegrate:
     # the end state of flow over a span
-    def test_zero_interval_identity(self):
-        p = Params(0.3, 2.0)
-        z = [1.2, 0.5, 0.1, 1.0]
-        sol = flow(z, (0.0, 0.0), 1e-12, p)
-        assert sol.t[-1] == 0.0 and sol.y[:, -1].tolist() == z
-
     def test_energy_drift(self):
         p = Params(0.3, 2.3)
         tol = 1e-12
         z = RotatingState(1.5, 0.2, -0.3, 1.0)
         h0 = hamiltonian_rotating(z, p)
-        z1 = flow(z.to_array(), (0.0, 8.0), tol, p).y[:, -1]
+        z1 = flow(z.to_array(), 8.0, tol, p).y[:, -1]
         assert abs(hamiltonian_rotating(RotatingState.from_array(z1), p)
                    - h0) < 100 * tol * 8.0 * p.g0**3
 
     def test_forward_backward(self):
+        # the way back is R(flow(R(z1), 4)), R reversing time
         p = Params(0.3, 2.3)
         tol = 1e-12
-        z = np.array([1.5, 0.2, -0.3, 1.0])
-        z1 = flow(z, (0.0, 4.0), tol, p).y[:, -1]
-        z2 = flow(z1, (0.0, -4.0), tol, p).y[:, -1]
-        assert np.max(np.abs(z2 - z)) < 1e-9
+        z = RotatingState(1.5, 0.2, -0.3, 1.0)
+        z1 = RotatingState.from_array(flow(z.to_array(), 4.0, tol, p).y[:, -1])
+        back = flow(involution_R(z1).to_array(), 4.0, tol, p).y[:, -1]
+        z2 = involution_R(RotatingState.from_array(back))
+        assert np.max(np.abs(z2.to_array() - z.to_array())) < 1e-9
 
     def test_tol_validation(self):
         p = Params(0.3, 2.0)
         z = [1.2, 0.0, 0.0, 1.0]
         with pytest.raises(ValueError):
-            flow(z, (0.0, 1.0), 1e-5, p)
+            flow(z, 1.0, 1e-5, p)
         with pytest.raises(ValueError):
-            flow(z, (0.0, 1.0), 1e-16, p)
+            flow(z, 1.0, 1e-16, p)
         # an int too large for a float is refused, not an OverflowError
         with pytest.raises(ValueError):
-            flow(z, (0.0, 1.0), 10**400, p)
+            flow(z, 1.0, 10**400, p)
 
     def test_tol_floor_is_the_rtol_floor_of_solve_ivp(self):
         # solve_ivp raises an rtol below 100 eps to that floor with only a
@@ -314,8 +313,8 @@ class TestIntegrate:
         z = [1.2, 0.0, 0.0, 1.0]
         assert TOL_MIN == 100 * np.finfo(float).eps
         with pytest.raises(ValueError):
-            flow(z, (0.0, 1.0), 1e-14, p)
-        z1 = flow(z, (0.0, 0.5), 2.3e-14, p).y[:, -1]
+            flow(z, 1.0, 1e-14, p)
+        z1 = flow(z, 0.5, 2.3e-14, p).y[:, -1]
         assert z1[0] != z[0]
 
     def test_package_attribute_is_the_module(self):
@@ -360,12 +359,12 @@ class TestFlow:
 
     @pytest.mark.parametrize("terminal", [False, True])
     @pytest.mark.parametrize("direction", [-1.0, 0.0, 1.0])
-    def test_events(self, solve_ivp_flow, direction, terminal):
-        sec = section_event(1.0, direction)
+    def test_events(self, solve_ivp_flow, angle_event, direction, terminal):
+        sec = angle_event(1.0, direction)
         sec.terminal = terminal
         evs = [sec, apocentre]
-        got = flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
-        ref = solve_ivp_flow(self.Z0, (0.0, 8.0), 1e-12, self.P, events=evs)
+        got = flow(self.Z0, 8.0, 1e-12, self.P, events=evs)
+        ref = solve_ivp_flow(self.Z0, 8.0, 1e-12, self.P, events=evs)
         assert_same_trajectory(got, ref)
         assert len(got.t_events) == 2 and len(got.t_events[0]) >= 1
         if terminal:
@@ -385,9 +384,9 @@ class TestFlow:
         r_out.terminal = True
         r_out.direction = 1.0
 
-        evs = [section_event(0.0), apocentre, pericentre, r_out]
-        got = flow(z0, (0.0, 200.0), 1e-12, p, events=evs)
-        ref = solve_ivp_flow(z0, (0.0, 200.0), 1e-12, p, events=evs)
+        evs = [section_event(), apocentre, pericentre, r_out]
+        got = flow(z0, 200.0, 1e-12, p, events=evs)
+        ref = solve_ivp_flow(z0, 200.0, 1e-12, p, events=evs)
         assert_same_trajectory(got, ref)
         steps = len(got.t) - 1
         crossings = sum(len(t) for t in got.t_events)
@@ -420,62 +419,55 @@ class TestFlow:
         far.terminal = True
         far.direction = 1.0
 
-        exit_state = solve_ivp_flow(z0, (0.0, 200.0), 1e-12, p,
+        exit_state = solve_ivp_flow(z0, 200.0, 1e-12, p,
                                     events=[going_out]).y_events[0][0]
         evs = [coming_back, apocentre, far]
-        got = flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
-        ref = solve_ivp_flow(exit_state, (0.0, 3000.0), 1e-12, p, events=evs)
+        got = flow(exit_state, 3000.0, 1e-12, p, events=evs)
+        ref = solve_ivp_flow(exit_state, 3000.0, 1e-12, p, events=evs)
         assert_same_trajectory(got, ref)
         assert got.status == 1 and got.t[-1] == got.t_events[0][0]
         assert len(got.t_events[1]) == 1 and len(got.t_events[2]) == 0
         assert got.y_events[1][0, 0] == pytest.approx(18.98, abs=0.01)
         assert np.count_nonzero(got.y[0] > 10.0) >= 1500
 
-    @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf),
-                                      (-math.inf, 1.0)])
-    def test_non_finite_span_refused(self, span):
-        # the step loop would never reach a NaN or infinite end
-        with pytest.raises(ValueError, match="s_span"):
-            flow(self.Z0, span, 1e-12, self.P)
+    @pytest.mark.parametrize("s_end", [math.nan, math.inf, -math.inf, 0.0,
+                                       -1.0])
+    def test_non_finite_span_refused(self, s_end):
+        # flow runs forward from s = 0, and its step loop would never reach
+        # a NaN or infinite end
+        with pytest.raises(ValueError, match="s_end"):
+            flow(self.Z0, s_end, 1e-12, self.P)
 
     def test_step_size_underflow(self, solve_ivp_flow):
-        # at s = 1e14 the first step is below ten spacings of s: solve_ivp
-        # stops there with status -1, and flow raises at the same check
-        args = ([1.5, 0.3, 0.2, 1.0], (1e14, 1e14 + 10.0), 1e-12,
-                Params(0.3, 2.4))
-        with pytest.raises(RuntimeError, match="less than spacing"):
-            solve_ivp_flow(*args)
-        with pytest.raises(RuntimeError, match="step size underflow"):
-            flow(*args)
-
-    def test_negative_span(self, solve_ivp_flow):
-        # from this start the initial-step rule's backward probe picks
-        # another first step than a forward one would
-        z0 = [0.8, 3.0, 0.0, 0.9]
-        evs = [section_event(0.5), apocentre]
-        got = flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
-        ref = solve_ivp_flow(z0, (0.0, -6.0), 1e-12, self.P, events=evs)
-        assert_same_trajectory(got, ref)
-        assert got.t[-1] == -6.0 and len(got.t_events[0]) >= 1
+        # a finite start whose field overflows: the initial-step rule, which
+        # takes Python's max and min, keeps a zero step there, where numpy's
+        # NaN-carrying ones made a NaN step that no underflow check caught.
+        # solve_ivp stops with status -1, and flow and a lane of lockstep_flow
+        # raise at the same check
+        z0 = [1.5, 0.3, 0.2, 1e160]
+        args = (10.0, 1e-12, Params(0.3, 2.4))
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="less than spacing"):
+                solve_ivp_flow(z0, *args)
+            with pytest.raises(RuntimeError, match="underflow at s = 0.0"):
+                flow(z0, *args)
+            with pytest.raises(RuntimeError, match="underflow in lane 0"):
+                lockstep_flow(np.array([z0, [1.5, 0.3, 0.2, 1.0]]).T, *args)
 
     @pytest.mark.parametrize("tol", [TOL_MIN, 1e-10])
     def test_tolerances(self, solve_ivp_flow, tol):
-        got = flow(self.Z0, (0.5, 4.0), tol, self.P)
-        ref = solve_ivp_flow(self.Z0, (0.5, 4.0), tol, self.P)
+        got = flow(self.Z0, 4.0, tol, self.P)
+        ref = solve_ivp_flow(self.Z0, 4.0, tol, self.P)
         assert_same_trajectory(got, ref)
-
-    def test_zero_span(self, solve_ivp_flow):
-        assert_same_trajectory(flow(self.Z0, (1.0, 1.0), 1e-12, self.P),
-                               solve_ivp_flow(self.Z0, (1.0, 1.0), 1e-12, self.P))
 
     def test_collision(self, solve_ivp_flow):
         # a radial plunge; at mu = 0 into the massive primary at the origin
         z0 = [1.0, 0.0, -2.0, 0.0]
         for p in (Params(0.3, 2.0), Params(0.0, 2.2)):
             with pytest.raises(CollisionError) as got:
-                flow(z0, (0.0, 4.0), 1e-12, p)
+                flow(z0, 4.0, 1e-12, p)
             with pytest.raises(CollisionError) as ref:
-                solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p)
+                solve_ivp_flow(z0, 4.0, 1e-12, p)
             assert got.value.last_state == ref.value.last_state
             assert got.value.last_state.r == pytest.approx(collision_radius(p),
                                                            abs=1e-12)
@@ -487,7 +479,7 @@ class TestFlow:
         p = Params(0.3, 2.2)
         z0 = lift_to_shell(0.01, 0.0, p).to_array()
         with pytest.raises(CollisionError, match="start inside") as err:
-            flow(z0, (0.0, 1.0), 1e-12, p)
+            flow(z0, 1.0, 1e-12, p)
         np.testing.assert_array_equal(err.value.last_state.to_array(), z0)
 
     def test_terminal_event_and_guard_in_one_step(self, solve_ivp_flow):
@@ -516,8 +508,8 @@ class TestFlow:
                                  falling(r_cut, False)])
         roots = [t[0] for t in both.t_events]
         assert len(set(np.searchsorted(both.t, roots))) == 1
-        got = flow(z0, (0.0, 4.0), 1e-12, p, events=[near])
-        ref = solve_ivp_flow(z0, (0.0, 4.0), 1e-12, p, events=[near])
+        got = flow(z0, 4.0, 1e-12, p, events=[near])
+        ref = solve_ivp_flow(z0, 4.0, 1e-12, p, events=[near])
         assert_same_trajectory(got, ref)
         assert got.status == 1 and got.t[-1] == got.t_events[0][0] == roots[0]
         assert got.t[-2] < roots[0] < roots[1]
@@ -561,7 +553,7 @@ class TestLockstep:
         run = lockstep_flow(z0, 6.0, tol, p)
         steps = nfev = 0
         for k in range(len(states)):
-            sol = flow(z0[:, k], (0.0, 6.0), tol, p)
+            sol = flow(z0[:, k], 6.0, tol, p)
             steps += len(sol.t) - 1
             nfev += sol.nfev
             assert run.s[k] == 6.0
@@ -577,7 +569,7 @@ class TestLockstep:
             assert err.value.last_state.r == pytest.approx(collision_radius(p),
                                                            abs=1e-12)
             with pytest.raises(CollisionError) as ref:
-                flow(z0[:, 1], (0.0, 4.0), 1e-12, p)
+                flow(z0[:, 1], 4.0, 1e-12, p)
             np.testing.assert_array_equal(err.value.last_state.to_array(),
                                           ref.value.last_state.to_array())
 
@@ -613,18 +605,17 @@ class TestLockstep:
         alone = lockstep_flow(z0[:, 1:], 5.0, 1e-12, p)
         np.testing.assert_array_equal(run.z[:, 1], alone.z[:, 0])
 
-    def test_event_crossings_match_flow(self):
+    def test_event_crossings_match_flow(self, angle_event):
         # non-terminal section events of each direction: every lane's
         # crossings are flow's t_events and y_events, bit for bit
         p = Params(0.3, 2.3)
         states = [RotatingState(1.5, 0.2, -0.3, 1.0),
                   RotatingState(1.2, 2.0, 0.4, 1.02)]
         z0 = np.array([s.to_array() for s in states]).T
-        evs = [section_event(0.5, 1.0), section_event(-1.0, -1.0),
-               section_event(2.0)]
+        evs = [angle_event(0.5, 1.0), angle_event(-1.0, -1.0), angle_event(2.0)]
         run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
         for k in range(len(states)):
-            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p, events=evs)
+            sol = flow(z0[:, k], 6.0, 1e-12, p, events=evs)
             for e in range(len(evs)):
                 assert len(run.s_events[k][e]) > 0
                 np.testing.assert_array_equal(run.s_events[k][e],
@@ -632,7 +623,7 @@ class TestLockstep:
                 np.testing.assert_array_equal(run.z_events[k][e],
                                               sol.y_events[e])
 
-    def test_gate_drops_only_crossings_outside_it(self):
+    def test_gate_drops_only_crossings_outside_it(self, angle_event):
         # a y > 0 gate keeps, bit for bit, the ungated crossings in the steps
         # (flow's, which the lanes repeat) with y > 0 at either end, and so
         # every crossing with y clear of 0; the third lane's first step
@@ -643,14 +634,14 @@ class TestLockstep:
                   RotatingState(0.8, 0.51, -1e-3, 1.0)]
         z0 = np.array([s.to_array() for s in states]).T
         run = lockstep_flow(z0, 6.0, 1e-12, p,
-                            events=[section_event(0.5), section_event(-1.0)])
-        gated_evs = [section_event(0.5), section_event(-1.0)]
+                            events=[angle_event(0.5), angle_event(-1.0)])
+        gated_evs = [angle_event(0.5), angle_event(-1.0)]
         for ev in gated_evs:
             ev.gate = lambda s, z: z[2] > 0.0
         gated = lockstep_flow(z0, 6.0, 1e-12, p, events=gated_evs)
         np.testing.assert_array_equal(gated.z, run.z)
         for k in range(len(states)):
-            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p)
+            sol = flow(z0[:, k], 6.0, 1e-12, p)
             for e in range(2):
                 s_all, z_all = run.s_events[k][e], run.z_events[k][e]
                 step = np.searchsorted(sol.t, s_all)
@@ -660,7 +651,7 @@ class TestLockstep:
                 np.testing.assert_array_equal(gated.s_events[k][e], s_all[kept])
                 np.testing.assert_array_equal(gated.z_events[k][e], z_all[kept])
 
-    def test_lanes_with_events_match_flow(self):
+    def test_lanes_with_events_match_flow(self, angle_event):
         # section crossings of both kinds and a terminal event that retires
         # one lane early: every lane's crossings, final time and state are
         # flow's, bit for bit, though the lanes locate them only after the
@@ -677,11 +668,11 @@ class TestLockstep:
         inner.terminal = True
         inner.direction = -1.0
 
-        evs = [section_event(0.3), section_event(-0.3, -1.0), inner]
+        evs = [angle_event(0.3), angle_event(-0.3, -1.0), inner]
         run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
         nfev = crossings = 0
         for k in range(len(states)):
-            sol = flow(z0[:, k], (0.0, 6.0), 1e-12, p, events=evs)
+            sol = flow(z0[:, k], 6.0, 1e-12, p, events=evs)
             nfev += sol.nfev
             for e in range(len(evs)):
                 crossings += len(run.s_events[k][e])

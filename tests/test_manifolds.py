@@ -25,7 +25,6 @@ from rpc3bp.integrate import (
 )
 from rpc3bp import manifolds
 from rpc3bp.manifolds import (
-    DEFAULT_R0,
     R_MIN,
     V_WINDOW,
     _fan_samples,
@@ -79,24 +78,24 @@ class TestInitialState:
     @pytest.mark.parametrize("mu, g0", [(0.3, 2.4), (0.4924, 3.1), (0.3, 2.0),
                                         (0.5, 2.0), (0.3, 1.5)])
     def test_seed_is_invariant(self, mu, g0):
-        # seeds launched at 2 DEFAULT_R0 arrive at DEFAULT_R0 on the graph:
-        # (y, G) there equal the seed at the arrival (r, phi) to the
-        # integrator floor; the zeroth-order parabolic seed is ~1e-8 off.
-        # DEFAULT_R0 is the graph's floor R_MIN, and the arrival event can
-        # land a few ulps below it, so the seed is read at the floor there
+        # seeds launched at 2 R_MIN arrive at R_MIN on the graph: (y, G)
+        # there equal the seed at the arrival (r, phi) to the integrator
+        # floor; the zeroth-order parabolic seed is ~1e-8 off.  R_MIN is the
+        # graph's floor, and the arrival event can land a few ulps below it,
+        # so the seed is read at the floor there
         p = Params(mu, g0)
 
         def arrival(s, z):
-            return z[0] - DEFAULT_R0
+            return z[0] - R_MIN
         arrival.terminal = True
         arrival.direction = -1.0
 
         for k in range(6):
-            z0 = initial_manifold_state(2.0 * DEFAULT_R0, 0.1 + 2 * math.pi * k / 6, p)
-            sol = flow(z0.to_array(), (0.0, 2.0 * v_of_r(2.0 * DEFAULT_R0)),
-                       1e-13, p, events=[arrival])
+            z0 = initial_manifold_state(2.0 * R_MIN, 0.1 + 2 * math.pi * k / 6, p)
+            sol = flow(z0.to_array(), 2.0 * v_of_r(2.0 * R_MIN), 1e-13, p,
+                       events=[arrival])
             r, phi, y, G = sol.y_events[0][0]
-            assert abs(r - DEFAULT_R0) < 1e-12
+            assert abs(r - R_MIN) < 1e-12
             z = initial_manifold_state(max(r, R_MIN), phi, p)
             assert abs(z.y - y) < 1e-12
             assert abs(z.G - G) < 1e-12
@@ -124,7 +123,7 @@ class TestInitialState:
         # before its first window crossing, so every crossing follows its seed
         v_lo, v_hi = V_WINDOW
         r_exit = 1.05 * homoclinic_r(v_hi + 0.12 * (v_hi - v_lo))
-        assert DEFAULT_R0 == R_MIN > r_exit
+        assert R_MIN > r_exit
 
     def test_graph_sweeps_are_bounded(self, monkeypatch):
         monkeypatch.setattr(manifolds, "_MAX_SWEEPS", 1)
@@ -144,16 +143,16 @@ class TestSectionMachinery:
         assert sol.t[-1] == pytest.approx(2 * math.pi / p.g0**3, rel=0.05)
         assert out[1] == pytest.approx(-2 * math.pi, abs=1e-13)
 
-    def test_caller_events_keep_their_index(self):
+    def test_caller_events_keep_their_index(self, angle_event):
         # the crossings of events[e] are t_events[e], those of flow without
         # the level event up to the return, bit for bit; the return ends
         # the trajectory, so its time is t[-1]
         p = Params(0.3, 2.4)
         z = lift_to_shell(1.3, 0.4, p).to_array()
         s_max = 3.0 * 2 * math.pi / p.g0**3
-        evs = [section_event(math.pi), section_event(0.5 * math.pi, 1.0)]
+        evs = [angle_event(math.pi), angle_event(0.5 * math.pi, 1.0)]
         sol, out = first_return(z, p, 1e-12, s_max, events=evs)
-        ref = flow(z, (0.0, s_max), 1e-12, p, events=evs)
+        ref = flow(z, s_max, 1e-12, p, events=evs)
         n = len(sol.t) - 1
         np.testing.assert_array_equal(sol.t[:n], ref.t[:n])
         assert ref.t[n - 1] < sol.t[n] < ref.t[n]
@@ -324,11 +323,11 @@ class TestInvariantCurves:
         vg = np.linspace(cu.v[0], cu.v[-1], 700)
         assert np.max(np.abs(f(vg) - homoclinic_y(vg))) < 1e-10
 
-    def test_stable_samples_are_reflected_crossings(self):
+    def test_stable_samples_are_reflected_crossings(self, solve_ivp_flow):
         # Oracle for the stable branch, sample by sample: the R-image of each
-        # fan seed, integrated backward to its perihelion, crosses the
-        # section on the outgoing leg exactly where the fan's reflected
-        # inbound crossings say.
+        # fan seed, integrated backward to its perihelion by solve_ivp,
+        # crosses the section on the outgoing leg exactly where the fan's
+        # reflected inbound crossings say.
         p = Params(0.3, 2.4)
         tol, n, (v_lo, v_hi) = 1e-12, 3, V_WINDOW
         _, stable, _ = _fan_samples(p, tol, n)
@@ -340,8 +339,8 @@ class TestInvariantCurves:
         ref = []
         for seed in _fan_seeds(p, n).T:
             z0 = involution_R(RotatingState.from_array(seed))
-            sol = flow(z0.to_array(), (0.0, -2.0 * v_of_r(DEFAULT_R0)), tol, p,
-                       events=[section_event(0.0), perihelion])
+            sol = solve_ivp_flow(z0.to_array(), -2.0 * v_of_r(R_MIN), tol, p,
+                                 events=[section_event(), perihelion])
             assert len(sol.t_events[1]) == 1
             for z in sol.y_events[0]:
                 zr = refine_to_section(z, p)
@@ -375,9 +374,8 @@ class TestInvariantCurves:
 
         ref_u, ref_s = [], []
         for z0 in _fan_seeds(p, n).T:
-            sol = flow(z0,
-                       (0.0, 1.35 * (v_of_r(DEFAULT_R0) + v_hi + 5.0)), tol, p,
-                       events=[section_event(0.0), exit_event, turn_event])
+            sol = flow(z0, 1.35 * (v_of_r(R_MIN) + v_hi + 5.0), tol, p,
+                       events=[section_event(), exit_event, turn_event])
             for z in sol.y_events[0]:
                 if abs(z[2]) > 1e-6 and r_lo <= z[0] <= r_hi:
                     zr = refine_to_section(z, p)
@@ -410,7 +408,7 @@ class TestInvariantCurves:
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
         # iterations here, the graph seed at r0 = 8 took 366, at r0 = 5 253,
-        # and at DEFAULT_R0 = R_MIN = 3 it takes 185
+        # and at R_MIN = 3 it takes 185
         c = compute_invariant_curve("unstable", Params(0.3, 2.4))
         assert c.meta["lockstep_iterations"] <= 220
         assert c.meta["graph_update"] <= np.finfo(float).eps
@@ -418,14 +416,17 @@ class TestInvariantCurves:
 
     def test_samples_do_not_depend_on_seed_radius(self, monkeypatch):
         # the lanes sit on a grid of the profile phase, so seeds at r0 = 8,
-        # at 5 and at R_MIN sample the curves at the same v; on a grid of
-        # the seed angle the reports differed by 2.2e-5 in max|D|
+        # at 5 and at 3 sample the curves at the same v; on a grid of the
+        # seed angle the reports differed by 2.2e-5 in max|D|.  The fan is
+        # seeded at the graph's floor, so the graph is solved down to each r0
         p = Params(0.3, 2.4)
         reports = []
         for r0 in (8.0, 5.0, R_MIN):
-            monkeypatch.setattr(manifolds, "DEFAULT_R0", r0)
+            monkeypatch.setattr(manifolds, "R_MIN", r0)
+            _manifold_graph.cache_clear()
             _fan_samples.cache_clear()
             reports.append(splitting_report(p))
+        _manifold_graph.cache_clear()
         _fan_samples.cache_clear()
         a = reports[0]
         assert len(a.roots) > 0
@@ -446,11 +447,11 @@ class TestInvariantCurves:
         n = compute_invariant_curve("unstable", p).meta["n_phases"]
         gated = _fan_samples.__wrapped__(p, 1e-12, n)
 
-        def ungated_flow(z0, s_span, tol, p, events):
+        def ungated_flow(z0, s_end, tol, p, events):
             for ev in events:
                 if hasattr(ev, "gate"):
                     del ev.gate
-            return lockstep_flow(z0, s_span, tol, p, events=events)
+            return lockstep_flow(z0, s_end, tol, p, events=events)
         monkeypatch.setattr(manifolds, "lockstep_flow", ungated_flow)
         ungated = _fan_samples.__wrapped__(p, 1e-12, n)
         assert gated[:2] == ungated[:2]
@@ -489,8 +490,8 @@ def _matched_Y(p, r0, v_target=1.0):
 
     def crossing(phase):
         z0 = initial_manifold_state(r0, phase, p)
-        sol = flow(z0.to_array(), (0.0, 1.35 * (v_of_r(r0) + 7.0)), 1e-13, p,
-                   events=[section_event(0.0), exit_event])
+        sol = flow(z0.to_array(), 1.35 * (v_of_r(r0) + 7.0), 1e-13, p,
+                   events=[section_event(), exit_event])
         best = None
         for z in sol.y_events[0]:
             if z[2] > 1e-6 and z[0] >= 0.5:
@@ -513,10 +514,10 @@ def _matched_Y(p, r0, v_target=1.0):
 @pytest.mark.slow
 class TestSeedingRobustness:
     def test_default_r0_doubling_matched_point(self):
-        # the graph seed at DEFAULT_R0 against seeds at 2 DEFAULT_R0, at a
-        # matched point of the curve (no interpolation of fan samples)
+        # the graph seed at R_MIN against seeds at 2 R_MIN, at a matched
+        # point of the curve (no interpolation of fan samples)
         p = Params(0.3, 2.4)
-        dy = abs(_matched_Y(p, DEFAULT_R0) - _matched_Y(p, 2.0 * DEFAULT_R0))
+        dy = abs(_matched_Y(p, R_MIN) - _matched_Y(p, 2.0 * R_MIN))
         assert dy < 1e-12
 
     def test_r0_doubling_matched_point(self):

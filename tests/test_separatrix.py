@@ -95,7 +95,7 @@ class TestFlowConsistency:
         h0, h1 = homoclinic_state(v0), homoclinic_state(v0 + dv)
         phi0 = 0.3
         z = RotatingState.from_array(
-            flow([h0.r, phi0, h0.y, 1.0], (0.0, dv), tol, p).y[:, -1])
+            flow([h0.r, phi0, h0.y, 1.0], dv, tol, p).y[:, -1])
         assert z.r == pytest.approx(h1.r, abs=1e-10)
         assert z.y == pytest.approx(h1.y, abs=1e-10)
         assert z.G == pytest.approx(1.0, abs=1e-12)
