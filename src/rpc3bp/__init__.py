@@ -9,25 +9,15 @@ oscillatory-motion demonstrations.
 __version__ = "0.1.0"
 
 from .core import (
-    CartesianState,
     CollisionError,
     Params,
-    PolarState,
     PrecisionError,
     RotatingState,
     SectionTimeoutError,
-    cartesian_to_polar,
     collision_radius,
-    hamiltonian_cartesian,
-    hamiltonian_polar,
     hamiltonian_rotating,
     involution_R,
-    jacobi_constant,
-    polar_to_cartesian,
-    polar_to_rotating,
     potential_V,
-    rotating_to_polar,
-    vector_field_rotating,
 )
 from .melnikov import (
     MelnikovSeries,

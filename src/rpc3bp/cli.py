@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Params, PrecisionError
+from .core import CollisionError, Params, PrecisionError
 from .integrate import TOL_MAX, TOL_MIN
 from .melnikov import MP_DPS_MIN, MelnikovSeries
 from .manifolds import compute_invariant_curve
@@ -485,12 +485,16 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg, Path(cfg["out"]))
+    # CollisionError is a ValueError, but no input reaches it: the commands
+    # refuse a seed inside the cutoff before integrating, so a collision is
+    # an orbit's, found while running
+    except (CollisionError, PrecisionError, ArithmeticError,
+            RuntimeError) as err:
+        print(f"numerical error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PrecisionError, ArithmeticError, RuntimeError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

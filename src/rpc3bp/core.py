@@ -1,32 +1,31 @@
-"""Coordinate charts, Hamiltonians and vector fields for the planar circular
-restricted three-body problem (RPC3BP).
+"""The model of the planar circular restricted three-body problem (RPC3BP)
+in the chart the toolkit runs in.
 
-Charts
-------
-cartesian : inertial position/momentum (q, p) with the primaries on circular
-    orbits of radius mu and 1-mu.
-polar     : (r, alpha, y, G) with y the radial momentum, G the angular momentum.
-rotating  : rescaled synodic chart (r, phi, y, G).  Radii are measured in units
-    of g0^2, momenta in 1/g0, time in g0^3, and phi = alpha - t is the angle
-    relative to the primaries.  In this chart the system is an autonomous
-    two-degree-of-freedom Hamiltonian and the energy level of interest is
-    H = -g0^3 (the Jacobi-constant level J = -g0 of the original variables).
+Chart
+-----
+rotating : rescaled synodic chart (r, phi, y, G), with y the radial momentum
+    and G the angular momentum.  Radii are measured in units of g0^2,
+    momenta in 1/g0, time in g0^3, and phi is the angle relative to the
+    primaries, with the larger one on the ray phi = 0.  In this chart the
+    system is an autonomous two-degree-of-freedom Hamiltonian and the
+    energy level of interest is H = -g0^3 (the Jacobi-constant level
+    J = H/g0^2 = -g0 of the original variables).  The tests check this
+    chart against the inertial problem, through its Cartesian and polar
+    charts, as an independent oracle.
 
-State layout for array-based work is ``[r, phi, y, G]`` (rotating chart).
+State layout for array-based work is ``[r, phi, y, G]``.
 
 The perturbing potential V of the primaries and the flow it drives are
 written once, in potential_kernel, for whatever cos, sin and sqrt it is
 given: math's for the scalar right-hand side of single orbits, numpy's for
 the lanes of a fan and the angle grids of the Melnikov quadrature.
-potential_V, vector_field_rotating, hamiltonian_rotating and
-hamiltonian_polar derive from it; hamiltonian_cartesian keeps its own
-arithmetic as an independent check of the charts.
+potential_V and hamiltonian_rotating derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,21 +35,11 @@ __all__ = [
     "PrecisionError",
     "SectionTimeoutError",
     "Params",
-    "CartesianState",
-    "PolarState",
     "RotatingState",
     "potential_kernel",
     "collision_radius",
-    "hamiltonian_cartesian",
-    "hamiltonian_polar",
     "hamiltonian_rotating",
-    "jacobi_constant",
     "potential_V",
-    "cartesian_to_polar",
-    "polar_to_cartesian",
-    "polar_to_rotating",
-    "rotating_to_polar",
-    "vector_field_rotating",
     "involution_R",
 ]
 
@@ -91,22 +80,6 @@ class Params:
             raise ValueError(f"mu must be in [0, 1/2], got {self.mu}")
         if not (isfinite(self.g0) and self.g0 > 1.0):
             raise ValueError(f"g0 must be finite and exceed 1, got {self.g0}")
-
-
-@dataclass(frozen=True)
-class CartesianState:
-    q: tuple[float, float]
-    p: tuple[float, float]
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolarState:
-    r: float
-    alpha: float
-    y: float
-    G: float
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -224,38 +197,8 @@ def potential_kernel(p: Params, cos, sin, sqrt) -> PotentialKernel:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians and the Jacobi constant
+# Energy
 # ---------------------------------------------------------------------------
-
-def hamiltonian_cartesian(s: CartesianState, p: Params) -> float:
-    """Energy |p|^2/2 - (1-mu)/|q + mu*q0(t)| - mu/|q - (1-mu)*q0(t)|,
-    with q0(t) = (cos t, sin t) the primaries' circular motion."""
-    q1, q2 = s.q
-    p1, p2 = s.p
-    c, sn = cos(s.t), sin(s.t)
-    d1 = hypot(q1 + p.mu * c, q2 + p.mu * sn)
-    d2 = hypot(q1 - (1.0 - p.mu) * c, q2 - (1.0 - p.mu) * sn)
-    # only primaries carrying mass are singular
-    if (p.mu < 1.0 and d1 < _COLLISION_EPS) or (p.mu > 0.0 and d2 < _COLLISION_EPS):
-        raise CollisionError("state at a primary")
-    out = 0.5 * (p1 * p1 + p2 * p2)
-    if p.mu < 1.0:
-        out -= (1.0 - p.mu) / d1
-    if p.mu > 0.0:
-        out -= p.mu / d2
-    return out
-
-
-def hamiltonian_polar(s: PolarState, p: Params) -> float:
-    """Energy y^2/2 + G^2/(2 r^2) - (1-mu)/d1 - mu/d2 of the polar chart,
-    as H_rot/g0^2 + G through polar_to_rotating (hamiltonian_rotating)."""
-    return hamiltonian_rotating(polar_to_rotating(s, p), p) / p.g0**2 + s.G
-
-
-def jacobi_constant(s: PolarState, p: Params) -> float:
-    """Conserved combination H - G of the polar chart."""
-    return hamiltonian_polar(s, p) - s.G
-
 
 def potential_V(r: float, phi: float, p: Params) -> float:
     """Rescaled perturbation potential of the rotating chart.
@@ -278,8 +221,8 @@ def hamiltonian_rotating(s: RotatingState, p: Params) -> float:
     """Autonomous two-degree-of-freedom energy of the rotating chart:
     y^2/2 - g0^3 G + G^2/(2 r^2) - 1/r - V(r, phi).
 
-    Relates to the polar-chart Jacobi constant by H = g0^2 * J, so the
-    working energy shell H = -g0^3 corresponds to J = -g0.
+    Relates to the Jacobi constant J of the original variables by
+    H = g0^2 * J, so the working energy shell H = -g0^3 is J = -g0.
     """
     if s.r <= 0.0:
         raise CollisionError("r must be positive")
@@ -288,60 +231,8 @@ def hamiltonian_rotating(s: RotatingState, p: Params) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chart transforms
+# Reversibility
 # ---------------------------------------------------------------------------
-
-def cartesian_to_polar(s: CartesianState) -> PolarState:
-    q1, q2 = s.q
-    p1, p2 = s.p
-    r = hypot(q1, q2)
-    if r <= 0.0:
-        raise CollisionError("origin has no polar chart")
-    alpha = atan2(q2, q1)
-    y = (q1 * p1 + q2 * p2) / r
-    G = q1 * p2 - q2 * p1
-    return PolarState(r, alpha, y, G, s.t)
-
-
-def polar_to_cartesian(s: PolarState) -> CartesianState:
-    c, sn = cos(s.alpha), sin(s.alpha)
-    q = (s.r * c, s.r * sn)
-    p = (s.y * c - s.G / s.r * sn, s.y * sn + s.G / s.r * c)
-    return CartesianState(q, p, s.t)
-
-
-def polar_to_rotating(s: PolarState, p: Params) -> RotatingState:
-    """Rescale and pass to the synodic angle phi = alpha - t + pi.
-
-    The pi offset places the larger primary at phi-distance cos(phi) as the
-    rotating-chart potential is written (larger mass toward phi = 0), keeping
-    every chart consistent with the Cartesian primary positions.
-    """
-    return RotatingState(s.r / p.g0**2, s.alpha - s.t + pi, s.y * p.g0,
-                         s.G / p.g0)
-
-
-def rotating_to_polar(s: RotatingState, t: float, p: Params) -> PolarState:
-    """Inverse of polar_to_rotating at original-variables time t."""
-    return PolarState(s.r * p.g0**2, s.phi + t - pi, s.y / p.g0, s.G * p.g0, t)
-
-
-# ---------------------------------------------------------------------------
-# Vector field and reversibility
-# ---------------------------------------------------------------------------
-
-def vector_field_rotating(s: RotatingState, p: Params) -> np.ndarray:
-    """d/ds of (r, phi, y, G) under the rotating-chart Hamiltonian flow.
-
-    Returns (y, G/r^2 - g0^3, G^2/r^3 - 1/r^2 + dV/dr, dV/dphi), the field
-    of potential_kernel.  The energy hamiltonian_rotating is a first
-    integral.  At mu = 0 the G component is identically zero.
-    """
-    if s.r < collision_radius(p):
-        raise CollisionError(f"r={s.r} inside collision cutoff")
-    field = potential_kernel(p, cos, sin, sqrt).field
-    return np.array(field(0.0, (s.r, s.phi, s.y, s.G)))
-
 
 def involution_R(s: RotatingState) -> RotatingState:
     """Reversing symmetry (r, phi, y, G) -> (r, -phi, -y, G); an involution.

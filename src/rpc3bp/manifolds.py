@@ -214,7 +214,11 @@ def _manifold_graph(p: Params) -> _ManifoldGraph:
     G and 9.3e-13 in y, and the residual at R_MIN reads 5.7e-14.  At
     (0.1, 1.05) they differ by 1.4e-11 in G and 2.0e-11 in y over 37
     phases, with residual 3.5e-13: above the profile's assumed noise floor
-    NOISE_FLOOR_PER_TOL * tol = 1e-11 at tol 1e-12.
+    NOISE_FLOOR_PER_TOL * tol = 1e-11 at tol 1e-12.  No fan runs there,
+    though: with the default settings a fan orbit reaches the collision
+    cutoff at every g0 up to 1.9 at mu = 0.1, 1.8 at mu = 0.3 and 1.7 at
+    mu = 0.5 (read on a 0.05 grid from 1.05), so no profile or report
+    reads the seeds at g0 = 1.05.
     """
     n, m = _CHEB_NODES, _FOURIER_NODES
     g03 = p.g0**3

@@ -72,7 +72,6 @@ __all__ = [
     "QuadratureResult",
     "melnikov_coeff_quadrature",
     "contour_integral_I",
-    "contour_integral_leading",
     "melnikov_coeff_contour",
     "melnikov_coeff_asymptotic",
     "MelnikovSeries",
@@ -277,6 +276,8 @@ _T_NEAR = 5.0
 # the real-line quadrature's tail tolerance: it cuts the line where what the
 # boundary terms leave of both tails is below QUAD_TOL/10
 QUAD_TOL = 1e-9
+# the cut |tau| <= TAU_MAX of the mean coefficient L[0]'s trapezoid
+TAU_MAX = 300.0
 
 
 def _g_factor(t_nodes: np.ndarray, l: int, p: Params) -> np.ndarray:
@@ -389,21 +390,20 @@ def melnikov_coeff_quadrature(l: int, p: Params) -> QuadratureResult:
                             step_error=step_error)
 
 
-def melnikov_coeff0_quadrature(p: Params,
-                               tau_max: float = 300.0) -> tuple[float, float]:
+def melnikov_coeff0_quadrature(p: Params) -> tuple[float, float]:
     """Mean coefficient L[0] and its error estimate.
 
     L[0] is the plain (non-oscillatory) integral of U[0], evaluated in the
     cubic variable where the decay is tau^-4, by the trapezoid with 10 nodes
-    per unit of tau on |tau| <= tau_max.  The estimate is the leading
-    closed-form tail 2 mu (1-mu) / (3 g0^4 tau_max^3) of the integrand
-    mu (1-mu)/(g0^4 tau^4) beyond +-tau_max, plus the trapezoid's step error,
+    per unit of tau on |tau| <= TAU_MAX.  The estimate is the leading
+    closed-form tail 2 mu (1-mu) / (3 g0^4 TAU_MAX^3) of the integrand
+    mu (1-mu)/(g0^4 tau^4) beyond +-TAU_MAX, plus the trapezoid's step error,
     read as half the difference from the midpoint rule on the same step.
     """
     if p.mu == 0.0:
         return 0.0, 0.0
-    n = int(round(20.0 * tau_max))
-    tau = np.linspace(-tau_max, tau_max, n)
+    n = int(round(20.0 * TAU_MAX))
+    tau = np.linspace(-TAU_MAX, TAU_MAX, n)
 
     def integrand(t):
         u0 = uhat_fourier_coeff_quadrature(0, np.asarray(v_of_tau(t)), p).real
@@ -412,7 +412,7 @@ def melnikov_coeff0_quadrature(p: Params,
     value = float(np.trapezoid(integrand(tau), tau))
     mid = 0.5 * (tau[:-1] + tau[1:])
     midpoint = float(np.sum(integrand(mid) * np.diff(tau)))
-    tail = 2.0 * p.mu * (1.0 - p.mu) / (3.0 * p.g0**4 * tau_max**3)
+    tail = 2.0 * p.mu * (1.0 - p.mu) / (3.0 * p.g0**4 * TAU_MAX**3)
     return value, tail + 0.5 * abs(value - midpoint)
 
 
@@ -814,26 +814,6 @@ def contour_integral_I(l: int, js, p: Params, mp_dps: int | None = None):
     if mp_dps is None:
         return _contour_terms(l, js, p)
     return _contour_terms_mp(l, js, p, mp_dps)
-
-
-def _double_factorial_odd(m: int) -> float:
-    """(2m - 1)!! for m >= 1."""
-    return float(math.prod(range(2 * m - 1, 0, -2)))
-
-
-def contour_integral_leading(l: int, m: int, n: int, p: Params) -> float:
-    """Leading asymptotic of I(l, m, n) for l >= 1, m >= 1 as g0 -> infinity:
-
-        (-1)^m sqrt(2 pi) l^{m-1/2} / (2m-1)!!  *  g0^{3m-3/2} e^{-l g0^3/3} / (-4)^n,
-
-    from the Gaussian saddle at tau = i with pole order 2m.  Relative error
-    O(g0^{-3/2}).  In particular I(1,2,1) is negative and
-    I(2,2,0) -> (4/3) sqrt(pi) g0^{9/2} e^{-2 g0^3/3}.
-    """
-    if l < 1 or m < 1:
-        raise ValueError("leading form requires l >= 1 and m >= 1")
-    J = (-1.0) ** m * sqrt(2.0 * pi) * l ** (m - 0.5) / _double_factorial_odd(m)
-    return (J * p.g0 ** (3 * m - 1.5) * exp(-l * p.g0**3 / 3.0) / (-4.0) ** n)
 
 
 def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,

@@ -12,6 +12,7 @@ import pytest
 
 from rpc3bp import cli, splitting
 from rpc3bp.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNTRUSTED,
     EXIT_VALIDATION,
@@ -561,6 +562,24 @@ class TestValidation:
         code = run(["melnikov", "--out", tmp_path, "--mu", 0.3, "--g0", 3.0,
                     "--methods", "quadrature"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["splitting", "manifolds"])
+    def test_collision_during_a_run_is_numerical_failure(self, command,
+                                                         tmp_path, capsys):
+        # at (0.3, 1.5) a fan orbit reaches the collision cutoff while the
+        # fan runs: no input is at fault, so the exit is 3, not 2
+        assert run([command, "--mu", 0.3, "--g0", 1.5, "--out", tmp_path]) \
+            == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical error" in err and "collision cutoff" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_collision_in_a_sweep_is_an_error_row(self, tmp_path):
+        assert run(["sweep", "--grid-mu", 0.3, "--grid-g0", 1.5,
+                    "--out", tmp_path]) == EXIT_OK
+        rows = [l for l in (tmp_path / "sweep.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[1:] == ["0.3,1.5,,,,,error:CollisionError"]
 
 
 # the settings each command writes into its provenance, and a quick run of it

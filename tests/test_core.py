@@ -11,24 +11,14 @@ from scipy.optimize import brentq as scipy_brentq
 import rpc3bp
 from rpc3bp import _dop853
 from rpc3bp.core import (
-    CartesianState,
     CollisionError,
     Params,
-    PolarState,
     RotatingState,
-    cartesian_to_polar,
     collision_radius,
-    hamiltonian_cartesian,
-    hamiltonian_polar,
     hamiltonian_rotating,
     involution_R,
-    jacobi_constant,
-    polar_to_cartesian,
-    polar_to_rotating,
     potential_kernel,
     potential_V,
-    rotating_to_polar,
-    vector_field_rotating,
 )
 from rpc3bp.integrate import (
     TOL_MIN,
@@ -67,82 +57,127 @@ class TestParams:
             Params(0.3, 1.0)
 
 
+# The inertial problem, the oracle of the rotating chart: a Cartesian state
+# is (q1, q2, p1, p2, t) and a polar one (r, alpha, y, G, t), in the original
+# variables at time t, with the primaries on circular orbits of radius mu
+# and 1 - mu about their centre of mass.
+
+def hamiltonian_cartesian(s, p):
+    """|p|^2/2 - (1-mu)/|q + mu q0(t)| - mu/|q - (1-mu) q0(t)|, with
+    q0(t) = (cos t, sin t)."""
+    q1, q2, p1, p2, t = s
+    c, sn = math.cos(t), math.sin(t)
+    d1 = math.hypot(q1 + p.mu * c, q2 + p.mu * sn)
+    out = 0.5 * (p1 * p1 + p2 * p2) - (1.0 - p.mu) / d1
+    if p.mu > 0.0:      # a massless primary is not singular
+        out -= p.mu / math.hypot(q1 - (1.0 - p.mu) * c, q2 - (1.0 - p.mu) * sn)
+    return out
+
+
+def cartesian_to_polar(s):
+    q1, q2, p1, p2, t = s
+    r = math.hypot(q1, q2)
+    return (r, math.atan2(q2, q1), (q1 * p1 + q2 * p2) / r, q1 * p2 - q2 * p1, t)
+
+
+def polar_to_cartesian(s):
+    r, alpha, y, G, t = s
+    c, sn = math.cos(alpha), math.sin(alpha)
+    return (r * c, r * sn, y * c - G / r * sn, y * sn + G / r * c, t)
+
+
+def polar_to_rotating(s, p):
+    """Rescale and pass to the synodic angle phi = alpha - t + pi, which puts
+    the larger primary, at -mu q0(t), on the ray phi = 0."""
+    r, alpha, y, G, t = s
+    return RotatingState(r / p.g0**2, alpha - t + math.pi, y * p.g0, G / p.g0)
+
+
+def rotating_to_polar(z, t, p):
+    """Inverse of polar_to_rotating at original-variables time t."""
+    return (z.r * p.g0**2, z.phi + t - math.pi, z.y / p.g0, z.G * p.g0, t)
+
+
+def kernel_rates(p):
+    """flow's right-hand side, on four Python floats."""
+    return potential_kernel(p, math.cos, math.sin, math.sqrt).rates
+
+
 class TestHamiltonians:
     def test_two_body_circular_value(self):
         # mu=0, circular orbit at r=1: H = 1/2 - 1 = -1/2
-        s = CartesianState((1.0, 0.0), (0.0, 1.0), 0.0)
+        s = (1.0, 0.0, 0.0, 1.0, 0.0)
         assert hamiltonian_cartesian(s, Params(0.0, 2.0)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_direct_evaluation_mu_half(self):
         # independent arithmetic of the defining formula
-        s = CartesianState((0.0, 10.0), (0.0, 0.0), 0.0)
+        s = (0.0, 10.0, 0.0, 0.0, 0.0)
         expected = -0.5 / math.hypot(0.5, 10.0) - 0.5 / math.hypot(-0.5, 10.0)
         assert hamiltonian_cartesian(s, Params(0.5, 2.0)) == pytest.approx(expected, rel=1e-15)
 
     def test_chart_consistency_cartesian_polar(self):
+        # the inertial energy is H_rot/g0^2 + G of the image state
         p = Params(0.37, 2.3)
         for _ in range(10):
             q = (2.0 * RNG.random() + 0.5, 2.0 * RNG.random() - 1.0)
             mom = (RNG.random() - 0.5, RNG.random() - 0.5)
             t = 3.0 * RNG.random()
-            s = CartesianState(q, mom, t)
+            s = (*q, *mom, t)
             pol = cartesian_to_polar(s)
             assert hamiltonian_cartesian(s, p) == pytest.approx(
-                hamiltonian_polar(pol, p), abs=1e-12)
+                hamiltonian_rotating(polar_to_rotating(pol, p), p) / p.g0**2
+                + pol[3], abs=1e-12)
 
     def test_round_trips(self):
         p = Params(0.2, 2.1)
-        pol = PolarState(3.7, 1.1, -0.2, 1.9, 0.6)
+        pol = (3.7, 1.1, -0.2, 1.9, 0.6)
         back = cartesian_to_polar(polar_to_cartesian(pol))
-        assert back.r == pytest.approx(pol.r, abs=1e-12)
-        assert back.alpha == pytest.approx(pol.alpha, abs=1e-12)
-        assert back.y == pytest.approx(pol.y, abs=1e-12)
-        assert back.G == pytest.approx(pol.G, abs=1e-12)
+        assert back == pytest.approx(pol, abs=1e-12)
         rot = polar_to_rotating(pol, p)
-        pol2 = rotating_to_polar(rot, pol.t, p)
-        for attr in ("r", "alpha", "y", "G"):
-            assert getattr(pol2, attr) == pytest.approx(getattr(pol, attr), abs=1e-12)
+        assert rotating_to_polar(rot, pol[4], p) == pytest.approx(pol, abs=1e-12)
 
     def test_energy_scaling_relation(self):
-        # rotating energy equals g0^2 times the polar Jacobi constant
+        # rotating energy equals g0^2 times the Jacobi constant H - G of the
+        # inertial problem
         p = Params(0.31, 2.2)
         for s in random_rotating_states(p, 6):
-            t = 1.7
-            pol = rotating_to_polar(s, t, p)
+            pol = rotating_to_polar(s, 1.7, p)
+            jacobi = hamiltonian_cartesian(polar_to_cartesian(pol), p) - pol[3]
             assert hamiltonian_rotating(s, p) == pytest.approx(
-                p.g0**2 * jacobi_constant(pol, p), abs=1e-11 * p.g0**3)
+                p.g0**2 * jacobi, abs=1e-11 * p.g0**3)
 
     def test_collision_raises(self):
+        # the larger primary sits at r = mu/g0^2 on the ray phi = 0
+        p = Params(0.3, 2.0)
         with pytest.raises(CollisionError):
-            hamiltonian_cartesian(
-                CartesianState((-0.3, 0.0), (0.0, 0.0), 0.0), Params(0.3, 2.0))
+            potential_V(p.mu / p.g0**2, 0.0, p)
 
 
 class TestJacobi:
+    # the Jacobi constant of the original variables is H_rot/g0^2
+
     def test_shell_maps_to_minus_g0(self):
-        # on-shell states correspond to Jacobi constant -g0
-        from rpc3bp.manifolds import lift_to_shell
         p = Params(0.3, 2.4)
         z = lift_to_shell(1.3, 0.6, p)
-        pol = rotating_to_polar(z, 0.0, p)
-        assert jacobi_constant(pol, p) == pytest.approx(-p.g0, abs=1e-12)
+        assert hamiltonian_rotating(z, p) / p.g0**2 == pytest.approx(
+            -p.g0, abs=1e-12)
 
     def test_conserved_mu0_flow(self):
         p = Params(0.0, 2.0)
         z = RotatingState(1.2, 0.3, 0.4, 1.0)
-        j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
+        j0 = hamiltonian_rotating(z, p) / p.g0**2
         z1 = RotatingState.from_array(
             flow(z.to_array(), 3.0, 1e-12, p).y[:, -1])
-        j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 3.0, p), p)
+        j1 = hamiltonian_rotating(z1, p) / p.g0**2
         assert abs(j1 - j0) < 1e-12
 
     def test_drift_along_numerical_flow(self):
         p = Params(0.3, 2.2)
         z = RotatingState(1.4, 0.7, 0.3, 1.0)
-        j0 = jacobi_constant(rotating_to_polar(z, 0.0, p), p)
+        j0 = hamiltonian_rotating(z, p) / p.g0**2
         z1 = RotatingState.from_array(
             flow(z.to_array(), 10.0, 1e-12, p).y[:, -1])
-        j1 = jacobi_constant(rotating_to_polar(z1, p.g0**3 * 10.0, p), p)
+        j1 = hamiltonian_rotating(z1, p) / p.g0**2
         assert abs(j1 - j0) < 1e-10
 
 
@@ -178,7 +213,7 @@ class TestPotential:
         for r, phi in [(0.9, 0.8), (1.6, 2.5), (3.0, -1.0)]:
             fd_r = (potential_V(r + h, phi, p) - potential_V(r - h, phi, p)) / (2 * h)
             fd_phi = (potential_V(r, phi + h, p) - potential_V(r, phi - h, p)) / (2 * h)
-            f = vector_field_rotating(RotatingState(r, phi, 0.0, G), p)
+            f = kernel_rates(p)(r, phi, 0.0, G)
             assert f[2] - (G * G / r**3 - 1.0 / r**2) == pytest.approx(fd_r, abs=1e-8)
             assert f[3] == pytest.approx(fd_phi, abs=1e-8)
 
@@ -189,10 +224,10 @@ class TestPotential:
         r, phi, y, G = 1.0 / p.g0**2, math.pi, 0.3, 1.0
         assert potential_V(r, phi, p) == 0.0
         kepler = (y, G / r**2 - p.g0**3, G * G / r**3 - 1.0 / r**2, 0.0)
-        f = vector_field_rotating(RotatingState(r, phi, y, G), p)
+        f = kernel_rates(p)(r, phi, y, G)
         assert f == pytest.approx(kepler, rel=1e-15, abs=0.0)
         field = potential_kernel(p, math.cos, math.sin, math.sqrt).field
-        assert field(0.0, [r, phi, y, G]) == tuple(f)
+        assert field(0.0, [r, phi, y, G]) == f
         with np.errstate(all="raise"):
             lanes = potential_kernel(p, np.cos, np.sin, np.sqrt).field(
                 0.0, np.array([[r], [phi], [y], [G]]))
@@ -205,7 +240,7 @@ class TestVectorField:
         p = Params(0.0, 2.0)
         for v in (-1.5, -0.3, 0.4, 1.0, 2.5):
             h = homoclinic_state(v)
-            f = vector_field_rotating(RotatingState(h.r, 0.7, h.y, 1.0), p)
+            f = kernel_rates(p)(h.r, 0.7, h.y, 1.0)
             assert f[0] == pytest.approx(h.y, abs=1e-12)
             assert f[1] == pytest.approx(1.0 / h.r**2 - p.g0**3, abs=1e-12)
             assert f[2] == pytest.approx(1.0 / h.r**3 - 1.0 / h.r**2, abs=1e-12)
@@ -215,7 +250,7 @@ class TestVectorField:
         p = Params(0.29, 2.4)
         h = 1e-6
         for s in random_rotating_states(p, 5):
-            f = vector_field_rotating(s, p)
+            f = np.array(kernel_rates(p)(s.r, s.phi, s.y, s.G))
             grad = np.array([
                 (hamiltonian_rotating(RotatingState(s.r + h, s.phi, s.y, s.G), p)
                  - hamiltonian_rotating(RotatingState(s.r - h, s.phi, s.y, s.G), p)),
@@ -231,17 +266,13 @@ class TestVectorField:
     def test_angular_momentum_frozen_at_mu0(self):
         p = Params(0.0, 2.5)
         for s in random_rotating_states(p, 4):
-            assert vector_field_rotating(s, p)[3] == 0.0
-
-    def test_collision_cutoff(self):
-        p = Params(0.3, 2.0)
-        with pytest.raises(CollisionError):
-            vector_field_rotating(RotatingState(0.9 * collision_radius(p), 0.0, 0.0, 1.0), p)
+            assert kernel_rates(p)(s.r, s.phi, s.y, s.G)[3] == 0.0
 
     def test_cutoff_spares_mu0_perihelion(self):
         # the unperturbed separatrix touches r = 1/2 and must stay integrable
-        assert 0.0 < collision_radius(Params(0.0, 2.0)) < 0.5
-        vector_field_rotating(RotatingState(0.5, 0.0, 0.0, 1.0), Params(0.0, 2.0))
+        p = Params(0.0, 2.0)
+        assert 0.0 < collision_radius(p) < 0.5
+        assert flow([0.5, 0.0, 0.0, 1.0], 0.1, 1e-12, p).status == 0
 
 
 class TestInvolution:
@@ -522,8 +553,7 @@ class TestFlow:
 class TestLockstep:
     def test_lane_rhs_matches_scalar_rhs(self):
         # every entry to the field agrees bit for bit: the lanes, flow's
-        # rates on four Python floats, solve_ivp's f(s, z) and
-        # vector_field_rotating
+        # rates on four Python floats and solve_ivp's f(s, z)
         for p in (Params(0.3, 2.4), Params(0.5, 2.0), Params(0.0, 2.2)):
             states = random_rotating_states(p, 8) + [
                 RotatingState(50.0, 1.3, -0.2, 1.0),
@@ -539,7 +569,6 @@ class TestLockstep:
                 assert all(type(x) is float for x in got)
                 assert [x.hex() for x in got] == [float(x).hex() for x in want]
                 np.testing.assert_array_equal(lanes[:, k], want)
-                np.testing.assert_array_equal(vector_field_rotating(s, p), want)
 
     def test_lanes_follow_flow(self):
         # each lane repeats solve_ivp's DOP853 arithmetic: same steps, same

@@ -174,6 +174,20 @@ class TestSectionMachinery:
                               4.0 * 2 * math.pi / p.g0**3)
         assert abs(math.remainder(out[1], 2 * math.pi)) < 1e-13
 
+    @pytest.mark.parametrize("delta, bound", [(1e-6, 1e-14), (1e-4, 1e-10)])
+    def test_refine_steps_onto_the_section(self, delta, bound):
+        # a state delta ahead of the section (phi falls along the flow) is
+        # moved onto it by the Newton micro-steps, to the crossing flow
+        # locates within O(delta^2), Euler's error
+        p = Params(0.3, 2.4)
+        z = lift_to_shell(1.3, 0.6, p).to_array()
+        z[1] = delta
+        zr = refine_to_section(z, p)
+        ref = flow(z, 1e-3, 1e-12, p, events=[section_event()]).y_events[0]
+        assert len(ref) == 1
+        assert np.max(np.abs(zr - ref[0])) < bound
+        assert (zr[1] + math.pi) % (2 * math.pi) - math.pi == 0.0
+
     def test_no_return_within_s_max(self):
         # the orbit is cut at s_max before phi falls to the level 0
         p = Params(0.3, 2.4)
