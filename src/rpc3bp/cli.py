@@ -33,14 +33,10 @@ from . import __version__
 from .core import CollisionError, Params, PrecisionError
 from .integrate import TOL_MAX, TOL_MIN
 from .melnikov import MP_DPS_MIN, MelnikovSeries
-from .manifolds import compute_invariant_curve
+from .manifolds import DEFAULT_N_SAMPLES, DEFAULT_TOL, compute_invariant_curve
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
-from .splitting import (
-    SplittingConfig,
-    continuation_tangency_curve,
-    splitting_report,
-)
+from .splitting import continuation_tangency_curve, splitting_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,10 +48,10 @@ MAX_GRID = 10_000
 DEFAULTS = {
     "mu": 0.3,
     "g0": 2.4,
-    "tol": 1e-12,
+    "tol": DEFAULT_TOL,
     "jmax": 12,
     "lmax": 4,
-    "n_samples": SplittingConfig.n_samples,
+    "n_samples": DEFAULT_N_SAMPLES,
     "precision": "double",
     "mp_dps": 40,
     "out": ".",
@@ -278,10 +274,11 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
 
 def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
+    curves = compute_invariant_curve(p, tol=cfg["tol"],
+                                     n_samples=cfg["n_samples"])
     for b in args.branch:
-        curve = compute_invariant_curve(b, p, tol=float(cfg["tol"]),
-                                        n_samples=int(cfg["n_samples"]))
-        rows = [(v, homoclinic_r(v), Y, b, p.mu, p.g0, curve.tol)
+        curve = getattr(curves, b)
+        rows = [(v, homoclinic_r(v), Y, b, p.mu, p.g0, curves.tol)
                 for v, Y in zip(curve.v, curve.Y)]
         _write_csv(out / f"curve_{b}.csv", "v,r,Y,branch,mu,g0,tol",
                    rows, cfg)
@@ -309,13 +306,9 @@ def _report_payload(rep) -> dict:
     }
 
 
-def _split_cfg(cfg: dict) -> SplittingConfig:
-    return SplittingConfig(tol=float(cfg["tol"]),
-                           n_samples=int(cfg["n_samples"]))
-
-
 def cmd_splitting(args, cfg: dict, out: Path) -> int:
-    rep = splitting_report(_params(cfg), _split_cfg(cfg))
+    rep = splitting_report(_params(cfg), tol=cfg["tol"],
+                           n_samples=cfg["n_samples"])
     _write_json(out / "splitting.json", _report_payload(rep), cfg)
     rows = [(r.v, r.phase, r.D_prime, r.kind) for r in rep.roots]
     _write_csv(out / "roots.csv", "v,phase,D_prime,kind", rows, cfg)
@@ -332,7 +325,8 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
         raise ValueError(f"--steps must lie in [1, {MAX_GRID}], "
                          f"got {args.steps}")
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
-                                      _split_cfg(cfg))
+                                      tol=cfg["tol"],
+                                      n_samples=cfg["n_samples"])
     rows = []
     for pt in pts:
         ratio = (0.5 - pt.mu_star) / (0.5 - pt.mu_predicted)
@@ -377,14 +371,16 @@ def cmd_sweep(args, cfg: dict, out: Path) -> int:
     any_untrusted = False
     for mu in mus:
         for g0 in g0s:
-            key = (mu, g0)
             try:
-                rep = splitting_report(Params(mu, g0), _split_cfg(cfg))
+                rep = splitting_report(Params(mu, g0), tol=cfg["tol"],
+                                       n_samples=cfg["n_samples"])
                 rows.append((mu, g0, rep.max_distance, rep.predicted_amplitude,
                              rep.distance_ratio, len(rep.roots),
                              "untrusted" if rep.untrusted else "ok"))
                 any_untrusted |= rep.untrusted
-            except Exception as err:  # failures isolated per parameter
+            except (ValueError, ArithmeticError, RuntimeError) as err:
+                # failures isolated per parameter: the numerical and input
+                # errors main classifies; a programming error propagates
                 rows.append((mu, g0, "", "", "", "", f"error:{type(err).__name__}"))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "sweep.csv",

@@ -10,6 +10,7 @@ Both curves come from the same orbits.  Their outgoing crossings of the
 section sample W^u; the reversing symmetry R: (r, phi, y, G) ->
 (r, -phi, -y, G) maps W^u onto W^s and the section onto itself, so their
 inbound (y < 0) crossings, reflected by R, sample the stable curve.
+compute_invariant_curve runs the fan once per call and returns both.
 
 Seeds come from a solved graph of W^u(infinity) over the far field, as in
 the local analysis of parabolic infinity (McGehee 1973; the parameterization
@@ -53,7 +54,7 @@ integrate.first_return, the return the oscillation demo iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, pi, sqrt
 
@@ -71,10 +72,12 @@ from .core import (
 from .integrate import first_return, lockstep_flow, refine_to_section, section_event
 # unused here; perfbench's tracer self-test checks that it wraps this binding
 from .integrate import flow  # noqa: F401
-from .separatrix import homoclinic_alpha, homoclinic_r, v_of_r
+from .melnikov import phase_of_v
+from .separatrix import homoclinic_r, v_of_r
 
 __all__ = [
     "ManifoldCurve",
+    "InvariantCurves",
     "initial_manifold_state",
     "lift_to_shell",
     "poincare_map",
@@ -86,6 +89,11 @@ __all__ = [
 # the splitting is measured.  Its buffered exit radius, 2.11, lies below
 # R_MIN, so every window crossing of a lane comes after its seed.
 V_WINDOW = (0.4, 1.6)
+
+# Integrator tolerance and target sample count of a fan by default: the
+# defaults of every report's keywords and of the CLI's config.
+DEFAULT_TOL = 1e-12
+DEFAULT_N_SAMPLES = 60
 
 # Tolerance and relative central-difference step of the Poincare map and its
 # Jacobian: the step balances the O(step^2) truncation against the
@@ -116,13 +124,9 @@ class ManifoldCurve:
     order (see _mask_folds).
     """
 
-    branch: str                # "unstable" | "stable"
-    params: Params
     v: np.ndarray
     Y: np.ndarray
-    tol: float
     fold_intervals: list
-    meta: dict = field(default_factory=dict)
 
     def interpolant(self):
         """Callable Y(v).  The stiff separatrix baseline y_h is subtracted
@@ -138,6 +142,18 @@ class ManifoldCurve:
             return resid(x) + np.asarray(homoclinic_y(x))
 
         return Y_of_v
+
+
+@dataclass
+class InvariantCurves:
+    """The unstable and stable curves read from one fan at params and tol,
+    with the fan's meta (see compute_invariant_curve)."""
+
+    params: Params
+    tol: float
+    unstable: ManifoldCurve
+    stable: ManifoldCurve
+    meta: dict
 
 
 def _t_of_r(r):
@@ -359,14 +375,13 @@ def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:
     lie at x = 2pi k/n_phases (mod 2pi), whatever the seed radius.
     """
     v0 = v_of_r(R_MIN)
-    x0 = (p.g0**3 * v0 - homoclinic_alpha(v0)) % (2.0 * pi)
+    x0 = phase_of_v(v0, p) % (2.0 * pi)
     return np.array([initial_manifold_state(R_MIN,
                                             2.0 * pi * k / n_phases + x0,
                                             p).to_array()
                      for k in range(n_phases)]).T
 
 
-@lru_cache(maxsize=1)
 def _fan_samples(p: Params, tol: float, n_phases: int):
     """Samples (v, Y) of both invariant curves on the section {phi = 0} from
     one fan of far-field orbits seeded at R_MIN, as (unstable, stable,
@@ -439,9 +454,11 @@ def _fan_samples(p: Params, tol: float, n_phases: int):
     return unstable, stable, fan.work
 
 
-def compute_invariant_curve(branch: str, p: Params, tol: float = 1e-12,
-                            n_samples: int = 60) -> ManifoldCurve:
-    """Invariant curve Y(v) over V_WINDOW on the section {phi = 0}.
+def compute_invariant_curve(p: Params, tol: float = DEFAULT_TOL,
+                            n_samples: int = DEFAULT_N_SAMPLES
+                            ) -> InvariantCurves:
+    """The unstable and stable curves Y(v) over V_WINDOW on the section
+    {phi = 0}, both read from one forward fan.
 
     The fan is seeded on the graph of W^u(infinity) at R_MIN.  meta
     carries the fan size (n_phases), the lockstep counters, the graph
@@ -452,32 +469,28 @@ def compute_invariant_curve(branch: str, p: Params, tol: float = 1e-12,
     the fan size is derived from it (one orbit yields about
     window * g0^3 / 2pi crossings) but kept at >= 16 phases so the fast
     synodic oscillation of the curve is resolved for interpolation.
-
-    Both branches are read from one memoised forward fan: the "unstable" and
-    then the "stable" curve with the same arguments integrate once.
     """
-    if branch not in ("unstable", "stable"):
-        raise ValueError("branch must be 'unstable' or 'stable'")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     window = V_WINDOW[1] - V_WINDOW[0]
     per_orbit = max(window * p.g0**3 / (2.0 * pi), 0.3)
     n_phases = max(16, int(np.ceil(n_samples / per_orbit)))
 
-    unstable, stable, work = _fan_samples(p, tol, n_phases)
+    *branches, work = _fan_samples(p, tol, n_phases)
+    curves = []
+    for samples in branches:
+        curve = ManifoldCurve(*_mask_folds(np.array([s[0] for s in samples]),
+                                           np.array([s[1] for s in samples])))
+        if len(curve.v) < 8:
+            raise RuntimeError(f"only {len(curve.v)} window crossings "
+                               "collected; increase n_samples")
+        curves.append(curve)
     graph = _manifold_graph(p)
-    samples = unstable if branch == "unstable" else stable
-    v, Y, fold_intervals = _mask_folds(np.array([s[0] for s in samples]),
-                                       np.array([s[1] for s in samples]))
-    if len(v) < 8:
-        raise RuntimeError(
-            f"only {len(v)} window crossings collected; increase n_samples")
-    return ManifoldCurve(branch=branch, params=p, v=v, Y=Y,
-                         tol=tol, fold_intervals=fold_intervals,
-                         meta={"n_phases": n_phases,
-                               "graph_update": graph.update,
-                               "graph_residual": graph.residual(R_MIN),
-                               **work})
+    return InvariantCurves(p, tol, *curves,
+                           meta={"n_phases": n_phases,
+                                 "graph_update": graph.update,
+                                 "graph_residual": graph.residual(R_MIN),
+                                 **work})
 
 
 def _mask_folds(v: np.ndarray, Y: np.ndarray):

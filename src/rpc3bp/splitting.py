@@ -1,9 +1,10 @@
 """Splitting analysis: distance profiles, homoclinic roots, lobe areas,
 tangency detection and continuation of the tangency curve in (mu, g0).
 
-All quantitative analysis runs on a DistanceProfile, built from a pair of
-invariant curves on a common uniform v-grid.  The profile keeps the curves'
-interpolants, built once, and evaluates the distance off the grid with them.
+All quantitative analysis runs on a DistanceProfile, built from the
+unstable and stable curves of one fan on a common uniform v-grid.  The
+profile keeps the curves' interpolants, built once, and evaluates the
+distance off the grid with them.
 D' and D'' are 5-point (Richardson-extrapolated central) differences of the
 interpolated distance at the grid step, evaluated only where they are read:
 at a root.  Roots of the distance are bracketed sign changes refined on the
@@ -31,7 +32,13 @@ import numpy as np
 
 from .core import Params
 from .integrate import brentq
-from .manifolds import V_WINDOW, ManifoldCurve, compute_invariant_curve
+from .manifolds import (
+    DEFAULT_N_SAMPLES,
+    DEFAULT_TOL,
+    V_WINDOW,
+    InvariantCurves,
+    compute_invariant_curve,
+)
 from .melnikov import (
     phase_of_v,
     predicted_distance,
@@ -41,7 +48,6 @@ from .melnikov import (
 from .separatrix import homoclinic_y
 
 __all__ = [
-    "SplittingConfig",
     "DistanceProfile",
     "HomoclinicRoot",
     "SplittingReport",
@@ -68,14 +74,6 @@ TANGENCY_SOLVE_G0_MIN = 2.6
 
 
 @dataclass
-class SplittingConfig:
-    """Knobs of the curve-to-report pipeline."""
-
-    tol: float = 1e-12
-    n_samples: int = 60
-
-
-@dataclass
 class HomoclinicRoot:
     v: float
     phase: float            # g0^3 v - alpha_h(v)
@@ -87,8 +85,9 @@ class HomoclinicRoot:
 class DistanceProfile:
     """D(v) = Y_s(v) - Y_u(v) on a uniform grid.
 
-    Y_s and Y_u are the curves' interpolants, built once by distance_profile;
-    distance and derivatives evaluate them anywhere in the grid's range.
+    Y_s and Y_u are the interpolants of curves.stable and curves.unstable,
+    built once by distance_profile; distance and derivatives evaluate them
+    anywhere in the grid's range.
     """
 
     params: Params
@@ -96,8 +95,7 @@ class DistanceProfile:
     D: np.ndarray
     noise_floor: float
     fold_intervals: list
-    curve_s: ManifoldCurve
-    curve_u: ManifoldCurve
+    curves: InvariantCurves
     Y_s: Callable
     Y_u: Callable
 
@@ -166,18 +164,16 @@ class TangencyPoint:
     untrusted: bool
 
 
-def distance_profile(curve_s: ManifoldCurve,
-                     curve_u: ManifoldCurve) -> DistanceProfile:
+def distance_profile(curves: InvariantCurves) -> DistanceProfile:
     """Sample Y_s - Y_u on a common uniform grid inside both curves' ranges
     and V_WINDOW.
 
     The grid carries at least 48 points per synodic oscillation, so its sign
     changes bracket every root and the stencils of DistanceProfile.derivatives
-    resolve the fast phase.  Both curves must be of one system.
+    resolve the fast phase.
     """
-    if curve_s.params != curve_u.params:
-        raise ValueError("curves belong to different systems")
-    p = curve_s.params
+    p = curves.params
+    curve_s, curve_u = curves.stable, curves.unstable
     # restrict to the window: samples in the collection buffer beyond it
     # stabilize the spline edges but have partial fan coverage
     lo = max(curve_s.v[0], curve_u.v[0], V_WINDOW[0])
@@ -191,11 +187,11 @@ def distance_profile(curve_s: ManifoldCurve,
     fs = curve_s.interpolant()
     fu = curve_u.interpolant()
     D = fs(v) - fu(v)
-    floor = NOISE_FLOOR_PER_TOL * max(curve_s.tol, curve_u.tol)
+    floor = NOISE_FLOOR_PER_TOL * curves.tol
     folds = sorted(curve_s.fold_intervals + curve_u.fold_intervals)
     return DistanceProfile(params=p, v=v, D=D,
                            noise_floor=floor, fold_intervals=folds,
-                           curve_s=curve_s, curve_u=curve_u, Y_s=fs, Y_u=fu)
+                           curves=curves, Y_s=fs, Y_u=fu)
 
 
 def find_homoclinic_points(profile: DistanceProfile) -> list[HomoclinicRoot]:
@@ -257,14 +253,6 @@ def _lobe_integral(profile: DistanceProfile, v_a: float, v_b: float) -> float:
     return total
 
 
-def _manifold_profile(p: Params, cfg: SplittingConfig) -> DistanceProfile:
-    """Distance profile of the invariant-curve pair computed under cfg."""
-    kw = dict(tol=cfg.tol, n_samples=cfg.n_samples)
-    cu = compute_invariant_curve("unstable", p, **kw)
-    cs = compute_invariant_curve("stable", p, **kw)
-    return distance_profile(cs, cu)
-
-
 def _trust(profile: DistanceProfile) -> tuple[float, bool]:
     """(max|predicted D| over the profile's grid, untrusted): untrusted when
     mu > 0 and that amplitude is below UNTRUSTED_MARGIN noise floors."""
@@ -275,11 +263,10 @@ def _trust(profile: DistanceProfile) -> tuple[float, bool]:
     return amp, amp < UNTRUSTED_MARGIN * profile.noise_floor
 
 
-def splitting_report(p: Params,
-                     config: SplittingConfig | None = None) -> SplittingReport:
+def splitting_report(p: Params, tol: float = DEFAULT_TOL,
+                     n_samples: int = DEFAULT_N_SAMPLES) -> SplittingReport:
     """Full pipeline: curves -> profile -> roots -> lobes -> predictions."""
-    cfg = config or SplittingConfig()
-    profile = _manifold_profile(p, cfg)
+    profile = distance_profile(compute_invariant_curve(p, tol, n_samples))
     roots = list(profile.roots)
 
     # max |D| per complete half-period of the phase
@@ -353,7 +340,8 @@ def count_roots_in_period(profile: DistanceProfile) -> int:
 
 
 def find_tangency(g0: float, mu_bracket: tuple[float, float],
-                  config: SplittingConfig | None = None) -> TangencyPoint:
+                  tol: float = DEFAULT_TOL,
+                  n_samples: int = DEFAULT_N_SAMPLES) -> TangencyPoint:
     """Locate the cubic homoclinic tangency mu*(g0) inside mu_bracket.
 
     The tangency is the Brent zero in mu of D' at the phase-0 center root,
@@ -365,13 +353,13 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
     if g0 < TANGENCY_SOLVE_G0_MIN:
         raise ValueError(f"tangency solve documented for g0 >= "
                          f"{TANGENCY_SOLVE_G0_MIN}")
-    cfg = config or SplittingConfig(tol=1e-13)
     mu_lo, mu_hi = mu_bracket
     cache: dict[float, DistanceProfile] = {}
 
     def center(mu: float) -> HomoclinicRoot:
         if mu not in cache:
-            cache[mu] = _manifold_profile(Params(mu, g0), cfg)
+            cache[mu] = distance_profile(
+                compute_invariant_curve(Params(mu, g0), tol, n_samples))
         root = _center_root(cache[mu])
         if root is None:
             raise RuntimeError(f"phase-0 root lost at mu={mu}")
@@ -395,8 +383,8 @@ def find_tangency(g0: float, mu_bracket: tuple[float, float],
 
 
 def continuation_tangency_curve(
-        g0_range: tuple[float, float], steps: int,
-        config: SplittingConfig | None = None) -> list[TangencyPoint]:
+        g0_range: tuple[float, float], steps: int, tol: float = DEFAULT_TOL,
+        n_samples: int = DEFAULT_N_SAMPLES) -> list[TangencyPoint]:
     """Natural continuation of mu*(g0): each solve is seeded by the previous
     mu_star (the leading-order prediction for the first point).  Both ends
     of the range are checked against find_tangency's g0 floor, the rungs
@@ -425,7 +413,7 @@ def continuation_tangency_curve(
         dev = dev_pred * ratio
         lo = max(0.02, 0.5 - 3.0 * dev)
         hi = min(0.4999, 0.5 - 0.3 * dev)
-        pt = find_tangency(float(g0), (lo, hi), config)
+        pt = find_tangency(float(g0), (lo, hi), tol, n_samples)
         points.append(pt)
         ratio = (0.5 - pt.mu_star) / dev_pred
     return points

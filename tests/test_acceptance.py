@@ -53,7 +53,6 @@ from rpc3bp.separatrix import (
     v_of_tau,
 )
 from rpc3bp.splitting import (
-    SplittingConfig,
     count_roots_in_period,
     phase_of_v,
     splitting_report,
@@ -72,16 +71,15 @@ def report_line(num: int, ok: bool, detail: str) -> bool:
 def ladder():
     out = {}
     for g0 in G0_LADDER:
-        out[g0] = splitting_report(Params(MU_LADDER, g0),
-                                   SplittingConfig(n_samples=70))
+        out[g0] = splitting_report(Params(MU_LADDER, g0), n_samples=70)
     return out
 
 
 @pytest.fixture(scope="module")
 def tangency_points():
     from rpc3bp.splitting import continuation_tangency_curve
-    cfg = SplittingConfig(tol=1e-13, n_samples=50)
-    pts = continuation_tangency_curve((2.7, 3.1), 3, cfg)
+    cfg = dict(tol=1e-13, n_samples=50)
+    pts = continuation_tangency_curve((2.7, 3.1), 3, **cfg)
     return pts, cfg
 
 
@@ -286,10 +284,10 @@ def test_criterion_10_tangency_curve(tangency_points):
         pred_dev = 0.5 - pt.mu_predicted
         dev_ratios.append((0.5 - pt.mu_star) / pred_dev)
         below = splitting_report(
-            Params(pt.mu_star - 0.35 * (0.5 - pt.mu_star), pt.g0), cfg)
+            Params(pt.mu_star - 0.35 * (0.5 - pt.mu_star), pt.g0), **cfg)
         above = splitting_report(
             Params(min(pt.mu_star + 0.35 * (0.5 - pt.mu_star), 0.4999), pt.g0),
-            cfg)
+            **cfg)
         transitions.append((count_roots_in_period(below.profile),
                             count_roots_in_period(above.profile)))
         prof_floor = below.noise_floor
@@ -336,7 +334,7 @@ def test_criterion_12_oscillation_property():
     # deterministic candidate list is scanned until one exhibits the property
     t0 = time.time()
     p = Params(0.3, 2.2)
-    rep = splitting_report(p, SplittingConfig(n_samples=50))
+    rep = splitting_report(p, n_samples=50)
     trans = [r for r in rep.roots if r.kind == "transversal"]
     amp = rep.max_distance
     mid = len(trans) // 2

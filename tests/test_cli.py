@@ -18,7 +18,7 @@ from rpc3bp.cli import (
     EXIT_VALIDATION,
     main,
 )
-from rpc3bp.manifolds import _fan_samples, _manifold_graph
+from rpc3bp.manifolds import _manifold_graph
 from rpc3bp.splitting import TangencyPoint
 
 
@@ -600,7 +600,7 @@ class TestProvenance:
         # every header held precision, tol and quad_tol, read or not; the
         # tangency solve is stubbed, and sweep's one grid point is refused
         monkeypatch.setattr(cli, "continuation_tangency_curve",
-                            lambda *args: [])
+                            lambda *args, **kwargs: [])
         keys, args = PROVENANCE[command]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
         cfg.write_text(json.dumps({"n_samples": 25}
@@ -642,7 +642,6 @@ class TestSplitting:
         outs = (tmp_path / "a", tmp_path / "b")
         for out in outs:
             out.mkdir()
-            _fan_samples.cache_clear()
             _manifold_graph.cache_clear()
             assert run(["splitting", "--out", out, "--config", cfg]) == EXIT_OK
         for name in ("splitting.json", "roots.csv", "lobes.csv"):
@@ -660,8 +659,9 @@ class TestTangency:
                                                (3.1, 0.4, 0.3, True))]
         seen = {}
 
-        def stub(g0_range, steps, config):
-            seen.update(g0_range=g0_range, steps=steps)
+        def stub(g0_range, steps, tol, n_samples):
+            seen.update(g0_range=g0_range, steps=steps, tol=tol,
+                        n_samples=n_samples)
             return pts
 
         monkeypatch.setattr(cli, "continuation_tangency_curve", stub)
@@ -670,7 +670,8 @@ class TestTangency:
         assert code == EXIT_UNTRUSTED
         assert capsys.readouterr().out.endswith(
             "(2 rows), untrusted at g0 = 3.1\n")
-        assert seen == {"g0_range": (2.7, 3.1), "steps": 2}
+        assert seen == {"g0_range": (2.7, 3.1), "steps": 2, "tol": 1e-12,
+                        "n_samples": 60}
         lines = (tmp_path / "tangency.csv").read_text().splitlines()
         prov = [l for l in lines if l.startswith("# ")]
         # the flow commands read tol, and no precision or quad_tol
@@ -739,6 +740,19 @@ class TestOscillateAndSweep:
         rows = [l.split(",") for l in lines[1:]]
         assert [(float(r[0]), r[-1]) for r in rows] == [
             (0.0, "ok"), (0.7, "error:ValueError")]
+
+    def test_sweep_propagates_a_programming_error(self, tmp_path,
+                                                  monkeypatch):
+        # sweep caught every Exception: a TypeError in the report, such as a
+        # stale keyword, became an error:TypeError row and the run exited 0
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword argument")
+
+        monkeypatch.setattr(cli, "splitting_report", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run(["sweep", "--grid-mu", 0.3, "--grid-g0", 2.4,
+                 "--out", tmp_path])
+        assert list(tmp_path.iterdir()) == []
 
 
 # Runs in a fresh interpreter: imports the CLI, runs the commands given as a

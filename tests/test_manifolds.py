@@ -38,19 +38,13 @@ from rpc3bp.manifolds import (
     poincare_map,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
-from rpc3bp.splitting import (
-    SplittingConfig,
-    continuation_tangency_curve,
-    splitting_report,
-)
+from rpc3bp.splitting import continuation_tangency_curve, splitting_report
 
 
 @pytest.fixture(scope="module")
 def mu0_curves():
     p = Params(0.0, 2.0)
-    cu = compute_invariant_curve("unstable", p, tol=1e-12, n_samples=25)
-    cs = compute_invariant_curve("stable", p, tol=1e-12, n_samples=25)
-    return p, cu, cs
+    return p, compute_invariant_curve(p, tol=1e-12, n_samples=25)
 
 
 class TestInitialState:
@@ -309,9 +303,10 @@ class TestPoincareMap:
 
 class TestInvariantCurves:
     def test_mu0_coincides_with_separatrix(self, mu0_curves):
-        p, cu, cs = mu0_curves
-        for c in (cu, cs):
-            assert np.max(np.abs(c.Y - homoclinic_y(c.v))) < 100 * c.tol * 10
+        p, curves = mu0_curves
+        for c in (curves.unstable, curves.stable):
+            dev = np.max(np.abs(c.Y - homoclinic_y(c.v)))
+            assert dev < 100 * curves.tol * 10
             assert np.all(np.diff(c.v) > 0)
             assert np.all(c.Y > 0)
 
@@ -322,17 +317,17 @@ class TestInvariantCurves:
 
         monkeypatch.setattr(manifolds, "_fan_samples", never)
         p = Params(0.3, 2.4)
-        for branch, n_samples in (("middle", 60), ("unstable", 0),
-                                  ("stable", -5)):
+        for n_samples in (0, -5):
             with pytest.raises(ValueError):
-                compute_invariant_curve(branch, p, n_samples=n_samples)
+                compute_invariant_curve(p, n_samples=n_samples)
         # steps = 0 returned an empty tangency curve
         with pytest.raises(ValueError, match="steps"):
             continuation_tangency_curve((2.7, 3.0), 0)
 
     def test_interpolant_error_scale(self, mu0_curves):
         # residual-based interpolation keeps the baseline exact at mu = 0
-        p, cu, cs = mu0_curves
+        p, curves = mu0_curves
+        cu = curves.unstable
         f = cu.interpolant()
         vg = np.linspace(cu.v[0], cu.v[-1], 700)
         assert np.max(np.abs(f(vg) - homoclinic_y(vg))) < 1e-10
@@ -372,7 +367,7 @@ class TestInvariantCurves:
         # crossings refined and filtered as the fan does
         p = Params(0.3, 2.4)
         tol, n, (v_lo, v_hi) = 1e-12, 4, V_WINDOW
-        unstable, stable, _ = _fan_samples.__wrapped__(p, tol, n)
+        unstable, stable, _ = _fan_samples(p, tol, n)
         buf = 0.12 * (v_hi - v_lo)
         r_lo, r_hi = homoclinic_r(v_lo - buf), homoclinic_r(v_hi + buf)
 
@@ -402,28 +397,49 @@ class TestInvariantCurves:
 
     def test_fan_is_deterministic(self):
         args = (Params(0.3, 2.8), 1e-12, 3)
-        a = _fan_samples.__wrapped__(*args)
-        b = _fan_samples.__wrapped__(*args)
+        a = _fan_samples(*args)
+        b = _fan_samples(*args)
         assert a == b
         work = a[2]
         assert work["rhs_evals"] >= 12 * work["accepted_steps"] > 0
 
     def test_fan_work_in_meta(self, mu0_curves):
-        _, cu, cs = mu0_curves
-        for key in ("lockstep_iterations", "accepted_steps", "rejected_steps",
-                    "rhs_evals", "located_steps", "dense_passes"):
-            assert cu.meta[key] == cs.meta[key]
-        assert cu.meta["accepted_steps"] >= cu.meta["lockstep_iterations"] > 0
+        meta = mu0_curves[1].meta
+        assert {"lockstep_iterations", "accepted_steps", "rejected_steps",
+                "rhs_evals", "located_steps", "dense_passes"} <= set(meta)
+        assert meta["accepted_steps"] >= meta["lockstep_iterations"] > 0
         # a fan with no collision locates all its crossings in one batched
         # dense-output pass after its step loop
-        assert cu.meta["accepted_steps"] > cu.meta["located_steps"] > 0
-        assert cu.meta["dense_passes"] == 1
+        assert meta["accepted_steps"] > meta["located_steps"] > 0
+        assert meta["dense_passes"] == 1
+
+    def test_one_fan_per_call(self, monkeypatch):
+        # both curves come from one fan, and each call runs its own: no
+        # state is kept between calls
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lockstep_flow(*args, **kwargs)
+        monkeypatch.setattr(manifolds, "lockstep_flow", counted)
+        p = Params(0.3, 2.8)
+        a = compute_invariant_curve(p, n_samples=25)
+        assert len(calls) == 1
+        b = compute_invariant_curve(p, n_samples=25)
+        assert len(calls) == 2
+        assert (a.params, a.tol, a.meta) == (b.params, b.tol, b.meta)
+        for ca, cb in ((a.unstable, b.unstable), (a.stable, b.stable)):
+            assert np.array_equal(ca.v, cb.v) and np.array_equal(ca.Y, cb.Y)
+            assert ca.fold_intervals == cb.fold_intervals
+        calls.clear()
+        splitting_report(p, n_samples=25)
+        assert len(calls) == 1
 
     def test_default_fan_work_and_graph_meta(self):
         # a deterministic count: the far seed at r0 = 50 took 2083 lockstep
         # iterations here, the graph seed at r0 = 8 took 366, at r0 = 5 253,
         # and at R_MIN = 3 it takes 185
-        c = compute_invariant_curve("unstable", Params(0.3, 2.4))
+        c = compute_invariant_curve(Params(0.3, 2.4))
         assert c.meta["lockstep_iterations"] <= 220
         assert c.meta["graph_update"] <= np.finfo(float).eps
         assert c.meta["graph_residual"] < 1e-15
@@ -438,10 +454,8 @@ class TestInvariantCurves:
         for r0 in (8.0, 5.0, R_MIN):
             monkeypatch.setattr(manifolds, "R_MIN", r0)
             _manifold_graph.cache_clear()
-            _fan_samples.cache_clear()
             reports.append(splitting_report(p))
         _manifold_graph.cache_clear()
-        _fan_samples.cache_clear()
         a = reports[0]
         assert len(a.roots) > 0
         assert len(a.lobe_areas) > 0
@@ -458,8 +472,8 @@ class TestInvariantCurves:
         # radius; without the gate it locates them in every step, and the
         # samples are the same, bit for bit
         p = Params(0.3, g0)
-        n = compute_invariant_curve("unstable", p).meta["n_phases"]
-        gated = _fan_samples.__wrapped__(p, 1e-12, n)
+        n = compute_invariant_curve(p).meta["n_phases"]
+        gated = _fan_samples(p, 1e-12, n)
 
         def ungated_flow(z0, s_end, tol, p, events):
             for ev in events:
@@ -467,7 +481,7 @@ class TestInvariantCurves:
                     del ev.gate
             return lockstep_flow(z0, s_end, tol, p, events=events)
         monkeypatch.setattr(manifolds, "lockstep_flow", ungated_flow)
-        ungated = _fan_samples.__wrapped__(p, 1e-12, n)
+        ungated = _fan_samples(p, 1e-12, n)
         assert gated[:2] == ungated[:2]
         assert len(gated[0]) > 0 and len(gated[1]) > 0
         assert gated[2]["located_steps"] < ungated[2]["located_steps"]
@@ -476,10 +490,10 @@ class TestInvariantCurves:
         # at (0.3, 2.4) the curves are graphs over v: in the fan's phase order
         # v already increases, so no sample is dropped
         p = Params(0.3, 2.4)
-        for branch in ("unstable", "stable"):
-            c = compute_invariant_curve(branch, p)
-            unstable, stable, _ = _fan_samples(p, 1e-12, c.meta["n_phases"])
-            v = [s[0] for s in (unstable if branch == "unstable" else stable)]
+        curves = compute_invariant_curve(p)
+        samples = _fan_samples(p, 1e-12, curves.meta["n_phases"])
+        for c, branch in zip((curves.unstable, curves.stable), samples):
+            v = [s[0] for s in branch]
             assert np.all(np.diff(v) > 0)
             assert c.fold_intervals == []
             assert len(c.v) == len(v)
@@ -487,7 +501,7 @@ class TestInvariantCurves:
     def test_mu_continuity(self):
         # tiny mass ratio deforms the curve at the O(mu/g0^4) scale
         p = Params(1e-6, 2.4)
-        c = compute_invariant_curve("unstable", p, tol=1e-12, n_samples=25)
+        c = compute_invariant_curve(p, tol=1e-12, n_samples=25).unstable
         dev = np.max(np.abs(c.Y - homoclinic_y(c.v)))
         assert dev < 10.0 * p.mu / p.g0**4
         assert dev > 0.1 * p.mu / p.g0**4
@@ -572,11 +586,12 @@ class TestFolds:
     def test_kept_samples_increase_through_folds(self):
         # at (0.3, 2.0) the unstable curve folds back over v
         p = Params(0.3, 2.0)
-        c = compute_invariant_curve("unstable", p)
+        curves = compute_invariant_curve(p)
+        c = curves.unstable
         assert c.fold_intervals
         assert np.all(np.diff(c.v) > 0)
         # the kept samples are a subsequence of the fan's phase order
-        unstable, _, _ = _fan_samples(p, 1e-12, c.meta["n_phases"])
+        unstable, _, _ = _fan_samples(p, 1e-12, curves.meta["n_phases"])
         kept = list(zip(c.v.tolist(), c.Y.tolist()))
         assert [s for s in unstable if s in set(kept)] == kept
         for a, b in c.fold_intervals:
@@ -587,6 +602,6 @@ class TestFolds:
         # sheets of a fold left interleaved give a max|D| that moves with the
         # fan's sample positions (0.3081 at 60 samples, 0.2457 at 200)
         p = Params(0.3, 2.0)
-        d60, d200 = (splitting_report(p, SplittingConfig(n_samples=n))
-                     .max_distance for n in (60, 200))
+        d60, d200 = (splitting_report(p, n_samples=n).max_distance
+                     for n in (60, 200))
         assert abs(d60 - d200) <= 0.1 * d200

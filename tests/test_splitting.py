@@ -11,10 +11,8 @@ from rpc3bp.melnikov import predicted_distance, predicted_tangency_mu
 from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y
 from rpc3bp.splitting import (
     HomoclinicRoot,
-    SplittingConfig,
     continuation_tangency_curve,
     count_roots_in_period,
-    distance_profile,
     find_homoclinic_points,
     find_tangency,
     lobe_area,
@@ -27,12 +25,12 @@ from rpc3bp.splitting import (
 
 @pytest.fixture(scope="module")
 def report24():
-    return splitting_report(Params(0.3, 2.4), SplittingConfig())
+    return splitting_report(Params(0.3, 2.4))
 
 
 @pytest.fixture(scope="module")
 def report0():
-    return splitting_report(Params(0.0, 2.4), SplittingConfig(n_samples=25))
+    return splitting_report(Params(0.0, 2.4), n_samples=25)
 
 
 class TestProfile:
@@ -64,10 +62,6 @@ class TestProfile:
         assert prof.roots is prof.roots
         assert list(prof.roots) == report24.roots == find_homoclinic_points(prof)
 
-    def test_mismatched_curves_rejected(self, report24, report0):
-        with pytest.raises(ValueError):
-            distance_profile(report24.profile.curve_s, report0.profile.curve_u)
-
 
 class TestRoots:
     def test_four_roots_per_period(self, report24):
@@ -92,7 +86,7 @@ class TestRoots:
         # D' is the difference of the residual splines' exact derivatives
         prof = report24.profile
         cs_s, cs_u = (CubicSpline(c.v, c.Y - homoclinic_y(c.v))
-                      for c in (prof.curve_s, prof.curve_u))
+                      for c in (prof.curves.stable, prof.curves.unstable))
         for r in report24.roots:
             exact = float(cs_s(r.v, 1) - cs_u(r.v, 1))
             assert r.D_prime == pytest.approx(exact, rel=1e-5)
@@ -190,11 +184,20 @@ class TestCenterRoot:
         assert _center_root(self.profile()) is None
 
 
+def _stub_profiles(monkeypatch, profile):
+    """Have the tangency solve read profile(p) in place of the distance
+    profile of the fan at p, and run no fan."""
+    monkeypatch.setattr(splitting, "compute_invariant_curve",
+                        lambda p, tol, n_samples: SimpleNamespace(params=p))
+    monkeypatch.setattr(splitting, "distance_profile",
+                        lambda curves: profile(curves.params))
+
+
 def _tangency_profile_stub(margin_factor):
-    """A stand-in for _manifold_profile: its phase-0 root's D' changes sign
+    """A stand-in for the fan's profile: its phase-0 root's D' changes sign
     at the predicted mu*, and its noise floor is margin_factor times the
     floor at which the predicted splitting meets UNTRUSTED_MARGIN."""
-    def profile(p, cfg):
+    def profile(p):
         v = np.linspace(0.4, 1.6, 801)
         amp = np.max(np.abs(predicted_distance(v, p)))
         d_prime = p.mu - predicted_tangency_mu(p.g0)
@@ -211,8 +214,7 @@ def test_tangency_below_the_trust_margin_is_untrusted(monkeypatch, tmp_path,
                                                       capsys):
     # the tangency rung is flagged by the splitting report's rule, read off
     # the mu* profile: the CLI writes the row, names the rung and exits 4
-    monkeypatch.setattr(splitting, "_manifold_profile",
-                        _tangency_profile_stub(1.01))
+    _stub_profiles(monkeypatch, _tangency_profile_stub(1.01))
     pt = find_tangency(2.9, (0.38, 0.49))
     assert pt.untrusted
     assert pt.mu_star == pytest.approx(predicted_tangency_mu(2.9), abs=1e-5)
@@ -227,8 +229,7 @@ def test_tangency_below_the_trust_margin_is_untrusted(monkeypatch, tmp_path,
 
 def test_tangency_above_the_trust_margin_is_trusted(monkeypatch, tmp_path,
                                                     capsys):
-    monkeypatch.setattr(splitting, "_manifold_profile",
-                        _tangency_profile_stub(0.99))
+    _stub_profiles(monkeypatch, _tangency_profile_stub(0.99))
     assert not find_tangency(2.9, (0.38, 0.49)).untrusted
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
                      "--steps", "1", "--out", str(tmp_path)]) == cli.EXIT_OK
@@ -240,7 +241,7 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
     # Only the phase-0 root can degenerate: f'(pi) = -(1 - 2 mu) - 2b never
     # vanishes.  A stubbed pi root whose D' flips at the predicted mu* once
     # drove the solve, while the phase-0 root's D' keeps its sign.
-    def profile(p, cfg):
+    def profile(p):
         roots = (HomoclinicRoot(v=1.0, phase=0.0, D_prime=1e-3,
                                 kind="transversal"),
                  HomoclinicRoot(v=1.3, phase=math.pi,
@@ -248,7 +249,7 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
                                 kind="transversal"))
         return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
 
-    monkeypatch.setattr(splitting, "_manifold_profile", profile)
+    _stub_profiles(monkeypatch, profile)
     with pytest.raises(RuntimeError, match="keeps its sign"):
         find_tangency(2.9, (0.38, 0.49))
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
@@ -260,12 +261,12 @@ def test_tangency_ignores_a_flipping_pi_root(monkeypatch, tmp_path, capsys):
 def test_tangency_without_a_phase_0_root(monkeypatch, tmp_path, capsys):
     # a profile whose only root sits at phase pi has no root for the solve
     # to follow
-    def profile(p, cfg):
+    def profile(p):
         roots = (HomoclinicRoot(v=1.3, phase=math.pi, D_prime=-1e-3,
                                 kind="transversal"),)
         return SimpleNamespace(roots=roots, v=np.array([0.4, 1.6]))
 
-    monkeypatch.setattr(splitting, "_manifold_profile", profile)
+    _stub_profiles(monkeypatch, profile)
     with pytest.raises(RuntimeError, match="phase-0 root lost"):
         find_tangency(2.9, (0.38, 0.49))
     assert cli.main(["tangency", "--g0-min", "2.9", "--g0-max", "2.9",
@@ -281,7 +282,7 @@ def test_tangency_range_below_the_floor_is_refused_before_any_rung(
     def never(*args):
         raise AssertionError("a rung was solved before the range was checked")
 
-    monkeypatch.setattr(splitting, "_manifold_profile", never)
+    monkeypatch.setattr(splitting, "compute_invariant_curve", never)
     for g0_range in ((2.9, 2.0), (2.0, 2.9), (2.9, 2.59)):
         with pytest.raises(ValueError, match="floor g0 >= 2.6"):
             continuation_tangency_curve(g0_range, 2)
@@ -299,7 +300,7 @@ def test_one_step_over_two_ends_is_refused_before_any_rung(
     def never(*args):
         raise AssertionError("a rung was solved before the range was checked")
 
-    monkeypatch.setattr(splitting, "_manifold_profile", never)
+    monkeypatch.setattr(splitting, "compute_invariant_curve", never)
     for g0_range in ((2.9, 3.0), (3.0, 2.9)):
         with pytest.raises(ValueError, match=r"2\.9 and 3\.0|3\.0 and 2\.9"):
             continuation_tangency_curve(g0_range, 1)
