@@ -12,7 +12,6 @@ from .core import (
     CollisionError,
     Params,
     PrecisionError,
-    RotatingState,
     SectionTimeoutError,
     collision_radius,
     hamiltonian_rotating,

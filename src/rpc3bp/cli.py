@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import CollisionError, Params, PrecisionError
+from .core import CollisionError, Params
 from .integrate import TOL_MAX, TOL_MIN
-from .melnikov import MP_DPS_MIN, MelnikovSeries
+from .melnikov import DEFAULT_JMAX, DEFAULT_LMAX, MP_DPS_MIN, MelnikovSeries
 from .manifolds import DEFAULT_N_SAMPLES, DEFAULT_TOL, compute_invariant_curve
 from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
@@ -49,8 +49,8 @@ DEFAULTS = {
     "mu": 0.3,
     "g0": 2.4,
     "tol": DEFAULT_TOL,
-    "jmax": 12,
-    "lmax": 4,
+    "jmax": DEFAULT_JMAX,
+    "lmax": DEFAULT_LMAX,
     "n_samples": DEFAULT_N_SAMPLES,
     "precision": "double",
     "mp_dps": 40,
@@ -483,9 +483,8 @@ def main(argv=None) -> int:
         return args.func(args, cfg, Path(cfg["out"]))
     # CollisionError is a ValueError, but no input reaches it: the commands
     # refuse a seed inside the cutoff before integrating, so a collision is
-    # an orbit's, found while running
-    except (CollisionError, PrecisionError, ArithmeticError,
-            RuntimeError) as err:
+    # an orbit's, found while running.  PrecisionError is a RuntimeError
+    except (CollisionError, ArithmeticError, RuntimeError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as err:

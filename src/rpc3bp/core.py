@@ -13,7 +13,9 @@ rotating : rescaled synodic chart (r, phi, y, G), with y the radial momentum
     chart against the inertial problem, through its Cartesian and polar
     charts, as an independent oracle.
 
-State layout for array-based work is ``[r, phi, y, G]``.
+Every state, of a single orbit, a lane of a fan or an error's last_state,
+is a float sequence ``[r, phi, y, G]``; the functions that return one
+return a float64 array of shape (4,).
 
 The perturbing potential V of the primaries and the flow it drives are
 written once, in potential_kernel, for whatever cos, sin and sqrt it is
@@ -35,7 +37,6 @@ __all__ = [
     "PrecisionError",
     "SectionTimeoutError",
     "Params",
-    "RotatingState",
     "potential_kernel",
     "collision_radius",
     "hamiltonian_rotating",
@@ -47,8 +48,18 @@ __all__ = [
 _COLLISION_EPS = 1e-12
 
 
+def _fresh_state(z):
+    """A new float64 array of the state z, or None for no state."""
+    return None if z is None else np.array(z, dtype=float)
+
+
 class CollisionError(ValueError):
-    """State too close to one of the primaries."""
+    """State too close to one of the primaries; last_state is the state
+    [r, phi, y, G] at which it was found."""
+
+    def __init__(self, msg, last_state=None):
+        super().__init__(msg)
+        self.last_state = _fresh_state(last_state)
 
 
 class PrecisionError(RuntimeError):
@@ -60,7 +71,7 @@ class SectionTimeoutError(RuntimeError):
 
     def __init__(self, msg, last_state=None):
         super().__init__(msg)
-        self.last_state = last_state
+        self.last_state = _fresh_state(last_state)
 
 
 @dataclass(frozen=True)
@@ -80,23 +91,6 @@ class Params:
             raise ValueError(f"mu must be in [0, 1/2], got {self.mu}")
         if not (isfinite(self.g0) and self.g0 > 1.0):
             raise ValueError(f"g0 must be finite and exceed 1, got {self.g0}")
-
-
-@dataclass(frozen=True)
-class RotatingState:
-    """Point of the rescaled rotating chart; fields are (r, phi, y, G)."""
-
-    r: float
-    phi: float
-    y: float
-    G: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.r, self.phi, self.y, self.G], dtype=float)
-
-    @staticmethod
-    def from_array(z) -> "RotatingState":
-        return RotatingState(float(z[0]), float(z[1]), float(z[2]), float(z[3]))
 
 
 def _primary_radii(p: Params) -> tuple[float, float]:
@@ -217,27 +211,33 @@ def potential_V(r: float, phi: float, p: Params) -> float:
     return kernel.V(r, cp)
 
 
-def hamiltonian_rotating(s: RotatingState, p: Params) -> float:
-    """Autonomous two-degree-of-freedom energy of the rotating chart:
+def hamiltonian_rotating(z, p: Params) -> float:
+    """Autonomous two-degree-of-freedom energy of the rotating chart at the
+    state z = [r, phi, y, G]:
     y^2/2 - g0^3 G + G^2/(2 r^2) - 1/r - V(r, phi).
 
     Relates to the Jacobi constant J of the original variables by
-    H = g0^2 * J, so the working energy shell H = -g0^3 is J = -g0.
+    H = g0^2 * J, so the working energy shell H = -g0^3 is J = -g0.  The
+    coordinates are read as Python floats, so an array and a list of the
+    same numbers give the same bits.
     """
-    if s.r <= 0.0:
+    r, phi, y, G = (float(c) for c in z)
+    if r <= 0.0:
         raise CollisionError("r must be positive")
-    return (0.5 * s.y * s.y - p.g0**3 * s.G + s.G * s.G / (2.0 * s.r * s.r)
-            - 1.0 / s.r - potential_V(s.r, s.phi, p))
+    return (0.5 * y * y - p.g0**3 * G + G * G / (2.0 * r * r)
+            - 1.0 / r - potential_V(r, phi, p))
 
 
 # ---------------------------------------------------------------------------
 # Reversibility
 # ---------------------------------------------------------------------------
 
-def involution_R(s: RotatingState) -> RotatingState:
+def involution_R(z) -> np.ndarray:
     """Reversing symmetry (r, phi, y, G) -> (r, -phi, -y, G); an involution.
 
     Conjugates the flow to its time reversal, and maps the unstable manifold
     of infinity onto the stable one.  Fixed points have y = 0, phi in {0, pi}.
+    Returns a new float64 array of shape (4,).
     """
-    return RotatingState(s.r, -s.phi, -s.y, s.G)
+    r, phi, y, G = z
+    return np.array([r, -phi, -y, G], dtype=float)

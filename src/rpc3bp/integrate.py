@@ -73,7 +73,6 @@ from . import _dop853 as _dop
 from .core import (
     CollisionError,
     Params,
-    RotatingState,
     collision_radius,
     potential_kernel,
 )
@@ -120,9 +119,8 @@ def _collision_event(p: Params, z0):
     r_cut = collision_radius(p)
     for z in z0.reshape(4, -1).T:
         if z[0] < r_cut:
-            err = CollisionError(f"start inside the collision cutoff {r_cut}")
-            err.last_state = RotatingState.from_array(z)
-            raise err
+            raise CollisionError(f"start inside the collision cutoff {r_cut}",
+                                 last_state=z)
 
     def ev(s, z):
         return z[0] - r_cut
@@ -702,9 +700,8 @@ def _record_crossings(evs, terminal, active, z_at, s_old, s_new, t_events,
         stop = crossings[-1][1]
     for e, t in crossings:
         if e == len(evs) - 1:
-            err = CollisionError("trajectory reached the collision cutoff")
-            err.last_state = RotatingState.from_array(z_at(t))
-            raise err
+            raise CollisionError("trajectory reached the collision cutoff",
+                                 last_state=z_at(t))
         t_events[e].append(t)
         y_events[e].append(z_at(t))
     return stop

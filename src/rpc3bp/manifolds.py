@@ -64,7 +64,6 @@ from numpy.polynomial import chebyshev as cheb
 from .core import (
     CollisionError,
     Params,
-    RotatingState,
     SectionTimeoutError,
     potential_kernel,
     potential_V,
@@ -73,7 +72,7 @@ from .integrate import first_return, lockstep_flow, refine_to_section, section_e
 # unused here; perfbench's tracer self-test checks that it wraps this binding
 from .integrate import flow  # noqa: F401
 from .melnikov import phase_of_v
-from .separatrix import homoclinic_r, v_of_r
+from .separatrix import homoclinic_r, homoclinic_y, v_of_r
 
 __all__ = [
     "ManifoldCurve",
@@ -135,7 +134,6 @@ class ManifoldCurve:
         the fast oscillation), not with the baseline's curvature."""
         from scipy.interpolate import CubicSpline
 
-        from .separatrix import homoclinic_y
         resid = CubicSpline(self.v, self.Y - np.asarray(homoclinic_y(self.v)))
 
         def Y_of_v(x):
@@ -285,7 +283,7 @@ def _manifold_graph(p: Params) -> _ManifoldGraph:
                        f"{_MAX_SWEEPS} sweeps: last update {update:.1e}")
 
 
-def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
+def initial_manifold_state(r0: float, phase: float, p: Params) -> np.ndarray:
     """Inbound state on the unstable manifold of infinity at r = r0.
 
     The angular momentum is read off the solved graph, G = 1 + g(r0, phase),
@@ -303,10 +301,10 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> RotatingState:
     ysq = _shell_ysq(g, potential_V(r0, phase, p), 1.0 / r0, p.g0**3)
     if ysq <= 0.0:
         raise RuntimeError(f"no inbound momentum at r0={r0}")
-    return RotatingState(r0, phase, -sqrt(ysq), 1.0 + g)
+    return np.array([r0, phase, -sqrt(ysq), 1.0 + g], dtype=float)
 
 
-def lift_to_shell(r: float, y: float, p: Params) -> RotatingState:
+def lift_to_shell(r: float, y: float, p: Params) -> np.ndarray:
     """Point (r, y) of the section {phi = 0} lifted to the shell H = -g0^3.
 
     Solves the quadratic shell condition for the angular momentum, taking the
@@ -322,7 +320,7 @@ def lift_to_shell(r: float, y: float, p: Params) -> RotatingState:
     if disc < 0.0:
         raise ValueError(f"section point ({r}, {y}) does not lift to the shell")
     G = 2.0 * c / (p.g0**3 + sqrt(disc))
-    return RotatingState(r, 0.0, y, G)
+    return np.array([r, 0.0, y, G], dtype=float)
 
 
 def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
@@ -336,14 +334,14 @@ def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
     """
     z = lift_to_shell(point[0], point[1], p)
     try:
-        sol, znext = first_return(z.to_array(), p, POINCARE_TOL,
+        sol, znext = first_return(z, p, POINCARE_TOL,
                                   3.0 * 2.0 * pi / p.g0**3)
     except CollisionError as err:
         raise SectionTimeoutError("collision during section return",
                                   last_state=err.last_state) from err
     if znext is None:
         raise SectionTimeoutError("no return within three synodic periods",
-                                  last_state=RotatingState.from_array(sol.y[:, -1]))
+                                  last_state=sol.y[:, -1])
     return (float(znext[0]), float(znext[2]))
 
 
@@ -377,8 +375,7 @@ def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:
     v0 = v_of_r(R_MIN)
     x0 = phase_of_v(v0, p) % (2.0 * pi)
     return np.array([initial_manifold_state(R_MIN,
-                                            2.0 * pi * k / n_phases + x0,
-                                            p).to_array()
+                                            2.0 * pi * k / n_phases + x0, p)
                      for k in range(n_phases)]).T
 
 

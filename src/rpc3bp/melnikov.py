@@ -84,6 +84,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
+# Truncation of the binomial series in j and number of harmonics of a
+# Melnikov series by default: the defaults of every route's keywords and of
+# the CLI's config.
+DEFAULT_JMAX = 12
+DEFAULT_LMAX = 4
+
 # fewest digits of the extended route: below 17 it carries fewer digits than
 # binary64 (17 round-trip a double).  It is not enough for the default series
 # (lmax 4, jmax 12), which is refused as not real, on a term I(l, j + l, j)
@@ -136,7 +142,8 @@ def _mass_factor(l: int, j: int, mu: float) -> float:
 # Angular Fourier modes of the perturbation along the separatrix
 # ---------------------------------------------------------------------------
 
-def uhat_fourier_coeff(l: int, v: float, p: Params, jmax: int = 12) -> float:
+def uhat_fourier_coeff(l: int, v: float, p: Params,
+                       jmax: int = DEFAULT_JMAX) -> float:
     """Mode l of theta -> V(r_h(v), theta) by the binomial series.
 
     U[l](v) = sum_{j >= max(delta0(l), -l)} c_j c_{j+l}
@@ -816,7 +823,7 @@ def contour_integral_I(l: int, js, p: Params, mp_dps: int | None = None):
     return _contour_terms_mp(l, js, p, mp_dps)
 
 
-def melnikov_coeff_contour(l: int, p: Params, jmax: int = 12,
+def melnikov_coeff_contour(l: int, p: Params, jmax: int = DEFAULT_JMAX,
                            mp_dps: int | None = None) -> tuple[float, float]:
     """Coefficient L[l] (l >= 1) assembled from the contour integrals:
 
@@ -921,8 +928,8 @@ class MelnikovSeries:
                    for l, err in self.error_estimates.items())
 
     @classmethod
-    def compute(cls, p: Params, method: str = "contour", lmax: int = 4,
-                jmax: int = 12,
+    def compute(cls, p: Params, method: str = "contour",
+                lmax: int = DEFAULT_LMAX, jmax: int = DEFAULT_JMAX,
                 mp_dps: int | None = None) -> "MelnikovSeries":
         if lmax < 1:
             raise ValueError(f"lmax must be at least 1, got {lmax!r}")

@@ -15,7 +15,7 @@ from math import pi
 
 import numpy as np
 
-from .core import (CollisionError, Params, RotatingState, collision_radius,
+from .core import (CollisionError, Params, collision_radius,
                    hamiltonian_rotating)
 from .integrate import first_return, flow
 from .manifolds import lift_to_shell
@@ -83,8 +83,8 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
                          f"cutoff {collision_radius(p)}")
     if n_iter < 1:
         raise ValueError(f"n_iter must be at least 1, got {n_iter!r}")
-    z = lift_to_shell(seed[0], seed[1], p).to_array()
-    h0 = hamiltonian_rotating(RotatingState.from_array(z), p)
+    z = lift_to_shell(seed[0], seed[1], p)
+    h0 = hamiltonian_rotating(z, p)
     log = ExcursionLog(params=p, seed=(float(seed[0]), float(seed[1])))
 
     def going_out(s_, z_):
@@ -160,7 +160,7 @@ def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
         n_returns += 1
         log.returns.append(ReturnRecord(s=s_acc, r=float(z[0]), y=float(z[2]),
                                         G=float(z[3]), max_r_since_last=max_r))
-        h_final = hamiltonian_rotating(RotatingState.from_array(z), p)
+        h_final = hamiltonian_rotating(z, p)
         if z[0] < R_IN:
             if max_r > R_OUT:
                 log.excursions.append((max_r, float(z[0])))

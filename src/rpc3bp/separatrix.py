@@ -44,7 +44,6 @@ class HomoclinicPoint:
     r: float
     y: float
     alpha: float
-    G: float = 1.0
 
 
 def tau_of_v(v):

@@ -63,8 +63,9 @@ __all__ = [
 ]
 
 # Profile noise floor per unit integrator tolerance, calibrated against the
-# mu = 0 oracle: the measured profile residual is ~6 tol at tol = 1e-12 over
-# V_WINDOW at the default configuration.
+# mu = 0 oracle, whose whole profile is noise: at tol = 1e-12 its largest
+# |D| over V_WINDOW reads 7.0 tol at g0 = 2.4 (n_samples 25 and 60), 9.9 tol
+# at g0 = 2.0 and 8.1 tol at g0 = 2.8 (n_samples 60), all under the floor.
 NOISE_FLOOR_PER_TOL = 10.0
 
 UNTRUSTED_MARGIN = 1e4

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from rpc3bp.core import (CollisionError, RotatingState, collision_radius,
-                         potential_kernel)
+from rpc3bp.core import CollisionError, collision_radius, potential_kernel
 
 
 def _solve_ivp_flow(z0, s_end, tol, p, events=()):
@@ -27,9 +26,8 @@ def _solve_ivp_flow(z0, s_end, tol, p, events=()):
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
     if sol.status == 1 and len(sol.t_events[-1]) > 0:
-        err = CollisionError("trajectory reached the collision cutoff")
-        err.last_state = RotatingState.from_array(sol.y[:, -1])
-        raise err
+        raise CollisionError("trajectory reached the collision cutoff",
+                             last_state=sol.y[:, -1])
     sol.t_events, sol.y_events = sol.t_events[:-1], sol.y_events[:-1]
     return sol
 

@@ -34,7 +34,7 @@ import pytest
 
 import mpmath as mp
 
-from rpc3bp.core import Params, RotatingState
+from rpc3bp.core import Params
 from rpc3bp.integrate import flow
 from rpc3bp.manifolds import poincare_jacobian
 from rpc3bp.melnikov import (
@@ -108,10 +108,9 @@ def test_criterion_02_chart_flow_consistency():
     tol = 1e-12
     h0, h1 = homoclinic_state(-2.0), homoclinic_state(2.0)
     phi_start = 0.25
-    z = RotatingState.from_array(
-        flow([h0.r, phi_start, h0.y, 1.0], 4.0, tol, p).y[:, -1])
-    err = max(abs(z.r - h1.r), abs(z.y - h1.y), abs(z.G - 1.0))
-    phi_err = abs(z.phi - (phi_start + (h1.alpha - h0.alpha) - p.g0**3 * 4.0))
+    r, phi, y, G = flow([h0.r, phi_start, h0.y, 1.0], 4.0, tol, p).y[:, -1]
+    err = max(abs(r - h1.r), abs(y - h1.y), abs(G - 1.0))
+    phi_err = abs(phi - (phi_start + (h1.alpha - h0.alpha) - p.g0**3 * 4.0))
     wall = time.time() - t0
     ok = err < 1e-9 and phi_err < 1e-9 and wall < 1.0
     assert report_line(2, ok, f"state err {err:.1e}, phase err {phi_err:.1e}, "

@@ -13,7 +13,7 @@ from rpc3bp import _dop853
 from rpc3bp.core import (
     CollisionError,
     Params,
-    RotatingState,
+    SectionTimeoutError,
     collision_radius,
     hamiltonian_rotating,
     involution_R,
@@ -28,7 +28,7 @@ from rpc3bp.integrate import (
     lockstep_flow,
     section_event,
 )
-from rpc3bp.manifolds import lift_to_shell
+from rpc3bp.manifolds import initial_manifold_state, lift_to_shell, poincare_map
 from rpc3bp.separatrix import homoclinic_state
 
 RNG = np.random.default_rng(20240817)
@@ -41,8 +41,51 @@ def random_rotating_states(p, n=8):
         phi = 2 * math.pi * RNG.random()
         y = -0.8 + 1.6 * RNG.random()
         G = 0.9 + 0.2 * RNG.random()
-        out.append(RotatingState(r, phi, y, G))
+        out.append([r, phi, y, G])
     return out
+
+
+def assert_state_array(z):
+    # a float64 array [r, phi, y, G] that owns its data, so it is no view
+    # that keeps a trajectory or a fan's lanes alive
+    assert isinstance(z, np.ndarray) and z.base is None
+    assert z.dtype == np.float64 and z.shape == (4,)
+
+
+class TestStateContract:
+    # every state a function returns or an error carries is an array of
+    # assert_state_array's kind
+    def test_returned_states(self):
+        p = Params(0.3, 2.4)
+        z = lift_to_shell(1.3, 0.6, p)
+        img = involution_R(z)
+        for s in (initial_manifold_state(3.0, 0.7, p), z, img,
+                  involution_R([1.3, 0.8, -0.4, 1.05])):
+            assert_state_array(s)
+        np.testing.assert_array_equal(img, [z[0], -z[1], -z[2], z[3]])
+
+    def test_collision_last_state(self):
+        p = Params(0.3, 2.2)
+        inside = lift_to_shell(0.01, 0.0, p)
+        plunge = np.array([1.0, 0.0, -2.0, 0.0])
+        calm = np.array([1.5, 0.2, -0.3, 1.0])
+        for z0 in (inside, plunge):
+            for run, start in ((flow, z0),
+                               (lockstep_flow, np.array([calm, z0]).T)):
+                with pytest.raises(CollisionError) as err:
+                    run(start, 4.0, 1e-12, p)
+                z = err.value.last_state
+                assert_state_array(z)
+                if z0 is inside:
+                    np.testing.assert_array_equal(z, z0)
+                else:
+                    assert z[0] == pytest.approx(collision_radius(p), abs=1e-12)
+
+    def test_section_timeout_last_state(self):
+        p = Params(0.3, 2.4)
+        with pytest.raises(SectionTimeoutError) as err:
+            poincare_map((0.1, 0.0), p)
+        assert_state_array(err.value.last_state)
 
 
 class TestParams:
@@ -90,12 +133,13 @@ def polar_to_rotating(s, p):
     """Rescale and pass to the synodic angle phi = alpha - t + pi, which puts
     the larger primary, at -mu q0(t), on the ray phi = 0."""
     r, alpha, y, G, t = s
-    return RotatingState(r / p.g0**2, alpha - t + math.pi, y * p.g0, G / p.g0)
+    return [r / p.g0**2, alpha - t + math.pi, y * p.g0, G / p.g0]
 
 
 def rotating_to_polar(z, t, p):
     """Inverse of polar_to_rotating at original-variables time t."""
-    return (z.r * p.g0**2, z.phi + t - math.pi, z.y / p.g0, z.G * p.g0, t)
+    r, phi, y, G = z
+    return (r * p.g0**2, phi + t - math.pi, y / p.g0, G * p.g0, t)
 
 
 def kernel_rates(p):
@@ -164,19 +208,17 @@ class TestJacobi:
 
     def test_conserved_mu0_flow(self):
         p = Params(0.0, 2.0)
-        z = RotatingState(1.2, 0.3, 0.4, 1.0)
+        z = [1.2, 0.3, 0.4, 1.0]
         j0 = hamiltonian_rotating(z, p) / p.g0**2
-        z1 = RotatingState.from_array(
-            flow(z.to_array(), 3.0, 1e-12, p).y[:, -1])
+        z1 = flow(z, 3.0, 1e-12, p).y[:, -1]
         j1 = hamiltonian_rotating(z1, p) / p.g0**2
         assert abs(j1 - j0) < 1e-12
 
     def test_drift_along_numerical_flow(self):
         p = Params(0.3, 2.2)
-        z = RotatingState(1.4, 0.7, 0.3, 1.0)
+        z = [1.4, 0.7, 0.3, 1.0]
         j0 = hamiltonian_rotating(z, p) / p.g0**2
-        z1 = RotatingState.from_array(
-            flow(z.to_array(), 10.0, 1e-12, p).y[:, -1])
+        z1 = flow(z, 10.0, 1e-12, p).y[:, -1]
         j1 = hamiltonian_rotating(z1, p) / p.g0**2
         assert abs(j1 - j0) < 1e-10
 
@@ -249,24 +291,19 @@ class TestVectorField:
     def test_energy_is_first_integral(self):
         p = Params(0.29, 2.4)
         h = 1e-6
+        step = h * np.eye(4)
         for s in random_rotating_states(p, 5):
-            f = np.array(kernel_rates(p)(s.r, s.phi, s.y, s.G))
-            grad = np.array([
-                (hamiltonian_rotating(RotatingState(s.r + h, s.phi, s.y, s.G), p)
-                 - hamiltonian_rotating(RotatingState(s.r - h, s.phi, s.y, s.G), p)),
-                (hamiltonian_rotating(RotatingState(s.r, s.phi + h, s.y, s.G), p)
-                 - hamiltonian_rotating(RotatingState(s.r, s.phi - h, s.y, s.G), p)),
-                (hamiltonian_rotating(RotatingState(s.r, s.phi, s.y + h, s.G), p)
-                 - hamiltonian_rotating(RotatingState(s.r, s.phi, s.y - h, s.G), p)),
-                (hamiltonian_rotating(RotatingState(s.r, s.phi, s.y, s.G + h), p)
-                 - hamiltonian_rotating(RotatingState(s.r, s.phi, s.y, s.G - h), p)),
-            ]) / (2 * h)
+            f = np.array(kernel_rates(p)(*s))
+            z = np.array(s)
+            grad = np.array([hamiltonian_rotating(z + e, p)
+                             - hamiltonian_rotating(z - e, p)
+                             for e in step]) / (2 * h)
             assert abs(grad @ f) < 1e-8 * max(1.0, np.max(np.abs(grad)) * np.max(np.abs(f)))
 
     def test_angular_momentum_frozen_at_mu0(self):
         p = Params(0.0, 2.5)
         for s in random_rotating_states(p, 4):
-            assert kernel_rates(p)(s.r, s.phi, s.y, s.G)[3] == 0.0
+            assert kernel_rates(p)(*s)[3] == 0.0
 
     def test_cutoff_spares_mu0_perihelion(self):
         # the unperturbed separatrix touches r = 1/2 and must stay integrable
@@ -277,16 +314,15 @@ class TestVectorField:
 
 class TestInvolution:
     def test_involution_squares_to_identity(self):
-        s = RotatingState(1.3, 0.8, -0.4, 1.05)
-        assert involution_R(involution_R(s)) == s
+        s = [1.3, 0.8, -0.4, 1.05]
+        np.testing.assert_array_equal(involution_R(involution_R(s)), s)
 
     def test_fixed_set(self):
         for phi in (0.0, math.pi):
-            s = RotatingState(1.1, phi, 0.0, 1.0)
-            img = involution_R(s)
-            assert img.r == s.r and img.G == s.G and img.y == 0.0
-            assert math.cos(img.phi) == pytest.approx(math.cos(s.phi), abs=1e-15)
-            assert math.sin(img.phi) == pytest.approx(math.sin(s.phi), abs=1e-15)
+            img = involution_R([1.1, phi, 0.0, 1.0])
+            assert img[0] == 1.1 and img[3] == 1.0 and img[2] == 0.0
+            assert math.cos(img[1]) == pytest.approx(math.cos(phi), abs=1e-15)
+            assert math.sin(img[1]) == pytest.approx(math.sin(phi), abs=1e-15)
 
     def test_flow_reversibility(self, solve_ivp_flow):
         # R(Phi_s(R(z))) = Phi_{-s}(z), in both time directions: flow runs
@@ -294,13 +330,13 @@ class TestInvolution:
         # s = 1.5 and from R(z) for s = -2.5
         p = Params(0.33, 2.2)
         tol = 1e-12
-        z = RotatingState(1.4, 0.9, 0.35, 1.02)
+        z = np.array([1.4, 0.9, 0.35, 1.02])
         for start, s_time in ((involution_R(z), 1.5), (z, 2.5)):
-            zr = flow(start.to_array(), s_time, tol, p)
-            lhs = involution_R(RotatingState.from_array(zr.y[:, -1]))
-            rhs = solve_ivp_flow(involution_R(start).to_array(), -s_time, tol,
+            zr = flow(start, s_time, tol, p)
+            lhs = involution_R(zr.y[:, -1])
+            rhs = solve_ivp_flow(involution_R(start), -s_time, tol,
                                  p).y[:, -1]
-            diff = np.abs(lhs.to_array() - rhs)
+            diff = np.abs(lhs - rhs)
             diff[1] = abs((diff[1] + math.pi) % (2 * math.pi) - math.pi)
             assert np.max(diff) < 100 * tol * max(1.0, abs(s_time) * p.g0**3)
 
@@ -310,21 +346,20 @@ class TestIntegrate:
     def test_energy_drift(self):
         p = Params(0.3, 2.3)
         tol = 1e-12
-        z = RotatingState(1.5, 0.2, -0.3, 1.0)
+        z = [1.5, 0.2, -0.3, 1.0]
         h0 = hamiltonian_rotating(z, p)
-        z1 = flow(z.to_array(), 8.0, tol, p).y[:, -1]
-        assert abs(hamiltonian_rotating(RotatingState.from_array(z1), p)
-                   - h0) < 100 * tol * 8.0 * p.g0**3
+        z1 = flow(z, 8.0, tol, p).y[:, -1]
+        assert abs(hamiltonian_rotating(z1, p) - h0) < 100 * tol * 8.0 * p.g0**3
 
     def test_forward_backward(self):
         # the way back is R(flow(R(z1), 4)), R reversing time
         p = Params(0.3, 2.3)
         tol = 1e-12
-        z = RotatingState(1.5, 0.2, -0.3, 1.0)
-        z1 = RotatingState.from_array(flow(z.to_array(), 4.0, tol, p).y[:, -1])
-        back = flow(involution_R(z1).to_array(), 4.0, tol, p).y[:, -1]
-        z2 = involution_R(RotatingState.from_array(back))
-        assert np.max(np.abs(z2.to_array() - z.to_array())) < 1e-9
+        z = np.array([1.5, 0.2, -0.3, 1.0])
+        z1 = flow(z, 4.0, tol, p).y[:, -1]
+        back = flow(involution_R(z1), 4.0, tol, p).y[:, -1]
+        z2 = involution_R(back)
+        assert np.max(np.abs(z2 - z)) < 1e-9
 
     def test_tol_validation(self):
         p = Params(0.3, 2.0)
@@ -408,7 +443,7 @@ class TestFlow:
         # about 1400 steps near the primaries, rejected ones among them, with
         # crossings of every direction until a terminal outward pass of r = 5
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(1.3, 0.758, p).to_array()
+        z0 = lift_to_shell(1.3, 0.758, p)
 
         def r_out(s, z):
             return z[0] - 5.0
@@ -433,7 +468,7 @@ class TestFlow:
         # and back to 0.98 R_OUT, about 1700 of its steps beyond r = 10,
         # where most steps of the oscillate benchmark are taken
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(1.3, 0.923, p).to_array()
+        z0 = lift_to_shell(1.3, 0.923, p)
 
         def going_out(s, z):
             return z[0] - 5.0
@@ -499,19 +534,20 @@ class TestFlow:
                 flow(z0, 4.0, 1e-12, p)
             with pytest.raises(CollisionError) as ref:
                 solve_ivp_flow(z0, 4.0, 1e-12, p)
-            assert got.value.last_state == ref.value.last_state
-            assert got.value.last_state.r == pytest.approx(collision_radius(p),
-                                                           abs=1e-12)
+            np.testing.assert_array_equal(got.value.last_state,
+                                          ref.value.last_state)
+            assert got.value.last_state[0] == pytest.approx(collision_radius(p),
+                                                            abs=1e-12)
 
     def test_start_inside_cutoff_refused(self):
         # the guard fires on a falling crossing of the cutoff, which a start
         # below it never makes: at (0.3, 2.2), cutoff 0.289, a start at
         # r = 0.01 ran 2091 steps between the primaries unguarded
         p = Params(0.3, 2.2)
-        z0 = lift_to_shell(0.01, 0.0, p).to_array()
+        z0 = lift_to_shell(0.01, 0.0, p)
         with pytest.raises(CollisionError, match="start inside") as err:
             flow(z0, 1.0, 1e-12, p)
-        np.testing.assert_array_equal(err.value.last_state.to_array(), z0)
+        np.testing.assert_array_equal(err.value.last_state, z0)
 
     def test_terminal_event_and_guard_in_one_step(self, solve_ivp_flow):
         # the plunge at (0.3, 2.0), cutoff 0.35, crosses a terminal event
@@ -556,16 +592,15 @@ class TestLockstep:
         # rates on four Python floats and solve_ivp's f(s, z)
         for p in (Params(0.3, 2.4), Params(0.5, 2.0), Params(0.0, 2.2)):
             states = random_rotating_states(p, 8) + [
-                RotatingState(50.0, 1.3, -0.2, 1.0),
-                RotatingState(7.0, -40.0, 0.5, 1.01)]
-            z = np.array([s.to_array() for s in states]).T
+                [50.0, 1.3, -0.2, 1.0], [7.0, -40.0, 0.5, 1.01]]
+            z = np.array(states).T
             lanes = np.array(
                 potential_kernel(p, np.cos, np.sin, np.sqrt).field(0.0, z))
             kernel = potential_kernel(p, math.cos, math.sin, math.sqrt)
             scalar, rates = kernel.field, kernel.rates
             for k, s in enumerate(states):
-                want = scalar(0.0, s.to_array())
-                got = rates(s.r, s.phi, s.y, s.G)
+                want = scalar(0.0, z[:, k])
+                got = rates(*s)
                 assert all(type(x) is float for x in got)
                 assert [x.hex() for x in got] == [float(x).hex() for x in want]
                 np.testing.assert_array_equal(lanes[:, k], want)
@@ -575,13 +610,11 @@ class TestLockstep:
         # states (the stable-curve oracle in test_manifolds relies on it)
         p = Params(0.3, 2.3)
         tol = 1e-12
-        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
-                  RotatingState(1.2, 2.0, 0.4, 1.02),
-                  RotatingState(30.0, 0.7, -0.25, 1.0)]
-        z0 = np.array([s.to_array() for s in states]).T
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.2, 2.0, 0.4, 1.02],
+                       [30.0, 0.7, -0.25, 1.0]]).T
         run = lockstep_flow(z0, 6.0, tol, p)
         steps = nfev = 0
-        for k in range(len(states)):
+        for k in range(z0.shape[1]):
             sol = flow(z0[:, k], 6.0, tol, p)
             steps += len(sol.t) - 1
             nfev += sol.nfev
@@ -595,23 +628,22 @@ class TestLockstep:
         for p in (Params(0.3, 2.0), Params(0.0, 2.2)):
             with pytest.raises(CollisionError) as err:
                 lockstep_flow(z0, 4.0, 1e-12, p)
-            assert err.value.last_state.r == pytest.approx(collision_radius(p),
-                                                           abs=1e-12)
+            assert err.value.last_state[0] == pytest.approx(collision_radius(p),
+                                                            abs=1e-12)
             with pytest.raises(CollisionError) as ref:
                 flow(z0[:, 1], 4.0, 1e-12, p)
-            np.testing.assert_array_equal(err.value.last_state.to_array(),
-                                          ref.value.last_state.to_array())
+            np.testing.assert_array_equal(err.value.last_state,
+                                          ref.value.last_state)
 
     def test_lane_starting_inside_cutoff_raises(self):
         # the second lane starts at r = 0.01, inside the cutoff 0.289 at
         # (0.3, 2.2), where the guard would never see a falling crossing
         p = Params(0.3, 2.2)
         z0 = np.array([[1.5, 0.2, -0.3, 1.0],
-                       lift_to_shell(0.01, 0.0, p).to_array()]).T
+                       lift_to_shell(0.01, 0.0, p)]).T
         with pytest.raises(CollisionError, match="start inside") as err:
             lockstep_flow(z0, 1.0, 1e-12, p)
-        np.testing.assert_array_equal(err.value.last_state.to_array(),
-                                      z0[:, 1])
+        np.testing.assert_array_equal(err.value.last_state, z0[:, 1])
 
     def test_terminal_event_retires_only_its_lane(self):
         # at mu = 0 the radial plunge runs on to the collision floor far
@@ -638,12 +670,10 @@ class TestLockstep:
         # non-terminal section events of each direction: every lane's
         # crossings are flow's t_events and y_events, bit for bit
         p = Params(0.3, 2.3)
-        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
-                  RotatingState(1.2, 2.0, 0.4, 1.02)]
-        z0 = np.array([s.to_array() for s in states]).T
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.2, 2.0, 0.4, 1.02]]).T
         evs = [angle_event(0.5, 1.0), angle_event(-1.0, -1.0), angle_event(2.0)]
         run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
-        for k in range(len(states)):
+        for k in range(z0.shape[1]):
             sol = flow(z0[:, k], 6.0, 1e-12, p, events=evs)
             for e in range(len(evs)):
                 assert len(run.s_events[k][e]) > 0
@@ -658,10 +688,8 @@ class TestLockstep:
         # every crossing with y clear of 0; the third lane's first step
         # crosses phi = 0.5 with y < 0 and ends with y > 0
         p = Params(0.3, 2.3)
-        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
-                  RotatingState(1.2, 2.0, 0.4, 1.02),
-                  RotatingState(0.8, 0.51, -1e-3, 1.0)]
-        z0 = np.array([s.to_array() for s in states]).T
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.2, 2.0, 0.4, 1.02],
+                       [0.8, 0.51, -1e-3, 1.0]]).T
         run = lockstep_flow(z0, 6.0, 1e-12, p,
                             events=[angle_event(0.5), angle_event(-1.0)])
         gated_evs = [angle_event(0.5), angle_event(-1.0)]
@@ -669,7 +697,7 @@ class TestLockstep:
             ev.gate = lambda s, z: z[2] > 0.0
         gated = lockstep_flow(z0, 6.0, 1e-12, p, events=gated_evs)
         np.testing.assert_array_equal(gated.z, run.z)
-        for k in range(len(states)):
+        for k in range(z0.shape[1]):
             sol = flow(z0[:, k], 6.0, 1e-12, p)
             for e in range(2):
                 s_all, z_all = run.s_events[k][e], run.z_events[k][e]
@@ -686,11 +714,8 @@ class TestLockstep:
         # flow's, bit for bit, though the lanes locate them only after the
         # step loop, from one batched dense output
         p = Params(0.3, 2.3)
-        states = [RotatingState(1.5, 0.2, -0.3, 1.0),
-                  RotatingState(1.2, 2.0, 0.4, 1.02),
-                  RotatingState(30.0, 0.7, -0.25, 1.0),
-                  RotatingState(5.0, -0.4, 0.3, 1.0)]
-        z0 = np.array([s.to_array() for s in states]).T
+        z0 = np.array([[1.5, 0.2, -0.3, 1.0], [1.2, 2.0, 0.4, 1.02],
+                       [30.0, 0.7, -0.25, 1.0], [5.0, -0.4, 0.3, 1.0]]).T
 
         def inner(s, z):
             return z[0] - 1.0
@@ -700,7 +725,7 @@ class TestLockstep:
         evs = [angle_event(0.3), angle_event(-0.3, -1.0), inner]
         run = lockstep_flow(z0, 6.0, 1e-12, p, events=evs)
         nfev = crossings = 0
-        for k in range(len(states)):
+        for k in range(z0.shape[1]):
             sol = flow(z0[:, k], 6.0, 1e-12, p, events=evs)
             nfev += sol.nfev
             for e in range(len(evs)):
@@ -716,7 +741,7 @@ class TestLockstep:
         work = run.work
         assert work["rhs_evals"] == nfev
         # each located step cost its lane the 3 extra dense-output stages
-        assert work["rhs_evals"] == 2 * len(states) + 12 * (
+        assert work["rhs_evals"] == 2 * z0.shape[1] + 12 * (
             work["accepted_steps"] + work["rejected_steps"]) \
             + 3 * work["located_steps"]
         assert work["dense_passes"] == 1

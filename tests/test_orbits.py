@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rpc3bp import integrate, orbits
-from rpc3bp.core import Params, RotatingState, hamiltonian_rotating
+from rpc3bp.core import Params, hamiltonian_rotating
 from rpc3bp.melnikov import predicted_distance
 from rpc3bp.orbits import R_IN, R_OUT, oscillation_demo
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
@@ -42,7 +42,7 @@ class TestPerturbed:
         log = oscillation_demo(p, tangle_seed(p, -0.5), 30)
         assert log.returns
         for rec in log.returns:
-            h = hamiltonian_rotating(RotatingState(rec.r, 0.0, rec.y, rec.G), p)
+            h = hamiltonian_rotating([rec.r, 0.0, rec.y, rec.G], p)
             assert abs(h + p.g0**3) < 1e-8 * (1.0 + p.g0**3)
 
     def test_determinism(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rpc3bp.core import Params, RotatingState
+from rpc3bp.core import Params
 from rpc3bp.integrate import flow
 from rpc3bp.separatrix import (
     homoclinic_alpha_prime,
@@ -94,13 +94,12 @@ class TestFlowConsistency:
         v0, dv = -1.0, 2.0
         h0, h1 = homoclinic_state(v0), homoclinic_state(v0 + dv)
         phi0 = 0.3
-        z = RotatingState.from_array(
-            flow([h0.r, phi0, h0.y, 1.0], dv, tol, p).y[:, -1])
-        assert z.r == pytest.approx(h1.r, abs=1e-10)
-        assert z.y == pytest.approx(h1.y, abs=1e-10)
-        assert z.G == pytest.approx(1.0, abs=1e-12)
+        r, phi, y, G = flow([h0.r, phi0, h0.y, 1.0], dv, tol, p).y[:, -1]
+        assert r == pytest.approx(h1.r, abs=1e-10)
+        assert y == pytest.approx(h1.y, abs=1e-10)
+        assert G == pytest.approx(1.0, abs=1e-12)
         phi_expected = phi0 + (h1.alpha - h0.alpha) - p.g0**3 * dv
-        assert z.phi == pytest.approx(phi_expected, abs=1e-9)
+        assert phi == pytest.approx(phi_expected, abs=1e-9)
 
 
 class TestAsymptotics:

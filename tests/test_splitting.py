@@ -28,14 +28,13 @@ def report24():
     return splitting_report(Params(0.3, 2.4))
 
 
-@pytest.fixture(scope="module")
-def report0():
-    return splitting_report(Params(0.0, 2.4), n_samples=25)
-
-
 class TestProfile:
-    def test_mu0_profile_is_noise(self, report0):
-        assert report0.max_distance < 10 * report0.noise_floor
+    @pytest.mark.parametrize("g0, n_samples", [(2.4, 25), (2.0, 60), (2.8, 60)])
+    def test_mu0_profile_is_noise(self, g0, n_samples):
+        # at mu = 0 the curves coincide, so the whole profile is integrator
+        # and spline noise, which must stay under the assumed floor
+        report0 = splitting_report(Params(0.0, g0), n_samples=n_samples)
+        assert report0.max_distance < report0.noise_floor
         assert report0.roots == []
         assert report0.lobe_areas == []
         assert not report0.untrusted
