@@ -30,13 +30,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import CollisionError, Params
-from .integrate import TOL_MAX, TOL_MIN
+from .core import (
+    DEFAULT_N_SAMPLES,
+    DEFAULT_TOL,
+    TOL_MAX,
+    TOL_MIN,
+    CollisionError,
+    Params,
+)
 from .melnikov import DEFAULT_JMAX, DEFAULT_LMAX, MP_DPS_MIN, MelnikovSeries
-from .manifolds import DEFAULT_N_SAMPLES, DEFAULT_TOL, compute_invariant_curve
-from .orbits import oscillation_demo
 from .separatrix import homoclinic_r, homoclinic_state
-from .splitting import continuation_tangency_curve, splitting_report
+
+# The orbit modules (integrate, _dop853, manifolds, orbits, splitting) are
+# imported inside the commands that run an orbit, so homoclinic and melnikov
+# never load them.  Each such command reads its function from the module
+# when it runs, so a stub or a tracer that rebinds it there is seen.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -273,6 +281,8 @@ def cmd_melnikov(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_manifolds(args, cfg: dict, out: Path) -> int:
+    from .manifolds import compute_invariant_curve
+
     p = _params(cfg)
     curves = compute_invariant_curve(p, tol=cfg["tol"],
                                      n_samples=cfg["n_samples"])
@@ -307,6 +317,8 @@ def _report_payload(rep) -> dict:
 
 
 def cmd_splitting(args, cfg: dict, out: Path) -> int:
+    from .splitting import splitting_report
+
     rep = splitting_report(_params(cfg), tol=cfg["tol"],
                            n_samples=cfg["n_samples"])
     _write_json(out / "splitting.json", _report_payload(rep), cfg)
@@ -324,6 +336,8 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
     if not 1 <= args.steps <= MAX_GRID:
         raise ValueError(f"--steps must lie in [1, {MAX_GRID}], "
                          f"got {args.steps}")
+    from .splitting import continuation_tangency_curve
+
     pts = continuation_tangency_curve((args.g0_min, args.g0_max), args.steps,
                                       tol=cfg["tol"],
                                       n_samples=cfg["n_samples"])
@@ -339,6 +353,8 @@ def cmd_tangency(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_oscillate(args, cfg: dict, out: Path) -> int:
+    from .orbits import oscillation_demo
+
     p = _params(cfg)
     log = oscillation_demo(p, (args.seed_r, args.seed_y), args.n_iter,
                            tol=float(cfg["tol"]))
@@ -367,6 +383,8 @@ def cmd_sweep(args, cfg: dict, out: Path) -> int:
             raise ValueError(f"{flag} repeats a value: {vals}")
     if len(mus) * len(g0s) > MAX_GRID:
         raise ValueError(f"sweep grid exceeds {MAX_GRID} combinations")
+    from .splitting import splitting_report
+
     rows = []
     any_untrusted = False
     for mu in mus:

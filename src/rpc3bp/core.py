@@ -42,10 +42,27 @@ __all__ = [
     "hamiltonian_rotating",
     "potential_V",
     "involution_R",
+    "TOL_MIN",
+    "TOL_MAX",
+    "DEFAULT_TOL",
+    "DEFAULT_N_SAMPLES",
 ]
 
 # Distances to a primary below this are treated as a collision.
 _COLLISION_EPS = 1e-12
+
+# The integrators' tolerance range: scipy's solve_ivp raises any rtol below
+# 100 eps to that floor with only a warning; flow repeats its arithmetic, so
+# a smaller tol is refused.  A Python float, so that comparing it with an int
+# of any size cannot overflow
+TOL_MIN = float(100 * np.finfo(float).eps)
+TOL_MAX = 1e-6
+
+# Integrator tolerance and target sample count of a fan by default: the
+# defaults of every report's keywords and of the CLI's config, which reads
+# them here without loading the flow modules
+DEFAULT_TOL = 1e-12
+DEFAULT_N_SAMPLES = 60
 
 
 def _fresh_state(z):

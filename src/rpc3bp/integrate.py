@@ -71,6 +71,8 @@ import numpy as np
 
 from . import _dop853 as _dop
 from .core import (
+    TOL_MAX,
+    TOL_MIN,
     CollisionError,
     Params,
     collision_radius,
@@ -89,12 +91,6 @@ __all__ = [
     "first_return",
     "brentq",
 ]
-
-# scipy's solve_ivp raises any rtol below 100 eps to that floor with only a
-# warning; flow repeats its arithmetic, so a smaller tol is refused.  A Python
-# float, so that comparing it with an int of any size cannot overflow
-TOL_MIN = float(100 * np.finfo(float).eps)
-TOL_MAX = 1e-6
 
 
 def _section_tol(phi: float) -> float:

@@ -62,6 +62,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .core import (
+    DEFAULT_N_SAMPLES,
+    DEFAULT_TOL,
     CollisionError,
     Params,
     SectionTimeoutError,
@@ -88,11 +90,6 @@ __all__ = [
 # the splitting is measured.  Its buffered exit radius, 2.11, lies below
 # R_MIN, so every window crossing of a lane comes after its seed.
 V_WINDOW = (0.4, 1.6)
-
-# Integrator tolerance and target sample count of a fan by default: the
-# defaults of every report's keywords and of the CLI's config.
-DEFAULT_TOL = 1e-12
-DEFAULT_N_SAMPLES = 60
 
 # Tolerance and relative central-difference step of the Poincare map and its
 # Jacobian: the step balances the O(step^2) truncation against the

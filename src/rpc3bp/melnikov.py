@@ -503,9 +503,9 @@ def _contour_terms(l: int, js, p: Params):
         lead = np.exp(1j * half_w * (tau + tau**3 / 3.0)) * dtau
         hw = half * weights_ref
         terms = _pole_terms(lead, tau, l, js)
-        sums.append(np.array([np.sum(t * hw) for t in terms]))
+        sums.append(np.array([(t * hw).sum() for t in terms]))
     coarse, fine = sums
-    peak = np.array([np.max(np.abs(t)) for t in terms])
+    peak = np.array([np.abs(t).max() for t in terms])
 
     err = np.abs(fine - coarse)
     floor = 50.0 * _EPS * peak
@@ -595,12 +595,14 @@ def _mp_path(l: int, p: Params, dps: int):
 
 def _fixed_path(path, big: int):
     """The path's (delta, wb, half_w) as integers at scale 2^big, with ln 2
-    and pi/2 at that scale, for _fixed_node."""
+    and pi/2 at that scale, for _fixed_node, and the libmp kernels it runs,
+    imported here once per harmonic rather than at every node."""
     from mpmath.libmp import to_fixed
-    from mpmath.libmp.libelefun import ln2_fixed, pi_fixed
+    from mpmath.libmp.libelefun import (cos_sin_fixed, exp_fixed, ln2_fixed,
+                                        pi_fixed)
 
     return (*(to_fixed(c._mpf_, big) for c in path), ln2_fixed(big),
-            pi_fixed(big - 1), big)
+            pi_fixed(big - 1), big, to_fixed, cos_sin_fixed, exp_fixed)
 
 
 def _fixed_node(x, wt, l: int, path, bits: int):
@@ -622,10 +624,8 @@ def _fixed_node(x, wt, l: int, path, bits: int):
     to `bits`; the tests hold them within 64 2^-bits of the same values on
     mpmath numbers at bits + 80 (they read at most 1.4 2^-bits).
     """
-    from mpmath.libmp import to_fixed
-    from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
-
-    delta, wb, half_w, ln2, pi2, big = path
+    (delta, wb, half_w, ln2, pi2, big,
+     to_fixed, cos_sin_fixed, exp_fixed) = path
     one = 1 << big
     a = to_fixed(x, big)
     aa = a * a

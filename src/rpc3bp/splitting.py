@@ -30,11 +30,9 @@ from math import isfinite, pi
 
 import numpy as np
 
-from .core import Params
+from .core import DEFAULT_N_SAMPLES, DEFAULT_TOL, Params
 from .integrate import brentq
 from .manifolds import (
-    DEFAULT_N_SAMPLES,
-    DEFAULT_TOL,
     V_WINDOW,
     InvariantCurves,
     compute_invariant_curve,

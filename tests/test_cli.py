@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rpc3bp import cli, splitting
+from rpc3bp import cli, manifolds, orbits, splitting
 from rpc3bp.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -273,11 +273,14 @@ def never(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Every command's computation raises if it is reached."""
-    for name in ("homoclinic_state", "compute_invariant_curve",
-                 "splitting_report", "continuation_tangency_curve",
-                 "oscillation_demo"):
-        monkeypatch.setattr(cli, name, never)
+    """Every command's computation raises if it is reached: each function is
+    patched in the module the command reads it from."""
+    for module, name in ((cli, "homoclinic_state"),
+                         (manifolds, "compute_invariant_curve"),
+                         (splitting, "splitting_report"),
+                         (splitting, "continuation_tangency_curve"),
+                         (orbits, "oscillation_demo")):
+        monkeypatch.setattr(module, name, never)
     monkeypatch.setattr(cli.MelnikovSeries, "compute", never)
 
 
@@ -599,7 +602,7 @@ class TestProvenance:
     def test_settings_the_command_reads(self, command, tmp_path, monkeypatch):
         # every header held precision, tol and quad_tol, read or not; the
         # tangency solve is stubbed, and sweep's one grid point is refused
-        monkeypatch.setattr(cli, "continuation_tangency_curve",
+        monkeypatch.setattr(splitting, "continuation_tangency_curve",
                             lambda *args, **kwargs: [])
         keys, args = PROVENANCE[command]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
@@ -664,7 +667,7 @@ class TestTangency:
                         n_samples=n_samples)
             return pts
 
-        monkeypatch.setattr(cli, "continuation_tangency_curve", stub)
+        monkeypatch.setattr(splitting, "continuation_tangency_curve", stub)
         code = run(["tangency", "--out", tmp_path, "--g0-min", 2.7,
                     "--g0-max", 3.1, "--steps", 2])
         assert code == EXIT_UNTRUSTED
@@ -748,19 +751,22 @@ class TestOscillateAndSweep:
         def broken(*args, **kwargs):
             raise TypeError("unexpected keyword argument")
 
-        monkeypatch.setattr(cli, "splitting_report", broken)
+        monkeypatch.setattr(splitting, "splitting_report", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             run(["sweep", "--grid-mu", 0.3, "--grid-g0", 2.4,
                  "--out", tmp_path])
         assert list(tmp_path.iterdir()) == []
 
 
-# Runs in a fresh interpreter: imports the CLI, runs the commands given as a
-# JSON list in argv[2] and prints every module of package argv[3] then loaded.
+# Runs in a fresh interpreter: imports the modules listed as JSON in argv[4]
+# and the CLI, runs the commands given as a JSON list in argv[2] and prints
+# every module of package argv[3] then loaded.
 _FRESH_SCRIPT = """
-import json, sys
+import importlib, json, sys
 from pathlib import Path
-from rpc3bp import cli, splitting
+for name in json.loads(sys.argv[4]):
+    importlib.import_module(name)
+from rpc3bp import cli
 out = Path(sys.argv[1])
 for argv in json.loads(sys.argv[2]):
     assert cli.main([*argv, "--out", str(out)]) == 0, argv
@@ -775,14 +781,32 @@ _BINARY64_COMMANDS = [
     ["melnikov", "--methods", "quadrature,contour", "--g0", "1.5"],
     ["oscillate", "--n-iter", "2", "--seed-r", "1.3", "--seed-y", "0.68"]]
 
+# the modules that only the commands integrating an orbit use
+_ORBIT_MODULES = {"rpc3bp.integrate", "rpc3bp._dop853", "rpc3bp.manifolds",
+                  "rpc3bp.orbits", "rpc3bp.splitting"}
 
-def _modules_loaded(tmp_path, commands, package):
+
+def _small_extended(tmp_path):
+    """An extended-precision melnikov call of one harmonic and two terms."""
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"lmax": 1, "jmax": 2}))
+    return ["melnikov", "--g0", "2.8", "--precision", "extended",
+            "--config", str(small)]
+
+
+def _modules_loaded(tmp_path, commands, package,
+                    imports=("rpc3bp.splitting",)):
+    """The modules of package loaded once a fresh interpreter has imported
+    `imports` and the CLI and run the commands.  The default imports
+    splitting, so that the modules it loads are checked too, whichever the
+    commands load."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, str(tmp_path),
-                           json.dumps(commands), package], env=env,
+                           json.dumps(commands), package,
+                           json.dumps(list(imports))], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -790,14 +814,26 @@ def _modules_loaded(tmp_path, commands, package):
 
 class TestStartup:
     def test_commands_without_splines_load_no_scipy(self, tmp_path):
-        small = tmp_path / "small.json"
-        small.write_text(json.dumps({"lmax": 1, "jmax": 2}))
-        extended = ["melnikov", "--g0", "2.8", "--precision", "extended",
-                    "--config", str(small)]
-        assert _modules_loaded(tmp_path, [*_BINARY64_COMMANDS, extended],
+        assert _modules_loaded(tmp_path, [*_BINARY64_COMMANDS,
+                                          _small_extended(tmp_path)],
                                "scipy") == []
 
     def test_binary64_commands_load_no_mpmath(self, tmp_path):
         # mpmath is imported by the extended contour route alone: importing
         # it would add to every command's start-up time
         assert _modules_loaded(tmp_path, _BINARY64_COMMANDS, "mpmath") == []
+
+    def test_commands_without_orbits_load_no_orbit_module(self, tmp_path):
+        # homoclinic and melnikov integrate no orbit: importing the CLI and
+        # running them leaves the flow, the fan and the report unloaded
+        commands = [cmd for cmd in _BINARY64_COMMANDS if cmd[0] != "oscillate"]
+        loaded = _modules_loaded(
+            tmp_path, [*commands, _small_extended(tmp_path)], "rpc3bp",
+            imports=())
+        assert sorted(_ORBIT_MODULES.intersection(loaded)) == []
+
+    def test_oscillate_loads_no_splitting(self, tmp_path):
+        loaded = _modules_loaded(tmp_path, [_BINARY64_COMMANDS[-1]], "rpc3bp",
+                                 imports=())
+        assert "rpc3bp.orbits" in loaded
+        assert "rpc3bp.splitting" not in loaded
