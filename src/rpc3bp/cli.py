@@ -286,7 +286,7 @@ def cmd_manifolds(args, cfg: dict, out: Path) -> int:
     p = _params(cfg)
     curves = compute_invariant_curve(p, tol=cfg["tol"],
                                      n_samples=cfg["n_samples"])
-    for b in args.branch:
+    for b in ("unstable", "stable"):
         curve = getattr(curves, b)
         rows = [(v, homoclinic_r(v), Y, b, p.mu, p.g0, curves.tol)
                 for v, Y in zip(curve.v, curve.Y)]
@@ -467,8 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_melnikov)
 
     sp = command("manifolds", help="invariant curves on the section")
-    sp.add_argument("--branch", default="unstable,stable",
-                    type=_name_list("unstable", "stable"))
     sp.set_defaults(func=cmd_manifolds)
 
     sp = command("splitting", help="distance profile, roots, lobes")

@@ -21,7 +21,8 @@ The perturbing potential V of the primaries and the flow it drives are
 written once, in potential_kernel, for whatever cos, sin and sqrt it is
 given: math's for the scalar right-hand side of single orbits, numpy's for
 the lanes of a fan and the angle grids of the Melnikov quadrature.
-potential_V and hamiltonian_rotating derive from it.
+potential_V, hamiltonian_rotating and lift_to_shell, which solves the shell
+H = -g0^3 for G at a point of the section, derive from it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "potential_kernel",
     "collision_radius",
     "hamiltonian_rotating",
+    "lift_to_shell",
     "potential_V",
     "involution_R",
     "TOL_MIN",
@@ -243,6 +245,25 @@ def hamiltonian_rotating(z, p: Params) -> float:
         raise CollisionError("r must be positive")
     return (0.5 * y * y - p.g0**3 * G + G * G / (2.0 * r * r)
             - 1.0 / r - potential_V(r, phi, p))
+
+
+def lift_to_shell(r: float, y: float, p: Params) -> np.ndarray:
+    """Point (r, y) of the section {phi = 0} lifted to the shell H = -g0^3.
+
+    Solves the quadratic shell condition for the angular momentum, taking the
+    root near G = 1 (evaluated in the cancellation-free form).  Raises
+    ValueError for non-finite (r, y), r <= 0 and when no real solution exists.
+    """
+    if not (isfinite(r) and isfinite(y)):
+        raise ValueError(f"section point ({r}, {y}) must be finite")
+    if not r > 0.0:
+        raise ValueError(f"section point needs r > 0, got r = {r}")
+    c = p.g0**3 + 0.5 * y * y - 1.0 / r - potential_V(r, 0.0, p)
+    disc = p.g0**6 - 2.0 * c / (r * r)
+    if disc < 0.0:
+        raise ValueError(f"section point ({r}, {y}) does not lift to the shell")
+    G = 2.0 * c / (p.g0**3 + sqrt(disc))
+    return np.array([r, 0.0, y, G], dtype=float)
 
 
 # ---------------------------------------------------------------------------

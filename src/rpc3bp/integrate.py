@@ -8,6 +8,8 @@ the R-symmetric {phi = 0 (mod 2pi)}, so the stable manifold needs no backward
 span.  first_return finds a single orbit's next return to it as the first
 time phi reaches the level 2pi k strictly below its start; a fan of orbits
 reads all its crossings as the zeros of section_event()'s sin(phi/2).
+poincare_map lifts a section point to the shell and takes one first_return,
+the return the oscillation demo iterates.
 
 Each crossing used downstream is polished with explicit Newton micro-steps in
 time until |phi| (mod 2pi) is at machine level (<= 1e-13 guaranteed).
@@ -75,13 +77,13 @@ from .core import (
     TOL_MIN,
     CollisionError,
     Params,
+    SectionTimeoutError,
     collision_radius,
+    lift_to_shell,
     potential_kernel,
 )
 
 __all__ = [
-    "TOL_MIN",
-    "TOL_MAX",
     "Trajectory",
     "flow",
     "LockstepFlow",
@@ -89,6 +91,8 @@ __all__ = [
     "section_event",
     "refine_to_section",
     "first_return",
+    "poincare_map",
+    "poincare_jacobian",
     "brentq",
 ]
 
@@ -773,3 +777,50 @@ def first_return(z, p: Params, tol: float, s_max: float, events=()):
     if len(sol.t_events[-1]) == 0:
         return sol, None
     return sol, refine_to_section(sol.y_events[-1][0], p)
+
+
+# Tolerance and relative central-difference step of the Poincare map and its
+# Jacobian: the step balances the O(step^2) truncation against the
+# integrator roundoff ~ tol/step, which resolves the determinant to ~1e-9.
+POINCARE_TOL = 1e-13
+JACOBIAN_STEP = 2e-5
+
+
+def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
+    """One full return of the map of the section {phi = 0} on the energy
+    shell.
+
+    The synodic angle is monotone decreasing, so the return is the first
+    time the unwrapped angle reaches -2pi (first_return, at POINCARE_TOL).
+    Preserves the section area element dr wedge dy up to integrator
+    accuracy.
+    """
+    z = lift_to_shell(point[0], point[1], p)
+    try:
+        sol, znext = first_return(z, p, POINCARE_TOL,
+                                  3.0 * 2.0 * pi / p.g0**3)
+    except CollisionError as err:
+        raise SectionTimeoutError("collision during section return",
+                                  last_state=err.last_state) from err
+    if znext is None:
+        raise SectionTimeoutError("no return within three synodic periods",
+                                  last_state=sol.y[:, -1])
+    return (float(znext[0]), float(znext[2]))
+
+
+def poincare_jacobian(point: tuple[float, float], p: Params) -> np.ndarray:
+    """Jacobian of poincare_map by central differences of relative step
+    JACOBIAN_STEP."""
+    r, y = point
+    J = np.empty((2, 2))
+    for k, h in ((0, JACOBIAN_STEP * max(1.0, abs(r))),
+                 (1, JACOBIAN_STEP * max(1.0, abs(y)))):
+        dp = [r, y]
+        dm = [r, y]
+        dp[k] += h
+        dm[k] -= h
+        fp = poincare_map((dp[0], dp[1]), p)
+        fm = poincare_map((dm[0], dm[1]), p)
+        J[0, k] = (fp[0] - fm[0]) / (2.0 * h)
+        J[1, k] = (fp[1] - fm[1]) / (2.0 * h)
+    return J

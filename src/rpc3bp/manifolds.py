@@ -47,9 +47,6 @@ run per orbit.  The section event locates crossings on the dense output
 only in steps that come near the window.  The fan queues those steps and
 locates all their crossings once its orbits have stopped, from one batched
 dense output, and the crossings are polished by refine_to_section.
-
-poincare_map lifts a section point to the shell and takes one
-integrate.first_return, the return the oscillation demo iterates.
 """
 
 from __future__ import annotations
@@ -64,25 +61,19 @@ from numpy.polynomial import chebyshev as cheb
 from .core import (
     DEFAULT_N_SAMPLES,
     DEFAULT_TOL,
-    CollisionError,
     Params,
-    SectionTimeoutError,
     potential_kernel,
     potential_V,
 )
-from .integrate import first_return, lockstep_flow, refine_to_section, section_event
+from .integrate import lockstep_flow, refine_to_section, section_event
 # unused here; perfbench's tracer self-test checks that it wraps this binding
 from .integrate import flow  # noqa: F401
-from .melnikov import phase_of_v
-from .separatrix import homoclinic_r, homoclinic_y, v_of_r
+from .separatrix import homoclinic_r, homoclinic_y, phase_of_v, v_of_r
 
 __all__ = [
     "ManifoldCurve",
     "InvariantCurves",
     "initial_manifold_state",
-    "lift_to_shell",
-    "poincare_map",
-    "poincare_jacobian",
     "compute_invariant_curve",
 ]
 
@@ -90,12 +81,6 @@ __all__ = [
 # the splitting is measured.  Its buffered exit radius, 2.11, lies below
 # R_MIN, so every window crossing of a lane comes after its seed.
 V_WINDOW = (0.4, 1.6)
-
-# Tolerance and relative central-difference step of the Poincare map and its
-# Jacobian: the step balances the O(step^2) truncation against the
-# integrator roundoff ~ tol/step, which resolves the determinant to ~1e-9.
-POINCARE_TOL = 1e-13
-JACOBIAN_STEP = 2e-5
 
 # The graph of W^u(infinity) is solved over r >= R_MIN, on Chebyshev-Lobatto
 # nodes in x = r^(-1/2) from x = 0 (r = infinity) to R_MIN^(-1/2) times
@@ -299,65 +284,6 @@ def initial_manifold_state(r0: float, phase: float, p: Params) -> np.ndarray:
     if ysq <= 0.0:
         raise RuntimeError(f"no inbound momentum at r0={r0}")
     return np.array([r0, phase, -sqrt(ysq), 1.0 + g], dtype=float)
-
-
-def lift_to_shell(r: float, y: float, p: Params) -> np.ndarray:
-    """Point (r, y) of the section {phi = 0} lifted to the shell H = -g0^3.
-
-    Solves the quadratic shell condition for the angular momentum, taking the
-    root near G = 1 (evaluated in the cancellation-free form).  Raises
-    ValueError for non-finite (r, y), r <= 0 and when no real solution exists.
-    """
-    if not (isfinite(r) and isfinite(y)):
-        raise ValueError(f"section point ({r}, {y}) must be finite")
-    if not r > 0.0:
-        raise ValueError(f"section point needs r > 0, got r = {r}")
-    c = p.g0**3 + 0.5 * y * y - 1.0 / r - potential_V(r, 0.0, p)
-    disc = p.g0**6 - 2.0 * c / (r * r)
-    if disc < 0.0:
-        raise ValueError(f"section point ({r}, {y}) does not lift to the shell")
-    G = 2.0 * c / (p.g0**3 + sqrt(disc))
-    return np.array([r, 0.0, y, G], dtype=float)
-
-
-def poincare_map(point: tuple[float, float], p: Params) -> tuple[float, float]:
-    """One full return of the map of the section {phi = 0} on the energy
-    shell.
-
-    The synodic angle is monotone decreasing, so the return is the first
-    time the unwrapped angle reaches -2pi (integrate.first_return, at
-    POINCARE_TOL).  Preserves the section area element dr wedge dy up to
-    integrator accuracy.
-    """
-    z = lift_to_shell(point[0], point[1], p)
-    try:
-        sol, znext = first_return(z, p, POINCARE_TOL,
-                                  3.0 * 2.0 * pi / p.g0**3)
-    except CollisionError as err:
-        raise SectionTimeoutError("collision during section return",
-                                  last_state=err.last_state) from err
-    if znext is None:
-        raise SectionTimeoutError("no return within three synodic periods",
-                                  last_state=sol.y[:, -1])
-    return (float(znext[0]), float(znext[2]))
-
-
-def poincare_jacobian(point: tuple[float, float], p: Params) -> np.ndarray:
-    """Jacobian of poincare_map by central differences of relative step
-    JACOBIAN_STEP."""
-    r, y = point
-    J = np.empty((2, 2))
-    for k, h in ((0, JACOBIAN_STEP * max(1.0, abs(r))),
-                 (1, JACOBIAN_STEP * max(1.0, abs(y)))):
-        dp = [r, y]
-        dm = [r, y]
-        dp[k] += h
-        dm[k] -= h
-        fp = poincare_map((dp[0], dp[1]), p)
-        fm = poincare_map((dm[0], dm[1]), p)
-        J[0, k] = (fp[0] - fm[0]) / (2.0 * h)
-        J[1, k] = (fp[1] - fm[1]) / (2.0 * h)
-    return J
 
 
 def _fan_seeds(p: Params, n_phases: int) -> np.ndarray:

@@ -59,11 +59,10 @@ import numpy as np
 
 from .core import Params, PrecisionError, potential_kernel
 from .separatrix import (
-    homoclinic_alpha,
     homoclinic_r,
     homoclinic_y,
+    phase_of_v,
     tau_of_v,
-    v_of_tau,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "melnikov_coeff_contour",
     "melnikov_coeff_asymptotic",
     "MelnikovSeries",
-    "phase_of_v",
     "predicted_distance",
     "predicted_lobe_area",
     "predicted_tangency_mu",
@@ -242,10 +240,10 @@ def uhat_fourier_coeff_quadrature(l: int, v, p: Params) -> complex:
     """Mode l of theta -> V(r_h(v), theta) by the periodic trapezoid rule.
 
     Spectrally accurate (the potential is analytic in theta); serves as the
-    independent oracle for uhat_fourier_coeff and as the mode evaluator of
-    the real-line quadrature route.  Each node's grid is the smallest that
-    keeps the aliasing error below the rounding floor eps/r_h(v), and the
-    full 256 points where that cannot be ensured (_theta_grid_sizes).
+    independent oracle for uhat_fourier_coeff.  Each node's grid is the
+    smallest that keeps the aliasing error below the rounding floor
+    eps/r_h(v), and the full 256 points where that cannot be ensured
+    (_theta_grid_sizes).
     v may be an array.
     """
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
@@ -401,8 +399,9 @@ def melnikov_coeff0_quadrature(p: Params) -> tuple[float, float]:
     """Mean coefficient L[0] and its error estimate.
 
     L[0] is the plain (non-oscillatory) integral of U[0], evaluated in the
-    cubic variable where the decay is tau^-4, by the trapezoid with 10 nodes
-    per unit of tau on |tau| <= TAU_MAX.  The estimate is the leading
+    cubic variable, where r_h = (tau^2 + 1)/2 = dv/dtau and the decay is
+    tau^-4, by the trapezoid with 10 nodes per unit of tau on
+    |tau| <= TAU_MAX.  The estimate is the leading
     closed-form tail 2 mu (1-mu) / (3 g0^4 TAU_MAX^3) of the integrand
     mu (1-mu)/(g0^4 tau^4) beyond +-TAU_MAX, plus the trapezoid's step error,
     read as half the difference from the midpoint rule on the same step.
@@ -413,8 +412,8 @@ def melnikov_coeff0_quadrature(p: Params) -> tuple[float, float]:
     tau = np.linspace(-TAU_MAX, TAU_MAX, n)
 
     def integrand(t):
-        u0 = uhat_fourier_coeff_quadrature(0, np.asarray(v_of_tau(t)), p).real
-        return u0 * (0.5 * (t * t + 1.0))
+        r = 0.5 * (t * t + 1.0)
+        return _uhat_modes(0, r, p).real * r
 
     value = float(np.trapezoid(integrand(tau), tau))
     mid = 0.5 * (tau[:-1] + tau[1:])
@@ -975,11 +974,6 @@ class MelnikovSeries:
 # ---------------------------------------------------------------------------
 # Leading-order predictions for the splitting observables
 # ---------------------------------------------------------------------------
-
-def phase_of_v(v, p: Params):
-    """Section phase x = g0^3 v - alpha_h(v) (unwrapped, increasing)."""
-    return p.g0**3 * np.asarray(v) - np.asarray(homoclinic_alpha(v))
-
 
 def predicted_distance(v_star: float | np.ndarray, p: Params):
     """Leading-order splitting distance on the section r = r_h(v*):

@@ -16,9 +16,8 @@ from math import pi
 import numpy as np
 
 from .core import (CollisionError, Params, collision_radius,
-                   hamiltonian_rotating)
+                   hamiltonian_rotating, lift_to_shell)
 from .integrate import first_return, flow
-from .manifolds import lift_to_shell
 
 __all__ = ["ExcursionLog", "ReturnRecord", "oscillation_demo", "HYPERBOLIC_EXCESS"]
 
@@ -60,7 +59,7 @@ def _two_body_energy(z) -> float:
 
 
 def oscillation_demo(p: Params, seed: tuple[float, float], n_iter: int,
-                     tol: float = 1e-11) -> ExcursionLog:
+                     tol: float) -> ExcursionLog:
     """Iterate section returns from a seed near the homoclinic tangle.
 
     Logs every return to {phi = 0 (mod 2pi)} together with the maximum

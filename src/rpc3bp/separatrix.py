@@ -29,6 +29,7 @@ __all__ = [
     "homoclinic_alpha",
     "homoclinic_alpha_prime",
     "v_of_r",
+    "phase_of_v",
 ]
 
 
@@ -63,7 +64,9 @@ def tau_of_v(v):
 
 
 def v_of_tau(tau):
-    tau = np.asarray(tau, dtype=float)
+    # a scalar is taken as a float64 scalar, whose cube numpy takes from the
+    # C library's pow: correctly rounded in more cases than its array loop
+    tau = np.asarray(tau, dtype=float)[()]
     out = 0.5 * (tau**3 / 3.0 + tau)
     return out if out.ndim else float(out)
 
@@ -116,6 +119,11 @@ def v_of_r(r):
     if np.any(r_arr < 0.5 - 1e-12):
         raise ValueError("separatrix radius is at least 1/2")
     t = np.sqrt(np.maximum(2.0 * r_arr - 1.0, 0.0))
-    out = 0.5 * (t**3 / 3.0 + t)
-    return out if out.ndim else float(out)
+    return v_of_tau(t)
+
+
+def phase_of_v(v, p):
+    """Section phase x = g0^3 v - alpha_h(v) (unwrapped, increasing) at the
+    g0 of p, a core.Params."""
+    return p.g0**3 * np.asarray(v) - np.asarray(homoclinic_alpha(v))
 

@@ -38,19 +38,17 @@ from .manifolds import (
     compute_invariant_curve,
 )
 from .melnikov import (
-    phase_of_v,
     predicted_distance,
     predicted_lobe_area,
     predicted_tangency_mu,
 )
-from .separatrix import homoclinic_y
+from .separatrix import homoclinic_y, phase_of_v
 
 __all__ = [
     "DistanceProfile",
     "HomoclinicRoot",
     "SplittingReport",
     "TangencyPoint",
-    "phase_of_v",
     "distance_profile",
     "find_homoclinic_points",
     "lobe_area",

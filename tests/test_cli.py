@@ -545,16 +545,12 @@ class TestValidation:
     @pytest.mark.parametrize("args", [
         ["melnikov", "--g0", 1.5, "--methods", "quadrature,bogus"],
         ["melnikov", "--methods", "contour,contour"],
-        ["melnikov", "--methods", ""],
-        ["manifolds", "--branch", "unstable,bogus"],
-        ["manifolds", "--branch", "stable,stable"]],
-        ids=["melnikov-unknown", "melnikov-repeated", "melnikov-empty",
-             "manifolds-unknown", "manifolds-repeated"])
+        ["melnikov", "--methods", ""]],
+        ids=["melnikov-unknown", "melnikov-repeated", "melnikov-empty"])
     def test_comma_list_checked_at_the_parser(self, args, tmp_path, no_work,
                                               capsys):
-        # an unknown name was met only after the earlier names' series or
-        # curve had been computed (and written, for manifolds); a repeated
-        # name was computed twice and written twice
+        # an unknown name was met only after the earlier names' series had
+        # been computed; a repeated name was computed twice and written twice
         with pytest.raises(SystemExit) as exc:
             run([*args, "--out", tmp_path])
         assert exc.value.code == EXIT_VALIDATION
@@ -589,7 +585,7 @@ class TestValidation:
 PROVENANCE = {
     "homoclinic": ((), ["--n", 2]),
     "melnikov": (("precision",), ["--methods", "asymptotic"]),
-    "manifolds": (("tol",), ["--branch", "unstable"]),
+    "manifolds": (("tol",), []),
     "splitting": (("tol",), []),
     "oscillate": (("tol",), [*REQUIRED["oscillate"], "--n-iter", 2]),
     "tangency": (("tol",), ["--steps", 1]),
@@ -833,7 +829,10 @@ class TestStartup:
         assert sorted(_ORBIT_MODULES.intersection(loaded)) == []
 
     def test_oscillate_loads_no_splitting(self, tmp_path):
+        # the demo lifts its seed with core.lift_to_shell and iterates
+        # integrate.first_return, so neither the fan nor the report loads
         loaded = _modules_loaded(tmp_path, [_BINARY64_COMMANDS[-1]], "rpc3bp",
                                  imports=())
         assert "rpc3bp.orbits" in loaded
         assert "rpc3bp.splitting" not in loaded
+        assert "rpc3bp.manifolds" not in loaded

@@ -11,24 +11,26 @@ from scipy.optimize import brentq as scipy_brentq
 import rpc3bp
 from rpc3bp import _dop853
 from rpc3bp.core import (
+    TOL_MIN,
     CollisionError,
     Params,
     SectionTimeoutError,
     collision_radius,
     hamiltonian_rotating,
     involution_R,
+    lift_to_shell,
     potential_kernel,
     potential_V,
 )
 from rpc3bp.integrate import (
-    TOL_MIN,
     _dense_state,
     brentq,
     flow,
     lockstep_flow,
+    poincare_map,
     section_event,
 )
-from rpc3bp.manifolds import initial_manifold_state, lift_to_shell, poincare_map
+from rpc3bp.manifolds import initial_manifold_state
 from rpc3bp.separatrix import homoclinic_state
 
 RNG = np.random.default_rng(20240817)

@@ -13,12 +13,15 @@ from rpc3bp.core import (
     collision_radius,
     hamiltonian_rotating,
     involution_R,
+    lift_to_shell,
     potential_kernel,
 )
 from rpc3bp.integrate import (
     first_return,
     flow,
     lockstep_flow,
+    poincare_jacobian,
+    poincare_map,
     refine_to_section,
     section_event,
 )
@@ -32,9 +35,6 @@ from rpc3bp.manifolds import (
     _mask_folds,
     compute_invariant_curve,
     initial_manifold_state,
-    lift_to_shell,
-    poincare_jacobian,
-    poincare_map,
 )
 from rpc3bp.separatrix import homoclinic_r, homoclinic_y, v_of_r
 from rpc3bp.splitting import continuation_tangency_curve, splitting_report

@@ -21,7 +21,8 @@ def tangle_seed(p, frac):
 class TestUnperturbed:
     def test_separatrix_seed_escapes_parabolically(self):
         p = Params(0.0, 2.2)
-        log = oscillation_demo(p, (homoclinic_r(1.0), homoclinic_y(1.0)), 50)
+        log = oscillation_demo(p, (homoclinic_r(1.0), homoclinic_y(1.0)), 50,
+                               tol=1e-11)
         assert log.escaped
         assert log.escape_kind == "parabolic_or_escape"
         assert log.n_excursions == 0
@@ -30,7 +31,7 @@ class TestUnperturbed:
 class TestPerturbed:
     def test_excursions_with_returns(self):
         p = Params(0.3, 2.2)
-        log = oscillation_demo(p, tangle_seed(p, -0.5), 80)
+        log = oscillation_demo(p, tangle_seed(p, -0.5), 80, tol=1e-11)
         good = [e for e in log.excursions if e[0] > R_OUT and e[1] < R_IN]
         assert len(good) >= 2
         assert log.energy_residual < 1e-8
@@ -39,7 +40,7 @@ class TestPerturbed:
         # the seed lifts exactly onto H = -g0^3; every logged return must
         # still sit on that shell
         p = Params(0.3, 2.2)
-        log = oscillation_demo(p, tangle_seed(p, -0.5), 30)
+        log = oscillation_demo(p, tangle_seed(p, -0.5), 30, tol=1e-11)
         assert log.returns
         for rec in log.returns:
             h = hamiltonian_rotating([rec.r, 0.0, rec.y, rec.G], p)
@@ -48,15 +49,15 @@ class TestPerturbed:
     def test_determinism(self):
         p = Params(0.3, 2.2)
         seed = tangle_seed(p, -0.5)
-        a = oscillation_demo(p, seed, 25)
-        b = oscillation_demo(p, seed, 25)
+        a = oscillation_demo(p, seed, 25, tol=1e-11)
+        b = oscillation_demo(p, seed, 25, tol=1e-11)
         assert [(r.s, r.r, r.y, r.G) for r in a.returns] == \
                [(r.s, r.r, r.y, r.G) for r in b.returns]
         assert a.excursions == b.excursions
 
     def test_hyperbolic_escape_classified(self):
         p = Params(0.3, 2.2)
-        log = oscillation_demo(p, (1.0, 1.35), 50)
+        log = oscillation_demo(p, (1.0, 1.35), 50, tol=1e-11)
         assert log.escaped
         assert log.escape_kind == "hyperbolic"
 
@@ -65,7 +66,7 @@ class TestPerturbed:
         p = Params(0.3, 2.2)
         maxima = []
         for frac in (-0.8, -1.6, -3.2):
-            log = oscillation_demo(p, tangle_seed(p, frac), 40)
+            log = oscillation_demo(p, tangle_seed(p, frac), 40, tol=1e-11)
             peak = max((r.max_r_since_last for r in log.returns), default=0.0)
             if log.escaped:
                 peak = max(peak, 10.0 * R_OUT)
@@ -78,7 +79,7 @@ class TestPerturbed:
         # out there
         p = Params(0.3, 2.2)
         seed = (1.0, float(homoclinic_y(v_of_r(1.0))) - 0.05)
-        log = oscillation_demo(p, seed, 200)
+        log = oscillation_demo(p, seed, 200, tol=1e-11)
         assert log.returns
         assert max(rec.r for rec in log.returns) <= R_OUT
         assert log.n_excursions >= 1 or log.escaped
@@ -86,7 +87,7 @@ class TestPerturbed:
     def test_input_validation(self):
         p = Params(0.3, 2.2)
         with pytest.raises(ValueError):
-            oscillation_demo(p, (6.0, 0.5), 10)
+            oscillation_demo(p, (6.0, 0.5), 10, tol=1e-11)
 
     def test_iteration_count_checked_before_the_lift(self, monkeypatch):
         # n_iter below 1 returned a log with no returns
@@ -96,7 +97,8 @@ class TestPerturbed:
         monkeypatch.setattr(orbits, "lift_to_shell", never)
         for n_iter in (0, -3):
             with pytest.raises(ValueError, match="n_iter"):
-                oscillation_demo(Params(0.3, 2.2), (1.3, 0.68), n_iter)
+                oscillation_demo(Params(0.3, 2.2), (1.3, 0.68), n_iter,
+                                 tol=1e-11)
 
 
 def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
@@ -107,11 +109,11 @@ def test_log_matches_solve_ivp_flow(monkeypatch, solve_ivp_flow):
     logs = []
     for frac, n_iter in ((-0.5, 20), (0.5, 10)):
         seed = tangle_seed(p, frac)
-        log = oscillation_demo(p, seed, n_iter)
+        log = oscillation_demo(p, seed, n_iter, tol=1e-11)
         with monkeypatch.context() as m:
             m.setattr(orbits, "flow", solve_ivp_flow)
             m.setattr(integrate, "flow", solve_ivp_flow)
-            assert oscillation_demo(p, seed, n_iter) == log
+            assert oscillation_demo(p, seed, n_iter, tol=1e-11) == log
         logs.append(log)
     assert logs[0].n_excursions == 1 and not logs[0].escaped
     assert logs[1].escape_kind == "hyperbolic"

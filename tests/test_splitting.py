@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 from rpc3bp import cli, splitting
 from rpc3bp.core import Params
 from rpc3bp.melnikov import predicted_distance, predicted_tangency_mu
-from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y
+from rpc3bp.separatrix import homoclinic_alpha_prime, homoclinic_y, phase_of_v
 from rpc3bp.splitting import (
     HomoclinicRoot,
     continuation_tangency_curve,
@@ -16,7 +16,6 @@ from rpc3bp.splitting import (
     find_homoclinic_points,
     find_tangency,
     lobe_area,
-    phase_of_v,
     splitting_report,
     _center_root,
     _lobe_integral,
